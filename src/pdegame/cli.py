@@ -42,7 +42,7 @@ import numpy as np
 
 from . import strategies
 from .consistency import ConsistencyReport, audit_wall_shift, run_audit_suite
-from .game_elliptic import build_caps, extract_u_elliptic, extract_v_elliptic, solve_fixed_point
+from .game_elliptic import build_caps, solve_fixed_point
 from .game_parabolic import NumericAbort, solve_levelset, solve_scalar_dpp
 from .params import ValidationError, make_params
 from .problems import EllipticProblem, MixedEllipticProblem, get_problem
@@ -292,13 +292,11 @@ def _run_elliptic(cfg: RunConfig, out: Path, summary: list) -> None:
     cap_M = cfg.cap_M if cfg.cap_M is not None else 10.0
     caps = build_caps(problem, params, cap_M=cap_M)
     val = solve_fixed_point(problem, caps, params, tol=cfg.tol)
-    rows = []
-    for x in val.x_nodes:
-        xp = np.array([x])
-        rows.append(
-            [x, extract_u_elliptic(val, xp), extract_v_elliptic(val, xp), caps.chi_at(xp)]
-        )
-    _write_csv(out / "profiles.csv", ["x", "u", "v", "chi"], rows)
+    # extract_u_elliptic / extract_v_elliptic at every node, one interp call each
+    xs = val.x_nodes
+    u = np.interp(xs, xs, val.u_profile())
+    v = np.interp(xs, xs, val.v_profile())
+    _write_csv(out / "profiles.csv", ["x", "u", "v", "chi"], zip(xs, u, v, val.chi_nodes))
     _write_csv(
         out / "residuals.csv",
         ["iteration", "residual"],

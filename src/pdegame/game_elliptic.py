@@ -22,6 +22,14 @@ stops at the capped values ``-chi(x)`` / ``+chi(x)``.  Problems with a
 partly absorbing wall stop with payoff ``z + e^(-lambda dt)
 (g_exit(landing) - z')`` when the state lands on the absorbing part
 with the score still inside the caps.
+
+Sweeps run on a plan built once per anchor round: arrays of shape
+``(nx, S, M, nz)`` over state node, strategy, move and score node,
+``S`` and ``M`` the largest strategy and move counts over the nodes.
+A node with fewer strategies or moves repeats its last real one.  This
+padding is exact: a repeated entry changes neither a min nor a max,
+and as the copies come last, the first-index argmax/argmin that count
+Dirichlet exits are unchanged too.
 """
 
 from __future__ import annotations
@@ -196,10 +204,7 @@ def build_caps(problem, params: GameParams, cap_M: float | None = None) -> CapSp
     p2 = psi_sup * np.abs(wp**2 - wpp) * ew
     hess_norm = float(np.max(p2) + np.max(p1) * kappa_max)
     eps0 = (4.0 * hess_norm + 2.0) ** (-1.0 / (1.0 - params.alpha))
-    spacing = grid_spacing(dom, params)
-    psi = GridField.from_callable(
-        dom, spacing, lambda x: _psi_profile(dom.dist_to_boundary(np.atleast_1d(x)), depth, psi_sup)
-    )
+    psi = build_psi(dom, h_sup, grid_spacing(dom, params))
     chi = psi.with_values(psi.values + (cap_m + psi_sup))
     return CapSpec(
         domain=dom,
@@ -297,180 +302,197 @@ def _f_over_z(problem, xp, zvals, strat):
     return np.array([float(problem.f(xp, zv, strat.p, strat.Gamma)) for zv in zvals])
 
 
-def _anchor_field(base: GridField, V: np.ndarray, zs: np.ndarray, chi_nodes: np.ndarray) -> GridField:
-    """Candidate-driving state profile: the sign-change graph of V - z,
-    clamped to the guaranteed bound where the graph leaves the grid."""
-    U = V - zs[None, :]
-    u = _sign_change(zs, U, upper=True)
-    u = np.where(np.isfinite(u), u, 0.0)
-    u = np.clip(u, -chi_nodes, chi_nodes)
-    return base.with_values(u)
-
-
 @dataclass
 class _SweepFrame:
-    """Grid-level constants shared by every row of a sweep."""
+    """The (state, score) grid, its per-node bound and the discount:
+    everything a sweep needs that depends neither on V nor on the anchor."""
 
+    base: GridField
     xs: np.ndarray
     zs: np.ndarray
     chi_nodes: np.ndarray
     disc: float
-    grow: float
-    dt: float
-    cap_M: float
 
 
-@dataclass
-class _RowPlan:
-    """Everything about one state node that does not depend on V.
-
-    Branches are ordered strategy-major: branch ``s * n_moves + m``
-    pairs strategy ``s`` with move ``m``.  Landing interpolation in the
-    state uses ``col_i0``/``col_w`` per move; landing interpolation in
-    the score uses ``jdx``/``wz`` per branch (the post-round scores are
-    V-independent, so they are precomputed).  Absorbing-exit branches
-    have V-independent values, precomputed in ``exit_vals``.
-    """
-
-    chi_x: float
-    n_strategies: int
-    n_moves: int
-    col_i0: np.ndarray
-    col_w: np.ndarray
-    move_of_branch: np.ndarray
-    delta: np.ndarray
-    jdx: np.ndarray
-    wz: np.ndarray
-    hi_mask: np.ndarray
-    lo_mask: np.ndarray
-    exit_vals: dict
-    exit_moves: tuple
-
-
-def _plan_row(xp, chi_x, frame: _SweepFrame, problem, params, anchor, dirichlet_patch, g_exit):
-    dom = problem.domain
-    xs, zs = frame.xs, frame.zs
-    nz = len(zs)
-    dz = zs[1] - zs[0]
-    strategies = candidate_strategies(dom, xp, anchor, params, problem.h)
-    moves = []
-    for mv_req in candidate_moves(dom, xp, params):
-        mv = dom.make_move(xp, mv_req)
-        is_exit = bool(dirichlet_patch is not None and mv.crossed and dirichlet_patch(mv.landing))
-        pen_h = (
-            mv.penal_weight * float(problem.h(mv.landing))
-            if (mv.crossed and not is_exit)
-            else 0.0
-        )
-        g_val = float(g_exit(mv.landing)) if is_exit else 0.0
-        t_loc = (mv.landing[0] - xs[0]) / (xs[1] - xs[0])
-        i0 = int(np.clip(math.floor(t_loc), 0, len(xs) - 2))
-        w = min(max(t_loc - i0, 0.0), 1.0)
-        moves.append((mv_req, is_exit, pen_h, g_val, i0, w))
-    ns, nm = len(strategies), len(moves)
-    delta = np.empty((ns * nm, nz))
-    exit_vals = {}
-    for s, strat in enumerate(strategies):
-        fz = _f_over_z(problem, xp, zs, strat)
-        for m, (mv_req, is_exit, pen_h, g_val, _, _) in enumerate(moves):
-            drift = float(strat.p @ mv_req) + 0.5 * float(mv_req @ strat.Gamma @ mv_req)
-            delta[s * nm + m] = drift + frame.dt * fz - pen_h
-    z1 = frame.grow * (zs[None, :] + delta)
-    hi_mask = z1 >= frame.cap_M
-    lo_mask = z1 <= -frame.cap_M
-    jdx = np.clip(np.searchsorted(zs, z1, side="right") - 1, 0, nz - 2)
-    wz = np.clip((z1 - zs[jdx]) / dz, 0.0, 1.0)
-    for m, (_, is_exit, _, g_val, _, _) in enumerate(moves):
-        if not is_exit:
-            continue
-        for s in range(ns):
-            b = s * nm + m
-            exit_vals[b] = zs + frame.disc * (g_val - z1[b])
-    return _RowPlan(
-        chi_x=chi_x,
-        n_strategies=ns,
-        n_moves=nm,
-        col_i0=np.array([mv[4] for mv in moves], dtype=int),
-        col_w=np.array([mv[5] for mv in moves]),
-        move_of_branch=np.tile(np.arange(nm), ns),
-        delta=delta,
-        jdx=jdx,
-        wz=wz,
-        hi_mask=hi_mask,
-        lo_mask=lo_mask,
-        exit_vals=exit_vals,
-        exit_moves=tuple(m for m, mv in enumerate(moves) if mv[1]),
-    )
-
-
-def _apply_row(V, rp: _RowPlan, frame: _SweepFrame, count_exits: bool):
-    """Best worst-case branch values over the score grid at one node."""
-    nz = len(frame.zs)
-    C = (1.0 - rp.col_w)[:, None] * V[rp.col_i0] + rp.col_w[:, None] * V[rp.col_i0 + 1]
-    rows = C[rp.move_of_branch]
-    left = np.take_along_axis(rows, rp.jdx, axis=1)
-    right = np.take_along_axis(rows, rp.jdx + 1, axis=1)
-    vals = frame.disc * ((1.0 - rp.wz) * left + rp.wz * right) - rp.delta
-    for b, ev in rp.exit_vals.items():
-        vals[b] = ev
-    np.copyto(vals, -rp.chi_x, where=rp.hi_mask)
-    np.copyto(vals, rp.chi_x, where=rp.lo_mask)
-    vals3 = vals.reshape(rp.n_strategies, rp.n_moves, nz)
-    worst = vals3.min(axis=1)
-    s_star = worst.argmax(axis=0)
-    cols = np.arange(nz)
-    best = worst[s_star, cols]
-    hits = 0
-    if count_exits and rp.exit_moves:
-        winners = vals3[s_star, :, cols].argmin(axis=1)
-        hits = int(np.isin(winners, rp.exit_moves).sum())
-    return best, hits
-
-
-def _build_plan(problem, caps, params, anchor, dirichlet_patch, g_exit):
+def _sweep_frame(problem, caps: CapSpec, params: GameParams) -> _SweepFrame:
     dom = problem.domain
     if dom.dim != 1:
         raise ValidationError("the fixed-point solver is one-dimensional")
     disc = _discount(problem, params)
     base = GridField.build(dom, grid_spacing(dom, params))
-    xs = base.x_nodes
     zs = z_grid(params, caps.cap_M)
     if not np.all(np.abs(zs) < caps.cap_M):
         raise ValidationError("score nodes must lie strictly inside the caps")
-    chi_nodes = np.array([caps.chi_at(np.array([x])) for x in xs])
-    frame = _SweepFrame(
-        xs=xs,
-        zs=zs,
-        chi_nodes=chi_nodes,
-        disc=disc,
-        grow=1.0 / disc,
-        dt=params.time_step,
-        cap_M=caps.cap_M,
+    chi_nodes = np.array([caps.chi_at(np.array([x])) for x in base.x_nodes])
+    return _SweepFrame(base=base, xs=base.x_nodes, zs=zs, chi_nodes=chi_nodes, disc=disc)
+
+
+def _anchor_field(frame: _SweepFrame, V: np.ndarray) -> GridField:
+    """Candidate-driving state profile: the sign-change graph of V - z,
+    clamped to the guaranteed bound where the graph leaves the grid."""
+    U = V - frame.zs[None, :]
+    u = _sign_change(frame.zs, U, upper=True)
+    u = np.where(np.isfinite(u), u, 0.0)
+    u = np.clip(u, -frame.chi_nodes, frame.chi_nodes)
+    return frame.base.with_values(u)
+
+
+@dataclass
+class _SweepPlan:
+    """Everything about one anchor round that does not depend on V, in
+    the padded layout of the module docstring.  Move ``(i, m)`` lands
+    between state nodes ``col_i0`` and ``col_i0 + 1`` with weights
+    ``col_wl``/``col_w``; ``idx``/``wz_left``/``wz`` do the same in the
+    score for each branch cell.  ``C``, ``C_work``, ``vals`` and ``work``
+    are the sweep's buffers; ``vals`` keeps the last branch values."""
+
+    col_i0: np.ndarray
+    col_wl: np.ndarray
+    col_w: np.ndarray
+    idx: np.ndarray
+    wz_left: np.ndarray
+    wz: np.ndarray
+    delta: np.ndarray
+    fixed_idx: np.ndarray
+    fixed_val: np.ndarray
+    exits: np.ndarray
+    C: np.ndarray
+    C_work: np.ndarray
+    vals: np.ndarray
+    work: np.ndarray
+
+
+def _plan_move(xp, mv_req, xs, problem, dirichlet_patch, g_exit):
+    mv = problem.domain.make_move(xp, mv_req)
+    is_exit = bool(dirichlet_patch is not None and mv.crossed and dirichlet_patch(mv.landing))
+    pen_h = mv.penal_weight * float(problem.h(mv.landing)) if mv.crossed and not is_exit else 0.0
+    g_val = float(g_exit(mv.landing)) if is_exit else 0.0
+    t_loc = (mv.landing[0] - xs[0]) / (xs[1] - xs[0])
+    i0 = int(np.clip(math.floor(t_loc), 0, len(xs) - 2))
+    w = min(max(t_loc - i0, 0.0), 1.0)
+    return mv_req, is_exit, pen_h, g_val, i0, w
+
+
+def _build_plan(problem, params, caps, frame: _SweepFrame, anchor, dirichlet_patch, g_exit):
+    dom = problem.domain
+    xs, zs = frame.xs, frame.zs
+    nx, nz = len(xs), len(zs)
+    dz = zs[1] - zs[0]
+    rows = []
+    for x in xs:
+        xp = np.array([x])
+        strategies = candidate_strategies(dom, xp, anchor, params, problem.h)
+        moves = [
+            _plan_move(xp, mv_req, xs, problem, dirichlet_patch, g_exit)
+            for mv_req in candidate_moves(dom, xp, params)
+        ]
+        rows.append((xp, strategies, moves))
+    S = max(len(strategies) for _, strategies, _ in rows)
+    M = max(len(moves) for _, _, moves in rows)
+    shape = (nx, S, M, nz)
+    delta = np.empty(shape)
+    col_i0 = np.empty((nx, M), dtype=int)
+    col_w = np.empty((nx, M))
+    g_vals = np.empty((nx, M))
+    exits = np.empty((nx, M), dtype=bool)
+    for i, (xp, strategies, moves) in enumerate(rows):
+        ns, nm = len(strategies), len(moves)
+        for s, strat in enumerate(strategies):
+            fz = _f_over_z(problem, xp, zs, strat)
+            for m, (mv_req, _, pen_h, _, _, _) in enumerate(moves):
+                drift = float(strat.p @ mv_req) + 0.5 * float(mv_req @ strat.Gamma @ mv_req)
+                delta[i, s, m] = drift + params.time_step * fz - pen_h
+        # pad with copies of the last real move and strategy
+        delta[i, :ns, nm:] = delta[i, :ns, nm - 1 : nm]
+        delta[i, ns:] = delta[i, ns - 1]
+        pad = np.minimum(np.arange(M), nm - 1)
+        _, is_exit, _, g_val, i0, w = (np.array(col)[pad] for col in zip(*moves))
+        exits[i], g_vals[i], col_i0[i], col_w[i] = is_exit, g_val, i0, w
+    z1 = (1.0 / frame.disc) * (zs + delta)
+    jdx = np.clip(np.searchsorted(zs, z1, side="right") - 1, 0, nz - 2)
+    wz = np.clip((z1 - zs[jdx]) / dz, 0.0, 1.0)
+    idx = (jdx + nz * np.arange(nx * M).reshape(nx, 1, M, 1)).astype(np.int32)
+    # caps take precedence over absorbing exits
+    cap = caps.cap_M
+    fixed_idx = np.flatnonzero((z1 >= cap) | (z1 <= -cap) | exits[:, None, :, None])
+    ix, _, mx, kx = np.unravel_index(fixed_idx, shape)
+    z1f = z1.ravel()[fixed_idx]
+    chi = frame.chi_nodes[ix]
+    exit_val = zs[kx] + frame.disc * (g_vals[ix, mx] - z1f)
+    fixed_val = np.where(z1f >= cap, -chi, np.where(z1f <= -cap, chi, exit_val))
+    del z1, jdx  # before the sweep buffers are allocated, to lower the peak
+    return _SweepPlan(
+        col_i0=col_i0,
+        col_wl=(1.0 - col_w)[..., None],
+        col_w=col_w[..., None],
+        idx=idx,
+        wz_left=1.0 - wz,
+        wz=wz,
+        delta=delta,
+        fixed_idx=fixed_idx,
+        fixed_val=fixed_val,
+        exits=exits,
+        C=np.empty((nx, M, nz)),
+        C_work=np.empty((nx, M, nz)),
+        vals=np.empty(shape),
+        work=np.empty(shape),
     )
-    plans = [
-        _plan_row(
-            np.array([x]), chi_nodes[i], frame, problem, params, anchor, dirichlet_patch, g_exit
+
+
+def _sweep(V, plan: _SweepPlan, frame: _SweepFrame, sweep: int):
+    """Best worst-case branch values on the whole grid; the branch
+    values are left in ``plan.vals``."""
+    # every index is in range; mode="clip" lets take write to out unbuffered
+    C, C_right = plan.C, plan.C_work
+    np.take(V, plan.col_i0, axis=0, out=C, mode="clip")
+    C *= plan.col_wl
+    np.take(V, plan.col_i0 + 1, axis=0, out=C_right, mode="clip")
+    C_right *= plan.col_w
+    C += C_right
+    # disc * ((1 - wz) * left + wz * right) - delta
+    flat = C.ravel()
+    vals, right = plan.vals, plan.work
+    np.take(flat, plan.idx, out=vals, mode="clip")
+    vals *= plan.wz_left
+    np.take(flat[1:], plan.idx, out=right, mode="clip")
+    right *= plan.wz
+    vals += right
+    vals *= frame.disc
+    vals -= plan.delta
+    np.put(vals, plan.fixed_idx, plan.fixed_val)
+    new = vals.min(axis=2).max(axis=1)
+    bad = ~np.isfinite(new)
+    if bad.any():
+        i, k = np.argwhere(bad)[0]
+        raise NumericAbort(
+            f"non-finite values in the fixed-point sweep {sweep}, first at "
+            f"node (x={frame.xs[i]:.6g}, z={frame.zs[k]:.6g})"
         )
-        for i, x in enumerate(xs)
-    ]
-    return frame, plans
+    return new
 
 
-def _sweep(V, frame: _SweepFrame, plans, count_exits: bool):
-    new = np.empty_like(V)
-    hits = 0
-    for i, rp in enumerate(plans):
-        new[i], h = _apply_row(V, rp, frame, count_exits)
-        hits += h
-    if not np.all(np.isfinite(new)):
-        raise NumericAbort("non-finite values in the fixed-point sweep")
-    return new, hits
+def _exit_hits(plan: _SweepPlan) -> int:
+    """Grid cells whose optimal continuation in the last sweep stops on
+    the absorbing part: the first maximizing strategy, then its first
+    minimizing move."""
+    if not plan.exits.any():
+        return 0
+    s_star = plan.vals.min(axis=2).argmax(axis=1)
+    chosen = np.take_along_axis(plan.vals, s_star[:, None, None, :], axis=1)[:, 0]
+    return int(np.take_along_axis(plan.exits, chosen.argmin(axis=1), axis=1).sum())
 
 
-def _check_value_shape(V, frame: _SweepFrame):
+def _one_sweep(V, problem, caps, params, anchor, patch, g):
+    V = np.asarray(V, dtype=float)
+    frame = _sweep_frame(problem, caps, params)
     want = (len(frame.xs), len(frame.zs))
     if V.shape != want:
         raise ValidationError(f"value array has shape {V.shape}, expected {want}")
+    if anchor is None:
+        anchor = _anchor_field(frame, V)
+    plan = _build_plan(problem, params, caps, frame, anchor, patch, g)
+    new = _sweep(V, plan, frame, 1)
+    return new, _exit_hits(plan)
 
 
 def r_eps_apply(V, problem, caps: CapSpec, params: GameParams, anchor=None):
@@ -481,10 +503,11 @@ def r_eps_apply(V, problem, caps: CapSpec, params: GameParams, anchor=None):
     candidate announcements the map is affine in V with nonnegative
     interpolation weights, hence a sup-norm contraction with factor
     ``exp(-lambda dt)``; by default the anchor is re-extracted from V.
+    The sweep gathers ``disc * ((1 - wz) * left + wz * right) - delta``
+    on the padded plan of the module docstring, overwrites the cap and
+    exit cells, and takes a min over moves and a max over strategies.
     """
-    V = np.asarray(V, dtype=float)
-    frame, plans = _prepare(problem, caps, params, V, anchor, None, None)
-    return _sweep(V, frame, plans, count_exits=False)
+    return _one_sweep(V, problem, caps, params, anchor, None, None)
 
 
 def r_eps_mixed(
@@ -508,28 +531,9 @@ def r_eps_mixed(
     ``(V_new, exit_hits)`` with ``exit_hits`` counting grid cells whose
     optimal continuation stops on the absorbing part.
     """
-    V = np.asarray(V, dtype=float)
     patch = dirichlet_patch if dirichlet_patch is not None else problem.is_dirichlet
     g = g_exit if g_exit is not None else problem.g_exit
-    frame, plans = _prepare(problem, caps, params, V, anchor, patch, g)
-    return _sweep(V, frame, plans, count_exits=True)
-
-
-def _prepare(problem, caps, params, V, anchor, patch, g):
-    frame_probe = None
-    if anchor is None:
-        dom = problem.domain
-        base = GridField.build(dom, grid_spacing(dom, params))
-        zs = z_grid(params, caps.cap_M)
-        chi_nodes = np.array([caps.chi_at(np.array([x])) for x in base.x_nodes])
-        if V.shape != (len(base.x_nodes), len(zs)):
-            raise ValidationError(
-                f"value array has shape {V.shape}, expected {(len(base.x_nodes), len(zs))}"
-            )
-        anchor = _anchor_field(base, V, zs, chi_nodes)
-    frame, plans = _build_plan(problem, caps, params, anchor, patch, g)
-    _check_value_shape(V, frame)
-    return frame, plans
+    return _one_sweep(V, problem, caps, params, anchor, patch, g)
 
 
 @dataclass
@@ -545,14 +549,15 @@ class FixedPointValue:
     residuals: list = field(default_factory=list)
     iterations: int = 0
     dirichlet_exits: int = 0
+    chi_nodes: np.ndarray | None = None  # designed bound per node; sampled from caps if None
+
+    def __post_init__(self):
+        if self.chi_nodes is None:
+            self.chi_nodes = np.array([self.caps.chi_at(np.array([x])) for x in self.x_nodes])
 
     @property
     def final_residual(self) -> float:
         return self.residuals[-1] if self.residuals else math.inf
-
-    @property
-    def chi_nodes(self) -> np.ndarray:
-        return np.array([self.caps.chi_at(np.array([x])) for x in self.x_nodes])
 
     def cap_excess(self) -> float:
         """sup over the grid of |V| - chi, positive where the designed
@@ -613,21 +618,17 @@ def solve_fixed_point(
     """
     if caps is None:
         caps = build_caps(problem, params)
-    dom = problem.domain
     lam = problem.lambda_rate
     dt = params.time_step
     if max_iter is None:
         max_iter = 10 * int(math.ceil(math.log(max(1.0 / tol, 10.0)) / (lam * dt)))
-    base = GridField.build(dom, grid_spacing(dom, params))
-    xs = base.x_nodes
-    zs = z_grid(params, caps.cap_M)
+    frame = _sweep_frame(problem, caps, params)
+    xs, zs = frame.xs, frame.zs
     if anchor_tol is None:
         anchor_tol = 0.25 * (zs[1] - zs[0])
-    chi_nodes = np.array([caps.chi_at(np.array([x])) for x in xs])
     _warn_if_cap_small(problem, caps, xs, lam)
     patch = getattr(problem, "is_dirichlet", None)
     g = getattr(problem, "g_exit", None)
-    mixed = patch is not None
     V = np.zeros((len(xs), len(zs)))
     residuals: list = []
     anchor_vals = anchor.values.copy() if anchor is not None else np.zeros(len(xs))
@@ -635,15 +636,15 @@ def solve_fixed_point(
     last_move = math.inf
     anchor_moves: list = []
     total_sweeps = 0
-    hits = 0
     for _ in range(max_rounds):
         polishing = frozen or last_move <= anchor_tol
         round_tol = tol if polishing else max(tol, 0.02 * last_move)
-        frame, plans = _build_plan(
-            problem, caps, params, base.with_values(anchor_vals), patch, g
+        plan = None  # free the last round's arrays before building the next
+        plan = _build_plan(
+            problem, params, caps, frame, frame.base.with_values(anchor_vals), patch, g
         )
         for _ in range(max_iter):
-            V_new, hits = _sweep(V, frame, plans, count_exits=mixed)
+            V_new = _sweep(V, plan, frame, total_sweeps + 1)
             res = float(np.max(np.abs(V_new - V)))
             residuals.append(res)
             total_sweeps += 1
@@ -666,9 +667,10 @@ def solve_fixed_point(
                 V=V,
                 residuals=residuals,
                 iterations=total_sweeps,
-                dirichlet_exits=hits,
+                dirichlet_exits=_exit_hits(plan),
+                chi_nodes=frame.chi_nodes,
             )
-        fresh = _anchor_field(base, V, zs, chi_nodes).values
+        fresh = _anchor_field(frame, V).values
         move = float(np.max(np.abs(fresh - anchor_vals)))
         anchor_moves.append(move)
         last_move = move

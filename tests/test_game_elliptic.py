@@ -1,5 +1,6 @@
 """Barrier, caps, discounted operator, and fixed-point solver tests."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from pdegame.game_parabolic import NumericAbort
 from pdegame.geometry import ball, interval
 from pdegame.params import ValidationError, make_params
 from pdegame.problems import EllipticProblem, MixedEllipticProblem, get_problem
+from pdegame.strategies import candidate_moves, candidate_strategies
 from pdegame.game_elliptic import (
     build_caps,
     build_psi,
@@ -62,6 +64,57 @@ def quad_field(a, b, c, dom=DOM):
 def zero_anchor(problem, params):
     base = GridField.build(problem.domain, grid_spacing(problem.domain, params))
     return base.with_values(np.zeros(len(base.x_nodes)))
+
+
+def reference_sweep(V, problem, caps, params, anchor, patch=None, g_exit=None):
+    """The capped operator evaluated node by node: per node, every
+    (strategy, move) branch over the score grid, then min over moves and
+    max over strategies.  Returns ``(V_new, exit_hits)``, counting exits
+    at the first maximizing strategy's first minimizing move."""
+    dom = problem.domain
+    xs = GridField.build(dom, grid_spacing(dom, params)).x_nodes
+    zs = z_grid(params, caps.cap_M)
+    nz, dz = len(zs), zs[1] - zs[0]
+    disc = math.exp(-problem.lambda_rate * params.time_step)
+    new = np.empty_like(V)
+    hits = 0
+    for i, x in enumerate(xs):
+        xp = np.array([x])
+        chi = caps.chi_at(xp)
+        moves = []
+        for req in candidate_moves(dom, xp, params):
+            mv = dom.make_move(xp, req)
+            is_exit = bool(patch is not None and mv.crossed and patch(mv.landing))
+            crossed = mv.crossed and not is_exit
+            pen_h = mv.penal_weight * float(problem.h(mv.landing)) if crossed else 0.0
+            g_val = float(g_exit(mv.landing)) if is_exit else 0.0
+            t = (mv.landing[0] - xs[0]) / (xs[1] - xs[0])
+            i0 = int(np.clip(math.floor(t), 0, len(xs) - 2))
+            w = min(max(t - i0, 0.0), 1.0)
+            C = (1.0 - w) * V[i0] + w * V[i0 + 1]
+            moves.append((req, is_exit, pen_h, g_val, C))
+        branches = []
+        for strat in candidate_strategies(dom, xp, anchor, params, problem.h):
+            fz = np.array([float(problem.f(xp, z, strat.p, strat.Gamma)) for z in zs])
+            row = []
+            for req, is_exit, pen_h, g_val, C in moves:
+                drift = float(strat.p @ req) + 0.5 * float(req @ strat.Gamma @ req)
+                delta = drift + params.time_step * fz - pen_h
+                z1 = (1.0 / disc) * (zs + delta)
+                j = np.clip(np.searchsorted(zs, z1, side="right") - 1, 0, nz - 2)
+                wz = np.clip((z1 - zs[j]) / dz, 0.0, 1.0)
+                val = disc * ((1.0 - wz) * C[j] + wz * C[j + 1]) - delta
+                if is_exit:
+                    val = zs + disc * (g_val - z1)
+                row.append(np.where(z1 >= caps.cap_M, -chi, np.where(z1 <= -caps.cap_M, chi, val)))
+            branches.append(row)
+        vals = np.array(branches)  # (strategies, moves, nz)
+        worst = vals.min(axis=1)
+        new[i] = worst.max(axis=0)
+        s_star = worst.argmax(axis=0)
+        winners = vals[s_star, :, np.arange(nz)].argmin(axis=1)
+        hits += sum(moves[m][1] for m in winners)
+    return new, hits
 
 
 LAPLACE = get_problem("laplace_elliptic_1d")
@@ -338,8 +391,48 @@ class TestSweep:
         base = GridField.build(DOM, grid_spacing(DOM, params))
         V = np.zeros((len(base.x_nodes), len(zs)))
         V[2, 5] = np.nan
-        with pytest.raises(NumericAbort, match="non-finite"):
-            r_eps_apply(V, LAPLACE, caps, params, anchor=zero_anchor(LAPLACE, params))
+        anchor = zero_anchor(LAPLACE, params)
+        ref, _ = reference_sweep(V, LAPLACE, caps, params, anchor)
+        i, k = np.argwhere(~np.isfinite(ref))[0]
+        assert (i, k) == (1, 14)
+        node = f"sweep 1, first at node (x={base.x_nodes[i]:.6g}, z={zs[k]:.6g})"
+        with pytest.raises(NumericAbort, match="non-finite.*" + re.escape(node)):
+            r_eps_apply(V, LAPLACE, caps, params, anchor=anchor)
+
+    @pytest.mark.parametrize(
+        "prob, cap_M, branch_counts",
+        [
+            (LAPLACE, 10.0, {3, 4, 6, 8}),
+            (LAPLACE, 6.0, {3, 4, 6, 8}),
+            (exit_problem(-3.0), 6.0, {3, 4}),
+        ],
+        ids=["laplace_padded", "laplace_cap_heavy", "exit_mixed"],
+    )
+    def test_batched_sweep_matches_the_per_node_reference(self, prob, cap_M, branch_counts):
+        params = PARAMS_02
+        caps = build_caps(prob, params, cap_M=cap_M)
+        base = GridField.build(DOM, grid_spacing(DOM, params))
+        zs = z_grid(params, caps.cap_M)
+        anchor = zero_anchor(prob, params)
+        # nodes with different (strategy x move) counts share one padded plan
+        counts = {
+            len(candidate_strategies(DOM, np.array([x]), anchor, params, prob.h))
+            * len(candidate_moves(DOM, np.array([x]), params))
+            for x in base.x_nodes
+        }
+        assert counts == branch_counts
+        rng = np.random.default_rng(19)
+        V = rng.uniform(-3.0, 3.0, size=(len(base.x_nodes), len(zs)))
+        patch = getattr(prob, "is_dirichlet", None)
+        if patch is None:
+            got, hits = r_eps_apply(V, prob, caps, params, anchor=anchor)
+        else:
+            got, hits = r_eps_mixed(V, prob, caps, params, anchor=anchor)
+        g_exit = getattr(prob, "g_exit", None)
+        ref, ref_hits = reference_sweep(V, prob, caps, params, anchor, patch, g_exit)
+        np.testing.assert_array_equal(got, ref)
+        assert hits == ref_hits
+        assert (hits > 0) == (patch is not None)
 
 
 class TestMixedSweep:
@@ -356,7 +449,7 @@ class TestMixedSweep:
     def test_rows_beyond_the_exit_wall_reach_match_pure_neumann(self):
         Vm, hits = r_eps_mixed(self.V, self.prob, self.caps, self.params, anchor=self.anchor)
         Vn, _ = r_eps_apply(self.V, self.prob, self.caps, self.params, anchor=self.anchor)
-        assert hits > 0
+        assert hits == 4046
         far = self.base.x_nodes > self.params.move_bound + 1e-9
         np.testing.assert_array_equal(Vm[far], Vn[far])
 
@@ -369,7 +462,8 @@ class TestMixedSweep:
     def test_caps_take_precedence_over_exit(self):
         rich = exit_problem(100.0)
         caps = build_caps(rich, self.params, cap_M=6.0)
-        Vm, _ = r_eps_mixed(self.V, rich, caps, self.params, anchor=self.anchor)
+        Vm, hits = r_eps_mixed(self.V, rich, caps, self.params, anchor=self.anchor)
+        assert hits == 0  # the minimizer never takes an exit paying 100
         chi0 = caps.chi_at(np.array([0.0]))
         assert Vm[0, -1] == pytest.approx(-chi0, abs=1e-12)
         assert Vm[0, 0] == pytest.approx(chi0, abs=1e-12)
@@ -386,7 +480,7 @@ class TestMixedSweep:
             anchor=self.anchor,
         )
         Vn, _ = r_eps_apply(self.V, self.prob, self.caps, self.params, anchor=self.anchor)
-        assert hits > 0
+        assert hits == 4046
         near_left = self.base.x_nodes < 1.0 - self.params.move_bound - 1e-9
         np.testing.assert_array_equal(Vm[near_left], Vn[near_left])
 
@@ -451,10 +545,16 @@ class TestSolve:
         caps = build_caps(prob, params, cap_M=6.0)
         sol = solve_fixed_point(prob, caps, params, tol=1e-8)
         assert sol.final_residual <= 1e-8
-        assert sol.dirichlet_exits > 0
+        assert (sol.dirichlet_exits, sol.iterations) == (84, 270)
         u = sol.u_profile()
         chi = sol.chi_nodes
         assert np.all(np.abs(u) <= chi)
+
+    def test_mixed_exit_count_at_the_cli_cap(self):
+        prob = get_problem("mixed_dn_elliptic_1d")
+        params = make_params(0.2, lambda_rate=1.0)
+        sol = solve_fixed_point(prob, build_caps(prob, params, cap_M=10.0), params, tol=1e-8)
+        assert (sol.dirichlet_exits, sol.iterations) == (140, 283)
 
     def test_caps_built_when_not_given(self):
         params = make_params(0.2, lambda_rate=1.0, cap_M=10.0)
