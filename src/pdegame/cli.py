@@ -32,7 +32,6 @@ from __future__ import annotations
 import argparse
 import csv
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass, fields as dataclass_fields, replace
@@ -40,7 +39,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import strategies
 from .consistency import ConsistencyReport, audit_wall_shift, run_audit_suite
 from .game_elliptic import build_caps, solve_fixed_point
 from .game_parabolic import NumericAbort, solve_levelset, solve_scalar_dpp
@@ -61,9 +59,9 @@ class RunConfig:
     ``eps_ladder`` drives convergence/audit modes; single solves use its
     first entry.  ``alpha`` .. ``kappa`` override the derived exponent
     selection when set.  ``p_grid_half`` sizes the announcement
-    candidate line (2k+1 gradient samples).  ``cap_M`` defaults to 10
-    in the stationary workflows.  All fields are recorded into the
-    output directory on every run.
+    candidate line (2k+1 gradient samples) of every solve of the run.
+    ``cap_M`` defaults to 10 in the stationary workflows.  All fields
+    are recorded into the output directory on every run.
     """
 
     mode: str = "heat1d"
@@ -81,7 +79,6 @@ class RunConfig:
     cap_M: float | None = None
     z_max: float | None = None
     wall_shift: float | None = None
-    threads: int | None = None
     p_grid_half: int = 4
     include_disk: bool = True
 
@@ -92,20 +89,11 @@ class RunConfig:
             )
         if not self.eps_ladder:
             raise ValidationError("eps_ladder must not be empty")
-        if self.p_grid_half < 1:
-            raise ValidationError(f"p_grid_half must be >= 1, got {self.p_grid_half}")
-        if self.threads is not None and self.threads < 1:
-            raise ValidationError(f"threads must be >= 1, got {self.threads}")
         if self.tol <= 0.0:
             raise ValidationError(f"tol must be positive, got {self.tol}")
         # every ladder step must clear the exponent admissibility checks
         for eps in self.eps_ladder:
             self.game_params(eps)
-
-    def exponent_overrides(self) -> dict:
-        return {
-            k: getattr(self, k) for k in _EXPONENT_KEYS if getattr(self, k) is not None
-        }
 
     def game_params(self, eps: float, lambda_rate: float = 0.0):
         return make_params(
@@ -114,7 +102,8 @@ class RunConfig:
             self.r,
             lambda_rate=lambda_rate,
             cap_M=self.cap_M,
-            **self.exponent_overrides(),
+            p_grid_half=self.p_grid_half,
+            **{k: getattr(self, k) for k in _EXPONENT_KEYS if getattr(self, k) is not None},
         )
 
     def default_problem(self) -> str:
@@ -145,7 +134,7 @@ def _parse_value(key: str, raw: str):
         if raw.lower() not in _BOOL_WORDS:
             raise ValidationError(f"include_disk must be a boolean, got {raw!r}")
         return _BOOL_WORDS[raw.lower()]
-    if key in ("threads", "p_grid_half"):
+    if key == "p_grid_half":
         try:
             return int(raw)
         except ValueError:
@@ -176,21 +165,6 @@ def load_config(path) -> RunConfig:
     return cfg
 
 
-def _resolve_threads(cfg: RunConfig) -> int:
-    if cfg.threads is not None:
-        return cfg.threads
-    env = os.environ.get("PDEGAME_THREADS", "").strip()
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            raise ValidationError(f"PDEGAME_THREADS must be an integer, got {env!r}") from None
-        if n < 1:
-            raise ValidationError(f"PDEGAME_THREADS must be >= 1, got {n}")
-        return n
-    return 1
-
-
 # -- output helpers ---------------------------------------------------------
 
 
@@ -210,11 +184,10 @@ def _write_csv(path: Path, header: list, rows: list) -> None:
             w.writerow([_fmt(v) for v in row])
 
 
-def _record_config(out: Path, cfg: RunConfig, threads: int) -> None:
+def _record_config(out: Path, cfg: RunConfig) -> None:
     lines = ["# resolved run configuration (defaults included)"]
     for f in dataclass_fields(RunConfig):
         lines.append(f"{f.name} = {_fmt(getattr(cfg, f.name))}")
-    lines.append(f"threads_resolved = {threads}")
     (out / "config_resolved.txt").write_text("\n".join(lines) + "\n")
 
 
@@ -226,11 +199,11 @@ def _load_problem(cfg: RunConfig):
     return get_problem(cfg.problem or cfg.default_problem())
 
 
-def _run_heat1d(cfg: RunConfig, out: Path, threads: int, summary: list) -> None:
+def _run_heat1d(cfg: RunConfig, out: Path, summary: list) -> None:
     problem = _load_problem(cfg)
     eps = cfg.eps_ladder[0]
     params = cfg.game_params(eps)
-    sol = solve_scalar_dpp(problem, params, n_threads=threads)
+    sol = solve_scalar_dpp(problem, params)
     f = sol.final
     rows = []
     have_exact = problem.exact is not None
@@ -310,7 +283,7 @@ def _run_elliptic(cfg: RunConfig, out: Path, summary: list) -> None:
     summary.append(f"dirichlet_exits = {val.dirichlet_exits}")
 
 
-def _run_convergence(cfg: RunConfig, out: Path, threads: int, summary: list) -> None:
+def _run_convergence(cfg: RunConfig, out: Path, summary: list) -> None:
     problem = _load_problem(cfg)
     if problem.exact is None:
         raise ValidationError(
@@ -319,7 +292,7 @@ def _run_convergence(cfg: RunConfig, out: Path, threads: int, summary: list) -> 
     errors = []
     for eps in cfg.eps_ladder:
         params = cfg.game_params(eps)
-        sol = solve_scalar_dpp(problem, params, n_threads=threads)
+        sol = solve_scalar_dpp(problem, params)
         errors.append(sol.sup_error())
     rows = []
     for i, (eps, err) in enumerate(zip(cfg.eps_ladder, errors)):
@@ -337,7 +310,9 @@ def _run_convergence(cfg: RunConfig, out: Path, threads: int, summary: list) -> 
 
 
 def _run_consistency(cfg: RunConfig, out: Path, summary: list) -> None:
-    report = run_audit_suite(eps_ladder=cfg.eps_ladder, include_disk=cfg.include_disk)
+    report = run_audit_suite(
+        eps_ladder=cfg.eps_ladder, include_disk=cfg.include_disk, p_grid_half=cfg.p_grid_half
+    )
     report.write_csv(out / "consistency.csv")
     counts = report.count_by_case()
     for label in sorted(counts):
@@ -381,29 +356,23 @@ def run(cfg: RunConfig, workflow: str | None = None) -> int:
     """
     cfg.validate()
     workflow = workflow or cfg.mode
-    threads = _resolve_threads(cfg)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    _record_config(out, cfg, threads)
+    _record_config(out, cfg)
     summary = [f"workflow = {workflow}"]
     t0 = time.perf_counter()
-    saved_half = strategies._P_GRID_HALF
-    strategies._P_GRID_HALF = cfg.p_grid_half
-    try:
-        if workflow == "heat1d":
-            _run_heat1d(cfg, out, threads, summary)
-        elif workflow == "parabolic":
-            _run_levelset(cfg, out, summary)
-        elif workflow in ("elliptic", "mixed"):
-            _run_elliptic(cfg, out, summary)
-        elif workflow == "convergence":
-            _run_convergence(cfg, out, threads, summary)
-        elif workflow == "audit-elliptic":
-            _run_audit_elliptic(cfg, out, summary)
-        else:
-            _run_consistency(cfg, out, summary)
-    finally:
-        strategies._P_GRID_HALF = saved_half
+    if workflow == "heat1d":
+        _run_heat1d(cfg, out, summary)
+    elif workflow == "parabolic":
+        _run_levelset(cfg, out, summary)
+    elif workflow in ("elliptic", "mixed"):
+        _run_elliptic(cfg, out, summary)
+    elif workflow == "convergence":
+        _run_convergence(cfg, out, summary)
+    elif workflow == "audit-elliptic":
+        _run_audit_elliptic(cfg, out, summary)
+    else:
+        _run_consistency(cfg, out, summary)
     # wall time is summary-only so every CSV is rerun-identical
     summary.append(f"wall_time_s = {time.perf_counter() - t0:.3f}")
     (out / "summary.txt").write_text("\n".join(summary) + "\n")
@@ -429,12 +398,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "--eps-ladder",
             default=None,
             help="comma-separated step scales, e.g. 0.2,0.1,0.05",
-        )
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=None,
-            help="solver threads (default: PDEGAME_THREADS or 1)",
         )
         p.add_argument("--problem", default=None, help="catalog problem name")
         p.add_argument("--mode", default=None, help="solve workflow (solve subcommand)")
@@ -462,8 +425,6 @@ def main(argv=None) -> int:
             cfg = replace(cfg, out=str(args.out))
         if args.eps_ladder is not None:
             cfg = replace(cfg, eps_ladder=_parse_value("eps_ladder", args.eps_ladder))
-        if args.threads is not None:
-            cfg = replace(cfg, threads=args.threads)
         workflow = "audit-elliptic" if args.command == "audit-elliptic" else None
         return run(cfg, workflow=workflow)
     except ValidationError as exc:

@@ -27,6 +27,7 @@ import numpy as np
 
 from .fields import AnalyticField
 from .game_elliptic import (
+    _boundary_sup,
     _psi_profile,
     _psi_profile_curv,
     _psi_profile_slope,
@@ -429,7 +430,7 @@ def audit_barrier(
     the barrier's derivative bounds and ``sup |h|``.
     """
     dom = problem.domain
-    h_sup = _boundary_sup_h(dom, problem.h)
+    h_sup = _boundary_sup(dom, problem.h)
     psi = exact_barrier(dom, h_sup)
     neg_psi = AnalyticField(
         dom,
@@ -488,7 +489,7 @@ def audit_wall_shift(
     from below for ``-(m + psi)``.
     """
     dom = problem.domain
-    h_sup = _boundary_sup_h(dom, problem.h)
+    h_sup = _boundary_sup(dom, problem.h)
     psi = exact_barrier(dom, h_sup)
     lam = problem.lambda_rate
     eta = problem.eta_margin
@@ -544,18 +545,6 @@ def audit_wall_shift(
                 )
             )
     return report
-
-
-def _boundary_sup_h(dom: DomainGeometry, h) -> float:
-    if dom.kind == "interval":
-        return max(abs(float(h(np.array([dom.a])))), abs(float(h(np.array([dom.c])))))
-    vals = []
-    ctr = np.asarray(dom.center, dtype=float)
-    radii = [dom.radius] if dom.kind == "ball" else [dom.r_in, dom.r_out]
-    for r in radii:
-        for th in 2.0 * np.pi * np.arange(128) / 128.0:
-            vals.append(abs(float(h(ctr + r * np.array([math.cos(th), math.sin(th)])))))
-    return max(vals)
 
 
 def _layer_points(dom: DomainGeometry, ell: float, n: int) -> list:
@@ -669,6 +658,7 @@ def run_audit_suite(
     include_disk: bool = True,
     slack_const: float | None = None,
     t: float = 0.25,
+    p_grid_half: int = 4,
 ) -> ConsistencyReport:
     """Run the shipped catalog of upper and lower audits.
 
@@ -676,14 +666,15 @@ def run_audit_suite(
     quadratics with both curvature signs, the barrier itself, a cosine
     profile) with flux choices so that every case label is exercised at
     every rung of the ladder; points are placed at named wall
-    distances inside each threshold band.
+    distances inside each threshold band.  ``p_grid_half`` sizes the
+    boundary-layer gradient line of every audited operator.
     """
     dom = interval(0.0, 1.0)
     h0 = lambda x: 0.0
     h2 = lambda x: 2.0
     report = ConsistencyReport()
     for eps in eps_ladder:
-        params = make_params(eps, lambda_rate=1.0)
+        params = make_params(eps, lambda_rate=1.0, p_grid_half=p_grid_half)
         ell = params.move_bound
         dd = _interval_layer(dom, ell, eps, params.rho)
         barrier = exact_barrier(dom, 1.0)
@@ -708,7 +699,7 @@ def run_audit_suite(
     if include_disk:
         disk = ball((0.0, 0.0), 1.0)
         for eps in eps_ladder:
-            params = make_params(eps, lambda_rate=1.0)
+            params = make_params(eps, lambda_rate=1.0, p_grid_half=p_grid_half)
             ell = params.move_bound
             for phi, problem, dists in (
                 (_affine(disk, -1.0), _heat_problem(disk, h2, "aud_disk_h2"), (0.0, 0.3 * ell)),

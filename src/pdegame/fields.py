@@ -266,10 +266,7 @@ class GridField:
     def eval(self, x) -> float:
         p = self._point(x)
         if self.domain.dim == 1:
-            i = int(np.clip((p[0] - self.x_nodes[0]) // self.h, 0, len(self.x_nodes) - 2))
-            t = (p[0] - self.x_nodes[i]) / self.h
-            t = min(max(t, 0.0), 1.0)
-            return float((1.0 - t) * self.values[i] + t * self.values[i + 1])
+            return float(self.eval_many(p[0]))
         i = int(np.clip((p[0] - self.x_nodes[0]) // self.h, 0, len(self.x_nodes) - 2))
         j = int(np.clip((p[1] - self.y_nodes[0]) // self.h, 0, len(self.y_nodes) - 2))
         tx = min(max((p[0] - self.x_nodes[i]) / self.h, 0.0), 1.0)
@@ -282,10 +279,16 @@ class GridField:
             + tx * ty * v[i + 1, j + 1]
         )
 
-    def sup_norm(self) -> float:
-        if self.domain.dim == 1:
-            return float(np.max(np.abs(self.values)))
-        return float(np.max(np.abs(self.values[self.needed])))
+    def locate(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """1D: cell i and weight t of each point of ``q``, value (1-t) v[i] + t v[i+1]."""
+        x = self.x_nodes
+        i = np.clip((q - x[0]) // self.h, 0, len(x) - 2).astype(int)
+        return i, np.clip((q - x[i]) / self.h, 0.0, 1.0)
+
+    def eval_many(self, q: np.ndarray) -> np.ndarray:
+        """1D: the interpolant at every point of ``q`` (no closure check)."""
+        i, t = self.locate(q)
+        return (1.0 - t) * self.values[i] + t * self.values[i + 1]
 
     # -- finite differences ------------------------------------------------
 

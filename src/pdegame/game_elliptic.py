@@ -23,10 +23,11 @@ partly absorbing wall stop with payoff ``z + e^(-lambda dt)
 (g_exit(landing) - z')`` when the state lands on the absorbing part
 with the score still inside the caps.
 
-Sweeps run on a plan built once per anchor round: arrays of shape
-``(nx, S, M, nz)`` over state node, strategy, move and score node,
-``S`` and ``M`` the largest strategy and move counts over the nodes.
-A node with fewer strategies or moves repeats its last real one.  This
+Sweeps run on a plan built once per anchor round from the batched
+candidates of ``strategies.candidates_1d``: arrays of shape ``(nx, S,
+M, nz)`` over state node, strategy, move and score node, ``S`` and
+``M`` the largest strategy and move counts over the nodes.  A node
+with fewer strategies or moves repeats its last real one.  This
 padding is exact: a repeated entry changes neither a min nor a max,
 and as the copies come last, the first-index argmax/argmin that count
 Dirichlet exits are unchanged too.
@@ -44,7 +45,8 @@ from .fields import GridField, grid_spacing
 from .game_parabolic import NumericAbort, _sign_change
 from .geometry import DomainGeometry
 from .params import GameParams, ValidationError
-from .strategies import candidate_moves, candidate_strategies
+from .problems import f_stacked
+from .strategies import candidate_moves, candidate_strategies, candidates_1d, check_probe_room
 
 __all__ = [
     "CapSpec",
@@ -286,22 +288,6 @@ def z_grid(params: GameParams, cap_M: float) -> np.ndarray:
     return dz * np.arange(-K, K + 1)
 
 
-def _f_over_z(problem, xp, zvals, strat):
-    if problem.f_batched is not None:
-        n = len(zvals)
-        X = np.repeat(xp.reshape(1, -1), n, axis=0)
-        P = np.repeat(strat.p.reshape(1, -1), n, axis=0)
-        G = np.repeat(strat.Gamma[None, :, :], n, axis=0)
-        return np.asarray(problem.f_batched(X, zvals, P, G), dtype=float)
-    probe = float(problem.f(xp, 0.0, strat.p, strat.Gamma))
-    if all(
-        float(problem.f(xp, zv, strat.p, strat.Gamma)) == probe
-        for zv in (zvals[0], zvals[-1])
-    ):
-        return np.full(len(zvals), probe)
-    return np.array([float(problem.f(xp, zv, strat.p, strat.Gamma)) for zv in zvals])
-
-
 @dataclass
 class _SweepFrame:
     """The (state, score) grid, its per-node bound and the discount:
@@ -318,6 +304,7 @@ def _sweep_frame(problem, caps: CapSpec, params: GameParams) -> _SweepFrame:
     dom = problem.domain
     if dom.dim != 1:
         raise ValidationError("the fixed-point solver is one-dimensional")
+    check_probe_room(dom, params)
     disc = _discount(problem, params)
     base = GridField.build(dom, grid_spacing(dom, params))
     zs = z_grid(params, caps.cap_M)
@@ -362,52 +349,35 @@ class _SweepPlan:
     work: np.ndarray
 
 
-def _plan_move(xp, mv_req, xs, problem, dirichlet_patch, g_exit):
-    mv = problem.domain.make_move(xp, mv_req)
-    is_exit = bool(dirichlet_patch is not None and mv.crossed and dirichlet_patch(mv.landing))
-    pen_h = mv.penal_weight * float(problem.h(mv.landing)) if mv.crossed and not is_exit else 0.0
-    g_val = float(g_exit(mv.landing)) if is_exit else 0.0
-    t_loc = (mv.landing[0] - xs[0]) / (xs[1] - xs[0])
-    i0 = int(np.clip(math.floor(t_loc), 0, len(xs) - 2))
-    w = min(max(t_loc - i0, 0.0), 1.0)
-    return mv_req, is_exit, pen_h, g_val, i0, w
-
-
 def _build_plan(problem, params, caps, frame: _SweepFrame, anchor, dirichlet_patch, g_exit):
     dom = problem.domain
     xs, zs = frame.xs, frame.zs
     nx, nz = len(xs), len(zs)
     dz = zs[1] - zs[0]
-    rows = []
-    for x in xs:
-        xp = np.array([x])
-        strategies = candidate_strategies(dom, xp, anchor, params, problem.h)
-        moves = [
-            _plan_move(xp, mv_req, xs, problem, dirichlet_patch, g_exit)
-            for mv_req in candidate_moves(dom, xp, params)
-        ]
-        rows.append((xp, strategies, moves))
-    S = max(len(strategies) for _, strategies, _ in rows)
-    M = max(len(moves) for _, _, moves in rows)
+    cand = candidates_1d(anchor, np.arange(nx), params, problem.h)
+    (_, S), (_, M) = cand.P.shape, cand.step.shape
     shape = (nx, S, M, nz)
+    # a step stops on the absorbing part when it crosses onto an exit wall
+    walls = (dom.a, dom.c)
+    is_exit = [bool(dirichlet_patch and dirichlet_patch(np.array([w]))) for w in walls]
+    g_wall = [float(g_exit(np.array([w]))) if e else 0.0 for w, e in zip(walls, is_exit)]
+    at_a = cand.landing <= dom.a
+    exits = cand.crossed & np.where(at_a, is_exit[0], is_exit[1])
+    g_vals = np.where(exits, np.where(at_a, g_wall[0], g_wall[1]), 0.0)
+    pen_h = np.where(exits, 0.0, cand.penalty)
+    t_loc = (cand.landing - xs[0]) / (xs[1] - xs[0])
+    col_i0 = np.clip(np.floor(t_loc), 0, nx - 2).astype(int)
+    col_w = np.clip(t_loc - col_i0, 0.0, 1.0)
+    fz = np.empty((nx, S, nz))
+    for s in range(S):
+        fz[:, s] = f_stacked(
+            problem, None, np.repeat(xs, nz), np.tile(zs, nx),
+            np.repeat(cand.P[:, s], nz), np.repeat(cand.G[:, s], nz),
+        ).reshape(nx, nz)
+    P, G, D = cand.P[:, :, None, None], cand.G[:, :, None, None], cand.step[:, None, :, None]
     delta = np.empty(shape)
-    col_i0 = np.empty((nx, M), dtype=int)
-    col_w = np.empty((nx, M))
-    g_vals = np.empty((nx, M))
-    exits = np.empty((nx, M), dtype=bool)
-    for i, (xp, strategies, moves) in enumerate(rows):
-        ns, nm = len(strategies), len(moves)
-        for s, strat in enumerate(strategies):
-            fz = _f_over_z(problem, xp, zs, strat)
-            for m, (mv_req, _, pen_h, _, _, _) in enumerate(moves):
-                drift = float(strat.p @ mv_req) + 0.5 * float(mv_req @ strat.Gamma @ mv_req)
-                delta[i, s, m] = drift + params.time_step * fz - pen_h
-        # pad with copies of the last real move and strategy
-        delta[i, :ns, nm:] = delta[i, :ns, nm - 1 : nm]
-        delta[i, ns:] = delta[i, ns - 1]
-        pad = np.minimum(np.arange(M), nm - 1)
-        _, is_exit, _, g_val, i0, w = (np.array(col)[pad] for col in zip(*moves))
-        exits[i], g_vals[i], col_i0[i], col_w[i] = is_exit, g_val, i0, w
+    np.add(P * D + 0.5 * (D * G * D), params.time_step * fz[:, :, None, :], out=delta)
+    delta -= pen_h[:, None, :, None]
     z1 = (1.0 / frame.disc) * (zs + delta)
     jdx = np.clip(np.searchsorted(zs, z1, side="right") - 1, 0, nz - 2)
     wz = np.clip((z1 - zs[jdx]) / dz, 0.0, 1.0)

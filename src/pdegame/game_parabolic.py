@@ -16,19 +16,22 @@ the closure, so h is only ever evaluated on the boundary.
 Two solvers iterate this: ``solve_scalar_dpp`` for proper parabolic
 problems (value tracked directly), and ``solve_levelset`` which tracks
 the level-set function U(x, z, t) of the graph, the form that survives
-when the equation lacks comparison in the classical sense.
+when the equation lacks comparison in the classical sense.  Both take
+their candidates from the batched kernel ``strategies.candidates_1d``;
+the pointwise ``s_eps`` is the reference oracle they reproduce.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import GridField, grid_spacing
 from .params import ValidationError
-from .strategies import candidate_moves, candidate_strategies, probe_derivatives
+from .problems import f_stacked
+from .strategies import (candidate_moves, candidate_strategies, candidates_1d,
+                         check_probe_room, probe_derivatives)
 
 __all__ = [
     "NumericAbort",
@@ -164,42 +167,35 @@ class ScalarSolution:
         return float(np.max(np.abs(f.values - exact)))
 
 
-def _resolve_threads(n_threads) -> int:
-    return max(1, int(n_threads)) if n_threads else 1
-
-
 def solve_scalar_dpp(
     problem,
     params,
     t_start: float = 0.0,
-    n_threads=None,
-    use_fast_path: bool = True,
     store_all: bool = False,
 ) -> ScalarSolution:
     """March the one-step operator backward from the terminal datum.
 
     The number of rounds is round((T - t_start)/eps^2); the effective
-    start time snaps accordingly.  Interior nodes (wall distance >= ell)
-    are advanced by a vectorized evaluation that reproduces the one-step
-    operator exactly (single candidate announcement, three candidate
-    steps, no penalty); boundary-layer nodes run the full search, in
-    parallel chunks when n_threads > 1.  The z-slot of f is fed the
-    previous sweep's value at the same node.
+    start time snaps accordingly.  Both node sets reproduce ``s_eps``,
+    which stays the pointwise oracle: interior nodes (wall distance >=
+    ell) by a vectorized evaluation (single candidate announcement,
+    three candidate steps, no penalty), boundary-layer nodes by one
+    (nodes, strategies, moves) evaluation of the batched candidates of
+    ``candidates_1d``, reduced by a min over moves and a max over
+    strategies.  The z-slot of f is fed the previous sweep's value at
+    the same node.
     """
     dom = problem.domain
     if dom.dim != 1:
         raise ValidationError("the full backward solver is one-dimensional; "
                               "use the one-step operator pointwise in 2D")
+    check_probe_room(dom, params)
     dt = params.time_step
     n_steps = max(1, round((problem.T - t_start) / dt))
-    h_grid = grid_spacing(dom, params)
-    field = GridField.from_callable(dom, h_grid, problem.g)
+    field = GridField.from_callable(dom, grid_spacing(dom, params), problem.g)
     xs = field.x_nodes
-    ell = params.move_bound
-    dist = np.minimum(xs - dom.a, dom.c - xs)
-    interior = dist >= ell
+    interior = np.minimum(xs - dom.a, dom.c - xs) >= params.move_bound
     layer_idx = np.nonzero(~interior)[0]
-    workers = _resolve_threads(n_threads)
 
     times = [problem.T]
     fields = [field]
@@ -207,30 +203,8 @@ def solve_scalar_dpp(
         t_target = problem.T - (j + 1) * dt
         vals = field.values
         new = np.empty_like(vals)
-        if use_fast_path:
-            new[interior] = _interior_sweep_1d(
-                problem, params, xs, vals, interior, t_target
-            )
-            todo = layer_idx
-        else:
-            todo = np.arange(len(xs))
-        cur = field
-
-        def run(idx_chunk):
-            return [
-                (i, s_eps(cur, xs[i], t_target, vals[i], problem, params))
-                for i in idx_chunk
-            ]
-
-        if workers > 1 and len(todo) > 1:
-            chunks = np.array_split(todo, workers)
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for part in pool.map(run, [c for c in chunks if len(c)]):
-                    for i, v in part:
-                        new[i] = v
-        else:
-            for i, v in run(todo):
-                new[i] = v
+        new[interior] = _interior_sweep_1d(problem, params, xs, vals, interior, t_target)
+        new[layer_idx] = _layer_sweep_1d(problem, params, field, layer_idx, t_target)
         if not np.all(np.isfinite(new)):
             raise NumericAbort(
                 f"non-finite values after sweep to t={t_target:.6g} "
@@ -244,6 +218,27 @@ def solve_scalar_dpp(
         fields.append(field)
         times = [problem.T, times[-1]]
     return ScalarSolution(problem=problem, params=params, times=times, fields=fields)
+
+
+def _layer_sweep_1d(problem, params, field, idx, t):
+    """``s_eps`` at the lattice nodes ``idx``, all at once: the branch
+    values ``phi(landing) - p step - 0.5 G step^2 - dt f + penalty`` over
+    (node, strategy, move), min over moves, max over strategies."""
+    cand = candidates_1d(field, idx, params, problem.h)
+    n, S = cand.P.shape
+    F = f_stacked(
+        problem, t, np.repeat(field.x_nodes[idx], S), np.repeat(field.values[idx], S),
+        cand.P.ravel(), cand.G.ravel(),
+    ).reshape(n, S)
+    P, G, D = cand.P[:, :, None], cand.G[:, :, None], cand.step[:, None, :]
+    vals = (
+        field.eval_many(cand.landing)[:, None, :]
+        - P * D
+        - 0.5 * (D * G * D)
+        - (params.time_step * F)[:, :, None]
+    )
+    np.add(vals, cand.penalty[:, None, :], out=vals, where=cand.crossed[:, None, :])
+    return vals.min(axis=2).max(axis=1)
 
 
 def _interior_sweep_1d(problem, params, xs, vals, mask, t):
@@ -262,22 +257,7 @@ def _interior_sweep_1d(problem, params, xs, vals, mask, t):
     hess = (up - 2.0 * vals[idx] + dn) / ell**2
     p = np.clip(grad, -params.p_bound, params.p_bound)
     G = np.clip(hess, -params.hessian_bound, params.hessian_bound)
-    if problem.f_batched is not None:
-        fv = np.asarray(
-            problem.f_batched(
-                t, xs[idx].reshape(-1, 1), vals[idx],
-                p.reshape(-1, 1), G.reshape(-1, 1, 1),
-            ),
-            dtype=float,
-        )
-    else:
-        fv = np.array(
-            [
-                problem.f(t, np.array([xs[i]]), vals[i], np.array([p[k]]),
-                          np.array([[G[k]]]))
-                for k, i in enumerate(idx)
-            ]
-        )
+    fv = f_stacked(problem, t, xs[idx], vals[idx], p, G)
     b0 = vals[idx] - dt * fv
     b_up = up - p * ell - 0.5 * G * ell**2 - dt * fv
     b_dn = dn + p * ell - 0.5 * G * ell**2 - dt * fv
@@ -344,15 +324,17 @@ def _sign_change(z, U, upper: bool) -> np.ndarray:
 def solve_levelset(problem, params, z_max: float, t_start: float = 0.0) -> LevelSetValue:
     """Backward induction on the level-set value U(x, z, t).
 
-    Candidate announcements are built once per sweep and x-node from the
-    z = 0 slice and shared across z; the update is then monotone in z and
-    preserves the slope <= -1 property of the terminal datum.  Off-grid
-    z' are continued affinely with slope -1; a z' more than 1.0 beyond
-    the grid aborts with advice to enlarge z_max.
+    Each sweep takes the candidates of every x-node from one batched
+    ``candidates_1d`` call on the z = 0 slice and shares them across z;
+    the update is then monotone in z and preserves the slope <= -1
+    property of the terminal datum.  Off-grid z' are continued affinely
+    with slope -1; a z' more than 1.0 beyond the grid aborts with advice
+    to enlarge z_max.
     """
     dom = problem.domain
     if dom.dim != 1:
         raise ValidationError("the level-set solver is one-dimensional")
+    check_probe_room(dom, params)
     g_sup = max(abs(float(problem.g(np.array([x]))))
                 for x in np.linspace(dom.a, dom.c, 256))
     if z_max < g_sup + 1.0:
@@ -361,48 +343,38 @@ def solve_levelset(problem, params, z_max: float, t_start: float = 0.0) -> Level
         )
     dt = params.time_step
     n_steps = max(1, round((problem.T - t_start) / dt))
-    h_grid = grid_spacing(dom, params)
-    base = GridField.build(dom, h_grid)
+    base = GridField.build(dom, grid_spacing(dom, params))
     xs = base.x_nodes
     K = max(1, round(z_max / dt))
     zs = dt * np.arange(-K, K + 1)
     U = np.subtract.outer(
         np.array([float(problem.g(np.array([x]))) for x in xs]), zs
     )
-    ell = params.move_bound
     for j in range(n_steps):
         t_target = problem.T - (j + 1) * dt
-        anchor = base.with_values(U[:, K])  # z = 0 slice drives the candidates
+        # the z = 0 slice drives the candidates
+        cand = candidates_1d(base.with_values(U[:, K]), np.arange(len(xs)), params, problem.h)
+        D = cand.step[:, None, :]
+        drift = cand.P[:, :, None] * D + 0.5 * (D * cand.G[:, :, None] * D)
+        i0, w = base.locate(cand.landing)
         new = np.empty_like(U)
         for i, x in enumerate(xs):
-            xp = np.array([x])
-            strategies = candidate_strategies(dom, xp, anchor, params, problem.h)
-            moves = candidate_moves(dom, xp, params)
-            prepared = []
-            for mv_req in moves:
-                mv = dom.make_move(xp, mv_req)
-                pen_h = mv.penal_weight * problem.h(mv.landing) if mv.crossed else 0.0
-                # x-interpolation weights for the landing point
-                t_loc = (mv.landing[0] - xs[0]) / h_grid
-                i0 = int(np.clip(math.floor(t_loc), 0, len(xs) - 2))
-                w = min(max(t_loc - i0, 0.0), 1.0)
-                prepared.append((mv_req, pen_h, i0, w))
             best = np.full(len(zs), -np.inf)
-            for strat in strategies:
+            for s in range(cand.n_strategies[i]):
                 worst = np.full(len(zs), np.inf)
-                fz = _f_over_z(problem, t_target, xp, zs, strat)
-                for mv_req, pen_h, i0, w in prepared:
-                    drift = float(strat.p @ mv_req) + 0.5 * float(
-                        mv_req @ strat.Gamma @ mv_req
-                    )
-                    z_next = zs + drift + dt * fz - pen_h
+                fz = f_stacked(
+                    problem, t_target, np.full(len(zs), x), zs,
+                    np.full(len(zs), cand.P[i, s]), np.full(len(zs), cand.G[i, s]),
+                )
+                for m in range(cand.n_moves[i]):
+                    z_next = zs + drift[i, s, m] + dt * fz - cand.penalty[i, m]
                     over = np.max(np.abs(z_next)) - z_max
                     if over > 1.0:
                         raise NumericAbort(
                             f"tracked value left the z-window by {over:.3g} at "
                             f"t={t_target:.6g}; rerun with z_max > {z_max + over:.3g}"
                         )
-                    col = (1.0 - w) * U[i0] + w * U[i0 + 1]
+                    col = (1.0 - w[i, m]) * U[i0[i, m]] + w[i, m] * U[i0[i, m] + 1]
                     vals = np.interp(z_next, zs, col)
                     hi = z_next > zs[-1]
                     lo = z_next < zs[0]
@@ -422,19 +394,3 @@ def solve_levelset(problem, params, z_max: float, t_start: float = 0.0) -> Level
         U=U,
         t_start_effective=problem.T - n_steps * dt,
     )
-
-
-def _f_over_z(problem, t, xp, zs, strat):
-    if problem.f_batched is not None:
-        n = len(zs)
-        X = np.repeat(xp.reshape(1, -1), n, axis=0)
-        P = np.repeat(strat.p.reshape(1, -1), n, axis=0)
-        G = np.repeat(strat.Gamma.reshape(1, 1, 1) if strat.Gamma.size == 1
-                      else strat.Gamma[None, :, :], n, axis=0)
-        return np.asarray(problem.f_batched(t, X, zs, P, G), dtype=float)
-    probe = problem.f(t, xp, 0.0, strat.p, strat.Gamma)
-    if all(
-        problem.f(t, xp, zv, strat.p, strat.Gamma) == probe for zv in (zs[0], zs[-1])
-    ):
-        return np.full(len(zs), probe)
-    return np.array([problem.f(t, xp, zv, strat.p, strat.Gamma) for zv in zs])

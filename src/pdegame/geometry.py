@@ -25,10 +25,6 @@ __all__ = [
     "interval",
     "ball",
     "annulus",
-    "dist_to_boundary",
-    "project_to_closure",
-    "outward_normal",
-    "make_move",
 ]
 
 
@@ -130,9 +126,6 @@ class DomainGeometry:
         if self.kind == "ball":
             return max(rho - self.radius, 0.0)
         return max(rho - self.r_out, self.r_in - rho, 0.0)
-
-    def contains(self, x) -> bool:
-        return self.outside_by(x) <= self.tol
 
     # -- oracles -----------------------------------------------------------
 
@@ -285,21 +278,3 @@ def annulus(center, r_in: float, r_out: float) -> DomainGeometry:
     assert len(ctr) == 2
     return DomainGeometry(kind="annulus", center=ctr, r_in=float(r_in), r_out=float(r_out))
 
-
-# -- module-level conveniences (mirror the methods) -----------------------
-
-
-def dist_to_boundary(domain: DomainGeometry, x) -> float:
-    return domain.dist_to_boundary(x)
-
-
-def project_to_closure(domain: DomainGeometry, x_hat) -> np.ndarray:
-    return domain.project_to_closure(x_hat)
-
-
-def outward_normal(domain: DomainGeometry, x_b) -> np.ndarray:
-    return domain.outward_normal(x_b)
-
-
-def make_move(domain: DomainGeometry, x, delta_hat) -> Move:
-    return domain.make_move(x, delta_hat)

@@ -9,21 +9,15 @@ violated inequality so configuration errors fail loudly.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 __all__ = [
     "GameParams",
     "ValidationError",
-    "EPS_LADDER",
     "select_exponents",
     "validate_params",
     "make_params",
 ]
-
-#: Default epsilon ladder for convergence studies (desk-scale runtimes).
-EPS_LADDER = (0.2, 0.1, 0.05, 0.025)
-
 
 class ValidationError(ValueError):
     """A parameter tuple violates the scheme's admissibility inequalities."""
@@ -38,7 +32,9 @@ class GameParams:
     ``lambda_rate`` is the discount rate of the elliptic game (0 for
     parabolic runs); ``cap_M``/``cap_m`` are the elliptic score caps
     (``cap_m`` is bound to ``cap_M - 1 - 2 sup|psi|`` where the cap spec is
-    assembled, see game_elliptic).
+    assembled, see game_elliptic).  ``p_grid_half`` = k sizes the
+    boundary-layer gradient line: 2k+1 samples between the two extreme
+    Neumann corrections.
     """
 
     eps: float
@@ -50,12 +46,15 @@ class GameParams:
     lambda_rate: float = 0.0
     cap_M: float | None = None
     cap_m: float | None = None
+    p_grid_half: int = 4
 
     def __post_init__(self):
         if not (0.0 < self.eps < 1.0):
             raise ValidationError(f"eps must lie in (0, 1), got {self.eps}")
         if self.lambda_rate < 0.0:
             raise ValidationError(f"lambda_rate must be >= 0, got {self.lambda_rate}")
+        if self.p_grid_half < 1:
+            raise ValidationError(f"p_grid_half must be >= 1, got {self.p_grid_half}")
 
     @property
     def time_step(self) -> float:
@@ -75,11 +74,6 @@ class GameParams:
     def hessian_bound(self) -> float:
         """Helen's curvature-control cap eps^-gamma (spectral norm)."""
         return self.eps ** (-self.gamma)
-
-    @property
-    def discount(self) -> float:
-        """Per-round elliptic discount exp(-lambda eps^2)."""
-        return math.exp(-self.lambda_rate * self.eps**2)
 
 
 def validate_params(p: GameParams, q: float, r: float) -> list[str]:
@@ -160,6 +154,7 @@ def make_params(
     lambda_rate: float = 0.0,
     cap_M: float | None = None,
     cap_m: float | None = None,
+    p_grid_half: int = 4,
     **overrides: float,
 ) -> GameParams:
     """Build a validated GameParams, raising ValidationError on violation.
@@ -174,7 +169,8 @@ def make_params(
             raise TypeError(f"unknown exponent override {key!r}")
         fields[key] = float(val)
     p = GameParams(
-        eps=eps, lambda_rate=lambda_rate, cap_M=cap_M, cap_m=cap_m, **fields
+        eps=eps, lambda_rate=lambda_rate, cap_M=cap_M, cap_m=cap_m,
+        p_grid_half=p_grid_half, **fields
     )
     report = validate_params(p, q, r)
     if report:

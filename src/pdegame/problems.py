@@ -35,6 +35,7 @@ __all__ = [
     "boundary_function",
     "get_problem",
     "list_problems",
+    "f_stacked",
     "check_ellipticity",
     "check_z_monotonicity",
     "measure_z_growth",
@@ -104,6 +105,22 @@ class MixedEllipticProblem(EllipticProblem):
         super().__post_init__()
         if self.g_exit is None or self.is_dirichlet is None:
             raise ValidationError("mixed problems need g_exit and is_dirichlet")
+
+
+def f_stacked(problem, t, x, z, p, G) -> np.ndarray:
+    """f of a 1D problem at stacked samples: x, z, p, G of shape (N,).
+
+    Pass t=None for elliptic problems (whose f takes no time).  Uses
+    ``f_batched`` when the problem has one, else f sample by sample.
+    """
+    lead = () if t is None else (t,)
+    if problem.f_batched is not None:
+        X, P, Gm = x.reshape(-1, 1), p.reshape(-1, 1), G.reshape(-1, 1, 1)
+        return np.asarray(problem.f_batched(*lead, X, z, P, Gm), dtype=float)
+    return np.array([
+        float(problem.f(*lead, np.array([xi]), zi, np.array([pi]), np.array([[gi]])))
+        for xi, zi, pi, gi in zip(x, z, p, G)
+    ])
 
 
 # -- catalog ---------------------------------------------------------------
@@ -188,6 +205,7 @@ def _catalog():
             lambda_rate=1.0,
             h=lambda x: 0.0,
             eta_margin=1.0,
+            f_batched=lambda X, Z, P, G: np.zeros(len(Z)),
             g_exit=lambda x: 1.0,
             is_dirichlet=lambda x: abs(float(np.atleast_1d(x)[0])) <= dom.tol,
         )

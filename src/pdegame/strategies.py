@@ -14,6 +14,13 @@ driven by the bounds
 and the useful Hessian flattens its normal-normal entry.  This module
 computes those objects; the game operators only ever search the finite
 candidate lists built here.
+
+In 1D the solvers take every list from one batched kernel,
+:func:`candidates_1d`, which reproduces the pointwise functions bit for
+bit on any set of lattice nodes.  The pointwise functions
+(:func:`candidate_strategies`, :func:`candidate_moves` and their parts)
+remain as the reference oracles that the tests, the audits and the 2D
+one-step operator use.
 """
 from __future__ import annotations
 
@@ -22,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import DomainGeometry
+from .params import ValidationError
 
 __all__ = [
     "Strategy",
@@ -36,11 +44,13 @@ __all__ = [
     "probe_derivatives",
     "candidate_strategies",
     "candidate_moves",
+    "Candidates1D",
+    "check_probe_room",
+    "candidates_1d",
 ]
 
 _N_DIRECTIONS_2D = 64
 _RADIUS_FRACTIONS = (1.0, 0.75, 0.5, 0.25)
-_P_GRID_HALF = 4  # 2k+1 gradient candidates across [p_lower, p_upper]
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,10 +67,6 @@ class BoundaryFrame:
     n_bar: np.ndarray
     d: float
     ell: float
-
-    @property
-    def crossing_possible(self) -> bool:
-        return self.d < self.ell
 
 
 @dataclass(frozen=True)
@@ -266,7 +272,7 @@ def candidate_strategies(domain: DomainGeometry, x, phi, params, h, derivs=None)
     G0 = np.asarray(G0, dtype=float)
     base = clip_strategy(Strategy(p=p0, Gamma=G0), params)
     frame = build_frame(domain, x, params.move_bound)
-    if not frame.crossing_possible:
+    if not frame.d < frame.ell:  # no step can cross
         return [base]
     bounds = neumann_bounds(domain, x, params.move_bound, h, p0)
     if not bounds.possible:
@@ -276,7 +282,7 @@ def candidate_strategies(domain: DomainGeometry, x, phi, params, h, derivs=None)
     p_lo = p_opt_lower(frame, p0, G0, bounds)
     p_hi = p_opt_upper(frame, p0, G0, bounds)
     G_layer = gamma_opt(frame, G0)
-    for t in np.linspace(0.0, 1.0, 2 * _P_GRID_HALF + 1):
+    for t in np.linspace(0.0, 1.0, 2 * params.p_grid_half + 1):
         cand = clip_strategy(Strategy(p=(1 - t) * p_lo + t * p_hi, Gamma=G_layer), params)
         key = _strategy_key(cand)
         if key not in seen:
@@ -323,3 +329,127 @@ def candidate_moves(domain: DomainGeometry, x, params, hess_diff=None) -> list:
             seen.add(key)
             out.append(mv)
     return out
+
+
+# -- the batched 1D kernel ----------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class Candidates1D:
+    """Candidate announcements and steps at n nodes of a 1D lattice.
+
+    Row i belongs to the i-th requested node: the first ``n_strategies[i]``
+    columns of ``P``/``G`` (gradient, Hessian) are ``candidate_strategies``
+    in order, the first ``n_moves[i]`` columns of the (n, M) move arrays
+    are ``candidate_moves`` (0, +ell, -ell, then the grazing step when
+    0 < d < ell), and later columns repeat the last real entry.  A repeat
+    changes no min or max, and as repeats come last, no first-index
+    argmax or argmin either.  ``penalty`` is the penalty weight times h
+    at the wall a crossing step lands on, 0 for the other steps.
+    """
+
+    P: np.ndarray
+    G: np.ndarray
+    n_strategies: np.ndarray
+    step: np.ndarray
+    landing: np.ndarray
+    crossed: np.ndarray
+    penalty: np.ndarray
+    n_moves: np.ndarray
+
+
+def check_probe_room(domain: DomainGeometry, params) -> None:
+    """The reflected probe of a 1D node stays in the interval only if ell < c - a."""
+    if domain.dim == 1 and not params.move_bound < domain.c - domain.a:
+        raise ValidationError(
+            f"move bound ell={params.move_bound:.6g} must be below the interval "
+            f"length {domain.c - domain.a:.6g}: the reflected probe would leave it"
+        )
+
+
+def _clip_1d(p, G, params):
+    """clip_strategy in 1D, where the spectral clip of a 1x1 Hessian is a plain clip."""
+    pn = np.sqrt(p * p)  # np.linalg.norm of a 1-vector
+    bound = params.p_bound
+    p = np.where(pn > bound, p * (bound / np.maximum(pn, bound)), p)
+    return p, np.clip(G, -params.hessian_bound, params.hessian_bound)
+
+
+def candidates_1d(field, nodes, params, h) -> Candidates1D:
+    """``candidate_strategies`` (flux-reflected probes) and
+    ``candidate_moves`` of a 1D lattice field at the nodes ``nodes``.
+
+    Every step of the pointwise code is done for all nodes at once with
+    the same arithmetic, so the real entries agree with it bit for bit:
+    the probe derivatives, the exact Neumann bounds (h evaluated once
+    per wall), the corrected gradient line and flattened Hessian, the
+    clip, the 12-digit dedup, and the moves with their projection.
+    """
+    dom = field.domain
+    check_probe_room(dom, params)
+    a, c, tol, ell = dom.a, dom.c, dom.tol, params.move_bound
+    h_a, h_c = float(h(np.array([a]))), float(h(np.array([c])))
+    x = field.x_nodes[nodes]
+
+    def outside(q):
+        return np.maximum(np.maximum(a - q, q - c), 0.0) > tol
+
+    def probe(q):  # the field, or its flux-corrected reflection through the wall
+        out = outside(q)
+        foot = np.clip(q, a, c)
+        val = field.eval_many(np.where(out, 2.0 * foot - q, q))
+        return np.where(out, val + 2.0 * np.abs(q - foot) * np.where(q < a, h_a, h_c), val)
+
+    f0, fp, fm = field.eval_many(x), probe(x + ell), probe(x - ell)
+    g = (fp - fm) / (2.0 * ell)
+    H = (fp - 2.0 * f0 + fm) / ell**2
+    p0, G0 = _clip_1d(g, H, params)
+
+    # boundary frame and exact Neumann bounds; the normal entry of H is H
+    d = np.maximum(np.minimum(x - a, c - x), 0.0)
+    normal = np.where(x - a <= c - x, -1.0, 1.0)
+    r2 = np.array([(di / ell) ** 2 for di in d])  # scalar pow, as the pointwise code
+    near_a, near_c = np.abs(x - a) < ell, np.abs(x - c) < ell
+    v_a, v_c = h_a + g, h_c - g  # h(wall) - g n(wall)
+    m = np.where(near_a & near_c, np.minimum(v_a, v_c), np.where(near_a, v_a, v_c))
+    M = np.where(near_a & near_c, np.maximum(v_a, v_c), np.where(near_a, v_a, v_c))
+    p_lo = g + (0.5 * (1.0 - d / ell) * m - 0.25 * ell * (1.0 - r2) * H) * normal
+    p_hi = g + (0.5 * (1.0 - d / ell) * M - 0.25 * ell * (1.0 - r2) * H) * normal
+    ts = np.linspace(0.0, 1.0, 2 * params.p_grid_half + 1)
+    G_line = (H + 0.5 * (-1.0 + r2) * H)[:, None]  # gamma_opt
+    P_line, G_line = _clip_1d((1 - ts) * p_lo[:, None] + ts * p_hi[:, None], G_line, params)
+    layer = (d < ell)[:, None]
+    P_all = np.concatenate([p0[:, None], np.where(layer, P_line, p0[:, None])], axis=1)
+    G_line = np.broadcast_to(np.where(layer, G_line, G0[:, None]), P_line.shape)
+    G_all = np.concatenate([G0[:, None], G_line], axis=1)
+
+    # dedup on 12-digit keys: keep first occurrences in order, then repeat the last
+    kp, kg = np.round(P_all, 12), np.round(G_all, 12)
+    same = (kp[:, :, None] == kp[:, None, :]) & (kg[:, :, None] == kg[:, None, :])
+    same |= np.eye(P_all.shape[1], dtype=bool)  # NaN keys are unique, as in a set
+    keep = same.argmax(axis=2) == np.arange(P_all.shape[1])
+    n_strategies = keep.sum(axis=1)
+    order = np.argsort(~keep, axis=1, kind="stable")[:, : n_strategies.max()]
+    last = np.take_along_axis(order, (n_strategies - 1)[:, None], axis=1)
+    order = np.where(np.arange(order.shape[1]) < n_strategies[:, None], order, last)
+
+    graze = (0.0 < d) & (d < ell)
+    step = np.stack(
+        [np.zeros_like(x), np.full_like(x, ell), np.full_like(x, -ell),
+         np.where(graze, d * normal, -ell)],
+        axis=1,
+    )[:, : 3 + int(graze.any())]
+    x_hat = x[:, None] + step
+    crossed = outside(x_hat)
+    landing = np.where(crossed, np.clip(x_hat, a, c), x_hat)
+    weight = np.abs(x_hat - landing)
+    return Candidates1D(
+        P=np.take_along_axis(P_all, order, axis=1),
+        G=np.take_along_axis(G_all, order, axis=1),
+        n_strategies=n_strategies,
+        step=step,
+        landing=landing,
+        crossed=crossed,
+        penalty=np.where(crossed, weight * np.where(landing <= a, h_a, h_c), 0.0),
+        n_moves=3 + graze,
+    )

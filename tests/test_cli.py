@@ -15,7 +15,6 @@ import sys
 import numpy as np
 import pytest
 
-from pdegame import strategies
 from pdegame.cli import RunConfig, load_config, main, run
 from pdegame.game_parabolic import NumericAbort
 from pdegame.params import ValidationError
@@ -40,14 +39,14 @@ class TestConfigFile:
             "eps_ladder = 0.2, 0.1\n"
             "tol = 1e-6\n"
             "\n"
-            "threads = 2\n"
+            "p_grid_half = 2\n"
         )
         cfg = load_config(f)
         assert cfg.mode == "heat1d"
         assert cfg.problem == "heat1d_cosine"
         assert cfg.eps_ladder == (0.2, 0.1)
         assert cfg.tol == 1e-6
-        assert cfg.threads == 2
+        assert cfg.p_grid_half == 2
 
     def test_unknown_key_is_a_validation_error(self, tmp_path):
         f = tmp_path / "run.cfg"
@@ -97,7 +96,7 @@ class TestProvenance:
 
         for f in dataclasses.fields(RunConfig):
             assert f"{f.name} = " in text
-        assert "threads_resolved = 1" in text
+        assert "threads" not in text
 
     def test_rerun_is_bit_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -105,33 +104,43 @@ class TestProvenance:
             assert main(["consistency", "--out", str(out), "--eps-ladder", "0.2"]) == 0
         assert (a / "consistency.csv").read_bytes() == (b / "consistency.csv").read_bytes()
 
-    def test_env_threads_respected_when_flag_absent(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PDEGAME_THREADS", "3")
+    def test_thread_environment_is_ignored(self, tmp_path, monkeypatch):
+        # the solvers are single-threaded; the variable is neither read nor recorded
+        monkeypatch.setenv("PDEGAME_THREADS", "many")
         out = tmp_path / "o"
         assert main(["consistency", "--out", str(out), "--eps-ladder", "0.2"]) == 0
-        assert "threads_resolved = 3" in (out / "config_resolved.txt").read_text()
+        assert "threads" not in (out / "config_resolved.txt").read_text()
 
-    def test_threads_flag_beats_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PDEGAME_THREADS", "3")
-        out = tmp_path / "o"
-        rc = main(
-            ["consistency", "--out", str(out), "--eps-ladder", "0.2", "--threads", "2"]
-        )
-        assert rc == 0
-        assert "threads_resolved = 2" in (out / "config_resolved.txt").read_text()
-
-    def test_bad_env_threads_exits_2(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("PDEGAME_THREADS", "many")
-        rc = main(["consistency", "--out", str(tmp_path / "o"), "--eps-ladder", "0.2"])
-        assert rc == 2
-        assert "PDEGAME_THREADS" in capsys.readouterr().err
+    def test_threads_flag_and_key_are_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["consistency", "--out", str(tmp_path / "o"), "--threads", "2"])
+        assert exc.value.code == 2
+        f = tmp_path / "run.cfg"
+        f.write_text("threads = 2\n")
+        assert main(["solve", "--config", str(f)]) == 2
+        assert "unknown config key 'threads'" in capsys.readouterr().err
 
     def test_candidate_line_size_is_restored_after_the_run(self, tmp_path):
+        # both walls lie within ell at eps 0.5, so the gradient line matters
+        def solve(out, *extra):
+            return ["solve", "--mode", "elliptic", "--eps-ladder", "0.5", "--out", str(out), *extra]
+
         f = tmp_path / "run.cfg"
-        f.write_text(f"mode = consistency\np_grid_half = 2\nout = {tmp_path / 'o'}\neps_ladder = 0.2\ninclude_disk = no\n")
-        before = strategies._P_GRID_HALF
-        assert main(["consistency", "--config", str(f)]) == 0
-        assert strategies._P_GRID_HALF == before
+        f.write_text("p_grid_half = 1\n")
+        assert main(solve(tmp_path / "k1", "--config", str(f))) == 0
+        assert main(solve(tmp_path / "after")) == 0
+        proc = subprocess.run(
+            [sys.executable, "-m", "pdegame.cli", *solve(tmp_path / "fresh")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        profiles = {
+            name: (tmp_path / name / "profiles.csv").read_bytes()
+            for name in ("k1", "after", "fresh")
+        }
+        assert profiles["after"] == profiles["fresh"]
+        assert profiles["k1"] != profiles["fresh"]
 
     def test_numeric_abort_maps_to_exit_3(self, tmp_path, monkeypatch, capsys):
         def boom(cfg, workflow=None):

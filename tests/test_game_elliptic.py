@@ -435,6 +435,27 @@ class TestSweep:
         assert (hits > 0) == (patch is not None)
 
 
+    def test_non_monotone_f_is_evaluated_at_every_score(self):
+        # f vanishes at the first, middle and last score node, and nowhere else
+        params = PARAMS_02
+        zs = z_grid(params, 10.0)
+        L = zs[-1]
+        prob = EllipticProblem(
+            name="cubic_in_z",
+            domain=DOM,
+            f=lambda x, z, p, G: 3.0 * (z / L) * (1.0 - (z / L) ** 2),
+            lambda_rate=1.0,
+            h=lambda x: 0.0,
+            eta_margin=0.4,
+        )
+        caps = build_caps(prob, params, cap_M=10.0)
+        anchor = zero_anchor(prob, params)
+        V = np.random.default_rng(23).uniform(-3.0, 3.0, size=(len(anchor.x_nodes), len(zs)))
+        got, _ = r_eps_apply(V, prob, caps, params, anchor=anchor)
+        ref, _ = reference_sweep(V, prob, caps, params, anchor)
+        np.testing.assert_array_equal(got, ref)
+
+
 class TestMixedSweep:
     def setup_method(self):
         self.params = make_params(0.2, lambda_rate=1.0)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from pdegame.fields import AnalyticField
+from pdegame.fields import AnalyticField, GridField, grid_spacing
 from pdegame.geometry import ball, interval
 from pdegame.params import GameParams, ValidationError, make_params
 from pdegame.problems import ParabolicProblem, get_problem
@@ -125,18 +125,60 @@ class TestScalarSolver:
         assert sol.sup_error() <= 0.04  # measured 0.0314; boundary layer O(move_bound)
 
     def test_fast_path_matches_full_search(self):
+        # the solver against the pointwise s_eps march at every node
         prob = get_problem("heat1d_linear_profile")
         params = make_params(0.1)
-        fast = solve_scalar_dpp(prob, params, use_fast_path=True)
-        slow = solve_scalar_dpp(prob, params, use_fast_path=False)
-        assert np.max(np.abs(fast.final.values - slow.final.values)) <= 1e-12
+        fast = solve_scalar_dpp(prob, params, store_all=True)
+        field = GridField.from_callable(prob.domain, grid_spacing(prob.domain, params), prob.g)
+        for t in fast.times[1:]:
+            vals = field.values
+            field = field.with_values(
+                [s_eps(field, x, t, vals[i], prob, params) for i, x in enumerate(field.x_nodes)]
+            )
+        assert np.max(np.abs(fast.final.values - field.values)) <= 1e-12
 
-    def test_thread_count_does_not_change_values(self):
-        prob = get_problem("heat1d_cosine")
+    @pytest.mark.parametrize("p_grid_half", [1, 4])
+    @pytest.mark.parametrize(
+        "name, eps",
+        [
+            (name, eps)
+            for name in ("heat1d_cosine", "heat1d_linear_profile", "heat1d_homogeneous")
+            for eps in (0.2, 0.1)
+        ]
+        + [("heat1d_linear_profile", 0.5)],  # ell ~ 0.56: the middle node sees both walls
+    )
+    def test_batched_layer_matches_s_eps_at_every_step(self, name, eps, p_grid_half):
+        prob = get_problem(name)
+        params = make_params(eps, p_grid_half=p_grid_half)
+        sol = solve_scalar_dpp(prob, params, store_all=True)
+        xs = sol.fields[0].x_nodes
+        layer = np.nonzero(np.minimum(xs, prob.domain.c - xs) < params.move_bound)[0]
+        assert len(layer) > 0
+        for prev, cur, t in zip(sol.fields, sol.fields[1:], sol.times[1:]):
+            oracle = [s_eps(prev, xs[i], t, prev.values[i], prob, params) for i in layer]
+            np.testing.assert_array_equal(cur.values[layer], oracle)
+
+    def test_move_bound_beyond_the_interval_is_rejected_at_entry(self, monkeypatch):
+        prob = ParabolicProblem(
+            name="short_interval",
+            domain=interval(0.0, 0.2),
+            f=lambda t, x, z, p, G: -G[0, 0],
+            g=lambda x: 0.0,
+            h=lambda x: 0.0,
+            T=0.25,
+        )
         params = make_params(0.2)
-        one = solve_scalar_dpp(prob, params, n_threads=1)
-        two = solve_scalar_dpp(prob, params, n_threads=2)
-        assert np.array_equal(one.final.values, two.final.values)
+        assert params.move_bound >= 0.2  # the reflected probe could leave [0, 0.2]
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve started")
+
+        monkeypatch.setattr(GridField, "from_callable", no_solve)
+        monkeypatch.setattr(GridField, "build", no_solve)
+        with pytest.raises(ValidationError, match="move bound"):
+            solve_scalar_dpp(prob, params)
+        with pytest.raises(ValidationError, match="move bound"):
+            solve_levelset(prob, params, z_max=2.0)
 
     def test_non_finite_values_abort(self):
         prob = ParabolicProblem(
@@ -177,6 +219,14 @@ class TestLevelSet:
         lsv = solve_levelset(get_problem("heat1d_linear_profile"), make_params(0.2), z_max=2.5)
         W = lsv.U + lsv.z_nodes[None, :]
         assert np.max(np.diff(W, axis=1)) <= 1e-9  # U(z2)-U(z1) <= -(z2-z1)
+
+    def test_cosine_profile_error_at_eps_015(self):
+        # landings are interpolated on the lattice's own spacing
+        prob = get_problem("heat1d_cosine")
+        lsv = solve_levelset(prob, make_params(0.15), z_max=3.0)
+        exact = np.array([prob.exact(lsv.t_start_effective, x) for x in lsv.x_nodes])
+        err = max(np.max(np.abs(lsv.u_profile() - exact)), np.max(np.abs(lsv.v_profile() - exact)))
+        assert err <= 0.045  # measured 0.0414
 
     def test_runaway_drift_aborts_with_advice(self):
         prob = ParabolicProblem(

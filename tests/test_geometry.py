@@ -27,18 +27,18 @@ def catalog():
 
 
 def test_dist_examples():
-    assert geometry.dist_to_boundary(geometry.interval(0.0, 1.0), 0.3) == pytest.approx(0.3)
-    assert geometry.dist_to_boundary(geometry.ball((0, 0), 1.0), (0.0, 0.0)) == pytest.approx(1.0)
+    assert geometry.interval(0.0, 1.0).dist_to_boundary(0.3) == pytest.approx(0.3)
+    assert geometry.ball((0, 0), 1.0).dist_to_boundary((0.0, 0.0)) == pytest.approx(1.0)
     ann = geometry.annulus((0, 0), 1.0, 2.0)
-    assert geometry.dist_to_boundary(ann, (1.25, 0.0)) == pytest.approx(0.25)
+    assert ann.dist_to_boundary((1.25, 0.0)) == pytest.approx(0.25)
 
 
 def test_dist_rejects_outside_points():
     dom = geometry.interval(0.0, 1.0)
     with pytest.raises(ValueError):
-        geometry.dist_to_boundary(dom, 1.5)
+        dom.dist_to_boundary(1.5)
     with pytest.raises(ValueError):
-        geometry.dist_to_boundary(geometry.ball((0, 0), 1.0), (1.1, 0.0))
+        geometry.ball((0, 0), 1.0).dist_to_boundary((1.1, 0.0))
 
 
 # -- projection -----------------------------------------------------------
@@ -46,10 +46,10 @@ def test_dist_rejects_outside_points():
 
 def test_projection_examples():
     dom = geometry.interval(0.0, 1.0)
-    assert geometry.project_to_closure(dom, 1.2)[0] == pytest.approx(1.0)
-    assert geometry.project_to_closure(dom, 0.4)[0] == pytest.approx(0.4)
+    assert dom.project_to_closure(1.2)[0] == pytest.approx(1.0)
+    assert dom.project_to_closure(0.4)[0] == pytest.approx(0.4)
     disk = geometry.ball((0, 0), 1.0)
-    np.testing.assert_allclose(geometry.project_to_closure(disk, (1.5, 0.0)), [1.0, 0.0])
+    np.testing.assert_allclose(disk.project_to_closure((1.5, 0.0)), [1.0, 0.0])
 
 
 def test_projection_idempotent():
@@ -79,21 +79,21 @@ def test_projection_undefined_far_outside():
 
 def test_normal_examples():
     dom = geometry.interval(0.0, 1.0)
-    assert geometry.outward_normal(dom, 1.0)[0] == 1.0
-    assert geometry.outward_normal(dom, 0.0)[0] == -1.0
+    assert dom.outward_normal(1.0)[0] == 1.0
+    assert dom.outward_normal(0.0)[0] == -1.0
     np.testing.assert_allclose(
-        geometry.outward_normal(geometry.ball((0, 0), 1.0), (0.0, 1.0)), [0.0, 1.0]
+        geometry.ball((0, 0), 1.0).outward_normal((0.0, 1.0)), [0.0, 1.0]
     )
     ann = geometry.annulus((0, 0), 1.0, 2.0)
-    np.testing.assert_allclose(geometry.outward_normal(ann, (1.0, 0.0)), [-1.0, 0.0])
-    np.testing.assert_allclose(geometry.outward_normal(ann, (2.0, 0.0)), [1.0, 0.0])
+    np.testing.assert_allclose(ann.outward_normal((1.0, 0.0)), [-1.0, 0.0])
+    np.testing.assert_allclose(ann.outward_normal((2.0, 0.0)), [1.0, 0.0])
 
 
 def test_normal_off_boundary_errors():
     with pytest.raises(ValueError):
-        geometry.outward_normal(geometry.interval(0.0, 1.0), 0.5)
+        geometry.interval(0.0, 1.0).outward_normal(0.5)
     with pytest.raises(ValueError):
-        geometry.outward_normal(geometry.ball((0, 0), 1.0), (0.5, 0.0))
+        geometry.ball((0, 0), 1.0).outward_normal((0.5, 0.0))
 
 
 def test_normal_is_unit_and_minus_grad_dist():
@@ -121,17 +121,17 @@ def test_normal_is_unit_and_minus_grad_dist():
 
 def test_move_examples():
     dom = geometry.interval(0.0, 1.0)
-    mv = geometry.make_move(dom, 0.95, 0.1)
+    mv = dom.make_move(0.95, 0.1)
     assert mv.crossed and mv.landing[0] == pytest.approx(1.0)
     assert mv.penal_weight == pytest.approx(0.05)
     assert mv.delta[0] == pytest.approx(0.05)
 
-    mv = geometry.make_move(dom, 0.5, 0.1)
+    mv = dom.make_move(0.5, 0.1)
     assert not mv.crossed and mv.penal_weight == 0.0
     assert mv.landing[0] == pytest.approx(0.6)
 
     disk = geometry.ball((0, 0), 1.0)
-    mv = geometry.make_move(disk, (0.95, 0.0), (0.1, 0.0))
+    mv = disk.make_move((0.95, 0.0), (0.1, 0.0))
     np.testing.assert_allclose(mv.landing, [1.0, 0.0], atol=1e-12)
     assert mv.penal_weight == pytest.approx(0.05)
 

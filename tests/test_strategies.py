@@ -2,15 +2,17 @@
 import numpy as np
 import pytest
 
-from pdegame.fields import AnalyticField
+from pdegame.fields import AnalyticField, GridField, grid_spacing
 from pdegame.geometry import ball, interval
 from pdegame.params import GameParams, make_params
+from pdegame.problems import get_problem
 from pdegame.strategies import (
     NeumannBounds,
     Strategy,
     build_frame,
     candidate_moves,
     candidate_strategies,
+    candidates_1d,
     clip_strategy,
     gamma_opt,
     neumann_bounds,
@@ -199,3 +201,52 @@ class TestCandidateEnumeration:
         richer = candidate_moves(dom, x, params, hess_diff=np.array([[1.0, 0.5], [0.5, -1.0]]))
         assert len(richer) >= len(moves)
         assert max(np.linalg.norm(m) for m in richer) <= ell + 1e-12
+
+
+class TestBatchedKernel:
+    @pytest.mark.parametrize("p_grid_half", [1, 4])
+    @pytest.mark.parametrize("eps", [0.5, 0.2, 0.1])
+    @pytest.mark.parametrize(
+        "name", ["heat1d_cosine", "heat1d_linear_profile", "heat1d_homogeneous"]
+    )
+    def test_matches_the_pointwise_lists_node_by_node(self, name, eps, p_grid_half):
+        prob = get_problem(name)
+        dom = prob.domain
+        params = make_params(eps, p_grid_half=p_grid_half)
+        base = GridField.build(dom, grid_spacing(dom, params))
+        xs = base.x_nodes
+        noise = np.random.default_rng(3).normal(0.0, 0.05, len(xs))
+        field = base.with_values([prob.g(np.array([x])) for x in xs] + noise)
+        nodes = np.arange(len(xs))[::-1]  # any order of any node set
+        cand = candidates_1d(field, nodes, params, prob.h)
+        S, M = cand.P.shape[1], cand.step.shape[1]
+        for r, i in enumerate(nodes):
+            xp = xs[i : i + 1]
+            # the pointwise lists, padded by repeating their last entry
+            strats = candidate_strategies(dom, xp, field, params, prob.h)
+            assert cand.n_strategies[r] == len(strats)
+            strats += strats[-1:] * (S - len(strats))
+            np.testing.assert_array_equal(cand.P[r], [s.p[0] for s in strats])
+            np.testing.assert_array_equal(cand.G[r], [s.Gamma[0, 0] for s in strats])
+            moves = [dom.make_move(xp, req) for req in candidate_moves(dom, xp, params)]
+            assert cand.n_moves[r] == len(moves)
+            moves += moves[-1:] * (M - len(moves))
+            np.testing.assert_array_equal(cand.step[r], [mv.delta_hat[0] for mv in moves])
+            np.testing.assert_array_equal(cand.landing[r], [mv.landing[0] for mv in moves])
+            np.testing.assert_array_equal(cand.crossed[r], [mv.crossed for mv in moves])
+            np.testing.assert_array_equal(
+                cand.penalty[r],
+                [mv.penal_weight * prob.h(mv.landing) if mv.crossed else 0.0 for mv in moves],
+            )
+
+    def test_both_walls_within_reach_pad_strategies_and_moves(self):
+        # ell ~ 0.56 on [0, 1]: the walls' fluxes -1 and +1 give bounds m < M
+        prob = get_problem("heat1d_linear_profile")
+        params = make_params(0.5, p_grid_half=4)
+        base = GridField.build(prob.domain, grid_spacing(prob.domain, params))
+        field = base.with_values(np.zeros(len(base.x_nodes)))
+        cand = candidates_1d(field, np.arange(len(base.x_nodes)), params, prob.h)
+        # at the midpoint the 2k+1 line samples are distinct (the middle one
+        # repeats the base pair here and is deduplicated)
+        assert cand.n_strategies.max() == cand.P.shape[1] >= 2 * 4 + 1
+        assert cand.n_moves.min() < cand.step.shape[1] == 4
