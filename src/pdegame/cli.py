@@ -37,8 +37,6 @@ import time
 from dataclasses import dataclass, fields as dataclass_fields, replace
 from pathlib import Path
 
-import numpy as np
-
 from .consistency import ConsistencyReport, audit_wall_shift, run_audit_suite
 from .game_elliptic import build_caps, solve_fixed_point
 from .game_parabolic import NumericAbort, solve_levelset, solve_scalar_dpp
@@ -227,25 +225,12 @@ def _run_levelset(cfg: RunConfig, out: Path, summary: list) -> None:
     problem = _load_problem(cfg)
     eps = cfg.eps_ladder[0]
     params = cfg.game_params(eps)
-    if cfg.z_max is not None:
-        z_max = cfg.z_max
-    else:
-        g_sup = max(
-            abs(float(problem.g(np.array([x]))))
-            for x in np.linspace(problem.domain.a, problem.domain.c, 256)
-        )
-        z_max = g_sup + 2.0
-    val = solve_levelset(problem, params, z_max=z_max)
-    u = val.u_profile()
-    v = val.v_profile()
-    _write_csv(
-        out / "profiles.csv",
-        ["x", "u", "v"],
-        [[x, u[i], v[i]] for i, x in enumerate(val.x_nodes)],
-    )
+    val = solve_levelset(problem, params, z_max=cfg.z_max)
+    rows = zip(val.x_nodes, val.u_profile(), val.v_profile())
+    _write_csv(out / "profiles.csv", ["x", "u", "v"], rows)
     summary.append(f"problem = {problem.name}")
     summary.append(f"eps = {eps:.12g}")
-    summary.append(f"z_max = {z_max:.12g}")
+    summary.append(f"z_max = {val.z_max:.12g}")
     summary.append(f"nodes = {len(val.x_nodes)} x {len(val.z_nodes)}")
     summary.append(f"t_start_effective = {val.t_start_effective:.12g}")
 
@@ -265,11 +250,8 @@ def _run_elliptic(cfg: RunConfig, out: Path, summary: list) -> None:
     cap_M = cfg.cap_M if cfg.cap_M is not None else 10.0
     caps = build_caps(problem, params, cap_M=cap_M)
     val = solve_fixed_point(problem, caps, params, tol=cfg.tol)
-    # extract_u_elliptic / extract_v_elliptic at every node, one interp call each
-    xs = val.x_nodes
-    u = np.interp(xs, xs, val.u_profile())
-    v = np.interp(xs, xs, val.v_profile())
-    _write_csv(out / "profiles.csv", ["x", "u", "v", "chi"], zip(xs, u, v, val.chi_nodes))
+    rows = zip(val.x_nodes, val.u_profile(), val.v_profile(), val.chi_nodes)
+    _write_csv(out / "profiles.csv", ["x", "u", "v", "chi"], rows)
     _write_csv(
         out / "residuals.csv",
         ["iteration", "residual"],

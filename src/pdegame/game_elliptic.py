@@ -24,13 +24,13 @@ partly absorbing wall stop with payoff ``z + e^(-lambda dt)
 with the score still inside the caps.
 
 Sweeps run on a plan built once per anchor round from the batched
-candidates of ``strategies.candidates_1d``: arrays of shape ``(nx, S,
-M, nz)`` over state node, strategy, move and score node, ``S`` and
-``M`` the largest strategy and move counts over the nodes.  A node
-with fewer strategies or moves repeats its last real one.  This
-padding is exact: a repeated entry changes neither a min nor a max,
-and as the copies come last, the first-index argmax/argmin that count
-Dirichlet exits are unchanged too.
+candidates of ``strategies.candidates_1d``, one block per distinct
+(strategy count S, move count M) pair of ``Candidates1D.blocks``:
+arrays of shape ``(n, S, M, nz)`` over the block's state nodes, their
+strategies, moves and the score nodes.  Interior nodes form one block
+with a single strategy and three moves; boundary-layer nodes add the
+Neumann-corrected announcement line and, off the wall, the grazing
+step.  Every branch cell of a block is a real branch.
 """
 
 from __future__ import annotations
@@ -325,14 +325,15 @@ def _anchor_field(frame: _SweepFrame, V: np.ndarray) -> GridField:
 
 
 @dataclass
-class _SweepPlan:
-    """Everything about one anchor round that does not depend on V, in
-    the padded layout of the module docstring.  Move ``(i, m)`` lands
-    between state nodes ``col_i0`` and ``col_i0 + 1`` with weights
-    ``col_wl``/``col_w``; ``idx``/``wz_left``/``wz`` do the same in the
-    score for each branch cell.  ``C``, ``C_work``, ``vals`` and ``work``
-    are the sweep's buffers; ``vals`` keeps the last branch values."""
+class _PlanBlock:
+    """Everything about one anchor round that does not depend on V, for
+    the nodes ``rows`` of one block.  Move ``(i, m)`` lands between state
+    nodes ``col_i0`` and ``col_i0 + 1`` with weights ``col_wl``/``col_w``;
+    ``idx``/``wz_left``/``wz`` do the same in the score for each branch
+    cell.  ``C``, ``C_work``, ``vals`` and ``work`` are the sweep's
+    buffers; ``vals`` keeps the last branch values."""
 
+    rows: np.ndarray
     col_i0: np.ndarray
     col_wl: np.ndarray
     col_w: np.ndarray
@@ -350,13 +351,12 @@ class _SweepPlan:
 
 
 def _build_plan(problem, params, caps, frame: _SweepFrame, anchor, dirichlet_patch, g_exit):
+    """One :class:`_PlanBlock` per block of ``Candidates1D.blocks``."""
     dom = problem.domain
     xs, zs = frame.xs, frame.zs
     nx, nz = len(xs), len(zs)
     dz = zs[1] - zs[0]
     cand = candidates_1d(anchor, np.arange(nx), params, problem.h)
-    (_, S), (_, M) = cand.P.shape, cand.step.shape
-    shape = (nx, S, M, nz)
     # a step stops on the absorbing part when it crosses onto an exit wall
     walls = (dom.a, dom.c)
     is_exit = [bool(dirichlet_patch and dirichlet_patch(np.array([w]))) for w in walls]
@@ -368,69 +368,73 @@ def _build_plan(problem, params, caps, frame: _SweepFrame, anchor, dirichlet_pat
     t_loc = (cand.landing - xs[0]) / (xs[1] - xs[0])
     col_i0 = np.clip(np.floor(t_loc), 0, nx - 2).astype(int)
     col_w = np.clip(t_loc - col_i0, 0.0, 1.0)
-    fz = np.empty((nx, S, nz))
-    for s in range(S):
-        fz[:, s] = f_stacked(
-            problem, None, np.repeat(xs, nz), np.tile(zs, nx),
-            np.repeat(cand.P[:, s], nz), np.repeat(cand.G[:, s], nz),
-        ).reshape(nx, nz)
-    P, G, D = cand.P[:, :, None, None], cand.G[:, :, None, None], cand.step[:, None, :, None]
-    delta = np.empty(shape)
-    np.add(P * D + 0.5 * (D * G * D), params.time_step * fz[:, :, None, :], out=delta)
-    delta -= pen_h[:, None, :, None]
-    z1 = (1.0 / frame.disc) * (zs + delta)
-    jdx = np.clip(np.searchsorted(zs, z1, side="right") - 1, 0, nz - 2)
-    wz = np.clip((z1 - zs[jdx]) / dz, 0.0, 1.0)
-    idx = (jdx + nz * np.arange(nx * M).reshape(nx, 1, M, 1)).astype(np.int32)
-    # caps take precedence over absorbing exits
     cap = caps.cap_M
-    fixed_idx = np.flatnonzero((z1 >= cap) | (z1 <= -cap) | exits[:, None, :, None])
-    ix, _, mx, kx = np.unravel_index(fixed_idx, shape)
-    z1f = z1.ravel()[fixed_idx]
-    chi = frame.chi_nodes[ix]
-    exit_val = zs[kx] + frame.disc * (g_vals[ix, mx] - z1f)
-    fixed_val = np.where(z1f >= cap, -chi, np.where(z1f <= -cap, chi, exit_val))
-    del z1, jdx  # before the sweep buffers are allocated, to lower the peak
-    return _SweepPlan(
-        col_i0=col_i0,
-        col_wl=(1.0 - col_w)[..., None],
-        col_w=col_w[..., None],
-        idx=idx,
-        wz_left=1.0 - wz,
-        wz=wz,
-        delta=delta,
-        fixed_idx=fixed_idx,
-        fixed_val=fixed_val,
-        exits=exits,
-        C=np.empty((nx, M, nz)),
-        C_work=np.empty((nx, M, nz)),
-        vals=np.empty(shape),
-        work=np.empty(shape),
-    )
+    plan = []
+    for rows, S, M in cand.blocks():
+        n, shape = len(rows), (len(rows), S, M, nz)
+        P, G = cand.P[rows, :S, None, None], cand.G[rows, :S, None, None]
+        fz = f_stacked(problem, None, xs[rows, None, None, None], zs, P, G)
+        D = cand.step[rows, None, :M, None]
+        delta = np.empty(shape)
+        np.add(P * D + 0.5 * (D * G * D), params.time_step * fz, out=delta)
+        delta -= pen_h[rows, None, :M, None]
+        z1 = (1.0 / frame.disc) * (zs + delta)
+        jdx = np.clip(np.searchsorted(zs, z1, side="right") - 1, 0, nz - 2)
+        wz = np.clip((z1 - zs[jdx]) / dz, 0.0, 1.0)
+        idx = (jdx + nz * np.arange(n * M).reshape(n, 1, M, 1)).astype(np.int32)
+        # caps take precedence over absorbing exits
+        ex, w = exits[rows, :M], col_w[rows, :M]
+        fixed_idx = np.flatnonzero((z1 >= cap) | (z1 <= -cap) | ex[:, None, :, None])
+        ix, _, mx, kx = np.unravel_index(fixed_idx, shape)
+        z1f = z1.ravel()[fixed_idx]
+        chi = frame.chi_nodes[rows[ix]]
+        exit_val = zs[kx] + frame.disc * (g_vals[rows[ix], mx] - z1f)
+        fixed_val = np.where(z1f >= cap, -chi, np.where(z1f <= -cap, chi, exit_val))
+        del z1, jdx  # before the sweep buffers are allocated, to lower the peak
+        plan.append(_PlanBlock(
+            rows=rows,
+            col_i0=col_i0[rows, :M],
+            col_wl=(1.0 - w)[..., None],
+            col_w=w[..., None],
+            idx=idx,
+            wz_left=1.0 - wz,
+            wz=wz,
+            delta=delta,
+            fixed_idx=fixed_idx,
+            fixed_val=fixed_val,
+            exits=ex,
+            C=np.empty((n, M, nz)),
+            C_work=np.empty((n, M, nz)),
+            vals=np.empty(shape),
+            work=np.empty(shape),
+        ))
+    return plan
 
 
-def _sweep(V, plan: _SweepPlan, frame: _SweepFrame, sweep: int):
-    """Best worst-case branch values on the whole grid; the branch
-    values are left in ``plan.vals``."""
-    # every index is in range; mode="clip" lets take write to out unbuffered
-    C, C_right = plan.C, plan.C_work
-    np.take(V, plan.col_i0, axis=0, out=C, mode="clip")
-    C *= plan.col_wl
-    np.take(V, plan.col_i0 + 1, axis=0, out=C_right, mode="clip")
-    C_right *= plan.col_w
-    C += C_right
-    # disc * ((1 - wz) * left + wz * right) - delta
-    flat = C.ravel()
-    vals, right = plan.vals, plan.work
-    np.take(flat, plan.idx, out=vals, mode="clip")
-    vals *= plan.wz_left
-    np.take(flat[1:], plan.idx, out=right, mode="clip")
-    right *= plan.wz
-    vals += right
-    vals *= frame.disc
-    vals -= plan.delta
-    np.put(vals, plan.fixed_idx, plan.fixed_val)
-    new = vals.min(axis=2).max(axis=1)
+def _sweep(V, plan: list, frame: _SweepFrame, sweep: int):
+    """Best worst-case branch values on the whole grid; each block's
+    branch values are left in its ``vals``."""
+    new = np.empty_like(V)
+    for b in plan:
+        # every index is in range; mode="clip" lets take write to out unbuffered
+        C, C_right = b.C, b.C_work
+        np.take(V, b.col_i0, axis=0, out=C, mode="clip")
+        C *= b.col_wl
+        np.take(V, b.col_i0 + 1, axis=0, out=C_right, mode="clip")
+        C_right *= b.col_w
+        C += C_right
+        # disc * ((1 - wz) * left + wz * right) - delta
+        flat = C.ravel()
+        vals, right = b.vals, b.work
+        np.take(flat, b.idx, out=vals, mode="clip")
+        vals *= b.wz_left
+        np.take(flat[1:], b.idx, out=right, mode="clip")
+        right *= b.wz
+        vals += right
+        vals *= frame.disc
+        vals -= b.delta
+        np.put(vals, b.fixed_idx, b.fixed_val)
+        new[b.rows] = vals.min(axis=2).max(axis=1)
     bad = ~np.isfinite(new)
     if bad.any():
         i, k = np.argwhere(bad)[0]
@@ -441,15 +445,16 @@ def _sweep(V, plan: _SweepPlan, frame: _SweepFrame, sweep: int):
     return new
 
 
-def _exit_hits(plan: _SweepPlan) -> int:
+def _exit_hits(plan: list) -> int:
     """Grid cells whose optimal continuation in the last sweep stops on
     the absorbing part: the first maximizing strategy, then its first
     minimizing move."""
-    if not plan.exits.any():
-        return 0
-    s_star = plan.vals.min(axis=2).argmax(axis=1)
-    chosen = np.take_along_axis(plan.vals, s_star[:, None, None, :], axis=1)[:, 0]
-    return int(np.take_along_axis(plan.exits, chosen.argmin(axis=1), axis=1).sum())
+    hits = 0
+    for b in plan:
+        s_star = b.vals.min(axis=2).argmax(axis=1)
+        chosen = np.take_along_axis(b.vals, s_star[:, None, None, :], axis=1)[:, 0]
+        hits += int(np.take_along_axis(b.exits, chosen.argmin(axis=1), axis=1).sum())
+    return hits
 
 
 def _one_sweep(V, problem, caps, params, anchor, patch, g):
@@ -474,8 +479,9 @@ def r_eps_apply(V, problem, caps: CapSpec, params: GameParams, anchor=None):
     interpolation weights, hence a sup-norm contraction with factor
     ``exp(-lambda dt)``; by default the anchor is re-extracted from V.
     The sweep gathers ``disc * ((1 - wz) * left + wz * right) - delta``
-    on the padded plan of the module docstring, overwrites the cap and
-    exit cells, and takes a min over moves and a max over strategies.
+    on each block of the plan of the module docstring, overwrites the
+    cap and exit cells, and takes a min over moves and a max over
+    strategies.
     """
     return _one_sweep(V, problem, caps, params, anchor, None, None)
 

@@ -225,11 +225,7 @@ def _layer_sweep_1d(problem, params, field, idx, t):
     values ``phi(landing) - p step - 0.5 G step^2 - dt f + penalty`` over
     (node, strategy, move), min over moves, max over strategies."""
     cand = candidates_1d(field, idx, params, problem.h)
-    n, S = cand.P.shape
-    F = f_stacked(
-        problem, t, np.repeat(field.x_nodes[idx], S), np.repeat(field.values[idx], S),
-        cand.P.ravel(), cand.G.ravel(),
-    ).reshape(n, S)
+    F = f_stacked(problem, t, field.x_nodes[idx, None], field.values[idx, None], cand.P, cand.G)
     P, G, D = cand.P[:, :, None], cand.G[:, :, None], cand.step[:, None, :]
     vals = (
         field.eval_many(cand.landing)[:, None, :]
@@ -281,6 +277,7 @@ class LevelSetValue:
     z_nodes: np.ndarray
     U: np.ndarray  # shape (nx, nz)
     t_start_effective: float
+    z_max: float  # half-width of the tracked score window
 
     def u_profile(self) -> np.ndarray:
         """sup{z : U(x, z) > 0} per node (-inf where U never positive)."""
@@ -292,44 +289,43 @@ class LevelSetValue:
 
 
 def _sign_change(z, U, upper: bool) -> np.ndarray:
+    """Per row, the linear crossing of U between the last positive entry
+    and the next (upper) or the first negative entry and the one before
+    (lower); clamped to the grid edge when that entry is the last
+    (first) one, -inf (+inf) when there is none."""
     nx, nz = U.shape
-    out = np.empty(nx)
-    for i in range(nx):
-        col = U[i]
-        if upper:
-            pos = np.nonzero(col > 0.0)[0]
-            if len(pos) == 0:
-                out[i] = -np.inf
-                continue
-            k = pos[-1]
-            if k == nz - 1:
-                out[i] = z[-1]  # crossing beyond the grid: clamp to the edge
-            else:
-                # col[k] > 0 >= col[k+1]
-                out[i] = z[k] + col[k] * (z[k + 1] - z[k]) / (col[k] - col[k + 1])
-        else:
-            neg = np.nonzero(col < 0.0)[0]
-            if len(neg) == 0:
-                out[i] = np.inf
-                continue
-            k = neg[0]
-            if k == 0:
-                out[i] = z[0]
-            else:
-                # col[k-1] >= 0 > col[k]
-                out[i] = z[k - 1] + col[k - 1] * (z[k] - z[k - 1]) / (col[k - 1] - col[k])
-    return out
+    r = np.arange(nx)
+    if upper:  # U[k] > 0 >= U[j]
+        hit = U > 0.0
+        k = nz - 1 - hit[:, ::-1].argmax(axis=1)
+        j = np.minimum(k + 1, nz - 1)
+        edge, z_edge, none = k == nz - 1, z[-1], -np.inf
+    else:  # U[k] >= 0 > U[j]
+        hit = U < 0.0
+        j = hit.argmax(axis=1)
+        k = np.maximum(j - 1, 0)
+        edge, z_edge, none = j == 0, z[0], np.inf
+    a, b = U[r, k], U[r, j]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cross = z[k] + a * (z[j] - z[k]) / (a - b)
+    return np.where(hit.any(axis=1), np.where(edge, z_edge, cross), none)
 
 
-def solve_levelset(problem, params, z_max: float, t_start: float = 0.0) -> LevelSetValue:
+def solve_levelset(problem, params, z_max: float | None = None,
+                   t_start: float = 0.0) -> LevelSetValue:
     """Backward induction on the level-set value U(x, z, t).
 
-    Each sweep takes the candidates of every x-node from one batched
+    ``z_max`` defaults to sup|g| + 2 (sup|g| over 256 points).  Each sweep
+    takes the candidates of every x-node from one batched
     ``candidates_1d`` call on the z = 0 slice and shares them across z;
     the update is then monotone in z and preserves the slope <= -1
-    property of the terminal datum.  Off-grid z' are continued affinely
-    with slope -1; a z' more than 1.0 beyond the grid aborts with advice
-    to enlarge z_max.
+    property of the terminal datum.  The nodes of each block of
+    ``Candidates1D.blocks`` are updated together, one (strategy, move)
+    slot at a time, by ``np.interp``'s own arithmetic: the cell is
+    ``searchsorted(side="right") - 1``, a point on a score node takes
+    the node's value.  Off-grid z' are continued affinely with slope -1;
+    a z' more than 1.0 beyond the grid aborts with advice to enlarge
+    z_max.
     """
     dom = problem.domain
     if dom.dim != 1:
@@ -337,19 +333,20 @@ def solve_levelset(problem, params, z_max: float, t_start: float = 0.0) -> Level
     check_probe_room(dom, params)
     g_sup = max(abs(float(problem.g(np.array([x]))))
                 for x in np.linspace(dom.a, dom.c, 256))
+    if z_max is None:
+        z_max = g_sup + 2.0
     if z_max < g_sup + 1.0:
         raise ValidationError(
             f"z_max={z_max} too small: need at least sup|g| + 1 = {g_sup + 1.0:.6g}"
         )
     dt = params.time_step
     n_steps = max(1, round((problem.T - t_start) / dt))
-    base = GridField.build(dom, grid_spacing(dom, params))
+    base = GridField.from_callable(dom, grid_spacing(dom, params), problem.g)
     xs = base.x_nodes
     K = max(1, round(z_max / dt))
     zs = dt * np.arange(-K, K + 1)
-    U = np.subtract.outer(
-        np.array([float(problem.g(np.array([x]))) for x in xs]), zs
-    )
+    nz, dz = len(zs), zs[1:] - zs[:-1]
+    U = np.subtract.outer(base.values, zs)
     for j in range(n_steps):
         t_target = problem.T - (j + 1) * dt
         # the z = 0 slice drives the candidates
@@ -358,31 +355,33 @@ def solve_levelset(problem, params, z_max: float, t_start: float = 0.0) -> Level
         drift = cand.P[:, :, None] * D + 0.5 * (D * cand.G[:, :, None] * D)
         i0, w = base.locate(cand.landing)
         new = np.empty_like(U)
-        for i, x in enumerate(xs):
-            best = np.full(len(zs), -np.inf)
-            for s in range(cand.n_strategies[i]):
-                worst = np.full(len(zs), np.inf)
-                fz = f_stacked(
-                    problem, t_target, np.full(len(zs), x), zs,
-                    np.full(len(zs), cand.P[i, s]), np.full(len(zs), cand.G[i, s]),
-                )
-                for m in range(cand.n_moves[i]):
-                    z_next = zs + drift[i, s, m] + dt * fz - cand.penalty[i, m]
+        for rows, S, M in cand.blocks():
+            r = np.arange(len(rows))[:, None]
+            P, G = cand.P[rows, :S, None], cand.G[rows, :S, None]
+            dt_f = dt * f_stacked(problem, t_target, xs[rows, None, None], zs, P, G)
+            best = np.full((len(rows), nz), -np.inf)
+            for s in range(S):
+                worst = np.full_like(best, np.inf)
+                for m in range(M):
+                    z_next = zs + drift[rows, s, m, None] + dt_f[:, s] - cand.penalty[rows, m, None]
                     over = np.max(np.abs(z_next)) - z_max
                     if over > 1.0:
                         raise NumericAbort(
                             f"tracked value left the z-window by {over:.3g} at "
                             f"t={t_target:.6g}; rerun with z_max > {z_max + over:.3g}"
                         )
-                    col = (1.0 - w[i, m]) * U[i0[i, m]] + w[i, m] * U[i0[i, m] + 1]
-                    vals = np.interp(z_next, zs, col)
-                    hi = z_next > zs[-1]
-                    lo = z_next < zs[0]
-                    vals[hi] = col[-1] - (z_next[hi] - zs[-1])
-                    vals[lo] = col[0] + (zs[0] - z_next[lo])
+                    wm = w[rows, m, None]
+                    col = (1.0 - wm) * U[i0[rows, m]] + wm * U[i0[rows, m] + 1]
+                    # np.interp's arithmetic, a point on a node taking its value
+                    k = np.clip(np.searchsorted(zs, z_next, side="right") - 1, 0, nz - 1)
+                    kc = np.minimum(k, nz - 2)
+                    vals = np.diff(col, axis=1)[r, kc] / dz[kc] * (z_next - zs[kc]) + col[r, kc]
+                    vals = np.where(z_next == zs[k], col[r, k], vals)
+                    vals = np.where(z_next > zs[-1], col[:, -1:] - (z_next - zs[-1]), vals)
+                    vals = np.where(z_next < zs[0], col[:, :1] + (zs[0] - z_next), vals)
                     np.minimum(worst, vals, out=worst)
                 np.maximum(best, worst, out=best)
-            new[i] = best
+            new[rows] = best
         if not np.all(np.isfinite(new)):
             raise NumericAbort(f"non-finite level-set values at t={t_target:.6g}")
         U = new
@@ -393,4 +392,5 @@ def solve_levelset(problem, params, z_max: float, t_start: float = 0.0) -> Level
         z_nodes=zs,
         U=U,
         t_start_effective=problem.T - n_steps * dt,
+        z_max=z_max,
     )

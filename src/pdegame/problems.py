@@ -108,19 +108,22 @@ class MixedEllipticProblem(EllipticProblem):
 
 
 def f_stacked(problem, t, x, z, p, G) -> np.ndarray:
-    """f of a 1D problem at stacked samples: x, z, p, G of shape (N,).
+    """f of a 1D problem at the samples x, z, p, G broadcast against each
+    other; the result has their broadcast shape.
 
     Pass t=None for elliptic problems (whose f takes no time).  Uses
     ``f_batched`` when the problem has one, else f sample by sample.
     """
     lead = () if t is None else (t,)
+    xzpg = np.empty((4,) + np.broadcast(x, z, p, G).shape)
+    xzpg[0], xzpg[1], xzpg[2], xzpg[3] = x, z, p, G
+    x, z, p, G = xzpg.reshape(4, -1)
     if problem.f_batched is not None:
-        X, P, Gm = x.reshape(-1, 1), p.reshape(-1, 1), G.reshape(-1, 1, 1)
-        return np.asarray(problem.f_batched(*lead, X, z, P, Gm), dtype=float)
-    return np.array([
-        float(problem.f(*lead, np.array([xi]), zi, np.array([pi]), np.array([[gi]])))
-        for xi, zi, pi, gi in zip(x, z, p, G)
-    ])
+        out = problem.f_batched(*lead, x.reshape(-1, 1), z, p.reshape(-1, 1), G.reshape(-1, 1, 1))
+    else:
+        out = [float(problem.f(*lead, np.array([xi]), zi, np.array([pi]), np.array([[gi]])))
+               for xi, zi, pi, gi in zip(x, z, p, G)]
+    return np.asarray(out, dtype=float).reshape(xzpg.shape[1:])
 
 
 # -- catalog ---------------------------------------------------------------

@@ -342,10 +342,12 @@ class Candidates1D:
     columns of ``P``/``G`` (gradient, Hessian) are ``candidate_strategies``
     in order, the first ``n_moves[i]`` columns of the (n, M) move arrays
     are ``candidate_moves`` (0, +ell, -ell, then the grazing step when
-    0 < d < ell), and later columns repeat the last real entry.  A repeat
-    changes no min or max, and as repeats come last, no first-index
-    argmax or argmin either.  ``penalty`` is the penalty weight times h
-    at the wall a crossing step lands on, 0 for the other steps.
+    0 < d < ell), and later columns repeat the last real entry.  Only the
+    scalar layer sweep reads the padding (a repeat changes no min or max,
+    and as repeats come last, no first-index argmax or argmin either);
+    the (state, score) solvers read the real entries block by block
+    through :meth:`blocks`.  ``penalty`` is the penalty weight times h at
+    the wall a crossing step lands on, 0 for the other steps.
     """
 
     P: np.ndarray
@@ -356,6 +358,13 @@ class Candidates1D:
     crossed: np.ndarray
     penalty: np.ndarray
     n_moves: np.ndarray
+
+    def blocks(self):
+        """``(rows, S, M)`` for each distinct pair of strategy and move
+        counts: the rows whose real entries are the first S columns of
+        ``P``/``G`` and the first M columns of the move arrays."""
+        for S, M in np.unique(np.stack([self.n_strategies, self.n_moves], axis=1), axis=0):
+            yield np.flatnonzero((self.n_strategies == S) & (self.n_moves == M)), int(S), int(M)
 
 
 def check_probe_room(domain: DomainGeometry, params) -> None:

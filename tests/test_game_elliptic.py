@@ -13,6 +13,8 @@ from pdegame.params import ValidationError, make_params
 from pdegame.problems import EllipticProblem, MixedEllipticProblem, get_problem
 from pdegame.strategies import candidate_moves, candidate_strategies
 from pdegame.game_elliptic import (
+    _build_plan,
+    _sweep_frame,
     build_caps,
     build_psi,
     extract_u_elliptic,
@@ -414,21 +416,26 @@ class TestSweep:
         base = GridField.build(DOM, grid_spacing(DOM, params))
         zs = z_grid(params, caps.cap_M)
         anchor = zero_anchor(prob, params)
-        # nodes with different (strategy x move) counts share one padded plan
-        counts = {
+        # nodes with different (strategy x move) counts fall in different blocks
+        counts = [
             len(candidate_strategies(DOM, np.array([x]), anchor, params, prob.h))
             * len(candidate_moves(DOM, np.array([x]), params))
             for x in base.x_nodes
-        }
-        assert counts == branch_counts
+        ]
+        assert set(counts) == branch_counts
+        # no padding: each node in exactly one block, only real branch cells
+        frame = _sweep_frame(prob, caps, params)
+        patch, g_exit = getattr(prob, "is_dirichlet", None), getattr(prob, "g_exit", None)
+        plan = _build_plan(prob, params, caps, frame, anchor, patch, g_exit)
+        rows = np.concatenate([b.rows for b in plan])
+        np.testing.assert_array_equal(np.sort(rows), np.arange(len(base.x_nodes)))
+        assert sum(b.vals.size for b in plan) == len(zs) * sum(counts)
         rng = np.random.default_rng(19)
         V = rng.uniform(-3.0, 3.0, size=(len(base.x_nodes), len(zs)))
-        patch = getattr(prob, "is_dirichlet", None)
         if patch is None:
             got, hits = r_eps_apply(V, prob, caps, params, anchor=anchor)
         else:
             got, hits = r_eps_mixed(V, prob, caps, params, anchor=anchor)
-        g_exit = getattr(prob, "g_exit", None)
         ref, ref_hits = reference_sweep(V, prob, caps, params, anchor, patch, g_exit)
         np.testing.assert_array_equal(got, ref)
         assert hits == ref_hits

@@ -7,9 +7,11 @@ import pytest
 from pdegame.fields import AnalyticField, GridField, grid_spacing
 from pdegame.geometry import ball, interval
 from pdegame.params import GameParams, ValidationError, make_params
-from pdegame.problems import ParabolicProblem, get_problem
+from pdegame.problems import ParabolicProblem, f_stacked, get_problem
+from pdegame.strategies import candidates_1d
 from pdegame.game_parabolic import (
     NumericAbort,
+    _sign_change,
     heat_L_eps,
     heat_L_eps_expansion,
     s_eps,
@@ -203,7 +205,121 @@ class TestScalarSolver:
         assert len(sol.fields) == len(sol.times) == 7  # terminal + 6 sweeps
 
 
+def reference_levelset(problem, params, z_max):
+    """The level-set march node by node: per node, per strategy and per
+    move, one ``np.interp`` of the landing column at the post-round
+    scores, off-grid scores continued with slope -1.  Returns ``(U,
+    ends, blocks)``: the ends of the score grid that some z' left, and
+    the (strategy count, move count) pairs that occurred."""
+    dom = problem.domain
+    base = GridField.build(dom, grid_spacing(dom, params))
+    xs = base.x_nodes
+    dt = params.time_step
+    K = max(1, round(z_max / dt))
+    zs = dt * np.arange(-K, K + 1)
+    U = np.subtract.outer(np.array([float(problem.g(np.array([x]))) for x in xs]), zs)
+    ends, blocks = set(), set()
+    for j in range(max(1, round(problem.T / dt))):
+        t = problem.T - (j + 1) * dt
+        cand = candidates_1d(base.with_values(U[:, K]), np.arange(len(xs)), params, problem.h)
+        i0, w = base.locate(cand.landing)
+        new = np.empty_like(U)
+        for i, x in enumerate(xs):
+            blocks.add((cand.n_strategies[i], cand.n_moves[i]))
+            best = np.full(len(zs), -np.inf)
+            for s in range(cand.n_strategies[i]):
+                P, G = cand.P[i, s], cand.G[i, s]
+                fz = f_stacked(problem, t, np.full(len(zs), x), zs,
+                               np.full(len(zs), P), np.full(len(zs), G))
+                worst = np.full(len(zs), np.inf)
+                for m in range(cand.n_moves[i]):
+                    D = cand.step[i, m]
+                    z_next = zs + (P * D + 0.5 * (D * G * D)) + dt * fz - cand.penalty[i, m]
+                    col = (1.0 - w[i, m]) * U[i0[i, m]] + w[i, m] * U[i0[i, m] + 1]
+                    vals = np.interp(z_next, zs, col)
+                    hi, lo = z_next > zs[-1], z_next < zs[0]
+                    vals[hi] = col[-1] - (z_next[hi] - zs[-1])
+                    vals[lo] = col[0] + (zs[0] - z_next[lo])
+                    ends |= {"hi"} if hi.any() else set()
+                    ends |= {"lo"} if lo.any() else set()
+                    np.minimum(worst, vals, out=worst)
+                np.maximum(best, worst, out=best)
+            new[i] = best
+        U = new
+    return U, ends, blocks
+
+
+def z_dependent_problem():
+    return ParabolicProblem(
+        name="heat_with_z",
+        domain=DOM,
+        f=lambda t, x, z, p, G: -G[0, 0] + 2.0 * z,
+        g=lambda x: 0.5 * math.cos(math.pi * x[0]),
+        h=lambda x: 0.3,
+        T=0.25,
+        f_batched=lambda t, X, Z, P, G: -G[:, 0, 0] + 2.0 * Z,
+    )
+
+
+def reference_sign_change(z, U, upper):
+    """The profile crossing row by row: the last positive entry and the
+    next one (upper), or the first negative entry and the one before."""
+    nz = len(z)
+    out = np.empty(len(U))
+    for i, col in enumerate(U):
+        hits = np.nonzero(col > 0.0 if upper else col < 0.0)[0]
+        if len(hits) == 0:
+            out[i] = -np.inf if upper else np.inf
+            continue
+        k = hits[-1] if upper else hits[0] - 1
+        if (upper and k == nz - 1) or (not upper and k == -1):
+            out[i] = z[-1] if upper else z[0]  # crossing beyond the grid: the edge
+        else:
+            out[i] = z[k] + col[k] * (z[k + 1] - z[k]) / (col[k] - col[k + 1])
+    return out
+
+
 class TestLevelSet:
+    @pytest.mark.parametrize("upper", [True, False], ids=["upper", "lower"])
+    def test_sign_change_matches_the_row_by_row_reference(self, upper):
+        z = 0.04 * np.arange(-20, 21)
+        rng = np.random.default_rng(3)
+        U = np.vstack([
+            rng.uniform(-1.0, 1.0, (20, len(z))),
+            np.subtract.outer(rng.uniform(-1.2, 1.2, 20), z),  # off the grid too
+            np.round(rng.uniform(-1.0, 1.0, (20, len(z)))),  # zero plateaus
+            np.zeros(len(z)), np.ones(len(z)), -np.ones(len(z)),
+        ])
+        got = _sign_change(z, U, upper)
+        np.testing.assert_array_equal(got, reference_sign_change(z, U, upper))
+        assert np.isinf(got).any() and np.isin(got, z[[0, -1]]).any()
+
+    @pytest.mark.parametrize(
+        "prob, z_max, blocks",
+        [
+            (get_problem("heat1d_cosine"), 3.0, {(1, 3), (2, 3), (2, 4)}),
+            (get_problem("heat1d_linear_profile"), 2.5, {(1, 3), (1, 4)}),
+            (z_dependent_problem(), 1.5, {(1, 3), (2, 3), (2, 4)}),
+        ],
+        ids=["cosine", "linear_profile", "z_dependent"],
+    )
+    def test_batched_step_matches_the_per_node_reference(self, prob, z_max, blocks):
+        # (strategy count, move count) blocks; the cases hold 3 distinct ones
+        params = make_params(0.2)
+        lsv = solve_levelset(prob, params, z_max=z_max)
+        ref, ends, ref_blocks = reference_levelset(prob, params, z_max)
+        np.testing.assert_array_equal(lsv.U, ref)
+        assert ends == {"lo", "hi"}  # the slope -1 continuation is exercised
+        assert ref_blocks == blocks
+
+    def test_default_z_max_is_sup_g_plus_two(self):
+        prob = get_problem("heat1d_cosine")
+        g_sup = max(abs(prob.g(np.array([x]))) for x in np.linspace(0.0, 1.0, 256))
+        default = solve_levelset(prob, make_params(0.2))
+        explicit = solve_levelset(prob, make_params(0.2), z_max=g_sup + 2.0)
+        assert default.z_max == explicit.z_max == g_sup + 2.0
+        np.testing.assert_array_equal(default.U, explicit.U)
+
     def test_zmax_precondition(self):
         with pytest.raises(ValidationError):
             solve_levelset(get_problem("heat1d_homogeneous"), make_params(0.2), z_max=5.5)
