@@ -140,9 +140,12 @@ def _parse_value(key: str, raw: str):
     if raw.lower() in ("none", ""):
         return None
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ValidationError(f"{key} must be a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ValidationError(f"{key} must be finite, got {raw!r}")
+    return value
 
 
 def load_config(path) -> RunConfig:

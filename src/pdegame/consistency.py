@@ -26,13 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .fields import AnalyticField
-from .game_elliptic import (
-    _boundary_sup,
-    _psi_profile,
-    _psi_profile_curv,
-    _psi_profile_slope,
-    q_eps,
-)
+from .game_elliptic import _boundary_sup, exact_barrier, q_eps
 from .game_parabolic import s_eps
 from .geometry import DomainGeometry, ball, interval
 from .params import make_params
@@ -58,7 +52,6 @@ __all__ = [
     "RESIDUAL_NOISE",
     "AuditRow",
     "ConsistencyReport",
-    "exact_barrier",
     "classify_case",
     "audit_upper",
     "audit_lower",
@@ -172,76 +165,6 @@ class ConsistencyReport:
                         "1" if r.passed else "0",
                     ]
                 )
-
-
-# -- exact barrier field ---------------------------------------------------
-
-
-def exact_barrier(domain: DomainGeometry, h_sup: float) -> AnalyticField:
-    """Wall barrier with exact derivatives, for audit use.
-
-    Same profile as the solver's sampled barrier: ``(h_sup + 1) *
-    exp[-d / (1 - d/(r/2))]`` of the wall distance ``d`` with ``r`` the
-    inscribed-ball radius, supported in the layer of depth ``r/2``.
-    Interpolation error of the lattice version would swamp the
-    ``eps**2``-sized margins audited here, so the audits evaluate the
-    profile and its derivatives in closed form.
-    """
-    depth = domain.r_int / 2.0
-    amp = h_sup + 1.0
-
-    def value(x):
-        return _psi_profile(domain.dist_to_boundary(np.atleast_1d(x)), depth, amp)
-
-    if domain.kind == "interval":
-
-        def grad(x):
-            xp = np.atleast_1d(np.asarray(x, dtype=float))
-            d = domain.dist_to_boundary(xp)
-            inward = 1.0 if (xp[0] - domain.a) <= (domain.c - xp[0]) else -1.0
-            return np.array([inward * _psi_profile_slope(d, depth, amp)])
-
-        def hess(x):
-            d = domain.dist_to_boundary(np.atleast_1d(x))
-            return np.array([[_psi_profile_curv(d, depth, amp)]])
-
-    else:
-
-        def _radial(x):
-            xp = np.atleast_1d(np.asarray(x, dtype=float))
-            rel = xp - np.asarray(domain.center, dtype=float)
-            r = float(np.linalg.norm(rel))
-            return rel, r
-
-        def _inward_sign(r: float) -> float:
-            # distance to the nearer wall decreases toward that wall
-            if domain.kind == "ball":
-                return 1.0
-            mid = 0.5 * (domain.r_in + domain.r_out)
-            return 1.0 if r >= mid else -1.0
-
-        def grad(x):
-            rel, r = _radial(x)
-            if r == 0.0:
-                return np.zeros(2)
-            d = domain.dist_to_boundary(np.atleast_1d(x))
-            sign = _inward_sign(r)
-            return (-sign * _psi_profile_slope(d, depth, amp) / r) * rel
-
-        def hess(x):
-            rel, r = _radial(x)
-            if r == 0.0:
-                return np.zeros((2, 2))
-            d = domain.dist_to_boundary(np.atleast_1d(x))
-            sign = _inward_sign(r)
-            rhat = rel / r
-            P = np.outer(rhat, rhat)
-            curv = _psi_profile_curv(d, depth, amp)
-            slope = _psi_profile_slope(d, depth, amp)
-            # D^2 d = -sign (I - rhat rhat^T)/r for radial walls
-            return curv * P - sign * slope / r * (np.eye(2) - P)
-
-    return AnalyticField(domain, value, grad=grad, hess=hess)
 
 
 # -- classification --------------------------------------------------------

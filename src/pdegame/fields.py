@@ -3,33 +3,32 @@
 Two interchangeable field flavors feed the game operators (anything with
 ``domain`` / ``eval`` / ``fd_gradient`` / ``fd_hessian`` works):
 
-* ``GridField`` — values on a lattice restricted to the closure, with
-  multilinear interpolation and finite-difference derivatives at grid
-  scale.  This is what the sweeps produce and consume.
+* ``GridField`` — values on the uniform lattice of an interval, with
+  linear interpolation and finite-difference derivatives at grid scale.
+  This is what the (one-dimensional) sweeps produce and consume.
 * ``AnalyticField`` — a callable with optional analytic derivatives, used
   where tests and audits need evaluation exact to roundoff (no lattice
   interpolant can deliver 1e-10 at h ~ eps^2).
 
-Grid spacing is tied to the step scale: ``eps^2/2`` in 1D (resolves the
-time step), ``eps^(1-alpha)/8`` in 2D (puts several cells in the boundary
-layer).  Finite-difference step = grid step: there is no information below
+Grid spacing is tied to the step scale: ``eps^2/2`` resolves the time
+step.  Finite-difference step = grid step: there is no information below
 grid scale.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import DomainGeometry
+from .params import ValidationError
 
 __all__ = ["GridField", "AnalyticField", "grid_spacing"]
 
 
 def grid_spacing(domain: DomainGeometry, params) -> float:
-    if domain.dim == 1:
-        return 0.5 * params.eps**2
-    return params.eps ** (1.0 - params.alpha) / 8.0
+    """Lattice spacing of ``GridField.build`` on the interval ``domain``."""
+    return 0.5 * params.eps**2
 
 
 def _second_order_one_sided_first(v0, v1, v2, h):
@@ -147,113 +146,40 @@ class AnalyticField:
 
 @dataclass(eq=False)
 class GridField:
-    """Lattice samples over the closure with multilinear interpolation.
+    """Samples on the uniform lattice of an interval, with linear
+    interpolation and finite-difference derivatives at lattice scale.
 
-    The node set is the bounding-box lattice restricted to nodes that touch
-    a cell intersecting the closure.  Nodes outside the closure (straddling
-    cells only) carry the sample of the source callable at their boundary
-    projection — interpolation then never extrapolates outside the data.
-    Solver-built fields copy the nearest inside value into those nodes
-    (``with_values`` does this automatically).
+    The end nodes sit on the walls, so interpolation never leaves the
+    data and the derivative stencils flip to second-order one-sided
+    forms there.
     """
 
     domain: DomainGeometry
     h: float
     x_nodes: np.ndarray
     values: np.ndarray
-    y_nodes: np.ndarray | None = None
-    inside: np.ndarray | None = None  # 2D: nodes in the closure
-    needed: np.ndarray | None = None  # 2D: nodes touching an active cell
-    _ghost_src: tuple | None = field(default=None, repr=False)
 
     # -- construction ------------------------------------------------------
 
     @classmethod
     def build(cls, domain: DomainGeometry, h: float) -> "GridField":
         """Geometry-only field (values zero); use with_values to populate."""
-        lo, hi = domain.bounding_box
-        if domain.dim == 1:
-            n = max(1, round((hi[0] - lo[0]) / h))
-            h_eff = (hi[0] - lo[0]) / n
-            x = lo[0] + h_eff * np.arange(n + 1)
-            return cls(domain=domain, h=h_eff, x_nodes=x, values=np.zeros(n + 1))
-        nx = max(1, round((hi[0] - lo[0]) / h))
-        ny = max(1, round((hi[1] - lo[1]) / h))
-        h_eff = (hi[0] - lo[0]) / nx  # bounding boxes are square for the 2D catalog
-        x = lo[0] + h_eff * np.arange(nx + 1)
-        y = lo[1] + h_eff * np.arange(ny + 1)
-        xx, yy = np.meshgrid(x, y, indexing="ij")
-        pts = np.stack([xx, yy], axis=-1)
-        inside = np.zeros((nx + 1, ny + 1), dtype=bool)
-        for i in range(nx + 1):
-            for j in range(ny + 1):
-                inside[i, j] = domain.outside_by(pts[i, j]) <= domain.tol
-        active = _active_cells(domain, x, y)
-        needed = np.zeros_like(inside)
-        needed[:-1, :-1] |= active
-        needed[1:, :-1] |= active
-        needed[:-1, 1:] |= active
-        needed[1:, 1:] |= active
-        ghost = needed & ~inside
-        gi, gj = np.nonzero(ghost)
-        ii, jj = np.nonzero(inside)
-        src = np.zeros((len(gi), 2), dtype=int)
-        if len(gi):
-            inside_pts = np.stack([x[ii], y[jj]], axis=-1)
-            for k in range(len(gi)):
-                gp = np.array([x[gi[k]], y[gj[k]]])
-                nearest = np.argmin(np.sum((inside_pts - gp) ** 2, axis=1))
-                src[k] = (ii[nearest], jj[nearest])
-        vals = np.full((nx + 1, ny + 1), np.nan)
-        vals[needed] = 0.0
-        return cls(
-            domain=domain,
-            h=h_eff,
-            x_nodes=x,
-            y_nodes=y,
-            values=vals,
-            inside=inside,
-            needed=needed,
-            _ghost_src=(gi, gj, src),
-        )
+        if domain.kind != "interval":
+            raise ValidationError(f"the lattice is one-dimensional; got a {domain.kind} domain")
+        n = max(1, round((domain.c - domain.a) / h))
+        h_eff = (domain.c - domain.a) / n
+        x = domain.a + h_eff * np.arange(n + 1)
+        return cls(domain=domain, h=h_eff, x_nodes=x, values=np.zeros(n + 1))
 
     @classmethod
     def from_callable(cls, domain: DomainGeometry, h: float, func) -> "GridField":
         base = cls.build(domain, h)
-        if domain.dim == 1:
-            vals = np.array([float(func(np.array([xi]))) for xi in base.x_nodes])
-            return base._replace_values(vals)
-        vals = np.full_like(base.values, np.nan)
-        for i in range(len(base.x_nodes)):
-            for j in range(len(base.y_nodes)):
-                if not base.needed[i, j]:
-                    continue
-                p = np.array([base.x_nodes[i], base.y_nodes[j]])
-                if not base.inside[i, j]:
-                    p = domain.project_to_closure(p)
-                vals[i, j] = float(func(p))
-        assert np.all(np.isfinite(vals[base.needed])), "field values must be finite"
-        return base._replace_values(vals)
+        return base.with_values([float(func(np.array([xi]))) for xi in base.x_nodes])
 
-    def _replace_values(self, vals: np.ndarray) -> "GridField":
-        return GridField(
-            domain=self.domain,
-            h=self.h,
-            x_nodes=self.x_nodes,
-            y_nodes=self.y_nodes,
-            values=vals,
-            inside=self.inside,
-            needed=self.needed,
-            _ghost_src=self._ghost_src,
-        )
-
-    def with_values(self, vals: np.ndarray) -> "GridField":
-        """New field on the same lattice; 2D ghost nodes refilled from inside."""
+    def with_values(self, vals) -> "GridField":
+        """New field on the same lattice."""
         vals = np.asarray(vals, dtype=float).copy()
-        if self.domain.dim == 2 and self._ghost_src is not None:
-            gi, gj, src = self._ghost_src
-            vals[gi, gj] = vals[src[:, 0], src[:, 1]]
-        return self._replace_values(vals)
+        return GridField(domain=self.domain, h=self.h, x_nodes=self.x_nodes, values=vals)
 
     # -- queries -----------------------------------------------------------
 
@@ -264,29 +190,16 @@ class GridField:
         return p
 
     def eval(self, x) -> float:
-        p = self._point(x)
-        if self.domain.dim == 1:
-            return float(self.eval_many(p[0]))
-        i = int(np.clip((p[0] - self.x_nodes[0]) // self.h, 0, len(self.x_nodes) - 2))
-        j = int(np.clip((p[1] - self.y_nodes[0]) // self.h, 0, len(self.y_nodes) - 2))
-        tx = min(max((p[0] - self.x_nodes[i]) / self.h, 0.0), 1.0)
-        ty = min(max((p[1] - self.y_nodes[j]) / self.h, 0.0), 1.0)
-        v = self.values
-        return float(
-            (1 - tx) * (1 - ty) * v[i, j]
-            + tx * (1 - ty) * v[i + 1, j]
-            + (1 - tx) * ty * v[i, j + 1]
-            + tx * ty * v[i + 1, j + 1]
-        )
+        return float(self.eval_many(self._point(x)[0]))
 
     def locate(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """1D: cell i and weight t of each point of ``q``, value (1-t) v[i] + t v[i+1]."""
+        """Cell i and weight t of each point of ``q``, value (1-t) v[i] + t v[i+1]."""
         x = self.x_nodes
         i = np.clip((q - x[0]) // self.h, 0, len(x) - 2).astype(int)
         return i, np.clip((q - x[i]) / self.h, 0.0, 1.0)
 
     def eval_many(self, q: np.ndarray) -> np.ndarray:
-        """1D: the interpolant at every point of ``q`` (no closure check)."""
+        """The interpolant at every point of ``q`` (no closure check)."""
         i, t = self.locate(q)
         return (1.0 - t) * self.values[i] + t * self.values[i + 1]
 
@@ -294,26 +207,6 @@ class GridField:
 
     def _snap_1d(self, x: float) -> int:
         return int(np.clip(round((x - self.x_nodes[0]) / self.h), 0, len(self.x_nodes) - 1))
-
-    def _snap_2d(self, p) -> tuple[int, int]:
-        i = int(np.clip(round((p[0] - self.x_nodes[0]) / self.h), 0, len(self.x_nodes) - 1))
-        j = int(np.clip(round((p[1] - self.y_nodes[0]) / self.h), 0, len(self.y_nodes) - 1))
-        if self.inside[i, j]:
-            return i, j
-        # nearest lattice node is outside the closure: pick the closest
-        # inside node in the 3x3 neighborhood instead.
-        best, best_d2 = None, np.inf
-        for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                ii, jj = i + di, j + dj
-                if 0 <= ii < len(self.x_nodes) and 0 <= jj < len(self.y_nodes):
-                    if self.inside[ii, jj]:
-                        d2 = (self.x_nodes[ii] - p[0]) ** 2 + (self.y_nodes[jj] - p[1]) ** 2
-                        if d2 < best_d2:
-                            best, best_d2 = (ii, jj), d2
-        if best is None:
-            raise RuntimeError(f"no inside lattice node near {p}")
-        return best
 
     def _axis_derivs_1d(self, i: int) -> tuple[float, float]:
         v, h, n = self.values, self.h, len(self.x_nodes)
@@ -331,126 +224,10 @@ class GridField:
             s = _second_order_one_sided_second(v[i], v[i - 1], v[i - 2], v[i - 3], h)
         return float(g), float(s)
 
-    def _line_ok(self, i: int, j: int, axis: int, step: int, count: int) -> bool:
-        for k in range(1, count):
-            ii = i + (step * k if axis == 0 else 0)
-            jj = j + (step * k if axis == 1 else 0)
-            if not (0 <= ii < len(self.x_nodes) and 0 <= jj < len(self.y_nodes)):
-                return False
-            if not self.inside[ii, jj]:
-                return False
-        return True
-
-    def _axis_derivs_2d(self, i: int, j: int, axis: int) -> tuple[float, float]:
-        v, h = self.values, self.h
-
-        def at(k):
-            return v[i + k, j] if axis == 0 else v[i, j + k]
-
-        central = self._line_ok(i, j, axis, 1, 2) and self._line_ok(i, j, axis, -1, 2)
-        if central:
-            g = (at(1) - at(-1)) / (2.0 * h)
-            s = (at(1) - 2.0 * at(0) + at(-1)) / h**2
-            return float(g), float(s)
-        if self._line_ok(i, j, axis, 1, 4):
-            g = _second_order_one_sided_first(at(0), at(1), at(2), h)
-            s = _second_order_one_sided_second(at(0), at(1), at(2), at(3), h)
-            return float(g), float(s)
-        if self._line_ok(i, j, axis, -1, 4):
-            g = -_second_order_one_sided_first(at(0), at(-1), at(-2), h)
-            s = _second_order_one_sided_second(at(0), at(-1), at(-2), at(-3), h)
-            return float(g), float(s)
-        raise RuntimeError(f"no admissible stencil at node ({i},{j}) axis {axis}")
-
     def fd_gradient(self, x) -> np.ndarray:
-        p = self._point(x)
-        if self.domain.dim == 1:
-            g, _ = self._axis_derivs_1d(self._snap_1d(p[0]))
-            return np.array([g])
-        i, j = self._snap_2d(p)
-        gx, _ = self._axis_derivs_2d(i, j, 0)
-        gy, _ = self._axis_derivs_2d(i, j, 1)
-        return np.array([gx, gy])
+        g, _ = self._axis_derivs_1d(self._snap_1d(self._point(x)[0]))
+        return np.array([g])
 
     def fd_hessian(self, x) -> np.ndarray:
-        p = self._point(x)
-        if self.domain.dim == 1:
-            _, s = self._axis_derivs_1d(self._snap_1d(p[0]))
-            return np.array([[s]])
-        i, j = self._snap_2d(p)
-        _, sxx = self._axis_derivs_2d(i, j, 0)
-        _, syy = self._axis_derivs_2d(i, j, 1)
-        v, h = self.values, self.h
-        mixed = None
-        if (
-            self._line_ok(i, j, 0, 1, 2)
-            and self._line_ok(i, j, 0, -1, 2)
-            and self._line_ok(i, j, 1, 1, 2)
-            and self._line_ok(i, j, 1, -1, 2)
-            and all(
-                self.inside[i + si, j + sj] for si in (-1, 1) for sj in (-1, 1)
-            )
-        ):
-            mixed = (v[i + 1, j + 1] - v[i + 1, j - 1] - v[i - 1, j + 1] + v[i - 1, j - 1]) / (
-                4.0 * h**2
-            )
-        else:
-            for sx in (1, -1):
-                for sy in (1, -1):
-                    ii, jj = i + sx, j + sy
-                    if not (0 <= ii < len(self.x_nodes) and 0 <= jj < len(self.y_nodes)):
-                        continue
-                    if self.inside[ii, j] and self.inside[i, jj] and self.inside[ii, jj]:
-                        mixed = (v[ii, jj] - v[ii, j] - v[i, jj] + v[i, j]) / (sx * sy * h**2)
-                        break
-                if mixed is not None:
-                    break
-            if mixed is None:
-                raise RuntimeError(f"no admissible mixed stencil at node ({i},{j})")
-        return np.array([[sxx, mixed], [mixed, syy]])
-
-    # -- output ------------------------------------------------------------
-
-    def dump_csv(self, path, label: str, t_index: int | None = None, t: float | None = None):
-        """Write nodes as CSV with a single header line naming field and time."""
-        parts = [f"field={label}"]
-        if t_index is not None:
-            parts.append(f"t_index={t_index}")
-        if t is not None:
-            parts.append(f"t={t:.12g}")
-        cols = "x,value" if self.domain.dim == 1 else "x,y,value"
-        header = "# " + " ".join(parts) + f" columns={cols}"
-        lines = [header]
-        if self.domain.dim == 1:
-            for xi, vi in zip(self.x_nodes, self.values):
-                lines.append(f"{xi:.12g},{vi:.12g}")
-        else:
-            for i in range(len(self.x_nodes)):
-                for j in range(len(self.y_nodes)):
-                    if self.inside[i, j]:
-                        lines.append(
-                            f"{self.x_nodes[i]:.12g},{self.y_nodes[j]:.12g},{self.values[i, j]:.12g}"
-                        )
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-
-
-def _active_cells(domain: DomainGeometry, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Exact cell-closure intersection tests for the 2D catalog."""
-    ctr = np.asarray(domain.center, dtype=float)
-    nx, ny = len(x) - 1, len(y) - 1
-    active = np.zeros((nx, ny), dtype=bool)
-    for i in range(nx):
-        for j in range(ny):
-            # distance extremes from the center to the cell rectangle
-            dx = max(x[i] - ctr[0], ctr[0] - x[i + 1], 0.0)
-            dy = max(y[j] - ctr[1], ctr[1] - y[j + 1], 0.0)
-            dmin = np.hypot(dx, dy)
-            cx = max(abs(x[i] - ctr[0]), abs(x[i + 1] - ctr[0]))
-            cy = max(abs(y[j] - ctr[1]), abs(y[j + 1] - ctr[1]))
-            dmax = np.hypot(cx, cy)
-            if domain.kind == "ball":
-                active[i, j] = dmin <= domain.radius
-            else:
-                active[i, j] = (dmin <= domain.r_out) and (dmax >= domain.r_in)
-    return active
+        _, s = self._axis_derivs_1d(self._snap_1d(self._point(x)[0]))
+        return np.array([[s]])

@@ -2,7 +2,7 @@
 
 Three layers:
 
-* a smooth wall barrier (:func:`build_psi`, :func:`build_caps`) whose
+* a smooth wall barrier (:func:`exact_barrier`, :func:`build_caps`) whose
   outward normal slope strictly dominates the prescribed flux — it
   calibrates the score caps and the a-priori bound ``chi`` that the
   capped game is designed to respect;
@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import GridField, grid_spacing
+from .fields import AnalyticField, GridField, grid_spacing
 from .game_parabolic import NumericAbort, _sign_change
 from .geometry import DomainGeometry
 from .params import GameParams, ValidationError
@@ -51,15 +51,13 @@ from .strategies import candidate_moves, candidate_strategies, candidates_1d, ch
 __all__ = [
     "CapSpec",
     "FixedPointValue",
-    "build_psi",
+    "exact_barrier",
     "build_caps",
     "q_eps",
     "z_grid",
     "r_eps_apply",
     "r_eps_mixed",
     "solve_fixed_point",
-    "extract_u_elliptic",
-    "extract_v_elliptic",
 ]
 
 
@@ -102,40 +100,85 @@ def _psi_profile_curv(d: float, depth: float, amplitude: float) -> float:
     return amplitude * (1.0 / q**4 - 2.0 / (depth * q**3)) * math.exp(-d / q)
 
 
-def build_psi(domain: DomainGeometry, h_sup: float, spacing: float | None = None) -> GridField:
-    """Wall barrier sampled on the lattice.
+def exact_barrier(domain: DomainGeometry, h_sup: float) -> AnalyticField:
+    """Wall barrier with exact derivatives.
 
     The profile ``(h_sup + 1) exp[-d / (1 - d/(r/2))]`` of the wall
     distance ``d`` (``r`` the inscribed-ball radius) equals ``h_sup + 1``
     on the boundary, has outward normal slope exactly ``h_sup + 1``
-    there, and vanishes identically at depth ``r/2``.
+    there, and vanishes identically at depth ``r/2``.  Value and
+    derivatives are closed-form: the audits' ``eps**2``-sized margins
+    leave no room for interpolation error.
     """
-    if not domain.r_int > 0.0:
-        raise ValidationError("the barrier needs a positive inscribed-ball radius")
     depth = domain.r_int / 2.0
     amp = h_sup + 1.0
-    if spacing is None:
-        spacing = domain.r_int / 64.0
-    return GridField.from_callable(
-        domain,
-        spacing,
-        lambda x: _psi_profile(domain.dist_to_boundary(np.atleast_1d(x)), depth, amp),
-    )
+
+    def value(x):
+        return _psi_profile(domain.dist_to_boundary(np.atleast_1d(x)), depth, amp)
+
+    if domain.kind == "interval":
+
+        def grad(x):
+            xp = np.atleast_1d(np.asarray(x, dtype=float))
+            d = domain.dist_to_boundary(xp)
+            inward = 1.0 if (xp[0] - domain.a) <= (domain.c - xp[0]) else -1.0
+            return np.array([inward * _psi_profile_slope(d, depth, amp)])
+
+        def hess(x):
+            d = domain.dist_to_boundary(np.atleast_1d(x))
+            return np.array([[_psi_profile_curv(d, depth, amp)]])
+
+    else:
+
+        def _radial(x):
+            xp = np.atleast_1d(np.asarray(x, dtype=float))
+            rel = xp - np.asarray(domain.center, dtype=float)
+            r = float(np.linalg.norm(rel))
+            return rel, r
+
+        def _inward_sign(r: float) -> float:
+            # distance to the nearer wall decreases toward that wall
+            if domain.kind == "ball":
+                return 1.0
+            mid = 0.5 * (domain.r_in + domain.r_out)
+            return 1.0 if r >= mid else -1.0
+
+        def grad(x):
+            rel, r = _radial(x)
+            if r == 0.0:
+                return np.zeros(2)
+            d = domain.dist_to_boundary(np.atleast_1d(x))
+            sign = _inward_sign(r)
+            return (-sign * _psi_profile_slope(d, depth, amp) / r) * rel
+
+        def hess(x):
+            rel, r = _radial(x)
+            if r == 0.0:
+                return np.zeros((2, 2))
+            d = domain.dist_to_boundary(np.atleast_1d(x))
+            sign = _inward_sign(r)
+            rhat = rel / r
+            P = np.outer(rhat, rhat)
+            curv = _psi_profile_curv(d, depth, amp)
+            slope = _psi_profile_slope(d, depth, amp)
+            # D^2 d = -sign (I - rhat rhat^T)/r for radial walls
+            return curv * P - sign * slope / r * (np.eye(2) - P)
+
+    return AnalyticField(domain, value, grad=grad, hess=hess)
 
 
 @dataclass(frozen=True)
 class CapSpec:
     """Wall barrier and the score caps it calibrates.
 
-    ``psi`` rises to ``psi_sup = h_sup + 1`` at the wall with outward
-    normal slope exactly ``psi_sup`` and vanishes at depth ``depth``
-    (half the inscribed-ball radius); ``psi`` and ``chi`` are lattice
-    samples, ``psi_value``/``psi_grad``/``chi_at`` the exact profile.
-    ``chi(x) = cap_m + psi_sup + psi(x)`` is the bound the capped game
-    is designed to respect; it is positive because construction
-    requires ``cap_M > 2 + h_sup``.  ``eps0`` is the step-size
-    threshold below which the barrier's discrete flux mismatch has
-    definite sign by a margin of one half (``hess_norm`` bounds the
+    ``psi`` is :func:`exact_barrier`: it rises to ``psi_sup = h_sup + 1``
+    at the wall with outward normal slope exactly ``psi_sup`` and
+    vanishes at half the inscribed-ball radius.
+    ``chi(x) = cap_m + psi_sup + psi(x)`` (:meth:`chi_at`) is the bound
+    the capped game is designed to respect; it is positive because
+    construction requires ``cap_M > 2 + h_sup``.  ``eps0`` is the
+    step-size threshold below which the barrier's discrete flux mismatch
+    has definite sign by a margin of one half (``hess_norm`` bounds the
     barrier's second derivatives, including wall curvature).
     """
 
@@ -144,38 +187,12 @@ class CapSpec:
     cap_m: float
     h_sup: float
     psi_sup: float
-    depth: float
-    kappa_max: float
     hess_norm: float
     eps0: float
-    psi: GridField
-    chi: GridField
-
-    # -- exact profile -----------------------------------------------------
-
-    def psi_value(self, x) -> float:
-        d = self.domain.dist_to_boundary(np.atleast_1d(x))
-        return _psi_profile(d, self.depth, self.psi_sup)
-
-    def psi_grad(self, x) -> np.ndarray:
-        xp = np.atleast_1d(np.asarray(x, dtype=float))
-        d = self.domain.dist_to_boundary(xp)
-        slope = _psi_profile_slope(d, self.depth, self.psi_sup)
-        if self.domain.kind == "interval":
-            # distance grows toward the midpoint; its gradient points inward
-            inward = 1.0 if (xp[0] - self.domain.a) <= (self.domain.c - xp[0]) else -1.0
-            return np.array([slope * inward])
-        rel = xp - np.asarray(self.domain.center, dtype=float)
-        r = float(np.linalg.norm(rel))
-        if r == 0.0:
-            return np.zeros(2)
-        rhat = rel / r
-        if self.domain.kind == "ball" or (self.domain.r_out - r) <= (r - self.domain.r_in):
-            return -slope * rhat  # nearest wall is the outer circle
-        return slope * rhat
+    psi: AnalyticField
 
     def chi_at(self, x) -> float:
-        return self.cap_m + self.psi_sup + self.psi_value(x)
+        return self.cap_m + self.psi_sup + self.psi.eval(x)
 
 
 def build_caps(problem, params: GameParams, cap_M: float | None = None) -> CapSpec:
@@ -206,20 +223,15 @@ def build_caps(problem, params: GameParams, cap_M: float | None = None) -> CapSp
     p2 = psi_sup * np.abs(wp**2 - wpp) * ew
     hess_norm = float(np.max(p2) + np.max(p1) * kappa_max)
     eps0 = (4.0 * hess_norm + 2.0) ** (-1.0 / (1.0 - params.alpha))
-    psi = build_psi(dom, h_sup, grid_spacing(dom, params))
-    chi = psi.with_values(psi.values + (cap_m + psi_sup))
     return CapSpec(
         domain=dom,
         cap_M=float(cap),
         cap_m=float(cap_m),
         h_sup=h_sup,
         psi_sup=psi_sup,
-        depth=depth,
-        kappa_max=kappa_max,
         hess_norm=hess_norm,
         eps0=eps0,
-        psi=psi,
-        chi=chi,
+        psi=exact_barrier(dom, h_sup),
     )
 
 
@@ -522,14 +534,10 @@ class FixedPointValue:
     x_nodes: np.ndarray
     z_nodes: np.ndarray
     V: np.ndarray
+    chi_nodes: np.ndarray  # designed bound per node
     residuals: list = field(default_factory=list)
     iterations: int = 0
     dirichlet_exits: int = 0
-    chi_nodes: np.ndarray | None = None  # designed bound per node; sampled from caps if None
-
-    def __post_init__(self):
-        if self.chi_nodes is None:
-            self.chi_nodes = np.array([self.caps.chi_at(np.array([x])) for x in self.x_nodes])
 
     @property
     def final_residual(self) -> float:
@@ -551,18 +559,6 @@ class FixedPointValue:
     def v_profile(self) -> np.ndarray:
         """Smallest losing score per node: inf{z : V - z < 0}."""
         return _sign_change(self.z_nodes, self.V - self.z_nodes[None, :], upper=False)
-
-
-def extract_u_elliptic(value: FixedPointValue, x) -> float:
-    """Upper solution profile linearly interpolated at a state point."""
-    xq = float(np.atleast_1d(np.asarray(x, dtype=float))[0])
-    return float(np.interp(xq, value.x_nodes, value.u_profile()))
-
-
-def extract_v_elliptic(value: FixedPointValue, x) -> float:
-    """Lower solution profile linearly interpolated at a state point."""
-    xq = float(np.atleast_1d(np.asarray(x, dtype=float))[0])
-    return float(np.interp(xq, value.x_nodes, value.v_profile()))
 
 
 def solve_fixed_point(

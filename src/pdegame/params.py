@@ -162,6 +162,8 @@ def make_params(
     Exponents default to ``select_exponents(q, r)``; individual exponents
     can be overridden by keyword (alpha=..., beta=..., ...).
     """
+    if not (q >= 1.0 and r >= 1.0):
+        raise ValidationError(f"growth exponents must be >= 1, got q={q:g}, r={r:g}")
     alpha, beta, gamma, rho, kappa = select_exponents(q, r)
     fields = {"alpha": alpha, "beta": beta, "gamma": gamma, "rho": rho, "kappa": kappa}
     for key, val in overrides.items():

@@ -19,7 +19,6 @@ are spot-checked by the sampled audits below rather than trusted.
 """
 from __future__ import annotations
 
-import ast
 import math
 from dataclasses import dataclass, field
 
@@ -39,9 +38,6 @@ __all__ = [
     "check_ellipticity",
     "check_z_monotonicity",
     "measure_z_growth",
-    "compile_expression",
-    "build_custom_parabolic",
-    "build_custom_elliptic",
 ]
 
 
@@ -311,127 +307,3 @@ def measure_z_growth(problem, n_samples: int = 2000, seed: int = 2, p_cap: float
         val = abs(_call_f(problem, t, x, z, p, G))
         worst = max(worst, val / (1.0 + abs(z)))
     return worst
-
-
-# -- expression grammar for custom problems --------------------------------
-
-_ALLOWED_CALLS = {
-    "min": min,
-    "max": max,
-    "abs": abs,
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
-    "exp": math.exp,
-    "sqrt": math.sqrt,
-    "norm": lambda *vals: math.sqrt(sum(float(v) ** 2 for v in vals)),
-}
-_ALLOWED_NAMES = {"pi": math.pi, "e": math.e}
-_BINOPS = {
-    ast.Add: lambda a, b: a + b,
-    ast.Sub: lambda a, b: a - b,
-    ast.Mult: lambda a, b: a * b,
-    ast.Div: lambda a, b: a / b,
-    ast.Pow: lambda a, b: a**b,
-}
-
-
-def compile_expression(src: str, variables: tuple):
-    """Compile a small arithmetic expression into a callable over *variables*.
-
-    Supported: numeric literals, the named variables, + - * / **, unary
-    minus, and calls to min/max/abs/sin/cos/tan/exp/sqrt/norm.  Anything
-    else is rejected.
-    """
-    try:
-        tree = ast.parse(src, mode="eval")
-    except SyntaxError as exc:
-        raise ValidationError(f"bad expression {src!r}: {exc}") from None
-
-    def ev(node, env):
-        if isinstance(node, ast.Expression):
-            return ev(node.body, env)
-        if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
-            return float(node.value)
-        if isinstance(node, ast.Name):
-            if node.id in env:
-                return env[node.id]
-            if node.id in _ALLOWED_NAMES:
-                return _ALLOWED_NAMES[node.id]
-            raise ValidationError(f"unknown name {node.id!r} in expression {src!r}")
-        if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
-            return _BINOPS[type(node.op)](ev(node.left, env), ev(node.right, env))
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-            v = ev(node.operand, env)
-            return -v if isinstance(node.op, ast.USub) else v
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-            fn = _ALLOWED_CALLS.get(node.func.id)
-            if fn is None or node.keywords:
-                raise ValidationError(f"call to {node.func.id!r} not allowed in {src!r}")
-            return fn(*(ev(a, env) for a in node.args))
-        raise ValidationError(f"unsupported syntax in expression {src!r}")
-
-    # validate once against a dummy environment so errors surface at build time
-    ev(tree, {name: 1.0 for name in variables})
-
-    def call(**env):
-        return float(ev(tree, env))
-
-    return call
-
-
-def _env_from_args(x, p, G, dim):
-    env = {"x": float(x[0]), "p": float(p[0]), "G": float(G[0, 0])}
-    if dim == 2:
-        env.update(
-            y=float(x[1]),
-            p1=float(p[0]),
-            p2=float(p[1]),
-            G11=float(G[0, 0]),
-            G12=float(G[0, 1]),
-            G22=float(G[1, 1]),
-        )
-    return env
-
-
-def _point_env(x, dim):
-    env = {"x": float(x[0])}
-    if dim == 2:
-        env["y"] = float(x[1])
-    return env
-
-
-def _expr_variables(dim, with_t):
-    base = ["x", "z", "p", "G"] if dim == 1 else ["x", "y", "z", "p1", "p2", "G11", "G12", "G22"]
-    return tuple((["t"] if with_t else []) + base)
-
-
-def build_custom_parabolic(name, domain, f_expr, g_expr, h_expr, T, q=1, r=1):
-    dim = domain.dim
-    f_c = compile_expression(f_expr, _expr_variables(dim, with_t=True))
-    g_c = compile_expression(g_expr, ("x",) if dim == 1 else ("x", "y"))
-    h_c = compile_expression(h_expr, ("x",) if dim == 1 else ("x", "y"))
-    return ParabolicProblem(
-        name=name,
-        domain=domain,
-        f=lambda t, x, z, p, G: f_c(t=float(t), z=float(z), **_env_from_args(x, p, G, dim)),
-        g=lambda x: g_c(**_point_env(x, dim)),
-        h=lambda x: h_c(**_point_env(x, dim)),
-        T=T,
-        growth=(q, r),
-    )
-
-
-def build_custom_elliptic(name, domain, f_expr, h_expr, lambda_rate, q=1, r=1, eta_margin=None):
-    dim = domain.dim
-    f_c = compile_expression(f_expr, _expr_variables(dim, with_t=False))
-    h_c = compile_expression(h_expr, ("x",) if dim == 1 else ("x", "y"))
-    return EllipticProblem(
-        name=name,
-        domain=domain,
-        f=lambda x, z, p, G: f_c(z=float(z), **_env_from_args(x, p, G, dim)),
-        lambda_rate=lambda_rate,
-        h=lambda x: h_c(**_point_env(x, dim)),
-        growth=(q, r),
-        eta_margin=lambda_rate if eta_margin is None else eta_margin,
-    )

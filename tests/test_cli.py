@@ -72,6 +72,17 @@ class TestConfigFile:
         assert rc == 2
         assert "condition_pas violated" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line",
+        ["q = 0.5", "r = nan", "tol = nan", "z_max = nan", "z_max = inf", "cap_M = inf", "tol = inf"],
+    )
+    def test_out_of_range_config_value_exits_2(self, tmp_path, capsys, line):
+        f = tmp_path / "c.txt"
+        f.write_text(f"{line}\nout = {tmp_path / 'o'}\n")
+        rc = main(["solve", "--config", str(f), "--eps-ladder", "0.5"])
+        assert rc == 2
+        assert "validation failure" in capsys.readouterr().err
+
     def test_bad_mode_exits_2(self, tmp_path, capsys):
         rc = main(["solve", "--mode", "spectral", "--out", str(tmp_path / "o")])
         assert rc == 2

@@ -28,12 +28,12 @@ from pdegame.consistency import (
     audit_upper,
     audit_wall_shift,
     classify_case,
-    exact_barrier,
     interior_decay_exponent,
     penalty_case_ratios,
     run_audit_suite,
 )
 from pdegame.fields import AnalyticField
+from pdegame.game_elliptic import exact_barrier
 from pdegame.game_parabolic import s_eps
 from pdegame.geometry import annulus, ball, interval
 from pdegame.params import make_params

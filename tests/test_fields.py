@@ -1,11 +1,11 @@
-"""Interpolation and finite-difference behavior of grid and analytic fields."""
+"""Interpolation and finite-difference behavior of lattice and analytic fields."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pdegame.fields import AnalyticField, GridField, grid_spacing
-from pdegame.geometry import annulus, ball, interval
-from pdegame.params import make_params
+from pdegame.geometry import ball, interval
+from pdegame.params import ValidationError, make_params
 
 
 def test_affine_interpolation_is_exact_1d():
@@ -46,14 +46,11 @@ def test_fd_second_order_on_trig():
     assert errs[1] <= errs[0] / 3.0  # ~factor 4 for an O(h^2) stencil
 
 
-def test_mixed_partial_on_disk():
-    dom = ball((0.0, 0.0), 1.0)
-    f = GridField.from_callable(dom, 0.1, lambda p: p[0] * p[1])
-    H = f.fd_hessian(np.array([0.0, 0.0]))
-    assert H[0, 1] == pytest.approx(1.0, abs=1e-6)
-    assert H[1, 0] == pytest.approx(1.0, abs=1e-6)
-    g = GridField.from_callable(dom, 0.1, lambda p: p[0])
-    assert np.allclose(g.fd_gradient(np.array([0.3, -0.2])), [1.0, 0.0], atol=1e-6)
+def test_build_rejects_a_disk():
+    # DomainGeometry defaults to a=0, c=1 for every kind; a disk must not
+    # silently get the lattice of [0, 1]
+    with pytest.raises(ValidationError, match="one-dimensional"):
+        GridField.build(ball((0.0, 0.0), 1.0), 0.1)
 
 
 def test_eval_outside_closure_raises():
@@ -61,26 +58,6 @@ def test_eval_outside_closure_raises():
     f = GridField.from_callable(dom, 0.1, lambda p: p[0])
     with pytest.raises(ValueError):
         f.eval(1.5)
-
-
-def test_ghost_nodes_follow_nearest_inside_value():
-    dom = ball((0.0, 0.0), 1.0)
-    base = GridField.from_callable(dom, 0.3, lambda p: 0.0)
-    vals = base.values.copy()
-    vals[base.inside] = 1.0
-    vals[base.needed & ~base.inside] = 999.0
-    refilled = base.with_values(vals)
-    assert np.all(refilled.values[refilled.needed & ~refilled.inside] == 1.0)
-
-
-def test_annulus_grid_skips_the_hole():
-    dom = annulus((0.0, 0.0), 1.0, 2.0)
-    f = GridField.from_callable(dom, 0.25, lambda p: 1.0)
-    i = f._snap_1d if False else None  # noqa: F841  (1D helper unused here)
-    # the center region has no active cells, so its nodes are not needed
-    ci = int(round((0.0 - f.x_nodes[0]) / f.h))
-    assert not f.needed[ci, ci]
-    assert f.eval(np.array([1.5, 0.0])) == pytest.approx(1.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -95,20 +72,6 @@ def test_interpolation_is_monotone_in_node_values(vals, bumps, x):
     lo = base.with_values(np.array(vals))
     hi = base.with_values(np.array(vals) + np.array(bumps))
     assert hi.eval(x) >= lo.eval(x) - 1e-12
-
-
-def test_csv_dump_format(tmp_path):
-    dom = interval(0.0, 1.0)
-    f = GridField.from_callable(dom, 0.25, lambda p: p[0])
-    out = tmp_path / "field.csv"
-    f.dump_csv(out, "linear_profile", t_index=3, t=0.12)
-    lines = out.read_text().strip().split("\n")
-    assert lines[0].startswith("# field=linear_profile t_index=3")
-    assert "columns=x,value" in lines[0]
-    assert len(lines) == 1 + len(f.x_nodes)
-    xs, vs = zip(*(map(float, ln.split(",")) for ln in lines[1:]))
-    assert np.allclose(xs, f.x_nodes)
-    assert np.allclose(vs, f.values)
 
 
 class TestAnalyticField:
@@ -160,6 +123,3 @@ class TestAnalyticField:
 def test_grid_spacing_scales():
     p = make_params(0.2)
     assert grid_spacing(interval(0.0, 1.0), p) == pytest.approx(0.02)
-    assert grid_spacing(ball((0.0, 0.0), 1.0), p) == pytest.approx(
-        0.2 ** (1.0 - p.alpha) / 8.0
-    )

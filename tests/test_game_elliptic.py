@@ -16,9 +16,7 @@ from pdegame.game_elliptic import (
     _build_plan,
     _sweep_frame,
     build_caps,
-    build_psi,
-    extract_u_elliptic,
-    extract_v_elliptic,
+    exact_barrier,
     q_eps,
     r_eps_apply,
     r_eps_mixed,
@@ -126,8 +124,8 @@ CAPS_02 = build_caps(LAPLACE, PARAMS_02, cap_M=10.0)
 
 class TestBarrier:
     def test_wall_value_and_support(self):
-        psi = build_psi(DOM, h_sup=1.0)
-        # wall nodes carry h_sup + 1; nodes deeper than r_int/2 carry 0
+        psi = exact_barrier(DOM, h_sup=1.0)
+        # the wall carries h_sup + 1; points deeper than r_int/2 carry 0
         assert psi.eval(np.array([0.0])) == pytest.approx(2.0, abs=1e-12)
         assert psi.eval(np.array([1.0])) == pytest.approx(2.0, abs=1e-12)
         assert psi.eval(np.array([0.5])) == 0.0
@@ -135,9 +133,9 @@ class TestBarrier:
         mid = psi.eval(np.array([0.1]))
         assert 0.0 < mid < 2.0
 
-    def test_disk_barrier_samples(self):
+    def test_disk_wall_value_and_support(self):
         disk = ball((0.0, 0.0), 1.0)
-        psi = build_psi(disk, h_sup=0.5)
+        psi = exact_barrier(disk, h_sup=0.5)
         assert psi.eval(np.array([1.0, 0.0])) == pytest.approx(1.5, abs=1e-9)
         assert psi.eval(np.array([0.0, 0.0])) == 0.0
 
@@ -145,9 +143,9 @@ class TestBarrier:
         # second-order one-sided fd of the exact profile: slope = psi_sup
         h_fd = 1e-4
         for x0, inward in ((0.0, 1.0), (1.0, -1.0)):
-            f0 = CAPS_02.psi_value(np.array([x0]))
-            f1 = CAPS_02.psi_value(np.array([x0 + inward * h_fd]))
-            f2 = CAPS_02.psi_value(np.array([x0 + 2 * inward * h_fd]))
+            f0 = CAPS_02.psi.eval(np.array([x0]))
+            f1 = CAPS_02.psi.eval(np.array([x0 + inward * h_fd]))
+            f2 = CAPS_02.psi.eval(np.array([x0 + 2 * inward * h_fd]))
             slope_inward = (-3.0 * f0 + 4.0 * f1 - f2) / (2.0 * h_fd)
             # psi decreases inward at rate psi_sup = h_sup + 1
             assert slope_inward == pytest.approx(-CAPS_02.psi_sup, abs=10 * h_fd)
@@ -157,16 +155,15 @@ class TestBarrier:
         assert caps.h_sup == 1.0
         assert caps.psi_sup == 2.0
         assert caps.cap_m == caps.cap_M - 1.0 - 2.0 * caps.psi_sup
-        np.testing.assert_allclose(
-            caps.chi.values, caps.cap_m + caps.psi_sup + caps.psi.values, atol=1e-14
+        # the sweep frame samples chi from the exact barrier; the solve keeps it
+        frame = _sweep_frame(LAPLACE, caps, PARAMS_02)
+        expect = np.array(
+            [caps.cap_m + caps.psi_sup + caps.psi.eval(np.array([x])) for x in frame.xs]
         )
-        assert np.all(caps.chi.values > 0.0)
-        # chi_at is the exact profile; the stored grid agrees at its nodes
-        for i in (0, 7, len(caps.chi.x_nodes) // 2, -1):
-            x = caps.chi.x_nodes[i]
-            assert caps.chi_at(np.array([x])) == pytest.approx(
-                caps.chi.values[i], abs=1e-9
-            )
+        np.testing.assert_array_equal(frame.chi_nodes, expect)
+        sol = solve_fixed_point(LAPLACE, caps, PARAMS_02, tol=1e-3)
+        np.testing.assert_array_equal(sol.chi_nodes, expect)
+        assert np.all(expect > 0.0)
 
     def test_cap_too_small_rejected(self):
         with pytest.raises(ValidationError, match="too small"):
@@ -178,17 +175,17 @@ class TestBarrier:
         with pytest.raises(ValidationError, match="cap_M is required"):
             build_caps(LAPLACE, PARAMS_02)
 
-    def test_psi_grad_matches_fd(self):
+    def test_barrier_gradient_matches_fd(self):
         h_fd = 1e-6
         for x in (0.05, 0.2, 0.93):
-            g = CAPS_02.psi_grad(np.array([x]))[0]
+            g = CAPS_02.psi.fd_gradient(np.array([x]))[0]
             fd = (
-                CAPS_02.psi_value(np.array([x + h_fd]))
-                - CAPS_02.psi_value(np.array([x - h_fd]))
+                CAPS_02.psi.eval(np.array([x + h_fd]))
+                - CAPS_02.psi.eval(np.array([x - h_fd]))
             ) / (2 * h_fd)
             assert g == pytest.approx(fd, rel=1e-5, abs=1e-5)
 
-    def test_disk_psi_grad_is_radial(self):
+    def test_disk_barrier_gradient_is_radial(self):
         disk = ball((0.0, 0.0), 1.0)
         prob = EllipticProblem(
             name="disk_trivial",
@@ -200,12 +197,12 @@ class TestBarrier:
         )
         caps = build_caps(prob, make_params(0.2, lambda_rate=1.0), cap_M=6.0)
         x = np.array([0.9, 0.0])
-        g = caps.psi_grad(x)
+        g = caps.psi.fd_gradient(x)
         assert g[1] == pytest.approx(0.0, abs=1e-12)
         h_fd = 1e-6
         fd = (
-            caps.psi_value(np.array([0.9 + h_fd, 0.0]))
-            - caps.psi_value(np.array([0.9 - h_fd, 0.0]))
+            caps.psi.eval(np.array([0.9 + h_fd, 0.0]))
+            - caps.psi.eval(np.array([0.9 - h_fd, 0.0]))
         ) / (2 * h_fd)
         assert g[0] == pytest.approx(fd, rel=1e-5)
 
@@ -220,9 +217,9 @@ class TestBarrier:
         for d in (0.01, 0.05, 0.1, 0.15, 0.2):
             x = np.array([d])
             second = (
-                CAPS_02.psi_value(np.array([d + h_fd]))
-                - 2 * CAPS_02.psi_value(x)
-                + CAPS_02.psi_value(np.array([d - h_fd]))
+                CAPS_02.psi.eval(np.array([d + h_fd]))
+                - 2 * CAPS_02.psi.eval(x)
+                + CAPS_02.psi.eval(np.array([d - h_fd]))
             ) / h_fd**2
             assert abs(second) <= caps.hess_norm + 1.0
 
@@ -528,11 +525,11 @@ class TestSolve:
         exact = np.array([LAPLACE.exact(np.array([x])) for x in sol.x_nodes])
         # one-step boundary-layer accuracy at eps = 0.2 (measured 0.340)
         assert np.max(np.abs(u - exact)) <= 0.40
-        # module-level extraction helpers interpolate the same profiles
+        # the profiles interpolate linearly between state nodes
         mid = 0.5 * (sol.x_nodes[3] + sol.x_nodes[4])
         expect = 0.5 * (u[3] + u[4])
-        assert extract_u_elliptic(sol, mid) == pytest.approx(expect, abs=1e-12)
-        assert extract_v_elliptic(sol, mid) == pytest.approx(expect, abs=1e-12)
+        assert np.interp(mid, sol.x_nodes, u) == pytest.approx(expect, abs=1e-12)
+        assert np.interp(mid, sol.x_nodes, v) == pytest.approx(expect, abs=1e-12)
 
     def test_designed_bound_holds_on_the_core_band(self):
         # |V| <= chi is guaranteed by the barrier argument only for
@@ -619,21 +616,22 @@ class TestExtraction:
     def test_constant_graph(self):
         # V == c gives U = c - z and the exact crossing at z = c
         params = make_params(0.2, lambda_rate=1.0)
-        caps = build_caps(trivial_problem(), params, cap_M=6.0)
-        zs = z_grid(params, caps.cap_M)
-        base = GridField.build(DOM, grid_spacing(DOM, params))
+        prob = trivial_problem()
+        caps = build_caps(prob, params, cap_M=6.0)
+        frame = _sweep_frame(prob, caps, params)
         from pdegame.game_elliptic import FixedPointValue
 
         c = 0.37
         sol = FixedPointValue(
-            problem=trivial_problem(),
+            problem=prob,
             params=params,
             caps=caps,
-            x_nodes=base.x_nodes,
-            z_nodes=zs,
-            V=np.full((len(base.x_nodes), len(zs)), c),
+            x_nodes=frame.xs,
+            z_nodes=frame.zs,
+            V=np.full((len(frame.xs), len(frame.zs)), c),
+            chi_nodes=frame.chi_nodes,
             residuals=[0.0],
         )
         np.testing.assert_allclose(sol.u_profile(), c, atol=1e-12)
         np.testing.assert_allclose(sol.v_profile(), c, atol=1e-12)
-        assert extract_u_elliptic(sol, 0.31) == pytest.approx(c, abs=1e-12)
+        assert np.interp(0.31, sol.x_nodes, sol.u_profile()) == pytest.approx(c, abs=1e-12)

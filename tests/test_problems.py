@@ -1,4 +1,4 @@
-"""Catalog integrity, structural audits, and the expression grammar."""
+"""Catalog integrity and structural audits."""
 import numpy as np
 import pytest
 
@@ -7,11 +7,8 @@ from pdegame.params import ValidationError
 from pdegame.problems import (
     EllipticProblem,
     ParabolicProblem,
-    build_custom_elliptic,
-    build_custom_parabolic,
     check_ellipticity,
     check_z_monotonicity,
-    compile_expression,
     get_problem,
     list_problems,
     measure_z_growth,
@@ -128,43 +125,3 @@ def test_invalid_constructor_arguments():
             name="bad", domain=interval(0, 1), f=lambda *a: 0.0,
             lambda_rate=0.0, h=lambda x: 0.0,
         )
-
-
-class TestExpressionGrammar:
-    def test_arithmetic_and_calls(self):
-        f = compile_expression("-G + sin(x) * z + max(p, 0)", ("x", "z", "p", "G"))
-        assert f(x=0.5, z=2.0, p=-1.0, G=3.0) == pytest.approx(-3.0 + np.sin(0.5) * 2.0)
-        g = compile_expression("norm(p1, p2) + pi", ("p1", "p2"))
-        assert g(p1=3.0, p2=4.0) == pytest.approx(5.0 + np.pi)
-
-    @pytest.mark.parametrize(
-        "src",
-        [
-            "__import__('os')",
-            "x.real",
-            "lambda: 1",
-            "unknown_name + 1",
-            "open('f')",
-            "[1, 2]",
-        ],
-    )
-    def test_rejects_non_arithmetic(self, src):
-        with pytest.raises(ValidationError):
-            compile_expression(src, ("x",))
-
-    def test_custom_parabolic_matches_catalog_dynamics(self):
-        ref = get_problem("heat1d_homogeneous")
-        built = build_custom_parabolic(
-            "custom_heat", interval(0.0, 1.0), "-G", "5", "0", T=0.25
-        )
-        x = np.array([0.4])
-        p = np.array([0.7])
-        G = np.array([[1.3]])
-        assert built.f(0.1, x, 0.0, p, G) == ref.f(0.1, x, 0.0, p, G)
-        assert built.g(x) == 5.0
-        assert built.h(np.array([1.0])) == 0.0
-
-    def test_custom_elliptic_defaults_margin_to_lambda(self):
-        built = build_custom_elliptic("c", interval(0, 1), "-G + z", "0", lambda_rate=2.0)
-        assert built.eta_margin == 2.0
-        assert built.f(np.array([0.5]), 1.5, np.array([0.0]), np.array([[0.0]])) == 1.5
