@@ -87,6 +87,11 @@ class RunConfig:
             )
         if not self.eps_ladder:
             raise ValidationError("eps_ladder must not be empty")
+        ladder = self.eps_ladder
+        if self.mode == "convergence" and any(b >= a for a, b in zip(ladder, ladder[1:])):
+            raise ValidationError(
+                f"convergence mode needs a strictly decreasing eps_ladder, got {ladder}"
+            )
         if self.tol <= 0.0:
             raise ValidationError(f"tol must be positive, got {self.tol}")
         # every ladder step must clear the exponent admissibility checks

@@ -7,7 +7,8 @@ thresholds built from the step exponents.  Each regime carries an
 explicit one-sided estimate for ``S[phi] - phi``; this module
 evaluates both sides of every estimate on a catalog of test functions
 and boundary-layer points and reports the margins as typed rows and
-CSV.
+CSV.  Both rows of a point come from one evaluation of ``S[phi]``
+(:func:`audit_point`).
 
 The higher-order error allowance is operationalized as a
 measured-then-frozen envelope ``SLACK_CONST * eps**SLACK_POWER``: the
@@ -53,6 +54,7 @@ __all__ = [
     "AuditRow",
     "ConsistencyReport",
     "classify_case",
+    "audit_point",
     "audit_upper",
     "audit_lower",
     "audit_barrier",
@@ -175,21 +177,18 @@ def _hess_norm(hess: np.ndarray) -> float:
     return float(np.linalg.norm(H, 2))
 
 
-def classify_case(x, phi, bounds, params) -> str:
-    """Label of the one-round upper estimate holding at ``x``.
+def classify_case(d: float, params, bounds, hnorm: float) -> str:
+    """Label of the one-round upper estimate at wall distance ``d``.
 
     The four labels partition by the wall distance against
     ``ell = eps**(1-alpha)`` and ``ell - eps**rho`` and by the wall
-    bonus extreme ``M`` against ``(4/3) |D2 phi| ell`` and
-    ``-eps**(1-alpha-kappa)``.
+    bonus extreme ``M`` against ``(4/3) hnorm ell``, with ``hnorm`` the
+    spectral norm of D2 phi, and ``-eps**(1-alpha-kappa)``.
     """
-    xp = np.atleast_1d(np.asarray(x, dtype=float))
     ell = params.move_bound
-    d = phi.domain.dist_to_boundary(xp)
     if d >= ell or not bounds.possible:
         return CASE_FAR_SMALL
     eps = params.eps
-    hnorm = _hess_norm(phi.fd_hessian(xp))
     if bounds.M > (4.0 / 3.0) * hnorm * ell:
         return CASE_BIG_BONUS
     if d >= ell - eps**params.rho:
@@ -238,49 +237,7 @@ def _domain_tag(domain: DomainGeometry) -> str:
     return f"annulus(r={domain.r_in:g}..{domain.r_out:g})"
 
 
-def audit_upper(x, t, z, phi, problem, params, slack_const: float | None = None) -> AuditRow:
-    """Audit the case-labelled upper estimate for ``S[phi] - phi`` at x.
-
-    The right-hand side is the labelled bound plus the frozen
-    higher-order allowance; ``residual = lhs - rhs`` and the row passes
-    when it is nonpositive.  The close-small label's shifted-argument
-    estimate is recorded report-only.
-    """
-    xp = np.atleast_1d(np.asarray(x, dtype=float))
-    dom = problem.domain
-    eps = params.eps
-    ell = params.move_bound
-    grad = phi.fd_gradient(xp)
-    hess = phi.fd_hessian(xp)
-    bounds = neumann_bounds(dom, xp, ell, problem.h, grad)
-    case = classify_case(xp, phi, bounds, params)
-    d = dom.dist_to_boundary(xp)
-    cs = SLACK_CONST if slack_const is None else slack_const
-    slack = cs * eps**SLACK_POWER
-    lhs = s_eps(phi, xp, t, z, problem, params) - phi.eval(xp)
-    gating = True
-    if case == CASE_BIG_BONUS:
-        frame = build_frame(dom, xp, ell)
-        p_M = p_opt_upper(frame, grad, hess, bounds)
-        G_o = gamma_opt(frame, hess)
-        rhs = 3.0 * (ell - d) * bounds.M - eps**2 * float(problem.f(t, xp, z, p_M, G_o))
-    elif case == CASE_FAR_SMALL:
-        rhs = -(eps**2) * float(problem.f(t, xp, z, grad, hess))
-    elif case == CASE_CLOSE_SMALL:
-        c1 = (20.0 / 3.0) * _hess_norm(hess) * (1.0 - d / ell)
-        shifted = np.atleast_2d(np.asarray(hess, dtype=float)) + c1 * np.eye(dom.dim)
-        rhs = -(eps**2) * float(problem.f(t, xp, z, grad, shifted))
-        gating = False
-    else:
-        frame = build_frame(dom, xp, ell)
-        p_M = p_opt_upper(frame, grad, hess, bounds)
-        G_o = gamma_opt(frame, hess)
-        r = 3.0 * (1.0 - d / ell) * abs(bounds.M)
-        rhs = 0.25 * (ell - d) * bounds.M - eps**2 * _min_f_on_ball(
-            problem, t, xp, z, p_M, G_o, r
-        )
-    rhs = rhs + slack
-    residual = lhs - rhs
+def _row(dom, eps, xp, case, lhs, rhs, residual, gating=True) -> AuditRow:
     return AuditRow(
         domain=_domain_tag(dom),
         eps=eps,
@@ -294,12 +251,18 @@ def audit_upper(x, t, z, phi, problem, params, slack_const: float | None = None)
     )
 
 
-def audit_lower(x, t, z, phi, problem, params) -> AuditRow:
-    """Audit the two-case lower estimate for ``S[phi] - phi`` at x.
+def audit_point(x, t, z, phi, problem, params, slack_const: float | None = None) -> tuple:
+    """Audit both one-sided estimates for ``S[phi] - phi`` at x.
 
-    These estimates come from explicit announcements available to the
-    maximizer, so they carry no higher-order allowance;
-    ``residual = rhs - lhs`` with rhs the lower bound.
+    Returns ``(upper_row, lower_row)``.  Both rows bound the same
+    quantity, so S[phi], the derivatives of phi, the wall-bonus
+    extremes and the wall distance are evaluated once and shared.
+
+    Upper row: the case-labelled bound plus the frozen higher-order
+    allowance, ``residual = lhs - rhs``; the close-small label's
+    shifted-argument estimate is recorded report-only.  Lower row: the
+    two-case bound from explicit announcements available to the
+    maximizer, so no allowance, ``residual = rhs - lhs``.
     """
     xp = np.atleast_1d(np.asarray(x, dtype=float))
     dom = problem.domain
@@ -310,29 +273,55 @@ def audit_lower(x, t, z, phi, problem, params) -> AuditRow:
     bounds = neumann_bounds(dom, xp, ell, problem.h, grad)
     hnorm = _hess_norm(hess)
     d = dom.dist_to_boundary(xp)
-    case = _classify_lower(d, ell, bounds, hnorm)
     lhs = s_eps(phi, xp, t, z, problem, params) - phi.eval(xp)
+
+    def optimal(p_opt):
+        frame = build_frame(dom, xp, ell)
+        return p_opt(frame, grad, hess, bounds), gamma_opt(frame, hess)
+
+    case = classify_case(d, params, bounds, hnorm)
+    cs = SLACK_CONST if slack_const is None else slack_const
+    slack = cs * eps**SLACK_POWER
+    gating = True
+    if case == CASE_BIG_BONUS:
+        p_M, G_o = optimal(p_opt_upper)
+        rhs = 3.0 * (ell - d) * bounds.M - eps**2 * float(problem.f(t, xp, z, p_M, G_o))
+    elif case == CASE_FAR_SMALL:
+        rhs = -(eps**2) * float(problem.f(t, xp, z, grad, hess))
+    elif case == CASE_CLOSE_SMALL:
+        c1 = (20.0 / 3.0) * hnorm * (1.0 - d / ell)
+        shifted = np.atleast_2d(np.asarray(hess, dtype=float)) + c1 * np.eye(dom.dim)
+        rhs = -(eps**2) * float(problem.f(t, xp, z, grad, shifted))
+        gating = False
+    else:
+        p_M, G_o = optimal(p_opt_upper)
+        r = 3.0 * (1.0 - d / ell) * abs(bounds.M)
+        rhs = 0.25 * (ell - d) * bounds.M - eps**2 * _min_f_on_ball(
+            problem, t, xp, z, p_M, G_o, r
+        )
+    rhs = rhs + slack
+    upper = _row(dom, eps, xp, case, lhs, rhs, lhs - rhs, gating)
+
+    case = _classify_lower(d, ell, bounds, hnorm)
     if case == CASE_LOWER_BIG_BONUS:
         rhs = -(eps**2) * float(problem.f(t, xp, z, grad, hess))
     else:
-        frame = build_frame(dom, xp, ell)
-        p_m = p_opt_lower(frame, grad, hess, bounds)
-        G_o = gamma_opt(frame, hess)
+        p_m, G_o = optimal(p_opt_lower)
         s = -1.0 if bounds.m >= 0.0 else 3.0
         rhs = 0.5 * (ell - d) * (s * bounds.m - 4.0 * hnorm * ell) - eps**2 * float(
             problem.f(t, xp, z, p_m, G_o)
         )
-    residual = rhs - lhs
-    return AuditRow(
-        domain=_domain_tag(dom),
-        eps=eps,
-        point=tuple(float(v) for v in xp),
-        case=case,
-        lhs=lhs,
-        rhs=rhs,
-        residual=residual,
-        passed=residual <= RESIDUAL_NOISE,
-    )
+    return upper, _row(dom, eps, xp, case, lhs, rhs, rhs - lhs)
+
+
+def audit_upper(x, t, z, phi, problem, params, slack_const: float | None = None) -> AuditRow:
+    """The upper row of :func:`audit_point` at x."""
+    return audit_point(x, t, z, phi, problem, params, slack_const)[0]
+
+
+def audit_lower(x, t, z, phi, problem, params) -> AuditRow:
+    """The lower row of :func:`audit_point` at x."""
+    return audit_point(x, t, z, phi, problem, params)[1]
 
 
 # -- barrier invariants ----------------------------------------------------
@@ -368,31 +357,9 @@ def audit_barrier(
         for z in z_values:
             envelope = C * (1.0 + abs(z)) * eps**2
             up = s_eps(psi, xp, t, z, problem, params) - psi.eval(xp)
-            report.add(
-                AuditRow(
-                    domain=_domain_tag(dom),
-                    eps=eps,
-                    point=tuple(float(v) for v in xp),
-                    case="barrier-upper",
-                    lhs=up,
-                    rhs=envelope,
-                    residual=up - envelope,
-                    passed=up - envelope <= RESIDUAL_NOISE,
-                )
-            )
+            report.add(_row(dom, eps, xp, "barrier-upper", up, envelope, up - envelope))
             low = s_eps(neg_psi, xp, t, z, problem, params) - neg_psi.eval(xp)
-            report.add(
-                AuditRow(
-                    domain=_domain_tag(dom),
-                    eps=eps,
-                    point=tuple(float(v) for v in xp),
-                    case="barrier-lower",
-                    lhs=low,
-                    rhs=-envelope,
-                    residual=-envelope - low,
-                    passed=-envelope - low <= RESIDUAL_NOISE,
-                )
-            )
+            report.add(_row(dom, eps, xp, "barrier-lower", low, -envelope, -envelope - low))
     return report
 
 
@@ -441,32 +408,10 @@ def audit_wall_shift(
             discount_pull = lam * eps**2 * (shift + psi.eval(xp))
             lhs = q_eps(xp, z, shifted, problem, params) - shifted.eval(xp)
             rhs = envelope - discount_pull
-            report.add(
-                AuditRow(
-                    domain=_domain_tag(dom),
-                    eps=eps,
-                    point=tuple(float(v) for v in xp),
-                    case="wall-shift-upper",
-                    lhs=lhs,
-                    rhs=rhs,
-                    residual=lhs - rhs,
-                    passed=lhs - rhs <= RESIDUAL_NOISE,
-                )
-            )
+            report.add(_row(dom, eps, xp, "wall-shift-upper", lhs, rhs, lhs - rhs))
             low = q_eps(xp, z, mirrored, problem, params) - mirrored.eval(xp)
             floor = -envelope + discount_pull
-            report.add(
-                AuditRow(
-                    domain=_domain_tag(dom),
-                    eps=eps,
-                    point=tuple(float(v) for v in xp),
-                    case="wall-shift-lower",
-                    lhs=low,
-                    rhs=floor,
-                    residual=floor - low,
-                    passed=floor - low <= RESIDUAL_NOISE,
-                )
-            )
+            report.add(_row(dom, eps, xp, "wall-shift-lower", low, floor, floor - low))
     return report
 
 
@@ -589,7 +534,9 @@ def run_audit_suite(
     quadratics with both curvature signs, the barrier itself, a cosine
     profile) with flux choices so that every case label is exercised at
     every rung of the ladder; points are placed at named wall
-    distances inside each threshold band.  ``p_grid_half`` sizes the
+    distances inside each threshold band.  Each (point, z) contributes
+    its upper row, then its lower row, both from one evaluation of
+    ``S[phi]`` by :func:`audit_point`.  ``p_grid_half`` sizes the
     boundary-layer gradient line of every audited operator.
     """
     dom = interval(0.0, 1.0)
@@ -617,8 +564,7 @@ def run_audit_suite(
                 for x0 in (dd[kind], 1.0 - dd[kind]) if kind == "close" else (dd[kind],):
                     xp = np.array([x0])
                     for z in (0.0, 1.5):
-                        report.add(audit_upper(xp, t, z, phi, problem, params, slack_const))
-                        report.add(audit_lower(xp, t, z, phi, problem, params))
+                        report.extend(audit_point(xp, t, z, phi, problem, params, slack_const))
     if include_disk:
         disk = ball((0.0, 0.0), 1.0)
         for eps in eps_ladder:
@@ -630,8 +576,7 @@ def run_audit_suite(
             ):
                 for d in dists:
                     xp = np.array([1.0 - d, 0.0])
-                    report.add(audit_upper(xp, t, 0.0, phi, problem, params, slack_const))
-                    report.add(audit_lower(xp, t, 0.0, phi, problem, params))
+                    report.extend(audit_point(xp, t, 0.0, phi, problem, params, slack_const))
     return report
 
 

@@ -106,31 +106,42 @@ def heat_L_eps_expansion(phi, x, eps: float, h, domain):
 
 
 def s_eps(phi, x, t, z, problem, params):
-    """One round of the general parabolic game at (t, x) with running value z."""
+    """One round of the general parabolic game at (t, x) with running value z.
+
+    Each distinct step is projected, and phi and the penalty read at its
+    landing, once per call: the 1D steps do not depend on the strategy,
+    and the 2D normal and fan steps recur for every strategy.
+    """
     dom = problem.domain
     xp = np.atleast_1d(np.asarray(x, dtype=float))
     derivs = probe_derivatives(dom, xp, phi, params.move_bound, flux=problem.h)
     strategies = candidate_strategies(dom, xp, phi, params, problem.h, derivs=derivs)
     hess_x = derivs[1] if dom.dim == 2 else None
+    moves = candidate_moves(dom, xp, params) if dom.dim == 1 else None
     dt = params.time_step
+    landed = {}  # step bytes -> (phi at the landing, penalty term or None)
     best = -np.inf
     for strat in strategies:
         if dom.dim == 2:
             moves = candidate_moves(dom, xp, params, hess_diff=hess_x - strat.Gamma)
-        else:
-            moves = candidate_moves(dom, xp, params)
         f_val = problem.f(t, xp, z, strat.p, strat.Gamma)
         worst = np.inf
         for dx_hat in moves:
-            mv = dom.make_move(xp, dx_hat)
+            key = dx_hat.tobytes()
+            if key not in landed:
+                mv = dom.make_move(xp, dx_hat)
+                phi_land = phi.eval(mv.landing)
+                pen = mv.penal_weight * problem.h(mv.landing) if mv.crossed else None
+                landed[key] = (phi_land, pen)
+            phi_land, pen = landed[key]
             val = (
-                phi.eval(mv.landing)
+                phi_land
                 - float(strat.p @ dx_hat)
                 - 0.5 * float(dx_hat @ strat.Gamma @ dx_hat)
                 - dt * f_val
             )
-            if mv.crossed:
-                val += mv.penal_weight * problem.h(mv.landing)
+            if pen is not None:
+                val += pen
             if val < worst:
                 worst = val
         if worst > best:

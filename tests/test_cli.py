@@ -267,6 +267,22 @@ class TestStudyWorkflows:
         assert rows[0][2] == ""
         assert all(float(r[2]) > 0.0 for r in rows[1:])
 
+    @pytest.mark.parametrize("ladder", ["0.2,0.2", "0.1,0.2"])
+    def test_convergence_ladder_that_does_not_decrease_exits_2_before_solving(
+        self, tmp_path, capsys, monkeypatch, ladder
+    ):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran before validation")
+
+        monkeypatch.setattr("pdegame.cli.solve_scalar_dpp", no_solve)
+        out = tmp_path / "o"
+        rc = main(["convergence", "--out", str(out), "--eps-ladder", ladder])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "validation failure" in err
+        assert "strictly decreasing eps_ladder" in err
+        assert not out.exists()
+
     def test_convergence_needs_an_exact_solution(self, tmp_path, capsys):
         rc = main(
             [

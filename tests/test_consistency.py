@@ -25,6 +25,7 @@ from pdegame.consistency import (
     ConsistencyReport,
     audit_barrier,
     audit_lower,
+    audit_point,
     audit_upper,
     audit_wall_shift,
     classify_case,
@@ -68,13 +69,18 @@ class TestFrozenConstants:
 # -- case classification ----------------------------------------------------
 
 
+def _label(x, phi, bounds, params):
+    hnorm = cons._hess_norm(phi.fd_hessian(x))
+    return classify_case(DOM.dist_to_boundary(x), params, bounds, hnorm)
+
+
 class TestClassification:
     def test_interior_point_is_far_small(self):
         params = make_params(0.2, lambda_rate=1.0)
         phi = affine(DOM, -1.0)
         x = np.array([0.5])
         bounds = neumann_bounds(DOM, x, params.move_bound, heat_problem(DOM, 0.0).h, phi.fd_gradient(x))
-        assert classify_case(x, phi, bounds, params) == CASE_FAR_SMALL
+        assert _label(x, phi, bounds, params) == CASE_FAR_SMALL
 
     def test_wall_point_with_strong_penalty_is_close_big(self):
         # bonus = h - Dphi.n = 0 - 1 = -1 <= -eps^(1-alpha-kappa) = -0.765
@@ -83,7 +89,7 @@ class TestClassification:
         x = np.array([0.0])
         bounds = neumann_bounds(DOM, x, params.move_bound, heat_problem(DOM, 0.0).h, phi.fd_gradient(x))
         assert bounds.M == pytest.approx(-1.0)
-        assert classify_case(x, phi, bounds, params) == CASE_CLOSE_BIG_PENALTY
+        assert _label(x, phi, bounds, params) == CASE_CLOSE_BIG_PENALTY
 
     def test_wall_point_with_positive_bonus_is_big_bonus(self):
         # flux 2 against normal slope -1: bonus +1 > (4/3)|D2 phi| ell = 0
@@ -92,7 +98,7 @@ class TestClassification:
         x = np.array([0.0])
         bounds = neumann_bounds(DOM, x, params.move_bound, heat_problem(DOM, 2.0).h, phi.fd_gradient(x))
         assert bounds.M == pytest.approx(1.0)
-        assert classify_case(x, phi, bounds, params) == CASE_BIG_BONUS
+        assert _label(x, phi, bounds, params) == CASE_BIG_BONUS
 
     def test_band_point_with_small_bonus_is_far_small(self):
         # inside the layer but beyond ell - eps^rho, bonus below threshold
@@ -102,7 +108,7 @@ class TestClassification:
         phi = affine(DOM, -1.0)
         bounds = neumann_bounds(DOM, x, ell, heat_problem(DOM, 0.0).h, phi.fd_gradient(x))
         assert bounds.M < 0.0
-        assert classify_case(x, phi, bounds, params) == CASE_FAR_SMALL
+        assert _label(x, phi, bounds, params) == CASE_FAR_SMALL
 
     def test_wall_point_with_weak_bonus_and_curvature_is_close_small(self):
         params = make_params(0.2, lambda_rate=1.0)
@@ -110,7 +116,7 @@ class TestClassification:
         x = np.array([0.0])
         bounds = neumann_bounds(DOM, x, params.move_bound, heat_problem(DOM, 0.0).h, phi.fd_gradient(x))
         assert -0.765 < bounds.M < 0.0
-        assert classify_case(x, phi, bounds, params) == CASE_CLOSE_SMALL
+        assert _label(x, phi, bounds, params) == CASE_CLOSE_SMALL
 
     def test_lower_labels_split_on_bonus_sign_for_affine(self):
         params = make_params(0.2, lambda_rate=1.0)
@@ -132,7 +138,7 @@ class TestClassification:
         phi = affine(DOM, slope)
         x = np.array([x0])
         bounds = neumann_bounds(DOM, x, params.move_bound, heat_problem(DOM, hval).h, phi.fd_gradient(x))
-        label = classify_case(x, phi, bounds, params)
+        label = _label(x, phi, bounds, params)
         assert label in {
             CASE_FAR_SMALL,
             CASE_BIG_BONUS,
@@ -315,6 +321,41 @@ class TestPointAudits:
         assert row.case == CASE_LOWER_BIG_BONUS
         assert not row.passed
         assert 1e-3 < row.residual < 5e-2
+
+
+class TestAuditPoint:
+    @pytest.mark.parametrize(
+        "x, dom, h_value, slack_const",
+        [
+            ((0.0,), DOM, 2.0, None),
+            ((0.02,), DOM, 0.0, 0.5),
+            ((1.0 - 0.3 * make_params(0.2).move_bound, 0.0), DISK, 2.0, None),
+        ],
+        ids=["wall", "close", "disk"],
+    )
+    def test_single_row_audits_are_the_rows_of_the_pair(self, x, dom, h_value, slack_const):
+        params = make_params(0.2, lambda_rate=1.0)
+        args = (np.array(x), 0.25, 1.5, affine(dom, -1.0), heat_problem(dom, h_value), params)
+        upper, lower = audit_point(*args, slack_const)
+        assert audit_upper(*args, slack_const) == upper
+        assert audit_lower(*args) == lower
+        assert upper.lhs == lower.lhs
+
+    def test_suite_evaluates_the_operator_once_per_point(self, monkeypatch):
+        calls = []
+
+        def counting_s_eps(*args):
+            calls.append(args)
+            return s_eps(*args)
+
+        monkeypatch.setattr(cons, "s_eps", counting_s_eps)
+        rows = run_audit_suite(eps_ladder=(0.2,), include_disk=True).rows
+        assert len(calls) == len(rows) // 2
+        # each point's rows: upper first, then lower, on the same S[phi]
+        for upper, lower in zip(rows[::2], rows[1::2]):
+            assert lower.case in (CASE_LOWER_BIG_BONUS, CASE_LOWER_SMALL)
+            assert upper.case not in (CASE_LOWER_BIG_BONUS, CASE_LOWER_SMALL)
+            assert (upper.point, upper.lhs) == (lower.point, lower.lhs)
 
 
 # -- shipped suite ----------------------------------------------------------

@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
+import pdegame.consistency as cons
 from pdegame.fields import AnalyticField, GridField, grid_spacing
 from pdegame.geometry import ball, interval
 from pdegame.params import GameParams, ValidationError, make_params
 from pdegame.problems import ParabolicProblem, f_stacked, get_problem
-from pdegame.strategies import candidates_1d
+from pdegame.strategies import (candidate_moves, candidate_strategies, candidates_1d,
+                                probe_derivatives)
 from pdegame.game_parabolic import (
     NumericAbort,
     _sign_change,
@@ -33,6 +35,76 @@ def quad_field(a, b, c, dom=DOM):
         grad=lambda p: np.array([b + 2 * c * p[0]]),
         hess=lambda p: np.array([[2.0 * c]]),
     )
+
+
+def reference_s_eps(phi, x, t, z, problem, params):
+    """``s_eps`` pair by pair: every (strategy, step) pair projects its
+    step and reads phi and the penalty at the landing on its own."""
+    dom = problem.domain
+    xp = np.atleast_1d(np.asarray(x, dtype=float))
+    derivs = probe_derivatives(dom, xp, phi, params.move_bound, flux=problem.h)
+    strategies = candidate_strategies(dom, xp, phi, params, problem.h, derivs=derivs)
+    hess_x = derivs[1] if dom.dim == 2 else None
+    dt = params.time_step
+    best = -np.inf
+    for strat in strategies:
+        if dom.dim == 2:
+            moves = candidate_moves(dom, xp, params, hess_diff=hess_x - strat.Gamma)
+        else:
+            moves = candidate_moves(dom, xp, params)
+        f_val = problem.f(t, xp, z, strat.p, strat.Gamma)
+        worst = np.inf
+        for dx_hat in moves:
+            mv = dom.make_move(xp, dx_hat)
+            val = (
+                phi.eval(mv.landing)
+                - float(strat.p @ dx_hat)
+                - 0.5 * float(dx_hat @ strat.Gamma @ dx_hat)
+                - dt * f_val
+            )
+            if mv.crossed:
+                val += mv.penal_weight * problem.h(mv.landing)
+            if val < worst:
+                worst = val
+        if worst > best:
+            best = worst
+    return best
+
+
+@pytest.fixture(scope="module")
+def audit_suite_calls():
+    """The arguments of every ``s_eps`` call of the audit suite at eps 0.2
+    and 0.1, recorded without evaluating the operator."""
+    calls = []
+
+    def record(*args):
+        calls.append(args)
+        return 0.0
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cons, "s_eps", record)
+        cons.run_audit_suite(eps_ladder=(0.2, 0.1), include_disk=True)
+    return calls
+
+
+class TestSEpsOracle:
+    def test_interval_points_match_the_pairwise_reference(self, audit_suite_calls):
+        calls = [c for c in audit_suite_calls if c[4].domain.dim == 1]
+        assert len(calls) == 100  # 25 points x 2 scores x 2 rungs
+        assert {c[3] for c in calls} == {0.0, 1.5}
+        for args in calls:
+            assert s_eps(*args) == reference_s_eps(*args), args[1:4]
+
+    def test_disk_points_match_the_pairwise_reference_under_both_fluxes(self, audit_suite_calls):
+        calls = [c for c in audit_suite_calls if c[4].domain.dim == 2 and c[5].eps == 0.2]
+        assert len(calls) == 4
+        games = [(c[0], c[4]) for c in calls[::2]]  # flux 2 and flux 0
+        assert {float(prob.h(np.array([1.0, 0.0]))) for _, prob in games} == {0.0, 2.0}
+        for _, x, t, z, _, params in calls:
+            for phi, prob in games:
+                assert s_eps(phi, x, t, z, prob, params) == reference_s_eps(
+                    phi, x, t, z, prob, params
+                ), (x, prob.name)
 
 
 class TestHeatGame:

@@ -1,6 +1,8 @@
 """Package hygiene: every public name a module exports exists."""
 import importlib
+import importlib.util
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -17,4 +19,26 @@ def test_modules_are_discovered():
 def test_every_exported_name_resolves(name):
     mod = importlib.import_module(name)
     missing = [n for n in mod.__all__ if not hasattr(mod, n)]
+    assert missing == []
+
+
+def _load_spans():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
+
+
+def test_every_traced_callable_resolves():
+    # the span tracer looks these up by name; a rename breaks tracing
+    spans = _load_spans()
+    missing = []
+    for mod, attr in spans.FUNCTIONS:
+        if not callable(getattr(importlib.import_module(f"pdegame.{mod}"), attr, None)):
+            missing.append(f"{mod}.{attr}")
+    for mod, cls_name, meth in spans.METHODS + spans.CLASSMETHODS:
+        cls = getattr(importlib.import_module(f"pdegame.{mod}"), cls_name, None)
+        if cls is None or meth not in vars(cls):
+            missing.append(f"{mod}.{cls_name}.{meth}")
     assert missing == []
