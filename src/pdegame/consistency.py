@@ -30,7 +30,7 @@ from .fields import AnalyticField
 from .game_elliptic import _boundary_sup, exact_barrier, q_eps
 from .game_parabolic import s_eps
 from .geometry import DomainGeometry, ball, interval
-from .params import make_params
+from .params import ValidationError, make_params
 from .problems import ParabolicProblem
 from .strategies import (
     build_frame,
@@ -232,9 +232,7 @@ def _min_f_on_ball(problem, t, xp, z, p_center, Gamma, radius: float) -> float:
 def _domain_tag(domain: DomainGeometry) -> str:
     if domain.kind == "interval":
         return f"interval[{domain.a:g},{domain.c:g}]"
-    if domain.kind == "ball":
-        return f"ball(r={domain.radius:g})"
-    return f"annulus(r={domain.r_in:g}..{domain.r_out:g})"
+    return f"ball(r={domain.radius:g})"
 
 
 def _row(dom, eps, xp, case, lhs, rhs, residual, gating=True) -> AuditRow:
@@ -428,14 +426,11 @@ def _layer_points(dom: DomainGeometry, ell: float, n: int) -> list:
                 out.append(np.array([dom.c - d]))
         return out
     ctr = np.asarray(dom.center, dtype=float)
-    radii = [dom.radius] if dom.kind == "ball" else [dom.r_in, dom.r_out]
     angles = 2.0 * np.pi * np.arange(n) / max(n, 1)
     for i, fr in enumerate(fracs):
         d = fr * min(ell, dom.r_int)
         u = np.array([math.cos(angles[i]), math.sin(angles[i])])
-        wall_r = radii[i % len(radii)]
-        r = wall_r - d if wall_r == max(radii) else wall_r + d
-        out.append(ctr + r * u)
+        out.append(ctr + (dom.radius - d) * u)
     return out
 
 
@@ -443,11 +438,7 @@ def _interior_points(dom: DomainGeometry, n: int) -> list:
     if dom.kind == "interval":
         return [np.array([x]) for x in np.linspace(dom.a + 0.35, dom.c - 0.35, n)]
     ctr = np.asarray(dom.center, dtype=float)
-    if dom.kind == "ball":
-        rr = np.linspace(0.0, 0.4 * dom.radius, n)
-    else:
-        mid = 0.5 * (dom.r_in + dom.r_out)
-        rr = np.linspace(mid - 0.1 * (dom.r_out - dom.r_in), mid + 0.1 * (dom.r_out - dom.r_in), n)
+    rr = np.linspace(0.0, 0.4 * dom.radius, n)
     angles = 2.0 * np.pi * np.arange(n) / max(n, 1)
     return [ctr + r * np.array([math.cos(a), math.sin(a)]) for r, a in zip(rr, angles)]
 
@@ -538,14 +529,33 @@ def run_audit_suite(
     its upper row, then its lower row, both from one evaluation of
     ``S[phi]`` by :func:`audit_point`.  ``p_grid_half`` sizes the
     boundary-layer gradient line of every audited operator.
+
+    Raises ``ValidationError`` before any audit runs when a rung's move
+    bound ``ell`` puts the interval's "interior" point outside [0, 1],
+    or, with the disk, exceeds its ``r_ext/2 = 1/2`` (the fan's steps
+    would leave the region where the projection is defined).
     """
     dom = interval(0.0, 1.0)
+    disk = ball((0.0, 0.0), 1.0)
+    ladder = [make_params(eps, lambda_rate=1.0, p_grid_half=p_grid_half) for eps in eps_ladder]
+    for params in ladder:
+        ell = params.move_bound
+        interior = _interval_layer(dom, ell, params.eps, params.rho)["interior"]
+        if interior > dom.c:
+            raise ValidationError(
+                f"eps={params.eps:g}: the interior audit point {interior:.6g} "
+                f"lies outside [{dom.a:g}, {dom.c:g}]"
+            )
+        if include_disk and ell > 0.5 * disk.r_ext:
+            raise ValidationError(
+                f"eps={params.eps:g}: move bound ell = {ell:.6g} exceeds the disk's "
+                f"r_ext/2 = {0.5 * disk.r_ext:g}, where its projection stops being defined"
+            )
     h0 = lambda x: 0.0
     h2 = lambda x: 2.0
     report = ConsistencyReport()
-    for eps in eps_ladder:
-        params = make_params(eps, lambda_rate=1.0, p_grid_half=p_grid_half)
-        ell = params.move_bound
+    for params in ladder:
+        eps, ell = params.eps, params.move_bound
         dd = _interval_layer(dom, ell, eps, params.rho)
         barrier = exact_barrier(dom, 1.0)
         cases = [
@@ -566,9 +576,7 @@ def run_audit_suite(
                     for z in (0.0, 1.5):
                         report.extend(audit_point(xp, t, z, phi, problem, params, slack_const))
     if include_disk:
-        disk = ball((0.0, 0.0), 1.0)
-        for eps in eps_ladder:
-            params = make_params(eps, lambda_rate=1.0, p_grid_half=p_grid_half)
+        for params in ladder:
             ell = params.move_bound
             for phi, problem, dists in (
                 (_affine(disk, -1.0), _heat_problem(disk, h2, "aud_disk_h2"), (0.0, 0.3 * ell)),

@@ -71,12 +71,8 @@ def _boundary_sup(domain: DomainGeometry, fn) -> float:
     else:
         cx, cy = domain.center
         angles = np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False)
-        radii = [domain.radius] if domain.kind == "ball" else [domain.r_in, domain.r_out]
-        pts = [
-            np.array([cx + r * math.cos(a), cy + r * math.sin(a)])
-            for r in radii
-            for a in angles
-        ]
+        r = domain.radius
+        pts = [np.array([cx + r * math.cos(a), cy + r * math.sin(a)]) for a in angles]
     return max(abs(float(fn(p))) for p in pts)
 
 
@@ -136,33 +132,24 @@ def exact_barrier(domain: DomainGeometry, h_sup: float) -> AnalyticField:
             r = float(np.linalg.norm(rel))
             return rel, r
 
-        def _inward_sign(r: float) -> float:
-            # distance to the nearer wall decreases toward that wall
-            if domain.kind == "ball":
-                return 1.0
-            mid = 0.5 * (domain.r_in + domain.r_out)
-            return 1.0 if r >= mid else -1.0
-
         def grad(x):
             rel, r = _radial(x)
             if r == 0.0:
                 return np.zeros(2)
             d = domain.dist_to_boundary(np.atleast_1d(x))
-            sign = _inward_sign(r)
-            return (-sign * _psi_profile_slope(d, depth, amp) / r) * rel
+            return (-_psi_profile_slope(d, depth, amp) / r) * rel
 
         def hess(x):
             rel, r = _radial(x)
             if r == 0.0:
                 return np.zeros((2, 2))
             d = domain.dist_to_boundary(np.atleast_1d(x))
-            sign = _inward_sign(r)
             rhat = rel / r
             P = np.outer(rhat, rhat)
             curv = _psi_profile_curv(d, depth, amp)
             slope = _psi_profile_slope(d, depth, amp)
-            # D^2 d = -sign (I - rhat rhat^T)/r for radial walls
-            return curv * P - sign * slope / r * (np.eye(2) - P)
+            # D^2 d = -(I - rhat rhat^T)/r inside a ball
+            return curv * P - slope / r * (np.eye(2) - P)
 
     return AnalyticField(domain, value, grad=grad, hess=hess)
 

@@ -5,7 +5,7 @@ move first walks to an intermediate point ``x + delta_hat``; if that point
 leaves the closure it is pulled back by the nearest-point projection, and
 the length of the pull-back is the penalty weight that multiplies the
 boundary data in the score.  Everything here is closed-form for a small
-catalog of domains (interval, ball, annulus) because the geometric
+catalog of domains (interval, ball) because the geometric
 inequalities the scheme rests on must hold to floating-point accuracy,
 not to mesh accuracy.
 
@@ -24,7 +24,6 @@ __all__ = [
     "Move",
     "interval",
     "ball",
-    "annulus",
 ]
 
 
@@ -57,7 +56,7 @@ class Move:
 class DomainGeometry:
     """A bounded domain from the analytic catalog.
 
-    ``kind`` is one of ``"interval"``, ``"ball"``, ``"annulus"``.  ``r_int``
+    ``kind`` is ``"interval"`` or ``"ball"``.  ``r_int``
     and ``r_ext`` are the interior/exterior ball radii: every boundary point
     has an inscribed tangent ball of radius ``r_int`` inside the domain and
     one of radius ``r_ext`` in the complement.  The projection onto the
@@ -67,10 +66,8 @@ class DomainGeometry:
     kind: str
     a: float = 0.0  # interval endpoints
     c: float = 1.0
-    center: tuple = (0.0, 0.0)  # ball / annulus
-    radius: float = 1.0  # ball outer radius
-    r_in: float = 0.0  # annulus inner radius
-    r_out: float = 0.0  # annulus outer radius
+    center: tuple = (0.0, 0.0)  # ball
+    radius: float = 1.0
 
     # -- descriptors -------------------------------------------------------
 
@@ -82,9 +79,7 @@ class DomainGeometry:
     def diameter(self) -> float:
         if self.kind == "interval":
             return self.c - self.a
-        if self.kind == "ball":
-            return 2.0 * self.radius
-        return 2.0 * self.r_out
+        return 2.0 * self.radius
 
     @property
     def tol(self) -> float:
@@ -93,27 +88,18 @@ class DomainGeometry:
 
     @property
     def r_int(self) -> float:
-        if self.kind == "interval":
-            return 0.5 * (self.c - self.a)
-        if self.kind == "ball":
-            return self.radius
-        return min(self.r_in, 0.5 * (self.r_out - self.r_in))
+        return 0.5 * self.diameter
 
     @property
     def r_ext(self) -> float:
-        if self.kind == "interval":
-            return 0.5 * (self.c - self.a)
-        if self.kind == "ball":
-            return self.radius
-        return self.r_in
+        return 0.5 * self.diameter
 
     @property
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         if self.kind == "interval":
             return np.array([self.a]), np.array([self.c])
         ctr = np.asarray(self.center, dtype=float)
-        r = self.radius if self.kind == "ball" else self.r_out
-        return ctr - r, ctr + r
+        return ctr - self.radius, ctr + self.radius
 
     # -- membership --------------------------------------------------------
 
@@ -123,9 +109,7 @@ class DomainGeometry:
         if self.kind == "interval":
             return max(self.a - p[0], p[0] - self.c, 0.0)
         rho = float(np.linalg.norm(p - np.asarray(self.center)))
-        if self.kind == "ball":
-            return max(rho - self.radius, 0.0)
-        return max(rho - self.r_out, self.r_in - rho, 0.0)
+        return max(rho - self.radius, 0.0)
 
     # -- oracles -----------------------------------------------------------
 
@@ -139,9 +123,7 @@ class DomainGeometry:
         if self.kind == "interval":
             return max(min(p[0] - self.a, self.c - p[0]), 0.0)
         rho = float(np.linalg.norm(p - np.asarray(self.center)))
-        if self.kind == "ball":
-            return max(self.radius - rho, 0.0)
-        return max(min(rho - self.r_in, self.r_out - rho), 0.0)
+        return max(self.radius - rho, 0.0)
 
     def project_to_closure(self, x_hat) -> np.ndarray:
         p = _as_point(x_hat, self.dim)
@@ -157,16 +139,9 @@ class DomainGeometry:
         ctr = np.asarray(self.center, dtype=float)
         u = p - ctr
         rho = float(np.linalg.norm(u))
-        if self.kind == "ball":
-            if rho <= self.radius:
-                return p.copy()
-            return ctr + u * (self.radius / rho)
-        if rho < self.r_in:
-            # rho >= r_in/2 > 0 is guaranteed by the precondition.
-            return ctr + u * (self.r_in / rho)
-        if rho > self.r_out:
-            return ctr + u * (self.r_out / rho)
-        return p.copy()
+        if rho <= self.radius:
+            return p.copy()
+        return ctr + u * (self.radius / rho)
 
     def outward_normal(self, x_b) -> np.ndarray:
         p = _as_point(x_b, self.dim)
@@ -181,21 +156,15 @@ class DomainGeometry:
         ctr = np.asarray(self.center, dtype=float)
         u = p - ctr
         rho = float(np.linalg.norm(u))
-        if self.kind == "ball":
-            if abs(rho - self.radius) > self.tol:
-                raise ValueError(f"point {p} is not on the boundary")
-            return u / rho
-        if abs(rho - self.r_out) <= self.tol:
-            return u / rho
-        if abs(rho - self.r_in) <= self.tol:
-            return -u / rho  # outward from the annulus points into the hole
-        raise ValueError(f"point {p} is not on the boundary")
+        if abs(rho - self.radius) > self.tol:
+            raise ValueError(f"point {p} is not on the boundary")
+        return u / rho
 
     def nearest_boundary(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Nearest boundary point x_bar and the outward normal there.
 
-        For an interior point equidistant from two boundary components the
-        tie breaks toward the lower endpoint / inner wall (deterministic).
+        For the midpoint of an interval the tie breaks toward the lower
+        endpoint, and the centre of a ball takes the +x direction.
         """
         p = _as_point(x, self.dim)
         if self.kind == "interval":
@@ -210,11 +179,7 @@ class DomainGeometry:
             u[0] = 1.0
             rho = 1.0
         unit = u / rho
-        if self.kind == "ball":
-            return ctr + unit * self.radius, unit
-        if rho - self.r_in <= self.r_out - rho:
-            return ctr + unit * self.r_in, -unit
-        return ctr + unit * self.r_out, unit
+        return ctr + unit * self.radius, unit
 
     def make_move(self, x, delta_hat) -> Move:
         p = _as_point(x, self.dim)
@@ -237,6 +202,32 @@ class DomainGeometry:
             landing=landing,
         )
 
+    def crossings(self, x, steps) -> tuple[np.ndarray, np.ndarray]:
+        """Landings and outward normals of the steps from ``x`` that cross.
+
+        The ball only.  ``steps`` has shape ``(k, 2)``; the rows whose
+        end leaves the closure are projected radially and kept in step
+        order.  Each norm is ``sqrt(vecdot(u, u))``, the fused dot product
+        that ``np.linalg.norm`` takes, so the landings and normals equal
+        those of :meth:`make_move` and :meth:`outward_normal` bit for bit.
+        Raises ``ValueError``, as :meth:`project_to_closure` does, when a
+        step ends beyond ``r_ext/2`` of the closure.
+        """
+        assert self.kind == "ball", "crossings is written for the ball"
+        ctr = np.asarray(self.center, dtype=float)
+        rel = (_as_point(x, self.dim) + steps) - ctr
+        rho = np.sqrt(np.vecdot(rel, rel))
+        out = rho - self.radius
+        if np.any(out > 0.5 * self.r_ext + self.tol):
+            raise ValueError(
+                f"projection undefined: a step from {x} ends {out.max():g} from the "
+                f"closure, beyond r_ext/2 = {0.5 * self.r_ext:g}"
+            )
+        crossed = out > self.tol
+        landing = ctr + rel[crossed] * (self.radius / rho[crossed])[:, None]
+        u = landing - ctr
+        return landing, u / np.sqrt(np.vecdot(u, u))[:, None]
+
     def random_interior_point(self, rng: np.random.Generator) -> np.ndarray:
         """Uniform sample from the closure (rejection from the bounding box)."""
         lo, hi = self.bounding_box
@@ -251,10 +242,7 @@ class DomainGeometry:
         ctr = np.asarray(self.center, dtype=float)
         theta = rng.uniform(0.0, 2.0 * math.pi)
         unit = np.array([math.cos(theta), math.sin(theta)])
-        if self.kind == "ball":
-            return ctr + unit * self.radius
-        wall = self.r_in if rng.random() < 0.5 else self.r_out
-        return ctr + unit * wall
+        return ctr + unit * self.radius
 
 
 # -- constructors ---------------------------------------------------------
@@ -270,11 +258,4 @@ def ball(center, radius: float) -> DomainGeometry:
     ctr = tuple(float(v) for v in np.atleast_1d(center))
     assert len(ctr) == 2, "ball domains are 2D in this catalog"
     return DomainGeometry(kind="ball", center=ctr, radius=float(radius))
-
-
-def annulus(center, r_in: float, r_out: float) -> DomainGeometry:
-    assert 0.0 < r_in < r_out
-    ctr = tuple(float(v) for v in np.atleast_1d(center))
-    assert len(ctr) == 2
-    return DomainGeometry(kind="annulus", center=ctr, r_in=float(r_in), r_out=float(r_out))
 

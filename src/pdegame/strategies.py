@@ -20,7 +20,11 @@ In 1D the solvers take every list from one batched kernel,
 bit on any set of lattice nodes.  The pointwise functions
 (:func:`candidate_strategies`, :func:`candidate_moves` and their parts)
 remain as the reference oracles that the tests, the audits and the 2D
-one-step operator use.
+one-step operator use.  In 2D, :func:`neumann_bounds` evaluates its
+crossing fan as arrays through :meth:`DomainGeometry.crossings`, whose
+fused-dot norm is the one ``np.linalg.norm`` takes in
+:meth:`DomainGeometry.make_move`, so it matches a per-step loop over
+``make_move`` bit for bit.
 """
 from __future__ import annotations
 
@@ -86,8 +90,13 @@ def neumann_bounds(domain: DomainGeometry, x, ell: float, h, grad) -> NeumannBou
     """Extremes of h(landing) - <grad, n(landing)> over crossing steps.
 
     1D: exact — each wall closer than ell contributes exactly one value.
-    2D: sampled over a fan of directions (the outward normal included) at
-    several radii, keeping only steps that actually cross.
+    2D (the ball): sampled over a fan of directions (the outward normal
+    included) at several radii, keeping only steps that actually cross.
+    The fan is evaluated as arrays: :meth:`DomainGeometry.crossings`
+    tests, projects and takes the landing normal of every step at once,
+    with the fused-dot norm that ``np.linalg.norm`` uses in
+    :meth:`DomainGeometry.make_move`.  The values, and their order, are
+    those of a loop over ``make_move`` and ``outward_normal`` bit for bit.
     """
     p = np.atleast_1d(np.asarray(x, dtype=float))
     grad = np.atleast_1d(np.asarray(grad, dtype=float))
@@ -98,18 +107,13 @@ def neumann_bounds(domain: DomainGeometry, x, ell: float, h, grad) -> NeumannBou
                 w = np.array([wall])
                 values.append(h(w) - grad[0] * normal)
     else:
-        frame = build_frame(domain, p, ell)
-        dirs = [
-            np.array([np.cos(th), np.sin(th)])
-            for th in 2.0 * np.pi * np.arange(_N_DIRECTIONS_2D) / _N_DIRECTIONS_2D
-        ]
-        dirs += [frame.n_bar, -frame.n_bar]
-        for u in dirs:
-            for frac in _RADIUS_FRACTIONS:
-                mv = domain.make_move(p, frac * ell * u)
-                if mv.crossed:
-                    n_land = domain.outward_normal(mv.landing)
-                    values.append(h(mv.landing) - float(grad @ n_land))
+        n_bar = build_frame(domain, p, ell).n_bar
+        th = 2.0 * np.pi * np.arange(_N_DIRECTIONS_2D) / _N_DIRECTIONS_2D
+        dirs = np.concatenate([np.stack([np.cos(th), np.sin(th)], axis=1), [n_bar, -n_bar]])
+        steps = (np.array(_RADIUS_FRACTIONS) * ell)[None, :, None] * dirs[:, None, :]
+        # directions first, radii within each: the order of a per-step loop
+        landing, normal = domain.crossings(p, steps.reshape(-1, 2))
+        values = [h(q) - float(v) for q, v in zip(landing, np.vecdot(normal, grad))]
     if not values:
         return NeumannBounds(m=np.inf, M=-np.inf, possible=False)
     return NeumannBounds(m=float(min(values)), M=float(max(values)), possible=True)
@@ -148,9 +152,12 @@ def clip_strategy(strategy: Strategy, params) -> Strategy:
     pn = np.linalg.norm(p)
     if pn > params.p_bound:
         p = p * (params.p_bound / pn)
-    w, V = np.linalg.eigh(0.5 * (G + G.T))
-    w = np.clip(w, -params.hessian_bound, params.hessian_bound)
-    G = (V * w) @ V.T
+    if G.shape == (1, 1):  # the spectral clip; + 0.0 maps -0.0 to 0.0, as eigh does
+        G = np.clip(G, -params.hessian_bound, params.hessian_bound) + 0.0
+    else:
+        w, V = np.linalg.eigh(0.5 * (G + G.T))
+        w = np.clip(w, -params.hessian_bound, params.hessian_bound)
+        G = (V * w) @ V.T
     return Strategy(p=p, Gamma=G)
 
 

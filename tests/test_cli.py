@@ -314,6 +314,30 @@ class TestStudyWorkflows:
             "lower-penalty-or-small-bonus",
         } <= labels
 
+    @pytest.mark.parametrize(
+        "ladder, reason", [("0.44", "r_ext/2"), ("0.6", "interior audit point")]
+    )
+    def test_consistency_ladder_beyond_the_audit_geometry_exits_2_before_auditing(
+        self, tmp_path, capsys, monkeypatch, ladder, reason
+    ):
+        def no_audit(*args, **kwargs):
+            raise AssertionError("an audit ran before validation")
+
+        monkeypatch.setattr("pdegame.consistency.audit_point", no_audit)
+        out = tmp_path / "o"
+        rc = main(["consistency", "--out", str(out), "--eps-ladder", ladder])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "validation failure" in err
+        assert reason in err
+        assert not (out / "consistency.csv").exists()
+
+    def test_consistency_at_eps_0_4_still_runs(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["consistency", "--out", str(out), "--eps-ladder", "0.4"]) == 0
+        header, rows = read_csv(out / "consistency.csv")
+        assert any(r[0] == "ball(r=1)" for r in rows)
+
     def test_audit_elliptic_writes_passing_two_sided_rows(self, tmp_path):
         out = tmp_path / "o"
         rc = main(["audit-elliptic", "--out", str(out), "--eps-ladder", "0.1"])

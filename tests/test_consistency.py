@@ -36,7 +36,7 @@ from pdegame.consistency import (
 from pdegame.fields import AnalyticField
 from pdegame.game_elliptic import exact_barrier
 from pdegame.game_parabolic import s_eps
-from pdegame.geometry import annulus, ball, interval
+from pdegame.geometry import ball, interval
 from pdegame.params import make_params
 from pdegame.problems import get_problem
 from pdegame.strategies import neumann_bounds
@@ -202,15 +202,6 @@ class TestExactBarrier:
                         + psi.eval(x - ei - ej)
                     ) / (4 * hd * hd)
             np.testing.assert_allclose(psi.fd_hessian(x), H_fd, atol=1e-4)
-
-    def test_annulus_gradient_points_at_the_nearer_wall(self):
-        ring = annulus((0.0, 0.0), 0.5, 1.0)
-        psi = exact_barrier(ring, 1.0)
-        outer = np.array([0.97, 0.0])
-        inner = np.array([0.53, 0.0])
-        # the barrier grows toward each wall
-        assert psi.fd_gradient(outer)[0] > 0.0
-        assert psi.fd_gradient(inner)[0] < 0.0
 
 
 # -- report mechanics -------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from pdegame.fields import AnalyticField, GridField, grid_spacing
 from pdegame.geometry import ball, interval
 from pdegame.params import GameParams, make_params
-from pdegame.problems import get_problem
+from pdegame.problems import boundary_function, get_problem
 from pdegame.strategies import (
     NeumannBounds,
     Strategy,
@@ -95,6 +95,60 @@ class TestNeumannBounds2D:
         assert spreads[2] < spreads[1] < spreads[0]
 
 
+def reference_neumann_bounds(domain, x, ell, h, grad):
+    """The 2D fan as a loop: one make_move and outward_normal per step."""
+    p = np.atleast_1d(np.asarray(x, dtype=float))
+    grad = np.atleast_1d(np.asarray(grad, dtype=float))
+    n_bar = build_frame(domain, p, ell).n_bar
+    dirs = [np.array([np.cos(th), np.sin(th)]) for th in 2.0 * np.pi * np.arange(64) / 64]
+    dirs += [n_bar, -n_bar]
+    values = []
+    for u in dirs:
+        for frac in (1.0, 0.75, 0.5, 0.25):
+            mv = domain.make_move(p, frac * ell * u)
+            if mv.crossed:
+                values.append(h(mv.landing) - float(grad @ domain.outward_normal(mv.landing)))
+    if not values:
+        return NeumannBounds(m=np.inf, M=-np.inf, possible=False)
+    return NeumannBounds(m=float(min(values)), M=float(max(values)), possible=True)
+
+
+def _bits(b: NeumannBounds) -> tuple:
+    return np.float64(b.m).tobytes(), np.float64(b.M).tobytes(), b.possible
+
+
+class TestNeumannBoundsFan:
+    """The batched 2D fan against the per-step loop, compared bit for bit."""
+
+    @pytest.mark.parametrize("dom", [ball((0.0, 0.0), 1.0), ball((0.3, -0.2), 0.7)],
+                             ids=["unit-disk", "off-centre"])
+    @pytest.mark.parametrize("datum", ["constant", "x0"])
+    def test_matches_the_per_step_loop(self, dom, datum):
+        h = boundary_function(dom, (lambda q: 2.0) if datum == "constant" else (lambda q: q[0]))
+        rng = np.random.default_rng(17)
+        ctr = np.asarray(dom.center)
+        possible = set()
+        for eps in (0.2, 0.1, 0.05):
+            ell = make_params(eps).move_bound
+            for frac in (0.0, 0.3, 0.5, 0.99, 1.5):
+                for th in (0.0, 0.4, 2.0, np.pi, 4.5):
+                    x = ctr + (dom.radius - frac * ell) * np.array([np.cos(th), np.sin(th)])
+                    grad = rng.normal(size=2)
+                    got = neumann_bounds(dom, x, ell, h, grad)
+                    assert _bits(got) == _bits(reference_neumann_bounds(dom, x, ell, h, grad))
+                    possible.add(got.possible)
+        assert possible == {True, False}
+
+    def test_step_beyond_half_r_ext_raises(self):
+        dom = ball((0.0, 0.0), 1.0)
+        h = boundary_function(dom, lambda q: 0.0)
+        x, grad = np.array([1.0, 0.0]), np.zeros(2)
+        with pytest.raises(ValueError):
+            reference_neumann_bounds(dom, x, 0.6, h, grad)
+        with pytest.raises(ValueError, match="r_ext/2"):
+            neumann_bounds(dom, x, 0.6, h, grad)
+
+
 class TestOptimalAnnouncements:
     def test_p_correction_formula_on_the_wall(self):
         dom = interval(0.0, 1.0)
@@ -126,6 +180,18 @@ class TestOptimalAnnouncements:
         assert G[1, 1] == pytest.approx(3.0)
 
 
+def reference_clip_strategy(strategy, params):
+    """clip_strategy with the spectral clip through eigh for every shape."""
+    p = np.atleast_1d(np.asarray(strategy.p, dtype=float))
+    G = np.asarray(strategy.Gamma, dtype=float).reshape(len(p), len(p))
+    pn = np.linalg.norm(p)
+    if pn > params.p_bound:
+        p = p * (params.p_bound / pn)
+    w, V = np.linalg.eigh(0.5 * (G + G.T))
+    w = np.clip(w, -params.hessian_bound, params.hessian_bound)
+    return Strategy(p=p, Gamma=(V * w) @ V.T)
+
+
 class TestClipping:
     def test_gradient_norm_cap(self):
         params = make_params(0.2)
@@ -140,6 +206,19 @@ class TestClipping:
         w = np.linalg.eigvalsh(s.Gamma)
         assert np.max(np.abs(w)) == pytest.approx(params.hessian_bound)
         assert np.allclose(s.Gamma, s.Gamma.T)
+
+    @pytest.mark.parametrize("eps", [0.2, 0.05])
+    def test_1x1_clip_matches_the_spectral_clip(self, eps):
+        params = make_params(eps)
+        hb, pb = params.hessian_bound, params.p_bound
+        hessians = [0.0, -0.0, 1.1, -1.1, hb, -hb, np.nextafter(hb, np.inf),
+                    np.nextafter(-hb, -np.inf), 10.0 * hb, -10.0 * hb, 5e-324, -5e-324]
+        for g in hessians:
+            for p in (0.0, -0.0, 0.3, pb, -2.0 * pb):
+                s = Strategy(p=np.array([p]), Gamma=np.array([[g]]))
+                got, ref = clip_strategy(s, params), reference_clip_strategy(s, params)
+                assert got.Gamma.tobytes() == ref.Gamma.tobytes(), (g, p)
+                assert got.p.tobytes() == ref.p.tobytes(), (g, p)
 
     def test_within_caps_is_identity(self):
         params = make_params(0.2)
