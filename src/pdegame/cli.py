@@ -10,13 +10,13 @@ Subcommands
 ``convergence``
     Ladder of scalar solves against the exact solution; emits a table
     of (eps, sup-error, estimated order) with orders from successive
-    log-ratios.
+    log-ratios, left empty where an error is 0.
 ``consistency``
     The shipped catalog of one-round audits; emits the case-labelled
     report rows.
 ``audit-elliptic``
-    Barrier-round and stationary wall-shift audits for an elliptic
-    problem, per ladder step.
+    Stationary wall-shift audits (the discounted round around the
+    shifted wall barrier) for an elliptic problem, per ladder step.
 
 Configuration is a key-value text file (``key = value``, ``#``
 comments); every resolved setting — including defaults — is recorded
@@ -41,7 +41,7 @@ from .consistency import ConsistencyReport, audit_wall_shift, run_audit_suite
 from .game_elliptic import build_caps, solve_fixed_point
 from .game_parabolic import NumericAbort, solve_levelset, solve_scalar_dpp
 from .params import ValidationError, make_params
-from .problems import EllipticProblem, MixedEllipticProblem, get_problem
+from .problems import EllipticProblem, MixedEllipticProblem, ParabolicProblem, get_problem
 
 __all__ = ["RunConfig", "load_config", "run", "main"]
 
@@ -200,13 +200,26 @@ def _record_config(out: Path, cfg: RunConfig) -> None:
 # -- workflows --------------------------------------------------------------
 
 
-def _load_problem(cfg: RunConfig):
+_KIND_NAMES = {
+    ParabolicProblem: "parabolic",
+    EllipticProblem: "stationary",
+    MixedEllipticProblem: "stationary with a Dirichlet patch",
+}
+
+
+def _load_problem(cfg: RunConfig, kind: type):
+    """The configured catalog problem, which the workflow needs to be a ``kind``."""
     # get_problem raises ValidationError with the catalog listing
-    return get_problem(cfg.problem or cfg.default_problem())
+    problem = get_problem(cfg.problem or cfg.default_problem())
+    if not isinstance(problem, kind):
+        raise ValidationError(
+            f"this workflow needs a {_KIND_NAMES[kind]} problem; {problem.name!r} is not one"
+        )
+    return problem
 
 
 def _run_heat1d(cfg: RunConfig, out: Path, summary: list) -> None:
-    problem = _load_problem(cfg)
+    problem = _load_problem(cfg, ParabolicProblem)
     eps = cfg.eps_ladder[0]
     params = cfg.game_params(eps)
     sol = solve_scalar_dpp(problem, params)
@@ -230,7 +243,7 @@ def _run_heat1d(cfg: RunConfig, out: Path, summary: list) -> None:
 
 
 def _run_levelset(cfg: RunConfig, out: Path, summary: list) -> None:
-    problem = _load_problem(cfg)
+    problem = _load_problem(cfg, ParabolicProblem)
     eps = cfg.eps_ladder[0]
     params = cfg.game_params(eps)
     val = solve_levelset(problem, params, z_max=cfg.z_max)
@@ -244,15 +257,7 @@ def _run_levelset(cfg: RunConfig, out: Path, summary: list) -> None:
 
 
 def _run_elliptic(cfg: RunConfig, out: Path, summary: list) -> None:
-    problem = _load_problem(cfg)
-    if not isinstance(problem, EllipticProblem):
-        raise ValidationError(
-            f"problem {problem.name!r} is not elliptic; pick a stationary catalog entry"
-        )
-    if cfg.mode == "mixed" and not isinstance(problem, MixedEllipticProblem):
-        raise ValidationError(
-            f"mode mixed needs a problem with a Dirichlet patch; {problem.name!r} has none"
-        )
+    problem = _load_problem(cfg, MixedEllipticProblem if cfg.mode == "mixed" else EllipticProblem)
     eps = cfg.eps_ladder[0]
     params = cfg.game_params(eps, lambda_rate=problem.lambda_rate)
     cap_M = cfg.cap_M if cfg.cap_M is not None else 10.0
@@ -274,7 +279,7 @@ def _run_elliptic(cfg: RunConfig, out: Path, summary: list) -> None:
 
 
 def _run_convergence(cfg: RunConfig, out: Path, summary: list) -> None:
-    problem = _load_problem(cfg)
+    problem = _load_problem(cfg, ParabolicProblem)
     if problem.exact is None:
         raise ValidationError(
             f"convergence mode needs an exact solution; {problem.name!r} has none"
@@ -286,12 +291,11 @@ def _run_convergence(cfg: RunConfig, out: Path, summary: list) -> None:
         errors.append(sol.sup_error())
     rows = []
     for i, (eps, err) in enumerate(zip(cfg.eps_ladder, errors)):
-        if i == 0:
-            order = None
-        else:
-            e0, e1 = errors[i - 1], errors[i]
-            ratio = (e0 / e1) if e1 > 0 else math.inf
-            order = math.log(ratio) / math.log(cfg.eps_ladder[i - 1] / eps)
+        e0 = errors[i - 1] if i > 0 else 0.0
+        # no order on the first rung, nor where an error is 0 (log undefined)
+        order = None
+        if e0 > 0 and err > 0:
+            order = math.log(e0 / err) / math.log(cfg.eps_ladder[i - 1] / eps)
         rows.append([eps, err, order])
     _write_csv(out / "convergence.csv", ["eps", "sup_error", "order"], rows)
     summary.append(f"problem = {problem.name}")
@@ -312,11 +316,7 @@ def _run_consistency(cfg: RunConfig, out: Path, summary: list) -> None:
 
 
 def _run_audit_elliptic(cfg: RunConfig, out: Path, summary: list) -> None:
-    problem = _load_problem(cfg)
-    if not isinstance(problem, EllipticProblem):
-        raise ValidationError(
-            f"audit-elliptic needs a stationary problem; {problem.name!r} is not one"
-        )
+    problem = _load_problem(cfg, EllipticProblem)
     all_rows = []
     for eps in cfg.eps_ladder:
         params = cfg.game_params(eps, lambda_rate=problem.lambda_rate)
@@ -379,7 +379,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("solve", "one solve of the configured problem (mode-dispatched)"),
         ("convergence", "ladder of solves vs the exact solution"),
         ("consistency", "one-round audit catalog"),
-        ("audit-elliptic", "barrier and wall-shift audits for a stationary problem"),
+        ("audit-elliptic", "wall-shift audits for a stationary problem"),
     ):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", type=Path, default=None, help="key-value config file")

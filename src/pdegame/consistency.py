@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .fields import AnalyticField
-from .game_elliptic import _boundary_sup, exact_barrier, q_eps
+from .game_elliptic import _boundary_sup, exact_barrier
 from .game_parabolic import s_eps
 from .geometry import DomainGeometry, ball, interval
 from .params import ValidationError, make_params
@@ -60,8 +60,6 @@ __all__ = [
     "audit_barrier",
     "audit_wall_shift",
     "run_audit_suite",
-    "interior_decay_exponent",
-    "penalty_case_ratios",
 ]
 
 CASE_BIG_BONUS = "big-bonus"
@@ -370,11 +368,12 @@ def audit_wall_shift(
 ) -> ConsistencyReport:
     """Audit the stationary one-round estimates around ``+-(shift + psi)``.
 
-    Upper side: ``Q[x, z, m + psi] - (m + psi) <= eps**2 (1 + (lambda -
-    eta)|z| + C*) - lambda eps**2 (m + psi)`` with ``C*`` the sampled
-    sup of ``|f(x, 0, D psi, D^2 psi)|``, the structural growth
-    constant of f along the barrier.  Mirror side: the same envelope
-    from below for ``-(m + psi)``.
+    Upper side: ``S[m + psi](x, z) - (m + psi) <= eps**2 (1 + (lambda -
+    eta)|z| + C*) - lambda eps**2 (m + psi)``, with ``S`` the discounted
+    stationary round (``s_eps`` with t=None) and ``C*`` the sampled sup
+    of ``|f(x, 0, D psi, D^2 psi)|``, the structural growth constant of
+    f along the barrier.  Mirror side: the same envelope from below for
+    ``-(m + psi)``.
     """
     dom = problem.domain
     h_sup = _boundary_sup(dom, problem.h)
@@ -404,10 +403,10 @@ def audit_wall_shift(
         for z in z_values:
             envelope = eps**2 * (1.0 + (lam - eta) * abs(z) + c_star)
             discount_pull = lam * eps**2 * (shift + psi.eval(xp))
-            lhs = q_eps(xp, z, shifted, problem, params) - shifted.eval(xp)
+            lhs = s_eps(shifted, xp, None, z, problem, params) - shifted.eval(xp)
             rhs = envelope - discount_pull
             report.add(_row(dom, eps, xp, "wall-shift-upper", lhs, rhs, lhs - rhs))
-            low = q_eps(xp, z, mirrored, problem, params) - mirrored.eval(xp)
+            low = s_eps(mirrored, xp, None, z, problem, params) - mirrored.eval(xp)
             floor = -envelope + discount_pull
             report.add(_row(dom, eps, xp, "wall-shift-lower", low, floor, floor - low))
     return report
@@ -586,57 +585,3 @@ def run_audit_suite(
                     xp = np.array([1.0 - d, 0.0])
                     report.extend(audit_point(xp, t, 0.0, phi, problem, params, slack_const))
     return report
-
-
-# -- ladder diagnostics ----------------------------------------------------
-
-
-def interior_decay_exponent(phi, problem, x, t, z, eps_ladder=(0.2, 0.1, 0.05)) -> float:
-    """Least-squares decay order of the interior one-round residual.
-
-    The residual is ``|S[phi] - phi + eps**2 f(D phi, D^2 phi)|``; away
-    from the wall it must vanish at order two or faster.
-    """
-    xp = np.atleast_1d(np.asarray(x, dtype=float))
-    logs_e, logs_r = [], []
-    for eps in eps_ladder:
-        params = make_params(eps, lambda_rate=1.0)
-        grad = phi.fd_gradient(xp)
-        hess = phi.fd_hessian(xp)
-        lhs = s_eps(phi, xp, t, z, problem, params) - phi.eval(xp)
-        resid = abs(lhs + eps**2 * float(problem.f(t, xp, z, grad, hess)))
-        if resid == 0.0:
-            resid = 1e-300
-        logs_e.append(math.log(eps))
-        logs_r.append(math.log(resid))
-    slope, _ = np.polyfit(logs_e, logs_r, 1)
-    return float(slope)
-
-
-def penalty_case_ratios(
-    phi, problem, t, z, d_fracs=(0.0, 0.2, 0.4), eps_ladder=(0.2, 0.1, 0.05)
-) -> list:
-    """Leading-term coefficients of the big-penalty estimate.
-
-    For points in the deep layer with a strongly negative bonus, the
-    one-round defect behaves like ``c * (ell - d) * M``; this returns
-    the measured ``c`` per sample so proportionality can be checked.
-    """
-    dom = problem.domain
-    out = []
-    for eps in eps_ladder:
-        params = make_params(eps, lambda_rate=1.0)
-        ell = params.move_bound
-        deep = max(ell - eps**params.rho, 0.0)
-        for fr in d_fracs:
-            xp = np.array([fr * deep])
-            grad = phi.fd_gradient(xp)
-            hess = phi.fd_hessian(xp)
-            bounds = neumann_bounds(dom, xp, ell, problem.h, grad)
-            if not bounds.possible or bounds.M >= 0.0:
-                continue
-            d = dom.dist_to_boundary(xp)
-            lhs = s_eps(phi, xp, t, z, problem, params) - phi.eval(xp)
-            f_term = eps**2 * float(problem.f(t, xp, z, grad, hess))
-            out.append((lhs + f_term) / ((ell - d) * bounds.M))
-    return out

@@ -1,19 +1,20 @@
 """Discounted repeated game for stationary problems with Neumann walls.
 
-Three layers:
+Two layers:
 
 * a smooth wall barrier (:func:`exact_barrier`, :func:`build_caps`) whose
   outward normal slope strictly dominates the prescribed flux — it
   calibrates the score caps and the a-priori bound ``chi`` that the
   capped game is designed to respect;
-* the one-step discounted operator :func:`q_eps` acting on functions of
-  the state alone — the object whose consistency and shift behaviour
-  the audits measure;
 * the score-tracking operator :func:`r_eps_apply` (and its absorbing
   wall variant :func:`r_eps_mixed`) on fields over (state, score),
   iterated to a fixed point by :func:`solve_fixed_point`, from which
   the candidate solution profiles are read off as sign changes of
   ``V(x, z) - z`` in the score variable.
+
+The one-step discounted operator on functions of the state alone, the
+object whose consistency and shift behaviour the audits measure, is
+``game_parabolic.s_eps`` with t=None.
 
 The score update per round is ``z' = e^(lambda dt) (z + delta)`` with
 ``delta = p . step + 0.5 <Gamma step, step> + dt f(x, z, p, Gamma)
@@ -42,18 +43,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import AnalyticField, GridField, grid_spacing
-from .game_parabolic import NumericAbort, _sign_change
+from .game_parabolic import NumericAbort, _discount, _sign_change
 from .geometry import DomainGeometry
 from .params import GameParams, ValidationError
 from .problems import f_stacked
-from .strategies import candidate_moves, candidate_strategies, candidates_1d, check_probe_room
+from .strategies import candidates_1d, check_probe_room
 
 __all__ = [
     "CapSpec",
     "FixedPointValue",
     "exact_barrier",
     "build_caps",
-    "q_eps",
     "z_grid",
     "r_eps_apply",
     "r_eps_mixed",
@@ -220,52 +220,6 @@ def build_caps(problem, params: GameParams, cap_M: float | None = None) -> CapSp
         eps0=eps0,
         psi=exact_barrier(dom, h_sup),
     )
-
-
-# -- one-step discounted operator on state functions -----------------------
-
-
-def _discount(problem, params: GameParams) -> float:
-    lam = problem.lambda_rate
-    if params.lambda_rate not in (0.0, lam):
-        raise ValidationError(
-            f"parameter discount rate {params.lambda_rate:g} disagrees with "
-            f"the problem rate {lam:g}"
-        )
-    return math.exp(-lam * params.time_step)
-
-
-def q_eps(x, z, phi, problem, params: GameParams) -> float:
-    """One round of the discounted game read on a state function.
-
-    max over announcements of min over steps of
-    ``disc * phi(landing) - p . step - 0.5 <Gamma step, step>
-    - dt f(x, z, p, Gamma) + penalty * h(landing)``.
-    Adding a constant c to phi adds ``disc * c`` to the value.
-    """
-    dom = problem.domain
-    xp = np.atleast_1d(np.asarray(x, dtype=float))
-    disc = _discount(problem, params)
-    dt = params.time_step
-    strategies = candidate_strategies(dom, xp, phi, params, problem.h)
-    moves = candidate_moves(dom, xp, params)
-    best = -math.inf
-    for strat in strategies:
-        fv = float(problem.f(xp, z, strat.p, strat.Gamma))
-        worst = math.inf
-        for mv_req in moves:
-            mv = dom.make_move(xp, mv_req)
-            val = (
-                disc * float(phi.eval(mv.landing))
-                - float(strat.p @ mv_req)
-                - 0.5 * float(mv_req @ strat.Gamma @ mv_req)
-                - dt * fv
-            )
-            if mv.crossed:
-                val += mv.penal_weight * float(problem.h(mv.landing))
-            worst = min(worst, val)
-        best = max(best, worst)
-    return best
 
 
 # -- score grid and the capped fixed-point operator ------------------------

@@ -11,7 +11,10 @@ running cost plus the boundary penalty settle the round:
                 + |dx_hat - dx| h(landing) ]
 
 The penalty weight |dx_hat - dx| is nonzero exactly when the step left
-the closure, so h is only ever evaluated on the boundary.
+the closure, so h is only ever evaluated on the boundary.  The
+stationary game plays the same round with f(x, z, p, Gamma) and
+phi(landing) discounted by e^(-lambda eps^2); the pointwise ``s_eps``
+plays both (t=None for the stationary round).
 
 Two solvers iterate this: ``solve_scalar_dpp`` for proper parabolic
 problems (value tracked directly), and ``solve_levelset`` which tracks
@@ -35,8 +38,6 @@ from .strategies import (candidate_moves, candidate_strategies, candidates_1d,
 
 __all__ = [
     "NumericAbort",
-    "heat_L_eps",
-    "heat_L_eps_expansion",
     "s_eps",
     "ScalarSolution",
     "solve_scalar_dpp",
@@ -50,87 +51,51 @@ class NumericAbort(RuntimeError):
     beyond the tracked window); rerun with safer settings."""
 
 
-# -- the 1D heat specialization -------------------------------------------
-
-
-def heat_L_eps(phi, x, eps: float, h, domain):
-    """One round of the two-step heat game; returns (value, optimal p).
-
-    The minimizer only chooses a sign: the step is b*sqrt(2)*eps.  Both
-    branches are affine in p with opposite slopes, so the inner min is
-    concave piecewise-affine and the max sits at the branch intersection.
-    """
-    step = math.sqrt(2.0) * eps
-    branch = {}
-    for b in (+1.0, -1.0):
-        mv = domain.make_move(np.atleast_1d(float(x)), np.array([b * step]))
-        val = phi.eval(mv.landing)
-        if mv.crossed:
-            val += mv.penal_weight * h(mv.landing)
-        branch[b] = val  # value at p = 0; the p-term is -p*b*step
-    p_star = (branch[+1.0] - branch[-1.0]) / (2.0 * step)
-    value = 0.5 * (branch[+1.0] + branch[-1.0])
-    return value, p_star
-
-
-def heat_L_eps_expansion(phi, x, eps: float, h, domain):
-    """Closed-form second-order prediction for heat_L_eps.
-
-    Interior (wall distance d >= sqrt(2) eps):  phi + eps^2 phi''.
-    Boundary layer: the crossing branch trades depth into the wall for a
-    penalty proportional to the Neumann mismatch,
-
-        phi + (eps/sqrt(2)) (1 - d/(sqrt(2) eps)) (h(xbar) - n.phi')
-            + (eps^2/2) phi'' (1 + d^2/(2 eps^2)).
-
-    Exact for quadratic phi (no remainder enters anywhere).
-    """
-    xp = np.atleast_1d(float(x))
-    d1 = phi.fd_gradient(xp)[0]
-    d2 = phi.fd_hessian(xp)[0, 0]
-    base = phi.eval(xp)
-    step = math.sqrt(2.0) * eps
-    d = domain.dist_to_boundary(xp)
-    if d >= step:
-        return base + eps**2 * d2
-    x_bar, n_bar = domain.nearest_boundary(xp)
-    mismatch = h(x_bar) - n_bar[0] * d1
-    return (
-        base
-        + (eps / math.sqrt(2.0)) * (1.0 - d / step) * mismatch
-        + 0.5 * eps**2 * d2 * (1.0 + d**2 / (2.0 * eps**2))
-    )
-
-
 # -- the general one-step operator ----------------------------------------
 
 
-def s_eps(phi, x, t, z, problem, params):
-    """One round of the general parabolic game at (t, x) with running value z.
+def _discount(problem, params) -> float:
+    """The stationary game's per-round discount e^(-lambda dt)."""
+    lam = problem.lambda_rate
+    if params.lambda_rate not in (0.0, lam):
+        raise ValidationError(
+            f"parameter discount rate {params.lambda_rate:g} disagrees with "
+            f"the problem rate {lam:g}"
+        )
+    return math.exp(-lam * params.time_step)
 
-    Each distinct step is projected, and phi and the penalty read at its
-    landing, once per call: the 1D steps do not depend on the strategy,
-    and the 2D normal and fan steps recur for every strategy.
+
+def s_eps(phi, x, t, z, problem, params):
+    """One round of the game at (t, x) with running value z.
+
+    Pass t=None for an elliptic problem: f is then called without t and
+    phi at each landing is discounted by e^(-lambda dt), so that adding a
+    constant c to phi adds ``disc * c`` to the value.  Each distinct
+    step is projected, and phi and the penalty read at its landing, once
+    per call: the 1D steps do not depend on the strategy, and the 2D
+    normal and fan steps recur for every strategy.
     """
     dom = problem.domain
+    check_probe_room(dom, params)
+    lead, disc = ((), _discount(problem, params)) if t is None else ((t,), 1.0)
     xp = np.atleast_1d(np.asarray(x, dtype=float))
     derivs = probe_derivatives(dom, xp, phi, params.move_bound, flux=problem.h)
     strategies = candidate_strategies(dom, xp, phi, params, problem.h, derivs=derivs)
     hess_x = derivs[1] if dom.dim == 2 else None
     moves = candidate_moves(dom, xp, params) if dom.dim == 1 else None
     dt = params.time_step
-    landed = {}  # step bytes -> (phi at the landing, penalty term or None)
+    landed = {}  # step bytes -> (disc * phi at the landing, penalty term or None)
     best = -np.inf
     for strat in strategies:
         if dom.dim == 2:
             moves = candidate_moves(dom, xp, params, hess_diff=hess_x - strat.Gamma)
-        f_val = problem.f(t, xp, z, strat.p, strat.Gamma)
+        f_val = problem.f(*lead, xp, z, strat.p, strat.Gamma)
         worst = np.inf
         for dx_hat in moves:
             key = dx_hat.tobytes()
             if key not in landed:
                 mv = dom.make_move(xp, dx_hat)
-                phi_land = phi.eval(mv.landing)
+                phi_land = disc * phi.eval(mv.landing)
                 pen = mv.penal_weight * problem.h(mv.landing) if mv.crossed else None
                 landed[key] = (phi_land, pen)
             phi_land, pen = landed[key]

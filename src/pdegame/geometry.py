@@ -14,7 +14,6 @@ domains and promoted.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,13 +92,6 @@ class DomainGeometry:
     @property
     def r_ext(self) -> float:
         return 0.5 * self.diameter
-
-    @property
-    def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.kind == "interval":
-            return np.array([self.a]), np.array([self.c])
-        ctr = np.asarray(self.center, dtype=float)
-        return ctr - self.radius, ctr + self.radius
 
     # -- membership --------------------------------------------------------
 
@@ -227,22 +219,6 @@ class DomainGeometry:
         landing = ctr + rel[crossed] * (self.radius / rho[crossed])[:, None]
         u = landing - ctr
         return landing, u / np.sqrt(np.vecdot(u, u))[:, None]
-
-    def random_interior_point(self, rng: np.random.Generator) -> np.ndarray:
-        """Uniform sample from the closure (rejection from the bounding box)."""
-        lo, hi = self.bounding_box
-        while True:
-            p = rng.uniform(lo, hi)
-            if self.outside_by(p) == 0.0:
-                return p
-
-    def random_boundary_point(self, rng: np.random.Generator) -> np.ndarray:
-        if self.kind == "interval":
-            return np.array([self.a if rng.random() < 0.5 else self.c])
-        ctr = np.asarray(self.center, dtype=float)
-        theta = rng.uniform(0.0, 2.0 * math.pi)
-        unit = np.array([math.cos(theta), math.sin(theta)])
-        return ctr + unit * self.radius
 
 
 # -- constructors ---------------------------------------------------------

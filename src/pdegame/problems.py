@@ -14,17 +14,17 @@ Conventions (uniform across dimensions):
   arbitrary extension.
 
 ``f`` must be degenerate elliptic (nonincreasing when the Hessian argument
-grows in the PSD order) and, for well-posedness, nondecreasing in z; both
-are spot-checked by the sampled audits below rather than trusted.
+grows in the PSD order) and, for well-posedness, nondecreasing in z; the
+tests spot-check both on every catalog entry.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DomainGeometry, ball, interval
+from .geometry import DomainGeometry, interval
 from .params import ValidationError
 
 __all__ = [
@@ -35,9 +35,6 @@ __all__ = [
     "get_problem",
     "list_problems",
     "f_stacked",
-    "check_ellipticity",
-    "check_z_monotonicity",
-    "measure_z_growth",
 ]
 
 
@@ -184,17 +181,6 @@ def _catalog():
         f_batched=lambda X, Z, P, G: -G[:, 0, 0],
     )
 
-    disk = ball((0.0, 0.0), 1.0)
-    entries["degenerate_parabolic_2d"] = lambda: ParabolicProblem(
-        name="degenerate_parabolic_2d",
-        domain=disk,
-        f=lambda t, x, z, p, G: -G[0, 0],
-        g=lambda x: float(x[0]),
-        h=lambda x: float(disk.outward_normal(x)[0]),
-        T=0.25,
-        exact=lambda t, x: float(np.atleast_1d(x)[0]),
-    )
-
     def _mixed():
         dom = interval(0.0, 1.0)
         return MixedEllipticProblem(
@@ -228,82 +214,3 @@ def get_problem(name: str):
             f"unknown problem {name!r}; available: {', '.join(list_problems())}"
         ) from None
     return factory()
-
-
-# -- sampled structural audits ---------------------------------------------
-
-
-def _sample_args(problem, rng, z_scale=3.0, p_scale=3.0, g_scale=3.0):
-    d = problem.domain.dim
-    x = problem.domain.random_interior_point(rng)
-    z = rng.uniform(-z_scale, z_scale)
-    p = rng.uniform(-p_scale, p_scale, size=d)
-    A = rng.uniform(-g_scale, g_scale, size=(d, d))
-    G = 0.5 * (A + A.T)
-    return x, z, p, G
-
-
-def _call_f(problem, t, x, z, p, G):
-    if isinstance(problem, EllipticProblem):
-        return problem.f(x, z, p, G)
-    return problem.f(t, x, z, p, G)
-
-
-def check_ellipticity(problem, n_samples: int = 1000, seed: int = 0, tol: float = 1e-12):
-    """Spot-check that f never increases when the Hessian slot grows (PSD order)."""
-    rng = np.random.default_rng(seed)
-    d = problem.domain.dim
-    for _ in range(n_samples):
-        x, z, p, G = _sample_args(problem, rng)
-        t = rng.uniform(0.0, getattr(problem, "T", 1.0))
-        v = rng.normal(size=d)
-        v /= np.linalg.norm(v)
-        for s in (0.1, 1.0):
-            lo = _call_f(problem, t, x, z, p, G + s * np.outer(v, v))
-            hi = _call_f(problem, t, x, z, p, G)
-            if lo > hi + tol:
-                raise AssertionError(
-                    f"ellipticity violated for {problem.name} at x={x}, s={s}: "
-                    f"f jumped by {lo - hi:.3e}"
-                )
-    return True
-
-
-def check_z_monotonicity(problem, n_samples: int = 500, seed: int = 1, tol: float = 1e-10):
-    """Check the z-monotonicity margin used by the elliptic fixed point.
-
-    For elliptic problems, lambda*z + f(x, z, p, G) must grow in z at rate
-    at least eta_margin; for parabolic problems f itself must be
-    nondecreasing in z.
-    """
-    rng = np.random.default_rng(seed)
-    elliptic = isinstance(problem, EllipticProblem)
-    for _ in range(n_samples):
-        x, z, p, G = _sample_args(problem, rng)
-        dz = rng.uniform(0.1, 2.0)
-        t = rng.uniform(0.0, getattr(problem, "T", 1.0))
-        lo = _call_f(problem, t, x, z, p, G)
-        hi = _call_f(problem, t, x, z + dz, p, G)
-        if elliptic:
-            gain = problem.lambda_rate * dz + (hi - lo)
-            if gain < problem.eta_margin * dz - tol:
-                raise AssertionError(
-                    f"z-monotonicity margin violated for {problem.name}: "
-                    f"gain {gain:.3e} < {problem.eta_margin * dz:.3e}"
-                )
-        elif hi < lo - tol:
-            raise AssertionError(f"f decreasing in z for {problem.name}")
-    return True
-
-
-def measure_z_growth(problem, n_samples: int = 2000, seed: int = 2, p_cap: float = 2.0,
-                     g_cap: float = 2.0):
-    """Measured constant C with |f| <= C(1+|z|) over a compact control box."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_samples):
-        x, z, p, G = _sample_args(problem, rng, z_scale=5.0, p_scale=p_cap, g_scale=g_cap)
-        t = rng.uniform(0.0, getattr(problem, "T", 1.0))
-        val = abs(_call_f(problem, t, x, z, p, G))
-        worst = max(worst, val / (1.0 + abs(z)))
-    return worst

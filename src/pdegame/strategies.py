@@ -185,8 +185,10 @@ def probe_derivatives(domain: DomainGeometry, x, phi, scale: float, flux=None):
     weight at -2/scale^2 (contracting) and, at the wall itself, makes
     the collapsed update exact for boundary-compatible data.  One-sided
     stencils remain as a fallback when no flux is available or the
-    mirror point also exits; the field's own derivative operators are
-    the last resort (domains smaller than a couple of probe lengths).
+    mirror point also exits; the field's own ``fd_gradient`` /
+    ``fd_hessian`` (an ``AnalyticField``'s exact derivatives) are the
+    last resort, for domains smaller than a couple of probe lengths.
+    With a flux and ``check_probe_room`` a 1D node never reaches them.
     All stencils are exact for quadratics (the reflected one for
     quadratics whose normal slope matches the flux).
     """

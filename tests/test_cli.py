@@ -15,9 +15,12 @@ import sys
 import numpy as np
 import pytest
 
-from pdegame.cli import RunConfig, load_config, main, run
+from pdegame.cli import MODES, RunConfig, load_config, main, run
 from pdegame.game_parabolic import NumericAbort
+from pdegame.geometry import interval
 from pdegame.params import ValidationError
+from pdegame.problems import (EllipticProblem, MixedEllipticProblem, ParabolicProblem,
+                              get_problem, list_problems)
 
 
 def read_csv(path):
@@ -243,6 +246,31 @@ class TestSolveWorkflows:
         assert rc == 2
         assert "Dirichlet patch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("problem", list_problems())
+    @pytest.mark.parametrize("workflow", [*MODES, "audit-elliptic"])
+    def test_every_workflow_and_problem_pair_exits_0_or_2(
+        self, tmp_path, capsys, workflow, problem
+    ):
+        # a problem of the wrong kind is a validation failure, never a traceback
+        kind = {
+            "heat1d": ParabolicProblem,
+            "parabolic": ParabolicProblem,
+            "convergence": ParabolicProblem,
+            "elliptic": EllipticProblem,
+            "audit-elliptic": EllipticProblem,
+            "mixed": MixedEllipticProblem,
+            "consistency": object,
+        }[workflow]
+        command = ["solve", "--mode", workflow]
+        if workflow == "audit-elliptic":
+            command = ["audit-elliptic"]
+        rc = main([*command, "--problem", problem, "--eps-ladder", "0.4", "--out", str(tmp_path)])
+        if isinstance(get_problem(problem), kind):
+            assert rc == 0
+        else:
+            assert rc == 2
+            assert "this workflow needs a" in capsys.readouterr().err
+
 
 class TestStudyWorkflows:
     def test_convergence_ladder_is_strictly_decreasing(self, tmp_path):
@@ -283,20 +311,31 @@ class TestStudyWorkflows:
         assert "strictly decreasing eps_ladder" in err
         assert not out.exists()
 
-    def test_convergence_needs_an_exact_solution(self, tmp_path, capsys):
-        rc = main(
-            [
-                "convergence",
-                "--out",
-                str(tmp_path / "o"),
-                "--eps-ladder",
-                "0.2",
-                "--problem",
-                "mixed_dn_elliptic_1d",
-            ]
+    def test_convergence_needs_an_exact_solution(self, tmp_path, capsys, monkeypatch):
+        # every parabolic catalog entry has one, so the catalog lookup is patched
+        unknown = ParabolicProblem(
+            name="no_exact",
+            domain=interval(0.0, 1.0),
+            f=lambda t, x, z, p, G: -G[0, 0],
+            g=lambda x: 0.0,
+            h=lambda x: 0.0,
+            T=0.25,
         )
+        monkeypatch.setattr("pdegame.cli.get_problem", lambda name: unknown)
+        rc = main(["convergence", "--out", str(tmp_path / "o"), "--eps-ladder", "0.2"])
         assert rc == 2
         assert "exact solution" in capsys.readouterr().err
+
+    def test_convergence_leaves_the_order_empty_between_zero_errors(self, tmp_path):
+        out = tmp_path / "o"
+        rc = main(
+            ["convergence", "--out", str(out), "--eps-ladder", "0.2,0.1",
+             "--problem", "heat1d_homogeneous"]
+        )
+        assert rc == 0
+        _, rows = read_csv(out / "convergence.csv")
+        assert [r[1] for r in rows] == ["0", "0"]  # the constant datum is kept exactly
+        assert [r[2] for r in rows] == ["", ""]
 
     def test_consistency_report_has_every_case_label(self, tmp_path):
         out = tmp_path / "o"

@@ -9,6 +9,8 @@ candidate-search operator (pinned, not hidden).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,8 +31,6 @@ from pdegame.consistency import (
     audit_upper,
     audit_wall_shift,
     classify_case,
-    interior_decay_exponent,
-    penalty_case_ratios,
     run_audit_suite,
 )
 from pdegame.fields import AnalyticField
@@ -253,7 +253,9 @@ class TestPointAudits:
         # so the round subtracts exactly eps^2 f(., 0, 0)
         params = make_params(0.2, lambda_rate=1.0)
         prob = cons._drift_problem(DOM, lambda x: 0.0, "drift")
-        phi = AnalyticField(DOM, lambda p: 3.7)
+        phi = AnalyticField(
+            DOM, lambda p: 3.7, grad=lambda p: np.zeros(1), hess=lambda p: np.zeros((1, 1))
+        )
         z = 2.0
         for x0 in (0.0, 0.3, 0.5):
             x = np.array([x0])
@@ -445,6 +447,57 @@ class TestBarrierAudits:
 
 
 # -- ladder diagnostics -----------------------------------------------------
+
+
+def interior_decay_exponent(phi, problem, x, t, z, eps_ladder=(0.2, 0.1, 0.05)) -> float:
+    """Least-squares decay order of the interior one-round residual.
+
+    The residual is ``|S[phi] - phi + eps**2 f(D phi, D^2 phi)|``; away
+    from the wall it must vanish at order two or faster.
+    """
+    xp = np.atleast_1d(np.asarray(x, dtype=float))
+    logs_e, logs_r = [], []
+    for eps in eps_ladder:
+        params = make_params(eps, lambda_rate=1.0)
+        grad = phi.fd_gradient(xp)
+        hess = phi.fd_hessian(xp)
+        lhs = s_eps(phi, xp, t, z, problem, params) - phi.eval(xp)
+        resid = abs(lhs + eps**2 * float(problem.f(t, xp, z, grad, hess)))
+        if resid == 0.0:
+            resid = 1e-300
+        logs_e.append(math.log(eps))
+        logs_r.append(math.log(resid))
+    slope, _ = np.polyfit(logs_e, logs_r, 1)
+    return float(slope)
+
+
+def penalty_case_ratios(
+    phi, problem, t, z, d_fracs=(0.0, 0.2, 0.4), eps_ladder=(0.2, 0.1, 0.05)
+) -> list:
+    """Leading-term coefficients of the big-penalty estimate.
+
+    For points in the deep layer with a strongly negative bonus, the
+    one-round defect behaves like ``c * (ell - d) * M``; this returns
+    the measured ``c`` per sample so proportionality can be checked.
+    """
+    dom = problem.domain
+    out = []
+    for eps in eps_ladder:
+        params = make_params(eps, lambda_rate=1.0)
+        ell = params.move_bound
+        deep = max(ell - eps**params.rho, 0.0)
+        for fr in d_fracs:
+            xp = np.array([fr * deep])
+            grad = phi.fd_gradient(xp)
+            hess = phi.fd_hessian(xp)
+            bounds = neumann_bounds(dom, xp, ell, problem.h, grad)
+            if not bounds.possible or bounds.M >= 0.0:
+                continue
+            d = dom.dist_to_boundary(xp)
+            lhs = s_eps(phi, xp, t, z, problem, params) - phi.eval(xp)
+            f_term = eps**2 * float(problem.f(t, xp, z, grad, hess))
+            out.append((lhs + f_term) / ((ell - d) * bounds.M))
+    return out
 
 
 class TestLadderDiagnostics:

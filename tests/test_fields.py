@@ -1,4 +1,4 @@
-"""Interpolation and finite-difference behavior of lattice and analytic fields."""
+"""Interpolation of lattice fields and the derivatives of analytic fields."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,27 +23,6 @@ def test_quadratic_interpolation_error_bound():
     # worst case for linear interpolation of x^2: mid-cell, error h^2/8 * sup|f''|
     assert f.eval(0.5) == pytest.approx(0.25, abs=2.5e-5)
     assert f.eval(0.505) == pytest.approx(0.505**2, abs=2.5e-5)
-
-
-def test_fd_derivatives_exact_for_quadratics_1d():
-    dom = interval(0.0, 1.0)
-    f = GridField.from_callable(dom, 0.01, lambda p: p[0] ** 2)
-    assert f.fd_hessian(0.5)[0, 0] == pytest.approx(2.0, abs=1e-6)
-    assert f.fd_gradient(0.5)[0] == pytest.approx(1.0, abs=1e-6)
-    # one-sided stencils at the endpoints stay second order (exact here)
-    assert f.fd_gradient(0.0)[0] == pytest.approx(0.0, abs=1e-6)
-    assert f.fd_gradient(1.0)[0] == pytest.approx(2.0, abs=1e-6)
-    assert f.fd_hessian(0.0)[0, 0] == pytest.approx(2.0, abs=1e-6)
-    assert f.fd_hessian(1.0)[0, 0] == pytest.approx(2.0, abs=1e-6)
-
-
-def test_fd_second_order_on_trig():
-    dom = interval(0.0, np.pi)
-    errs = []
-    for h in (0.02, 0.01):
-        f = GridField.from_callable(dom, h, lambda p: np.sin(p[0]))
-        errs.append(abs(f.fd_hessian(1.5)[0, 0] + np.sin(f.x_nodes[f._snap_1d(1.5)])))
-    assert errs[1] <= errs[0] / 3.0  # ~factor 4 for an O(h^2) stencil
 
 
 def test_build_rejects_a_disk():
@@ -75,34 +54,7 @@ def test_interpolation_is_monotone_in_node_values(vals, bumps, x):
 
 
 class TestAnalyticField:
-    def _guarded(self, dom, fn):
-        def wrapped(p):
-            assert dom.outside_by(p) <= dom.tol, f"callable evaluated outside at {p}"
-            return fn(p)
-
-        return wrapped
-
-    def test_interior_derivatives(self):
-        dom = interval(0.0, 1.0)
-        f = AnalyticField(dom, self._guarded(dom, lambda p: p[0] ** 2))
-        assert f.fd_gradient(0.5)[0] == pytest.approx(1.0, abs=1e-8)
-        assert f.fd_hessian(0.5)[0, 0] == pytest.approx(2.0, abs=1e-4)
-
-    def test_one_sided_near_boundary_never_leaves_closure(self):
-        dom = interval(0.0, 1.0)
-        f = AnalyticField(dom, self._guarded(dom, lambda p: p[0] ** 2), h_fd=1e-4)
-        x = 1e-5  # central stencil would step outside
-        assert f.fd_gradient(x)[0] == pytest.approx(2 * x, abs=1e-8)
-        assert f.fd_hessian(x)[0, 0] == pytest.approx(2.0, abs=1e-3)
-
-    def test_mixed_partial_near_disk_boundary(self):
-        dom = ball((0.0, 0.0), 1.0)
-        f = AnalyticField(dom, self._guarded(dom, lambda p: p[0] * p[1]), h_fd=1e-4)
-        r = 1.0 - 1e-5
-        x = np.array([r / np.sqrt(2.0), r / np.sqrt(2.0)])
-        assert f.fd_hessian(x)[0, 1] == pytest.approx(1.0, abs=1e-3)
-
-    def test_analytic_derivatives_take_priority(self):
+    def test_derivatives_are_the_analytic_ones(self):
         dom = interval(0.0, 1.0)
         f = AnalyticField(
             dom,
@@ -115,7 +67,9 @@ class TestAnalyticField:
 
     def test_eval_outside_raises(self):
         dom = ball((0.0, 0.0), 1.0)
-        f = AnalyticField(dom, lambda p: 0.0)
+        f = AnalyticField(
+            dom, lambda p: 0.0, grad=lambda p: np.zeros(2), hess=lambda p: np.zeros((2, 2))
+        )
         with pytest.raises(ValueError):
             f.eval(np.array([2.0, 0.0]))
 

@@ -1,4 +1,4 @@
-"""Barrier, caps, discounted operator, and fixed-point solver tests."""
+"""Barrier, caps, the discounted round, and fixed-point solver tests."""
 import math
 import re
 
@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pdegame.consistency as cons
 from pdegame.fields import AnalyticField, GridField, grid_spacing
-from pdegame.game_parabolic import NumericAbort
+from pdegame.game_parabolic import NumericAbort, s_eps
 from pdegame.geometry import ball, interval
 from pdegame.params import ValidationError, make_params
 from pdegame.problems import EllipticProblem, MixedEllipticProblem, get_problem
@@ -17,7 +18,6 @@ from pdegame.game_elliptic import (
     _sweep_frame,
     build_caps,
     exact_barrier,
-    q_eps,
     r_eps_apply,
     r_eps_mixed,
     solve_fixed_point,
@@ -59,6 +59,36 @@ def quad_field(a, b, c, dom=DOM):
         grad=lambda p: np.array([b + 2 * c * p[0]]),
         hess=lambda p: np.array([[2.0 * c]]),
     )
+
+
+def reference_q_eps(x, z, phi, problem, params):
+    """One round of the discounted game read on a state function, as its
+    own loop: max over announcements of min over steps of
+    ``disc * phi(landing) - p . step - 0.5 <Gamma step, step>
+    - dt f(x, z, p, Gamma) + penalty * h(landing)``."""
+    dom = problem.domain
+    xp = np.atleast_1d(np.asarray(x, dtype=float))
+    disc = math.exp(-problem.lambda_rate * params.time_step)
+    dt = params.time_step
+    strategies = candidate_strategies(dom, xp, phi, params, problem.h)
+    moves = candidate_moves(dom, xp, params)
+    best = -math.inf
+    for strat in strategies:
+        fv = float(problem.f(xp, z, strat.p, strat.Gamma))
+        worst = math.inf
+        for mv_req in moves:
+            mv = dom.make_move(xp, mv_req)
+            val = (
+                disc * float(phi.eval(mv.landing))
+                - float(strat.p @ mv_req)
+                - 0.5 * float(mv_req @ strat.Gamma @ mv_req)
+                - dt * fv
+            )
+            if mv.crossed:
+                val += mv.penal_weight * float(problem.h(mv.landing))
+            worst = min(worst, val)
+        best = max(best, worst)
+    return best
 
 
 def zero_anchor(problem, params):
@@ -224,14 +254,33 @@ class TestBarrier:
             assert abs(second) <= caps.hess_norm + 1.0
 
 
-class TestQEps:
+class TestDiscountedRound:
+    @pytest.mark.parametrize("name", ["laplace_elliptic_1d", "mixed_dn_elliptic_1d"])
+    @pytest.mark.parametrize("eps", [0.2, 0.1, 0.05])
+    def test_s_eps_without_time_is_the_discounted_round(self, name, eps):
+        prob = get_problem(name)
+        params = make_params(eps, lambda_rate=prob.lambda_rate)
+        psi = exact_barrier(DOM, 1.0)
+        fields = [
+            quad_field(0.2, -0.8, 1.1),
+            AnalyticField(DOM, lambda p: 3.0 + psi.eval(p), grad=psi.grad, hess=psi.hess),
+        ]
+        points = cons._layer_points(DOM, params.move_bound, 8) + cons._interior_points(DOM, 3)
+        for phi in fields:
+            for x in points:
+                for z in (-2.0, 0.0, 1.5):
+                    got = s_eps(phi, x, None, z, prob, params)
+                    assert got == reference_q_eps(x, z, phi, prob, params), (x, z)
+
     def test_constant_field_is_discounted(self):
         prob = trivial_problem()
         params = make_params(0.1, lambda_rate=1.0)
         disc = math.exp(-params.time_step)
-        phi = AnalyticField(DOM, lambda p: 0.7)
+        phi = AnalyticField(
+            DOM, lambda p: 0.7, grad=lambda p: np.zeros(1), hess=lambda p: np.zeros((1, 1))
+        )
         for x, z in ((0.5, 0.0), (0.03, 1.2), (1.0, -2.0)):
-            val = q_eps(np.array([x]), z, phi, prob, params)
+            val = s_eps(phi, np.array([x]), None, z, prob, params)
             assert val == pytest.approx(disc * 0.7, abs=1e-14)
 
     @settings(max_examples=25, deadline=None)
@@ -246,8 +295,8 @@ class TestQEps:
         )
         disc = math.exp(-PARAMS_02.time_step)
         for x in (0.08, 0.5):
-            base = q_eps(np.array([x]), 0.3, phi, LAPLACE, PARAMS_02)
-            up = q_eps(np.array([x]), 0.3, shifted, LAPLACE, PARAMS_02)
+            base = s_eps(phi, np.array([x]), None, 0.3, LAPLACE, PARAMS_02)
+            up = s_eps(shifted, np.array([x]), None, 0.3, LAPLACE, PARAMS_02)
             assert up - base == pytest.approx(disc * c, abs=1e-12)
 
     def test_monotone_with_local_bump(self):
@@ -262,14 +311,22 @@ class TestQEps:
                 return 0.0
             return 0.5 * min(abs(t - lo), abs(t - hi))
 
+        def bump_slope(p):
+            return np.array([0.0 if lo <= p[0] <= hi else (-0.5 if p[0] < lo else 0.5)])
+
         phi = quad_field(0.1, 0.4, -0.9)
-        raised = AnalyticField(DOM, lambda p: phi.eval(p) + bump(p))
-        v1 = q_eps(np.array([x]), -0.2, phi, LAPLACE, PARAMS_02)
-        v2 = q_eps(np.array([x]), -0.2, raised, LAPLACE, PARAMS_02)
+        raised = AnalyticField(
+            DOM,
+            lambda p: phi.eval(p) + bump(p),
+            grad=lambda p: phi.grad(p) + bump_slope(p),
+            hess=phi.hess,
+        )
+        v1 = s_eps(phi, np.array([x]), None, -0.2, LAPLACE, PARAMS_02)
+        v2 = s_eps(raised, np.array([x]), None, -0.2, LAPLACE, PARAMS_02)
         assert v2 >= v1 - 1e-12
 
     def test_interior_consistency_ladder(self):
-        # Q[phi](x) - phi(x) ~ -dt (f + lam phi) with O(eps^2 ell) error
+        # S[phi](x) - phi(x) ~ -dt (f + lam phi) with O(eps^2 ell) error
         cos_field = AnalyticField(
             DOM,
             lambda p: math.cos(3 * p[0]),
@@ -280,7 +337,7 @@ class TestQEps:
         prev = None
         for eps in (0.2, 0.1, 0.05):
             params = make_params(eps, lambda_rate=1.0)
-            val = q_eps(x, z, cos_field, LAPLACE, params)
+            val = s_eps(cos_field, x, None, z, LAPLACE, params)
             fv = float(LAPLACE.f(x, z, cos_field.fd_gradient(x), cos_field.fd_hessian(x)))
             target = cos_field.eval(x) - params.time_step * (fv + cos_field.eval(x))
             resid = abs(val - target)

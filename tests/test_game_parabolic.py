@@ -14,18 +14,12 @@ from pdegame.strategies import (candidate_moves, candidate_strategies, candidate
 from pdegame.game_parabolic import (
     NumericAbort,
     _sign_change,
-    heat_L_eps,
-    heat_L_eps_expansion,
     s_eps,
     solve_levelset,
     solve_scalar_dpp,
 )
 
 DOM = interval(0.0, 1.0)
-
-
-def profile_h(x):
-    return -1.0 if x[0] < 0.5 else 1.0
 
 
 def quad_field(a, b, c, dom=DOM):
@@ -107,37 +101,6 @@ class TestSEpsOracle:
                 ), (x, prob.name)
 
 
-class TestHeatGame:
-    def test_interior_value_is_two_point_average(self):
-        phi = quad_field(0.3, 0.7, 1.5)
-        eps = 0.05
-        val, p_star = heat_L_eps(phi, 0.5, eps, profile_h, DOM)
-        step = math.sqrt(2.0) * eps
-        expected = 0.5 * (phi.eval(0.5 + step) + phi.eval(0.5 - step))
-        assert val == pytest.approx(expected, abs=1e-14)
-        # optimal announcement recovers the centered slope
-        assert p_star == pytest.approx((phi.eval(0.5 + step) - phi.eval(0.5 - step)) / (2 * step))
-
-    def test_expansion_is_exact_for_quadratics(self):
-        phi = quad_field(0.3, 0.7, 1.5)
-        eps = 0.1
-        for x in (0.05, 0.0, 0.12, 0.5, 0.93, 1.0):
-            game, _ = heat_L_eps(phi, x, eps, profile_h, DOM)
-            predicted = heat_L_eps_expansion(phi, x, eps, profile_h, DOM)
-            assert game == pytest.approx(predicted, abs=1e-12), f"x={x}"
-
-    def test_penalty_branch_uses_boundary_landing(self):
-        phi = quad_field(0.0, 1.0, 0.0)  # phi = x
-        eps = 0.1
-        step = math.sqrt(2.0) * eps
-        x = 0.05
-        val, _ = heat_L_eps(phi, x, eps, profile_h, DOM)
-        # crossing branch: lands at 0, pays (step - x) * h(0) = -(step - x)
-        a_minus = 0.0 + (step - x) * (-1.0)
-        a_plus = x + step
-        assert val == pytest.approx(0.5 * (a_plus + a_minus), abs=1e-14)
-
-
 class TestGeneralOperator:
     def _heat_params(self, eps=0.05):
         return make_params(eps)
@@ -149,9 +112,11 @@ class TestGeneralOperator:
         assert params.move_bound == pytest.approx(math.sqrt(2.0) * eps, abs=1e-15)
         prob = get_problem("heat1d_homogeneous")
         phi = quad_field(1.0, 0.5, 1.0)
+        step = math.sqrt(2.0) * eps
         for x in (0.3, 0.5, 0.7):
             general = s_eps(phi, x, 0.1, 0.0, prob, params)
-            heat, _ = heat_L_eps(phi, x, eps, prob.h, DOM)
+            # the two-step heat game: the average over the steps +-sqrt(2) eps
+            heat = 0.5 * (phi.eval(x + step) + phi.eval(x - step))
             assert general == pytest.approx(heat, abs=1e-10), f"x={x}"
 
     def test_shift_invariance(self):
@@ -176,7 +141,8 @@ class TestGeneralOperator:
         hi = AnalyticField(
             DOM,
             lambda p: lo.func(p) + 0.3 * (1.0 + np.sin(3 * p[0])),
-            h_fd=1e-5,
+            grad=lambda p: lo.grad(p) + 0.9 * np.cos(3 * p[0]),
+            hess=lambda p: lo.hess(p) - 2.7 * np.sin(3 * p[0]),
         )
         for x in (0.01, 0.4, 0.97):
             assert s_eps(lo, x, 0.1, 0.0, prob, params) <= s_eps(
@@ -267,8 +233,16 @@ class TestScalarSolver:
             solve_scalar_dpp(prob, make_params(0.2))
 
     def test_two_dimensional_solve_is_rejected(self):
-        with pytest.raises(ValidationError):
-            solve_scalar_dpp(get_problem("degenerate_parabolic_2d"), make_params(0.2))
+        disk = ParabolicProblem(
+            name="disk_heat",
+            domain=ball((0.0, 0.0), 1.0),
+            f=lambda t, x, z, p, G: -float(np.trace(G)),
+            g=lambda x: float(x[0]),
+            h=lambda x: 0.0,
+            T=0.25,
+        )
+        with pytest.raises(ValidationError, match="one-dimensional"):
+            solve_scalar_dpp(disk, make_params(0.2))
 
     def test_store_all_keeps_every_sweep(self):
         sol = solve_scalar_dpp(

@@ -23,6 +23,30 @@ def catalog():
     ]
 
 
+def bounding_box(dom) -> tuple[np.ndarray, np.ndarray]:
+    if dom.kind == "interval":
+        return np.array([dom.a]), np.array([dom.c])
+    ctr = np.asarray(dom.center, dtype=float)
+    return ctr - dom.radius, ctr + dom.radius
+
+
+def random_interior_point(dom, rng: np.random.Generator) -> np.ndarray:
+    """Uniform sample from the closure (rejection from the bounding box)."""
+    lo, hi = bounding_box(dom)
+    while True:
+        p = rng.uniform(lo, hi)
+        if dom.outside_by(p) == 0.0:
+            return p
+
+
+def random_boundary_point(dom, rng: np.random.Generator) -> np.ndarray:
+    if dom.kind == "interval":
+        return np.array([dom.a if rng.random() < 0.5 else dom.c])
+    ctr = np.asarray(dom.center, dtype=float)
+    theta = rng.uniform(0.0, 2.0 * math.pi)
+    return ctr + np.array([math.cos(theta), math.sin(theta)]) * dom.radius
+
+
 # -- distance -------------------------------------------------------------
 
 
@@ -55,7 +79,7 @@ def test_projection_examples():
 def test_projection_idempotent():
     rng = np.random.default_rng(7)
     for dom in catalog():
-        lo, hi = dom.bounding_box
+        lo, hi = bounding_box(dom)
         pad = 0.4 * dom.r_ext
         for _ in range(200):
             p = rng.uniform(lo - pad, hi + pad)
@@ -104,7 +128,7 @@ def test_normal_is_unit_and_minus_grad_dist():
         if dom.dim == 1:
             continue
         for _ in range(40):
-            xb = dom.random_boundary_point(rng)
+            xb = random_boundary_point(dom, rng)
             n = dom.outward_normal(xb)
             assert np.linalg.norm(n) == pytest.approx(1.0, abs=1e-12)
             x = xb - 1e-3 * n  # step inward so fd stencils stay in the closure
@@ -137,7 +161,7 @@ def test_move_examples():
 
 
 def _random_move(dom, rng, max_len=ELL):
-    x = dom.random_interior_point(rng)
+    x = random_interior_point(dom, rng)
     u = rng.normal(size=dom.dim)
     u /= np.linalg.norm(u)
     dh = u * rng.uniform(0.0, max_len)
@@ -169,7 +193,7 @@ def test_move_key_bound_in_boundary_layer():
         rng = np.random.default_rng(200 + seed)
         tol = 1e-9 * dom.diameter
         for _ in range(10_000):
-            xb = dom.random_boundary_point(rng)
+            xb = random_boundary_point(dom, rng)
             n = dom.outward_normal(xb)
             d = rng.uniform(0.0, ELL)
             x = xb - d * n
@@ -207,7 +231,7 @@ def test_inward_moves_stay_inside_disk():
     rng = np.random.default_rng(5)
     margin = math.inf
     for _ in range(500):
-        xb = dom.random_boundary_point(rng)
+        xb = random_boundary_point(dom, rng)
         n = dom.outward_normal(xb)
         d = rng.uniform(0.0, ELL)
         x = xb - d * n
