@@ -207,19 +207,22 @@ _KIND_NAMES = {
 }
 
 
-def _load_problem(cfg: RunConfig, kind: type):
-    """The configured catalog problem, which the workflow needs to be a ``kind``."""
+def _load_problem(cfg: RunConfig, kind: type, need_exact: bool):
+    """The configured catalog problem: a ``kind``, with an exact solution if ``need_exact``."""
     # get_problem raises ValidationError with the catalog listing
     problem = get_problem(cfg.problem or cfg.default_problem())
     if not isinstance(problem, kind):
         raise ValidationError(
             f"this workflow needs a {_KIND_NAMES[kind]} problem; {problem.name!r} is not one"
         )
+    if need_exact and problem.exact is None:
+        raise ValidationError(
+            f"convergence mode needs an exact solution; {problem.name!r} has none"
+        )
     return problem
 
 
-def _run_heat1d(cfg: RunConfig, out: Path, summary: list) -> None:
-    problem = _load_problem(cfg, ParabolicProblem)
+def _run_heat1d(cfg: RunConfig, problem, out: Path, summary: list) -> None:
     eps = cfg.eps_ladder[0]
     params = cfg.game_params(eps)
     sol = solve_scalar_dpp(problem, params)
@@ -242,8 +245,7 @@ def _run_heat1d(cfg: RunConfig, out: Path, summary: list) -> None:
         summary.append(f"sup_error = {sol.sup_error():.12g}")
 
 
-def _run_levelset(cfg: RunConfig, out: Path, summary: list) -> None:
-    problem = _load_problem(cfg, ParabolicProblem)
+def _run_levelset(cfg: RunConfig, problem, out: Path, summary: list) -> None:
     eps = cfg.eps_ladder[0]
     params = cfg.game_params(eps)
     val = solve_levelset(problem, params, z_max=cfg.z_max)
@@ -256,8 +258,7 @@ def _run_levelset(cfg: RunConfig, out: Path, summary: list) -> None:
     summary.append(f"t_start_effective = {val.t_start_effective:.12g}")
 
 
-def _run_elliptic(cfg: RunConfig, out: Path, summary: list) -> None:
-    problem = _load_problem(cfg, MixedEllipticProblem if cfg.mode == "mixed" else EllipticProblem)
+def _run_elliptic(cfg: RunConfig, problem, out: Path, summary: list) -> None:
     eps = cfg.eps_ladder[0]
     params = cfg.game_params(eps, lambda_rate=problem.lambda_rate)
     cap_M = cfg.cap_M if cfg.cap_M is not None else 10.0
@@ -278,12 +279,7 @@ def _run_elliptic(cfg: RunConfig, out: Path, summary: list) -> None:
     summary.append(f"dirichlet_exits = {val.dirichlet_exits}")
 
 
-def _run_convergence(cfg: RunConfig, out: Path, summary: list) -> None:
-    problem = _load_problem(cfg, ParabolicProblem)
-    if problem.exact is None:
-        raise ValidationError(
-            f"convergence mode needs an exact solution; {problem.name!r} has none"
-        )
+def _run_convergence(cfg: RunConfig, problem, out: Path, summary: list) -> None:
     errors = []
     for eps in cfg.eps_ladder:
         params = cfg.game_params(eps)
@@ -303,7 +299,7 @@ def _run_convergence(cfg: RunConfig, out: Path, summary: list) -> None:
     summary.append(f"errors = {_fmt(tuple(errors))}")
 
 
-def _run_consistency(cfg: RunConfig, out: Path, summary: list) -> None:
+def _run_consistency(cfg: RunConfig, problem, out: Path, summary: list) -> None:
     report = run_audit_suite(
         eps_ladder=cfg.eps_ladder, include_disk=cfg.include_disk, p_grid_half=cfg.p_grid_half
     )
@@ -315,8 +311,7 @@ def _run_consistency(cfg: RunConfig, out: Path, summary: list) -> None:
     summary.append(f"violations_gating = {len(report.violations())}")
 
 
-def _run_audit_elliptic(cfg: RunConfig, out: Path, summary: list) -> None:
-    problem = _load_problem(cfg, EllipticProblem)
+def _run_audit_elliptic(cfg: RunConfig, problem, out: Path, summary: list) -> None:
     all_rows = []
     for eps in cfg.eps_ladder:
         params = cfg.game_params(eps, lambda_rate=problem.lambda_rate)
@@ -338,6 +333,17 @@ def _run_audit_elliptic(cfg: RunConfig, out: Path, summary: list) -> None:
 # -- dispatch ---------------------------------------------------------------
 
 
+_WORKFLOWS = {  # the problem kind each workflow runs on (the audit suite takes none), its runner
+    "heat1d": (ParabolicProblem, _run_heat1d),
+    "parabolic": (ParabolicProblem, _run_levelset),
+    "convergence": (ParabolicProblem, _run_convergence),
+    "elliptic": (EllipticProblem, _run_elliptic),
+    "mixed": (MixedEllipticProblem, _run_elliptic),
+    "audit-elliptic": (EllipticProblem, _run_audit_elliptic),
+    "consistency": (None, _run_consistency),
+}
+
+
 def run(cfg: RunConfig, workflow: str | None = None) -> int:
     """Validate, dispatch, and write artifacts; returns the exit status.
 
@@ -346,23 +352,15 @@ def run(cfg: RunConfig, workflow: str | None = None) -> int:
     """
     cfg.validate()
     workflow = workflow or cfg.mode
+    kind, runner = _WORKFLOWS[workflow]
+    # a problem that fails its checks leaves no output directory behind
+    problem = _load_problem(cfg, kind, workflow == "convergence") if kind else None
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     _record_config(out, cfg)
     summary = [f"workflow = {workflow}"]
     t0 = time.perf_counter()
-    if workflow == "heat1d":
-        _run_heat1d(cfg, out, summary)
-    elif workflow == "parabolic":
-        _run_levelset(cfg, out, summary)
-    elif workflow in ("elliptic", "mixed"):
-        _run_elliptic(cfg, out, summary)
-    elif workflow == "convergence":
-        _run_convergence(cfg, out, summary)
-    elif workflow == "audit-elliptic":
-        _run_audit_elliptic(cfg, out, summary)
-    else:
-        _run_consistency(cfg, out, summary)
+    runner(cfg, problem, out, summary)
     # wall time is summary-only so every CSV is rerun-identical
     summary.append(f"wall_time_s = {time.perf_counter() - t0:.3f}")
     (out / "summary.txt").write_text("\n".join(summary) + "\n")

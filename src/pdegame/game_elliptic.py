@@ -334,7 +334,7 @@ def _build_plan(problem, params, caps, frame: _SweepFrame, anchor, dirichlet_pat
         z1 = (1.0 / frame.disc) * (zs + delta)
         jdx = np.clip(np.searchsorted(zs, z1, side="right") - 1, 0, nz - 2)
         wz = np.clip((z1 - zs[jdx]) / dz, 0.0, 1.0)
-        idx = (jdx + nz * np.arange(n * M).reshape(n, 1, M, 1)).astype(np.int32)
+        idx = jdx + nz * np.arange(n * M).reshape(n, 1, M, 1)
         # caps take precedence over absorbing exits
         ex, w = exits[rows, :M], col_w[rows, :M]
         fixed_idx = np.flatnonzero((z1 >= cap) | (z1 <= -cap) | ex[:, None, :, None])

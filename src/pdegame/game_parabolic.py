@@ -287,6 +287,30 @@ def _sign_change(z, U, upper: bool) -> np.ndarray:
     return np.where(hit.any(axis=1), np.where(edge, z_edge, cross), none)
 
 
+def _interp_rows(z, zs, dz, col):
+    """Each row of ``col`` at the same row of ``z`` by ``np.interp``'s own
+    arithmetic on the uniform grid ``zs``, continued with slope -1 beyond
+    it.  The cell j = clip(searchsorted(zs, z, "right") - 1, 0, nz - 2)
+    is one multiply, corrected once each way against ``zs``; clipped by
+    fmax/fmin before the cast, a NaN z takes cell 0 without a warning."""
+    nz, n = len(zs), len(z)
+    j = np.fmin(np.fmax((z - zs[0]) * (1.0 / (zs[1] - zs[0])), 0.0), nz - 2).astype(np.intp)
+    j += (zs[j + 1] <= z) & (j < nz - 2)
+    j -= (zs[j] > z) & (j > 0)
+    off, dz_j = z - zs[j], dz[j]  # off == 0 exactly where z == zs[j]
+    j += nz * np.arange(n)[:, None]  # now the flat index of col[j]
+    c_j = np.take(col, j)
+    vals = (np.take(col.ravel()[1:], j) - c_j) / dz_j * off + c_j
+    np.copyto(vals, c_j, where=off == 0.0)  # a point on a node takes its value
+    del j, off, dz_j, c_j  # before the continuations' temporaries, to lower the peak
+    hi, lo = z >= zs[-1], z < zs[0]  # z == zs[-1] takes col[-1] - 0.0
+    if hi.any():
+        np.subtract(col[:, -1:], z - zs[-1], out=vals, where=hi)
+    if lo.any():
+        np.add(col[:, :1], zs[0] - z, out=vals, where=lo)
+    return vals
+
+
 def solve_levelset(problem, params, z_max: float | None = None,
                    t_start: float = 0.0) -> LevelSetValue:
     """Backward induction on the level-set value U(x, z, t).
@@ -296,12 +320,15 @@ def solve_levelset(problem, params, z_max: float | None = None,
     ``candidates_1d`` call on the z = 0 slice and shares them across z;
     the update is then monotone in z and preserves the slope <= -1
     property of the terminal datum.  The nodes of each block of
-    ``Candidates1D.blocks`` are updated together, one (strategy, move)
-    slot at a time, by ``np.interp``'s own arithmetic: the cell is
-    ``searchsorted(side="right") - 1``, a point on a score node takes
-    the node's value.  Off-grid z' are continued affinely with slope -1;
-    a z' more than 1.0 beyond the grid aborts with advice to enlarge
-    z_max.
+    ``Candidates1D.blocks`` are updated together: their landing columns
+    are interpolated once per block, then each (strategy, move) slot
+    reads them at the post-round scores z' by ``np.interp``'s own
+    arithmetic (``_interp_rows``).  The score grid is uniform, so the
+    cell of z' is one multiply, corrected once each way against the grid
+    to exactly ``searchsorted(side="right") - 1``; a point on a score
+    node takes the node's value.  Off-grid z' are continued affinely
+    with slope -1; a z' more than 1.0 beyond the grid aborts with advice
+    to enlarge z_max.
     """
     dom = problem.domain
     if dom.dim != 1:
@@ -332,9 +359,11 @@ def solve_levelset(problem, params, z_max: float | None = None,
         i0, w = base.locate(cand.landing)
         new = np.empty_like(U)
         for rows, S, M in cand.blocks():
-            r = np.arange(len(rows))[:, None]
             P, G = cand.P[rows, :S, None], cand.G[rows, :S, None]
             dt_f = dt * f_stacked(problem, t_target, xs[rows, None, None], zs, P, G)
+            # the landing columns of every move, (M, n, nz)
+            ib, wb = i0[rows, :M].T, w[rows, :M].T[..., None]
+            col = (1.0 - wb) * U[ib] + wb * U[ib + 1]
             best = np.full((len(rows), nz), -np.inf)
             for s in range(S):
                 worst = np.full_like(best, np.inf)
@@ -346,16 +375,7 @@ def solve_levelset(problem, params, z_max: float | None = None,
                             f"tracked value left the z-window by {over:.3g} at "
                             f"t={t_target:.6g}; rerun with z_max > {z_max + over:.3g}"
                         )
-                    wm = w[rows, m, None]
-                    col = (1.0 - wm) * U[i0[rows, m]] + wm * U[i0[rows, m] + 1]
-                    # np.interp's arithmetic, a point on a node taking its value
-                    k = np.clip(np.searchsorted(zs, z_next, side="right") - 1, 0, nz - 1)
-                    kc = np.minimum(k, nz - 2)
-                    vals = np.diff(col, axis=1)[r, kc] / dz[kc] * (z_next - zs[kc]) + col[r, kc]
-                    vals = np.where(z_next == zs[k], col[r, k], vals)
-                    vals = np.where(z_next > zs[-1], col[:, -1:] - (z_next - zs[-1]), vals)
-                    vals = np.where(z_next < zs[0], col[:, :1] + (zs[0] - z_next), vals)
-                    np.minimum(worst, vals, out=worst)
+                    np.minimum(worst, _interp_rows(z_next, zs, dz, col[m]), out=worst)
                 np.maximum(best, worst, out=best)
             new[rows] = best
         if not np.all(np.isfinite(new)):

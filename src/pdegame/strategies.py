@@ -165,7 +165,7 @@ def _strategy_key(s: Strategy) -> tuple:
     return (tuple(np.round(s.p, 12)), tuple(np.round(np.ravel(s.Gamma), 12)))
 
 
-def probe_derivatives(domain: DomainGeometry, x, phi, scale: float, flux=None):
+def probe_derivatives(domain: DomainGeometry, x, phi, scale: float, flux):
     """Derivative estimates of phi at the game's probing scale.
 
     The maximizer's best announcement against steps of length *scale* is
@@ -173,9 +173,9 @@ def probe_derivatives(domain: DomainGeometry, x, phi, scale: float, flux=None):
     derivative estimates amplifies sub-scale noise by (scale/h)^2 per
     sweep and destabilizes the iteration.
 
-    When a probe point exits the domain and *flux* (the prescribed
-    outward normal derivative on the boundary) is given, the value there
-    is supplied by even reflection with flux correction:
+    When a probe point exits the domain, the value there is supplied by
+    even reflection with the correction of *flux* (the prescribed
+    outward normal derivative on the boundary):
     phi(q) ~ phi(mirror(q)) + 2 dist(q) flux(foot), which keeps every
     stencil centered.  Centered stencils matter: the inward one-sided
     second difference puts weight +1/scale^2 on the node's own value, so
@@ -183,14 +183,15 @@ def probe_derivatives(domain: DomainGeometry, x, phi, scale: float, flux=None):
     update amplifies its own perturbation by 1 + (eps/scale)^2 per sweep
     — a seam-node instability.  The reflected stencil keeps the self
     weight at -2/scale^2 (contracting) and, at the wall itself, makes
-    the collapsed update exact for boundary-compatible data.  One-sided
-    stencils remain as a fallback when no flux is available or the
-    mirror point also exits; the field's own ``fd_gradient`` /
-    ``fd_hessian`` (an ``AnalyticField``'s exact derivatives) are the
-    last resort, for domains smaller than a couple of probe lengths.
-    With a flux and ``check_probe_room`` a 1D node never reaches them.
-    All stencils are exact for quadratics (the reflected one for
-    quadratics whose normal slope matches the flux).
+    the collapsed update exact for boundary-compatible data.  A probe
+    whose mirror also leaves the domain (a domain smaller than a couple
+    of probe lengths; ``check_probe_room`` rules it out in 1D) raises
+    ``ValueError``.  In 2D the mixed partial takes the corner stencil,
+    else a one-sided one; where none fits, the field's own
+    ``fd_gradient`` / ``fd_hessian`` (an ``AnalyticField``'s exact
+    derivatives) are announced instead.  All stencils are exact for
+    quadratics (the reflected one for quadratics whose normal slope
+    matches the flux).
     """
     xp = np.atleast_1d(np.asarray(x, dtype=float))
     d = domain.dim
@@ -203,15 +204,10 @@ def probe_derivatives(domain: DomainGeometry, x, phi, scale: float, flux=None):
         """Value at q: direct, or ghost-reflected through the wall."""
         if inside(q):
             return phi.eval(q)
-        if flux is None:
-            return None
-        try:
-            foot = domain.project_to_closure(q)
-        except ValueError:
-            return None
+        foot = domain.project_to_closure(q)
         mirror = 2.0 * foot - q
         if not inside(mirror):
-            return None
+            raise ValueError(f"the reflected probe {mirror} leaves the domain")
         r = float(np.linalg.norm(q - foot))
         return phi.eval(mirror) + 2.0 * r * float(flux(foot))
 
@@ -223,22 +219,8 @@ def probe_derivatives(domain: DomainGeometry, x, phi, scale: float, flux=None):
         e[k] = 1.0
         fp = probe_value(xp + s * e)
         fm = probe_value(xp - s * e)
-        if fp is not None and fm is not None:
-            grad[k] = (fp - fm) / (2.0 * s)
-            hess[k, k] = (fp - 2.0 * f0 + fm) / s**2
-        else:
-            for sign in (1.0, -1.0):
-                if inside(xp + sign * s * e) and inside(xp + sign * 2.0 * s * e):
-                    f1 = phi.eval(xp + sign * s * e)
-                    f2 = phi.eval(xp + sign * 2.0 * s * e)
-                    grad[k] = sign * (-3.0 * f0 + 4.0 * f1 - f2) / (2.0 * s)
-                    hess[k, k] = (f0 - 2.0 * f1 + f2) / s**2
-                    break
-            else:
-                return (
-                    np.atleast_1d(np.asarray(phi.fd_gradient(xp), dtype=float)),
-                    np.asarray(phi.fd_hessian(xp), dtype=float),
-                )
+        grad[k] = (fp - fm) / (2.0 * s)
+        hess[k, k] = (fp - 2.0 * f0 + fm) / s**2
     if d == 2:
         ex, ey = np.array([1.0, 0.0]), np.array([0.0, 1.0])
         corners = [xp + sx * s * ex + sy * s * ey for sx in (1, -1) for sy in (1, -1)]

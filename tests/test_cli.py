@@ -96,6 +96,20 @@ class TestConfigFile:
         assert rc == 2
         assert "unknown problem" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (["--problem", "nope"], "unknown problem"),
+            (["--mode", "heat1d", "--problem", "laplace_elliptic_1d"], "this workflow needs a"),
+        ],
+        ids=["unknown", "wrong-kind"],
+    )
+    def test_bad_problem_leaves_no_output_directory(self, tmp_path, capsys, argv, reason):
+        out = tmp_path / "o"
+        assert main(["solve", *argv, "--out", str(out)]) == 2
+        assert reason in capsys.readouterr().err
+        assert not out.exists()
+
 
 # -- provenance and determinism --------------------------------------------
 
@@ -325,6 +339,7 @@ class TestStudyWorkflows:
         rc = main(["convergence", "--out", str(tmp_path / "o"), "--eps-ladder", "0.2"])
         assert rc == 2
         assert "exact solution" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_convergence_leaves_the_order_empty_between_zero_errors(self, tmp_path):
         out = tmp_path / "o"

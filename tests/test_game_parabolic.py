@@ -1,8 +1,11 @@
 """One-step operators and backward solvers for the parabolic game."""
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pdegame.consistency as cons
 from pdegame.fields import AnalyticField, GridField, grid_spacing
@@ -13,6 +16,7 @@ from pdegame.strategies import (candidate_moves, candidate_strategies, candidate
                                 probe_derivatives)
 from pdegame.game_parabolic import (
     NumericAbort,
+    _interp_rows,
     _sign_change,
     s_eps,
     solve_levelset,
@@ -295,6 +299,39 @@ def reference_levelset(problem, params, z_max):
     return U, ends, blocks
 
 
+def reference_interp_rows(z, zs, col):
+    """Row by row: ``np.interp``, continued with slope -1 beyond the grid."""
+    out = np.empty_like(z)
+    for r in range(len(z)):
+        out[r] = np.interp(z[r], zs, col[r])
+        hi, lo = z[r] > zs[-1], z[r] < zs[0]
+        out[r, hi] = col[r, -1] - (z[r, hi] - zs[-1])
+        out[r, lo] = col[r, 0] + (zs[0] - z[r, lo])
+    return out
+
+
+@st.composite
+def interp_rows_cases(draw):
+    """A uniform score grid, non-monotone rows on it, and per-row points:
+    on nodes, one ulp beside them, anywhere within 2 of the grid, and
+    always both ends and a point beyond each."""
+    dt = draw(st.floats(1e-3, 0.2))
+    K = draw(st.integers(1, 40))
+    zs = dt * np.arange(-K, K + 1)
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 16))
+    col = np.reshape(draw(st.lists(st.floats(-5.0, 5.0), min_size=n * len(zs),
+                                   max_size=n * len(zs))), (n, len(zs)))
+    node = st.sampled_from(list(zs))
+    point = st.one_of(
+        node,
+        st.tuples(node, st.sampled_from([-np.inf, np.inf])).map(lambda a: np.nextafter(*a)),
+        st.floats(zs[0] - 2.0, zs[-1] + 2.0),
+    )
+    z = np.reshape(draw(st.lists(point, min_size=n * m, max_size=n * m)), (n, m))
+    ends = np.array([zs[0], zs[-1], zs[0] - 0.5 * dt, zs[-1] + 0.5 * dt])
+    return zs, col, np.hstack([z, np.tile(ends, (n, 1))])
+
+
 def z_dependent_problem():
     return ParabolicProblem(
         name="heat_with_z",
@@ -326,6 +363,30 @@ def reference_sign_change(z, U, upper):
 
 
 class TestLevelSet:
+    @settings(max_examples=200, deadline=None)
+    @given(interp_rows_cases())
+    def test_interp_rows_matches_np_interp_row_by_row(self, case):
+        zs, col, z = case
+        got = _interp_rows(z, zs, zs[1:] - zs[:-1], col)
+        assert got.tobytes() == reference_interp_rows(z, zs, col).tobytes()
+
+    def test_non_finite_values_abort_without_a_cast_warning(self):
+        # a NaN score takes a cell by arithmetic without an invalid-cast warning
+        prob = ParabolicProblem(
+            name="poisoned",
+            domain=DOM,
+            f=lambda t, x, z, p, G: float("nan"),
+            g=lambda x: 0.0,
+            h=lambda x: 0.0,
+            T=0.25,
+        )
+        params = make_params(0.2)
+        t_first = re.escape(f"t={prob.T - params.time_step:.6g}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericAbort, match=f"non-finite level-set values at {t_first}$"):
+                solve_levelset(prob, params, z_max=2.0)
+
     @pytest.mark.parametrize("upper", [True, False], ids=["upper", "lower"])
     def test_sign_change_matches_the_row_by_row_reference(self, upper):
         z = 0.04 * np.arange(-20, 21)
@@ -341,17 +402,18 @@ class TestLevelSet:
         assert np.isinf(got).any() and np.isin(got, z[[0, -1]]).any()
 
     @pytest.mark.parametrize(
-        "prob, z_max, blocks",
+        "prob, eps, z_max, blocks",
         [
-            (get_problem("heat1d_cosine"), 3.0, {(1, 3), (2, 3), (2, 4)}),
-            (get_problem("heat1d_linear_profile"), 2.5, {(1, 3), (1, 4)}),
-            (z_dependent_problem(), 1.5, {(1, 3), (2, 3), (2, 4)}),
+            (get_problem("heat1d_cosine"), 0.2, 3.0, {(1, 3), (2, 3), (2, 4)}),
+            (get_problem("heat1d_cosine"), 0.15, 3.0, {(1, 3), (2, 3), (2, 4)}),
+            (get_problem("heat1d_linear_profile"), 0.2, 2.5, {(1, 3), (1, 4)}),
+            (z_dependent_problem(), 0.2, 1.5, {(1, 3), (2, 3), (2, 4)}),
         ],
-        ids=["cosine", "linear_profile", "z_dependent"],
+        ids=["cosine", "cosine-eps0.15", "linear_profile", "z_dependent"],
     )
-    def test_batched_step_matches_the_per_node_reference(self, prob, z_max, blocks):
+    def test_batched_step_matches_the_per_node_reference(self, prob, eps, z_max, blocks):
         # (strategy count, move count) blocks; the cases hold 3 distinct ones
-        params = make_params(0.2)
+        params = make_params(eps)
         lsv = solve_levelset(prob, params, z_max=z_max)
         ref, ends, ref_blocks = reference_levelset(prob, params, z_max)
         np.testing.assert_array_equal(lsv.U, ref)

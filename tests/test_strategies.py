@@ -257,6 +257,14 @@ class TestCandidateEnumeration:
         probe_p, _ = probe_derivatives(dom, x, phi, params.move_bound, flux=linear_profile_h)
         assert any(abs(s.p[0] - probe_p[0]) < 1e-12 for s in cands)  # probe pair kept
 
+    def test_probe_whose_mirror_leaves_the_domain_raises(self):
+        # a probe longer than the interval has no reflected value to fall back on
+        dom = interval(0.0, 1.0)
+        phi = AnalyticField(dom, lambda p: p[0], grad=lambda p: np.array([1.0]),
+                            hess=lambda p: np.array([[0.0]]))
+        with pytest.raises(ValueError, match="reflected probe"):
+            probe_derivatives(dom, 0.5, phi, 1.6, flux=linear_profile_h)
+
     def test_moves_1d_exact_sets(self):
         dom = interval(0.0, 1.0)
         params = GameParams(eps=0.1, alpha=0.0, beta=0.4, gamma=0.4, rho=0.95, kappa=0.9)
