@@ -37,7 +37,7 @@ import time
 from dataclasses import dataclass, fields as dataclass_fields, replace
 from pathlib import Path
 
-from .consistency import ConsistencyReport, audit_wall_shift, run_audit_suite
+from .consistency import ConsistencyReport, audit_ladder, audit_wall_shift, run_audit_suite
 from .game_elliptic import build_caps, solve_fixed_point
 from .game_parabolic import NumericAbort, solve_levelset, solve_scalar_dpp
 from .params import ValidationError, make_params
@@ -353,8 +353,10 @@ def run(cfg: RunConfig, workflow: str | None = None) -> int:
     cfg.validate()
     workflow = workflow or cfg.mode
     kind, runner = _WORKFLOWS[workflow]
-    # a problem that fails its checks leaves no output directory behind
+    # a problem or audit ladder that fails its checks leaves no output directory behind
     problem = _load_problem(cfg, kind, workflow == "convergence") if kind else None
+    if workflow == "consistency":
+        audit_ladder(cfg.eps_ladder, cfg.include_disk, cfg.p_grid_half)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     _record_config(out, cfg)

@@ -59,6 +59,7 @@ __all__ = [
     "audit_lower",
     "audit_barrier",
     "audit_wall_shift",
+    "audit_ladder",
     "run_audit_suite",
 ]
 
@@ -511,6 +512,29 @@ def _interval_layer(dom, ell: float, eps: float, rho: float) -> dict:
     }
 
 
+def audit_ladder(eps_ladder, include_disk: bool, p_grid_half: int) -> list:
+    """The audit's game parameters, one per rung; raises ``ValidationError``
+    when a rung's move bound ``ell`` puts the interval's "interior" point outside
+    [0, 1] or, with the disk, exceeds its ``r_ext/2 = 1/2`` (projection undefined)."""
+    dom = interval(0.0, 1.0)
+    r_ext = ball((0.0, 0.0), 1.0).r_ext
+    ladder = [make_params(eps, lambda_rate=1.0, p_grid_half=p_grid_half) for eps in eps_ladder]
+    for params in ladder:
+        ell = params.move_bound
+        interior = _interval_layer(dom, ell, params.eps, params.rho)["interior"]
+        if interior > dom.c:
+            raise ValidationError(
+                f"eps={params.eps:g}: the interior audit point {interior:.6g} "
+                f"lies outside [{dom.a:g}, {dom.c:g}]"
+            )
+        if include_disk and ell > 0.5 * r_ext:
+            raise ValidationError(
+                f"eps={params.eps:g}: move bound ell = {ell:.6g} exceeds the disk's "
+                f"r_ext/2 = {0.5 * r_ext:g}, where its projection stops being defined"
+            )
+    return ladder
+
+
 def run_audit_suite(
     eps_ladder=(0.2, 0.1, 0.05),
     include_disk: bool = True,
@@ -529,27 +553,11 @@ def run_audit_suite(
     ``S[phi]`` by :func:`audit_point`.  ``p_grid_half`` sizes the
     boundary-layer gradient line of every audited operator.
 
-    Raises ``ValidationError`` before any audit runs when a rung's move
-    bound ``ell`` puts the interval's "interior" point outside [0, 1],
-    or, with the disk, exceeds its ``r_ext/2 = 1/2`` (the fan's steps
-    would leave the region where the projection is defined).
+    Raises ``ValidationError`` before any audit runs if :func:`audit_ladder` does.
     """
     dom = interval(0.0, 1.0)
     disk = ball((0.0, 0.0), 1.0)
-    ladder = [make_params(eps, lambda_rate=1.0, p_grid_half=p_grid_half) for eps in eps_ladder]
-    for params in ladder:
-        ell = params.move_bound
-        interior = _interval_layer(dom, ell, params.eps, params.rho)["interior"]
-        if interior > dom.c:
-            raise ValidationError(
-                f"eps={params.eps:g}: the interior audit point {interior:.6g} "
-                f"lies outside [{dom.a:g}, {dom.c:g}]"
-            )
-        if include_disk and ell > 0.5 * disk.r_ext:
-            raise ValidationError(
-                f"eps={params.eps:g}: move bound ell = {ell:.6g} exceeds the disk's "
-                f"r_ext/2 = {0.5 * disk.r_ext:g}, where its projection stops being defined"
-            )
+    ladder = audit_ladder(eps_ladder, include_disk, p_grid_half)
     h0 = lambda x: 0.0
     h2 = lambda x: 2.0
     report = ConsistencyReport()

@@ -103,19 +103,26 @@ class DomainGeometry:
         rho = float(np.linalg.norm(p - np.asarray(self.center)))
         return max(rho - self.radius, 0.0)
 
+    def boundary_gap(self, x) -> float:
+        """Distance from ``x`` to the boundary, from inside or outside."""
+        p = _as_point(x, self.dim)
+        if self.kind == "interval":
+            return min(abs(p[0] - self.a), abs(p[0] - self.c))
+        return abs(float(np.linalg.norm(p - np.asarray(self.center))) - self.radius)
+
     # -- oracles -----------------------------------------------------------
 
     def dist_to_boundary(self, x) -> float:
+        """Distance from ``x`` to the boundary, one norm taken; raises
+        ``ValueError`` when ``x`` lies outside the closure by more than ``tol``."""
         p = _as_point(x, self.dim)
-        out = self.outside_by(p)
-        if out > self.tol:
-            raise ValueError(
-                f"point {p} lies outside the domain closure by {out:g}"
-            )
         if self.kind == "interval":
-            return max(min(p[0] - self.a, self.c - p[0]), 0.0)
-        rho = float(np.linalg.norm(p - np.asarray(self.center)))
-        return max(self.radius - rho, 0.0)
+            gap = min(p[0] - self.a, self.c - p[0])
+        else:
+            gap = self.radius - float(np.linalg.norm(p - np.asarray(self.center)))
+        if -gap > self.tol:
+            raise ValueError(f"point {p} lies outside the domain closure by {-gap:g}")
+        return max(gap, 0.0)
 
     def project_to_closure(self, x_hat) -> np.ndarray:
         p = _as_point(x_hat, self.dim)

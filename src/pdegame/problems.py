@@ -39,11 +39,12 @@ __all__ = [
 
 
 def boundary_function(domain: DomainGeometry, fn):
-    """Wrap a boundary datum so off-boundary evaluation is a hard error."""
+    """Wrap a boundary datum so off-boundary evaluation is a hard error: a point
+    more than ``tol`` from the boundary (one ``boundary_gap`` query) raises."""
 
     def guarded(x):
         p = np.atleast_1d(np.asarray(x, dtype=float))
-        if domain.outside_by(p) > domain.tol or domain.dist_to_boundary(p) > domain.tol:
+        if domain.boundary_gap(p) > domain.tol:
             raise ValueError(f"boundary datum evaluated off the boundary at {p}")
         return float(fn(p))
 

@@ -55,6 +55,8 @@ __all__ = [
 
 _N_DIRECTIONS_2D = 64
 _RADIUS_FRACTIONS = (1.0, 0.75, 0.5, 0.25)
+# the coarse move fan's unit directions, from the scalar cos and sin of each angle
+_FAN_2D = np.array([[np.cos(th), np.sin(th)] for th in 2.0 * np.pi * np.arange(16) / 16.0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,7 +164,7 @@ def clip_strategy(strategy: Strategy, params) -> Strategy:
 
 
 def _strategy_key(s: Strategy) -> tuple:
-    return (tuple(np.round(s.p, 12)), tuple(np.round(np.ravel(s.Gamma), 12)))
+    return tuple(np.round(np.concatenate([s.p, np.ravel(s.Gamma)]), 12).tolist())
 
 
 def probe_derivatives(domain: DomainGeometry, x, phi, scale: float, flux):
@@ -288,7 +290,9 @@ def candidate_moves(domain: DomainGeometry, x, params, hess_diff=None) -> list:
     1D: zero, the two full-length steps, and the grazing step that lands
     exactly on the nearest wall.  2D: the same along the normal, plus
     tangential steps, eigendirections of the announced-vs-actual Hessian
-    mismatch, and a coarse fan.
+    mismatch, and a coarse fan of 16 directions (directions first, radii
+    within each), as rows of one array; rows that agree to 12 digits
+    are kept once, at their first occurrence.
     """
     p = np.atleast_1d(np.asarray(x, dtype=float))
     ell = params.move_bound
@@ -308,14 +312,10 @@ def candidate_moves(domain: DomainGeometry, x, params, hess_diff=None) -> list:
         for k in range(2):
             moves.append(ell * V[:, k])
             moves.append(-ell * V[:, k])
-    radii = [ell, 0.5 * ell] + ([d] if 0.0 < d < ell else [])
-    for th in 2.0 * np.pi * np.arange(16) / 16.0:
-        u = np.array([np.cos(th), np.sin(th)])
-        for r in radii:
-            moves.append(r * u)
+    radii = np.array([ell, 0.5 * ell] + ([d] if 0.0 < d < ell else []))
+    moves = np.concatenate([moves, (radii[None, :, None] * _FAN_2D[:, None, :]).reshape(-1, 2)])
     seen, out = set(), []
-    for mv in moves:
-        key = tuple(np.round(mv, 12))
+    for mv, key in zip(moves, map(tuple, np.round(moves, 12).tolist())):
         if key not in seen:
             seen.add(key)
             out.append(mv)

@@ -384,7 +384,7 @@ class TestStudyWorkflows:
         err = capsys.readouterr().err
         assert "validation failure" in err
         assert reason in err
-        assert not (out / "consistency.csv").exists()
+        assert not out.exists()
 
     def test_consistency_at_eps_0_4_still_runs(self, tmp_path):
         out = tmp_path / "o"

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pdegame import geometry
+from pdegame.problems import boundary_function
 
 
 EPS = 0.05
@@ -63,6 +64,66 @@ def test_dist_rejects_outside_points():
         dom.dist_to_boundary(1.5)
     with pytest.raises(ValueError):
         geometry.ball((0, 0), 1.0).dist_to_boundary((1.1, 0.0))
+
+
+def reference_dist_to_boundary(dom, x) -> float:
+    """The two-query distance: outside_by first, then a second norm."""
+    p = np.atleast_1d(np.asarray(x, dtype=float))
+    out = dom.outside_by(p)
+    if out > dom.tol:
+        raise ValueError(f"point {p} lies outside the domain closure by {out:g}")
+    if dom.kind == "interval":
+        return max(min(p[0] - dom.a, dom.c - p[0]), 0.0)
+    rho = float(np.linalg.norm(p - np.asarray(dom.center)))
+    return max(dom.radius - rho, 0.0)
+
+
+def gap_probe_points(dom) -> list:
+    """Points inside, on the wall, within tol outside, beyond tol, far outside."""
+    offsets = [-0.4, -3e-12, -1.5e-12, -0.9e-12, -0.5e-12, 0.0, 0.5e-12, 0.9e-12, 1.5e-12, 3e-12, 0.3]
+    offsets = [o * dom.diameter for o in offsets]  # tol is 1e-12 * diameter
+    if dom.kind == "interval":
+        pts = [dom.a - o for o in offsets] + [dom.c + o for o in offsets] + [0.5 * (dom.a + dom.c)]
+        return [np.array([x]) for x in pts]
+    ctr = np.asarray(dom.center, dtype=float)
+    pts = [ctr.copy()]
+    for theta in np.random.default_rng(11).uniform(0.0, 2.0 * math.pi, 8):
+        u = np.array([math.cos(theta), math.sin(theta)])
+        pts += [ctr + (dom.radius + o) * u for o in offsets]
+    return pts
+
+
+@pytest.mark.parametrize("dom", catalog(), ids=lambda d: d.kind + str(d.center))
+def test_one_norm_guard_matches_the_two_query_guard(dom):
+    h = boundary_function(dom, lambda q: 1.0)
+    flags = []
+    for p in gap_probe_points(dom):
+        off = dom.outside_by(p) > dom.tol or reference_dist_to_boundary(dom, p) > dom.tol
+        assert (dom.boundary_gap(p) > dom.tol) == off
+        flags.append(off)
+        if off:
+            with pytest.raises(ValueError, match="boundary datum evaluated off the boundary"):
+                h(p)
+        else:
+            assert h(p) == 1.0
+    assert any(flags) and not all(flags)
+
+
+@pytest.mark.parametrize("dom", catalog(), ids=lambda d: d.kind + str(d.center))
+def test_one_norm_dist_to_boundary_keeps_its_bytes_and_its_error(dom):
+    raised = 0
+    for p in gap_probe_points(dom):
+        try:
+            want = reference_dist_to_boundary(dom, p)
+        except ValueError as err:
+            with pytest.raises(ValueError, match="outside the domain closure") as got:
+                dom.dist_to_boundary(p)
+            assert str(got.value) == str(err)
+            raised += 1
+            continue
+        got = dom.dist_to_boundary(p)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    assert raised > 0
 
 
 # -- projection -----------------------------------------------------------

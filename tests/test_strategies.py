@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from pdegame.consistency import audit_ladder
 from pdegame.fields import AnalyticField, GridField, grid_spacing
 from pdegame.geometry import ball, interval
 from pdegame.params import GameParams, make_params
@@ -19,6 +20,7 @@ from pdegame.strategies import (
     probe_derivatives,
     p_opt_lower,
     p_opt_upper,
+    _strategy_key,
 )
 
 
@@ -288,6 +290,123 @@ class TestCandidateEnumeration:
         richer = candidate_moves(dom, x, params, hess_diff=np.array([[1.0, 0.5], [0.5, -1.0]]))
         assert len(richer) >= len(moves)
         assert max(np.linalg.norm(m) for m in richer) <= ell + 1e-12
+
+
+def reference_candidate_moves(domain, x, params, hess_diff=None) -> list:
+    """The move list as a loop: one array and one 12-digit rounding per move."""
+    p = np.atleast_1d(np.asarray(x, dtype=float))
+    ell = params.move_bound
+    frame = build_frame(domain, p, ell)
+    if domain.dim == 1:
+        moves = [np.array([0.0]), np.array([ell]), np.array([-ell])]
+        if 0.0 < frame.d < ell:
+            moves.append(frame.d * frame.n_bar)
+        return moves
+    n, d = frame.n_bar, frame.d
+    tang = np.array([-n[1], n[0]])
+    moves = [np.zeros(2), ell * n, -ell * n, ell * tang, -ell * tang]
+    if 0.0 < d < ell:
+        moves.append(d * n)
+    if hess_diff is not None:
+        _, V = np.linalg.eigh(0.5 * (hess_diff + hess_diff.T))
+        for k in range(2):
+            moves.append(ell * V[:, k])
+            moves.append(-ell * V[:, k])
+    radii = [ell, 0.5 * ell] + ([d] if 0.0 < d < ell else [])
+    for th in 2.0 * np.pi * np.arange(16) / 16.0:
+        u = np.array([np.cos(th), np.sin(th)])
+        for r in radii:
+            moves.append(r * u)
+    seen, out = set(), []
+    for mv in moves:
+        key = tuple(np.round(mv, 12))
+        if key not in seen:
+            seen.add(key)
+            out.append(mv)
+    return out
+
+
+def reference_strategy_key(s: Strategy) -> tuple:
+    """The two-tuple dedup key: the gradient and the Hessian rounded apart."""
+    return (tuple(np.round(s.p, 12)), tuple(np.round(np.ravel(s.Gamma), 12)))
+
+
+def assert_same_arrays(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+class TestMovesAgainstTheLoop:
+    """The one-array move fan and the one-round keys, bit for bit against loops."""
+
+    @pytest.mark.parametrize("dom", [ball((0.0, 0.0), 1.0), ball((0.3, -0.2), 0.7)],
+                             ids=["unit-disk", "off-centre"])
+    @pytest.mark.parametrize("eps", [0.2, 0.1, 0.05])
+    @pytest.mark.parametrize("with_hess", [False, True], ids=["no-hess", "random-hess"])
+    def test_2d_moves_match_the_per_move_loop(self, dom, eps, with_hess):
+        params = make_params(eps)
+        ell = params.move_bound
+        rng = np.random.default_rng(23)
+        ctr = np.asarray(dom.center)
+        bands = set()
+        for frac in (0.0, 0.3, 0.5, 0.99, 1.0, 1.5):
+            for th in (0.0, 0.4, 2.0, np.pi, 4.5):
+                x = ctr + (dom.radius - frac * ell) * np.array([np.cos(th), np.sin(th)])
+                A = rng.normal(size=(2, 2))
+                hess = A + A.T if with_hess else None
+                got = candidate_moves(dom, x, params, hess_diff=hess)
+                assert_same_arrays(got, reference_candidate_moves(dom, x, params, hess_diff=hess))
+                d = dom.dist_to_boundary(x)
+                bands.add("wall" if d == 0.0 else "layer" if d < ell else "interior")
+        assert bands == {"wall", "layer", "interior"}
+
+    @pytest.mark.parametrize("eps", [0.2, 0.1, 0.05])
+    @pytest.mark.parametrize("x", [0.5, 0.03], ids=["interior", "layer"])
+    def test_1d_moves_match_the_per_move_loop(self, eps, x):
+        dom, params = interval(0.0, 1.0), make_params(eps)
+        got = candidate_moves(dom, x, params)
+        assert_same_arrays(got, reference_candidate_moves(dom, x, params))
+        assert len(got) == (4 if x < params.move_bound else 3)
+
+    def test_one_round_key_equates_what_the_two_tuple_key_does(self):
+        rng = np.random.default_rng(5)
+        p, G = rng.normal(size=2), rng.normal(size=(2, 2))
+        variants = [Strategy(p=p, Gamma=G), Strategy(p=p + 1e-14, Gamma=G - 1e-14),
+                    Strategy(p=p, Gamma=G + 1e-9), Strategy(p=p + 1e-9, Gamma=G),
+                    Strategy(p=p[::-1], Gamma=G.T), Strategy(p=-0.0 * p, Gamma=0.0 * G),
+                    Strategy(p=0.0 * p, Gamma=-0.0 * G)]
+        for a in variants:
+            for b in variants:
+                same = _strategy_key(a) == _strategy_key(b)
+                assert same == (reference_strategy_key(a) == reference_strategy_key(b))
+
+    def test_audit_disk_points_keep_their_strategies_and_moves(self, monkeypatch):
+        disk = ball((0.0, 0.0), 1.0)
+        n_points = 0
+        for params in audit_ladder((0.2, 0.1, 0.05), True, 4):
+            ell = params.move_bound
+            for slope, datum, dists in ((-1.0, 2.0, (0.0, 0.3 * ell)),
+                                        (0.2, 0.0, (0.5 * ell, 1.5 * ell))):
+                phi = AnalyticField(disk, lambda p, k=slope: k * float(p[0]),
+                                    grad=lambda p, k=slope: np.array([k, 0.0]),
+                                    hess=lambda p: np.zeros((2, 2)))
+                h = boundary_function(disk, lambda q, v=datum: v)
+                for d in dists:
+                    x = np.array([1.0 - d, 0.0])
+                    derivs = probe_derivatives(disk, x, phi, ell, flux=h)
+                    got = candidate_strategies(disk, x, phi, params, h, derivs=derivs)
+                    with monkeypatch.context() as m:
+                        m.setattr("pdegame.strategies._strategy_key", reference_strategy_key)
+                        want = candidate_strategies(disk, x, phi, params, h, derivs=derivs)
+                    assert_same_arrays([s.p for s in got], [s.p for s in want])
+                    assert_same_arrays([s.Gamma for s in got], [s.Gamma for s in want])
+                    for s in got:  # the moves s_eps searches against each announcement
+                        hess_diff = derivs[1] - s.Gamma
+                        assert_same_arrays(candidate_moves(disk, x, params, hess_diff=hess_diff),
+                                          reference_candidate_moves(disk, x, params, hess_diff))
+                    n_points += 1
+        assert n_points == 12
 
 
 class TestBatchedKernel:
