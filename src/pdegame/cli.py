@@ -4,8 +4,9 @@ Subcommands
 -----------
 ``solve``
     One solve of the configured problem at the first ladder step.  The
-    workflow follows ``mode``: ``heat1d`` marches the scalar backward
-    solver, ``parabolic`` the level-set solver, ``elliptic`` / ``mixed``
+    workflow follows ``mode``: ``heat1d`` and ``parabolic`` march the
+    scalar backward solver (``parabolic`` writes the single value as both
+    the upper and the lower profile, ``u = v``), ``elliptic`` / ``mixed``
     the score-capped fixed point.
 ``convergence``
     Ladder of scalar solves against the exact solution; emits a table
@@ -75,7 +76,6 @@ class RunConfig:
     out: str = "out"
     tol: float = 1e-8
     cap_M: float | None = None
-    z_max: float | None = None
     wall_shift: float | None = None
     p_grid_half: int = 4
     include_disk: bool = True
@@ -245,17 +245,16 @@ def _run_heat1d(cfg: RunConfig, problem, out: Path, summary: list) -> None:
         summary.append(f"sup_error = {sol.sup_error():.12g}")
 
 
-def _run_levelset(cfg: RunConfig, problem, out: Path, summary: list) -> None:
+def _run_parabolic(cfg: RunConfig, problem, out: Path, summary: list) -> None:
     eps = cfg.eps_ladder[0]
-    params = cfg.game_params(eps)
-    val = solve_levelset(problem, params, z_max=cfg.z_max)
-    rows = zip(val.x_nodes, val.u_profile(), val.v_profile())
-    _write_csv(out / "profiles.csv", ["x", "u", "v"], rows)
+    sol = solve_levelset(problem, cfg.game_params(eps))
+    f = sol.final
+    # the scalar game has one value: it is both the upper and the lower profile
+    _write_csv(out / "profiles.csv", ["x", "u", "v"], zip(f.x_nodes, f.values, f.values))
     summary.append(f"problem = {problem.name}")
     summary.append(f"eps = {eps:.12g}")
-    summary.append(f"z_max = {val.z_max:.12g}")
-    summary.append(f"nodes = {len(val.x_nodes)} x {len(val.z_nodes)}")
-    summary.append(f"t_start_effective = {val.t_start_effective:.12g}")
+    summary.append(f"nodes = {len(f.x_nodes)}")
+    summary.append(f"t_start_effective = {sol.t_start_effective:.12g}")
 
 
 def _run_elliptic(cfg: RunConfig, problem, out: Path, summary: list) -> None:
@@ -335,7 +334,7 @@ def _run_audit_elliptic(cfg: RunConfig, problem, out: Path, summary: list) -> No
 
 _WORKFLOWS = {  # the problem kind each workflow runs on (the audit suite takes none), its runner
     "heat1d": (ParabolicProblem, _run_heat1d),
-    "parabolic": (ParabolicProblem, _run_levelset),
+    "parabolic": (ParabolicProblem, _run_parabolic),
     "convergence": (ParabolicProblem, _run_convergence),
     "elliptic": (EllipticProblem, _run_elliptic),
     "mixed": (MixedEllipticProblem, _run_elliptic),

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import AnalyticField, GridField, grid_spacing
-from .game_parabolic import NumericAbort, _discount, _sign_change
+from .game_parabolic import NumericAbort, _discount
 from .geometry import DomainGeometry
 from .params import GameParams, ValidationError
 from .problems import f_stacked
@@ -195,7 +195,7 @@ def build_caps(problem, params: GameParams, cap_M: float | None = None) -> CapSp
             f"cap_M > 2 + sup|h| = {2.0 + h_sup:g}"
         )
     psi_sup = h_sup + 1.0
-    cap_m = params.cap_m if params.cap_m is not None else cap - 1.0 - 2.0 * psi_sup
+    cap_m = cap - 1.0 - 2.0 * psi_sup
     depth = dom.r_int / 2.0
     kappa_max = 2.0 / dom.r_int
     # curvature-aware bound on the barrier's second derivatives over a
@@ -225,6 +225,7 @@ def build_caps(problem, params: GameParams, cap_M: float | None = None) -> CapSp
 # -- score grid and the capped fixed-point operator ------------------------
 
 _Z_NODE_CAP = 2001
+_MAX_ROUNDS = 60  # anchor rounds before solve_fixed_point gives up
 
 
 def z_grid(params: GameParams, cap_M: float) -> np.ndarray:
@@ -265,6 +266,29 @@ def _sweep_frame(problem, caps: CapSpec, params: GameParams) -> _SweepFrame:
         raise ValidationError("score nodes must lie strictly inside the caps")
     chi_nodes = np.array([caps.chi_at(np.array([x])) for x in base.x_nodes])
     return _SweepFrame(base=base, xs=base.x_nodes, zs=zs, chi_nodes=chi_nodes, disc=disc)
+
+
+def _sign_change(z, U, upper: bool) -> np.ndarray:
+    """Per row, the linear crossing of U between the last positive entry
+    and the next (upper) or the first negative entry and the one before
+    (lower); clamped to the grid edge when that entry is the last
+    (first) one, -inf (+inf) when there is none."""
+    nx, nz = U.shape
+    r = np.arange(nx)
+    if upper:  # U[k] > 0 >= U[j]
+        hit = U > 0.0
+        k = nz - 1 - hit[:, ::-1].argmax(axis=1)
+        j = np.minimum(k + 1, nz - 1)
+        edge, z_edge, none = k == nz - 1, z[-1], -np.inf
+    else:  # U[k] >= 0 > U[j]
+        hit = U < 0.0
+        j = hit.argmax(axis=1)
+        k = np.maximum(j - 1, 0)
+        edge, z_edge, none = j == 0, z[0], np.inf
+    a, b = U[r, k], U[r, j]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cross = z[k] + a * (z[j] - z[k]) / (a - b)
+    return np.where(hit.any(axis=1), np.where(edge, z_edge, cross), none)
 
 
 def _anchor_field(frame: _SweepFrame, V: np.ndarray) -> GridField:
@@ -510,8 +534,6 @@ def solve_fixed_point(
     *,
     anchor=None,
     max_iter: int | None = None,
-    anchor_tol: float | None = None,
-    max_rounds: int = 60,
 ) -> FixedPointValue:
     """Iterate the capped operator from zero to its unique fixed point.
 
@@ -521,13 +543,13 @@ def solve_fixed_point(
     anchor is re-extracted from the current value with damping
     (refreshing it every sweep lets the anchor—value feedback oscillate
     instead of settling).  Early rounds run at a loose tolerance
-    proportional to the last anchor movement; once the anchor settles
-    within ``anchor_tol`` (default: a quarter of the score spacing, the
-    resolution at which the anchor is meaningful) a final round
-    polishes the value down to ``tol``.  Passing an explicit ``anchor``
-    freezes it for a single round solved directly at ``tol``.  Aborts
-    with the residual history if a round exhausts its contraction
-    budget, or with the movement history if the rounds do not settle.
+    proportional to the last anchor movement; once the anchor moves by
+    at most a quarter of the score spacing (the resolution at which the
+    anchor is meaningful) a final round polishes the value down to
+    ``tol``.  Passing an explicit ``anchor`` freezes it for a single
+    round solved directly at ``tol``.  Aborts with the residual history
+    if a round exhausts its contraction budget, or with the movement
+    history if the anchor has not settled after 60 rounds.
     """
     if caps is None:
         caps = build_caps(problem, params)
@@ -537,8 +559,7 @@ def solve_fixed_point(
         max_iter = 10 * int(math.ceil(math.log(max(1.0 / tol, 10.0)) / (lam * dt)))
     frame = _sweep_frame(problem, caps, params)
     xs, zs = frame.xs, frame.zs
-    if anchor_tol is None:
-        anchor_tol = 0.25 * (zs[1] - zs[0])
+    anchor_tol = 0.25 * (zs[1] - zs[0])
     _warn_if_cap_small(problem, caps, xs, lam)
     patch = getattr(problem, "is_dirichlet", None)
     g = getattr(problem, "g_exit", None)
@@ -549,7 +570,7 @@ def solve_fixed_point(
     last_move = math.inf
     anchor_moves: list = []
     total_sweeps = 0
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         polishing = frozen or last_move <= anchor_tol
         round_tol = tol if polishing else max(tol, 0.02 * last_move)
         plan = None  # free the last round's arrays before building the next
@@ -593,7 +614,7 @@ def solve_fixed_point(
             anchor_vals = 0.5 * (anchor_vals + fresh)
     tail = ", ".join(f"{m:.3g}" for m in anchor_moves[-8:])
     raise NumericAbort(
-        f"candidate anchor did not settle in {max_rounds} rounds at "
+        f"candidate anchor did not settle in {_MAX_ROUNDS} rounds at "
         f"anchor_tol={anchor_tol:g}; last moves: {tail}"
     )
 

@@ -1,4 +1,4 @@
-"""Parabolic game operators and the backward-in-time solvers.
+"""Parabolic game operators and the backward-in-time solver.
 
 One round of the game at scale eps, played at x with the continuation
 value phi: the maximizer announces (p, Gamma) under the norm caps, the
@@ -16,12 +16,13 @@ stationary game plays the same round with f(x, z, p, Gamma) and
 phi(landing) discounted by e^(-lambda eps^2); the pointwise ``s_eps``
 plays both (t=None for the stationary round).
 
-Two solvers iterate this: ``solve_scalar_dpp`` for proper parabolic
-problems (value tracked directly), and ``solve_levelset`` which tracks
-the level-set function U(x, z, t) of the graph, the form that survives
-when the equation lacks comparison in the classical sense.  Both take
-their candidates from the batched kernel ``strategies.candidates_1d``;
-the pointwise ``s_eps`` is the reference oracle they reproduce.
+``solve_scalar_dpp`` iterates this backward in time, tracking the value
+directly and feeding the z-slot of f the value at the node; it takes its
+candidates from the batched kernel ``strategies.candidates_1d``, and the
+pointwise ``s_eps`` is the reference oracle it reproduces.  The score
+game of the paper has an upper and a lower value; the scalar game has a
+single one, so the ``parabolic`` mode's ``solve_levelset`` is the same
+solve.
 """
 from __future__ import annotations
 
@@ -41,14 +42,13 @@ __all__ = [
     "s_eps",
     "ScalarSolution",
     "solve_scalar_dpp",
-    "LevelSetValue",
     "solve_levelset",
 ]
 
 
 class NumericAbort(RuntimeError):
-    """A sweep produced values outside the certified range (non-finite or
-    beyond the tracked window); rerun with safer settings."""
+    """A sweep produced non-finite values, or an iteration did not settle;
+    rerun with safer settings."""
 
 
 # -- the general one-step operator ----------------------------------------
@@ -143,15 +143,10 @@ class ScalarSolution:
         return float(np.max(np.abs(f.values - exact)))
 
 
-def solve_scalar_dpp(
-    problem,
-    params,
-    t_start: float = 0.0,
-    store_all: bool = False,
-) -> ScalarSolution:
+def solve_scalar_dpp(problem, params, store_all: bool = False) -> ScalarSolution:
     """March the one-step operator backward from the terminal datum.
 
-    The number of rounds is round((T - t_start)/eps^2); the effective
+    The number of rounds is round(T/eps^2); the effective
     start time snaps accordingly.  Both node sets reproduce ``s_eps``,
     which stays the pointwise oracle: interior nodes (wall distance >=
     ell) by a vectorized evaluation (single candidate announcement,
@@ -167,7 +162,7 @@ def solve_scalar_dpp(
                               "use the one-step operator pointwise in 2D")
     check_probe_room(dom, params)
     dt = params.time_step
-    n_steps = max(1, round((problem.T - t_start) / dt))
+    n_steps = max(1, round(problem.T / dt))
     field = GridField.from_callable(dom, grid_spacing(dom, params), problem.g)
     xs = field.x_nodes
     interior = np.minimum(xs - dom.a, dom.c - xs) >= params.move_bound
@@ -236,157 +231,18 @@ def _interior_sweep_1d(problem, params, xs, vals, mask, t):
     return np.minimum(b0, np.minimum(b_up, b_dn))
 
 
-# -- level-set solver ------------------------------------------------------
+# -- the parabolic mode's entry point --------------------------------------
 
 
-@dataclass(eq=False)
-class LevelSetValue:
-    """Level-set function U(x, z) at the effective start time.
+def solve_levelset(problem, params) -> ScalarSolution:
+    """The ``parabolic`` mode's solve: ``solve_scalar_dpp(problem, params)``.
 
-    U starts from g(x) - z at the terminal time and keeps slope <= -1 in
-    z; the graph of the solution is recovered from its sign change.
+    Kept only because the benchmark's span tracer (``perfbench/spans.py``)
+    traces this name, guarded by
+    ``tests/test_package.py::test_every_traced_callable_resolves``; the
+    benchmark change of ROADMAP item 7 deletes it together with the
+    ``levelset`` workload.  It is a ``def`` and not an alias: the tracer
+    swaps functions by identity, so an alias would wrap every scalar
+    solve in a second span.
     """
-
-    problem: object
-    params: object
-    x_nodes: np.ndarray
-    z_nodes: np.ndarray
-    U: np.ndarray  # shape (nx, nz)
-    t_start_effective: float
-    z_max: float  # half-width of the tracked score window
-
-    def u_profile(self) -> np.ndarray:
-        """sup{z : U(x, z) > 0} per node (-inf where U never positive)."""
-        return _sign_change(self.z_nodes, self.U, upper=True)
-
-    def v_profile(self) -> np.ndarray:
-        """inf{z : U(x, z) < 0} per node (+inf where U never negative)."""
-        return _sign_change(self.z_nodes, self.U, upper=False)
-
-
-def _sign_change(z, U, upper: bool) -> np.ndarray:
-    """Per row, the linear crossing of U between the last positive entry
-    and the next (upper) or the first negative entry and the one before
-    (lower); clamped to the grid edge when that entry is the last
-    (first) one, -inf (+inf) when there is none."""
-    nx, nz = U.shape
-    r = np.arange(nx)
-    if upper:  # U[k] > 0 >= U[j]
-        hit = U > 0.0
-        k = nz - 1 - hit[:, ::-1].argmax(axis=1)
-        j = np.minimum(k + 1, nz - 1)
-        edge, z_edge, none = k == nz - 1, z[-1], -np.inf
-    else:  # U[k] >= 0 > U[j]
-        hit = U < 0.0
-        j = hit.argmax(axis=1)
-        k = np.maximum(j - 1, 0)
-        edge, z_edge, none = j == 0, z[0], np.inf
-    a, b = U[r, k], U[r, j]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cross = z[k] + a * (z[j] - z[k]) / (a - b)
-    return np.where(hit.any(axis=1), np.where(edge, z_edge, cross), none)
-
-
-def _interp_rows(z, zs, dz, col):
-    """Each row of ``col`` at the same row of ``z`` by ``np.interp``'s own
-    arithmetic on the uniform grid ``zs``, continued with slope -1 beyond
-    it.  The cell j = clip(searchsorted(zs, z, "right") - 1, 0, nz - 2)
-    is one multiply, corrected once each way against ``zs``; clipped by
-    fmax/fmin before the cast, a NaN z takes cell 0 without a warning."""
-    nz, n = len(zs), len(z)
-    j = np.fmin(np.fmax((z - zs[0]) * (1.0 / (zs[1] - zs[0])), 0.0), nz - 2).astype(np.intp)
-    j += (zs[j + 1] <= z) & (j < nz - 2)
-    j -= (zs[j] > z) & (j > 0)
-    off, dz_j = z - zs[j], dz[j]  # off == 0 exactly where z == zs[j]
-    j += nz * np.arange(n)[:, None]  # now the flat index of col[j]
-    c_j = np.take(col, j)
-    vals = (np.take(col.ravel()[1:], j) - c_j) / dz_j * off + c_j
-    np.copyto(vals, c_j, where=off == 0.0)  # a point on a node takes its value
-    del j, off, dz_j, c_j  # before the continuations' temporaries, to lower the peak
-    hi, lo = z >= zs[-1], z < zs[0]  # z == zs[-1] takes col[-1] - 0.0
-    if hi.any():
-        np.subtract(col[:, -1:], z - zs[-1], out=vals, where=hi)
-    if lo.any():
-        np.add(col[:, :1], zs[0] - z, out=vals, where=lo)
-    return vals
-
-
-def solve_levelset(problem, params, z_max: float | None = None,
-                   t_start: float = 0.0) -> LevelSetValue:
-    """Backward induction on the level-set value U(x, z, t).
-
-    ``z_max`` defaults to sup|g| + 2 (sup|g| over 256 points).  Each sweep
-    takes the candidates of every x-node from one batched
-    ``candidates_1d`` call on the z = 0 slice and shares them across z;
-    the update is then monotone in z and preserves the slope <= -1
-    property of the terminal datum.  The nodes of each block of
-    ``Candidates1D.blocks`` are updated together: their landing columns
-    are interpolated once per block, then each (strategy, move) slot
-    reads them at the post-round scores z' by ``np.interp``'s own
-    arithmetic (``_interp_rows``).  The score grid is uniform, so the
-    cell of z' is one multiply, corrected once each way against the grid
-    to exactly ``searchsorted(side="right") - 1``; a point on a score
-    node takes the node's value.  Off-grid z' are continued affinely
-    with slope -1; a z' more than 1.0 beyond the grid aborts with advice
-    to enlarge z_max.
-    """
-    dom = problem.domain
-    if dom.dim != 1:
-        raise ValidationError("the level-set solver is one-dimensional")
-    check_probe_room(dom, params)
-    g_sup = max(abs(float(problem.g(np.array([x]))))
-                for x in np.linspace(dom.a, dom.c, 256))
-    if z_max is None:
-        z_max = g_sup + 2.0
-    if z_max < g_sup + 1.0:
-        raise ValidationError(
-            f"z_max={z_max} too small: need at least sup|g| + 1 = {g_sup + 1.0:.6g}"
-        )
-    dt = params.time_step
-    n_steps = max(1, round((problem.T - t_start) / dt))
-    base = GridField.from_callable(dom, grid_spacing(dom, params), problem.g)
-    xs = base.x_nodes
-    K = max(1, round(z_max / dt))
-    zs = dt * np.arange(-K, K + 1)
-    nz, dz = len(zs), zs[1:] - zs[:-1]
-    U = np.subtract.outer(base.values, zs)
-    for j in range(n_steps):
-        t_target = problem.T - (j + 1) * dt
-        # the z = 0 slice drives the candidates
-        cand = candidates_1d(base.with_values(U[:, K]), np.arange(len(xs)), params, problem.h)
-        D = cand.step[:, None, :]
-        drift = cand.P[:, :, None] * D + 0.5 * (D * cand.G[:, :, None] * D)
-        i0, w = base.locate(cand.landing)
-        new = np.empty_like(U)
-        for rows, S, M in cand.blocks():
-            P, G = cand.P[rows, :S, None], cand.G[rows, :S, None]
-            dt_f = dt * f_stacked(problem, t_target, xs[rows, None, None], zs, P, G)
-            # the landing columns of every move, (M, n, nz)
-            ib, wb = i0[rows, :M].T, w[rows, :M].T[..., None]
-            col = (1.0 - wb) * U[ib] + wb * U[ib + 1]
-            best = np.full((len(rows), nz), -np.inf)
-            for s in range(S):
-                worst = np.full_like(best, np.inf)
-                for m in range(M):
-                    z_next = zs + drift[rows, s, m, None] + dt_f[:, s] - cand.penalty[rows, m, None]
-                    over = np.max(np.abs(z_next)) - z_max
-                    if over > 1.0:
-                        raise NumericAbort(
-                            f"tracked value left the z-window by {over:.3g} at "
-                            f"t={t_target:.6g}; rerun with z_max > {z_max + over:.3g}"
-                        )
-                    np.minimum(worst, _interp_rows(z_next, zs, dz, col[m]), out=worst)
-                np.maximum(best, worst, out=best)
-            new[rows] = best
-        if not np.all(np.isfinite(new)):
-            raise NumericAbort(f"non-finite level-set values at t={t_target:.6g}")
-        U = new
-    return LevelSetValue(
-        problem=problem,
-        params=params,
-        x_nodes=xs,
-        z_nodes=zs,
-        U=U,
-        t_start_effective=problem.T - n_steps * dt,
-        z_max=z_max,
-    )
+    return solve_scalar_dpp(problem, params)

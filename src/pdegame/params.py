@@ -30,9 +30,9 @@ class GameParams:
     ``eps`` is the step scale (time step ``eps**2``, move bound
     ``eps**(1-alpha)``, control caps ``eps**-beta`` / ``eps**-gamma``).
     ``lambda_rate`` is the discount rate of the elliptic game (0 for
-    parabolic runs); ``cap_M``/``cap_m`` are the elliptic score caps
-    (``cap_m`` is bound to ``cap_M - 1 - 2 sup|psi|`` where the cap spec is
-    assembled, see game_elliptic).  ``p_grid_half`` = k sizes the
+    parabolic runs); ``cap_M`` is the elliptic score cap, from which
+    ``game_elliptic.build_caps`` derives the inner cap
+    ``cap_m = cap_M - 1 - 2 sup|psi|``.  ``p_grid_half`` = k sizes the
     boundary-layer gradient line: 2k+1 samples between the two extreme
     Neumann corrections.
     """
@@ -45,7 +45,6 @@ class GameParams:
     kappa: float
     lambda_rate: float = 0.0
     cap_M: float | None = None
-    cap_m: float | None = None
     p_grid_half: int = 4
 
     def __post_init__(self):
@@ -153,7 +152,6 @@ def make_params(
     *,
     lambda_rate: float = 0.0,
     cap_M: float | None = None,
-    cap_m: float | None = None,
     p_grid_half: int = 4,
     **overrides: float,
 ) -> GameParams:
@@ -171,8 +169,7 @@ def make_params(
             raise TypeError(f"unknown exponent override {key!r}")
         fields[key] = float(val)
     p = GameParams(
-        eps=eps, lambda_rate=lambda_rate, cap_M=cap_M, cap_m=cap_m,
-        p_grid_half=p_grid_half, **fields
+        eps=eps, lambda_rate=lambda_rate, cap_M=cap_M, p_grid_half=p_grid_half, **fields
     )
     report = validate_params(p, q, r)
     if report:

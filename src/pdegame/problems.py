@@ -169,6 +169,18 @@ def _catalog():
         f_batched=_heat_f_batched,
     )
 
+    # f = -G + z: monotone in z, exact e^(-2(T - t)) cos x
+    entries["heat1d_reaction"] = lambda: ParabolicProblem(
+        name="heat1d_reaction",
+        domain=dompi,
+        f=lambda t, x, z, p, G: -G[0, 0] + z,
+        g=lambda x: float(np.cos(x[0])),
+        h=lambda x: 0.0,
+        T=0.25,
+        exact=lambda t, x: float(np.exp(-2.0 * (0.25 - t)) * np.cos(np.atleast_1d(x)[0])),
+        f_batched=lambda t, X, Z, P, G: -G[:, 0, 0] + Z,
+    )
+
     lam = 1.0
     sq = math.sqrt(lam)
     entries["laplace_elliptic_1d"] = lambda: EllipticProblem(

@@ -336,9 +336,9 @@ class Candidates1D:
     0 < d < ell), and later columns repeat the last real entry.  Only the
     scalar layer sweep reads the padding (a repeat changes no min or max,
     and as repeats come last, no first-index argmax or argmin either);
-    the (state, score) solvers read the real entries block by block
-    through :meth:`blocks`.  ``penalty`` is the penalty weight times h at
-    the wall a crossing step lands on, 0 for the other steps.
+    the stationary fixed-point solver reads the real entries block by
+    block through :meth:`blocks`.  ``penalty`` is the penalty weight
+    times h at the wall a crossing step lands on, 0 for the other steps.
     """
 
     P: np.ndarray

@@ -77,7 +77,8 @@ class TestConfigFile:
 
     @pytest.mark.parametrize(
         "line",
-        ["q = 0.5", "r = nan", "tol = nan", "z_max = nan", "z_max = inf", "cap_M = inf", "tol = inf"],
+        ["q = 0.5", "r = nan", "tol = nan", "wall_shift = nan", "wall_shift = inf", "cap_M = inf",
+         "tol = inf"],
     )
     def test_out_of_range_config_value_exits_2(self, tmp_path, capsys, line):
         f = tmp_path / "c.txt"
@@ -85,6 +86,13 @@ class TestConfigFile:
         rc = main(["solve", "--config", str(f), "--eps-ladder", "0.5"])
         assert rc == 2
         assert "validation failure" in capsys.readouterr().err
+
+    def test_removed_z_max_key_exits_2_as_unknown(self, tmp_path, capsys):
+        f = tmp_path / "c.txt"
+        f.write_text(f"mode = parabolic\nz_max = 3\nout = {tmp_path / 'o'}\n")
+        assert main(["solve", "--config", str(f)]) == 2
+        assert "unknown config key 'z_max'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_bad_mode_exits_2(self, tmp_path, capsys):
         rc = main(["solve", "--mode", "spectral", "--out", str(tmp_path / "o")])
@@ -199,28 +207,37 @@ class TestSolveWorkflows:
         assert "sup_error = " in summary
         assert "wall_time_s = " in summary
 
-    def test_levelset_solve_writes_ordered_profiles(self, tmp_path):
-        out = tmp_path / "o"
-        rc = main(
-            [
-                "solve",
-                "--mode",
-                "parabolic",
-                "--out",
-                str(out),
-                "--eps-ladder",
-                "0.2",
-                "--problem",
-                "heat1d_linear_profile",
-            ]
-        )
-        assert rc == 0
-        header, rows = read_csv(out / "profiles.csv")
+    def test_parabolic_profiles_are_the_heat1d_values(self, tmp_path):
+        # the scalar game has one value, written as both profiles
+        argv = ["--eps-ladder", "0.2", "--problem", "heat1d_reaction"]
+        assert main(["solve", "--mode", "parabolic", "--out", str(tmp_path / "p"), *argv]) == 0
+        assert main(["solve", "--mode", "heat1d", "--out", str(tmp_path / "h"), *argv]) == 0
+        header, rows = read_csv(tmp_path / "p" / "profiles.csv")
         assert header == ["x", "u", "v"]
-        u = np.array([float(r[1]) for r in rows])
-        v = np.array([float(r[2]) for r in rows])
-        dz = 0.2**2
-        assert np.all(u - v <= 2 * dz + 1e-12)
+        _, field = read_csv(tmp_path / "h" / "field.csv")
+        assert [r[0] for r in rows] == [r[0] for r in field]
+        assert [r[1] for r in rows] == [r[2] for r in rows] == [r[1] for r in field]
+        summary = (tmp_path / "p" / "summary.txt").read_text()
+        assert f"nodes = {len(rows)}\n" in summary
+        assert "z_max" not in summary
+
+    @pytest.mark.parametrize(
+        "problem, eps, bound",
+        [
+            ("heat1d_cosine", "0.15", 0.045),  # measured 0.0414
+            ("heat1d_reaction", "0.2", 0.03),  # measured 0.0283; f depends on z
+        ],
+    )
+    def test_parabolic_profile_error(self, tmp_path, problem, eps, bound):
+        out = tmp_path / "o"
+        assert main(["solve", "--mode", "parabolic", "--out", str(out), "--eps-ladder", eps,
+                     "--problem", problem]) == 0
+        _, rows = read_csv(out / "profiles.csv")
+        summary = (out / "summary.txt").read_text()
+        t = float(summary.split("t_start_effective = ")[1].split()[0])
+        exact = get_problem(problem).exact
+        err = max(abs(float(r[k]) - exact(t, float(r[0]))) for r in rows for k in (1, 2))
+        assert err <= bound
 
     def test_elliptic_solve_writes_profiles_and_residuals(self, tmp_path):
         out = tmp_path / "o"

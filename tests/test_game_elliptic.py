@@ -15,6 +15,7 @@ from pdegame.problems import EllipticProblem, MixedEllipticProblem, get_problem
 from pdegame.strategies import candidate_moves, candidate_strategies
 from pdegame.game_elliptic import (
     _build_plan,
+    _sign_change,
     _sweep_frame,
     build_caps,
     exact_barrier,
@@ -669,7 +670,39 @@ class TestSolve:
             assert res[k + 1] <= disc * res[k] + 1e-6
 
 
+def reference_sign_change(z, U, upper):
+    """The profile crossing row by row: the last positive entry and the
+    next one (upper), or the first negative entry and the one before."""
+    nz = len(z)
+    out = np.empty(len(U))
+    for i, col in enumerate(U):
+        hits = np.nonzero(col > 0.0 if upper else col < 0.0)[0]
+        if len(hits) == 0:
+            out[i] = -np.inf if upper else np.inf
+            continue
+        k = hits[-1] if upper else hits[0] - 1
+        if (upper and k == nz - 1) or (not upper and k == -1):
+            out[i] = z[-1] if upper else z[0]  # crossing beyond the grid: the edge
+        else:
+            out[i] = z[k] + col[k] * (z[k + 1] - z[k]) / (col[k] - col[k + 1])
+    return out
+
+
 class TestExtraction:
+    @pytest.mark.parametrize("upper", [True, False], ids=["upper", "lower"])
+    def test_sign_change_matches_the_row_by_row_reference(self, upper):
+        z = 0.04 * np.arange(-20, 21)
+        rng = np.random.default_rng(3)
+        U = np.vstack([
+            rng.uniform(-1.0, 1.0, (20, len(z))),
+            np.subtract.outer(rng.uniform(-1.2, 1.2, 20), z),  # off the grid too
+            np.round(rng.uniform(-1.0, 1.0, (20, len(z)))),  # zero plateaus
+            np.zeros(len(z)), np.ones(len(z)), -np.ones(len(z)),
+        ])
+        got = _sign_change(z, U, upper)
+        np.testing.assert_array_equal(got, reference_sign_change(z, U, upper))
+        assert np.isinf(got).any() and np.isin(got, z[[0, -1]]).any()
+
     def test_constant_graph(self):
         # V == c gives U = c - z and the exact crossing at z = c
         params = make_params(0.2, lambda_rate=1.0)

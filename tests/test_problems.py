@@ -10,6 +10,7 @@ CATALOG = [
     "heat1d_cosine",
     "heat1d_homogeneous",
     "heat1d_linear_profile",
+    "heat1d_reaction",
     "laplace_elliptic_1d",
     "mixed_dn_elliptic_1d",
 ]
@@ -33,10 +34,12 @@ def _fd_xx(u, t, x, h=1e-4):
     return (u(t, x + h) - 2 * u(t, x) + u(t, x - h)) / h**2
 
 
-def test_cosine_exact_solves_the_pde():
-    prob = get_problem("heat1d_cosine")
+@pytest.mark.parametrize("name", ["heat1d_cosine", "heat1d_reaction"])
+def test_cosine_exact_solves_the_pde(name):
+    prob = get_problem(name)
     for t, x in [(0.1, 1.0), (0.2, 2.0), (0.05, 0.7)]:
-        resid = -_fd_t(prob.exact, t, x) - _fd_xx(prob.exact, t, x)
+        u, u_xx = prob.exact(t, x), _fd_xx(prob.exact, t, x)
+        resid = -_fd_t(prob.exact, t, x) + prob.f(t, np.array([x]), u, np.zeros(1), np.array([[u_xx]]))
         assert abs(resid) < 1e-6
     assert prob.exact(0.25, 1.2) == pytest.approx(np.cos(1.2), abs=1e-12)
 
