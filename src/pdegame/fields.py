@@ -24,7 +24,7 @@ import numpy as np
 from .geometry import DomainGeometry
 from .params import ValidationError
 
-__all__ = ["GridField", "AnalyticField", "grid_spacing"]
+__all__ = ["GridField", "AnalyticField", "grid_spacing", "interpolate"]
 
 
 def grid_spacing(domain: DomainGeometry, params) -> float:
@@ -110,13 +110,19 @@ class GridField:
     def eval(self, x) -> float:
         return float(self.eval_many(self._point(x)[0]))
 
-    def locate(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Cell i and weight t of each point of ``q``, value (1-t) v[i] + t v[i+1]."""
+    def locate(self, q: np.ndarray) -> tuple:
+        """Cells ``(i, 1 - t, t)`` of the points ``q``, for :func:`interpolate`."""
         x = self.x_nodes
         i = np.clip((q - x[0]) // self.h, 0, len(x) - 2).astype(int)
-        return i, np.clip((q - x[i]) / self.h, 0.0, 1.0)
+        t = np.clip((q - x[i]) / self.h, 0.0, 1.0)
+        return i, 1.0 - t, t
 
     def eval_many(self, q: np.ndarray) -> np.ndarray:
         """The interpolant at every point of ``q`` (no closure check)."""
-        i, t = self.locate(q)
-        return (1.0 - t) * self.values[i] + t * self.values[i + 1]
+        return interpolate(self.locate(q), self.values)
+
+
+def interpolate(cells: tuple, values: np.ndarray) -> np.ndarray:
+    """(1 - t) v[i] + t v[i + 1] at the ``GridField.locate`` cells (i, 1 - t, t)."""
+    i, w, t = cells
+    return w * values[i] + t * values[i + 1]

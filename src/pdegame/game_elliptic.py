@@ -24,14 +24,15 @@ partly absorbing wall stop with payoff ``z + e^(-lambda dt)
 (g_exit(landing) - z')`` when the state lands on the absorbing part
 with the score still inside the caps.
 
-Sweeps run on a plan built once per anchor round from the batched
-candidates of ``strategies.candidates_1d``, one block per distinct
-(strategy count S, move count M) pair of ``Candidates1D.blocks``:
-arrays of shape ``(n, S, M, nz)`` over the block's state nodes, their
-strategies, moves and the score nodes.  Interior nodes form one block
-with a single strategy and three moves; boundary-layer nodes add the
-Neumann-corrected announcement line and, off the wall, the grazing
-step.  Every branch cell of a block is a real branch.
+Each solve builds one ``strategies.CandidatePlan1D`` over the state
+nodes.  Each anchor round announces from the anchor and builds a sweep
+plan, one block per distinct (strategy count S, move count M) pair of
+``CandidatePlan1D.blocks``: arrays of shape ``(n, S, M, nz)`` over the
+block's state nodes, their strategies, moves and the score nodes.
+Interior nodes form one block with a single strategy and three moves;
+boundary-layer nodes add the Neumann-corrected announcement line and,
+off the wall, the grazing step.  Every branch cell of a block is a
+real branch.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .game_parabolic import NumericAbort, _discount
 from .geometry import DomainGeometry
 from .params import GameParams, ValidationError
 from .problems import f_stacked
-from .strategies import candidates_1d, check_probe_room
+from .strategies import CandidatePlan1D, check_probe_room
 
 __all__ = [
     "CapSpec",
@@ -244,28 +245,50 @@ def z_grid(params: GameParams, cap_M: float) -> np.ndarray:
 
 @dataclass
 class _SweepFrame:
-    """The (state, score) grid, its per-node bound and the discount:
-    everything a sweep needs that depends neither on V nor on the anchor."""
+    """Everything a sweep needs that depends neither on V nor on the
+    anchor.  Move ``(i, m)`` of the candidate plan lands between state
+    nodes ``col_i0`` and ``col_i0 + 1`` with weights ``1 - col_w``/``col_w``;
+    it stops on an exit wall (``exits``, paying ``g_vals``) or pays ``pen_h``."""
 
     base: GridField
     xs: np.ndarray
     zs: np.ndarray
     chi_nodes: np.ndarray
     disc: float
+    candidates: CandidatePlan1D
+    col_i0: np.ndarray
+    col_w: np.ndarray
+    exits: np.ndarray
+    g_vals: np.ndarray
+    pen_h: np.ndarray
 
 
-def _sweep_frame(problem, caps: CapSpec, params: GameParams) -> _SweepFrame:
+def _sweep_frame(problem, caps: CapSpec, params: GameParams, dirichlet_patch=None, g_exit=None):
     dom = problem.domain
     if dom.dim != 1:
         raise ValidationError("the fixed-point solver is one-dimensional")
     check_probe_room(dom, params)
     disc = _discount(problem, params)
     base = GridField.build(dom, grid_spacing(dom, params))
+    xs, nx = base.x_nodes, len(base.x_nodes)
     zs = z_grid(params, caps.cap_M)
     if not np.all(np.abs(zs) < caps.cap_M):
         raise ValidationError("score nodes must lie strictly inside the caps")
-    chi_nodes = np.array([caps.chi_at(np.array([x])) for x in base.x_nodes])
-    return _SweepFrame(base=base, xs=base.x_nodes, zs=zs, chi_nodes=chi_nodes, disc=disc)
+    chi_nodes = np.array([caps.chi_at(np.array([x])) for x in xs])
+    cand = CandidatePlan1D(base, np.arange(nx), params, problem.h)
+    # a step stops on the absorbing part when it crosses onto an exit wall
+    walls = (dom.a, dom.c)
+    is_exit = [bool(dirichlet_patch and dirichlet_patch(np.array([w]))) for w in walls]
+    g_wall = [float(g_exit(np.array([w]))) if e else 0.0 for w, e in zip(walls, is_exit)]
+    at_a = cand.landing <= dom.a
+    exits = cand.crossed & np.where(at_a, is_exit[0], is_exit[1])
+    g_vals = np.where(exits, np.where(at_a, g_wall[0], g_wall[1]), 0.0)
+    t_loc = (cand.landing - xs[0]) / (xs[1] - xs[0])
+    col_i0 = np.clip(np.floor(t_loc), 0, nx - 2).astype(int)
+    col_w = np.clip(t_loc - col_i0, 0.0, 1.0)
+    return _SweepFrame(base=base, xs=xs, zs=zs, chi_nodes=chi_nodes, disc=disc, candidates=cand,
+                       col_i0=col_i0, col_w=col_w, exits=exits, g_vals=g_vals,
+                       pen_h=np.where(exits, 0.0, cand.penalty))
 
 
 def _sign_change(z, U, upper: bool) -> np.ndarray:
@@ -304,11 +327,10 @@ def _anchor_field(frame: _SweepFrame, V: np.ndarray) -> GridField:
 @dataclass
 class _PlanBlock:
     """Everything about one anchor round that does not depend on V, for
-    the nodes ``rows`` of one block.  Move ``(i, m)`` lands between state
-    nodes ``col_i0`` and ``col_i0 + 1`` with weights ``col_wl``/``col_w``;
-    ``idx``/``wz_left``/``wz`` do the same in the score for each branch
-    cell.  ``C``, ``C_work``, ``vals`` and ``work`` are the sweep's
-    buffers; ``vals`` keeps the last branch values."""
+    the nodes ``rows`` of one block: ``col_i0``/``col_wl``/``col_w`` are
+    the frame's landing columns of its moves, ``idx``/``wz_left``/``wz``
+    locate each branch cell in the score.  ``C``, ``C_work``, ``vals`` and
+    ``work`` are the sweep's buffers; ``vals`` keeps the last branch values."""
 
     rows: np.ndarray
     col_i0: np.ndarray
@@ -327,50 +349,38 @@ class _PlanBlock:
     work: np.ndarray
 
 
-def _build_plan(problem, params, caps, frame: _SweepFrame, anchor, dirichlet_patch, g_exit):
-    """One :class:`_PlanBlock` per block of ``Candidates1D.blocks``."""
-    dom = problem.domain
+def _build_plan(problem, params, caps, frame: _SweepFrame, anchor_values):
+    """One :class:`_PlanBlock` per block of the announcements from the anchor values."""
     xs, zs = frame.xs, frame.zs
-    nx, nz = len(xs), len(zs)
-    dz = zs[1] - zs[0]
-    cand = candidates_1d(anchor, np.arange(nx), params, problem.h)
-    # a step stops on the absorbing part when it crosses onto an exit wall
-    walls = (dom.a, dom.c)
-    is_exit = [bool(dirichlet_patch and dirichlet_patch(np.array([w]))) for w in walls]
-    g_wall = [float(g_exit(np.array([w]))) if e else 0.0 for w, e in zip(walls, is_exit)]
-    at_a = cand.landing <= dom.a
-    exits = cand.crossed & np.where(at_a, is_exit[0], is_exit[1])
-    g_vals = np.where(exits, np.where(at_a, g_wall[0], g_wall[1]), 0.0)
-    pen_h = np.where(exits, 0.0, cand.penalty)
-    t_loc = (cand.landing - xs[0]) / (xs[1] - xs[0])
-    col_i0 = np.clip(np.floor(t_loc), 0, nx - 2).astype(int)
-    col_w = np.clip(t_loc - col_i0, 0.0, 1.0)
+    nz, dz = len(zs), zs[1] - zs[0]
+    cand = frame.candidates
+    P_all, G_all, n_strategies = cand.announce(anchor_values)
     cap = caps.cap_M
     plan = []
-    for rows, S, M in cand.blocks():
+    for rows, S, M in cand.blocks(n_strategies):
         n, shape = len(rows), (len(rows), S, M, nz)
-        P, G = cand.P[rows, :S, None, None], cand.G[rows, :S, None, None]
+        P, G = P_all[rows, :S, None, None], G_all[rows, :S, None, None]
         fz = f_stacked(problem, None, xs[rows, None, None, None], zs, P, G)
         D = cand.step[rows, None, :M, None]
         delta = np.empty(shape)
         np.add(P * D + 0.5 * (D * G * D), params.time_step * fz, out=delta)
-        delta -= pen_h[rows, None, :M, None]
+        delta -= frame.pen_h[rows, None, :M, None]
         z1 = (1.0 / frame.disc) * (zs + delta)
         jdx = np.clip(np.searchsorted(zs, z1, side="right") - 1, 0, nz - 2)
         wz = np.clip((z1 - zs[jdx]) / dz, 0.0, 1.0)
         idx = jdx + nz * np.arange(n * M).reshape(n, 1, M, 1)
         # caps take precedence over absorbing exits
-        ex, w = exits[rows, :M], col_w[rows, :M]
+        ex, w = frame.exits[rows, :M], frame.col_w[rows, :M]
         fixed_idx = np.flatnonzero((z1 >= cap) | (z1 <= -cap) | ex[:, None, :, None])
         ix, _, mx, kx = np.unravel_index(fixed_idx, shape)
         z1f = z1.ravel()[fixed_idx]
         chi = frame.chi_nodes[rows[ix]]
-        exit_val = zs[kx] + frame.disc * (g_vals[rows[ix], mx] - z1f)
+        exit_val = zs[kx] + frame.disc * (frame.g_vals[rows[ix], mx] - z1f)
         fixed_val = np.where(z1f >= cap, -chi, np.where(z1f <= -cap, chi, exit_val))
         del z1, jdx  # before the sweep buffers are allocated, to lower the peak
         plan.append(_PlanBlock(
             rows=rows,
-            col_i0=col_i0[rows, :M],
+            col_i0=frame.col_i0[rows, :M],
             col_wl=(1.0 - w)[..., None],
             col_w=w[..., None],
             idx=idx,
@@ -436,13 +446,13 @@ def _exit_hits(plan: list) -> int:
 
 def _one_sweep(V, problem, caps, params, anchor, patch, g):
     V = np.asarray(V, dtype=float)
-    frame = _sweep_frame(problem, caps, params)
+    frame = _sweep_frame(problem, caps, params, patch, g)
     want = (len(frame.xs), len(frame.zs))
     if V.shape != want:
         raise ValidationError(f"value array has shape {V.shape}, expected {want}")
     if anchor is None:
         anchor = _anchor_field(frame, V)
-    plan = _build_plan(problem, params, caps, frame, anchor, patch, g)
+    plan = _build_plan(problem, params, caps, frame, anchor.values)
     new = _sweep(V, plan, frame, 1)
     return new, _exit_hits(plan)
 
@@ -557,12 +567,12 @@ def solve_fixed_point(
     dt = params.time_step
     if max_iter is None:
         max_iter = 10 * int(math.ceil(math.log(max(1.0 / tol, 10.0)) / (lam * dt)))
-    frame = _sweep_frame(problem, caps, params)
+    patch = getattr(problem, "is_dirichlet", None)
+    g = getattr(problem, "g_exit", None)
+    frame = _sweep_frame(problem, caps, params, patch, g)
     xs, zs = frame.xs, frame.zs
     anchor_tol = 0.25 * (zs[1] - zs[0])
     _warn_if_cap_small(problem, caps, xs, lam)
-    patch = getattr(problem, "is_dirichlet", None)
-    g = getattr(problem, "g_exit", None)
     V = np.zeros((len(xs), len(zs)))
     residuals: list = []
     anchor_vals = anchor.values.copy() if anchor is not None else np.zeros(len(xs))
@@ -574,9 +584,7 @@ def solve_fixed_point(
         polishing = frozen or last_move <= anchor_tol
         round_tol = tol if polishing else max(tol, 0.02 * last_move)
         plan = None  # free the last round's arrays before building the next
-        plan = _build_plan(
-            problem, params, caps, frame, frame.base.with_values(anchor_vals), patch, g
-        )
+        plan = _build_plan(problem, params, caps, frame, anchor_vals)
         for _ in range(max_iter):
             V_new = _sweep(V, plan, frame, total_sweeps + 1)
             res = float(np.max(np.abs(V_new - V)))

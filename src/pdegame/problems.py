@@ -59,8 +59,6 @@ class ParabolicProblem:
     g: object  # terminal datum g(x) -> float
     h: object  # Neumann datum on the boundary (guarded)
     T: float
-    growth: tuple = (1, 1)  # (q, r): |p|^q and |G|^r growth of f
-    monotone_in_z: bool = True
     exact: object = None  # exact solution u(t, x), when known
     f_batched: object = None  # optional vectorized f over stacked samples
 
@@ -77,7 +75,6 @@ class EllipticProblem:
     f: object  # f(x, z, p, G) -> float
     lambda_rate: float
     h: object
-    growth: tuple = (1, 1)
     eta_margin: float = 0.0  # monotonicity margin of lambda*z + f in z
     exact: object = None
     f_batched: object = None

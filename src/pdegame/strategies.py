@@ -16,8 +16,13 @@ computes those objects; the game operators only ever search the finite
 candidate lists built here.
 
 In 1D the solvers take every list from one batched kernel,
-:func:`candidates_1d`, which reproduces the pointwise functions bit for
-bit on any set of lattice nodes.  The pointwise functions
+:class:`CandidatePlan1D`, which reproduces the pointwise functions bit
+for bit on any set of lattice nodes.  Only the maximizer's
+announcements read the values: the plan holds the rest (the moves,
+their landings, crossings and penalties, the lattice cells of the
+probes and landings, and the boundary frame) and is built once per
+solve; :meth:`CandidatePlan1D.announce` derives the announcements from
+the values at each step.  The pointwise functions
 (:func:`candidate_strategies`, :func:`candidate_moves` and their parts)
 remain as the reference oracles that the tests, the audits and the 2D
 one-step operator use.  In 2D, :func:`neumann_bounds` evaluates its
@@ -32,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fields import interpolate
 from .geometry import DomainGeometry
 from .params import ValidationError
 
@@ -48,9 +54,8 @@ __all__ = [
     "probe_derivatives",
     "candidate_strategies",
     "candidate_moves",
-    "Candidates1D",
+    "CandidatePlan1D",
     "check_probe_room",
-    "candidates_1d",
 ]
 
 _N_DIRECTIONS_2D = 64
@@ -325,37 +330,116 @@ def candidate_moves(domain: DomainGeometry, x, params, hess_diff=None) -> list:
 # -- the batched 1D kernel ----------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class Candidates1D:
-    """Candidate announcements and steps at n nodes of a 1D lattice.
+class CandidatePlan1D:
+    """The candidates at the nodes ``nodes`` of the lattice of the
+    ``GridField`` ``lattice`` that do not read the values, built once per
+    solve (h is evaluated once per wall); :meth:`announce` adds the
+    announcements from the values at each step.
 
-    Row i belongs to the i-th requested node: the first ``n_strategies[i]``
-    columns of ``P``/``G`` (gradient, Hessian) are ``candidate_strategies``
-    in order, the first ``n_moves[i]`` columns of the (n, M) move arrays
-    are ``candidate_moves`` (0, +ell, -ell, then the grazing step when
-    0 < d < ell), and later columns repeat the last real entry.  Only the
-    scalar layer sweep reads the padding (a repeat changes no min or max,
-    and as repeats come last, no first-index argmax or argmin either);
-    the stationary fixed-point solver reads the real entries block by
-    block through :meth:`blocks`.  ``penalty`` is the penalty weight
-    times h at the wall a crossing step lands on, 0 for the other steps.
+    Row i belongs to the i-th node, at ``x[i]``.  The first ``n_moves[i]``
+    columns of the (n, M) move arrays are ``candidate_moves`` (0, +ell,
+    -ell, then the grazing step when 0 < d < ell) with their ``landing``,
+    its ``landing_cells``, ``crossed``, and ``penalty`` (the penalty weight
+    times h at the wall a crossing step lands on, else 0).  Later columns
+    repeat the last real entry: only the scalar layer sweep reads them, and
+    a trailing repeat changes no min, max, or first-index argmin or argmax.
+    The other attributes serve :meth:`announce`: the cells of each node
+    and of its probes (their mirror where a probe leaves the interval,
+    adding ``flux``), the boundary frame and the hoisted coefficients.
     """
 
-    P: np.ndarray
-    G: np.ndarray
-    n_strategies: np.ndarray
-    step: np.ndarray
-    landing: np.ndarray
-    crossed: np.ndarray
-    penalty: np.ndarray
-    n_moves: np.ndarray
+    def __init__(self, lattice, nodes, params, h):
+        dom = lattice.domain
+        check_probe_room(dom, params)
+        a, c, tol, ell = dom.a, dom.c, dom.tol, params.move_bound
+        h_a, h_c = float(h(np.array([a]))), float(h(np.array([c])))
+        x = lattice.x_nodes[nodes]
 
-    def blocks(self):
+        def outside(q):
+            return np.maximum(np.maximum(a - q, q - c), 0.0) > tol
+
+        q = np.stack([x + ell, x - ell])
+        self.reflected = outside(q)
+        foot = np.clip(q, a, c)
+        self.flux = 2.0 * np.abs(q - foot) * np.where(q < a, h_a, h_c)
+        mirrored = np.where(self.reflected, 2.0 * foot - q, q)
+        self.probes = lattice.locate(np.concatenate([x[None], mirrored]))
+
+        d = np.maximum(np.minimum(x - a, c - x), 0.0)
+        self.normal = np.where(x - a <= c - x, -1.0, 1.0)
+        r2 = np.array([(di / ell) ** 2 for di in d])  # scalar pow, as the pointwise code
+        self.bound_coef = 0.5 * (1.0 - d / ell)  # of m and M in p_opt_lower/upper
+        self.hess_coef = 0.25 * ell * (1.0 - r2)  # of H there
+        self.flat_coef = 0.5 * (-1.0 + r2)  # of H in gamma_opt
+        self.near_a, self.near_c = np.abs(x - a) < ell, np.abs(x - c) < ell
+        self.layer = (d < ell)[:, None]
+        ts = np.linspace(0.0, 1.0, 2 * params.p_grid_half + 1)
+        self.line = np.stack([1 - ts, ts])[:, None, :]  # weights of p_lo and p_hi
+
+        graze = (0.0 < d) & (d < ell)
+        self.step = np.stack(
+            [np.zeros_like(x), np.full_like(x, ell), np.full_like(x, -ell),
+             np.where(graze, d * self.normal, -ell)],
+            axis=1,
+        )[:, : 3 + int(graze.any())]
+        x_hat = x[:, None] + self.step
+        self.crossed = outside(x_hat)
+        self.landing = np.where(self.crossed, np.clip(x_hat, a, c), x_hat)
+        self.landing_cells = lattice.locate(self.landing)
+        weight = np.abs(x_hat - self.landing)
+        self.penalty = np.where(self.crossed, weight * np.where(self.landing <= a, h_a, h_c), 0.0)
+        self.n_moves = 3 + graze
+        self.params, self.nodes, self.x, self.h_walls = params, nodes, x, (h_a, h_c)
+
+    def announce(self, values):
+        """``(P, G, n_strategies)``: row i of ``P``/``G`` (gradient,
+        Hessian) starts with the ``n_strategies[i]`` entries of
+        ``candidate_strategies`` from the lattice ``values`` and repeats the
+        last.  Each step of the pointwise code (probes, exact Neumann
+        bounds, corrected line, flattened Hessian, clip, 12-digit dedup)
+        runs for all nodes at once with the same arithmetic, bit for bit.
+        """
+        params, ell = self.params, self.params.move_bound
+        probe = interpolate(self.probes, values)
+        f0 = probe[0]
+        fp, fm = np.where(self.reflected, probe[1:] + self.flux, probe[1:])
+        g = (fp - fm) / (2.0 * ell)
+        H = (fp - 2.0 * f0 + fm) / ell**2
+        p0, G0 = _clip_1d(g, H, params)
+
+        # exact Neumann bounds: h(wall) - g n(wall) over the walls within reach
+        v_a, v_c = self.h_walls[0] + g, self.h_walls[1] - g
+        both, one = self.near_a & self.near_c, np.where(self.near_a, v_a, v_c)
+        m = np.where(both, np.minimum(v_a, v_c), one)
+        M = np.where(both, np.maximum(v_a, v_c), one)
+        hess_term = self.hess_coef * H
+        p_lo = g + (self.bound_coef * m - hess_term) * self.normal
+        p_hi = g + (self.bound_coef * M - hess_term) * self.normal
+        G_line = (H + self.flat_coef * H)[:, None]  # gamma_opt
+        P_line = self.line[0] * p_lo[:, None] + self.line[1] * p_hi[:, None]
+        P_line, G_line = _clip_1d(P_line, G_line, params)
+        P_all = np.concatenate([p0[:, None], np.where(self.layer, P_line, p0[:, None])], axis=1)
+        G_line = np.broadcast_to(np.where(self.layer, G_line, G0[:, None]), P_line.shape)
+        G_all = np.concatenate([G0[:, None], G_line], axis=1)
+
+        # dedup on 12-digit keys: keep first occurrences in order, then repeat the last
+        kp, kg = np.round(P_all, 12), np.round(G_all, 12)
+        same = (kp[:, :, None] == kp[:, None, :]) & (kg[:, :, None] == kg[:, None, :])
+        same |= np.eye(P_all.shape[1], dtype=bool)  # NaN keys are unique, as in a set
+        keep = same.argmax(axis=2) == np.arange(P_all.shape[1])
+        n_strategies = keep.sum(axis=1)
+        order = np.argsort(~keep, axis=1, kind="stable")[:, : n_strategies.max()]
+        last = np.take_along_axis(order, (n_strategies - 1)[:, None], axis=1)
+        order = np.where(np.arange(order.shape[1]) < n_strategies[:, None], order, last)
+        return (np.take_along_axis(P_all, order, axis=1),
+                np.take_along_axis(G_all, order, axis=1), n_strategies)
+
+    def blocks(self, n_strategies):
         """``(rows, S, M)`` for each distinct pair of strategy and move
         counts: the rows whose real entries are the first S columns of
-        ``P``/``G`` and the first M columns of the move arrays."""
-        for S, M in np.unique(np.stack([self.n_strategies, self.n_moves], axis=1), axis=0):
-            yield np.flatnonzero((self.n_strategies == S) & (self.n_moves == M)), int(S), int(M)
+        the announcements and the first M columns of the move arrays."""
+        for S, M in np.unique(np.stack([n_strategies, self.n_moves], axis=1), axis=0):
+            yield np.flatnonzero((n_strategies == S) & (self.n_moves == M)), int(S), int(M)
 
 
 def check_probe_room(domain: DomainGeometry, params) -> None:
@@ -373,83 +457,3 @@ def _clip_1d(p, G, params):
     bound = params.p_bound
     p = np.where(pn > bound, p * (bound / np.maximum(pn, bound)), p)
     return p, np.clip(G, -params.hessian_bound, params.hessian_bound)
-
-
-def candidates_1d(field, nodes, params, h) -> Candidates1D:
-    """``candidate_strategies`` (flux-reflected probes) and
-    ``candidate_moves`` of a 1D lattice field at the nodes ``nodes``.
-
-    Every step of the pointwise code is done for all nodes at once with
-    the same arithmetic, so the real entries agree with it bit for bit:
-    the probe derivatives, the exact Neumann bounds (h evaluated once
-    per wall), the corrected gradient line and flattened Hessian, the
-    clip, the 12-digit dedup, and the moves with their projection.
-    """
-    dom = field.domain
-    check_probe_room(dom, params)
-    a, c, tol, ell = dom.a, dom.c, dom.tol, params.move_bound
-    h_a, h_c = float(h(np.array([a]))), float(h(np.array([c])))
-    x = field.x_nodes[nodes]
-
-    def outside(q):
-        return np.maximum(np.maximum(a - q, q - c), 0.0) > tol
-
-    def probe(q):  # the field, or its flux-corrected reflection through the wall
-        out = outside(q)
-        foot = np.clip(q, a, c)
-        val = field.eval_many(np.where(out, 2.0 * foot - q, q))
-        return np.where(out, val + 2.0 * np.abs(q - foot) * np.where(q < a, h_a, h_c), val)
-
-    f0, fp, fm = field.eval_many(x), probe(x + ell), probe(x - ell)
-    g = (fp - fm) / (2.0 * ell)
-    H = (fp - 2.0 * f0 + fm) / ell**2
-    p0, G0 = _clip_1d(g, H, params)
-
-    # boundary frame and exact Neumann bounds; the normal entry of H is H
-    d = np.maximum(np.minimum(x - a, c - x), 0.0)
-    normal = np.where(x - a <= c - x, -1.0, 1.0)
-    r2 = np.array([(di / ell) ** 2 for di in d])  # scalar pow, as the pointwise code
-    near_a, near_c = np.abs(x - a) < ell, np.abs(x - c) < ell
-    v_a, v_c = h_a + g, h_c - g  # h(wall) - g n(wall)
-    m = np.where(near_a & near_c, np.minimum(v_a, v_c), np.where(near_a, v_a, v_c))
-    M = np.where(near_a & near_c, np.maximum(v_a, v_c), np.where(near_a, v_a, v_c))
-    p_lo = g + (0.5 * (1.0 - d / ell) * m - 0.25 * ell * (1.0 - r2) * H) * normal
-    p_hi = g + (0.5 * (1.0 - d / ell) * M - 0.25 * ell * (1.0 - r2) * H) * normal
-    ts = np.linspace(0.0, 1.0, 2 * params.p_grid_half + 1)
-    G_line = (H + 0.5 * (-1.0 + r2) * H)[:, None]  # gamma_opt
-    P_line, G_line = _clip_1d((1 - ts) * p_lo[:, None] + ts * p_hi[:, None], G_line, params)
-    layer = (d < ell)[:, None]
-    P_all = np.concatenate([p0[:, None], np.where(layer, P_line, p0[:, None])], axis=1)
-    G_line = np.broadcast_to(np.where(layer, G_line, G0[:, None]), P_line.shape)
-    G_all = np.concatenate([G0[:, None], G_line], axis=1)
-
-    # dedup on 12-digit keys: keep first occurrences in order, then repeat the last
-    kp, kg = np.round(P_all, 12), np.round(G_all, 12)
-    same = (kp[:, :, None] == kp[:, None, :]) & (kg[:, :, None] == kg[:, None, :])
-    same |= np.eye(P_all.shape[1], dtype=bool)  # NaN keys are unique, as in a set
-    keep = same.argmax(axis=2) == np.arange(P_all.shape[1])
-    n_strategies = keep.sum(axis=1)
-    order = np.argsort(~keep, axis=1, kind="stable")[:, : n_strategies.max()]
-    last = np.take_along_axis(order, (n_strategies - 1)[:, None], axis=1)
-    order = np.where(np.arange(order.shape[1]) < n_strategies[:, None], order, last)
-
-    graze = (0.0 < d) & (d < ell)
-    step = np.stack(
-        [np.zeros_like(x), np.full_like(x, ell), np.full_like(x, -ell),
-         np.where(graze, d * normal, -ell)],
-        axis=1,
-    )[:, : 3 + int(graze.any())]
-    x_hat = x[:, None] + step
-    crossed = outside(x_hat)
-    landing = np.where(crossed, np.clip(x_hat, a, c), x_hat)
-    weight = np.abs(x_hat - landing)
-    return Candidates1D(
-        P=np.take_along_axis(P_all, order, axis=1),
-        G=np.take_along_axis(G_all, order, axis=1),
-        n_strategies=n_strategies,
-        step=step,
-        landing=landing,
-        crossed=crossed,
-        penalty=np.where(crossed, weight * np.where(landing <= a, h_a, h_c), 0.0),
-        n_moves=3 + graze,
-    )

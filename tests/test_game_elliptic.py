@@ -479,9 +479,9 @@ class TestSweep:
         ]
         assert set(counts) == branch_counts
         # no padding: each node in exactly one block, only real branch cells
-        frame = _sweep_frame(prob, caps, params)
         patch, g_exit = getattr(prob, "is_dirichlet", None), getattr(prob, "g_exit", None)
-        plan = _build_plan(prob, params, caps, frame, anchor, patch, g_exit)
+        frame = _sweep_frame(prob, caps, params, patch, g_exit)
+        plan = _build_plan(prob, params, caps, frame, anchor.values)
         rows = np.concatenate([b.rows for b in plan])
         np.testing.assert_array_equal(np.sort(rows), np.arange(len(base.x_nodes)))
         assert sum(b.vals.size for b in plan) == len(zs) * sum(counts)
@@ -588,6 +588,14 @@ class TestSolve:
         expect = 0.5 * (u[3] + u[4])
         assert np.interp(mid, sol.x_nodes, u) == pytest.approx(expect, abs=1e-12)
         assert np.interp(mid, sol.x_nodes, v) == pytest.approx(expect, abs=1e-12)
+
+    def test_one_candidate_plan_per_solve(self, plan_calls):
+        # the plan is built once; each anchor round only announces from the anchor
+        built, announced = plan_calls
+        sol = solve_fixed_point(LAPLACE, CAPS_02, PARAMS_02, tol=1e-8)
+        assert len(built) == 1
+        assert len(announced) == 20 and set(announced) == set(built)
+        assert sol.final_residual <= 1e-8
 
     def test_designed_bound_holds_on_the_core_band(self):
         # |V| <= chi is guaranteed by the barrier argument only for

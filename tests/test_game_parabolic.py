@@ -182,7 +182,9 @@ class TestScalarSolver:
         "name, eps",
         [
             (name, eps)
-            for name in ("heat1d_cosine", "heat1d_linear_profile", "heat1d_homogeneous")
+            for name in (
+                "heat1d_cosine", "heat1d_linear_profile", "heat1d_homogeneous", "heat1d_reaction"
+            )
             for eps in (0.2, 0.1)
         ]
         + [("heat1d_linear_profile", 0.5)],  # ell ~ 0.56: the middle node sees both walls
@@ -197,6 +199,14 @@ class TestScalarSolver:
         for prev, cur, t in zip(sol.fields, sol.fields[1:], sol.times[1:]):
             oracle = [s_eps(prev, xs[i], t, prev.values[i], prob, params) for i in layer]
             np.testing.assert_array_equal(cur.values[layer], oracle)
+
+    @pytest.mark.parametrize("eps, n_steps", [(0.2, 6), (0.1, 25)])
+    def test_one_candidate_plan_per_solve(self, plan_calls, eps, n_steps):
+        built, announced = plan_calls
+        sol = solve_scalar_dpp(get_problem("heat1d_cosine"), make_params(eps), store_all=True)
+        assert len(sol.fields) == n_steps + 1
+        assert len(built) == 1
+        assert len(announced) == n_steps and set(announced) == set(built)
 
     def test_move_bound_beyond_the_interval_is_rejected_at_entry(self, monkeypatch):
         prob = ParabolicProblem(

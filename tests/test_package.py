@@ -1,12 +1,15 @@
-"""Package hygiene: every public name a module exports exists."""
+"""Package hygiene: every public name a module exports exists, and the README
+names the catalog."""
 import importlib
 import importlib.util
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
 
 import pdegame
+from pdegame.problems import list_problems
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(pdegame.__path__, "pdegame."))
 
@@ -42,3 +45,10 @@ def test_every_traced_callable_resolves():
         if cls is None or meth not in vars(cls):
             missing.append(f"{mod}.{cls_name}.{meth}")
     assert missing == []
+
+
+def test_readme_lists_the_catalog():
+    # the README's catalog sentence names exactly list_problems()
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sentence = readme[readme.index("The catalog (") :].split(".\n", 1)[0]
+    assert sorted(re.findall(r"`(\w+)`", sentence)) == list_problems()

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from pdegame.consistency import audit_ladder
-from pdegame.fields import AnalyticField, GridField, grid_spacing
+from pdegame.fields import AnalyticField, GridField, grid_spacing, interpolate
 from pdegame.geometry import ball, interval
 from pdegame.params import GameParams, make_params
 from pdegame.problems import boundary_function, get_problem
@@ -13,7 +13,7 @@ from pdegame.strategies import (
     build_frame,
     candidate_moves,
     candidate_strategies,
-    candidates_1d,
+    CandidatePlan1D,
     clip_strategy,
     gamma_opt,
     neumann_bounds,
@@ -409,11 +409,15 @@ class TestMovesAgainstTheLoop:
         assert n_points == 12
 
 
+def _bytes(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
 class TestBatchedKernel:
     @pytest.mark.parametrize("p_grid_half", [1, 4])
     @pytest.mark.parametrize("eps", [0.5, 0.2, 0.1])
     @pytest.mark.parametrize(
-        "name", ["heat1d_cosine", "heat1d_linear_profile", "heat1d_homogeneous"]
+        "name", ["heat1d_cosine", "heat1d_linear_profile", "heat1d_homogeneous", "heat1d_reaction"]
     )
     def test_matches_the_pointwise_lists_node_by_node(self, name, eps, p_grid_half):
         prob = get_problem(name)
@@ -421,38 +425,47 @@ class TestBatchedKernel:
         params = make_params(eps, p_grid_half=p_grid_half)
         base = GridField.build(dom, grid_spacing(dom, params))
         xs = base.x_nodes
-        noise = np.random.default_rng(3).normal(0.0, 0.05, len(xs))
-        field = base.with_values([prob.g(np.array([x])) for x in xs] + noise)
         nodes = np.arange(len(xs))[::-1]  # any order of any node set
-        cand = candidates_1d(field, nodes, params, prob.h)
-        S, M = cand.P.shape[1], cand.step.shape[1]
+        # one plan, announced from two different value arrays
+        plan = CandidatePlan1D(base, nodes, params, prob.h)
+        M = plan.step.shape[1]
+        g = np.array([prob.g(np.array([x])) for x in xs])
+        for seed in (3, 4):
+            field = base.with_values(g + np.random.default_rng(seed).normal(0.0, 0.05, len(xs)))
+            P, G, n_strategies = plan.announce(field.values)
+            for r, i in enumerate(nodes):
+                xp = xs[i : i + 1]
+                strats = candidate_strategies(dom, xp, field, params, prob.h)
+                n = n_strategies[r]
+                assert n == len(strats)
+                assert _bytes(P[r, :n]) == _bytes([s.p[0] for s in strats])
+                assert _bytes(G[r, :n]) == _bytes([s.Gamma[0, 0] for s in strats])
+                # the padding repeats the last real entry
+                assert np.all(P[r, n:] == P[r, n - 1]) and np.all(G[r, n:] == G[r, n - 1])
+        landed = interpolate(plan.landing_cells, field.values)
         for r, i in enumerate(nodes):
             xp = xs[i : i + 1]
-            # the pointwise lists, padded by repeating their last entry
-            strats = candidate_strategies(dom, xp, field, params, prob.h)
-            assert cand.n_strategies[r] == len(strats)
-            strats += strats[-1:] * (S - len(strats))
-            np.testing.assert_array_equal(cand.P[r], [s.p[0] for s in strats])
-            np.testing.assert_array_equal(cand.G[r], [s.Gamma[0, 0] for s in strats])
             moves = [dom.make_move(xp, req) for req in candidate_moves(dom, xp, params)]
-            assert cand.n_moves[r] == len(moves)
-            moves += moves[-1:] * (M - len(moves))
-            np.testing.assert_array_equal(cand.step[r], [mv.delta_hat[0] for mv in moves])
-            np.testing.assert_array_equal(cand.landing[r], [mv.landing[0] for mv in moves])
-            np.testing.assert_array_equal(cand.crossed[r], [mv.crossed for mv in moves])
-            np.testing.assert_array_equal(
-                cand.penalty[r],
-                [mv.penal_weight * prob.h(mv.landing) if mv.crossed else 0.0 for mv in moves],
+            n = plan.n_moves[r]
+            assert n == len(moves)
+            assert _bytes(plan.step[r, :n]) == _bytes([mv.delta_hat[0] for mv in moves])
+            assert _bytes(plan.landing[r, :n]) == _bytes([mv.landing[0] for mv in moves])
+            assert _bytes(landed[r, :n]) == _bytes([field.eval(mv.landing) for mv in moves])
+            assert plan.crossed[r, :n].tolist() == [mv.crossed for mv in moves]
+            assert _bytes(plan.penalty[r, :n]) == _bytes(
+                [mv.penal_weight * prob.h(mv.landing) if mv.crossed else 0.0 for mv in moves]
             )
+            for col in (plan.step, plan.landing, plan.crossed, plan.penalty):
+                assert np.all(col[r, n:M] == col[r, n - 1])
 
     def test_both_walls_within_reach_pad_strategies_and_moves(self):
         # ell ~ 0.56 on [0, 1]: the walls' fluxes -1 and +1 give bounds m < M
         prob = get_problem("heat1d_linear_profile")
         params = make_params(0.5, p_grid_half=4)
         base = GridField.build(prob.domain, grid_spacing(prob.domain, params))
-        field = base.with_values(np.zeros(len(base.x_nodes)))
-        cand = candidates_1d(field, np.arange(len(base.x_nodes)), params, prob.h)
+        plan = CandidatePlan1D(base, np.arange(len(base.x_nodes)), params, prob.h)
+        P, _, n_strategies = plan.announce(np.zeros(len(base.x_nodes)))
         # at the midpoint the 2k+1 line samples are distinct (the middle one
         # repeats the base pair here and is deduplicated)
-        assert cand.n_strategies.max() == cand.P.shape[1] >= 2 * 4 + 1
-        assert cand.n_moves.min() < cand.step.shape[1] == 4
+        assert n_strategies.max() == P.shape[1] >= 2 * 4 + 1
+        assert plan.n_moves.min() < plan.step.shape[1] == 4
