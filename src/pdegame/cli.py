@@ -273,17 +273,18 @@ def _run_elliptic(cfg: RunConfig, problem, out: Path, summary: list) -> None:
     summary.append(f"problem = {problem.name}")
     summary.append(f"eps = {eps:.12g}")
     summary.append(f"cap_M = {caps.cap_M:.12g}")
+    summary += [f"nodes = {len(val.x_nodes)}", f"score_nodes = {len(val.z_nodes)}"]
     summary.append(f"iterations = {val.iterations}")
     summary.append(f"final_residual = {val.final_residual:.12g}")
     summary.append(f"dirichlet_exits = {val.dirichlet_exits}")
 
 
 def _run_convergence(cfg: RunConfig, problem, out: Path, summary: list) -> None:
-    errors = []
+    errors, nodes = [], []
     for eps in cfg.eps_ladder:
-        params = cfg.game_params(eps)
-        sol = solve_scalar_dpp(problem, params)
+        sol = solve_scalar_dpp(problem, cfg.game_params(eps))
         errors.append(sol.sup_error())
+        nodes.append(len(sol.final.x_nodes))
     rows = []
     for i, (eps, err) in enumerate(zip(cfg.eps_ladder, errors)):
         e0 = errors[i - 1] if i > 0 else 0.0
@@ -296,6 +297,7 @@ def _run_convergence(cfg: RunConfig, problem, out: Path, summary: list) -> None:
     summary.append(f"problem = {problem.name}")
     summary.append(f"ladder = {_fmt(cfg.eps_ladder)}")
     summary.append(f"errors = {_fmt(tuple(errors))}")
+    summary.append(f"nodes = {_fmt(tuple(nodes))}")
 
 
 def _run_consistency(cfg: RunConfig, problem, out: Path, summary: list) -> None:

@@ -246,9 +246,10 @@ def z_grid(params: GameParams, cap_M: float) -> np.ndarray:
 @dataclass
 class _SweepFrame:
     """Everything a sweep needs that depends neither on V nor on the
-    anchor.  Move ``(i, m)`` of the candidate plan lands between state
-    nodes ``col_i0`` and ``col_i0 + 1`` with weights ``1 - col_w``/``col_w``;
-    it stops on an exit wall (``exits``, paying ``g_vals``) or pays ``pen_h``."""
+    anchor.  Move ``(i, m)`` of the candidate plan reads the state
+    lattice at its ``landing_cells`` (the ``GridField.locate`` cells that
+    ``s_eps`` reads); it stops on an exit wall (``exits``, paying
+    ``g_vals``) or pays ``pen_h``."""
 
     base: GridField
     xs: np.ndarray
@@ -256,8 +257,6 @@ class _SweepFrame:
     chi_nodes: np.ndarray
     disc: float
     candidates: CandidatePlan1D
-    col_i0: np.ndarray
-    col_w: np.ndarray
     exits: np.ndarray
     g_vals: np.ndarray
     pen_h: np.ndarray
@@ -283,12 +282,8 @@ def _sweep_frame(problem, caps: CapSpec, params: GameParams, dirichlet_patch=Non
     at_a = cand.landing <= dom.a
     exits = cand.crossed & np.where(at_a, is_exit[0], is_exit[1])
     g_vals = np.where(exits, np.where(at_a, g_wall[0], g_wall[1]), 0.0)
-    t_loc = (cand.landing - xs[0]) / (xs[1] - xs[0])
-    col_i0 = np.clip(np.floor(t_loc), 0, nx - 2).astype(int)
-    col_w = np.clip(t_loc - col_i0, 0.0, 1.0)
     return _SweepFrame(base=base, xs=xs, zs=zs, chi_nodes=chi_nodes, disc=disc, candidates=cand,
-                       col_i0=col_i0, col_w=col_w, exits=exits, g_vals=g_vals,
-                       pen_h=np.where(exits, 0.0, cand.penalty))
+                       exits=exits, g_vals=g_vals, pen_h=np.where(exits, 0.0, cand.penalty))
 
 
 def _sign_change(z, U, upper: bool) -> np.ndarray:
@@ -328,7 +323,7 @@ def _anchor_field(frame: _SweepFrame, V: np.ndarray) -> GridField:
 class _PlanBlock:
     """Everything about one anchor round that does not depend on V, for
     the nodes ``rows`` of one block: ``col_i0``/``col_wl``/``col_w`` are
-    the frame's landing columns of its moves, ``idx``/``wz_left``/``wz``
+    the candidate plan's landing cells of its moves, ``idx``/``wz_left``/``wz``
     locate each branch cell in the score.  ``C``, ``C_work``, ``vals`` and
     ``work`` are the sweep's buffers; ``vals`` keeps the last branch values."""
 
@@ -355,6 +350,7 @@ def _build_plan(problem, params, caps, frame: _SweepFrame, anchor_values):
     nz, dz = len(zs), zs[1] - zs[0]
     cand = frame.candidates
     P_all, G_all, n_strategies = cand.announce(anchor_values)
+    col_i0, col_wl, col_w = cand.landing_cells
     cap = caps.cap_M
     plan = []
     for rows, S, M in cand.blocks(n_strategies):
@@ -370,7 +366,7 @@ def _build_plan(problem, params, caps, frame: _SweepFrame, anchor_values):
         wz = np.clip((z1 - zs[jdx]) / dz, 0.0, 1.0)
         idx = jdx + nz * np.arange(n * M).reshape(n, 1, M, 1)
         # caps take precedence over absorbing exits
-        ex, w = frame.exits[rows, :M], frame.col_w[rows, :M]
+        ex = frame.exits[rows, :M]
         fixed_idx = np.flatnonzero((z1 >= cap) | (z1 <= -cap) | ex[:, None, :, None])
         ix, _, mx, kx = np.unravel_index(fixed_idx, shape)
         z1f = z1.ravel()[fixed_idx]
@@ -380,9 +376,9 @@ def _build_plan(problem, params, caps, frame: _SweepFrame, anchor_values):
         del z1, jdx  # before the sweep buffers are allocated, to lower the peak
         plan.append(_PlanBlock(
             rows=rows,
-            col_i0=frame.col_i0[rows, :M],
-            col_wl=(1.0 - w)[..., None],
-            col_w=w[..., None],
+            col_i0=col_i0[rows, :M],
+            col_wl=col_wl[rows, :M, None],
+            col_w=col_w[rows, :M, None],
             idx=idx,
             wz_left=1.0 - wz,
             wz=wz,

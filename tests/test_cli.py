@@ -157,13 +157,17 @@ class TestProvenance:
         assert "unknown config key 'threads'" in capsys.readouterr().err
 
     def test_candidate_line_size_is_restored_after_the_run(self, tmp_path):
-        # both walls lie within ell at eps 0.5, so the gradient line matters
-        def solve(out, *extra):
-            return ["solve", "--mode", "elliptic", "--eps-ladder", "0.5", "--out", str(out), *extra]
+        # at eps 0.42 and alpha 0.31, ell ~ 0.55 reaches both walls from the
+        # midpoint of the 5-node lattice, so the gradient line matters there
+        base, k1 = tmp_path / "base.cfg", tmp_path / "k1.cfg"
+        base.write_text("alpha = 0.31\n")
+        k1.write_text("alpha = 0.31\np_grid_half = 1\n")
 
-        f = tmp_path / "run.cfg"
-        f.write_text("p_grid_half = 1\n")
-        assert main(solve(tmp_path / "k1", "--config", str(f))) == 0
+        def solve(out, cfg=base):
+            return ["solve", "--mode", "elliptic", "--eps-ladder", "0.42", "--out", str(out),
+                    "--config", str(cfg)]
+
+        assert main(solve(tmp_path / "k1", k1)) == 0
         assert main(solve(tmp_path / "after")) == 0
         proc = subprocess.run(
             [sys.executable, "-m", "pdegame.cli", *solve(tmp_path / "fresh")],
@@ -200,7 +204,7 @@ class TestSolveWorkflows:
         assert rc == 0
         header, rows = read_csv(out / "field.csv")
         assert header == ["x", "value", "exact", "error"]
-        assert len(rows) > 100
+        assert len(rows) == 36  # the eps^(3/2) lattice on [0, pi] at eps 0.2
         errs = np.array([float(r[3]) for r in rows])
         assert errs.max() < 0.06
         summary = (out / "summary.txt").read_text()
@@ -252,7 +256,10 @@ class TestSolveWorkflows:
         rheader, rrows = read_csv(out / "residuals.csv")
         assert rheader == ["iteration", "residual"]
         assert float(rrows[-1][1]) <= 1e-8
-        assert "dirichlet_exits = 0" in (out / "summary.txt").read_text()
+        summary = (out / "summary.txt").read_text()
+        assert "dirichlet_exits = 0" in summary
+        # the state lattice and the score grid of the fixed point
+        assert f"nodes = {len(rows)}\nscore_nodes = 499\n" in summary
 
     def test_mixed_solve_exercises_the_exit_branch(self, tmp_path):
         out = tmp_path / "o"
@@ -261,6 +268,8 @@ class TestSolveWorkflows:
         summary = (out / "summary.txt").read_text()
         exits = int(summary.split("dirichlet_exits = ")[1].split()[0])
         assert exits > 0
+        _, rows = read_csv(out / "profiles.csv")
+        assert f"nodes = {len(rows)}\nscore_nodes = 499\n" in summary
 
     def test_mode_mixed_rejects_problems_without_a_patch(self, tmp_path, capsys):
         rc = main(
@@ -325,6 +334,23 @@ class TestStudyWorkflows:
         assert errs[0] > errs[1] > errs[2]
         assert rows[0][2] == ""
         assert all(float(r[2]) > 0.0 for r in rows[1:])
+        # nodes per rung: the eps^(3/2) lattice on [0, pi]
+        assert "nodes = 36,100,282\n" in (out / "summary.txt").read_text()
+
+    def test_heat1d_cosine_convergence_table(self, tmp_path):
+        # the eps^(3/2) lattice carries the ladder to eps 0.0125 in about a second
+        out = tmp_path / "o"
+        ladder = "0.2,0.1,0.05,0.025,0.0125"
+        assert main(["convergence", "--out", str(out), "--eps-ladder", ladder,
+                     "--problem", "heat1d_cosine"]) == 0
+        _, rows = read_csv(out / "convergence.csv")
+        errs = [float(r[1]) for r in rows]
+        # measured 0.04653, 0.03096, 0.01912, 0.01113, 0.006369
+        bounds = [0.0466, 0.0310, 0.0192, 0.0112, 0.0064]
+        assert all(e <= b for e, b in zip(errs, bounds))
+        assert all(a > b for a, b in zip(errs, errs[1:]))
+        assert 0.7 <= float(rows[-1][2]) <= 0.9  # measured 0.805
+        assert "nodes = 36,100,282,796,2249\n" in (out / "summary.txt").read_text()
 
     @pytest.mark.parametrize("ladder", ["0.2,0.2", "0.1,0.2"])
     def test_convergence_ladder_that_does_not_decrease_exits_2_before_solving(

@@ -459,9 +459,10 @@ class TestBatchedKernel:
                 assert np.all(col[r, n:M] == col[r, n - 1])
 
     def test_both_walls_within_reach_pad_strategies_and_moves(self):
-        # ell ~ 0.56 on [0, 1]: the walls' fluxes -1 and +1 give bounds m < M
+        # ell ~ 0.61 on [0, 1] reaches both walls from the midpoint of the
+        # 3-node lattice: the walls' fluxes -1 and +1 give bounds m < M
         prob = get_problem("heat1d_linear_profile")
-        params = make_params(0.5, p_grid_half=4)
+        params = make_params(0.55, p_grid_half=4)
         base = GridField.build(prob.domain, grid_spacing(prob.domain, params))
         plan = CandidatePlan1D(base, np.arange(len(base.x_nodes)), params, prob.h)
         P, _, n_strategies = plan.announce(np.zeros(len(base.x_nodes)))
