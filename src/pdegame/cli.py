@@ -49,6 +49,7 @@ __all__ = ["RunConfig", "load_config", "run", "main"]
 MODES = ("parabolic", "elliptic", "mixed", "heat1d", "consistency", "convergence")
 
 _EXPONENT_KEYS = ("alpha", "beta", "gamma", "rho", "kappa")
+_OPTIONAL_KEYS = _EXPONENT_KEYS + ("cap_M", "wall_shift")  # may be left unset
 
 
 @dataclass
@@ -57,10 +58,10 @@ class RunConfig:
 
     ``eps_ladder`` drives convergence/audit modes; single solves use its
     first entry.  ``alpha`` .. ``kappa`` override the derived exponent
-    selection when set.  ``p_grid_half`` sizes the announcement
-    candidate line (2k+1 gradient samples) of every solve of the run.
-    ``cap_M`` defaults to 10 in the stationary workflows.  All fields
-    are recorded into the output directory on every run.
+    selection when set; they, ``cap_M`` and ``wall_shift`` accept
+    ``none`` (or an empty value) for "unset".  ``cap_M`` defaults to 10
+    in the stationary workflows.  All fields are recorded into the
+    output directory on every run.
     """
 
     mode: str = "heat1d"
@@ -77,7 +78,6 @@ class RunConfig:
     tol: float = 1e-8
     cap_M: float | None = None
     wall_shift: float | None = None
-    p_grid_half: int = 4
     include_disk: bool = True
 
     def validate(self) -> None:
@@ -105,7 +105,6 @@ class RunConfig:
             self.r,
             lambda_rate=lambda_rate,
             cap_M=self.cap_M,
-            p_grid_half=self.p_grid_half,
             **{k: getattr(self, k) for k in _EXPONENT_KEYS if getattr(self, k) is not None},
         )
 
@@ -137,12 +136,7 @@ def _parse_value(key: str, raw: str):
         if raw.lower() not in _BOOL_WORDS:
             raise ValidationError(f"include_disk must be a boolean, got {raw!r}")
         return _BOOL_WORDS[raw.lower()]
-    if key == "p_grid_half":
-        try:
-            return int(raw)
-        except ValueError:
-            raise ValidationError(f"{key} must be an integer, got {raw!r}") from None
-    if raw.lower() in ("none", ""):
+    if key in _OPTIONAL_KEYS and raw.lower() in ("none", ""):
         return None
     try:
         value = float(raw)
@@ -301,9 +295,7 @@ def _run_convergence(cfg: RunConfig, problem, out: Path, summary: list) -> None:
 
 
 def _run_consistency(cfg: RunConfig, problem, out: Path, summary: list) -> None:
-    report = run_audit_suite(
-        eps_ladder=cfg.eps_ladder, include_disk=cfg.include_disk, p_grid_half=cfg.p_grid_half
-    )
+    report = run_audit_suite(eps_ladder=cfg.eps_ladder, include_disk=cfg.include_disk)
     report.write_csv(out / "consistency.csv")
     counts = report.count_by_case()
     for label in sorted(counts):
@@ -357,7 +349,7 @@ def run(cfg: RunConfig, workflow: str | None = None) -> int:
     # a problem or audit ladder that fails its checks leaves no output directory behind
     problem = _load_problem(cfg, kind, workflow == "convergence") if kind else None
     if workflow == "consistency":
-        audit_ladder(cfg.eps_ladder, cfg.include_disk, cfg.p_grid_half)
+        audit_ladder(cfg.eps_ladder, cfg.include_disk)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     _record_config(out, cfg)

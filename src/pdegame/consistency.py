@@ -512,13 +512,13 @@ def _interval_layer(dom, ell: float, eps: float, rho: float) -> dict:
     }
 
 
-def audit_ladder(eps_ladder, include_disk: bool, p_grid_half: int) -> list:
+def audit_ladder(eps_ladder, include_disk: bool) -> list:
     """The audit's game parameters, one per rung; raises ``ValidationError``
     when a rung's move bound ``ell`` puts the interval's "interior" point outside
     [0, 1] or, with the disk, exceeds its ``r_ext/2 = 1/2`` (projection undefined)."""
     dom = interval(0.0, 1.0)
     r_ext = ball((0.0, 0.0), 1.0).r_ext
-    ladder = [make_params(eps, lambda_rate=1.0, p_grid_half=p_grid_half) for eps in eps_ladder]
+    ladder = [make_params(eps, lambda_rate=1.0) for eps in eps_ladder]
     for params in ladder:
         ell = params.move_bound
         interior = _interval_layer(dom, ell, params.eps, params.rho)["interior"]
@@ -540,7 +540,6 @@ def run_audit_suite(
     include_disk: bool = True,
     slack_const: float | None = None,
     t: float = 0.25,
-    p_grid_half: int = 4,
 ) -> ConsistencyReport:
     """Run the shipped catalog of upper and lower audits.
 
@@ -550,14 +549,13 @@ def run_audit_suite(
     every rung of the ladder; points are placed at named wall
     distances inside each threshold band.  Each (point, z) contributes
     its upper row, then its lower row, both from one evaluation of
-    ``S[phi]`` by :func:`audit_point`.  ``p_grid_half`` sizes the
-    boundary-layer gradient line of every audited operator.
+    ``S[phi]`` by :func:`audit_point`.
 
     Raises ``ValidationError`` before any audit runs if :func:`audit_ladder` does.
     """
     dom = interval(0.0, 1.0)
     disk = ball((0.0, 0.0), 1.0)
-    ladder = audit_ladder(eps_ladder, include_disk, p_grid_half)
+    ladder = audit_ladder(eps_ladder, include_disk)
     h0 = lambda x: 0.0
     h2 = lambda x: 2.0
     report = ConsistencyReport()

@@ -246,10 +246,10 @@ def z_grid(params: GameParams, cap_M: float) -> np.ndarray:
 @dataclass
 class _SweepFrame:
     """Everything a sweep needs that depends neither on V nor on the
-    anchor.  Move ``(i, m)`` of the candidate plan reads the state
+    anchor.  Move m of node i of the candidate plan reads the state
     lattice at its ``landing_cells`` (the ``GridField.locate`` cells that
-    ``s_eps`` reads); it stops on an exit wall (``exits``, paying
-    ``g_vals``) or pays ``pen_h``."""
+    ``s_eps`` reads); it stops on an exit wall (``exits[i, m]``, paying
+    ``g_vals[i, m]``) or pays ``pen_h[i, m]``."""
 
     base: GridField
     xs: np.ndarray
@@ -269,21 +269,21 @@ def _sweep_frame(problem, caps: CapSpec, params: GameParams, dirichlet_patch=Non
     check_probe_room(dom, params)
     disc = _discount(problem, params)
     base = GridField.build(dom, grid_spacing(dom, params))
-    xs, nx = base.x_nodes, len(base.x_nodes)
+    xs = base.x_nodes
     zs = z_grid(params, caps.cap_M)
     if not np.all(np.abs(zs) < caps.cap_M):
         raise ValidationError("score nodes must lie strictly inside the caps")
     chi_nodes = np.array([caps.chi_at(np.array([x])) for x in xs])
-    cand = CandidatePlan1D(base, np.arange(nx), params, problem.h)
+    cand = CandidatePlan1D(base, params, problem.h)
     # a step stops on the absorbing part when it crosses onto an exit wall
     walls = (dom.a, dom.c)
     is_exit = [bool(dirichlet_patch and dirichlet_patch(np.array([w]))) for w in walls]
     g_wall = [float(g_exit(np.array([w]))) if e else 0.0 for w, e in zip(walls, is_exit)]
-    at_a = cand.landing <= dom.a
-    exits = cand.crossed & np.where(at_a, is_exit[0], is_exit[1])
+    at_a = cand.landing.T <= dom.a
+    exits = cand.crossed.T & np.where(at_a, is_exit[0], is_exit[1])
     g_vals = np.where(exits, np.where(at_a, g_wall[0], g_wall[1]), 0.0)
     return _SweepFrame(base=base, xs=xs, zs=zs, chi_nodes=chi_nodes, disc=disc, candidates=cand,
-                       exits=exits, g_vals=g_vals, pen_h=np.where(exits, 0.0, cand.penalty))
+                       exits=exits, g_vals=g_vals, pen_h=np.where(exits, 0.0, cand.penalty.T))
 
 
 def _sign_change(z, U, upper: bool) -> np.ndarray:
@@ -350,14 +350,16 @@ def _build_plan(problem, params, caps, frame: _SweepFrame, anchor_values):
     nz, dz = len(zs), zs[1] - zs[0]
     cand = frame.candidates
     P_all, G_all, n_strategies = cand.announce(anchor_values)
-    col_i0, col_wl, col_w = cand.landing_cells
+    # the blocks index (node, strategy) and (node, move)
+    P_all, G_all, step = P_all.T, G_all.T, cand.step.T
+    col_i0, col_wl, col_w = (c.T for c in cand.landing_cells)
     cap = caps.cap_M
     plan = []
     for rows, S, M in cand.blocks(n_strategies):
         n, shape = len(rows), (len(rows), S, M, nz)
         P, G = P_all[rows, :S, None, None], G_all[rows, :S, None, None]
         fz = f_stacked(problem, None, xs[rows, None, None, None], zs, P, G)
-        D = cand.step[rows, None, :M, None]
+        D = step[rows, None, :M, None]
         delta = np.empty(shape)
         np.add(P * D + 0.5 * (D * G * D), params.time_step * fz, out=delta)
         delta -= frame.pen_h[rows, None, :M, None]

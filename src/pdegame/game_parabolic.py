@@ -18,11 +18,12 @@ plays both (t=None for the stationary round).
 
 ``solve_scalar_dpp`` iterates this backward in time, tracking the value
 directly and feeding the z-slot of f the value at the node; it builds
-one ``strategies.CandidatePlan1D`` per solve and announces from it at
-each step.  The pointwise ``s_eps`` is its reference oracle.  The score
-game of the paper has an upper and a lower value; the scalar game has a
-single one, so the ``parabolic`` mode's ``solve_levelset`` is the same
-solve.
+one ``strategies.CandidatePlan1D`` over the whole lattice per solve, and
+each step announces from it and takes one (move, strategy, node)
+reduction.  The pointwise ``s_eps`` is its reference oracle, matched bit
+for bit at every node.  The score game of the paper has an upper and a
+lower value; the scalar game has a single one, so the ``parabolic``
+mode's ``solve_levelset`` is the same solve.
 """
 from __future__ import annotations
 
@@ -147,15 +148,11 @@ def solve_scalar_dpp(problem, params, store_all: bool = False) -> ScalarSolution
     """March the one-step operator backward from the terminal datum.
 
     The number of rounds is round(T/eps^2); the effective
-    start time snaps accordingly.  Boundary-layer nodes (wall distance
-    < ell) reproduce the pointwise oracle ``s_eps`` bit for bit: one
-    ``CandidatePlan1D`` is built for them per solve, and each step
-    announces from the values and evaluates (nodes, strategies, moves)
-    at once.  Interior nodes take a vectorized evaluation through
-    ``np.interp``, which agrees with ``s_eps`` only to roundoff (see
-    ``_interior_sweep_1d``; ``test_fast_path_matches_full_search`` gates
-    the march at 1e-12).  The z-slot of f is fed the previous sweep's
-    value at the same node.
+    start time snaps accordingly.  Every node reproduces the pointwise
+    oracle ``s_eps`` bit for bit: one ``CandidatePlan1D`` is built over
+    the lattice per solve, and each step announces from the values and
+    evaluates (nodes, strategies, moves) at once.  The z-slot of f is
+    fed the previous sweep's value at the same node.
     """
     dom = problem.domain
     if dom.dim != 1:
@@ -165,19 +162,13 @@ def solve_scalar_dpp(problem, params, store_all: bool = False) -> ScalarSolution
     dt = params.time_step
     n_steps = max(1, round(problem.T / dt))
     field = GridField.from_callable(dom, grid_spacing(dom, params), problem.g)
-    xs = field.x_nodes
-    interior = np.minimum(xs - dom.a, dom.c - xs) >= params.move_bound
-    layer_idx = np.nonzero(~interior)[0]
-    plan = CandidatePlan1D(field, layer_idx, params, problem.h)
+    plan = CandidatePlan1D(field, params, problem.h)
 
     times = [problem.T]
     fields = [field]
     for j in range(n_steps):
         t_target = problem.T - (j + 1) * dt
-        vals = field.values
-        new = np.empty_like(vals)
-        new[interior] = _interior_sweep_1d(problem, params, xs, vals, interior, t_target)
-        new[layer_idx] = _layer_sweep_1d(problem, params, plan, vals, t_target)
+        new = _sweep_1d(problem, params, plan, field.values, t_target)
         if not np.all(np.isfinite(new)):
             raise NumericAbort(
                 f"non-finite values after sweep to t={t_target:.6g} "
@@ -193,47 +184,22 @@ def solve_scalar_dpp(problem, params, store_all: bool = False) -> ScalarSolution
     return ScalarSolution(problem=problem, params=params, times=times, fields=fields)
 
 
-def _layer_sweep_1d(problem, params, plan, values, t):
-    """``s_eps`` at the nodes of ``plan`` from the lattice ``values``:
+def _sweep_1d(problem, params, plan, values, t):
+    """``s_eps`` at every node of ``plan`` from the lattice ``values``:
     the branch values ``phi(landing) - p step - 0.5 G step^2 - dt f +
-    penalty`` over (node, strategy, move), min over moves, max over
+    penalty`` over (move, strategy, node), min over moves, max over
     strategies."""
     P, G, _ = plan.announce(values)
-    F = f_stacked(problem, t, plan.x[:, None], values[plan.nodes, None], P, G)
-    P, G, D = P[:, :, None], G[:, :, None], plan.step[:, None, :]
+    F = f_stacked(problem, t, plan.x, values, P, G)
+    D = plan.step[:, None]
     vals = (
-        interpolate(plan.landing_cells, values)[:, None, :]
+        interpolate(plan.landing_cells, values)[:, None]
         - P * D
         - 0.5 * (D * G * D)
-        - (params.time_step * F)[:, :, None]
+        - params.time_step * F
     )
-    np.add(vals, plan.penalty[:, None, :], out=vals, where=plan.crossed[:, None, :])
-    return vals.min(axis=2).max(axis=1)
-
-
-def _interior_sweep_1d(problem, params, xs, vals, mask, t):
-    """Vectorized one-step update away from the boundary layer.
-
-    The game of s_eps there (one announcement, steps {0, +ell, -ell},
-    none crossing), read through ``np.interp``, which rounds unlike the
-    interpolant of s_eps: one step from g of ``heat1d_cosine`` differs
-    from s_eps at 48 of 130 interior nodes (eps 0.2) and 282 of 569
-    (eps 0.1), by at most 3.3e-16.
-    """
-    ell = params.move_bound
-    dt = params.time_step
-    idx = np.nonzero(mask)[0]
-    up = np.interp(xs[idx] + ell, xs, vals)
-    dn = np.interp(xs[idx] - ell, xs, vals)
-    grad = (up - dn) / (2.0 * ell)
-    hess = (up - 2.0 * vals[idx] + dn) / ell**2
-    p = np.clip(grad, -params.p_bound, params.p_bound)
-    G = np.clip(hess, -params.hessian_bound, params.hessian_bound)
-    fv = f_stacked(problem, t, xs[idx], vals[idx], p, G)
-    b0 = vals[idx] - dt * fv
-    b_up = up - p * ell - 0.5 * G * ell**2 - dt * fv
-    b_dn = dn + p * ell - 0.5 * G * ell**2 - dt * fv
-    return np.minimum(b0, np.minimum(b_up, b_dn))
+    np.add(vals, plan.penalty[:, None], out=vals, where=plan.crossed[:, None])
+    return vals.min(axis=0).max(axis=0)
 
 
 # -- the parabolic mode's entry point --------------------------------------

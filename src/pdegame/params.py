@@ -32,9 +32,7 @@ class GameParams:
     ``lambda_rate`` is the discount rate of the elliptic game (0 for
     parabolic runs); ``cap_M`` is the elliptic score cap, from which
     ``game_elliptic.build_caps`` derives the inner cap
-    ``cap_m = cap_M - 1 - 2 sup|psi|``.  ``p_grid_half`` = k sizes the
-    boundary-layer gradient line: 2k+1 samples between the two extreme
-    Neumann corrections.
+    ``cap_m = cap_M - 1 - 2 sup|psi|``.
     """
 
     eps: float
@@ -45,15 +43,12 @@ class GameParams:
     kappa: float
     lambda_rate: float = 0.0
     cap_M: float | None = None
-    p_grid_half: int = 4
 
     def __post_init__(self):
         if not (0.0 < self.eps < 1.0):
             raise ValidationError(f"eps must lie in (0, 1), got {self.eps}")
         if self.lambda_rate < 0.0:
             raise ValidationError(f"lambda_rate must be >= 0, got {self.lambda_rate}")
-        if self.p_grid_half < 1:
-            raise ValidationError(f"p_grid_half must be >= 1, got {self.p_grid_half}")
 
     @property
     def time_step(self) -> float:
@@ -152,7 +147,6 @@ def make_params(
     *,
     lambda_rate: float = 0.0,
     cap_M: float | None = None,
-    p_grid_half: int = 4,
     **overrides: float,
 ) -> GameParams:
     """Build a validated GameParams, raising ValidationError on violation.
@@ -168,9 +162,7 @@ def make_params(
         if key not in fields:
             raise TypeError(f"unknown exponent override {key!r}")
         fields[key] = float(val)
-    p = GameParams(
-        eps=eps, lambda_rate=lambda_rate, cap_M=cap_M, p_grid_half=p_grid_half, **fields
-    )
+    p = GameParams(eps=eps, lambda_rate=lambda_rate, cap_M=cap_M, **fields)
     report = validate_params(p, q, r)
     if report:
         raise ValidationError("; ".join(report))

@@ -17,7 +17,7 @@ candidate lists built here.
 
 In 1D the solvers take every list from one batched kernel,
 :class:`CandidatePlan1D`, which reproduces the pointwise functions bit
-for bit on any set of lattice nodes.  Only the maximizer's
+for bit at every node of the lattice.  Only the maximizer's
 announcements read the values: the plan holds the rest (the moves,
 their landings, crossings and penalties, the lattice cells of the
 probes and landings, and the boundary frame) and is built once per
@@ -59,6 +59,8 @@ __all__ = [
 ]
 
 _N_DIRECTIONS_2D = 64
+# samples of the boundary-layer gradient line, ends included
+_LINE_SAMPLES = 9
 _RADIUS_FRACTIONS = (1.0, 0.75, 0.5, 0.25)
 # the coarse move fan's unit directions, from the scalar cos and sin of each angle
 _FAN_2D = np.array([[np.cos(th), np.sin(th)] for th in 2.0 * np.pi * np.arange(16) / 16.0])
@@ -280,7 +282,7 @@ def candidate_strategies(domain: DomainGeometry, x, phi, params, h, derivs=None)
     p_lo = p_opt_lower(frame, p0, G0, bounds)
     p_hi = p_opt_upper(frame, p0, G0, bounds)
     G_layer = gamma_opt(frame, G0)
-    for t in np.linspace(0.0, 1.0, 2 * params.p_grid_half + 1):
+    for t in np.linspace(0.0, 1.0, _LINE_SAMPLES):
         cand = clip_strategy(Strategy(p=(1 - t) * p_lo + t * p_hi, Gamma=G_layer), params)
         key = _strategy_key(cand)
         if key not in seen:
@@ -331,29 +333,32 @@ def candidate_moves(domain: DomainGeometry, x, params, hess_diff=None) -> list:
 
 
 class CandidatePlan1D:
-    """The candidates at the nodes ``nodes`` of the lattice of the
-    ``GridField`` ``lattice`` that do not read the values, built once per
-    solve (h is evaluated once per wall); :meth:`announce` adds the
-    announcements from the values at each step.
+    """The candidates at every node of the lattice of the ``GridField``
+    ``lattice`` that do not read the values, built once per solve (h is
+    evaluated once per wall); :meth:`announce` adds the announcements
+    from the values at each step.
 
-    Row i belongs to the i-th node, at ``x[i]``.  The first ``n_moves[i]``
-    columns of the (n, M) move arrays are ``candidate_moves`` (0, +ell,
-    -ell, then the grazing step when 0 < d < ell) with their ``landing``,
-    its ``landing_cells``, ``crossed``, and ``penalty`` (the penalty weight
-    times h at the wall a crossing step lands on, else 0).  Later columns
-    repeat the last real entry: only the scalar layer sweep reads them, and
-    a trailing repeat changes no min, max, or first-index argmin or argmax.
+    Nodes run along the last axis: column i belongs to the i-th node, at
+    ``x[i]``, so that the scalar sweep's arithmetic and reductions run
+    over whole rows of nodes.  The first ``n_moves[i]`` rows of the
+    (M, n) move arrays are ``candidate_moves`` (0, +ell, -ell, then the
+    grazing step when 0 < d < ell) with their ``landing``, its
+    ``landing_cells``, ``crossed``, and ``penalty`` (the penalty weight
+    times h at the wall a crossing step lands on, else 0).  Later rows
+    repeat the last real entry: only the scalar sweep reads them, and a
+    trailing repeat changes no min, max, or first-index argmin or argmax.
     The other attributes serve :meth:`announce`: the cells of each node
     and of its probes (their mirror where a probe leaves the interval,
-    adding ``flux``), the boundary frame and the hoisted coefficients.
+    adding ``flux``), and for the ``layer_rows`` (the nodes with d < ell,
+    where a step can cross) the boundary frame's hoisted coefficients.
     """
 
-    def __init__(self, lattice, nodes, params, h):
+    def __init__(self, lattice, params, h):
         dom = lattice.domain
         check_probe_room(dom, params)
         a, c, tol, ell = dom.a, dom.c, dom.tol, params.move_bound
         h_a, h_c = float(h(np.array([a]))), float(h(np.array([c])))
-        x = lattice.x_nodes[nodes]
+        x = lattice.x_nodes
 
         def outside(q):
             return np.maximum(np.maximum(a - q, q - c), 0.0) > tol
@@ -367,45 +372,48 @@ class CandidatePlan1D:
 
         d = np.maximum(np.minimum(x - a, c - x), 0.0)
         self.normal = np.where(x - a <= c - x, -1.0, 1.0)
-        r2 = np.array([(di / ell) ** 2 for di in d])  # scalar pow, as the pointwise code
-        self.bound_coef = 0.5 * (1.0 - d / ell)  # of m and M in p_opt_lower/upper
+        self.layer_rows = L = np.flatnonzero(d < ell)
+        r2 = np.array([(di / ell) ** 2 for di in d[L]])  # scalar pow, as the pointwise code
+        self.bound_coef = 0.5 * (1.0 - d[L] / ell)  # of m and M in p_opt_lower/upper
         self.hess_coef = 0.25 * ell * (1.0 - r2)  # of H there
         self.flat_coef = 0.5 * (-1.0 + r2)  # of H in gamma_opt
-        self.near_a, self.near_c = np.abs(x - a) < ell, np.abs(x - c) < ell
-        self.layer = (d < ell)[:, None]
-        ts = np.linspace(0.0, 1.0, 2 * params.p_grid_half + 1)
+        self.near_a, self.near_c = np.abs(x[L] - a) < ell, np.abs(x[L] - c) < ell
+        ts = np.linspace(0.0, 1.0, _LINE_SAMPLES)
         self.line = np.stack([1 - ts, ts])[:, None, :]  # weights of p_lo and p_hi
 
         graze = (0.0 < d) & (d < ell)
         self.step = np.stack(
             [np.zeros_like(x), np.full_like(x, ell), np.full_like(x, -ell),
              np.where(graze, d * self.normal, -ell)],
-            axis=1,
-        )[:, : 3 + int(graze.any())]
-        x_hat = x[:, None] + self.step
+        )[: 3 + int(graze.any())]
+        x_hat = x + self.step
         self.crossed = outside(x_hat)
         self.landing = np.where(self.crossed, np.clip(x_hat, a, c), x_hat)
         self.landing_cells = lattice.locate(self.landing)
         weight = np.abs(x_hat - self.landing)
         self.penalty = np.where(self.crossed, weight * np.where(self.landing <= a, h_a, h_c), 0.0)
         self.n_moves = 3 + graze
-        self.params, self.nodes, self.x, self.h_walls = params, nodes, x, (h_a, h_c)
+        self.params, self.x, self.h_walls = params, x, (h_a, h_c)
 
     def announce(self, values):
-        """``(P, G, n_strategies)``: row i of ``P``/``G`` (gradient,
+        """``(P, G, n_strategies)``: column i of ``P``/``G`` (gradient,
         Hessian) starts with the ``n_strategies[i]`` entries of
         ``candidate_strategies`` from the lattice ``values`` and repeats the
-        last.  Each step of the pointwise code (probes, exact Neumann
-        bounds, corrected line, flattened Hessian, clip, 12-digit dedup)
-        runs for all nodes at once with the same arithmetic, bit for bit.
+        last.  Each step of the pointwise code runs for all nodes at once
+        with the same arithmetic, bit for bit: the probes and the clipped
+        base pair everywhere, and at the ``layer_rows`` nodes only the
+        exact Neumann bounds, the corrected line, the flattened Hessian
+        and the 12-digit dedup; every other node announces the base pair
+        alone.
         """
-        params, ell = self.params, self.params.move_bound
+        params, ell, L = self.params, self.params.move_bound, self.layer_rows
         probe = interpolate(self.probes, values)
         f0 = probe[0]
         fp, fm = np.where(self.reflected, probe[1:] + self.flux, probe[1:])
         g = (fp - fm) / (2.0 * ell)
         H = (fp - 2.0 * f0 + fm) / ell**2
         p0, G0 = _clip_1d(g, H, params)
+        g, H = g[L], H[L]
 
         # exact Neumann bounds: h(wall) - g n(wall) over the walls within reach
         v_a, v_c = self.h_walls[0] + g, self.h_walls[1] - g
@@ -413,31 +421,36 @@ class CandidatePlan1D:
         m = np.where(both, np.minimum(v_a, v_c), one)
         M = np.where(both, np.maximum(v_a, v_c), one)
         hess_term = self.hess_coef * H
-        p_lo = g + (self.bound_coef * m - hess_term) * self.normal
-        p_hi = g + (self.bound_coef * M - hess_term) * self.normal
+        normal = self.normal[L]
+        p_lo = g + (self.bound_coef * m - hess_term) * normal
+        p_hi = g + (self.bound_coef * M - hess_term) * normal
         G_line = (H + self.flat_coef * H)[:, None]  # gamma_opt
         P_line = self.line[0] * p_lo[:, None] + self.line[1] * p_hi[:, None]
         P_line, G_line = _clip_1d(P_line, G_line, params)
-        P_all = np.concatenate([p0[:, None], np.where(self.layer, P_line, p0[:, None])], axis=1)
-        G_line = np.broadcast_to(np.where(self.layer, G_line, G0[:, None]), P_line.shape)
-        G_all = np.concatenate([G0[:, None], G_line], axis=1)
+        P_all = np.concatenate([p0[L, None], P_line], axis=1)
+        G_all = np.concatenate([G0[L, None], np.broadcast_to(G_line, P_line.shape)], axis=1)
 
         # dedup on 12-digit keys: keep first occurrences in order, then repeat the last
         kp, kg = np.round(P_all, 12), np.round(G_all, 12)
         same = (kp[:, :, None] == kp[:, None, :]) & (kg[:, :, None] == kg[:, None, :])
         same |= np.eye(P_all.shape[1], dtype=bool)  # NaN keys are unique, as in a set
         keep = same.argmax(axis=2) == np.arange(P_all.shape[1])
-        n_strategies = keep.sum(axis=1)
-        order = np.argsort(~keep, axis=1, kind="stable")[:, : n_strategies.max()]
-        last = np.take_along_axis(order, (n_strategies - 1)[:, None], axis=1)
-        order = np.where(np.arange(order.shape[1]) < n_strategies[:, None], order, last)
-        return (np.take_along_axis(P_all, order, axis=1),
-                np.take_along_axis(G_all, order, axis=1), n_strategies)
+        n_layer = keep.sum(axis=1)
+        width = n_layer.max()
+        order = np.argsort(~keep, axis=1, kind="stable")[:, :width]
+        last = np.take_along_axis(order, (n_layer - 1)[:, None], axis=1)
+        order = np.where(np.arange(width) < n_layer[:, None], order, last)
+        P, G = np.repeat(p0[None], width, axis=0), np.repeat(G0[None], width, axis=0)
+        P[:, L] = np.take_along_axis(P_all, order, axis=1).T
+        G[:, L] = np.take_along_axis(G_all, order, axis=1).T
+        n_strategies = np.ones(len(p0), dtype=n_layer.dtype)
+        n_strategies[L] = n_layer
+        return P, G, n_strategies
 
     def blocks(self, n_strategies):
-        """``(rows, S, M)`` for each distinct pair of strategy and move
-        counts: the rows whose real entries are the first S columns of
-        the announcements and the first M columns of the move arrays."""
+        """``(nodes, S, M)`` for each distinct pair of strategy and move
+        counts: the nodes whose real entries are the first S rows of the
+        announcements and the first M rows of the move arrays."""
         for S, M in np.unique(np.stack([n_strategies, self.n_moves], axis=1), axis=0):
             yield np.flatnonzero((n_strategies == S) & (self.n_moves == M)), int(S), int(M)
 

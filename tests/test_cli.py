@@ -42,14 +42,14 @@ class TestConfigFile:
             "eps_ladder = 0.2, 0.1\n"
             "tol = 1e-6\n"
             "\n"
-            "p_grid_half = 2\n"
+            "cap_M = none\n"
         )
         cfg = load_config(f)
         assert cfg.mode == "heat1d"
         assert cfg.problem == "heat1d_cosine"
         assert cfg.eps_ladder == (0.2, 0.1)
         assert cfg.tol == 1e-6
-        assert cfg.p_grid_half == 2
+        assert cfg.cap_M is None
 
     def test_unknown_key_is_a_validation_error(self, tmp_path):
         f = tmp_path / "run.cfg"
@@ -78,7 +78,7 @@ class TestConfigFile:
     @pytest.mark.parametrize(
         "line",
         ["q = 0.5", "r = nan", "tol = nan", "wall_shift = nan", "wall_shift = inf", "cap_M = inf",
-         "tol = inf"],
+         "tol = inf", "tol = none", "q = none", "r ="],
     )
     def test_out_of_range_config_value_exits_2(self, tmp_path, capsys, line):
         f = tmp_path / "c.txt"
@@ -86,12 +86,20 @@ class TestConfigFile:
         rc = main(["solve", "--config", str(f), "--eps-ladder", "0.5"])
         assert rc == 2
         assert "validation failure" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_removed_z_max_key_exits_2_as_unknown(self, tmp_path, capsys):
         f = tmp_path / "c.txt"
         f.write_text(f"mode = parabolic\nz_max = 3\nout = {tmp_path / 'o'}\n")
         assert main(["solve", "--config", str(f)]) == 2
         assert "unknown config key 'z_max'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_removed_p_grid_half_key_exits_2_as_unknown(self, tmp_path, capsys):
+        f = tmp_path / "c.txt"
+        f.write_text(f"p_grid_half = 4\nout = {tmp_path / 'o'}\n")
+        assert main(["solve", "--config", str(f)]) == 2
+        assert "unknown config key 'p_grid_half'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_bad_mode_exits_2(self, tmp_path, capsys):
@@ -155,32 +163,6 @@ class TestProvenance:
         f.write_text("threads = 2\n")
         assert main(["solve", "--config", str(f)]) == 2
         assert "unknown config key 'threads'" in capsys.readouterr().err
-
-    def test_candidate_line_size_is_restored_after_the_run(self, tmp_path):
-        # at eps 0.42 and alpha 0.31, ell ~ 0.55 reaches both walls from the
-        # midpoint of the 5-node lattice, so the gradient line matters there
-        base, k1 = tmp_path / "base.cfg", tmp_path / "k1.cfg"
-        base.write_text("alpha = 0.31\n")
-        k1.write_text("alpha = 0.31\np_grid_half = 1\n")
-
-        def solve(out, cfg=base):
-            return ["solve", "--mode", "elliptic", "--eps-ladder", "0.42", "--out", str(out),
-                    "--config", str(cfg)]
-
-        assert main(solve(tmp_path / "k1", k1)) == 0
-        assert main(solve(tmp_path / "after")) == 0
-        proc = subprocess.run(
-            [sys.executable, "-m", "pdegame.cli", *solve(tmp_path / "fresh")],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-        profiles = {
-            name: (tmp_path / name / "profiles.csv").read_bytes()
-            for name in ("k1", "after", "fresh")
-        }
-        assert profiles["after"] == profiles["fresh"]
-        assert profiles["k1"] != profiles["fresh"]
 
     def test_numeric_abort_maps_to_exit_3(self, tmp_path, monkeypatch, capsys):
         def boom(cfg, workflow=None):

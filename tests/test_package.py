@@ -1,5 +1,6 @@
 """Package hygiene: every public name a module exports exists, and the README
-names the catalog."""
+names the catalog and the config keys."""
+import dataclasses
 import importlib
 import importlib.util
 import pkgutil
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import pdegame
+from pdegame.cli import RunConfig
 from pdegame.problems import list_problems
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(pdegame.__path__, "pdegame."))
@@ -52,3 +54,11 @@ def test_readme_lists_the_catalog():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     sentence = readme[readme.index("The catalog (") :].split(".\n", 1)[0]
     assert sorted(re.findall(r"`(\w+)`", sentence)) == list_problems()
+
+
+def test_readme_lists_every_config_key():
+    # the README's configuration sentence names exactly the RunConfig fields
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sentence = readme[readme.index("The config keys (") :].split(".\n", 1)[0]
+    keys = sorted(f.name for f in dataclasses.fields(RunConfig))
+    assert sorted(re.findall(r"`(\w+)`", sentence)) == keys

@@ -20,6 +20,7 @@ from pdegame.strategies import (
     probe_derivatives,
     p_opt_lower,
     p_opt_upper,
+    _LINE_SAMPLES,
     _strategy_key,
 )
 
@@ -384,7 +385,7 @@ class TestMovesAgainstTheLoop:
     def test_audit_disk_points_keep_their_strategies_and_moves(self, monkeypatch):
         disk = ball((0.0, 0.0), 1.0)
         n_points = 0
-        for params in audit_ladder((0.2, 0.1, 0.05), True, 4):
+        for params in audit_ladder((0.2, 0.1, 0.05), True):
             ell = params.move_bound
             for slope, datum, dists in ((-1.0, 2.0, (0.0, 0.3 * ell)),
                                         (0.2, 0.0, (0.5 * ell, 1.5 * ell))):
@@ -414,59 +415,57 @@ def _bytes(values):
 
 
 class TestBatchedKernel:
-    @pytest.mark.parametrize("p_grid_half", [1, 4])
     @pytest.mark.parametrize("eps", [0.5, 0.2, 0.1])
     @pytest.mark.parametrize(
         "name", ["heat1d_cosine", "heat1d_linear_profile", "heat1d_homogeneous", "heat1d_reaction"]
     )
-    def test_matches_the_pointwise_lists_node_by_node(self, name, eps, p_grid_half):
+    def test_matches_the_pointwise_lists_node_by_node(self, name, eps):
         prob = get_problem(name)
         dom = prob.domain
-        params = make_params(eps, p_grid_half=p_grid_half)
+        params = make_params(eps)
         base = GridField.build(dom, grid_spacing(dom, params))
         xs = base.x_nodes
-        nodes = np.arange(len(xs))[::-1]  # any order of any node set
         # one plan, announced from two different value arrays
-        plan = CandidatePlan1D(base, nodes, params, prob.h)
-        M = plan.step.shape[1]
+        plan = CandidatePlan1D(base, params, prob.h)
+        M = plan.step.shape[0]
         g = np.array([prob.g(np.array([x])) for x in xs])
         for seed in (3, 4):
             field = base.with_values(g + np.random.default_rng(seed).normal(0.0, 0.05, len(xs)))
             P, G, n_strategies = plan.announce(field.values)
-            for r, i in enumerate(nodes):
+            for i in range(len(xs)):
                 xp = xs[i : i + 1]
                 strats = candidate_strategies(dom, xp, field, params, prob.h)
-                n = n_strategies[r]
+                n = n_strategies[i]
                 assert n == len(strats)
-                assert _bytes(P[r, :n]) == _bytes([s.p[0] for s in strats])
-                assert _bytes(G[r, :n]) == _bytes([s.Gamma[0, 0] for s in strats])
+                assert _bytes(P[:n, i]) == _bytes([s.p[0] for s in strats])
+                assert _bytes(G[:n, i]) == _bytes([s.Gamma[0, 0] for s in strats])
                 # the padding repeats the last real entry
-                assert np.all(P[r, n:] == P[r, n - 1]) and np.all(G[r, n:] == G[r, n - 1])
+                assert np.all(P[n:, i] == P[n - 1, i]) and np.all(G[n:, i] == G[n - 1, i])
         landed = interpolate(plan.landing_cells, field.values)
-        for r, i in enumerate(nodes):
+        for i in range(len(xs)):
             xp = xs[i : i + 1]
             moves = [dom.make_move(xp, req) for req in candidate_moves(dom, xp, params)]
-            n = plan.n_moves[r]
+            n = plan.n_moves[i]
             assert n == len(moves)
-            assert _bytes(plan.step[r, :n]) == _bytes([mv.delta_hat[0] for mv in moves])
-            assert _bytes(plan.landing[r, :n]) == _bytes([mv.landing[0] for mv in moves])
-            assert _bytes(landed[r, :n]) == _bytes([field.eval(mv.landing) for mv in moves])
-            assert plan.crossed[r, :n].tolist() == [mv.crossed for mv in moves]
-            assert _bytes(plan.penalty[r, :n]) == _bytes(
+            assert _bytes(plan.step[:n, i]) == _bytes([mv.delta_hat[0] for mv in moves])
+            assert _bytes(plan.landing[:n, i]) == _bytes([mv.landing[0] for mv in moves])
+            assert _bytes(landed[:n, i]) == _bytes([field.eval(mv.landing) for mv in moves])
+            assert plan.crossed[:n, i].tolist() == [mv.crossed for mv in moves]
+            assert _bytes(plan.penalty[:n, i]) == _bytes(
                 [mv.penal_weight * prob.h(mv.landing) if mv.crossed else 0.0 for mv in moves]
             )
             for col in (plan.step, plan.landing, plan.crossed, plan.penalty):
-                assert np.all(col[r, n:M] == col[r, n - 1])
+                assert np.all(col[n:M, i] == col[n - 1, i])
 
     def test_both_walls_within_reach_pad_strategies_and_moves(self):
         # ell ~ 0.61 on [0, 1] reaches both walls from the midpoint of the
         # 3-node lattice: the walls' fluxes -1 and +1 give bounds m < M
         prob = get_problem("heat1d_linear_profile")
-        params = make_params(0.55, p_grid_half=4)
+        params = make_params(0.55)
         base = GridField.build(prob.domain, grid_spacing(prob.domain, params))
-        plan = CandidatePlan1D(base, np.arange(len(base.x_nodes)), params, prob.h)
+        plan = CandidatePlan1D(base, params, prob.h)
         P, _, n_strategies = plan.announce(np.zeros(len(base.x_nodes)))
-        # at the midpoint the 2k+1 line samples are distinct (the middle one
+        # at the midpoint the line samples are distinct (the middle one
         # repeats the base pair here and is deduplicated)
-        assert n_strategies.max() == P.shape[1] >= 2 * 4 + 1
-        assert plan.n_moves.min() < plan.step.shape[1] == 4
+        assert n_strategies.max() == P.shape[0] >= _LINE_SAMPLES
+        assert plan.n_moves.min() < plan.step.shape[0] == 4
