@@ -51,6 +51,15 @@ class TestConfigFile:
         assert cfg.tol == 1e-6
         assert cfg.cap_M is None
 
+    @pytest.mark.parametrize(
+        "key", ["alpha", "beta", "gamma", "rho", "kappa", "cap_M", "wall_shift"]
+    )
+    def test_optional_key_reads_none_or_an_empty_value_as_unset(self, tmp_path, key):
+        f = tmp_path / "run.cfg"
+        for raw in ("none", "None", ""):
+            f.write_text(f"{key} = 0.5\n{key} = {raw}\n")
+            assert getattr(load_config(f), key) is None
+
     def test_unknown_key_is_a_validation_error(self, tmp_path):
         f = tmp_path / "run.cfg"
         f.write_text("granularity = 3\n")

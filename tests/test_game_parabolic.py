@@ -164,7 +164,9 @@ class TestScalarSolver:
         assert errs[0] <= 0.030 and errs[1] <= 0.024 and errs[2] <= 0.015  # 0.0283, 0.0222, 0.0139
         assert errs[0] > errs[1] > errs[2]
 
-    @pytest.mark.parametrize("name", ["heat1d_linear_profile", "heat1d_cosine", "heat1d_reaction"])
+    @pytest.mark.parametrize(
+        "name", ["heat1d_linear_profile", "heat1d_cosine", "heat1d_reaction", "heat1d_homogeneous"]
+    )
     def test_fast_path_matches_full_search(self, name):
         # the solver against the pointwise s_eps march at every node
         prob = get_problem(name)
@@ -187,7 +189,9 @@ class TestScalarSolver:
             )
             for eps in (0.2, 0.1)
         ]
-        + [("heat1d_linear_profile", 0.5)],  # ell ~ 0.56: the middle node sees both walls
+        + [("heat1d_linear_profile", 0.5)]  # ell ~ 0.56: the middle node sees both walls
+        # a finer lattice on the unit interval: 90 nodes, 100 steps
+        + [("heat1d_linear_profile", 0.05), ("heat1d_homogeneous", 0.05)],
     )
     def test_batched_sweep_matches_s_eps_at_every_node_and_step(self, name, eps):
         prob = get_problem(name)

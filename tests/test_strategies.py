@@ -415,7 +415,7 @@ def _bytes(values):
 
 
 class TestBatchedKernel:
-    @pytest.mark.parametrize("eps", [0.5, 0.2, 0.1])
+    @pytest.mark.parametrize("eps", [0.5, 0.2, 0.1, 0.05])
     @pytest.mark.parametrize(
         "name", ["heat1d_cosine", "heat1d_linear_profile", "heat1d_homogeneous", "heat1d_reaction"]
     )
@@ -456,6 +456,29 @@ class TestBatchedKernel:
             )
             for col in (plan.step, plan.landing, plan.crossed, plan.penalty):
                 assert np.all(col[n:M, i] == col[n - 1, i])
+
+    @pytest.mark.parametrize("eps", [0.5, 0.2, 0.1, 0.05])
+    def test_only_the_layer_rows_announce_more_than_the_base_pair(self, eps):
+        # the Neumann bounds, the corrected line and the dedup run on the
+        # nodes with d < ell; every other node announces its base pair alone
+        prob = get_problem("heat1d_linear_profile")
+        dom = prob.domain
+        params = make_params(eps)
+        base = GridField.build(dom, grid_spacing(dom, params))
+        xs = base.x_nodes
+        plan = CandidatePlan1D(base, params, prob.h)
+        d = np.minimum(xs - dom.a, dom.c - xs)
+        layer = np.flatnonzero(d < params.move_bound)
+        np.testing.assert_array_equal(plan.layer_rows, layer)
+        # ell ~ 0.56 at eps 0.5 puts every node of the unit interval in the layer
+        assert len(layer) == len(xs) if eps == 0.5 else 0 < len(layer) < len(xs)
+        values = np.random.default_rng(5).normal(0.0, 0.05, len(xs))
+        P, G, n_strategies = plan.announce(values)
+        interior = np.setdiff1d(np.arange(len(xs)), layer)
+        assert np.all(n_strategies[interior] == 1)
+        assert np.all(P[:, interior] == P[0, interior]) and np.all(G[:, interior] == G[0, interior])
+        # the walls' fluxes -1 and +1 spread the line at the layer nodes
+        assert n_strategies[layer].max() > 1
 
     def test_both_walls_within_reach_pad_strategies_and_moves(self):
         # ell ~ 0.61 on [0, 1] reaches both walls from the midpoint of the
