@@ -40,7 +40,7 @@ from pathlib import Path
 
 from .consistency import ConsistencyReport, audit_ladder, audit_wall_shift, run_audit_suite
 from .game_elliptic import build_caps, solve_fixed_point
-from .game_parabolic import NumericAbort, solve_levelset, solve_scalar_dpp
+from .game_parabolic import NumericAbort, n_rounds, solve_levelset, solve_scalar_dpp
 from .params import ValidationError, make_params
 from .problems import EllipticProblem, MixedEllipticProblem, ParabolicProblem, get_problem
 
@@ -348,6 +348,9 @@ def run(cfg: RunConfig, workflow: str | None = None) -> int:
     kind, runner = _WORKFLOWS[workflow]
     # a problem or audit ladder that fails its checks leaves no output directory behind
     problem = _load_problem(cfg, kind, workflow == "convergence") if kind else None
+    if kind is ParabolicProblem:  # every rung the workflow solves must fit a round in T
+        for eps in cfg.eps_ladder if workflow == "convergence" else cfg.eps_ladder[:1]:
+            n_rounds(problem, cfg.game_params(eps))
     if workflow == "consistency":
         audit_ladder(cfg.eps_ladder, cfg.include_disk)
     out = Path(cfg.out)

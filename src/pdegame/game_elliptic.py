@@ -25,14 +25,17 @@ partly absorbing wall stop with payoff ``z + e^(-lambda dt)
 with the score still inside the caps.
 
 Each solve builds one ``strategies.CandidatePlan1D`` over the state
-nodes.  Each anchor round announces from the anchor and builds a sweep
-plan, one block per distinct (strategy count S, move count M) pair of
-``CandidatePlan1D.blocks``: arrays of shape ``(n, S, M, nz)`` over the
-block's state nodes, their strategies, moves and the score nodes.
-Interior nodes form one block with a single strategy and three moves;
-boundary-layer nodes add the Neumann-corrected announcement line and,
-off the wall, the grazing step.  Every branch cell of a block is a
-real branch.
+nodes.  Each anchor round announces from the anchor once and keeps each
+node's first occurrences: its base column, then the line columns that
+the announcement's dedup mask leaves.  It then builds a sweep plan, one
+block per distinct (strategy count S, move count M) pair: arrays of
+shape ``(n, S, M, nz)`` over the block's state nodes, their strategies,
+moves and the score nodes.  Interior nodes form one block with a single
+strategy and three moves; boundary-layer nodes add the kept samples of
+the Neumann-corrected announcement line and, off the wall, the grazing
+step.  Every branch cell of a block is a real branch.  A sweep
+interpolates V in the state once, at every real (node, move) pair, and
+each block reads its cells from those values through its score index.
 """
 
 from __future__ import annotations
@@ -246,10 +249,13 @@ def z_grid(params: GameParams, cap_M: float) -> np.ndarray:
 @dataclass
 class _SweepFrame:
     """Everything a sweep needs that depends neither on V nor on the
-    anchor.  Move m of node i of the candidate plan reads the state
-    lattice at its ``landing_cells`` (the ``GridField.locate`` cells that
-    ``s_eps`` reads); it stops on an exit wall (``exits[i, m]``, paying
-    ``g_vals[i, m]``) or pays ``pen_h[i, m]``."""
+    anchor.  The real (node, move) pairs of the candidate plan, node by
+    node and in move order within each, read the state lattice at the
+    ``GridField.locate`` cells ``s_eps`` reads: nodes ``left`` and
+    ``right`` with weights ``wl`` and ``w``; node i's pairs start at
+    ``pair_start[i]``.  A move stops on an exit wall (``exits[i, m]``, paying ``g_vals[i, m]``)
+    or pays ``pen_h[i, m]``.  ``C`` and ``C_work`` are the sweep's
+    buffers for the state-interpolated values of every pair and score."""
 
     base: GridField
     xs: np.ndarray
@@ -260,6 +266,13 @@ class _SweepFrame:
     exits: np.ndarray
     g_vals: np.ndarray
     pen_h: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    wl: np.ndarray
+    w: np.ndarray
+    pair_start: np.ndarray
+    C: np.ndarray
+    C_work: np.ndarray
 
 
 def _sweep_frame(problem, caps: CapSpec, params: GameParams, dirichlet_patch=None, g_exit=None):
@@ -275,15 +288,24 @@ def _sweep_frame(problem, caps: CapSpec, params: GameParams, dirichlet_patch=Non
         raise ValidationError("score nodes must lie strictly inside the caps")
     chi_nodes = np.array([caps.chi_at(np.array([x])) for x in xs])
     cand = CandidatePlan1D(base, params, problem.h)
+    # the (node, move) arrays of the nodes' base columns
+    n = len(xs)
+    landing, crossed, penalty = (arr[:, :n].T for arr in (cand.landing, cand.crossed, cand.penalty))
     # a step stops on the absorbing part when it crosses onto an exit wall
     walls = (dom.a, dom.c)
     is_exit = [bool(dirichlet_patch and dirichlet_patch(np.array([w]))) for w in walls]
     g_wall = [float(g_exit(np.array([w]))) if e else 0.0 for w, e in zip(walls, is_exit)]
-    at_a = cand.landing.T <= dom.a
-    exits = cand.crossed.T & np.where(at_a, is_exit[0], is_exit[1])
+    at_a = landing <= dom.a
+    exits = crossed & np.where(at_a, is_exit[0], is_exit[1])
     g_vals = np.where(exits, np.where(at_a, g_wall[0], g_wall[1]), 0.0)
+    real = np.arange(cand.step.shape[0]) < cand.n_moves[:, None]
+    left, wl, w = (c[:, :n].T[real] for c in cand.landing_cells)
+    pair_start = np.concatenate([[0], np.cumsum(cand.n_moves)[:-1]])
     return _SweepFrame(base=base, xs=xs, zs=zs, chi_nodes=chi_nodes, disc=disc, candidates=cand,
-                       exits=exits, g_vals=g_vals, pen_h=np.where(exits, 0.0, cand.penalty.T))
+                       exits=exits, g_vals=g_vals, pen_h=np.where(exits, 0.0, penalty),
+                       left=left, right=left + 1, wl=wl[:, None], w=w[:, None],
+                       pair_start=pair_start, C=np.empty((len(left), len(zs))),
+                       C_work=np.empty((len(left), len(zs))))
 
 
 def _sign_change(z, U, upper: bool) -> np.ndarray:
@@ -322,15 +344,12 @@ def _anchor_field(frame: _SweepFrame, V: np.ndarray) -> GridField:
 @dataclass
 class _PlanBlock:
     """Everything about one anchor round that does not depend on V, for
-    the nodes ``rows`` of one block: ``col_i0``/``col_wl``/``col_w`` are
-    the candidate plan's landing cells of its moves, ``idx``/``wz_left``/``wz``
-    locate each branch cell in the score.  ``C``, ``C_work``, ``vals`` and
-    ``work`` are the sweep's buffers; ``vals`` keeps the last branch values."""
+    the nodes ``rows`` of one block: ``idx``/``wz_left``/``wz`` locate
+    each branch cell in the score, on the frame's state-interpolated
+    values of every (node, move) pair.  ``vals`` and ``work`` are the
+    sweep's buffers; ``vals`` keeps the last branch values."""
 
     rows: np.ndarray
-    col_i0: np.ndarray
-    col_wl: np.ndarray
-    col_w: np.ndarray
     idx: np.ndarray
     wz_left: np.ndarray
     wz: np.ndarray
@@ -338,8 +357,6 @@ class _PlanBlock:
     fixed_idx: np.ndarray
     fixed_val: np.ndarray
     exits: np.ndarray
-    C: np.ndarray
-    C_work: np.ndarray
     vals: np.ndarray
     work: np.ndarray
 
@@ -347,17 +364,25 @@ class _PlanBlock:
 def _build_plan(problem, params, caps, frame: _SweepFrame, anchor_values):
     """One :class:`_PlanBlock` per block of the announcements from the anchor values."""
     xs, zs = frame.xs, frame.zs
-    nz, dz = len(zs), zs[1] - zs[0]
+    n, nz, dz = len(xs), len(zs), zs[1] - zs[0]
     cand = frame.candidates
-    P_all, G_all, n_strategies = cand.announce(anchor_values)
-    # the blocks index (node, strategy) and (node, move)
-    P_all, G_all, step = P_all.T, G_all.T, cand.step.T
-    col_i0, col_wl, col_w = (c.T for c in cand.landing_cells)
+    P_col, G_col, repeats = cand.announce(anchor_values)
+    # node i's strategies, in candidate_strategies' order: its base column,
+    # then at a layer row its line columns that repeats does not mask
+    L = cand.layer_rows
+    j, k = np.nonzero(~repeats.T)  # layer row by layer row, samples in order
+    n_strategies = np.ones(n, dtype=int)
+    n_strategies[L] += np.bincount(j, minlength=len(L))
+    cols = np.zeros((n, n_strategies.max()), dtype=int)
+    cols[:, 0] = np.arange(n)
+    cols[L[j], 1 + np.arange(len(j)) - np.searchsorted(j, j)] = n + k * len(L) + j
+    step = cand.step[:, :n].T
     cap = caps.cap_M
     plan = []
-    for rows, S, M in cand.blocks(n_strategies):
-        n, shape = len(rows), (len(rows), S, M, nz)
-        P, G = P_all[rows, :S, None, None], G_all[rows, :S, None, None]
+    for S, M in np.unique(np.stack([n_strategies, cand.n_moves], axis=1), axis=0):
+        rows = np.flatnonzero((n_strategies == S) & (cand.n_moves == M))
+        shape = (len(rows), S, M, nz)
+        P, G = P_col[cols[rows, :S, None, None]], G_col[cols[rows, :S, None, None]]
         fz = f_stacked(problem, None, xs[rows, None, None, None], zs, P, G)
         D = step[rows, None, :M, None]
         delta = np.empty(shape)
@@ -366,7 +391,8 @@ def _build_plan(problem, params, caps, frame: _SweepFrame, anchor_values):
         z1 = (1.0 / frame.disc) * (zs + delta)
         jdx = np.clip(np.searchsorted(zs, z1, side="right") - 1, 0, nz - 2)
         wz = np.clip((z1 - zs[jdx]) / dz, 0.0, 1.0)
-        idx = jdx + nz * np.arange(n * M).reshape(n, 1, M, 1)
+        pair = frame.pair_start[rows, None] + np.arange(M)
+        idx = jdx + nz * pair[:, None, :, None]
         # caps take precedence over absorbing exits
         ex = frame.exits[rows, :M]
         fixed_idx = np.flatnonzero((z1 >= cap) | (z1 <= -cap) | ex[:, None, :, None])
@@ -378,9 +404,6 @@ def _build_plan(problem, params, caps, frame: _SweepFrame, anchor_values):
         del z1, jdx  # before the sweep buffers are allocated, to lower the peak
         plan.append(_PlanBlock(
             rows=rows,
-            col_i0=col_i0[rows, :M],
-            col_wl=col_wl[rows, :M, None],
-            col_w=col_w[rows, :M, None],
             idx=idx,
             wz_left=1.0 - wz,
             wz=wz,
@@ -388,8 +411,6 @@ def _build_plan(problem, params, caps, frame: _SweepFrame, anchor_values):
             fixed_idx=fixed_idx,
             fixed_val=fixed_val,
             exits=ex,
-            C=np.empty((n, M, nz)),
-            C_work=np.empty((n, M, nz)),
             vals=np.empty(shape),
             work=np.empty(shape),
         ))
@@ -399,17 +420,18 @@ def _build_plan(problem, params, caps, frame: _SweepFrame, anchor_values):
 def _sweep(V, plan: list, frame: _SweepFrame, sweep: int):
     """Best worst-case branch values on the whole grid; each block's
     branch values are left in its ``vals``."""
+    # the state-interpolated values of every (node, move) pair, at every score;
+    # every index is in range, and mode="clip" lets take write to out unbuffered
+    C, C_right = frame.C, frame.C_work
+    np.take(V, frame.left, axis=0, out=C, mode="clip")
+    C *= frame.wl
+    np.take(V, frame.right, axis=0, out=C_right, mode="clip")
+    C_right *= frame.w
+    C += C_right
+    flat = C.ravel()
     new = np.empty_like(V)
     for b in plan:
-        # every index is in range; mode="clip" lets take write to out unbuffered
-        C, C_right = b.C, b.C_work
-        np.take(V, b.col_i0, axis=0, out=C, mode="clip")
-        C *= b.col_wl
-        np.take(V, b.col_i0 + 1, axis=0, out=C_right, mode="clip")
-        C_right *= b.col_w
-        C += C_right
         # disc * ((1 - wz) * left + wz * right) - delta
-        flat = C.ravel()
         vals, right = b.vals, b.work
         np.take(flat, b.idx, out=vals, mode="clip")
         vals *= b.wz_left

@@ -18,12 +18,15 @@ plays both (t=None for the stationary round).
 
 ``solve_scalar_dpp`` iterates this backward in time, tracking the value
 directly and feeding the z-slot of f the value at the node; it builds
-one ``strategies.CandidatePlan1D`` over the whole lattice per solve, and
-each step announces from it and takes one (move, strategy, node)
-reduction.  The pointwise ``s_eps`` is its reference oracle, matched bit
-for bit at every node.  The score game of the paper has an upper and a
-lower value; the scalar game has a single one, so the ``parabolic``
-mode's ``solve_levelset`` is the same solve.
+one ``strategies.CandidatePlan1D`` over the whole lattice per solve.
+Each step is one branch evaluation over the plan's columns (a base
+column per node, line columns at the boundary-layer nodes): the min
+over moves of every column, then at each layer node the max of its base
+column and the line columns the dedup keeps.  The pointwise ``s_eps`` is
+its reference oracle, matched bit for bit at every node.  The score game
+of the paper has an upper and a lower value; the scalar game has a
+single one, so the ``parabolic`` mode's ``solve_levelset`` is the same
+solve.
 """
 from __future__ import annotations
 
@@ -42,6 +45,7 @@ __all__ = [
     "NumericAbort",
     "s_eps",
     "ScalarSolution",
+    "n_rounds",
     "solve_scalar_dpp",
     "solve_levelset",
 ]
@@ -144,14 +148,27 @@ class ScalarSolution:
         return float(np.max(np.abs(f.values - exact)))
 
 
+def n_rounds(problem, params) -> int:
+    """The rounds of a backward solve, round(T/eps^2); a horizon that rounds
+    to no round at all raises ``ValidationError``: one round would start the
+    game before t = 0."""
+    n = round(problem.T / params.time_step)
+    if n == 0:
+        raise ValidationError(
+            f"horizon T={problem.T:g} is shorter than half a round dt={params.time_step:g} "
+            f"at eps={params.eps:g}: no round fits"
+        )
+    return n
+
+
 def solve_scalar_dpp(problem, params, store_all: bool = False) -> ScalarSolution:
     """March the one-step operator backward from the terminal datum.
 
-    The number of rounds is round(T/eps^2); the effective
+    The number of rounds is :func:`n_rounds`, round(T/eps^2); the effective
     start time snaps accordingly.  Every node reproduces the pointwise
     oracle ``s_eps`` bit for bit: one ``CandidatePlan1D`` is built over
     the lattice per solve, and each step announces from the values and
-    evaluates (nodes, strategies, moves) at once.  The z-slot of f is
+    evaluates every (move, column) branch at once.  The z-slot of f is
     fed the previous sweep's value at the same node.
     """
     dom = problem.domain
@@ -160,7 +177,7 @@ def solve_scalar_dpp(problem, params, store_all: bool = False) -> ScalarSolution
                               "use the one-step operator pointwise in 2D")
     check_probe_room(dom, params)
     dt = params.time_step
-    n_steps = max(1, round(problem.T / dt))
+    n_steps = n_rounds(problem, params)
     field = GridField.from_callable(dom, grid_spacing(dom, params), problem.g)
     plan = CandidatePlan1D(field, params, problem.h)
 
@@ -185,21 +202,28 @@ def solve_scalar_dpp(problem, params, store_all: bool = False) -> ScalarSolution
 
 
 def _sweep_1d(problem, params, plan, values, t):
-    """``s_eps`` at every node of ``plan`` from the lattice ``values``:
-    the branch values ``phi(landing) - p step - 0.5 G step^2 - dt f +
-    penalty`` over (move, strategy, node), min over moves, max over
-    strategies."""
-    P, G, _ = plan.announce(values)
-    F = f_stacked(problem, t, plan.x, values, P, G)
-    D = plan.step[:, None]
+    """``s_eps`` at every node of ``plan`` from the lattice ``values``, as
+    one branch evaluation over the plan's columns: the branch values
+    ``phi(landing) - p step - 0.5 G step^2 - dt f + penalty`` over (move,
+    column), their min over moves, -inf on the line samples that repeat
+    an earlier announcement, and at each layer row the max of its line
+    columns and its base column."""
+    P, G, repeats = plan.announce(values)
+    F = f_stacked(problem, t, plan.x, values[plan.node], P, G)
+    D = plan.step
     vals = (
-        interpolate(plan.landing_cells, values)[:, None]
+        interpolate(plan.landing_cells, values)
         - P * D
         - 0.5 * (D * G * D)
         - params.time_step * F
     )
-    np.add(vals, plan.penalty[:, None], out=vals, where=plan.crossed[:, None])
-    return vals.min(axis=0).max(axis=0)
+    np.add(vals, plan.penalty, out=vals, where=plan.crossed)
+    worst = vals.min(axis=0)
+    best, line = worst[: len(values)], worst[len(values) :].reshape(repeats.shape)
+    line[repeats] = -np.inf
+    L = plan.layer_rows
+    best[L] = np.maximum(best[L], line.max(axis=0))
+    return best
 
 
 # -- the parabolic mode's entry point --------------------------------------

@@ -17,12 +17,17 @@ candidate lists built here.
 
 In 1D the solvers take every list from one batched kernel,
 :class:`CandidatePlan1D`, which reproduces the pointwise functions bit
-for bit at every node of the lattice.  Only the maximizer's
-announcements read the values: the plan holds the rest (the moves,
-their landings, crossings and penalties, the lattice cells of the
-probes and landings, and the boundary frame) and is built once per
-solve; :meth:`CandidatePlan1D.announce` derives the announcements from
-the values at each step.  The pointwise functions
+for bit at every node of the lattice.  It lays the game's branches out
+as fixed columns: one base column per node, for its clipped probe pair,
+and one line column per sample of the corrected gradient line at each
+boundary-layer node.  Only the maximizer's announcements read the
+values: the plan holds the rest (each column's moves, their landings,
+crossings and penalties, the lattice cells of the probes and landings,
+and the boundary frame) and is built once per solve;
+:meth:`CandidatePlan1D.announce` derives every column's announcement
+from the values at each step, with a mask of the line samples that the
+12-digit dedup of :func:`candidate_strategies` drops.  The pointwise
+functions
 (:func:`candidate_strategies`, :func:`candidate_moves` and their parts)
 remain as the reference oracles that the tests, the audits and the 2D
 one-step operator use.  In 2D, :func:`neumann_bounds` evaluates its
@@ -61,6 +66,8 @@ __all__ = [
 _N_DIRECTIONS_2D = 64
 # samples of the boundary-layer gradient line, ends included
 _LINE_SAMPLES = 9
+# _EARLIER[a, b]: key b precedes key a among a layer row's base pair and line samples
+_EARLIER = np.tri(_LINE_SAMPLES + 1, k=-1, dtype=bool)[:, :, None]
 _RADIUS_FRACTIONS = (1.0, 0.75, 0.5, 0.25)
 # the coarse move fan's unit directions, from the scalar cos and sin of each angle
 _FAN_2D = np.array([[np.cos(th), np.sin(th)] for th in 2.0 * np.pi * np.arange(16) / 16.0])
@@ -333,24 +340,30 @@ def candidate_moves(domain: DomainGeometry, x, params, hess_diff=None) -> list:
 
 
 class CandidatePlan1D:
-    """The candidates at every node of the lattice of the ``GridField``
-    ``lattice`` that do not read the values, built once per solve (h is
-    evaluated once per wall); :meth:`announce` adds the announcements
-    from the values at each step.
+    """Every branch of the one-step game at every node of the lattice of
+    the ``GridField`` ``lattice``, laid out as fixed columns and built
+    once per solve (h is evaluated once per wall); :meth:`announce` fills
+    in the announcements from the values at each step.
 
-    Nodes run along the last axis: column i belongs to the i-th node, at
-    ``x[i]``, so that the scalar sweep's arithmetic and reductions run
-    over whole rows of nodes.  The first ``n_moves[i]`` rows of the
-    (M, n) move arrays are ``candidate_moves`` (0, +ell, -ell, then the
-    grazing step when 0 < d < ell) with their ``landing``, its
+    Column i < n (n the node count) is the base column of node i, at
+    ``x[i]``: it plays the node's clipped probe pair.  Then come the line
+    columns, sample-major: column ``n + k * len(layer_rows) + j`` plays
+    sample k of the corrected gradient line at node ``layer_rows[j]``
+    (the nodes with d < ell, where a step can cross).  ``node`` maps each
+    column to its node and ``x`` gives the node's position.  The (M,
+    columns) move arrays are C-contiguous, so the scalar sweep's
+    arithmetic and its min over moves run over whole rows.  Their first
+    ``n_moves[node]`` rows are ``candidate_moves`` (0, +ell, -ell, then
+    the grazing step when 0 < d < ell) with their ``landing``, its
     ``landing_cells``, ``crossed``, and ``penalty`` (the penalty weight
-    times h at the wall a crossing step lands on, else 0).  Later rows
-    repeat the last real entry: only the scalar sweep reads them, and a
-    trailing repeat changes no min, max, or first-index argmin or argmax.
-    The other attributes serve :meth:`announce`: the cells of each node
-    and of its probes (their mirror where a probe leaves the interval,
-    adding ``flux``), and for the ``layer_rows`` (the nodes with d < ell,
-    where a step can cross) the boundary frame's hoisted coefficients.
+    times h at the wall a crossing step lands on, else 0).  A fourth row
+    where a node has only three moves repeats its -ell step: a repeat
+    changes no min, and the elliptic sweep, which keeps real branches
+    only, reads the first ``n_moves`` rows of the base columns.  The
+    other attributes serve :meth:`announce`: the cells of each node and
+    of its probes (their mirror where a probe leaves the interval, adding
+    ``flux``), and the boundary frame's hoisted coefficients at the layer
+    rows.
     """
 
     def __init__(self, lattice, params, h):
@@ -371,40 +384,45 @@ class CandidatePlan1D:
         self.probes = lattice.locate(np.concatenate([x[None], mirrored]))
 
         d = np.maximum(np.minimum(x - a, c - x), 0.0)
-        self.normal = np.where(x - a <= c - x, -1.0, 1.0)
+        normal = np.where(x - a <= c - x, -1.0, 1.0)
         self.layer_rows = L = np.flatnonzero(d < ell)
         r2 = np.array([(di / ell) ** 2 for di in d[L]])  # scalar pow, as the pointwise code
         self.bound_coef = 0.5 * (1.0 - d[L] / ell)  # of m and M in p_opt_lower/upper
         self.hess_coef = 0.25 * ell * (1.0 - r2)  # of H there
         self.flat_coef = 0.5 * (-1.0 + r2)  # of H in gamma_opt
+        self.normal = normal[L]
         self.near_a, self.near_c = np.abs(x[L] - a) < ell, np.abs(x[L] - c) < ell
         ts = np.linspace(0.0, 1.0, _LINE_SAMPLES)
-        self.line = np.stack([1 - ts, ts])[:, None, :]  # weights of p_lo and p_hi
+        self.line = np.stack([1 - ts, ts])[:, :, None]  # weights of p_lo and p_hi
 
-        graze = (0.0 < d) & (d < ell)
+        self.node = col = np.concatenate([np.arange(len(x)), np.tile(L, _LINE_SAMPLES)])
+        self.keyed = np.concatenate([L, np.arange(len(x), len(col))])  # base pairs, then lines
+        self.x, dc = x[col], d[col]
+        graze = (0.0 < dc) & (dc < ell)
         self.step = np.stack(
-            [np.zeros_like(x), np.full_like(x, ell), np.full_like(x, -ell),
-             np.where(graze, d * self.normal, -ell)],
+            [np.zeros_like(dc), np.full_like(dc, ell), np.full_like(dc, -ell),
+             np.where(graze, dc * normal[col], -ell)],
         )[: 3 + int(graze.any())]
-        x_hat = x + self.step
+        x_hat = self.x + self.step
         self.crossed = outside(x_hat)
         self.landing = np.where(self.crossed, np.clip(x_hat, a, c), x_hat)
         self.landing_cells = lattice.locate(self.landing)
         weight = np.abs(x_hat - self.landing)
         self.penalty = np.where(self.crossed, weight * np.where(self.landing <= a, h_a, h_c), 0.0)
-        self.n_moves = 3 + graze
-        self.params, self.x, self.h_walls = params, x, (h_a, h_c)
+        self.n_moves = 3 + graze[: len(x)]
+        self.params, self.h_walls = params, (h_a, h_c)
 
     def announce(self, values):
-        """``(P, G, n_strategies)``: column i of ``P``/``G`` (gradient,
-        Hessian) starts with the ``n_strategies[i]`` entries of
-        ``candidate_strategies`` from the lattice ``values`` and repeats the
-        last.  Each step of the pointwise code runs for all nodes at once
-        with the same arithmetic, bit for bit: the probes and the clipped
-        base pair everywhere, and at the ``layer_rows`` nodes only the
-        exact Neumann bounds, the corrected line, the flattened Hessian
-        and the 12-digit dedup; every other node announces the base pair
-        alone.
+        """``(P, G, repeats)`` from the lattice ``values``: the gradient and
+        Hessian of every column, clipped in one call, and the
+        ``(_LINE_SAMPLES, len(layer_rows))`` mask of the line samples whose
+        12-digit key repeats the base pair or an earlier sample.  Node i's
+        ``candidate_strategies`` are its base column followed, at a layer
+        row, by its line columns that ``repeats`` does not mask, in sample
+        order.  Each step of the pointwise code runs for all nodes at once
+        with the same arithmetic, bit for bit: the probes and the base pair
+        everywhere, and the exact Neumann bounds, the corrected line and the
+        flattened Hessian at the layer rows.
         """
         params, ell, L = self.params, self.params.move_bound, self.layer_rows
         probe = interpolate(self.probes, values)
@@ -412,47 +430,27 @@ class CandidatePlan1D:
         fp, fm = np.where(self.reflected, probe[1:] + self.flux, probe[1:])
         g = (fp - fm) / (2.0 * ell)
         H = (fp - 2.0 * f0 + fm) / ell**2
-        p0, G0 = _clip_1d(g, H, params)
-        g, H = g[L], H[L]
+        gL, HL = g[L], H[L]
 
         # exact Neumann bounds: h(wall) - g n(wall) over the walls within reach
-        v_a, v_c = self.h_walls[0] + g, self.h_walls[1] - g
+        v_a, v_c = self.h_walls[0] + gL, self.h_walls[1] - gL
         both, one = self.near_a & self.near_c, np.where(self.near_a, v_a, v_c)
         m = np.where(both, np.minimum(v_a, v_c), one)
         M = np.where(both, np.maximum(v_a, v_c), one)
-        hess_term = self.hess_coef * H
-        normal = self.normal[L]
-        p_lo = g + (self.bound_coef * m - hess_term) * normal
-        p_hi = g + (self.bound_coef * M - hess_term) * normal
-        G_line = (H + self.flat_coef * H)[:, None]  # gamma_opt
-        P_line = self.line[0] * p_lo[:, None] + self.line[1] * p_hi[:, None]
-        P_line, G_line = _clip_1d(P_line, G_line, params)
-        P_all = np.concatenate([p0[L, None], P_line], axis=1)
-        G_all = np.concatenate([G0[L, None], np.broadcast_to(G_line, P_line.shape)], axis=1)
+        hess_term = self.hess_coef * HL
+        p_lo = gL + (self.bound_coef * m - hess_term) * self.normal
+        p_hi = gL + (self.bound_coef * M - hess_term) * self.normal
+        G_line = HL + self.flat_coef * HL  # gamma_opt
+        P_line = self.line[0] * p_lo + self.line[1] * p_hi
+        P, G = _clip_1d(np.concatenate([g, P_line.ravel()]),
+                        np.concatenate([H] + [G_line] * _LINE_SAMPLES), params)
 
-        # dedup on 12-digit keys: keep first occurrences in order, then repeat the last
-        kp, kg = np.round(P_all, 12), np.round(G_all, 12)
-        same = (kp[:, :, None] == kp[:, None, :]) & (kg[:, :, None] == kg[:, None, :])
-        same |= np.eye(P_all.shape[1], dtype=bool)  # NaN keys are unique, as in a set
-        keep = same.argmax(axis=2) == np.arange(P_all.shape[1])
-        n_layer = keep.sum(axis=1)
-        width = n_layer.max()
-        order = np.argsort(~keep, axis=1, kind="stable")[:, :width]
-        last = np.take_along_axis(order, (n_layer - 1)[:, None], axis=1)
-        order = np.where(np.arange(width) < n_layer[:, None], order, last)
-        P, G = np.repeat(p0[None], width, axis=0), np.repeat(G0[None], width, axis=0)
-        P[:, L] = np.take_along_axis(P_all, order, axis=1).T
-        G[:, L] = np.take_along_axis(G_all, order, axis=1).T
-        n_strategies = np.ones(len(p0), dtype=n_layer.dtype)
-        n_strategies[L] = n_layer
-        return P, G, n_strategies
-
-    def blocks(self, n_strategies):
-        """``(nodes, S, M)`` for each distinct pair of strategy and move
-        counts: the nodes whose real entries are the first S rows of the
-        announcements and the first M rows of the move arrays."""
-        for S, M in np.unique(np.stack([n_strategies, self.n_moves], axis=1), axis=0):
-            yield np.flatnonzero((n_strategies == S) & (self.n_moves == M)), int(S), int(M)
+        # 12-digit keys of each layer row's base pair and line samples, as rows
+        kp = np.round(P[self.keyed], 12).reshape(-1, len(L))
+        kg = np.round(G[self.keyed], 12).reshape(-1, len(L))
+        # NaN keys are unique, as in a set
+        same = (kp[:, None] == kp) & (kg[:, None] == kg)
+        return P, G, (same & _EARLIER).any(axis=1)[1:]
 
 
 def check_probe_room(domain: DomainGeometry, params) -> None:

@@ -202,6 +202,36 @@ class TestSolveWorkflows:
         assert "sup_error = " in summary
         assert "wall_time_s = " in summary
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--mode", "heat1d", "--eps-ladder", "0.9"],
+            ["solve", "--mode", "parabolic", "--eps-ladder", "0.9"],
+            ["convergence", "--eps-ladder", "0.9,0.55"],
+        ],
+        ids=["heat1d", "parabolic", "convergence"],
+    )
+    def test_horizon_shorter_than_a_round_exits_2_before_solving(
+        self, tmp_path, capsys, monkeypatch, argv
+    ):
+        # T = 0.25 against dt = 0.81 at eps 0.9: the one round played would start at t = -0.56
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran before validation")
+
+        monkeypatch.setattr("pdegame.cli.solve_scalar_dpp", no_solve)
+        monkeypatch.setattr("pdegame.cli.solve_levelset", no_solve)
+        out = tmp_path / "o"
+        assert main([*argv, "--problem", "heat1d_linear_profile", "--out", str(out)]) == 2
+        assert "no round fits" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_horizon_of_one_round_still_solves(self, tmp_path):
+        # dt = 0.3025 at eps 0.55: round(T/dt) = 1
+        out = tmp_path / "o"
+        argv = ["solve", "--problem", "heat1d_linear_profile", "--eps-ladder", "0.55"]
+        assert main([*argv, "--out", str(out)]) == 0
+        assert "t_start_effective = -0.0525\n" in (out / "summary.txt").read_text()
+
     def test_parabolic_profiles_are_the_heat1d_values(self, tmp_path):
         # the scalar game has one value, written as both profiles
         argv = ["--eps-ladder", "0.2", "--problem", "heat1d_reaction"]

@@ -3,14 +3,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pdegame.consistency as cons
 from pdegame.fields import AnalyticField, GridField, grid_spacing
 from pdegame.geometry import ball, interval
 from pdegame.params import GameParams, ValidationError, make_params
 from pdegame.problems import ParabolicProblem, get_problem
-from pdegame.strategies import candidate_moves, candidate_strategies, probe_derivatives
-from pdegame.game_parabolic import NumericAbort, s_eps, solve_levelset, solve_scalar_dpp
+from pdegame.strategies import (CandidatePlan1D, candidate_moves, candidate_strategies,
+                                probe_derivatives)
+from pdegame.game_parabolic import (NumericAbort, _sweep_1d, s_eps, solve_levelset,
+                                    solve_scalar_dpp)
+
+PARABOLIC = ("heat1d_cosine", "heat1d_linear_profile", "heat1d_homogeneous", "heat1d_reaction")
 
 DOM = interval(0.0, 1.0)
 
@@ -183,12 +188,7 @@ class TestScalarSolver:
     @pytest.mark.parametrize(
         "name, eps",
         [
-            (name, eps)
-            for name in (
-                "heat1d_cosine", "heat1d_linear_profile", "heat1d_homogeneous", "heat1d_reaction"
-            )
-            for eps in (0.2, 0.1)
-        ]
+(name, eps) for name in PARABOLIC for eps in (0.2, 0.1)]
         + [("heat1d_linear_profile", 0.5)]  # ell ~ 0.56: the middle node sees both walls
         # a finer lattice on the unit interval: 90 nodes, 100 steps
         + [("heat1d_linear_profile", 0.05), ("heat1d_homogeneous", 0.05)],
@@ -201,6 +201,36 @@ class TestScalarSolver:
         for prev, cur, t in zip(sol.fields, sol.fields[1:], sol.times[1:]):
             oracle = [s_eps(prev, x, t, prev.values[i], prob, params) for i, x in enumerate(xs)]
             np.testing.assert_array_equal(cur.values, oracle)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        name=st.sampled_from(PARABOLIC),
+        eps=st.sampled_from([0.55, 0.2, 0.1]),
+        scale=st.sampled_from([0.0, 1e-3, 1.0, 1e3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_one_step_from_random_values_matches_s_eps(self, name, eps, scale, seed):
+        # scale 0 announces one repeated pair per line; 1 and 1e3 saturate
+        # the p and Gamma clips, which sit between 1.3 and 2.7 at these eps
+        prob = get_problem(name)
+        params = make_params(eps)
+        base = GridField.build(prob.domain, grid_spacing(prob.domain, params))
+        rng = np.random.default_rng(seed)
+        field = base.with_values(rng.normal() + scale * rng.uniform(-1.0, 1.0, len(base.x_nodes)))
+        t = prob.T - params.time_step
+        plan = CandidatePlan1D(base, params, prob.h)
+        got = _sweep_1d(prob, params, plan, field.values, t)
+        want = [s_eps(field, x, t, z, prob, params) for x, z in zip(base.x_nodes, field.values)]
+        assert got.tobytes() == np.array(want).tobytes()
+
+    def test_horizon_shorter_than_half_a_round_is_rejected(self):
+        prob = get_problem("heat1d_linear_profile")
+        # T = 0.25 against dt = 0.81: the one round played would start at t = -0.56
+        with pytest.raises(ValidationError, match="no round fits"):
+            solve_scalar_dpp(prob, make_params(0.9))
+        # dt = 0.3025: round(T/dt) = 1
+        sol = solve_scalar_dpp(prob, make_params(0.55), store_all=True)
+        assert sol.times == [0.25, 0.25 - 0.55**2]
 
     @pytest.mark.parametrize("eps, n_steps", [(0.2, 6), (0.1, 25)])
     def test_one_candidate_plan_per_solve(self, plan_calls, eps, n_steps):

@@ -11,7 +11,9 @@ import pytest
 
 import pdegame
 from pdegame.cli import RunConfig
-from pdegame.problems import list_problems
+from pdegame.game_parabolic import solve_scalar_dpp
+from pdegame.params import make_params
+from pdegame.problems import get_problem, list_problems
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(pdegame.__path__, "pdegame."))
 
@@ -47,6 +49,16 @@ def test_every_traced_callable_resolves():
         if cls is None or meth not in vars(cls):
             missing.append(f"{mod}.{cls_name}.{meth}")
     assert missing == []
+
+
+def test_node_step_counter_counts_a_real_solve():
+    # the benchmark's node_steps counter reads ScalarSolution.problem,
+    # params.time_step, t_start_effective and final.x_nodes
+    spans = _load_spans()
+    sol = solve_scalar_dpp(get_problem("heat1d_cosine"), make_params(0.2), store_all=True)
+    tracer = spans.Tracer()
+    spans._count_node_steps(tracer, sol)
+    assert tracer.counts["node_steps"] == len(sol.final.x_nodes) * (len(sol.fields) - 1) == 36 * 6
 
 
 def test_readme_lists_the_catalog():

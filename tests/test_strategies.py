@@ -414,8 +414,18 @@ def _bytes(values):
     return np.asarray(values, dtype=float).tobytes()
 
 
+def _node_columns(plan, n, repeats, i):
+    """Node i's announcement columns: its base column, then at a layer row
+    the line columns that ``repeats`` does not mask, in sample order."""
+    layer = list(plan.layer_rows)
+    if i not in layer:
+        return [i]
+    j = layer.index(i)
+    return [i] + [n + k * len(layer) + j for k in range(_LINE_SAMPLES) if not repeats[k, j]]
+
+
 class TestBatchedKernel:
-    @pytest.mark.parametrize("eps", [0.5, 0.2, 0.1, 0.05])
+    @pytest.mark.parametrize("eps", [0.55, 0.2, 0.1, 0.05])
     @pytest.mark.parametrize(
         "name", ["heat1d_cosine", "heat1d_linear_profile", "heat1d_homogeneous", "heat1d_reaction"]
     )
@@ -425,42 +435,46 @@ class TestBatchedKernel:
         params = make_params(eps)
         base = GridField.build(dom, grid_spacing(dom, params))
         xs = base.x_nodes
+        n = len(xs)
         # one plan, announced from two different value arrays
         plan = CandidatePlan1D(base, params, prob.h)
         M = plan.step.shape[0]
         g = np.array([prob.g(np.array([x])) for x in xs])
         for seed in (3, 4):
-            field = base.with_values(g + np.random.default_rng(seed).normal(0.0, 0.05, len(xs)))
-            P, G, n_strategies = plan.announce(field.values)
-            for i in range(len(xs)):
-                xp = xs[i : i + 1]
-                strats = candidate_strategies(dom, xp, field, params, prob.h)
-                n = n_strategies[i]
-                assert n == len(strats)
-                assert _bytes(P[:n, i]) == _bytes([s.p[0] for s in strats])
-                assert _bytes(G[:n, i]) == _bytes([s.Gamma[0, 0] for s in strats])
-                # the padding repeats the last real entry
-                assert np.all(P[n:, i] == P[n - 1, i]) and np.all(G[n:, i] == G[n - 1, i])
+            field = base.with_values(g + np.random.default_rng(seed).normal(0.0, 0.05, n))
+            P, G, repeats = plan.announce(field.values)
+            assert P.shape == G.shape == plan.node.shape
+            assert repeats.shape == (_LINE_SAMPLES, len(plan.layer_rows))
+            for i in range(n):
+                strats = candidate_strategies(dom, xs[i : i + 1], field, params, prob.h)
+                cols = _node_columns(plan, n, repeats, i)
+                assert _bytes(P[cols]) == _bytes([s.p[0] for s in strats])
+                assert _bytes(G[cols]) == _bytes([s.Gamma[0, 0] for s in strats])
+        # every column, base or line, plays its node's moves
+        assert _bytes(plan.x) == _bytes(xs[plan.node])
         landed = interpolate(plan.landing_cells, field.values)
-        for i in range(len(xs)):
+        for c, i in enumerate(plan.node):
             xp = xs[i : i + 1]
             moves = [dom.make_move(xp, req) for req in candidate_moves(dom, xp, params)]
-            n = plan.n_moves[i]
-            assert n == len(moves)
-            assert _bytes(plan.step[:n, i]) == _bytes([mv.delta_hat[0] for mv in moves])
-            assert _bytes(plan.landing[:n, i]) == _bytes([mv.landing[0] for mv in moves])
-            assert _bytes(landed[:n, i]) == _bytes([field.eval(mv.landing) for mv in moves])
-            assert plan.crossed[:n, i].tolist() == [mv.crossed for mv in moves]
-            assert _bytes(plan.penalty[:n, i]) == _bytes(
+            k = plan.n_moves[i]
+            assert k == len(moves)
+            assert _bytes(plan.step[:k, c]) == _bytes([mv.delta_hat[0] for mv in moves])
+            assert _bytes(plan.landing[:k, c]) == _bytes([mv.landing[0] for mv in moves])
+            assert _bytes(landed[:k, c]) == _bytes([field.eval(mv.landing) for mv in moves])
+            assert plan.crossed[:k, c].tolist() == [mv.crossed for mv in moves]
+            assert _bytes(plan.penalty[:k, c]) == _bytes(
                 [mv.penal_weight * prob.h(mv.landing) if mv.crossed else 0.0 for mv in moves]
             )
             for col in (plan.step, plan.landing, plan.crossed, plan.penalty):
-                assert np.all(col[n:M, i] == col[n - 1, i])
+                assert np.all(col[k:M, c] == col[k - 1, c])
+        # the sweep's min over moves runs along rows
+        for arr in (plan.step, plan.landing, plan.crossed, plan.penalty, *plan.landing_cells):
+            assert arr.shape == (M, len(plan.node)) and arr.flags.c_contiguous
 
-    @pytest.mark.parametrize("eps", [0.5, 0.2, 0.1, 0.05])
+    @pytest.mark.parametrize("eps", [0.55, 0.2, 0.1, 0.05])
     def test_only_the_layer_rows_announce_more_than_the_base_pair(self, eps):
-        # the Neumann bounds, the corrected line and the dedup run on the
-        # nodes with d < ell; every other node announces its base pair alone
+        # the Neumann bounds and the corrected line run on the nodes with
+        # d < ell; every other node announces its base pair alone
         prob = get_problem("heat1d_linear_profile")
         dom = prob.domain
         params = make_params(eps)
@@ -470,25 +484,30 @@ class TestBatchedKernel:
         d = np.minimum(xs - dom.a, dom.c - xs)
         layer = np.flatnonzero(d < params.move_bound)
         np.testing.assert_array_equal(plan.layer_rows, layer)
-        # ell ~ 0.56 at eps 0.5 puts every node of the unit interval in the layer
-        assert len(layer) == len(xs) if eps == 0.5 else 0 < len(layer) < len(xs)
+        # ell ~ 0.61 at eps 0.55 puts every node of the unit interval in the layer
+        assert len(layer) == len(xs) if eps == 0.55 else 0 < len(layer) < len(xs)
+        # n base columns, then _LINE_SAMPLES line columns per layer row
+        np.testing.assert_array_equal(
+            plan.node, np.concatenate([np.arange(len(xs)), np.tile(layer, _LINE_SAMPLES)])
+        )
         values = np.random.default_rng(5).normal(0.0, 0.05, len(xs))
-        P, G, n_strategies = plan.announce(values)
-        interior = np.setdiff1d(np.arange(len(xs)), layer)
-        assert np.all(n_strategies[interior] == 1)
-        assert np.all(P[:, interior] == P[0, interior]) and np.all(G[:, interior] == G[0, interior])
-        # the walls' fluxes -1 and +1 spread the line at the layer nodes
-        assert n_strategies[layer].max() > 1
+        _, _, repeats = plan.announce(values)
+        # the walls' fluxes -1 and +1 spread the line at every layer node
+        assert np.all((~repeats).any(axis=0))
 
-    def test_both_walls_within_reach_pad_strategies_and_moves(self):
+    def test_both_walls_within_reach_spread_the_line_and_pad_moves(self):
         # ell ~ 0.61 on [0, 1] reaches both walls from the midpoint of the
         # 3-node lattice: the walls' fluxes -1 and +1 give bounds m < M
         prob = get_problem("heat1d_linear_profile")
         params = make_params(0.55)
         base = GridField.build(prob.domain, grid_spacing(prob.domain, params))
         plan = CandidatePlan1D(base, params, prob.h)
-        P, _, n_strategies = plan.announce(np.zeros(len(base.x_nodes)))
-        # at the midpoint the line samples are distinct (the middle one
-        # repeats the base pair here and is deduplicated)
-        assert n_strategies.max() == P.shape[0] >= _LINE_SAMPLES
-        assert plan.n_moves.min() < plan.step.shape[0] == 4
+        np.testing.assert_array_equal(plan.layer_rows, [0, 1, 2])
+        P, _, repeats = plan.announce(np.zeros(len(base.x_nodes)))
+        # at the midpoint the line samples are distinct, and only the middle
+        # one repeats the base pair
+        assert repeats[:, 1].tolist() == [k == _LINE_SAMPLES // 2 for k in range(_LINE_SAMPLES)]
+        line = P[3:].reshape(_LINE_SAMPLES, 3)[:, 1]
+        assert len(set(line.tolist())) == _LINE_SAMPLES and line[_LINE_SAMPLES // 2] == P[1]
+        # the wall nodes have three moves; the midpoint's grazing step makes four
+        assert plan.n_moves.tolist() == [3, 4, 3] and plan.step.shape[0] == 4
