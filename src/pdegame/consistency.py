@@ -7,8 +7,8 @@ thresholds built from the step exponents.  Each regime carries an
 explicit one-sided estimate for ``S[phi] - phi``; this module
 evaluates both sides of every estimate on a catalog of test functions
 and boundary-layer points and reports the margins as typed rows and
-CSV.  Both rows of a point come from one evaluation of ``S[phi]``
-(:func:`audit_point`).
+CSV.  Every row of a point, for every running value z, comes from one
+pass of ``S[phi]`` over all its z (:func:`audit_point`).
 
 The higher-order error allowance is operationalized as a
 measured-then-frozen envelope ``SLACK_CONST * eps**SLACK_POWER``: the
@@ -249,11 +249,13 @@ def _row(dom, eps, xp, case, lhs, rhs, residual, gating=True) -> AuditRow:
 
 
 def audit_point(x, t, z, phi, problem, params, slack_const: float | None = None) -> tuple:
-    """Audit both one-sided estimates for ``S[phi] - phi`` at x.
+    """Audit both one-sided estimates for ``S[phi] - phi`` at x, for the
+    running value z or for each of a sequence z.
 
-    Returns ``(upper_row, lower_row)``.  Both rows bound the same
-    quantity, so S[phi], the derivatives of phi, the wall-bonus
-    extremes and the wall distance are evaluated once and shared.
+    Returns ``(upper_row, lower_row)`` per z, concatenated in z order.
+    Both rows bound the same quantity, so S[phi] (one ``s_eps`` pass over
+    every z), the derivatives of phi, the wall-bonus extremes and the
+    wall distance are evaluated once and shared.
 
     Upper row: the case-labelled bound plus the frozen higher-order
     allowance, ``residual = lhs - rhs``; the close-small label's
@@ -270,45 +272,51 @@ def audit_point(x, t, z, phi, problem, params, slack_const: float | None = None)
     bounds = neumann_bounds(dom, xp, ell, problem.h, grad)
     hnorm = _hess_norm(hess)
     d = dom.dist_to_boundary(xp)
-    lhs = s_eps(phi, xp, t, z, problem, params) - phi.eval(xp)
+    zs = (z,) if np.ndim(z) == 0 else tuple(z)
+    values = s_eps(phi, xp, t, zs, problem, params)
+    phi_x = phi.eval(xp)
 
     def optimal(p_opt):
         frame = build_frame(dom, xp, ell)
         return p_opt(frame, grad, hess, bounds), gamma_opt(frame, hess)
 
-    case = classify_case(d, params, bounds, hnorm)
+    upper_case = classify_case(d, params, bounds, hnorm)
+    lower_case = _classify_lower(d, ell, bounds, hnorm)
     cs = SLACK_CONST if slack_const is None else slack_const
     slack = cs * eps**SLACK_POWER
-    gating = True
-    if case == CASE_BIG_BONUS:
-        p_M, G_o = optimal(p_opt_upper)
-        rhs = 3.0 * (ell - d) * bounds.M - eps**2 * float(problem.f(t, xp, z, p_M, G_o))
-    elif case == CASE_FAR_SMALL:
-        rhs = -(eps**2) * float(problem.f(t, xp, z, grad, hess))
-    elif case == CASE_CLOSE_SMALL:
-        c1 = (20.0 / 3.0) * hnorm * (1.0 - d / ell)
-        shifted = np.atleast_2d(np.asarray(hess, dtype=float)) + c1 * np.eye(dom.dim)
-        rhs = -(eps**2) * float(problem.f(t, xp, z, grad, shifted))
-        gating = False
-    else:
-        p_M, G_o = optimal(p_opt_upper)
-        r = 3.0 * (1.0 - d / ell) * abs(bounds.M)
-        rhs = 0.25 * (ell - d) * bounds.M - eps**2 * _min_f_on_ball(
-            problem, t, xp, z, p_M, G_o, r
-        )
-    rhs = rhs + slack
-    upper = _row(dom, eps, xp, case, lhs, rhs, lhs - rhs, gating)
+    rows = []
+    for z, value in zip(zs, values):
+        lhs = value - phi_x
+        gating = True
+        if upper_case == CASE_BIG_BONUS:
+            p_M, G_o = optimal(p_opt_upper)
+            rhs = 3.0 * (ell - d) * bounds.M - eps**2 * float(problem.f(t, xp, z, p_M, G_o))
+        elif upper_case == CASE_FAR_SMALL:
+            rhs = -(eps**2) * float(problem.f(t, xp, z, grad, hess))
+        elif upper_case == CASE_CLOSE_SMALL:
+            c1 = (20.0 / 3.0) * hnorm * (1.0 - d / ell)
+            shifted = np.atleast_2d(np.asarray(hess, dtype=float)) + c1 * np.eye(dom.dim)
+            rhs = -(eps**2) * float(problem.f(t, xp, z, grad, shifted))
+            gating = False
+        else:
+            p_M, G_o = optimal(p_opt_upper)
+            r = 3.0 * (1.0 - d / ell) * abs(bounds.M)
+            rhs = 0.25 * (ell - d) * bounds.M - eps**2 * _min_f_on_ball(
+                problem, t, xp, z, p_M, G_o, r
+            )
+        rhs = rhs + slack
+        rows.append(_row(dom, eps, xp, upper_case, lhs, rhs, lhs - rhs, gating))
 
-    case = _classify_lower(d, ell, bounds, hnorm)
-    if case == CASE_LOWER_BIG_BONUS:
-        rhs = -(eps**2) * float(problem.f(t, xp, z, grad, hess))
-    else:
-        p_m, G_o = optimal(p_opt_lower)
-        s = -1.0 if bounds.m >= 0.0 else 3.0
-        rhs = 0.5 * (ell - d) * (s * bounds.m - 4.0 * hnorm * ell) - eps**2 * float(
-            problem.f(t, xp, z, p_m, G_o)
-        )
-    return upper, _row(dom, eps, xp, case, lhs, rhs, rhs - lhs)
+        if lower_case == CASE_LOWER_BIG_BONUS:
+            rhs = -(eps**2) * float(problem.f(t, xp, z, grad, hess))
+        else:
+            p_m, G_o = optimal(p_opt_lower)
+            s = -1.0 if bounds.m >= 0.0 else 3.0
+            rhs = 0.5 * (ell - d) * (s * bounds.m - 4.0 * hnorm * ell) - eps**2 * float(
+                problem.f(t, xp, z, p_m, G_o)
+            )
+        rows.append(_row(dom, eps, xp, lower_case, lhs, rhs, rhs - lhs))
+    return tuple(rows)
 
 
 def audit_upper(x, t, z, phi, problem, params, slack_const: float | None = None) -> AuditRow:
@@ -351,11 +359,13 @@ def audit_barrier(
     eps = params.eps
     report = ConsistencyReport()
     for xp in _layer_points(dom, params.move_bound, n_points):
-        for z in z_values:
+        ups = s_eps(psi, xp, t, z_values, problem, params)
+        lows = s_eps(neg_psi, xp, t, z_values, problem, params)
+        for z, s_up, s_low in zip(z_values, ups, lows):
             envelope = C * (1.0 + abs(z)) * eps**2
-            up = s_eps(psi, xp, t, z, problem, params) - psi.eval(xp)
+            up = s_up - psi.eval(xp)
             report.add(_row(dom, eps, xp, "barrier-upper", up, envelope, up - envelope))
-            low = s_eps(neg_psi, xp, t, z, problem, params) - neg_psi.eval(xp)
+            low = s_low - neg_psi.eval(xp)
             report.add(_row(dom, eps, xp, "barrier-lower", low, -envelope, -envelope - low))
     return report
 
@@ -401,13 +411,15 @@ def audit_wall_shift(
     )
     report = ConsistencyReport()
     for xp in pts:
-        for z in z_values:
+        ups = s_eps(shifted, xp, None, z_values, problem, params)
+        lows = s_eps(mirrored, xp, None, z_values, problem, params)
+        for z, s_up, s_low in zip(z_values, ups, lows):
             envelope = eps**2 * (1.0 + (lam - eta) * abs(z) + c_star)
             discount_pull = lam * eps**2 * (shift + psi.eval(xp))
-            lhs = s_eps(shifted, xp, None, z, problem, params) - shifted.eval(xp)
+            lhs = s_up - shifted.eval(xp)
             rhs = envelope - discount_pull
             report.add(_row(dom, eps, xp, "wall-shift-upper", lhs, rhs, lhs - rhs))
-            low = s_eps(mirrored, xp, None, z, problem, params) - mirrored.eval(xp)
+            low = s_low - mirrored.eval(xp)
             floor = -envelope + discount_pull
             report.add(_row(dom, eps, xp, "wall-shift-lower", low, floor, floor - low))
     return report
@@ -547,9 +559,9 @@ def run_audit_suite(
     quadratics with both curvature signs, the barrier itself, a cosine
     profile) with flux choices so that every case label is exercised at
     every rung of the ladder; points are placed at named wall
-    distances inside each threshold band.  Each (point, z) contributes
-    its upper row, then its lower row, both from one evaluation of
-    ``S[phi]`` by :func:`audit_point`.
+    distances inside each threshold band.  Each point contributes, for
+    each z in turn, its upper row, then its lower row; one
+    :func:`audit_point` call, and so one ``s_eps`` pass, serves all of them.
 
     Raises ``ValidationError`` before any audit runs if :func:`audit_ladder` does.
     """
@@ -578,8 +590,7 @@ def run_audit_suite(
             for kind in kinds:
                 for x0 in (dd[kind], 1.0 - dd[kind]) if kind == "close" else (dd[kind],):
                     xp = np.array([x0])
-                    for z in (0.0, 1.5):
-                        report.extend(audit_point(xp, t, z, phi, problem, params, slack_const))
+                    report.extend(audit_point(xp, t, (0.0, 1.5), phi, problem, params, slack_const))
     if include_disk:
         for params in ladder:
             ell = params.move_bound

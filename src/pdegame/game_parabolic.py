@@ -38,8 +38,8 @@ import numpy as np
 from .fields import GridField, grid_spacing, interpolate
 from .params import ValidationError
 from .problems import f_stacked
-from .strategies import (CandidatePlan1D, candidate_moves, candidate_strategies,
-                         check_probe_room, probe_derivatives)
+from .strategies import (CandidatePlan1D, candidate_strategies, check_probe_room,
+                         move_builder, probe_derivatives)
 
 __all__ = [
     "NumericAbort",
@@ -71,52 +71,46 @@ def _discount(problem, params) -> float:
 
 
 def s_eps(phi, x, t, z, problem, params):
-    """One round of the game at (t, x) with running value z.
+    """One round of the game at (t, x) with running value z, or with each
+    running value of a sequence z: one Python float per z, in a list.
 
     Pass t=None for an elliptic problem: f is then called without t and
     phi at each landing is discounted by e^(-lambda dt), so that adding a
-    constant c to phi adds ``disc * c`` to the value.  Each distinct
-    step is projected, and phi and the penalty read at its landing, once
-    per call: the 1D steps do not depend on the strategy, and the 2D
-    normal and fan steps recur for every strategy.
+    constant c to phi adds ``disc * c`` to the value.  One pass serves
+    every z: the probes, strategies and moves are built once (the 2D
+    moves by one ``move_builder`` per point), each distinct step is
+    projected, and phi and the penalty read at its landing, once; only f
+    and the branches' final ``- dt f (+ penalty)`` run per z.  A strategy's
+    branches are one array expression whose ``np.vecdot`` products round
+    as the per-pair ``p @ dx`` and ``dx @ Gamma @ dx`` do, and the min and
+    max keep the first of equal values, as a loop over the pairs would.
     """
     dom = problem.domain
     check_probe_room(dom, params)
     lead, disc = ((), _discount(problem, params)) if t is None else ((t,), 1.0)
+    zs = (z,) if np.ndim(z) == 0 else tuple(z)
     xp = np.atleast_1d(np.asarray(x, dtype=float))
     derivs = probe_derivatives(dom, xp, phi, params.move_bound, flux=problem.h)
     strategies = candidate_strategies(dom, xp, phi, params, problem.h, derivs=derivs)
-    hess_x = derivs[1] if dom.dim == 2 else None
-    moves = candidate_moves(dom, xp, params) if dom.dim == 1 else None
+    moves = move_builder(dom, xp, params)
     dt = params.time_step
-    landed = {}  # step bytes -> (disc * phi at the landing, penalty term or None)
-    best = -np.inf
+    landed = {}  # step bytes -> (disc * phi at the landing, crossed, penalty term)
+    best = [-math.inf] * len(zs)
     for strat in strategies:
-        if dom.dim == 2:
-            moves = candidate_moves(dom, xp, params, hess_diff=hess_x - strat.Gamma)
-        f_val = problem.f(*lead, xp, z, strat.p, strat.Gamma)
-        worst = np.inf
-        for dx_hat in moves:
-            key = dx_hat.tobytes()
+        D = moves(derivs[1] - strat.Gamma if dom.dim == 2 else None)
+        keys = [step.tobytes() for step in D]
+        for key, step in zip(keys, D):
             if key not in landed:
-                mv = dom.make_move(xp, dx_hat)
-                phi_land = disc * phi.eval(mv.landing)
-                pen = mv.penal_weight * problem.h(mv.landing) if mv.crossed else None
-                landed[key] = (phi_land, pen)
-            phi_land, pen = landed[key]
-            val = (
-                phi_land
-                - float(strat.p @ dx_hat)
-                - 0.5 * float(dx_hat @ strat.Gamma @ dx_hat)
-                - dt * f_val
-            )
-            if pen is not None:
-                val += pen
-            if val < worst:
-                worst = val
-        if worst > best:
-            best = worst
-    return best
+                mv = dom.make_move(xp, step)
+                pen = mv.penal_weight * problem.h(mv.landing) if mv.crossed else 0.0
+                landed[key] = (disc * phi.eval(mv.landing), mv.crossed, pen)
+        phi_land, crossed, pen = map(np.array, zip(*map(landed.get, keys)))
+        DGD = np.vecdot(np.matmul(D[:, None, :], strat.Gamma)[:, 0, :], D)
+        f = np.array([problem.f(*lead, xp, zi, strat.p, strat.Gamma) for zi in zs])
+        vals = (phi_land - np.vecdot(strat.p, D) - 0.5 * DGD) - (dt * f)[:, None]
+        vals = np.where(crossed, vals + pen, vals)
+        best = [max(b, min(row)) for b, row in zip(best, vals.tolist())]
+    return best[0] if np.ndim(z) == 0 else best
 
 
 # -- scalar backward solver ------------------------------------------------

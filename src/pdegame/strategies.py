@@ -59,6 +59,7 @@ __all__ = [
     "probe_derivatives",
     "candidate_strategies",
     "candidate_moves",
+    "move_builder",
     "CandidatePlan1D",
     "check_probe_room",
 ]
@@ -305,35 +306,51 @@ def candidate_moves(domain: DomainGeometry, x, params, hess_diff=None) -> list:
     exactly on the nearest wall.  2D: the same along the normal, plus
     tangential steps, eigendirections of the announced-vs-actual Hessian
     mismatch, and a coarse fan of 16 directions (directions first, radii
-    within each), as rows of one array; rows that agree to 12 digits
-    are kept once, at their first occurrence.
+    within each); rows that agree to 12 digits are kept once, at their
+    first occurrence.  The list is ``move_builder(domain, x, params)(hess_diff)``.
     """
+    return list(move_builder(domain, x, params)(hess_diff))
+
+
+def move_builder(domain: DomainGeometry, x, params):
+    """The :func:`candidate_moves` of x as a function of ``hess_diff``,
+    returning an (M, dim) array.  The steps that do not depend on it, and
+    in 2D their 12-digit keys and dedup, are built once here; each call
+    merges only the four Hessian-mismatch eigen-steps, between the fixed
+    normal, tangential and grazing rows and the fan, with the same
+    first-occurrence rule, so a fan row that repeats an eigen-step drops."""
     p = np.atleast_1d(np.asarray(x, dtype=float))
     ell = params.move_bound
     frame = build_frame(domain, p, ell)
-    if domain.dim == 1:
-        moves = [np.array([0.0]), np.array([ell]), np.array([-ell])]
-        if 0.0 < frame.d < ell:
-            moves.append(frame.d * frame.n_bar)
-        return moves
     n, d = frame.n_bar, frame.d
+    graze = [d * n] if 0.0 < d < ell else []
+    if domain.dim == 1:
+        moves = np.array([[0.0], [ell], [-ell]] + graze)
+        return lambda hess_diff=None: moves
     tang = np.array([-n[1], n[0]])
-    moves = [np.zeros(2), ell * n, -ell * n, ell * tang, -ell * tang]
-    if 0.0 < d < ell:
-        moves.append(d * n)
-    if hess_diff is not None:
+    head, head_keys = _first_occurrences(
+        np.array([np.zeros(2), ell * n, -ell * n, ell * tang, -ell * tang] + graze), set())
+    radii = np.array([ell, 0.5 * ell] + ([d] if graze else []))
+    fan, fan_keys = _first_occurrences(
+        (radii[None, :, None] * _FAN_2D[:, None, :]).reshape(-1, 2), set(head_keys))
+
+    def moves(hess_diff=None):
+        if hess_diff is None:
+            return np.concatenate([head, fan])
         _, V = np.linalg.eigh(0.5 * (hess_diff + hess_diff.T))
-        for k in range(2):
-            moves.append(ell * V[:, k])
-            moves.append(-ell * V[:, k])
-    radii = np.array([ell, 0.5 * ell] + ([d] if 0.0 < d < ell else []))
-    moves = np.concatenate([moves, (radii[None, :, None] * _FAN_2D[:, None, :]).reshape(-1, 2)])
-    seen, out = set(), []
-    for mv, key in zip(moves, map(tuple, np.round(moves, 12).tolist())):
-        if key not in seen:
-            seen.add(key)
-            out.append(mv)
-    return out
+        e, seen = ell * V.T, set(head_keys)  # the fan keys are not among the head's
+        eig = _first_occurrences(np.array([e[0], -e[0], e[1], -e[1]]), seen)[0]
+        return np.concatenate([head, eig, fan[[k not in seen for k in fan_keys]]])
+
+    return moves
+
+
+def _first_occurrences(rows, seen):
+    """The rows whose 12-digit key is neither in ``seen`` nor an earlier
+    row's, with their keys; ``seen`` gains the keys."""
+    keys = list(map(tuple, np.round(rows, 12).tolist()))
+    kept = [i for i, key in enumerate(keys) if not (key in seen or seen.add(key))]
+    return rows[kept], [keys[i] for i in kept]
 
 
 # -- the batched 1D kernel ----------------------------------------------------

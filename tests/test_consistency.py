@@ -343,12 +343,26 @@ class TestAuditPoint:
 
         monkeypatch.setattr(cons, "s_eps", counting_s_eps)
         rows = run_audit_suite(eps_ladder=(0.2,), include_disk=True).rows
-        assert len(calls) == len(rows) // 2
-        # each point's rows: upper first, then lower, on the same S[phi]
-        for upper, lower in zip(rows[::2], rows[1::2]):
-            assert lower.case in (CASE_LOWER_BIG_BONUS, CASE_LOWER_SMALL)
-            assert upper.case not in (CASE_LOWER_BIG_BONUS, CASE_LOWER_SMALL)
-            assert (upper.point, upper.lhs) == (lower.point, lower.lhs)
+        # 25 interval points with z = (0.0, 1.5) and 4 disk points with z = 0.0
+        assert len(calls) == 29
+        assert len(rows) == 2 * sum(np.size(c[3]) for c in calls) == 108
+        rest = iter(rows)
+        for phi, x, t, z, problem, params in calls:
+            # each point's rows: for each z, upper first, then lower, on that z's S[phi]
+            for value in np.atleast_1d(s_eps(phi, x, t, z, problem, params)):
+                upper, lower = next(rest), next(rest)
+                assert lower.case in (CASE_LOWER_BIG_BONUS, CASE_LOWER_SMALL)
+                assert upper.case not in (CASE_LOWER_BIG_BONUS, CASE_LOWER_SMALL)
+                assert upper.point == lower.point == tuple(x)
+                assert upper.lhs == lower.lhs == value - phi.eval(x)
+
+    def test_a_z_sequence_gives_the_rows_of_each_scalar_z_in_turn(self):
+        params = make_params(0.2, lambda_rate=1.0)
+        x = np.array([0.45 * params.move_bound])
+        args = (affine(DOM, 1.0), cons._drift_problem(DOM, lambda x: 0.0, "drift"), params)
+        rows = audit_point(x, 0.25, (0.0, 1.5, -2.0), *args)
+        assert rows == sum((audit_point(x, 0.25, z, *args) for z in (0.0, 1.5, -2.0)), ())
+        assert len({r.lhs for r in rows}) == 3  # the drift's f depends on z
 
 
 # -- shipped suite ----------------------------------------------------------
@@ -434,6 +448,50 @@ class TestBarrierAudits:
         rep = audit_wall_shift(lap, params, shift=3.0, n_points=8)
         assert rep.all_pass
         assert max(r.residual for r in rep.rows) <= -0.5
+
+    @pytest.mark.parametrize("dom", [DOM, DISK], ids=["interval", "disk"])
+    def test_barrier_rows_are_those_of_a_per_z_loop_of_scalar_calls(self, dom):
+        problem = cons._drift_problem(dom, lambda x: 2.0, "drift")
+        params = make_params(0.2, lambda_rate=1.0)
+        zs = (0.0, 1.0, 5.0)
+        psi = exact_barrier(dom, 2.0)
+        neg_psi = AnalyticField(dom, lambda p: -psi.eval(p), grad=lambda p: -psi.fd_gradient(p),
+                                hess=lambda p: -psi.fd_hessian(p))
+        rows = []
+        for xp in cons._layer_points(dom, params.move_bound, 4):
+            for z in zs:
+                env = cons.BARRIER_BOUND_CONST * (1.0 + abs(z)) * params.eps**2
+                up = s_eps(psi, xp, 0.25, z, problem, params) - psi.eval(xp)
+                rows.append(cons._row(dom, params.eps, xp, "barrier-upper", up, env, up - env))
+                low = s_eps(neg_psi, xp, 0.25, z, problem, params) - neg_psi.eval(xp)
+                rows.append(cons._row(dom, params.eps, xp, "barrier-lower", low, -env, -env - low))
+        assert audit_barrier(problem, params, z_values=zs, n_points=4).rows == rows
+
+    def test_wall_shift_rows_are_those_of_a_per_z_loop_of_scalar_calls(self):
+        lap = get_problem("laplace_elliptic_1d")
+        params = make_params(0.2, lambda_rate=lap.lambda_rate)
+        shift, zs, eps, lam = 3.0, (0.0, 1.0, 3.0), params.eps, lap.lambda_rate
+        psi = exact_barrier(DOM, cons._boundary_sup(DOM, lap.h))
+        shifted = AnalyticField(DOM, lambda p: shift + psi.eval(p), grad=psi.fd_gradient,
+                                hess=psi.fd_hessian)
+        mirrored = AnalyticField(DOM, lambda p: -shift - psi.eval(p),
+                                 grad=lambda p: -psi.fd_gradient(p),
+                                 hess=lambda p: -psi.fd_hessian(p))
+        pts = cons._layer_points(DOM, params.move_bound, 4) + cons._interior_points(DOM, 8)
+        c_star = max(abs(float(lap.f(xp, 0.0, psi.fd_gradient(xp), psi.fd_hessian(xp))))
+                     for xp in pts)
+        rows = []
+        for xp in pts:
+            for z in zs:
+                env = eps**2 * (1.0 + (lam - lap.eta_margin) * abs(z) + c_star)
+                pull = lam * eps**2 * (shift + psi.eval(xp))
+                lhs = s_eps(shifted, xp, None, z, lap, params) - shifted.eval(xp)
+                rows.append(cons._row(DOM, eps, xp, "wall-shift-upper", lhs, env - pull,
+                                      lhs - (env - pull)))
+                low = s_eps(mirrored, xp, None, z, lap, params) - mirrored.eval(xp)
+                rows.append(cons._row(DOM, eps, xp, "wall-shift-lower", low, pull - env,
+                                      pull - env - low))
+        assert audit_wall_shift(lap, params, shift, z_values=zs, n_points=4).rows == rows
 
     def test_wall_shift_envelope_scales_with_the_shift(self):
         lap = get_problem("laplace_elliptic_1d")

@@ -9,7 +9,7 @@ import pdegame.consistency as cons
 from pdegame.fields import AnalyticField, GridField, grid_spacing
 from pdegame.geometry import ball, interval
 from pdegame.params import GameParams, ValidationError, make_params
-from pdegame.problems import ParabolicProblem, get_problem
+from pdegame.problems import EllipticProblem, ParabolicProblem, get_problem
 from pdegame.strategies import (CandidatePlan1D, candidate_moves, candidate_strategies,
                                 probe_derivatives)
 from pdegame.game_parabolic import (NumericAbort, _sweep_1d, s_eps, solve_levelset,
@@ -71,7 +71,7 @@ def audit_suite_calls():
 
     def record(*args):
         calls.append(args)
-        return 0.0
+        return 0.0 if np.ndim(args[3]) == 0 else [0.0] * len(args[3])
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cons, "s_eps", record)
@@ -79,13 +79,20 @@ def audit_suite_calls():
     return calls
 
 
+def as_bytes(value):
+    return np.float64(value).tobytes()
+
+
 class TestSEpsOracle:
     def test_interval_points_match_the_pairwise_reference(self, audit_suite_calls):
         calls = [c for c in audit_suite_calls if c[4].domain.dim == 1]
-        assert len(calls) == 100  # 25 points x 2 scores x 2 rungs
-        assert {c[3] for c in calls} == {0.0, 1.5}
-        for args in calls:
-            assert s_eps(*args) == reference_s_eps(*args), args[1:4]
+        assert len(calls) == 50  # 25 points x 2 rungs
+        assert {c[3] for c in calls} == {(0.0, 1.5)}
+        for phi, x, t, zs, prob, params in calls:
+            values = s_eps(phi, x, t, zs, prob, params)
+            assert [as_bytes(v) for v in values] == [
+                as_bytes(reference_s_eps(phi, x, t, z, prob, params)) for z in zs
+            ], (x, t, zs)
 
     def test_disk_points_match_the_pairwise_reference_under_both_fluxes(self, audit_suite_calls):
         calls = [c for c in audit_suite_calls if c[4].domain.dim == 2 and c[5].eps == 0.2]
@@ -94,9 +101,99 @@ class TestSEpsOracle:
         assert {float(prob.h(np.array([1.0, 0.0]))) for _, prob in games} == {0.0, 2.0}
         for _, x, t, z, _, params in calls:
             for phi, prob in games:
-                assert s_eps(phi, x, t, z, prob, params) == reference_s_eps(
-                    phi, x, t, z, prob, params
+                assert as_bytes(s_eps(phi, x, t, z, prob, params)) == as_bytes(
+                    reference_s_eps(phi, x, t, z, prob, params)
                 ), (x, prob.name)
+
+
+DISK = ball((0.0, 0.0), 1.0)
+
+
+def drift_f(x, z, p, G):
+    """The audit drift's f without t: it reads z and p."""
+    return -float(np.trace(np.atleast_2d(G))) + 0.5 * z + 0.2 * float(np.atleast_1d(p)[0])
+
+
+def z_games():
+    """(problem, t) pairs whose f reads z: the parabolic round, and the
+    stationary round (t=None) of a discounted problem, on both domains."""
+    games = [(get_problem("heat1d_reaction"), 0.25)]
+    for dom in (DOM, DISK):
+        games.append((cons._drift_problem(dom, lambda x: 1.5, "drift"), 0.25))
+        games.append((EllipticProblem(name="drift_stationary", domain=dom, f=drift_f,
+                                      lambda_rate=1.0, h=lambda x: -0.5), None))
+    return games
+
+
+def smooth_field(dom, coef):
+    """a + b.x + c |x|^2 + s sin(3 x_0), with its exact derivatives."""
+    a, b0, b1, c, s_ = coef
+    b = np.array([b0, b1])[: dom.dim]
+    return AnalyticField(
+        dom,
+        lambda p: a + float(b @ p) + c * float(p @ p) + s_ * math.sin(3.0 * p[0]),
+        grad=lambda p: b + 2.0 * c * p + np.eye(dom.dim)[0] * 3.0 * s_ * math.cos(3.0 * p[0]),
+        hess=lambda p: 2.0 * c * np.eye(dom.dim)
+        - np.diag([9.0 * s_ * math.sin(3.0 * p[0])] + [0.0] * (dom.dim - 1)),
+    )
+
+
+class TestSEpsOverScores:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        game=st.integers(0, 4),
+        eps=st.sampled_from([0.2, 0.1]),
+        wall=st.sampled_from([0.0, 0.3, 0.99, 1.5]),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+        coef=st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5),
+        zs=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=4),
+    )
+    def test_a_score_sequence_gives_each_scalar_value_bit_for_bit(
+        self, game, eps, wall, scale, coef, zs
+    ):
+        # wall: the wall distance in units of ell; scale 1 and 1e3 saturate
+        # the p and Gamma clips, which sit between 1.3 and 2.7 at these eps
+        problem, t = z_games()[game]
+        dom = problem.domain
+        params = make_params(eps, lambda_rate=1.0)
+        phi = smooth_field(dom, [scale * c for c in coef])
+        x = np.array([wall * params.move_bound])
+        if dom.dim == 2:
+            x = (1.0 - wall * params.move_bound) * np.array([math.cos(0.4), math.sin(0.4)])
+        values = s_eps(phi, x, t, zs, problem, params)
+        scalars = [s_eps(phi, x, t, z, problem, params) for z in zs]
+        assert all(type(v) is float for v in values + scalars)
+        assert np.array(values).tobytes() == np.array(scalars).tobytes()
+        assert s_eps(phi, x, t, tuple(zs), problem, params) == values
+
+    @pytest.mark.parametrize("eps", [0.2, 0.1])
+    @pytest.mark.parametrize("curv", [(1.0, 0.0), (0.0, -2.0), (-1.0, 0.0), (0.0, 1.0)])
+    def test_a_mismatch_along_the_normal_and_tangent_matches_the_pairwise_reference(
+        self, eps, curv
+    ):
+        # phi's Hessian and every announced Gamma are diagonal at (1 - 0.3 ell, 0),
+        # so each strategy's eigen-steps repeat the normal and tangential steps
+        params = make_params(eps)
+        x = np.array([1.0 - 0.3 * params.move_bound, 0.0])
+        phi = AnalyticField(
+            DISK,
+            lambda p: 0.4 * p[0] + 0.5 * (curv[0] * p[0] ** 2 + curv[1] * p[1] ** 2),
+            grad=lambda p: np.array([0.4 + curv[0] * p[0], curv[1] * p[1]]),
+            hess=lambda p: np.diag(curv),
+        )
+        problem = cons._drift_problem(DISK, lambda x: 2.0, "drift")
+        hess_x = probe_derivatives(DISK, x, phi, params.move_bound, flux=problem.h)[1]
+        strategies = candidate_strategies(DISK, x, phi, params, problem.h)
+        assert len(strategies) > 1
+        fixed = candidate_moves(DISK, x, params)
+        for s in strategies:
+            diff = hess_x - s.Gamma
+            assert diff[0, 1] == diff[1, 0] == 0.0
+            assert np.array_equal(candidate_moves(DISK, x, params, hess_diff=diff), fixed)
+        for z in (0.0, 1.5):
+            assert np.float64(s_eps(phi, x, 0.25, z, problem, params)).tobytes() == np.float64(
+                reference_s_eps(phi, x, 0.25, z, problem, params)
+            ).tobytes()
 
 
 class TestGeneralOperator:

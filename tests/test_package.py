@@ -74,3 +74,10 @@ def test_readme_lists_every_config_key():
     sentence = readme[readme.index("The config keys (") :].split(".\n", 1)[0]
     keys = sorted(f.name for f in dataclasses.fields(RunConfig))
     assert sorted(re.findall(r"`(\w+)`", sentence)) == keys
+
+
+def test_declared_numpy_floor_has_vecdot():
+    # geometry, strategies and s_eps call np.vecdot, new in numpy 2.0
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    floor = re.search(r'"numpy>=(\d+)\.(\d+)', pyproject)
+    assert floor is not None and (int(floor[1]), int(floor[2])) >= (2, 0)

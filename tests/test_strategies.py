@@ -363,6 +363,23 @@ class TestMovesAgainstTheLoop:
         assert bands == {"wall", "layer", "interior"}
 
     @pytest.mark.parametrize("eps", [0.2, 0.1, 0.05])
+    def test_eigen_steps_that_repeat_fixed_or_fan_steps_keep_their_first_occurrence(self, eps):
+        disk, params = ball((0.0, 0.0), 1.0), make_params(eps)
+        ell, hess = params.move_bound, np.diag([1.0, -2.0])
+        # normal and tangent on the axes: every eigen-step repeats one of them
+        x = np.array([1.0 - 0.3 * ell, 0.0])
+        got = candidate_moves(disk, x, params, hess_diff=hess)
+        assert_same_arrays(got, reference_candidate_moves(disk, x, params, hess_diff=hess))
+        assert_same_arrays(got, candidate_moves(disk, x, params))
+        # an off-axis interior point: the eigen-steps come before, and drop, the
+        # fan's four axis steps of length ell
+        x = 0.3 * np.array([np.cos(0.4), np.sin(0.4)])
+        got = candidate_moves(disk, x, params, hess_diff=hess)
+        assert_same_arrays(got, reference_candidate_moves(disk, x, params, hess_diff=hess))
+        assert len(got) == len(candidate_moves(disk, x, params))
+        assert {tuple(np.round(m / ell, 12)) for m in got[5:9]} == {(1, 0), (-1, 0), (0, 1), (0, -1)}
+
+    @pytest.mark.parametrize("eps", [0.2, 0.1, 0.05])
     @pytest.mark.parametrize("x", [0.5, 0.03], ids=["interior", "layer"])
     def test_1d_moves_match_the_per_move_loop(self, eps, x):
         dom, params = interval(0.0, 1.0), make_params(eps)
