@@ -254,8 +254,9 @@ def audit_point(x, t, z, phi, problem, params, slack_const: float | None = None)
 
     Returns ``(upper_row, lower_row)`` per z, concatenated in z order.
     Both rows bound the same quantity, so S[phi] (one ``s_eps`` pass over
-    every z), the derivatives of phi, the wall-bonus extremes and the
-    wall distance are evaluated once and shared.
+    every z), the derivatives of phi, the wall-bonus extremes, the wall
+    distance, the boundary frame and the explicit announcements are
+    evaluated once and shared.
 
     Upper row: the case-labelled bound plus the frozen higher-order
     allowance, ``residual = lhs - rhs``; the close-small label's
@@ -275,10 +276,10 @@ def audit_point(x, t, z, phi, problem, params, slack_const: float | None = None)
     zs = (z,) if np.ndim(z) == 0 else tuple(z)
     values = s_eps(phi, xp, t, zs, problem, params)
     phi_x = phi.eval(xp)
-
-    def optimal(p_opt):
+    if bounds.possible:  # the explicit announcements of the labels where a step crosses
         frame = build_frame(dom, xp, ell)
-        return p_opt(frame, grad, hess, bounds), gamma_opt(frame, hess)
+        p_M, p_m = p_opt_upper(frame, grad, hess, bounds), p_opt_lower(frame, grad, hess, bounds)
+        G_o = gamma_opt(frame, hess)
 
     upper_case = classify_case(d, params, bounds, hnorm)
     lower_case = _classify_lower(d, ell, bounds, hnorm)
@@ -289,7 +290,6 @@ def audit_point(x, t, z, phi, problem, params, slack_const: float | None = None)
         lhs = value - phi_x
         gating = True
         if upper_case == CASE_BIG_BONUS:
-            p_M, G_o = optimal(p_opt_upper)
             rhs = 3.0 * (ell - d) * bounds.M - eps**2 * float(problem.f(t, xp, z, p_M, G_o))
         elif upper_case == CASE_FAR_SMALL:
             rhs = -(eps**2) * float(problem.f(t, xp, z, grad, hess))
@@ -299,7 +299,6 @@ def audit_point(x, t, z, phi, problem, params, slack_const: float | None = None)
             rhs = -(eps**2) * float(problem.f(t, xp, z, grad, shifted))
             gating = False
         else:
-            p_M, G_o = optimal(p_opt_upper)
             r = 3.0 * (1.0 - d / ell) * abs(bounds.M)
             rhs = 0.25 * (ell - d) * bounds.M - eps**2 * _min_f_on_ball(
                 problem, t, xp, z, p_M, G_o, r
@@ -310,7 +309,6 @@ def audit_point(x, t, z, phi, problem, params, slack_const: float | None = None)
         if lower_case == CASE_LOWER_BIG_BONUS:
             rhs = -(eps**2) * float(problem.f(t, xp, z, grad, hess))
         else:
-            p_m, G_o = optimal(p_opt_lower)
             s = -1.0 if bounds.m >= 0.0 else 3.0
             rhs = 0.5 * (ell - d) * (s * bounds.m - 4.0 * hnorm * ell) - eps**2 * float(
                 problem.f(t, xp, z, p_m, G_o)

@@ -78,9 +78,11 @@ def s_eps(phi, x, t, z, problem, params):
     phi at each landing is discounted by e^(-lambda dt), so that adding a
     constant c to phi adds ``disc * c`` to the value.  One pass serves
     every z: the probes, strategies and moves are built once (the 2D
-    moves by one ``move_builder`` per point), each distinct step is
-    projected, and phi and the penalty read at its landing, once; only f
-    and the branches' final ``- dt f (+ penalty)`` run per z.  A strategy's
+    moves by one ``move_builder`` per point); each distinct step is
+    projected, and phi and the penalty read at its landing, once: the
+    steps a strategy adds are projected by one ``DomainGeometry.moves``
+    call, and h reads their crossing landings as one stack.  Only f and
+    the branches' final ``- dt f (+ penalty)`` run per z.  A strategy's
     branches are one array expression whose ``np.vecdot`` products round
     as the per-pair ``p @ dx`` and ``dx @ Gamma @ dx`` do, and the min and
     max keep the first of equal values, as a loop over the pairs would.
@@ -99,11 +101,12 @@ def s_eps(phi, x, t, z, problem, params):
     for strat in strategies:
         D = moves(derivs[1] - strat.Gamma if dom.dim == 2 else None)
         keys = [step.tobytes() for step in D]
-        for key, step in zip(keys, D):
-            if key not in landed:
-                mv = dom.make_move(xp, step)
-                pen = mv.penal_weight * problem.h(mv.landing) if mv.crossed else 0.0
-                landed[key] = (disc * phi.eval(mv.landing), mv.crossed, pen)
+        new = [i for i, key in enumerate(keys) if key not in landed]
+        if new:
+            landing, crossed, pen = dom.moves(xp, D[new])
+            pen[crossed] *= problem.h(landing[crossed])
+            for i, q, c, w in zip(new, landing, crossed.tolist(), pen.tolist()):
+                landed[keys[i]] = (disc * phi.eval(q), c, w)
         phi_land, crossed, pen = map(np.array, zip(*map(landed.get, keys)))
         DGD = np.vecdot(np.matmul(D[:, None, :], strat.Gamma)[:, 0, :], D)
         f = np.array([problem.f(*lead, xp, zi, strat.p, strat.Gamma) for zi in zs])

@@ -103,8 +103,15 @@ class DomainGeometry:
         rho = float(np.linalg.norm(p - np.asarray(self.center)))
         return max(rho - self.radius, 0.0)
 
-    def boundary_gap(self, x) -> float:
-        """Distance from ``x`` to the boundary, from inside or outside."""
+    def boundary_gap(self, x):
+        """Distance from ``x`` to the boundary, from inside or outside; for a
+        ``(k, dim)`` stack of points, the array of their distances."""
+        if np.ndim(x) == 2:
+            q = np.asarray(x, dtype=float)
+            if self.kind == "interval":
+                return np.minimum(np.abs(q[:, 0] - self.a), np.abs(q[:, 0] - self.c))
+            rel = q - np.asarray(self.center)
+            return np.abs(np.sqrt(np.vecdot(rel, rel)) - self.radius)
         p = _as_point(x, self.dim)
         if self.kind == "interval":
             return min(abs(p[0] - self.a), abs(p[0] - self.c))
@@ -201,31 +208,32 @@ class DomainGeometry:
             landing=landing,
         )
 
-    def crossings(self, x, steps) -> tuple[np.ndarray, np.ndarray]:
-        """Landings and outward normals of the steps from ``x`` that cross.
-
-        The ball only.  ``steps`` has shape ``(k, 2)``; the rows whose
-        end leaves the closure are projected radially and kept in step
-        order.  Each norm is ``sqrt(vecdot(u, u))``, the fused dot product
-        that ``np.linalg.norm`` takes, so the landings and normals equal
-        those of :meth:`make_move` and :meth:`outward_normal` bit for bit.
-        Raises ``ValueError``, as :meth:`project_to_closure` does, when a
-        step ends beyond ``r_ext/2`` of the closure.
+    def moves(self, x, steps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(landing, crossed, penal_weight)`` of each step of the ``(k, dim)``
+        stack ``steps`` from ``x``, row by row those of :meth:`make_move`, bit
+        for bit: the same ``outside_by > tol`` crossing test, the clamp or the
+        radial projection, and each norm as ``sqrt(vecdot(u, u))``, the fused
+        dot product that ``np.linalg.norm`` takes.  On the ball, a step that
+        ends beyond ``r_ext/2`` of the closure raises the ``ValueError`` that
+        :meth:`project_to_closure` raises for the first such step.
         """
-        assert self.kind == "ball", "crossings is written for the ball"
-        ctr = np.asarray(self.center, dtype=float)
-        rel = (_as_point(x, self.dim) + steps) - ctr
-        rho = np.sqrt(np.vecdot(rel, rel))
-        out = rho - self.radius
-        if np.any(out > 0.5 * self.r_ext + self.tol):
-            raise ValueError(
-                f"projection undefined: a step from {x} ends {out.max():g} from the "
-                f"closure, beyond r_ext/2 = {0.5 * self.r_ext:g}"
-            )
-        crossed = out > self.tol
-        landing = ctr + rel[crossed] * (self.radius / rho[crossed])[:, None]
-        u = landing - ctr
-        return landing, u / np.sqrt(np.vecdot(u, u))[:, None]
+        x_hat = _as_point(x, self.dim) + np.reshape(steps, (-1, self.dim))
+        landing = x_hat.copy()
+        if self.kind == "interval":
+            crossed = np.maximum(self.a - x_hat[:, 0], x_hat[:, 0] - self.c) > self.tol
+            landing[crossed] = np.clip(x_hat[crossed], self.a, self.c)
+        else:
+            ctr = np.asarray(self.center, dtype=float)
+            rel = x_hat - ctr
+            rho = np.sqrt(np.vecdot(rel, rel))
+            out = rho - self.radius
+            far = np.flatnonzero(out > 0.5 * self.r_ext + self.tol)
+            if len(far):
+                self.project_to_closure(x_hat[far[0]])  # raises
+            crossed = out > self.tol
+            landing[crossed] = ctr + rel[crossed] * (self.radius / rho[crossed])[:, None]
+        u = x_hat - landing
+        return landing, crossed, np.sqrt(np.vecdot(u, u))
 
 
 # -- constructors ---------------------------------------------------------

@@ -39,14 +39,22 @@ __all__ = [
 
 
 def boundary_function(domain: DomainGeometry, fn):
-    """Wrap a boundary datum so off-boundary evaluation is a hard error: a point
-    more than ``tol`` from the boundary (one ``boundary_gap`` query) raises."""
+    """Wrap a boundary datum so off-boundary evaluation is a hard error: the
+    wrapper takes a point (returns a float) or a ``(k, dim)`` stack (returns
+    fn row by row), and one ``boundary_gap`` query checks every point; the
+    first point more than ``tol`` from the boundary raises."""
 
     def guarded(x):
-        p = np.atleast_1d(np.asarray(x, dtype=float))
-        if domain.boundary_gap(p) > domain.tol:
-            raise ValueError(f"boundary datum evaluated off the boundary at {p}")
-        return float(fn(p))
+        p = np.asarray(x, dtype=float)
+        if p.ndim < 2:  # one point
+            p = np.atleast_1d(p)
+            if domain.boundary_gap(p) > domain.tol:
+                raise ValueError(f"boundary datum evaluated off the boundary at {p}")
+            return float(fn(p))
+        off = np.flatnonzero(domain.boundary_gap(p) > domain.tol)
+        if len(off):
+            raise ValueError(f"boundary datum evaluated off the boundary at {p[off[0]]}")
+        return np.array([float(fn(q)) for q in p])
 
     return guarded
 

@@ -30,11 +30,13 @@ from the values at each step, with a mask of the line samples that the
 functions
 (:func:`candidate_strategies`, :func:`candidate_moves` and their parts)
 remain as the reference oracles that the tests, the audits and the 2D
-one-step operator use.  In 2D, :func:`neumann_bounds` evaluates its
-crossing fan as arrays through :meth:`DomainGeometry.crossings`, whose
-fused-dot norm is the one ``np.linalg.norm`` takes in
-:meth:`DomainGeometry.make_move`, so it matches a per-step loop over
-``make_move`` bit for bit.
+one-step operator use.  They too work on arrays, bit for bit with a
+loop over single announcements and steps: :func:`candidate_strategies`
+clips its base pair and line samples as one stack (the plan's announce
+takes the same clip) and dedups them by one 12-digit rounding, and in
+2D :func:`neumann_bounds` projects its crossing fan with one
+:meth:`DomainGeometry.moves` call, whose fused-dot norm is the one
+``np.linalg.norm`` takes in :meth:`DomainGeometry.make_move`.
 """
 from __future__ import annotations
 
@@ -109,11 +111,12 @@ def neumann_bounds(domain: DomainGeometry, x, ell: float, h, grad) -> NeumannBou
     1D: exact — each wall closer than ell contributes exactly one value.
     2D (the ball): sampled over a fan of directions (the outward normal
     included) at several radii, keeping only steps that actually cross.
-    The fan is evaluated as arrays: :meth:`DomainGeometry.crossings`
-    tests, projects and takes the landing normal of every step at once,
-    with the fused-dot norm that ``np.linalg.norm`` uses in
-    :meth:`DomainGeometry.make_move`.  The values, and their order, are
-    those of a loop over ``make_move`` and ``outward_normal`` bit for bit.
+    The fan is evaluated as arrays: one :meth:`DomainGeometry.moves` call
+    tests and projects every step, the crossing rows' normals take the
+    fused-dot norm that ``np.linalg.norm`` uses in
+    :meth:`DomainGeometry.outward_normal`, and h reads the crossing
+    landings as one stack.  The values, and their order, are those of a
+    loop over ``make_move`` and ``outward_normal`` bit for bit.
     """
     p = np.atleast_1d(np.asarray(x, dtype=float))
     grad = np.atleast_1d(np.asarray(grad, dtype=float))
@@ -129,8 +132,10 @@ def neumann_bounds(domain: DomainGeometry, x, ell: float, h, grad) -> NeumannBou
         dirs = np.concatenate([np.stack([np.cos(th), np.sin(th)], axis=1), [n_bar, -n_bar]])
         steps = (np.array(_RADIUS_FRACTIONS) * ell)[None, :, None] * dirs[:, None, :]
         # directions first, radii within each: the order of a per-step loop
-        landing, normal = domain.crossings(p, steps.reshape(-1, 2))
-        values = [h(q) - float(v) for q, v in zip(landing, np.vecdot(normal, grad))]
+        landing, crossed, _ = domain.moves(p, steps.reshape(-1, 2))
+        u = landing[crossed] - np.asarray(domain.center)  # outward_normal's u / |u|
+        normal = u / np.sqrt(np.vecdot(u, u))[:, None]
+        values = (h(landing[crossed]) - np.vecdot(normal, grad)).tolist()
     if not values:
         return NeumannBounds(m=np.inf, M=-np.inf, possible=False)
     return NeumannBounds(m=float(min(values)), M=float(max(values)), possible=True)
@@ -164,22 +169,24 @@ def gamma_opt(frame: BoundaryFrame, hess) -> np.ndarray:
 
 def clip_strategy(strategy: Strategy, params) -> Strategy:
     p = np.atleast_1d(np.asarray(strategy.p, dtype=float))
-    G = np.asarray(strategy.Gamma, dtype=float)
-    G = G.reshape(len(p), len(p))
-    pn = np.linalg.norm(p)
-    if pn > params.p_bound:
-        p = p * (params.p_bound / pn)
-    if G.shape == (1, 1):  # the spectral clip; + 0.0 maps -0.0 to 0.0, as eigh does
-        G = np.clip(G, -params.hessian_bound, params.hessian_bound) + 0.0
-    else:
-        w, V = np.linalg.eigh(0.5 * (G + G.T))
-        w = np.clip(w, -params.hessian_bound, params.hessian_bound)
-        G = (V * w) @ V.T
-    return Strategy(p=p, Gamma=G)
+    G = np.asarray(strategy.Gamma, dtype=float).reshape(1, len(p), len(p))
+    P, G = _clip(p[None], G, params)
+    return Strategy(p=P[0], Gamma=G[0])
 
 
-def _strategy_key(s: Strategy) -> tuple:
-    return tuple(np.round(np.concatenate([s.p, np.ravel(s.Gamma)]), 12).tolist())
+def _clip(P, G, params):
+    """:func:`clip_strategy` of every row of the gradients P ``(k, d)`` and
+    the Hessians G ``(k, d, d)``: the gradient's norm, ``sqrt(vecdot)`` as
+    ``np.linalg.norm`` takes it (in 1D its one product), capped at
+    ``p_bound``, and the spectrum clipped to ``hessian_bound`` by a stacked
+    ``eigh`` (in 1D a plain clip, whose + 0.0 maps -0.0 to 0.0, as eigh does)."""
+    pb, hb = params.p_bound, params.hessian_bound
+    pn = np.sqrt(P * P if P.shape[1] == 1 else np.vecdot(P, P)[:, None])
+    P = np.where(pn > pb, P * (pb / np.maximum(pn, pb)), P)
+    if P.shape[1] == 1:  # np.clip, in its cheaper ufunc form
+        return P, np.minimum(np.maximum(G, -hb), hb) + 0.0
+    w, V = np.linalg.eigh(0.5 * (G + G.swapaxes(1, 2)))
+    return P, (V * np.clip(w, -hb, hb)[:, None, :]) @ V.swapaxes(1, 2)
 
 
 def probe_derivatives(domain: DomainGeometry, x, phi, scale: float, flux):
@@ -271,32 +278,29 @@ def candidate_strategies(domain: DomainGeometry, x, phi, params, h, derivs=None)
 
     Interior: exactly the probe-scale derivative pair of phi (clipped).
     Boundary layer: that pair plus a gradient grid between the two
-    extreme normal corrections, paired with the flattened Hessian.
+    extreme normal corrections, paired with the flattened Hessian.  The
+    pair and the grid are clipped as one stack, and a row whose 12-digit
+    ``[p | Gamma]`` key repeats an earlier row's is dropped.
     """
     if derivs is None:
         derivs = probe_derivatives(domain, x, phi, params.move_bound, flux=h)
     p0, G0 = derivs
     p0 = np.atleast_1d(np.asarray(p0, dtype=float))
-    G0 = np.asarray(G0, dtype=float)
-    base = clip_strategy(Strategy(p=p0, Gamma=G0), params)
+    d = len(p0)
+    G0 = np.asarray(G0, dtype=float).reshape(d, d)
+    P, G = p0[None], G0[None]
     frame = build_frame(domain, x, params.move_bound)
-    if not frame.d < frame.ell:  # no step can cross
-        return [base]
-    bounds = neumann_bounds(domain, x, params.move_bound, h, p0)
-    if not bounds.possible:
-        return [base]
-    out = [base]
-    seen = {_strategy_key(base)}
-    p_lo = p_opt_lower(frame, p0, G0, bounds)
-    p_hi = p_opt_upper(frame, p0, G0, bounds)
-    G_layer = gamma_opt(frame, G0)
-    for t in np.linspace(0.0, 1.0, _LINE_SAMPLES):
-        cand = clip_strategy(Strategy(p=(1 - t) * p_lo + t * p_hi, Gamma=G_layer), params)
-        key = _strategy_key(cand)
-        if key not in seen:
-            seen.add(key)
-            out.append(cand)
-    return out
+    if frame.d < frame.ell:  # else no step can cross
+        bounds = neumann_bounds(domain, x, params.move_bound, h, p0)
+        if bounds.possible:
+            t = np.linspace(0.0, 1.0, _LINE_SAMPLES)[:, None]
+            p_lo = p_opt_lower(frame, p0, G0, bounds)
+            p_hi = p_opt_upper(frame, p0, G0, bounds)
+            P = np.concatenate([P, (1 - t) * p_lo + t * p_hi])
+            G = np.concatenate([G, np.broadcast_to(gamma_opt(frame, G0), (_LINE_SAMPLES, d, d))])
+    P, G = _clip(P, G, params)
+    rows = _first_occurrences(np.concatenate([P, G.reshape(len(G), -1)], axis=1), set())[0]
+    return [Strategy(p=row[:d], Gamma=row[d:].reshape(d, d)) for row in rows]
 
 
 def candidate_moves(domain: DomainGeometry, x, params, hess_diff=None) -> list:
@@ -459,8 +463,9 @@ class CandidatePlan1D:
         p_hi = gL + (self.bound_coef * M - hess_term) * self.normal
         G_line = HL + self.flat_coef * HL  # gamma_opt
         P_line = self.line[0] * p_lo + self.line[1] * p_hi
-        P, G = _clip_1d(np.concatenate([g, P_line.ravel()]),
-                        np.concatenate([H] + [G_line] * _LINE_SAMPLES), params)
+        P, G = _clip(np.concatenate([g, P_line.ravel()])[:, None],
+                     np.concatenate([H] + [G_line] * _LINE_SAMPLES)[:, None, None], params)
+        P, G = P.ravel(), G.ravel()
 
         # 12-digit keys of each layer row's base pair and line samples, as rows
         kp = np.round(P[self.keyed], 12).reshape(-1, len(L))
@@ -477,11 +482,3 @@ def check_probe_room(domain: DomainGeometry, params) -> None:
             f"move bound ell={params.move_bound:.6g} must be below the interval "
             f"length {domain.c - domain.a:.6g}: the reflected probe would leave it"
         )
-
-
-def _clip_1d(p, G, params):
-    """clip_strategy in 1D, where the spectral clip of a 1x1 Hessian is a plain clip."""
-    pn = np.sqrt(p * p)  # np.linalg.norm of a 1-vector
-    bound = params.p_bound
-    p = np.where(pn > bound, p * (bound / np.maximum(pn, bound)), p)
-    return p, np.clip(G, -params.hessian_bound, params.hessian_bound)

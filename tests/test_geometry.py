@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pdegame import geometry
 from pdegame.problems import boundary_function
@@ -107,6 +107,22 @@ def test_one_norm_guard_matches_the_two_query_guard(dom):
         else:
             assert h(p) == 1.0
     assert any(flags) and not all(flags)
+
+
+@pytest.mark.parametrize("dom", catalog(), ids=lambda d: d.kind + str(d.center))
+def test_boundary_datum_reads_a_stack_row_by_row(dom):
+    h = boundary_function(dom, lambda q: q[0] + 2.0 * q[-1])
+    pts = gap_probe_points(dom)
+    on = [p for p in pts if dom.boundary_gap(p) <= dom.tol]
+    got = h(np.array(on))
+    assert got.dtype == float and got.shape == (len(on),)
+    assert got.tobytes() == np.array([h(p) for p in on]).tobytes()
+    assert type(h(on[0])) is float
+    for p in pts:
+        if dom.boundary_gap(p) > dom.tol:  # one off-boundary row raises the point's message
+            with pytest.raises(ValueError) as err:
+                h(np.array(on[:2] + [p] + on[2:]))
+            assert str(err.value) == f"boundary datum evaluated off the boundary at {p}"
 
 
 @pytest.mark.parametrize("dom", catalog(), ids=lambda d: d.kind + str(d.center))
@@ -325,3 +341,73 @@ def test_move_contract_interval(x, step):
     if not mv.crossed:
         assert mv.penal_weight == 0.0
         np.testing.assert_allclose(mv.delta, mv.delta_hat)
+
+
+def reference_moves(dom, x, steps) -> tuple:
+    """``DomainGeometry.moves`` as a loop: one ``make_move`` per step."""
+    mvs = [dom.make_move(x, step) for step in steps]
+    return (np.array([mv.landing for mv in mvs]), np.array([mv.crossed for mv in mvs]),
+            np.array([mv.penal_weight for mv in mvs]))
+
+
+# a step's graze offset: it ends this many tol outside the wall (None: a free step)
+_GRAZE = st.sampled_from([None, None, None, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 3.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    dom=st.sampled_from(catalog()),
+    r=st.floats(min_value=0.0, max_value=1.0),
+    theta=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+    steps=st.lists(
+        st.tuples(st.floats(min_value=-1.3, max_value=1.3),
+                  st.floats(min_value=0.0, max_value=2.0 * math.pi), _GRAZE),
+        min_size=1, max_size=10,
+    ),
+)
+# inside, grazing within and beyond tol, crossing, and (disk) ending past r_ext/2
+@example(dom=catalog()[0], r=0.9, theta=0.0,
+         steps=[(0.05, 0.0, None), (0.0, 0.0, 0.5), (0.0, 0.0, 1.5), (-1.2, 0.0, None)])
+@example(dom=catalog()[1], r=0.8, theta=1.0,
+         steps=[(0.1, 1.0, None), (0.0, 1.0, 0.5), (0.0, 2.0, 1.5), (0.4, 1.0, None)])
+@example(dom=catalog()[1], r=0.9, theta=0.0,
+         steps=[(0.3, 0.0, None), (0.7, 0.0, None), (0.1, 0.0, None)])
+def test_moves_match_the_make_move_loop(dom, r, theta, steps):
+    ctr = np.asarray(dom.center, dtype=float)
+    if dom.dim == 1:
+        x = np.array([dom.a + r * (dom.c - dom.a)])
+        rows = [[length if k is None else (dom.c if phi < math.pi else dom.a)
+                 + (k * dom.tol if phi < math.pi else -k * dom.tol) - x[0]]
+                for length, phi, k in steps]
+    else:
+        x = ctr + r * dom.radius * np.array([math.cos(theta), math.sin(theta)])
+        u = [np.array([math.cos(phi), math.sin(phi)]) for _, phi, _ in steps]
+        rows = [length * e if k is None else ctr + (dom.radius + k * dom.tol) * e - x
+                for (length, _, k), e in zip(steps, u)]
+    rows = np.array(rows, dtype=float)
+    try:
+        want = reference_moves(dom, x, rows)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            dom.moves(x, rows)
+        assert str(got.value) == str(err) and "r_ext/2" in str(err)
+        return
+    got = dom.moves(x, rows)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("dom", catalog(), ids=lambda d: d.kind + str(d.center))
+def test_moves_match_the_make_move_loop_on_random_stacks(dom):
+    # generic directions and lengths, where a norm that rounds otherwise shows
+    rng = np.random.default_rng(41)
+    crossed = 0
+    for _ in range(40):
+        x, _ = _random_move(dom, rng)
+        u = rng.normal(size=(30, dom.dim))
+        steps = u / np.linalg.norm(u, axis=1)[:, None] * rng.uniform(0.0, 0.5 * dom.r_ext, (30, 1))
+        got, want = dom.moves(x, steps), reference_moves(dom, x, steps)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+        crossed += int(got[1].sum())
+    assert crossed > 100

@@ -26,6 +26,12 @@ def test_selected_exponents_frozen_values():
     assert kap == pytest.approx(float(Fraction(25, 48)), abs=1e-15)
 
 
+def test_quadratic_gradient_growth_selects_the_linear_exponents():
+    # beta's caps 2/max(q, r) and (alpha + 1)/(q - 1) stay above 1 - alpha at
+    # q = 2, so q = 2 picks the beta (and every exponent) of q = 1
+    assert pp.select_exponents(2.0, 1.0) == pp.select_exponents(1.0, 1.0)
+
+
 @pytest.mark.parametrize(
     "q,r,tup",
     [

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from pdegame.consistency import audit_ladder
+from pdegame.consistency import run_audit_suite
 from pdegame.fields import AnalyticField, GridField, grid_spacing, interpolate
 from pdegame.geometry import ball, interval
 from pdegame.params import GameParams, make_params
@@ -21,7 +21,8 @@ from pdegame.strategies import (
     p_opt_lower,
     p_opt_upper,
     _LINE_SAMPLES,
-    _strategy_key,
+    _clip,
+    _first_occurrences,
 )
 
 
@@ -65,7 +66,7 @@ class TestNeumannBounds2D:
         ell = params.move_bound
         x = np.array([1.0 - 0.2 * ell, 0.0])
         grad = np.array([1.0, 0.0])
-        h = lambda w: 0.0
+        h = boundary_function(dom, lambda w: 0.0)
         b = neumann_bounds(dom, x, ell, h, grad)
         assert b.possible
         # independent dense sweep over directions and radii
@@ -86,7 +87,7 @@ class TestNeumannBounds2D:
     def test_bounds_tighten_toward_boundary_trace(self):
         dom = ball((0.0, 0.0), 1.0)
         x = np.array([1.0, 0.0])
-        h = lambda w: 0.0
+        h = boundary_function(dom, lambda w: 0.0)
         spreads = []
         for eps in (0.2, 0.1, 0.05):
             params = make_params(eps)
@@ -223,6 +224,27 @@ class TestClipping:
                 assert got.Gamma.tobytes() == ref.Gamma.tobytes(), (g, p)
                 assert got.p.tobytes() == ref.p.tobytes(), (g, p)
 
+    def test_stacked_clip_matches_the_per_row_clip(self):
+        # -0.0 Hessian entries and gradients exactly at p_bound, among others
+        params = make_params(0.2)
+        pb, hb = params.p_bound, params.hessian_bound
+        rng = np.random.default_rng(29)
+        for d in (1, 2):
+            at_cap = np.eye(d)[0] * pb
+            P = [np.full(d, -0.0), at_cap, -np.eye(d)[-1] * pb, 3.0 * pb * rng.normal(size=d)]
+            G = [np.full((d, d), -0.0), -0.0 * np.eye(d), np.diag([-0.0] + [hb] * (d - 1)),
+                 np.eye(d)[::-1] - 0.0 * np.eye(d), 10.0 * hb * rng.normal(size=(d, d))]
+            rows = [(p, g) for p in P for g in G]
+            got_P, got_G = _clip(np.array([p for p, _ in rows]), np.array([g for _, g in rows]), params)
+            assert got_P.shape == (len(rows), d) and got_G.shape == (len(rows), d, d)
+            for (p, g), gp, gg in zip(rows, got_P, got_G):
+                for s in (reference_clip_strategy(Strategy(p=p, Gamma=g), params),
+                          clip_strategy(Strategy(p=p, Gamma=g), params)):
+                    assert gp.tobytes() == s.p.tobytes(), (p, g)
+                    assert gg.tobytes() == s.Gamma.tobytes(), (p, g)
+            # a gradient exactly at the cap is left as it is
+            assert got_P[len(G)].tobytes() == at_cap.tobytes()
+
     def test_within_caps_is_identity(self):
         params = make_params(0.2)
         s = clip_strategy(Strategy(p=np.array([0.3]), Gamma=np.array([[1.1]])), params)
@@ -332,6 +354,29 @@ def reference_strategy_key(s: Strategy) -> tuple:
     return (tuple(np.round(s.p, 12)), tuple(np.round(np.ravel(s.Gamma), 12)))
 
 
+def reference_candidate_strategies(domain, x, params, h, derivs) -> list:
+    """The announcements as a loop: one clip and one two-tuple key per
+    announcement, and on the disk the Neumann bounds' per-step fan."""
+    p0, G0 = derivs
+    out = [reference_clip_strategy(Strategy(p=p0, Gamma=G0), params)]
+    ell = params.move_bound
+    frame = build_frame(domain, x, ell)
+    if not frame.d < ell:
+        return out
+    bounds = (reference_neumann_bounds if domain.dim == 2 else neumann_bounds)(domain, x, ell, h, p0)
+    if not bounds.possible:
+        return out
+    seen = {reference_strategy_key(out[0])}
+    p_lo, p_hi = p_opt_lower(frame, p0, G0, bounds), p_opt_upper(frame, p0, G0, bounds)
+    for t in np.linspace(0.0, 1.0, _LINE_SAMPLES):
+        cand = reference_clip_strategy(Strategy(p=(1 - t) * p_lo + t * p_hi,
+                                                Gamma=gamma_opt(frame, G0)), params)
+        if reference_strategy_key(cand) not in seen:
+            seen.add(reference_strategy_key(cand))
+            out.append(cand)
+    return out
+
+
 def assert_same_arrays(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -396,35 +441,32 @@ class TestMovesAgainstTheLoop:
                     Strategy(p=0.0 * p, Gamma=-0.0 * G)]
         for a in variants:
             for b in variants:
-                same = _strategy_key(a) == _strategy_key(b)
-                assert same == (reference_strategy_key(a) == reference_strategy_key(b))
+                rows = np.array([np.concatenate([s.p, s.Gamma.ravel()]) for s in (a, b)])
+                kept = _first_occurrences(rows, set())[0]
+                assert (len(kept) == 1) == (reference_strategy_key(a) == reference_strategy_key(b))
+                assert kept.tobytes() == rows[: len(kept)].tobytes()
 
-    def test_audit_disk_points_keep_their_strategies_and_moves(self, monkeypatch):
-        disk = ball((0.0, 0.0), 1.0)
-        n_points = 0
-        for params in audit_ladder((0.2, 0.1, 0.05), True):
-            ell = params.move_bound
-            for slope, datum, dists in ((-1.0, 2.0, (0.0, 0.3 * ell)),
-                                        (0.2, 0.0, (0.5 * ell, 1.5 * ell))):
-                phi = AnalyticField(disk, lambda p, k=slope: k * float(p[0]),
-                                    grad=lambda p, k=slope: np.array([k, 0.0]),
-                                    hess=lambda p: np.zeros((2, 2)))
-                h = boundary_function(disk, lambda q, v=datum: v)
-                for d in dists:
-                    x = np.array([1.0 - d, 0.0])
-                    derivs = probe_derivatives(disk, x, phi, ell, flux=h)
-                    got = candidate_strategies(disk, x, phi, params, h, derivs=derivs)
-                    with monkeypatch.context() as m:
-                        m.setattr("pdegame.strategies._strategy_key", reference_strategy_key)
-                        want = candidate_strategies(disk, x, phi, params, h, derivs=derivs)
-                    assert_same_arrays([s.p for s in got], [s.p for s in want])
-                    assert_same_arrays([s.Gamma for s in got], [s.Gamma for s in want])
-                    for s in got:  # the moves s_eps searches against each announcement
-                        hess_diff = derivs[1] - s.Gamma
-                        assert_same_arrays(candidate_moves(disk, x, params, hess_diff=hess_diff),
-                                          reference_candidate_moves(disk, x, params, hess_diff))
-                    n_points += 1
-        assert n_points == 12
+    @pytest.mark.parametrize("eps", [0.2, 0.1, 0.05])
+    def test_audit_points_keep_their_strategies_and_moves(self, eps, monkeypatch):
+        # every point of the audit suite, on the interval and the disk
+        points = []
+        monkeypatch.setattr("pdegame.consistency.audit_point",
+                            lambda x, t, z, phi, problem, params, *_: points.append(
+                                (x, phi, problem, params)) or ())
+        run_audit_suite(eps_ladder=(eps,))
+        assert len(points) == 29  # 25 on the interval, 4 on the disk
+        for x, phi, problem, params in points:
+            dom, ell = problem.domain, params.move_bound
+            derivs = probe_derivatives(dom, x, phi, ell, flux=problem.h)
+            got = candidate_strategies(dom, x, phi, params, problem.h, derivs=derivs)
+            want = reference_candidate_strategies(dom, x, params, problem.h, derivs)
+            assert_same_arrays([s.p for s in got], [s.p for s in want])
+            assert_same_arrays([s.Gamma for s in got], [s.Gamma for s in want])
+            for s in got if dom.dim == 2 else ():  # the moves s_eps searches against each
+                hess_diff = derivs[1] - s.Gamma
+                assert_same_arrays(candidate_moves(dom, x, params, hess_diff=hess_diff),
+                                   reference_candidate_moves(dom, x, params, hess_diff))
+        assert {p.domain.kind for _, _, p, _ in points} == {"interval", "ball"}
 
 
 def _bytes(values):
