@@ -67,8 +67,6 @@ class RunConfig:
     mode: str = "heat1d"
     problem: str = ""
     eps_ladder: tuple = (0.2, 0.1, 0.05)
-    q: float = 1.0
-    r: float = 1.0
     alpha: float | None = None
     beta: float | None = None
     gamma: float | None = None
@@ -99,14 +97,8 @@ class RunConfig:
             self.game_params(eps)
 
     def game_params(self, eps: float, lambda_rate: float = 0.0):
-        return make_params(
-            eps,
-            self.q,
-            self.r,
-            lambda_rate=lambda_rate,
-            cap_M=self.cap_M,
-            **{k: getattr(self, k) for k in _EXPONENT_KEYS if getattr(self, k) is not None},
-        )
+        exponents = {k: getattr(self, k) for k in _EXPONENT_KEYS if getattr(self, k) is not None}
+        return make_params(eps, lambda_rate=lambda_rate, **exponents)
 
     def default_problem(self) -> str:
         if self.mode in ("heat1d", "convergence", "parabolic"):
@@ -251,11 +243,15 @@ def _run_parabolic(cfg: RunConfig, problem, out: Path, summary: list) -> None:
     summary.append(f"t_start_effective = {sol.t_start_effective:.12g}")
 
 
+def _stationary_game(cfg: RunConfig, problem, eps: float):
+    """Game parameters and score caps of a stationary run: ``cap_M`` defaults to 10."""
+    params = cfg.game_params(eps, lambda_rate=problem.lambda_rate)
+    return params, build_caps(problem, params, cap_M=10.0 if cfg.cap_M is None else cfg.cap_M)
+
+
 def _run_elliptic(cfg: RunConfig, problem, out: Path, summary: list) -> None:
     eps = cfg.eps_ladder[0]
-    params = cfg.game_params(eps, lambda_rate=problem.lambda_rate)
-    cap_M = cfg.cap_M if cfg.cap_M is not None else 10.0
-    caps = build_caps(problem, params, cap_M=cap_M)
+    params, caps = _stationary_game(cfg, problem, eps)
     val = solve_fixed_point(problem, caps, params, tol=cfg.tol)
     rows = zip(val.x_nodes, val.u_profile(), val.v_profile(), val.chi_nodes)
     _write_csv(out / "profiles.csv", ["x", "u", "v", "chi"], rows)
@@ -305,19 +301,16 @@ def _run_consistency(cfg: RunConfig, problem, out: Path, summary: list) -> None:
 
 
 def _run_audit_elliptic(cfg: RunConfig, problem, out: Path, summary: list) -> None:
-    all_rows = []
+    merged = ConsistencyReport()
     for eps in cfg.eps_ladder:
-        params = cfg.game_params(eps, lambda_rate=problem.lambda_rate)
-        caps = build_caps(problem, params, cap_M=cfg.cap_M if cfg.cap_M is not None else 10.0)
+        params, caps = _stationary_game(cfg, problem, eps)
         shift = cfg.wall_shift if cfg.wall_shift is not None else caps.cap_m
         rep = audit_wall_shift(problem, params, shift=shift, n_points=12)
-        all_rows.extend(rep.rows)
+        merged.extend(rep.rows)
         summary.append(
             f"wall_shift[eps={eps:.12g}] = {shift:.12g}, "
             f"worst_residual = {max(r.residual for r in rep.rows):.12g}"
         )
-    merged = ConsistencyReport()
-    merged.extend(all_rows)
     merged.write_csv(out / "audit_elliptic.csv")
     summary.append(f"rows_total = {len(merged.rows)}")
     summary.append(f"violations = {len(merged.violations())}")

@@ -140,14 +140,6 @@ class ConsistencyReport:
     def violations(self, gating_only: bool = True) -> list:
         return [r for r in self.rows if not r.passed and (r.gating or not gating_only)]
 
-    @property
-    def all_pass(self) -> bool:
-        return not self.violations(gating_only=True)
-
-    def worst_residual(self, case: str | None = None) -> float:
-        vals = [r.residual for r in self.rows if case is None or r.case == case]
-        return max(vals) if vals else -math.inf
-
     def write_csv(self, path) -> None:
         path = Path(path)
         with path.open("w", newline="") as fh:
@@ -330,6 +322,34 @@ def audit_lower(x, t, z, phi, problem, params) -> AuditRow:
 # -- barrier invariants ----------------------------------------------------
 
 
+def _audit_around_barrier(problem, params, psi, shift, pts, z_values, t, label, bound):
+    """One round on ``phi = shift + psi`` and on its mirror ``-phi`` at each
+    point of ``pts``: rows ``<label>-upper`` audit ``S[phi] - phi <=
+    bound(z, phi(x))``, rows ``<label>-lower`` audit ``S[-phi] + phi >=
+    -bound(z, phi(x))``."""
+    dom, eps = problem.domain, params.eps
+    shifted = AnalyticField(dom, lambda p: shift + psi.eval(p), grad=psi.fd_gradient,
+                            hess=psi.fd_hessian)
+    mirrored = AnalyticField(
+        dom,
+        lambda p: -shift - psi.eval(p),
+        grad=lambda p: -psi.fd_gradient(p),
+        hess=lambda p: -psi.fd_hessian(p),
+    )
+    report = ConsistencyReport()
+    for xp in pts:
+        phi_x = shifted.eval(xp)
+        ups = s_eps(shifted, xp, t, z_values, problem, params)
+        lows = s_eps(mirrored, xp, t, z_values, problem, params)
+        for z, s_up, s_low in zip(z_values, ups, lows):
+            rhs = bound(z, phi_x)
+            up = s_up - phi_x
+            report.add(_row(dom, eps, xp, f"{label}-upper", up, rhs, up - rhs))
+            low = s_low + phi_x
+            report.add(_row(dom, eps, xp, f"{label}-lower", low, -rhs, -rhs - low))
+    return report
+
+
 def audit_barrier(
     problem,
     params,
@@ -345,27 +365,11 @@ def audit_barrier(
     the barrier's derivative bounds and ``sup |h|``.
     """
     dom = problem.domain
-    h_sup = _boundary_sup(dom, problem.h)
-    psi = exact_barrier(dom, h_sup)
-    neg_psi = AnalyticField(
-        dom,
-        lambda p: -psi.eval(p),
-        grad=lambda p: -psi.fd_gradient(p),
-        hess=lambda p: -psi.fd_hessian(p),
-    )
+    psi = exact_barrier(dom, _boundary_sup(dom, problem.h))
     C = BARRIER_BOUND_CONST if const is None else const
-    eps = params.eps
-    report = ConsistencyReport()
-    for xp in _layer_points(dom, params.move_bound, n_points):
-        ups = s_eps(psi, xp, t, z_values, problem, params)
-        lows = s_eps(neg_psi, xp, t, z_values, problem, params)
-        for z, s_up, s_low in zip(z_values, ups, lows):
-            envelope = C * (1.0 + abs(z)) * eps**2
-            up = s_up - psi.eval(xp)
-            report.add(_row(dom, eps, xp, "barrier-upper", up, envelope, up - envelope))
-            low = s_low - neg_psi.eval(xp)
-            report.add(_row(dom, eps, xp, "barrier-lower", low, -envelope, -envelope - low))
-    return report
+    pts = _layer_points(dom, params.move_bound, n_points)
+    return _audit_around_barrier(problem, params, psi, 0.0, pts, z_values, t, "barrier",
+                                 lambda z, phi_x: C * (1.0 + abs(z)) * params.eps**2)
 
 
 def audit_wall_shift(
@@ -385,8 +389,7 @@ def audit_wall_shift(
     ``-(m + psi)``.
     """
     dom = problem.domain
-    h_sup = _boundary_sup(dom, problem.h)
-    psi = exact_barrier(dom, h_sup)
+    psi = exact_barrier(dom, _boundary_sup(dom, problem.h))
     lam = problem.lambda_rate
     eta = problem.eta_margin
     eps = params.eps
@@ -395,32 +398,13 @@ def audit_wall_shift(
         abs(float(problem.f(xp, 0.0, psi.fd_gradient(xp), psi.fd_hessian(xp))))
         for xp in pts
     )
-    shifted = AnalyticField(
-        dom,
-        lambda p: shift + psi.eval(p),
-        grad=lambda p: psi.fd_gradient(p),
-        hess=lambda p: psi.fd_hessian(p),
-    )
-    mirrored = AnalyticField(
-        dom,
-        lambda p: -shift - psi.eval(p),
-        grad=lambda p: -psi.fd_gradient(p),
-        hess=lambda p: -psi.fd_hessian(p),
-    )
-    report = ConsistencyReport()
-    for xp in pts:
-        ups = s_eps(shifted, xp, None, z_values, problem, params)
-        lows = s_eps(mirrored, xp, None, z_values, problem, params)
-        for z, s_up, s_low in zip(z_values, ups, lows):
-            envelope = eps**2 * (1.0 + (lam - eta) * abs(z) + c_star)
-            discount_pull = lam * eps**2 * (shift + psi.eval(xp))
-            lhs = s_up - shifted.eval(xp)
-            rhs = envelope - discount_pull
-            report.add(_row(dom, eps, xp, "wall-shift-upper", lhs, rhs, lhs - rhs))
-            low = s_low - mirrored.eval(xp)
-            floor = -envelope + discount_pull
-            report.add(_row(dom, eps, xp, "wall-shift-lower", low, floor, floor - low))
-    return report
+
+    def bound(z, phi_x):
+        envelope = eps**2 * (1.0 + (lam - eta) * abs(z) + c_star)
+        return envelope - lam * eps**2 * phi_x
+
+    return _audit_around_barrier(problem, params, psi, shift, pts, z_values, None, "wall-shift",
+                                 bound)
 
 
 def _layer_points(dom: DomainGeometry, ell: float, n: int) -> list:

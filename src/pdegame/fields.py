@@ -34,6 +34,15 @@ def grid_spacing(domain: DomainGeometry, params) -> float:
     return params.eps**1.5
 
 
+def _closure_point(domain: DomainGeometry, x) -> np.ndarray:
+    """``x`` as a point; raises ``ValueError`` when it lies outside the
+    closure by more than ``domain.tol``."""
+    p = np.atleast_1d(np.asarray(x, dtype=float))
+    if domain.outside_by(p) > domain.tol:
+        raise ValueError(f"evaluation point {p} outside the domain closure")
+    return p
+
+
 @dataclass(eq=False)
 class AnalyticField:
     """Callable field with analytic derivatives.
@@ -48,20 +57,14 @@ class AnalyticField:
     grad: object
     hess: object
 
-    def _point(self, x) -> np.ndarray:
-        p = np.atleast_1d(np.asarray(x, dtype=float))
-        if self.domain.outside_by(p) > self.domain.tol:
-            raise ValueError(f"evaluation point {p} outside the domain closure")
-        return p
-
     def eval(self, x) -> float:
-        return float(self.func(self._point(x)))
+        return float(self.func(_closure_point(self.domain, x)))
 
     def fd_gradient(self, x) -> np.ndarray:
-        return np.atleast_1d(np.asarray(self.grad(self._point(x)), dtype=float))
+        return np.atleast_1d(np.asarray(self.grad(_closure_point(self.domain, x)), dtype=float))
 
     def fd_hessian(self, x) -> np.ndarray:
-        m = np.asarray(self.hess(self._point(x)), dtype=float)
+        m = np.asarray(self.hess(_closure_point(self.domain, x)), dtype=float)
         return m.reshape(self.domain.dim, self.domain.dim)
 
 
@@ -103,14 +106,8 @@ class GridField:
 
     # -- queries -----------------------------------------------------------
 
-    def _point(self, x) -> np.ndarray:
-        p = np.atleast_1d(np.asarray(x, dtype=float))
-        if self.domain.outside_by(p) > self.domain.tol:
-            raise ValueError(f"evaluation point {p} outside the domain closure")
-        return p
-
     def eval(self, x) -> float:
-        return float(self.eval_many(self._point(x)[0]))
+        return float(self.eval_many(_closure_point(self.domain, x)[0]))
 
     def locate(self, q: np.ndarray) -> tuple:
         """Cells ``(i, 1 - t, t)`` of the points ``q``, for :func:`interpolate`."""

@@ -162,66 +162,38 @@ def exact_barrier(domain: DomainGeometry, h_sup: float) -> AnalyticField:
 class CapSpec:
     """Wall barrier and the score caps it calibrates.
 
-    ``psi`` is :func:`exact_barrier`: it rises to ``psi_sup = h_sup + 1``
+    ``psi`` is :func:`exact_barrier`: it rises to ``psi_sup = sup|h| + 1``
     at the wall with outward normal slope exactly ``psi_sup`` and
     vanishes at half the inscribed-ball radius.
     ``chi(x) = cap_m + psi_sup + psi(x)`` (:meth:`chi_at`) is the bound
     the capped game is designed to respect; it is positive because
-    construction requires ``cap_M > 2 + h_sup``.  ``eps0`` is the
-    step-size threshold below which the barrier's discrete flux mismatch
-    has definite sign by a margin of one half (``hess_norm`` bounds the
-    barrier's second derivatives, including wall curvature).
+    construction requires ``cap_M > 2 + sup|h|``.
     """
 
-    domain: DomainGeometry
     cap_M: float
     cap_m: float
-    h_sup: float
     psi_sup: float
-    hess_norm: float
-    eps0: float
     psi: AnalyticField
 
     def chi_at(self, x) -> float:
         return self.cap_m + self.psi_sup + self.psi.eval(x)
 
 
-def build_caps(problem, params: GameParams, cap_M: float | None = None) -> CapSpec:
-    """Calibrate the barrier and score caps for a stationary problem."""
+def build_caps(problem, params: GameParams, cap_M: float) -> CapSpec:
+    """Calibrate the barrier and score caps for a stationary problem; they
+    depend on the problem and ``cap_M`` alone, and ``params`` is not read."""
     dom = problem.domain
-    cap = cap_M if cap_M is not None else params.cap_M
-    if cap is None:
-        raise ValidationError("cap_M is required: pass it or set it on the parameters")
     h_sup = _boundary_sup(dom, problem.h)
-    if not cap > 2.0 + h_sup:
+    if not cap_M > 2.0 + h_sup:
         raise ValidationError(
-            f"cap_M={cap:g} too small: positivity of the wall bound needs "
+            f"cap_M={cap_M:g} too small: positivity of the wall bound needs "
             f"cap_M > 2 + sup|h| = {2.0 + h_sup:g}"
         )
     psi_sup = h_sup + 1.0
-    cap_m = cap - 1.0 - 2.0 * psi_sup
-    depth = dom.r_int / 2.0
-    kappa_max = 2.0 / dom.r_int
-    # curvature-aware bound on the barrier's second derivatives over a
-    # fine depth grid (the profile is C^2 with a flat junction at depth)
-    ds = np.linspace(0.0, depth * (1.0 - 1e-9), 20001)
-    q = 1.0 - ds / depth
-    w = ds / q
-    wp = 1.0 / q**2
-    wpp = (2.0 / depth) / q**3
-    ew = np.exp(-w)
-    p1 = psi_sup * wp * ew
-    p2 = psi_sup * np.abs(wp**2 - wpp) * ew
-    hess_norm = float(np.max(p2) + np.max(p1) * kappa_max)
-    eps0 = (4.0 * hess_norm + 2.0) ** (-1.0 / (1.0 - params.alpha))
     return CapSpec(
-        domain=dom,
-        cap_M=float(cap),
-        cap_m=float(cap_m),
-        h_sup=h_sup,
+        cap_M=float(cap_M),
+        cap_m=float(cap_M - 1.0 - 2.0 * psi_sup),
         psi_sup=psi_sup,
-        hess_norm=hess_norm,
-        eps0=eps0,
         psi=exact_barrier(dom, h_sup),
     )
 
@@ -541,7 +513,7 @@ class FixedPointValue:
     def cap_excess(self) -> float:
         """sup over the grid of |V| - chi, positive where the designed
         bound is breached (the breach lives in the near-cap score bands
-        when the step size is far above the barrier regime eps0)."""
+        at coarse step sizes)."""
         return float(np.max(np.abs(self.V) - self.chi_nodes[:, None]))
 
     def u_profile(self) -> np.ndarray:
@@ -558,7 +530,7 @@ class FixedPointValue:
 
 def solve_fixed_point(
     problem,
-    caps: CapSpec | None,
+    caps: CapSpec,
     params: GameParams,
     tol: float = 1e-8,
     *,
@@ -581,8 +553,6 @@ def solve_fixed_point(
     if a round exhausts its contraction budget, or with the movement
     history if the anchor has not settled after 60 rounds.
     """
-    if caps is None:
-        caps = build_caps(problem, params)
     lam = problem.lambda_rate
     dt = params.time_step
     if max_iter is None:

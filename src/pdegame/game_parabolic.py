@@ -232,7 +232,7 @@ def solve_levelset(problem, params) -> ScalarSolution:
     Kept only because the benchmark's span tracer (``perfbench/spans.py``)
     traces this name, guarded by
     ``tests/test_package.py::test_every_traced_callable_resolves``; the
-    benchmark change of ROADMAP item 7 deletes it together with the
+    benchmark change of ROADMAP item 8 deletes it together with the
     ``levelset`` workload.  It is a ``def`` and not an alias: the tracer
     swaps functions by identity, so an alias would wrap every scalar
     solve in a second span.

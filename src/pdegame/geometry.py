@@ -95,38 +95,34 @@ class DomainGeometry:
 
     # -- membership --------------------------------------------------------
 
+    def _gap(self, q: np.ndarray):
+        """Signed distance to the boundary, positive inside, of the point ``q``
+        or of each row of the ``(k, dim)`` stack ``q``: ``min(p - a, c - p)``
+        on the interval, ``R - |p - center|`` on the ball, with the norm taken
+        as ``sqrt(vecdot(u, u))``, the fused dot product of ``np.linalg.norm``."""
+        if self.kind == "interval":
+            lo, hi = q.T[0] - self.a, self.c - q.T[0]
+            return min(lo, hi) if q.ndim == 1 else np.minimum(lo, hi)
+        rel = q - np.asarray(self.center)
+        return self.radius - np.sqrt(np.vecdot(rel, rel))
+
     def outside_by(self, x) -> float:
         """Distance from ``x`` to the closure (0 for points inside)."""
-        p = _as_point(x, self.dim)
-        if self.kind == "interval":
-            return max(self.a - p[0], p[0] - self.c, 0.0)
-        rho = float(np.linalg.norm(p - np.asarray(self.center)))
-        return max(rho - self.radius, 0.0)
+        return max(0.0, -float(self._gap(_as_point(x, self.dim))))
 
     def boundary_gap(self, x):
         """Distance from ``x`` to the boundary, from inside or outside; for a
         ``(k, dim)`` stack of points, the array of their distances."""
-        if np.ndim(x) == 2:
-            q = np.asarray(x, dtype=float)
-            if self.kind == "interval":
-                return np.minimum(np.abs(q[:, 0] - self.a), np.abs(q[:, 0] - self.c))
-            rel = q - np.asarray(self.center)
-            return np.abs(np.sqrt(np.vecdot(rel, rel)) - self.radius)
-        p = _as_point(x, self.dim)
-        if self.kind == "interval":
-            return min(abs(p[0] - self.a), abs(p[0] - self.c))
-        return abs(float(np.linalg.norm(p - np.asarray(self.center))) - self.radius)
+        q = np.asarray(x, dtype=float) if np.ndim(x) == 2 else _as_point(x, self.dim)
+        return abs(self._gap(q))
 
     # -- oracles -----------------------------------------------------------
 
     def dist_to_boundary(self, x) -> float:
-        """Distance from ``x`` to the boundary, one norm taken; raises
-        ``ValueError`` when ``x`` lies outside the closure by more than ``tol``."""
+        """Distance from ``x`` to the boundary; raises ``ValueError`` when
+        ``x`` lies outside the closure by more than ``tol``."""
         p = _as_point(x, self.dim)
-        if self.kind == "interval":
-            gap = min(p[0] - self.a, self.c - p[0])
-        else:
-            gap = self.radius - float(np.linalg.norm(p - np.asarray(self.center)))
+        gap = float(self._gap(p))
         if -gap > self.tol:
             raise ValueError(f"point {p} lies outside the domain closure by {-gap:g}")
         return max(gap, 0.0)
@@ -151,20 +147,9 @@ class DomainGeometry:
 
     def outward_normal(self, x_b) -> np.ndarray:
         p = _as_point(x_b, self.dim)
-        if self.outside_by(p) > self.tol:
+        if abs(self._gap(p)) > self.tol:
             raise ValueError(f"point {p} is not on the boundary")
-        if self.kind == "interval":
-            if abs(p[0] - self.a) <= self.tol:
-                return np.array([-1.0])
-            if abs(p[0] - self.c) <= self.tol:
-                return np.array([1.0])
-            raise ValueError(f"point {p} is not on the boundary")
-        ctr = np.asarray(self.center, dtype=float)
-        u = p - ctr
-        rho = float(np.linalg.norm(u))
-        if abs(rho - self.radius) > self.tol:
-            raise ValueError(f"point {p} is not on the boundary")
-        return u / rho
+        return self.nearest_boundary(p)[1]
 
     def nearest_boundary(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Nearest boundary point x_bar and the outward normal there.
@@ -218,20 +203,18 @@ class DomainGeometry:
         :meth:`project_to_closure` raises for the first such step.
         """
         x_hat = _as_point(x, self.dim) + np.reshape(steps, (-1, self.dim))
+        out = -self._gap(x_hat)
+        crossed = out > self.tol
         landing = x_hat.copy()
         if self.kind == "interval":
-            crossed = np.maximum(self.a - x_hat[:, 0], x_hat[:, 0] - self.c) > self.tol
             landing[crossed] = np.clip(x_hat[crossed], self.a, self.c)
         else:
-            ctr = np.asarray(self.center, dtype=float)
-            rel = x_hat - ctr
-            rho = np.sqrt(np.vecdot(rel, rel))
-            out = rho - self.radius
             far = np.flatnonzero(out > 0.5 * self.r_ext + self.tol)
             if len(far):
                 self.project_to_closure(x_hat[far[0]])  # raises
-            crossed = out > self.tol
-            landing[crossed] = ctr + rel[crossed] * (self.radius / rho[crossed])[:, None]
+            ctr = np.asarray(self.center, dtype=float)
+            rel = x_hat[crossed] - ctr
+            landing[crossed] = ctr + rel * (self.radius / np.sqrt(np.vecdot(rel, rel)))[:, None]
         u = x_hat - landing
         return landing, crossed, np.sqrt(np.vecdot(u, u))
 

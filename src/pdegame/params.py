@@ -30,9 +30,7 @@ class GameParams:
     ``eps`` is the step scale (time step ``eps**2``, move bound
     ``eps**(1-alpha)``, control caps ``eps**-beta`` / ``eps**-gamma``).
     ``lambda_rate`` is the discount rate of the elliptic game (0 for
-    parabolic runs); ``cap_M`` is the elliptic score cap, from which
-    ``game_elliptic.build_caps`` derives the inner cap
-    ``cap_m = cap_M - 1 - 2 sup|psi|``.
+    parabolic runs).
     """
 
     eps: float
@@ -42,7 +40,6 @@ class GameParams:
     rho: float
     kappa: float
     lambda_rate: float = 0.0
-    cap_M: float | None = None
 
     def __post_init__(self):
         if not (0.0 < self.eps < 1.0):
@@ -146,7 +143,6 @@ def make_params(
     r: float = 1.0,
     *,
     lambda_rate: float = 0.0,
-    cap_M: float | None = None,
     **overrides: float,
 ) -> GameParams:
     """Build a validated GameParams, raising ValidationError on violation.
@@ -162,7 +158,7 @@ def make_params(
         if key not in fields:
             raise TypeError(f"unknown exponent override {key!r}")
         fields[key] = float(val)
-    p = GameParams(eps=eps, lambda_rate=lambda_rate, cap_M=cap_M, **fields)
+    p = GameParams(eps=eps, lambda_rate=lambda_rate, **fields)
     report = validate_params(p, q, r)
     if report:
         raise ValidationError("; ".join(report))

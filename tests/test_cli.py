@@ -86,8 +86,8 @@ class TestConfigFile:
 
     @pytest.mark.parametrize(
         "line",
-        ["q = 0.5", "r = nan", "tol = nan", "wall_shift = nan", "wall_shift = inf", "cap_M = inf",
-         "tol = inf", "tol = none", "q = none", "r ="],
+        ["tol = nan", "wall_shift = nan", "wall_shift = inf", "cap_M = inf", "tol = inf",
+         "tol = none"],
     )
     def test_out_of_range_config_value_exits_2(self, tmp_path, capsys, line):
         f = tmp_path / "c.txt"
@@ -102,6 +102,15 @@ class TestConfigFile:
         f.write_text(f"mode = parabolic\nz_max = 3\nout = {tmp_path / 'o'}\n")
         assert main(["solve", "--config", str(f)]) == 2
         assert "unknown config key 'z_max'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key", ["q", "r"])
+    def test_removed_growth_exponent_key_exits_2_as_unknown(self, tmp_path, capsys, key):
+        # every catalog f is linear in p, so no run reads q or r
+        f = tmp_path / "c.txt"
+        f.write_text(f"mode = parabolic\n{key} = 3\nout = {tmp_path / 'o'}\n")
+        assert main(["solve", "--config", str(f)]) == 2
+        assert f"unknown config key '{key}'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_removed_p_grid_half_key_exits_2_as_unknown(self, tmp_path, capsys):
@@ -281,6 +290,20 @@ class TestSolveWorkflows:
         assert "dirichlet_exits = 0" in summary
         # the state lattice and the score grid of the fixed point
         assert f"nodes = {len(rows)}\nscore_nodes = 499\n" in summary
+
+    @pytest.mark.parametrize("cap_line, cap_M", [("", 10.0), ("cap_M = 8\n", 8.0)],
+                             ids=["default", "config"])
+    def test_stationary_workflows_share_one_cap(self, tmp_path, cap_line, cap_M):
+        # cap_M is 10 unless the config sets it; audit-elliptic's default
+        # wall shift is cap_m = cap_M - 1 - 2 psi_sup, with psi_sup = 2 here
+        f = tmp_path / "c.txt"
+        f.write_text(f"{cap_line}eps_ladder = 0.2\n")
+        assert main(["solve", "--mode", "elliptic", "--config", str(f),
+                     "--out", str(tmp_path / "s")]) == 0
+        assert f"cap_M = {cap_M:.12g}\n" in (tmp_path / "s" / "summary.txt").read_text()
+        assert main(["audit-elliptic", "--config", str(f), "--out", str(tmp_path / "a")]) == 0
+        summary = (tmp_path / "a" / "summary.txt").read_text()
+        assert f"wall_shift[eps=0.2] = {cap_M - 5.0:.12g}, " in summary
 
     def test_mixed_solve_exercises_the_exit_branch(self, tmp_path):
         out = tmp_path / "o"

@@ -182,8 +182,8 @@ class TestBarrier:
 
     def test_cap_m_formula_and_chi(self):
         caps = CAPS_02
-        assert caps.h_sup == 1.0
-        assert caps.psi_sup == 2.0
+        assert caps.cap_M == 10.0
+        assert caps.psi_sup == 2.0  # sup|h| + 1
         assert caps.cap_m == caps.cap_M - 1.0 - 2.0 * caps.psi_sup
         # the sweep frame samples chi from the exact barrier; the solve keeps it
         frame = _sweep_frame(LAPLACE, caps, PARAMS_02)
@@ -198,12 +198,6 @@ class TestBarrier:
     def test_cap_too_small_rejected(self):
         with pytest.raises(ValidationError, match="too small"):
             build_caps(LAPLACE, PARAMS_02, cap_M=2.5)
-
-    def test_cap_comes_from_params_or_argument(self):
-        params = make_params(0.2, lambda_rate=1.0, cap_M=8.0)
-        assert build_caps(LAPLACE, params).cap_M == 8.0
-        with pytest.raises(ValidationError, match="cap_M is required"):
-            build_caps(LAPLACE, PARAMS_02)
 
     def test_barrier_gradient_matches_fd(self):
         h_fd = 1e-6
@@ -235,23 +229,6 @@ class TestBarrier:
             - caps.psi.eval(np.array([0.9 - h_fd, 0.0]))
         ) / (2 * h_fd)
         assert g[0] == pytest.approx(fd, rel=1e-5)
-
-    def test_eps0_formula_and_hessian_bound(self):
-        caps = CAPS_02
-        alpha = PARAMS_02.alpha
-        assert caps.eps0 == pytest.approx(
-            (4.0 * caps.hess_norm + 2.0) ** (-1.0 / (1.0 - alpha))
-        )
-        # the reported bound dominates fd second derivatives of the profile
-        h_fd = 1e-5
-        for d in (0.01, 0.05, 0.1, 0.15, 0.2):
-            x = np.array([d])
-            second = (
-                CAPS_02.psi.eval(np.array([d + h_fd]))
-                - 2 * CAPS_02.psi.eval(x)
-                + CAPS_02.psi.eval(np.array([d - h_fd]))
-            ) / h_fd**2
-            assert abs(second) <= caps.hess_norm + 1.0
 
 
 class TestDiscountedRound:
@@ -617,7 +594,7 @@ class TestSolve:
 
     def test_designed_bound_holds_on_the_core_band(self):
         # |V| <= chi is guaranteed by the barrier argument only for
-        # steps below eps0; at eps = 0.2 the breach is confined to the
+        # small steps; at eps = 0.2 the breach is confined to the
         # near-cap score bands and stays bounded
         sol = solve_fixed_point(LAPLACE, CAPS_02, PARAMS_02, tol=1e-8)
         excess = np.abs(sol.V) - sol.chi_nodes[:, None]
@@ -664,11 +641,6 @@ class TestSolve:
         params = make_params(0.2, lambda_rate=1.0)
         sol = solve_fixed_point(prob, build_caps(prob, params, cap_M=10.0), params, tol=1e-8)
         assert (sol.dirichlet_exits, sol.iterations) == (30, 283)
-
-    def test_caps_built_when_not_given(self):
-        params = make_params(0.2, lambda_rate=1.0, cap_M=10.0)
-        sol = solve_fixed_point(LAPLACE, None, params, tol=1e-6)
-        assert sol.caps.cap_M == 10.0
 
     def test_small_cap_warns(self):
         params = make_params(0.2, lambda_rate=1.0)

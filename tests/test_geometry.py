@@ -48,6 +48,10 @@ def random_boundary_point(dom, rng: np.random.Generator) -> np.ndarray:
     return ctr + np.array([math.cos(theta), math.sin(theta)]) * dom.radius
 
 
+# a step's or point's graze offset: it ends or lies this many tol outside the wall (None: free)
+_GRAZE = st.sampled_from([None, None, None, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 3.0])
+
+
 # -- distance -------------------------------------------------------------
 
 
@@ -140,6 +144,60 @@ def test_one_norm_dist_to_boundary_keeps_its_bytes_and_its_error(dom):
         got = dom.dist_to_boundary(p)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
     assert raised > 0
+
+
+def reference_gap(dom, p) -> float:
+    """Signed distance to the boundary, positive inside: min(p - a, c - p) on
+    the interval, R - |p - center| on the ball."""
+    if dom.kind == "interval":
+        return min(p[0] - dom.a, dom.c - p[0])
+    return dom.radius - float(np.linalg.norm(p - np.asarray(dom.center)))
+
+
+def same_bits(got, want) -> bool:
+    return np.asarray(got, dtype=float).tobytes() == np.asarray(want, dtype=float).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    dom=st.sampled_from(catalog()),
+    points=st.lists(
+        # (radial fraction, angle, graze offset in tol or None for a free point)
+        st.tuples(st.floats(min_value=0.0, max_value=1.0),
+                  st.floats(min_value=0.0, max_value=2.0 * math.pi), _GRAZE),
+        min_size=1, max_size=8,
+    ),
+)
+@example(dom=catalog()[0], points=[(0.5, 0.0, None), (0.0, 0.0, 0.0), (0.0, 4.0, 1.0)])
+@example(dom=catalog()[1], points=[(0.0, 0.0, None), (0.0, 1.0, 0.0), (0.0, 2.0, -1.0)])
+def test_wall_methods_follow_one_signed_gap(dom, points):
+    # points up to r_ext/2 on either side of the wall, and within a few tol of it
+    ctr = np.asarray(dom.center, dtype=float)
+    pts = []
+    for frac, theta, k in points:
+        if dom.dim == 1:
+            wall, out = (dom.c, 1.0) if theta < math.pi else (dom.a, -1.0)
+            depth = -k * dom.tol if k is not None else (1.5 * frac - 0.5) * dom.r_ext
+            pts.append(np.array([wall - out * depth]))
+        else:
+            rho = dom.radius + k * dom.tol if k is not None else 1.5 * frac * dom.radius
+            pts.append(ctr + rho * np.array([math.cos(theta), math.sin(theta)]))
+    for p in pts:
+        gap = reference_gap(dom, p)
+        assert same_bits(dom.outside_by(p), max(0.0, -gap))
+        assert same_bits(dom.boundary_gap(p), abs(gap))
+        if -gap > dom.tol:
+            with pytest.raises(ValueError, match="outside the domain closure"):
+                dom.dist_to_boundary(p)
+        else:
+            assert same_bits(dom.dist_to_boundary(p), max(gap, 0.0))
+        if abs(gap) > dom.tol:
+            with pytest.raises(ValueError, match="not on the boundary"):
+                dom.outward_normal(p)
+        else:
+            assert same_bits(dom.outward_normal(p), dom.nearest_boundary(p)[1])
+    stack = np.array(pts)
+    assert same_bits(dom.boundary_gap(stack), [abs(reference_gap(dom, p)) for p in pts])
 
 
 # -- projection -----------------------------------------------------------
@@ -348,10 +406,6 @@ def reference_moves(dom, x, steps) -> tuple:
     mvs = [dom.make_move(x, step) for step in steps]
     return (np.array([mv.landing for mv in mvs]), np.array([mv.crossed for mv in mvs]),
             np.array([mv.penal_weight for mv in mvs]))
-
-
-# a step's graze offset: it ends this many tol outside the wall (None: a free step)
-_GRAZE = st.sampled_from([None, None, None, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 3.0])
 
 
 @settings(max_examples=200, deadline=None)

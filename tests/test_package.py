@@ -5,6 +5,9 @@ import importlib
 import importlib.util
 import pkgutil
 import re
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -49,6 +52,17 @@ def test_every_traced_callable_resolves():
         if cls is None or meth not in vars(cls):
             missing.append(f"{mod}.{cls_name}.{meth}")
     assert missing == []
+
+
+@pytest.mark.parametrize("workload", ["heat_ladder", "levelset", "elliptic", "audit"])
+def test_benchmark_setup_probe_runs(workload):
+    # the probe builds each call's config, game parameters and caps through
+    # RunConfig.game_params and build_caps(..., cap_M=cfg.cap_M)
+    probe = Path(__file__).resolve().parents[1] / "perfbench" / "setup_probe.py"
+    done = subprocess.run([sys.executable, str(probe), workload, repr(time.time())],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) > 0.0
 
 
 def test_node_step_counter_counts_a_real_solve():
