@@ -3,11 +3,10 @@
 Subcommands
 -----------
 ``solve``
-    One solve of the configured problem at the first ladder step.  The
-    workflow follows ``mode``: ``heat1d`` and ``parabolic`` march the
-    scalar backward solver (``parabolic`` writes the single value as both
-    the upper and the lower profile, ``u = v``), ``elliptic`` / ``mixed``
-    the score-capped fixed point.
+    Runs the configured ``mode``.  ``heat1d`` and ``parabolic`` march the
+    scalar backward solver at the first ladder step (``parabolic`` writes
+    the single value as both the upper and the lower profile, ``u = v``),
+    ``elliptic`` / ``mixed`` the score-capped fixed point.
 ``convergence``
     Ladder of scalar solves against the exact solution; emits a table
     of (eps, sup-error, estimated order) with orders from successive
@@ -18,6 +17,12 @@ Subcommands
 ``audit-elliptic``
     Stationary wall-shift audits (the discounted round around the
     shifted wall barrier) for an elliptic problem, per ladder step.
+
+Every subcommand but ``solve`` is the mode of the same name, and ``solve``
+takes ``--mode``.  Each mode takes one problem class: ``elliptic`` and
+``audit-elliptic`` an all-Neumann ``EllipticProblem``, ``mixed`` a
+``MixedEllipticProblem``, the scalar modes a ``ParabolicProblem``;
+``consistency`` takes none.
 
 Configuration is a key-value text file (``key = value``, ``#``
 comments); every resolved setting — including defaults — is recorded
@@ -46,36 +51,25 @@ from .problems import EllipticProblem, MixedEllipticProblem, ParabolicProblem, g
 
 __all__ = ["RunConfig", "load_config", "run", "main"]
 
-MODES = ("parabolic", "elliptic", "mixed", "heat1d", "consistency", "convergence")
-
-_EXPONENT_KEYS = ("alpha", "beta", "gamma", "rho", "kappa")
-_OPTIONAL_KEYS = _EXPONENT_KEYS + ("cap_M", "wall_shift")  # may be left unset
-
 
 @dataclass
 class RunConfig:
     """Resolved settings of one batch run.
 
     ``eps_ladder`` drives convergence/audit modes; single solves use its
-    first entry.  ``alpha`` .. ``kappa`` override the derived exponent
-    selection when set; they, ``cap_M`` and ``wall_shift`` accept
-    ``none`` (or an empty value) for "unset".  ``cap_M`` defaults to 10
-    in the stationary workflows.  All fields are recorded into the
-    output directory on every run.
+    first entry.  ``alpha`` sets the exponent the other four are derived
+    from; it is the one key that accepts ``none`` (or an empty value),
+    for the default.  ``cap_M`` is the score cap of the stationary modes.
+    All fields are recorded into the output directory on every run.
     """
 
     mode: str = "heat1d"
     problem: str = ""
     eps_ladder: tuple = (0.2, 0.1, 0.05)
     alpha: float | None = None
-    beta: float | None = None
-    gamma: float | None = None
-    rho: float | None = None
-    kappa: float | None = None
     out: str = "out"
     tol: float = 1e-8
-    cap_M: float | None = None
-    wall_shift: float | None = None
+    cap_M: float = 10.0
     include_disk: bool = True
 
     def validate(self) -> None:
@@ -97,15 +91,10 @@ class RunConfig:
             self.game_params(eps)
 
     def game_params(self, eps: float, lambda_rate: float = 0.0):
-        exponents = {k: getattr(self, k) for k in _EXPONENT_KEYS if getattr(self, k) is not None}
-        return make_params(eps, lambda_rate=lambda_rate, **exponents)
+        return make_params(eps, alpha=self.alpha, lambda_rate=lambda_rate)
 
-    def default_problem(self) -> str:
-        if self.mode in ("heat1d", "convergence", "parabolic"):
-            return "heat1d_cosine"
-        if self.mode == "mixed":
-            return "mixed_dn_elliptic_1d"
-        return "laplace_elliptic_1d"
+    def default_problem(self) -> str | None:
+        return _MODES[self.mode][1]
 
 
 # -- config file ------------------------------------------------------------
@@ -128,7 +117,7 @@ def _parse_value(key: str, raw: str):
         if raw.lower() not in _BOOL_WORDS:
             raise ValidationError(f"include_disk must be a boolean, got {raw!r}")
         return _BOOL_WORDS[raw.lower()]
-    if key in _OPTIONAL_KEYS and raw.lower() in ("none", ""):
+    if key == "alpha" and raw.lower() in ("none", ""):
         return None
     try:
         value = float(raw)
@@ -187,19 +176,20 @@ def _record_config(out: Path, cfg: RunConfig) -> None:
 
 
 _KIND_NAMES = {
-    ParabolicProblem: "parabolic",
-    EllipticProblem: "stationary",
-    MixedEllipticProblem: "stationary with a Dirichlet patch",
+    ParabolicProblem: "parabolic problem",
+    EllipticProblem: "stationary problem without a Dirichlet patch",
+    MixedEllipticProblem: "stationary problem with a Dirichlet patch",
 }
 
 
 def _load_problem(cfg: RunConfig, kind: type, need_exact: bool):
-    """The configured catalog problem: a ``kind``, with an exact solution if ``need_exact``."""
+    """The configured catalog problem, of exactly the class ``kind``, with an
+    exact solution if ``need_exact``."""
     # get_problem raises ValidationError with the catalog listing
     problem = get_problem(cfg.problem or cfg.default_problem())
-    if not isinstance(problem, kind):
+    if type(problem) is not kind:
         raise ValidationError(
-            f"this workflow needs a {_KIND_NAMES[kind]} problem; {problem.name!r} is not one"
+            f"mode {cfg.mode!r} needs a {_KIND_NAMES[kind]}; {problem.name!r} is not one"
         )
     if need_exact and problem.exact is None:
         raise ValidationError(
@@ -244,9 +234,9 @@ def _run_parabolic(cfg: RunConfig, problem, out: Path, summary: list) -> None:
 
 
 def _stationary_game(cfg: RunConfig, problem, eps: float):
-    """Game parameters and score caps of a stationary run: ``cap_M`` defaults to 10."""
+    """Game parameters and score caps of a stationary run."""
     params = cfg.game_params(eps, lambda_rate=problem.lambda_rate)
-    return params, build_caps(problem, params, cap_M=10.0 if cfg.cap_M is None else cfg.cap_M)
+    return params, build_caps(problem, params, cap_M=cfg.cap_M)
 
 
 def _run_elliptic(cfg: RunConfig, problem, out: Path, summary: list) -> None:
@@ -304,11 +294,10 @@ def _run_audit_elliptic(cfg: RunConfig, problem, out: Path, summary: list) -> No
     merged = ConsistencyReport()
     for eps in cfg.eps_ladder:
         params, caps = _stationary_game(cfg, problem, eps)
-        shift = cfg.wall_shift if cfg.wall_shift is not None else caps.cap_m
-        rep = audit_wall_shift(problem, params, shift=shift, n_points=12)
+        rep = audit_wall_shift(problem, params, shift=caps.cap_m, n_points=12)
         merged.extend(rep.rows)
         summary.append(
-            f"wall_shift[eps={eps:.12g}] = {shift:.12g}, "
+            f"wall_shift[eps={eps:.12g}] = {caps.cap_m:.12g}, "
             f"worst_residual = {max(r.residual for r in rep.rows):.12g}"
         )
     merged.write_csv(out / "audit_elliptic.csv")
@@ -319,37 +308,33 @@ def _run_audit_elliptic(cfg: RunConfig, problem, out: Path, summary: list) -> No
 # -- dispatch ---------------------------------------------------------------
 
 
-_WORKFLOWS = {  # the problem kind each workflow runs on (the audit suite takes none), its runner
-    "heat1d": (ParabolicProblem, _run_heat1d),
-    "parabolic": (ParabolicProblem, _run_parabolic),
-    "convergence": (ParabolicProblem, _run_convergence),
-    "elliptic": (EllipticProblem, _run_elliptic),
-    "mixed": (MixedEllipticProblem, _run_elliptic),
-    "audit-elliptic": (EllipticProblem, _run_audit_elliptic),
-    "consistency": (None, _run_consistency),
+_MODES = {  # mode: the one problem class it runs on, its default problem, its runner
+    "heat1d": (ParabolicProblem, "heat1d_cosine", _run_heat1d),
+    "parabolic": (ParabolicProblem, "heat1d_cosine", _run_parabolic),
+    "convergence": (ParabolicProblem, "heat1d_cosine", _run_convergence),
+    "elliptic": (EllipticProblem, "laplace_elliptic_1d", _run_elliptic),
+    "mixed": (MixedEllipticProblem, "mixed_dn_elliptic_1d", _run_elliptic),
+    "audit-elliptic": (EllipticProblem, "laplace_elliptic_1d", _run_audit_elliptic),
+    "consistency": (None, None, _run_consistency),  # the audit suite takes no problem
 }
+MODES = tuple(_MODES)
 
 
-def run(cfg: RunConfig, workflow: str | None = None) -> int:
-    """Validate, dispatch, and write artifacts; returns the exit status.
-
-    ``workflow`` defaults to ``cfg.mode``; the audit-elliptic subcommand
-    passes its own workflow while keeping the mode an ordinary value.
-    """
+def run(cfg: RunConfig) -> int:
+    """Validate, dispatch on ``cfg.mode``, and write artifacts; returns the exit status."""
     cfg.validate()
-    workflow = workflow or cfg.mode
-    kind, runner = _WORKFLOWS[workflow]
+    kind, _, runner = _MODES[cfg.mode]
     # a problem or audit ladder that fails its checks leaves no output directory behind
-    problem = _load_problem(cfg, kind, workflow == "convergence") if kind else None
-    if kind is ParabolicProblem:  # every rung the workflow solves must fit a round in T
-        for eps in cfg.eps_ladder if workflow == "convergence" else cfg.eps_ladder[:1]:
+    problem = _load_problem(cfg, kind, cfg.mode == "convergence") if kind else None
+    if kind is ParabolicProblem:  # every rung the mode solves must fit a round in T
+        for eps in cfg.eps_ladder if cfg.mode == "convergence" else cfg.eps_ladder[:1]:
             n_rounds(problem, cfg.game_params(eps))
-    if workflow == "consistency":
+    if cfg.mode == "consistency":
         audit_ladder(cfg.eps_ladder, cfg.include_disk)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     _record_config(out, cfg)
-    summary = [f"workflow = {workflow}"]
+    summary = [f"mode = {cfg.mode}"]
     t0 = time.perf_counter()
     runner(cfg, problem, out, summary)
     # wall time is summary-only so every CSV is rerun-identical
@@ -365,12 +350,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, helptext in (
-        ("solve", "one solve of the configured problem (mode-dispatched)"),
+        ("solve", "run the configured mode"),
         ("convergence", "ladder of solves vs the exact solution"),
         ("consistency", "one-round audit catalog"),
         ("audit-elliptic", "wall-shift audits for a stationary problem"),
     ):
         p = sub.add_parser(name, help=helptext)
+        if name == "solve":
+            p.add_argument("--mode", default=None, help="mode to run (default: the config's)")
+        else:
+            p.set_defaults(mode=name)  # the subcommand is the mode
         p.add_argument("--config", type=Path, default=None, help="key-value config file")
         p.add_argument("--out", type=Path, default=None, help="output directory")
         p.add_argument(
@@ -379,7 +368,6 @@ def _build_parser() -> argparse.ArgumentParser:
             help="comma-separated step scales, e.g. 0.2,0.1,0.05",
         )
         p.add_argument("--problem", default=None, help="catalog problem name")
-        p.add_argument("--mode", default=None, help="solve workflow (solve subcommand)")
     return parser
 
 
@@ -390,13 +378,7 @@ def main(argv=None) -> int:
             cfg = load_config(args.config) if args.config else RunConfig()
         except OSError as exc:
             raise ValidationError(f"cannot read config {args.config}: {exc}") from None
-        if args.command == "convergence":
-            cfg = replace(cfg, mode="convergence")
-        elif args.command == "consistency":
-            cfg = replace(cfg, mode="consistency")
-        elif args.command == "audit-elliptic":
-            cfg = replace(cfg, mode="elliptic")
-        elif args.mode is not None:
+        if args.mode is not None:
             cfg = replace(cfg, mode=args.mode)
         if args.problem is not None:
             cfg = replace(cfg, problem=args.problem)
@@ -404,8 +386,7 @@ def main(argv=None) -> int:
             cfg = replace(cfg, out=str(args.out))
         if args.eps_ladder is not None:
             cfg = replace(cfg, eps_ladder=_parse_value("eps_ladder", args.eps_ladder))
-        workflow = "audit-elliptic" if args.command == "audit-elliptic" else None
-        return run(cfg, workflow=workflow)
+        return run(cfg)
     except ValidationError as exc:
         print(f"pdegame: validation failure: {exc}", file=sys.stderr)
         return 2

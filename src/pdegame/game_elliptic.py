@@ -121,8 +121,7 @@ def exact_barrier(domain: DomainGeometry, h_sup: float) -> AnalyticField:
         def grad(x):
             xp = np.atleast_1d(np.asarray(x, dtype=float))
             d = domain.dist_to_boundary(xp)
-            inward = 1.0 if (xp[0] - domain.a) <= (domain.c - xp[0]) else -1.0
-            return np.array([inward * _psi_profile_slope(d, depth, amp)])
+            return -domain.nearest_boundary(xp)[1] * _psi_profile_slope(d, depth, amp)
 
         def hess(x):
             d = domain.dist_to_boundary(np.atleast_1d(x))

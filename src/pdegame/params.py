@@ -2,10 +2,10 @@
 
 The game needs five exponents (alpha, beta, gamma, rho, kappa) tied
 together by a web of strict inequalities parameterized by the growth
-exponents (q, r) of the nonlinearity.  ``select_exponents`` picks a
-deterministic feasible tuple (midpoint-of-feasible-interval, resolved in
-the order alpha, gamma, beta, rho, kappa); ``validate_params`` names every
-violated inequality so configuration errors fail loudly.
+exponents (q, r) of the nonlinearity.  ``select_exponents`` derives a
+deterministic feasible tuple from alpha (midpoint-of-feasible-interval,
+resolved in the order gamma, beta, rho, kappa); ``validate_params`` names
+every violated inequality so configuration errors fail loudly.
 """
 from __future__ import annotations
 
@@ -112,15 +112,17 @@ def validate_params(p: GameParams, q: float, r: float) -> list[str]:
     return v
 
 
-def select_exponents(q: float, r: float) -> tuple[float, float, float, float, float]:
+def select_exponents(
+    q: float, r: float, alpha: float = 0.5 * (1.0 / 3.0)
+) -> tuple[float, float, float, float, float]:
     """Deterministic feasible exponents (alpha, beta, gamma, rho, kappa).
 
-    Midpoint of the feasible interval for each exponent, resolved in the
-    order alpha, gamma, beta, rho, kappa (each interval conditioned on the
-    earlier picks; lower bounds default to 0 where no constraint applies).
+    ``alpha`` defaults to the midpoint of (0, 1/3); the other four are the
+    midpoints of their feasible intervals, resolved in the order gamma,
+    beta, rho, kappa (each interval conditioned on alpha and the earlier
+    picks; lower bounds default to 0 where no constraint applies).
     """
     assert q >= 1.0 and r >= 1.0, "growth exponents must be >= 1"
-    alpha = 0.5 * (1.0 / 3.0)
     gamma_hi = min(2.0 - 2.0 * alpha, 1.0 - alpha, (1.0 + alpha) / r)
     if r > 1.0:
         gamma_hi = min(gamma_hi, 2.0 * alpha / (r - 1.0))
@@ -142,23 +144,18 @@ def make_params(
     q: float = 1.0,
     r: float = 1.0,
     *,
+    alpha: float | None = None,
     lambda_rate: float = 0.0,
-    **overrides: float,
 ) -> GameParams:
     """Build a validated GameParams, raising ValidationError on violation.
 
-    Exponents default to ``select_exponents(q, r)``; individual exponents
-    can be overridden by keyword (alpha=..., beta=..., ...).
+    The exponents are ``select_exponents(q, r, alpha)``, at its default
+    alpha when ``alpha`` is None.
     """
     if not (q >= 1.0 and r >= 1.0):
         raise ValidationError(f"growth exponents must be >= 1, got q={q:g}, r={r:g}")
-    alpha, beta, gamma, rho, kappa = select_exponents(q, r)
-    fields = {"alpha": alpha, "beta": beta, "gamma": gamma, "rho": rho, "kappa": kappa}
-    for key, val in overrides.items():
-        if key not in fields:
-            raise TypeError(f"unknown exponent override {key!r}")
-        fields[key] = float(val)
-    p = GameParams(eps=eps, lambda_rate=lambda_rate, **fields)
+    exponents = select_exponents(q, r) if alpha is None else select_exponents(q, r, alpha)
+    p = GameParams(eps, *exponents, lambda_rate=lambda_rate)
     report = validate_params(p, q, r)
     if report:
         raise ValidationError("; ".join(report))

@@ -42,23 +42,20 @@ class TestConfigFile:
             "eps_ladder = 0.2, 0.1\n"
             "tol = 1e-6\n"
             "\n"
-            "cap_M = none\n"
+            "cap_M = 8\n"
         )
         cfg = load_config(f)
         assert cfg.mode == "heat1d"
         assert cfg.problem == "heat1d_cosine"
         assert cfg.eps_ladder == (0.2, 0.1)
         assert cfg.tol == 1e-6
-        assert cfg.cap_M is None
+        assert cfg.cap_M == 8.0
 
-    @pytest.mark.parametrize(
-        "key", ["alpha", "beta", "gamma", "rho", "kappa", "cap_M", "wall_shift"]
-    )
-    def test_optional_key_reads_none_or_an_empty_value_as_unset(self, tmp_path, key):
+    def test_alpha_reads_none_or_an_empty_value_as_unset(self, tmp_path):
         f = tmp_path / "run.cfg"
         for raw in ("none", "None", ""):
-            f.write_text(f"{key} = 0.5\n{key} = {raw}\n")
-            assert getattr(load_config(f), key) is None
+            f.write_text(f"alpha = 0.2\nalpha = {raw}\n")
+            assert load_config(f).alpha is None
 
     def test_unknown_key_is_a_validation_error(self, tmp_path):
         f = tmp_path / "run.cfg"
@@ -86,8 +83,8 @@ class TestConfigFile:
 
     @pytest.mark.parametrize(
         "line",
-        ["tol = nan", "wall_shift = nan", "wall_shift = inf", "cap_M = inf", "tol = inf",
-         "tol = none"],
+        ["tol = nan", "alpha = nan", "alpha = inf", "cap_M = inf", "tol = inf",
+         "tol = none", "cap_M = none"],
     )
     def test_out_of_range_config_value_exits_2(self, tmp_path, capsys, line):
         f = tmp_path / "c.txt"
@@ -113,6 +110,15 @@ class TestConfigFile:
         assert f"unknown config key '{key}'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("key", ["beta", "gamma", "rho", "kappa", "wall_shift"])
+    def test_removed_exponent_and_shift_keys_exit_2_as_unknown(self, tmp_path, capsys, key):
+        # alpha derives the other four exponents; the audit shifts by the caps' cap_m
+        f = tmp_path / "c.txt"
+        f.write_text(f"{key} = 0.5\nout = {tmp_path / 'o'}\n")
+        assert main(["solve", "--config", str(f)]) == 2
+        assert f"unknown config key '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_removed_p_grid_half_key_exits_2_as_unknown(self, tmp_path, capsys):
         f = tmp_path / "c.txt"
         f.write_text(f"p_grid_half = 4\nout = {tmp_path / 'o'}\n")
@@ -134,7 +140,8 @@ class TestConfigFile:
         "argv, reason",
         [
             (["--problem", "nope"], "unknown problem"),
-            (["--mode", "heat1d", "--problem", "laplace_elliptic_1d"], "this workflow needs a"),
+            (["--mode", "heat1d", "--problem", "laplace_elliptic_1d"],
+             "mode 'heat1d' needs a parabolic problem"),
         ],
         ids=["unknown", "wrong-kind"],
     )
@@ -142,6 +149,17 @@ class TestConfigFile:
         out = tmp_path / "o"
         assert main(["solve", *argv, "--out", str(out)]) == 2
         assert reason in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command", [["audit-elliptic"], ["solve", "--mode", "elliptic"]], ids=["audit", "solve"]
+    )
+    def test_all_neumann_modes_reject_a_dirichlet_patch(self, tmp_path, capsys, command):
+        # the audit's round has no exit branch, and the solve duplicates mode mixed
+        out = tmp_path / "o"
+        argv = [*command, "--problem", "mixed_dn_elliptic_1d", "--eps-ladder", "0.2"]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert "without a Dirichlet patch" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -183,13 +201,27 @@ class TestProvenance:
         assert "unknown config key 'threads'" in capsys.readouterr().err
 
     def test_numeric_abort_maps_to_exit_3(self, tmp_path, monkeypatch, capsys):
-        def boom(cfg, workflow=None):
+        def boom(cfg):
             raise NumericAbort("values left the certified range")
 
         monkeypatch.setattr("pdegame.cli.run", boom)
         rc = main(["solve", "--out", str(tmp_path / "o")])
         assert rc == 3
         assert "numeric abort" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_resolved_config_reruns_the_same_mode(self, tmp_path, mode):
+        # config_resolved.txt alone reproduces every CSV of the run
+        ladder = "0.2,0.1" if mode == "convergence" else "0.2"
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert main(["solve", "--mode", mode, "--eps-ladder", ladder, "--out", str(first)]) == 0
+        config = first / "config_resolved.txt"
+        assert f"mode = {mode}\n" in config.read_text()
+        assert main(["solve", "--config", str(config), "--out", str(again)]) == 0
+        csvs = sorted(f.name for f in first.glob("*.csv"))
+        assert csvs and csvs == sorted(f.name for f in again.glob("*.csv"))
+        for name in csvs:
+            assert (first / name).read_bytes() == (again / name).read_bytes()
 
 
 # -- workflows --------------------------------------------------------------
@@ -301,6 +333,7 @@ class TestSolveWorkflows:
         assert main(["solve", "--mode", "elliptic", "--config", str(f),
                      "--out", str(tmp_path / "s")]) == 0
         assert f"cap_M = {cap_M:.12g}\n" in (tmp_path / "s" / "summary.txt").read_text()
+        assert f"cap_M = {cap_M:.12g}\n" in (tmp_path / "s" / "config_resolved.txt").read_text()
         assert main(["audit-elliptic", "--config", str(f), "--out", str(tmp_path / "a")]) == 0
         summary = (tmp_path / "a" / "summary.txt").read_text()
         assert f"wall_shift[eps=0.2] = {cap_M - 5.0:.12g}, " in summary
@@ -331,11 +364,12 @@ class TestSolveWorkflows:
         assert "Dirichlet patch" in capsys.readouterr().err
 
     @pytest.mark.parametrize("problem", list_problems())
-    @pytest.mark.parametrize("workflow", [*MODES, "audit-elliptic"])
+    @pytest.mark.parametrize("mode", MODES)
     def test_every_workflow_and_problem_pair_exits_0_or_2(
-        self, tmp_path, capsys, workflow, problem
+        self, tmp_path, capsys, mode, problem
     ):
-        # a problem of the wrong kind is a validation failure, never a traceback
+        # each mode takes one problem class; any other is a validation
+        # failure, never a traceback.  The audit suite takes no problem.
         kind = {
             "heat1d": ParabolicProblem,
             "parabolic": ParabolicProblem,
@@ -343,17 +377,15 @@ class TestSolveWorkflows:
             "elliptic": EllipticProblem,
             "audit-elliptic": EllipticProblem,
             "mixed": MixedEllipticProblem,
-            "consistency": object,
-        }[workflow]
-        command = ["solve", "--mode", workflow]
-        if workflow == "audit-elliptic":
-            command = ["audit-elliptic"]
-        rc = main([*command, "--problem", problem, "--eps-ladder", "0.4", "--out", str(tmp_path)])
-        if isinstance(get_problem(problem), kind):
+            "consistency": None,
+        }[mode]
+        rc = main(["solve", "--mode", mode, "--problem", problem, "--eps-ladder", "0.4",
+                   "--out", str(tmp_path)])
+        if kind is None or type(get_problem(problem)) is kind:
             assert rc == 0
         else:
             assert rc == 2
-            assert "this workflow needs a" in capsys.readouterr().err
+            assert f"mode {mode!r} needs a" in capsys.readouterr().err
 
 
 class TestStudyWorkflows:
@@ -519,3 +551,5 @@ class TestRunApi:
         assert RunConfig(mode="heat1d").default_problem() == "heat1d_cosine"
         assert RunConfig(mode="elliptic").default_problem() == "laplace_elliptic_1d"
         assert RunConfig(mode="mixed").default_problem() == "mixed_dn_elliptic_1d"
+        assert RunConfig(mode="audit-elliptic").default_problem() == "laplace_elliptic_1d"
+        assert RunConfig(mode="convergence").default_problem() == "heat1d_cosine"

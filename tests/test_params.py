@@ -26,6 +26,18 @@ def test_selected_exponents_frozen_values():
     assert kap == pytest.approx(float(Fraction(25, 48)), abs=1e-15)
 
 
+def test_default_tuples_are_bit_identical_to_the_fixed_alpha_picks():
+    # the values select_exponents returned when alpha was fixed at 1/6
+    assert pp.select_exponents(1.0, 1.0) == (
+        0.16666666666666666, 0.4166666666666667, 0.4166666666666667,
+        0.9166666666666667, 0.6666666666666667,
+    )
+    assert pp.select_exponents(2.0, 2.0) == (
+        0.16666666666666666, 0.4166666666666667, 0.16666666666666666,
+        0.875, 0.5208333333333334,
+    )
+
+
 def test_quadratic_gradient_growth_selects_the_linear_exponents():
     # beta's caps 2/max(q, r) and (alpha + 1)/(q - 1) stay above 1 - alpha at
     # q = 2, so q = 2 picks the beta (and every exponent) of q = 1
@@ -81,13 +93,31 @@ def test_selected_exponents_always_feasible(q, r):
     assert pp.validate_params(p, q, r) == []
 
 
-def test_make_params_raises_and_overrides():
+def test_make_params_raises_and_derives_from_alpha():
     with pytest.raises(pp.ValidationError, match="condition_pas violated"):
         pp.make_params(0.1, 1.0, 1.0, alpha=0.5)
-    p = pp.make_params(0.1, 1.0, 1.0, kappa=0.7)
-    assert p.kappa == 0.7
+    # alpha = 1/4 moves the other four midpoints with it
+    p = pp.make_params(0.1, 1.0, 1.0, alpha=0.25)
+    assert (p.alpha, p.beta, p.gamma, p.rho, p.kappa) == (0.25, 0.375, 0.375, 0.875, 0.625)
+    # a tuple off the midpoints is a GameParams checked by validate_params
+    a, b, g, rho, _ = pp.select_exponents(1.0, 1.0)
+    p = pp.GameParams(eps=0.1, alpha=a, beta=b, gamma=g, rho=rho, kappa=0.7)
+    assert pp.validate_params(p, 1.0, 1.0) == []
     with pytest.raises(pp.ValidationError):
         pp.GameParams(eps=1.5, alpha=0.1, beta=0.4, gamma=0.4, rho=0.95, kappa=0.7)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    alpha=st.floats(min_value=1e-12, max_value=1.0 / 3.0, exclude_max=True),
+    q=st.floats(min_value=1.0, max_value=4.0),
+    r=st.floats(min_value=1.0, max_value=4.0),
+)
+def test_every_alpha_below_one_third_selects_a_feasible_tuple(alpha, q, r):
+    # below about 1e-16, 1 - alpha rounds to 1 and the strict bracket
+    # 1 - alpha < rho < 1 is empty in floating point
+    p = pp.make_params(0.1, q, r, alpha=alpha)
+    assert (p.alpha, p.beta, p.gamma, p.rho, p.kappa) == pp.select_exponents(q, r, alpha)
 
 
 def test_step_scales():
