@@ -6,7 +6,8 @@ Subcommands
     Runs the configured ``mode``.  ``heat1d`` and ``parabolic`` march the
     scalar backward solver at the first ladder step (``parabolic`` writes
     the single value as both the upper and the lower profile, ``u = v``),
-    ``elliptic`` / ``mixed`` the score-capped fixed point.
+    ``elliptic`` / ``mixed`` the stationary game's fixed point on the state
+    lattice (``profiles.csv`` writes its value as both ``u`` and ``v``).
 ``convergence``
     Ladder of scalar solves against the exact solution; emits a table
     of (eps, sup-error, estimated order) with orders from successive
@@ -44,7 +45,7 @@ from dataclasses import dataclass, fields as dataclass_fields, replace
 from pathlib import Path
 
 from .consistency import ConsistencyReport, audit_ladder, audit_wall_shift, run_audit_suite
-from .game_elliptic import build_caps, solve_fixed_point
+from .game_elliptic import build_caps, check_cap, solve_fixed_point
 from .game_parabolic import NumericAbort, n_rounds, solve_levelset, solve_scalar_dpp
 from .params import ValidationError, make_params
 from .problems import EllipticProblem, MixedEllipticProblem, ParabolicProblem, get_problem
@@ -59,7 +60,8 @@ class RunConfig:
     ``eps_ladder`` drives convergence/audit modes; single solves use its
     first entry.  ``alpha`` sets the exponent the other four are derived
     from; it is the one key that accepts ``none`` (or an empty value),
-    for the default.  ``cap_M`` is the score cap of the stationary modes.
+    for the default.  ``cap_M`` is the wall barrier's cap, which sets chi
+    and audit-elliptic's wall shift.
     All fields are recorded into the output directory on every run.
     """
 
@@ -234,7 +236,7 @@ def _run_parabolic(cfg: RunConfig, problem, out: Path, summary: list) -> None:
 
 
 def _stationary_game(cfg: RunConfig, problem, eps: float):
-    """Game parameters and score caps of a stationary run."""
+    """Game parameters and wall barrier of a stationary run."""
     params = cfg.game_params(eps, lambda_rate=problem.lambda_rate)
     return params, build_caps(problem, params, cap_M=cfg.cap_M)
 
@@ -243,7 +245,8 @@ def _run_elliptic(cfg: RunConfig, problem, out: Path, summary: list) -> None:
     eps = cfg.eps_ladder[0]
     params, caps = _stationary_game(cfg, problem, eps)
     val = solve_fixed_point(problem, caps, params, tol=cfg.tol)
-    rows = zip(val.x_nodes, val.u_profile(), val.v_profile(), val.chi_nodes)
+    # the game has one value: it is both the upper and the lower profile
+    rows = zip(val.x_nodes, val.V, val.V, val.chi_nodes)
     _write_csv(out / "profiles.csv", ["x", "u", "v", "chi"], rows)
     _write_csv(
         out / "residuals.csv",
@@ -253,7 +256,7 @@ def _run_elliptic(cfg: RunConfig, problem, out: Path, summary: list) -> None:
     summary.append(f"problem = {problem.name}")
     summary.append(f"eps = {eps:.12g}")
     summary.append(f"cap_M = {caps.cap_M:.12g}")
-    summary += [f"nodes = {len(val.x_nodes)}", f"score_nodes = {len(val.z_nodes)}"]
+    summary.append(f"nodes = {len(val.x_nodes)}")
     summary.append(f"iterations = {val.iterations}")
     summary.append(f"final_residual = {val.final_residual:.12g}")
     summary.append(f"dirichlet_exits = {val.dirichlet_exits}")
@@ -329,6 +332,8 @@ def run(cfg: RunConfig) -> int:
     if kind is ParabolicProblem:  # every rung the mode solves must fit a round in T
         for eps in cfg.eps_ladder if cfg.mode == "convergence" else cfg.eps_ladder[:1]:
             n_rounds(problem, cfg.game_params(eps))
+    if kind in (EllipticProblem, MixedEllipticProblem):
+        check_cap(problem, cfg.cap_M)
     if cfg.mode == "consistency":
         audit_ladder(cfg.eps_ladder, cfg.include_disk)
     out = Path(cfg.out)

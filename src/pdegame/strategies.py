@@ -37,6 +37,10 @@ takes the same clip) and dedups them by one 12-digit rounding, and in
 2D :func:`neumann_bounds` projects its crossing fan with one
 :meth:`DomainGeometry.moves` call, whose fused-dot norm is the one
 ``np.linalg.norm`` takes in :meth:`DomainGeometry.make_move`.
+
+The stationary solver announces nothing: on the moves of the plan's base
+columns it plays the exact max over the control box of the min over
+moves, :class:`BoxMaxMin`, whose coefficients it builds once per solve.
 """
 from __future__ import annotations
 
@@ -63,6 +67,7 @@ __all__ = [
     "candidate_moves",
     "move_builder",
     "CandidatePlan1D",
+    "BoxMaxMin",
     "check_probe_room",
 ]
 
@@ -473,6 +478,91 @@ class CandidatePlan1D:
         # NaN keys are unique, as in a set
         same = (kp[:, None] == kp) & (kg[:, None] == kg)
         return P, G, (same & _EARLIER).any(axis=1)[1:]
+
+
+class BoxMaxMin:
+    """The exact max over the control box ``|p| <= p_bound``,
+    ``|Gamma| <= G_bound`` of ``min_m c_m + a_m p + b_m Gamma``, row by row,
+    for the fixed slopes ``a`` and ``b`` (``(n, M)``) and the intercepts
+    ``c`` that each call passes.
+
+    The max–min is a two-variable LP.  Its optimum lies among the vertices
+    of the box's subdivision by the branches: the 4 box corners, each line
+    ``branch_i = branch_j`` cut by the 4 box edges, and each triple point
+    ``branch_i = branch_j = branch_k`` (32 candidates for 4 branches).  Each
+    candidate is an affine function of c whose coefficients depend on a and
+    b alone, so they are built once here.  A call clips every candidate into
+    the box, evaluates every branch there and takes the max over candidates
+    of the min over branches.  A clipped candidate is a feasible point, so it
+    never raises the max, and the optimal vertex is a candidate that the clip
+    leaves in place.  A candidate whose lines are parallel falls back to a
+    fixed feasible point: the middle of its box edge, or the box centre.  The
+    value is therefore the LP's optimum itself, a max over the box of minima
+    of functions increasing in c: monotone in c, and shifted by s when every
+    c is.
+    """
+
+    def __init__(self, a, b, p_bound: float, G_bound: float):
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        n, M = a.shape
+        self.a, self.b = a, b
+        weights, offsets = [], []  # per candidate: (n, 2, M) weights of c, (n, 2) offset of (p, Gamma)
+
+        def solved(w, off, det):
+            """The candidate ``(w c + off) / det``, or the box centre where det is 0."""
+            ok = det != 0.0
+            inv = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
+            return w * inv[:, None, None], off * inv[:, None]
+
+        for p in (-p_bound, p_bound):
+            for g in (-G_bound, G_bound):
+                weights.append(np.zeros((n, 2, M)))
+                offsets.append(np.tile([p, g], (n, 1)))
+        pairs = [(i, j) for i in range(M) for j in range(i + 1, M)]
+        for i, j in pairs:
+            d = a[:, i] - a[:, j], b[:, i] - b[:, j]
+            for fixed, s in ((0, -p_bound), (0, p_bound), (1, -G_bound), (1, G_bound)):
+                # the free coordinate solves d[fixed] s + d[free] free = -(c_i - c_j)
+                free = 1 - fixed
+                w, off = np.zeros((n, 2, M)), np.zeros((n, 2))
+                w[:, free, i], w[:, free, j] = -1.0, 1.0
+                off[:, free] = -d[fixed] * s
+                w, off = solved(w, off, d[free])
+                off[:, fixed] = s
+                weights.append(w)
+                offsets.append(off)
+        for i, j, k in ((i, j, k) for i, j in pairs for k in range(j + 1, M)):
+            # da1 p + db1 Gamma = -(c_i - c_j) and da2 p + db2 Gamma = -(c_i - c_k), by Cramer
+            da1, db1 = a[:, i] - a[:, j], b[:, i] - b[:, j]
+            da2, db2 = a[:, i] - a[:, k], b[:, i] - b[:, k]
+            w = np.zeros((n, 2, M))
+            w[:, 0, i], w[:, 0, j], w[:, 0, k] = db1 - db2, db2, -db1
+            w[:, 1, i], w[:, 1, j], w[:, 1, k] = da2 - da1, -da2, da1
+            w, off = solved(w, np.zeros((n, 2)), da1 * db2 - da2 * db1)
+            weights.append(w)
+            offsets.append(off)
+        # rows k < K are the p of candidate k, rows K + k its Gamma
+        self.weights = np.stack(weights, axis=2).reshape(n, -1, M)
+        self.offsets = np.stack(offsets, axis=2).reshape(n, -1)
+        self.high = np.repeat([p_bound, G_bound], len(weights))
+        self.low = -self.high
+        self.slopes = a.T[:, :, None].copy(), b.T[:, :, None].copy()
+
+    def branches(self, c) -> np.ndarray:
+        """The branch values ``(M, n, K)`` at every clipped candidate."""
+        pg = np.matmul(self.weights, c[:, :, None])[:, :, 0]
+        pg += self.offsets
+        np.minimum(np.maximum(pg, self.low, out=pg), self.high, out=pg)
+        P, G = np.split(pg, 2, axis=1)
+        a, b = self.slopes
+        vals = a * P
+        vals += b * G
+        vals += c.T[:, :, None]
+        return vals
+
+    def __call__(self, c) -> np.ndarray:
+        """The max–min of every row."""
+        return self.branches(c).min(axis=0).max(axis=1)
 
 
 def check_probe_room(domain: DomainGeometry, params) -> None:

@@ -94,6 +94,16 @@ class TestConfigFile:
         assert "validation failure" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("mode", ["elliptic", "mixed", "audit-elliptic"])
+    def test_too_small_cap_exits_2_before_any_output(self, tmp_path, capsys, mode):
+        # cap_M must exceed 2 + sup|h| (3 on laplace_elliptic_1d, 2 on the mixed problem)
+        f = tmp_path / "c.txt"
+        f.write_text(f"cap_M = {2.5 if mode != 'mixed' else 1.5}\neps_ladder = 0.2\n")
+        command = [mode] if mode == "audit-elliptic" else ["solve", "--mode", mode]
+        assert main([*command, "--config", str(f), "--out", str(tmp_path / "o")]) == 2
+        assert "too small" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_removed_z_max_key_exits_2_as_unknown(self, tmp_path, capsys):
         f = tmp_path / "c.txt"
         f.write_text(f"mode = parabolic\nz_max = 3\nout = {tmp_path / 'o'}\n")
@@ -318,10 +328,11 @@ class TestSolveWorkflows:
         rheader, rrows = read_csv(out / "residuals.csv")
         assert rheader == ["iteration", "residual"]
         assert float(rrows[-1][1]) <= 1e-8
+        assert all(r[1] == r[2] for r in rows)  # one game value: u = v
         summary = (out / "summary.txt").read_text()
         assert "dirichlet_exits = 0" in summary
-        # the state lattice and the score grid of the fixed point
-        assert f"nodes = {len(rows)}\nscore_nodes = 499\n" in summary
+        # the fixed point lives on the state lattice alone
+        assert f"nodes = {len(rows)}\niterations = 382\n" in summary
 
     @pytest.mark.parametrize("cap_line, cap_M", [("", 10.0), ("cap_M = 8\n", 8.0)],
                              ids=["default", "config"])
@@ -346,7 +357,7 @@ class TestSolveWorkflows:
         exits = int(summary.split("dirichlet_exits = ")[1].split()[0])
         assert exits > 0
         _, rows = read_csv(out / "profiles.csv")
-        assert f"nodes = {len(rows)}\nscore_nodes = 499\n" in summary
+        assert f"nodes = {len(rows)}\niterations = 192\n" in summary
 
     def test_mode_mixed_rejects_problems_without_a_patch(self, tmp_path, capsys):
         rc = main(

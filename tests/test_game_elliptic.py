@@ -1,6 +1,6 @@
-"""Barrier, caps, the discounted round, and fixed-point solver tests."""
+"""Barrier and cap, the discounted round, the state-lattice operator and the fixed-point solver."""
+import functools
 import math
-import re
 
 import numpy as np
 import pytest
@@ -12,17 +12,12 @@ from pdegame.game_parabolic import NumericAbort, s_eps
 from pdegame.geometry import ball, interval
 from pdegame.params import ValidationError, make_params
 from pdegame.problems import EllipticProblem, MixedEllipticProblem, get_problem
-from pdegame.strategies import candidate_moves, candidate_strategies
+from pdegame.strategies import BoxMaxMin, candidate_moves, candidate_strategies
 from pdegame.game_elliptic import (
-    _build_plan,
-    _sign_change,
-    _sweep_frame,
+    StationaryStep,
     build_caps,
     exact_barrier,
-    r_eps_apply,
-    r_eps_mixed,
     solve_fixed_point,
-    z_grid,
 )
 
 DOM = interval(0.0, 1.0)
@@ -92,61 +87,6 @@ def reference_q_eps(x, z, phi, problem, params):
     return best
 
 
-def zero_anchor(problem, params):
-    base = GridField.build(problem.domain, grid_spacing(problem.domain, params))
-    return base.with_values(np.zeros(len(base.x_nodes)))
-
-
-def reference_sweep(V, problem, caps, params, anchor, patch=None, g_exit=None):
-    """The capped operator evaluated node by node: per node, every
-    (strategy, move) branch over the score grid, then min over moves and
-    max over strategies.  Returns ``(V_new, exit_hits)``, counting exits
-    at the first maximizing strategy's first minimizing move."""
-    dom = problem.domain
-    base = GridField.build(dom, grid_spacing(dom, params))
-    xs = base.x_nodes
-    zs = z_grid(params, caps.cap_M)
-    nz, dz = len(zs), zs[1] - zs[0]
-    disc = math.exp(-problem.lambda_rate * params.time_step)
-    new = np.empty_like(V)
-    hits = 0
-    for i, x in enumerate(xs):
-        xp = np.array([x])
-        chi = caps.chi_at(xp)
-        moves = []
-        for req in candidate_moves(dom, xp, params):
-            mv = dom.make_move(xp, req)
-            is_exit = bool(patch is not None and mv.crossed and patch(mv.landing))
-            crossed = mv.crossed and not is_exit
-            pen_h = mv.penal_weight * float(problem.h(mv.landing)) if crossed else 0.0
-            g_val = float(g_exit(mv.landing)) if is_exit else 0.0
-            (i0,), (wl,), (w,) = base.locate(mv.landing)
-            C = wl * V[i0] + w * V[i0 + 1]
-            moves.append((req, is_exit, pen_h, g_val, C))
-        branches = []
-        for strat in candidate_strategies(dom, xp, anchor, params, problem.h):
-            fz = np.array([float(problem.f(xp, z, strat.p, strat.Gamma)) for z in zs])
-            row = []
-            for req, is_exit, pen_h, g_val, C in moves:
-                drift = float(strat.p @ req) + 0.5 * float(req @ strat.Gamma @ req)
-                delta = drift + params.time_step * fz - pen_h
-                z1 = (1.0 / disc) * (zs + delta)
-                j = np.clip(np.searchsorted(zs, z1, side="right") - 1, 0, nz - 2)
-                wz = np.clip((z1 - zs[j]) / dz, 0.0, 1.0)
-                val = disc * ((1.0 - wz) * C[j] + wz * C[j + 1]) - delta
-                if is_exit:
-                    val = zs + disc * (g_val - z1)
-                row.append(np.where(z1 >= caps.cap_M, -chi, np.where(z1 <= -caps.cap_M, chi, val)))
-            branches.append(row)
-        vals = np.array(branches)  # (strategies, moves, nz)
-        worst = vals.min(axis=1)
-        new[i] = worst.max(axis=0)
-        s_star = worst.argmax(axis=0)
-        winners = vals[s_star, :, np.arange(nz)].argmin(axis=1)
-        hits += sum(moves[m][1] for m in winners)
-    return new, hits
-
-
 LAPLACE = get_problem("laplace_elliptic_1d")
 PARAMS_02 = make_params(0.2, lambda_rate=1.0)
 CAPS_02 = build_caps(LAPLACE, PARAMS_02, cap_M=10.0)
@@ -185,13 +125,11 @@ class TestBarrier:
         assert caps.cap_M == 10.0
         assert caps.psi_sup == 2.0  # sup|h| + 1
         assert caps.cap_m == caps.cap_M - 1.0 - 2.0 * caps.psi_sup
-        # the sweep frame samples chi from the exact barrier; the solve keeps it
-        frame = _sweep_frame(LAPLACE, caps, PARAMS_02)
-        expect = np.array(
-            [caps.cap_m + caps.psi_sup + caps.psi.eval(np.array([x])) for x in frame.xs]
-        )
-        np.testing.assert_array_equal(frame.chi_nodes, expect)
+        # the solve samples chi from the exact barrier at every node
         sol = solve_fixed_point(LAPLACE, caps, PARAMS_02, tol=1e-3)
+        expect = np.array(
+            [caps.cap_m + caps.psi_sup + caps.psi.eval(np.array([x])) for x in sol.x_nodes]
+        )
         np.testing.assert_array_equal(sol.chi_nodes, expect)
         assert np.all(expect > 0.0)
 
@@ -325,401 +263,208 @@ class TestDiscountedRound:
             prev = resid
 
 
-class TestZGrid:
-    def test_spacing_symmetry_and_strict_interior(self):
-        zs = z_grid(PARAMS_02, 10.0)
-        dz = zs[1] - zs[0]
-        assert dz == pytest.approx(PARAMS_02.time_step)
-        assert 0.0 in zs
-        np.testing.assert_allclose(zs, -zs[::-1], atol=1e-15)
-        assert np.all(np.abs(zs) < 10.0)
-        assert zs[-1] >= 10.0 - dz * (1.0 + 1e-9)
-
-    def test_node_budget_coarsens_spacing(self):
-        params = make_params(0.05, lambda_rate=1.0)
-        zs = z_grid(params, 10.0)
-        assert len(zs) == 2001
-        assert zs[1] - zs[0] == pytest.approx(10.0 / 1001.0)
-        assert np.all(np.abs(zs) < 10.0)
+MIXED = get_problem("mixed_dn_elliptic_1d")
+STATIONARY = {"laplace": LAPLACE, "mixed": MIXED}
+LADDER = (0.2, 0.15, 0.1, 0.05)
 
 
-class TestSweep:
-    def test_one_sweep_fixes_zero_on_the_core_band(self):
-        prob = trivial_problem()
-        params = make_params(0.1, lambda_rate=1.0)
-        caps = build_caps(prob, params, cap_M=6.0)
-        zs = z_grid(params, caps.cap_M)
-        base = GridField.build(DOM, grid_spacing(DOM, params))
-        V = np.zeros((len(base.x_nodes), len(zs)))
-        V_new, hits = r_eps_apply(V, prob, caps, params)
-        assert hits == 0
-        core = np.abs(zs) <= caps.cap_M - 1.0
-        np.testing.assert_allclose(V_new[:, core], 0.0, atol=1e-14)
+def mixed_exact(x):
+    """u - u'' = 0 on (0, 1), u(0) = 1 on the exit wall, u'(1) = 0."""
+    return np.cosh(1.0 - np.asarray(x)) / math.cosh(1.0)
 
-    def test_cap_rows_pay_capped_values(self):
-        # with the zero announcement available, the extreme score rows
-        # are forced onto the caps regardless of the operand
-        params = PARAMS_02
-        caps = CAPS_02
-        zs = z_grid(params, caps.cap_M)
-        base = GridField.build(DOM, grid_spacing(DOM, params))
-        rng = np.random.default_rng(3)
-        V = rng.uniform(-1.0, 1.0, size=(len(base.x_nodes), len(zs)))
-        anchor = zero_anchor(LAPLACE, params)
-        V_new, _ = r_eps_apply(V, LAPLACE, caps, params, anchor=anchor)
-        chi = np.array([caps.chi_at(np.array([x])) for x in base.x_nodes])
-        np.testing.assert_allclose(V_new[:, -1], -chi, atol=1e-12)
-        np.testing.assert_allclose(V_new[:, 0], chi, atol=1e-12)
 
-    def test_shared_anchor_contraction(self):
-        params = PARAMS_02
-        caps = CAPS_02
-        disc = math.exp(-params.time_step)
-        zs = z_grid(params, caps.cap_M)
-        base = GridField.build(DOM, grid_spacing(DOM, params))
-        shape = (len(base.x_nodes), len(zs))
-        anchor = zero_anchor(LAPLACE, params)
-        rng = np.random.default_rng(11)
-        for _ in range(5):
-            V1 = rng.uniform(-2.0, 2.0, size=shape)
-            V2 = rng.uniform(-2.0, 2.0, size=shape)
-            R1, _ = r_eps_apply(V1, LAPLACE, caps, params, anchor=anchor)
-            R2, _ = r_eps_apply(V2, LAPLACE, caps, params, anchor=anchor)
-            num = float(np.max(np.abs(R1 - R2)))
-            den = float(np.max(np.abs(V1 - V2)))
-            assert num <= disc * den + 1e-10
+@functools.cache
+def stationary_step(name, eps):
+    """The StationaryStep of a catalog problem at eps; calls do not change it."""
+    prob = STATIONARY[name]
+    return StationaryStep(prob, make_params(eps, lambda_rate=prob.lambda_rate))
 
-    def test_shared_anchor_monotone(self):
-        params = PARAMS_02
-        caps = CAPS_02
-        zs = z_grid(params, caps.cap_M)
-        base = GridField.build(DOM, grid_spacing(DOM, params))
-        shape = (len(base.x_nodes), len(zs))
-        anchor = zero_anchor(LAPLACE, params)
-        rng = np.random.default_rng(4)
-        V1 = rng.uniform(-1.0, 1.0, size=shape)
-        V2 = V1 + rng.uniform(0.0, 1.0, size=shape)
-        R1, _ = r_eps_apply(V1, LAPLACE, caps, params, anchor=anchor)
-        R2, _ = r_eps_apply(V2, LAPLACE, caps, params, anchor=anchor)
-        assert np.all(R2 >= R1 - 1e-12)
 
-    def test_default_anchor_comes_from_the_operand(self):
-        params = PARAMS_02
-        caps = CAPS_02
-        zs = z_grid(params, caps.cap_M)
-        base = GridField.build(DOM, grid_spacing(DOM, params))
-        V = np.zeros((len(base.x_nodes), len(zs)))
-        V_new, hits = r_eps_apply(V, LAPLACE, caps, params)
-        assert hits == 0
-        assert np.all(np.isfinite(V_new))
+def sup_error(sol, exact):
+    return float(np.max(np.abs(sol.V - exact(sol.x_nodes))))
 
-    def test_wrong_shape_rejected(self):
-        with pytest.raises(ValidationError, match="expected"):
-            r_eps_apply(np.zeros((3, 4)), LAPLACE, CAPS_02, PARAMS_02)
 
-    def test_non_finite_aborts(self):
-        params = PARAMS_02
-        caps = CAPS_02
-        zs = z_grid(params, caps.cap_M)
-        base = GridField.build(DOM, grid_spacing(DOM, params))
-        V = np.zeros((len(base.x_nodes), len(zs)))
-        V[2, 5] = np.nan
-        anchor = zero_anchor(LAPLACE, params)
-        ref, _ = reference_sweep(V, LAPLACE, caps, params, anchor)
-        i, k = np.argwhere(~np.isfinite(ref))[0]
-        assert (i, k) == (0, 14)
-        node = f"sweep 1, first at node (x={base.x_nodes[i]:.6g}, z={zs[k]:.6g})"
-        with pytest.raises(NumericAbort, match="non-finite.*" + re.escape(node)):
-            r_eps_apply(V, LAPLACE, caps, params, anchor=anchor)
+def laplace_exact(x):
+    return np.array([LAPLACE.exact(np.array([xi])) for xi in x])
+
+
+def solve(prob, eps, **kwargs):
+    params = make_params(eps, lambda_rate=prob.lambda_rate)
+    return solve_fixed_point(prob, build_caps(prob, params, cap_M=10.0), params, **kwargs)
+
+
+class TestStationaryStep:
+    """The discounted round on the state lattice: the properties of a
+    monotone scheme, its optimum against independent references, and the
+    problems it rejects."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(sorted(STATIONARY)), eps=st.sampled_from(LADDER),
+           seed=st.integers(0, 2**32 - 1), scale=st.floats(0.01, 5.0))
+    def test_monotone(self, name, eps, seed, scale):
+        step = stationary_step(name, eps)
+        rng = np.random.default_rng(seed)
+        V = scale * rng.uniform(-1.0, 1.0, len(step.x_nodes))
+        # W >= V, equal at some nodes
+        W = V + scale * rng.uniform(0.0, 1.0, len(V)) * (rng.uniform(size=len(V)) < 0.5)
+        assert np.all(step(W) >= step(V) - 1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(sorted(STATIONARY)), eps=st.sampled_from(LADDER),
+           seed=st.integers(0, 2**32 - 1), scale=st.floats(0.01, 5.0))
+    def test_sup_norm_contraction(self, name, eps, seed, scale):
+        step = stationary_step(name, eps)
+        rng = np.random.default_rng(seed)
+        V, W = scale * rng.uniform(-1.0, 1.0, (2, len(step.x_nodes)))
+        gap = np.max(np.abs(step(V) - step(W)))
+        assert gap <= step.disc * np.max(np.abs(V - W)) + 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(eps=st.sampled_from(LADDER), seed=st.integers(0, 2**32 - 1),
+           c=st.floats(-5.0, 5.0))
+    def test_constant_shift_is_discounted(self, eps, seed, c):
+        step = stationary_step("laplace", eps)
+        V = np.random.default_rng(seed).uniform(-2.0, 2.0, len(step.x_nodes))
+        np.testing.assert_allclose(step(V + c) - step(V), step.disc * c, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(STATIONARY))
+    @pytest.mark.parametrize("eps", [0.2, 0.1])
+    def test_dense_grid_never_beats_the_kernel(self, name, eps):
+        # at each node, the min over moves on a dense (p, Gamma) grid over the
+        # box stays at or below the kernel and within the grid's Lipschitz bound
+        step = stationary_step(name, eps)
+        params = make_params(eps, lambda_rate=1.0)
+        N = 161
+        p = np.linspace(-params.p_bound, params.p_bound, N)
+        G = np.linspace(-params.hessian_bound, params.hessian_bound, N)
+        for V in (np.zeros(len(step.x_nodes)), solve(STATIONARY[name], eps).V,
+                  np.random.default_rng(5).uniform(-1.0, 1.0, len(step.x_nodes))):
+            c, S = step.intercepts(V), step(V)
+            for i in range(len(V)):
+                a, b = step.kernel.a[i], step.kernel.b[i]
+                grid = (c[i] + a * p[:, None, None] + b * G[None, :, None]).min(axis=2).max()
+                slack = np.max(np.abs(a)) * (p[1] - p[0]) + np.max(np.abs(b)) * (G[1] - G[0])
+                assert grid <= S[i] + 1e-12
+                assert grid >= S[i] - slack
+
+    @pytest.mark.parametrize("name", sorted(STATIONARY))
+    @pytest.mark.parametrize("eps", [0.2, 0.1])
+    def test_never_below_the_pointwise_oracle(self, name, eps):
+        # the oracle plays the same moves against a subset of the box; on the
+        # mixed problem it knows no exit, so only nodes beyond the exit's reach count
+        step = stationary_step(name, eps)
+        prob = STATIONARY[name]
+        params = make_params(eps, lambda_rate=1.0)
+        lattice = GridField.build(DOM, grid_spacing(DOM, params))
+        far = step.x_nodes >= params.move_bound if name == "mixed" else step.x_nodes >= 0.0
+        for V in (solve(prob, eps).V, np.cos(3.0 * step.x_nodes),
+                  np.random.default_rng(8).uniform(-1.0, 1.0, len(step.x_nodes))):
+            S = step(V)
+            field = lattice.with_values(V)
+            for i in np.flatnonzero(far):
+                oracle = s_eps(field, np.array([step.x_nodes[i]]), None, 0.0, prob, params)
+                assert S[i] >= oracle - 1e-12
 
     @pytest.mark.parametrize(
-        "prob, cap_M, branch_counts",
-        [
-            (LAPLACE, 10.0, {3, 4, 6, 8}),
-            (LAPLACE, 6.0, {3, 4, 6, 8}),
-            (exit_problem(-3.0), 6.0, {3, 4}),
-        ],
-        ids=["laplace_padded", "laplace_cap_heavy", "exit_mixed"],
+        "f, fb",
+        [(lambda x, z, p, G: -G[0, 0] + 0.1 * z, lambda X, Z, P, G: -G[:, 0, 0] + 0.1 * Z),
+         (lambda x, z, p, G: -G[0, 0] - p[0] ** 2, None),
+         (lambda x, z, p, G: -abs(G[0, 0]), None)],
+        ids=["z-dependent", "quadratic-in-p", "kinked-in-Gamma"],
     )
-    def test_batched_sweep_matches_the_per_node_reference(self, prob, cap_M, branch_counts):
-        params = PARAMS_02
-        caps = build_caps(prob, params, cap_M=cap_M)
-        base = GridField.build(DOM, grid_spacing(DOM, params))
-        zs = z_grid(params, caps.cap_M)
-        anchor = zero_anchor(prob, params)
-        # nodes with different (strategy x move) counts fall in different blocks
-        counts = [
-            len(candidate_strategies(DOM, np.array([x]), anchor, params, prob.h))
-            * len(candidate_moves(DOM, np.array([x]), params))
-            for x in base.x_nodes
-        ]
-        assert set(counts) == branch_counts
-        # no padding: each node in exactly one block, only real branch cells
-        patch, g_exit = getattr(prob, "is_dirichlet", None), getattr(prob, "g_exit", None)
-        frame = _sweep_frame(prob, caps, params, patch, g_exit)
-        plan = _build_plan(prob, params, caps, frame, anchor.values)
-        rows = np.concatenate([b.rows for b in plan])
-        np.testing.assert_array_equal(np.sort(rows), np.arange(len(base.x_nodes)))
-        assert sum(b.vals.size for b in plan) == len(zs) * sum(counts)
-        rng = np.random.default_rng(19)
-        V = rng.uniform(-3.0, 3.0, size=(len(base.x_nodes), len(zs)))
-        if patch is None:
-            got, hits = r_eps_apply(V, prob, caps, params, anchor=anchor)
-        else:
-            got, hits = r_eps_mixed(V, prob, caps, params, anchor=anchor)
-        ref, ref_hits = reference_sweep(V, prob, caps, params, anchor, patch, g_exit)
-        np.testing.assert_array_equal(got, ref)
-        assert hits == ref_hits
-        assert (hits > 0) == (patch is not None)
+    def test_rejects_f_outside_the_lp(self, f, fb, monkeypatch):
+        prob = EllipticProblem(name="not_affine", domain=DOM, f=f, lambda_rate=1.0,
+                               h=lambda x: 0.0, f_batched=fb)
+        sweeps = []
+        monkeypatch.setattr(BoxMaxMin, "__call__", lambda kernel, c: sweeps.append(c))
+        with pytest.raises(ValidationError, match="affine in \\(p, Gamma\\) and free of z"):
+            solve_fixed_point(prob, CAPS_02, PARAMS_02)
+        assert sweeps == []
 
-
-    def test_non_monotone_f_is_evaluated_at_every_score(self):
-        # f vanishes at the first, middle and last score node, and nowhere else
-        params = PARAMS_02
-        zs = z_grid(params, 10.0)
-        L = zs[-1]
-        prob = EllipticProblem(
-            name="cubic_in_z",
-            domain=DOM,
-            f=lambda x, z, p, G: 3.0 * (z / L) * (1.0 - (z / L) ** 2),
-            lambda_rate=1.0,
-            h=lambda x: 0.0,
-            eta_margin=0.4,
-        )
-        caps = build_caps(prob, params, cap_M=10.0)
-        anchor = zero_anchor(prob, params)
-        V = np.random.default_rng(23).uniform(-3.0, 3.0, size=(len(anchor.x_nodes), len(zs)))
-        got, _ = r_eps_apply(V, prob, caps, params, anchor=anchor)
-        ref, _ = reference_sweep(V, prob, caps, params, anchor)
-        np.testing.assert_array_equal(got, ref)
-
-
-class TestMixedSweep:
-    def setup_method(self):
-        self.params = make_params(0.2, lambda_rate=1.0)
-        self.prob = exit_problem(-3.0)
-        self.caps = build_caps(self.prob, self.params, cap_M=6.0)
-        self.base = GridField.build(DOM, grid_spacing(DOM, self.params))
-        self.zs = z_grid(self.params, self.caps.cap_M)
-        self.anchor = zero_anchor(self.prob, self.params)
-        rng = np.random.default_rng(7)
-        self.V = rng.uniform(-1.0, 1.0, size=(len(self.base.x_nodes), len(self.zs)))
-
-    def test_rows_beyond_the_exit_wall_reach_match_pure_neumann(self):
-        Vm, hits = r_eps_mixed(self.V, self.prob, self.caps, self.params, anchor=self.anchor)
-        Vn, _ = r_eps_apply(self.V, self.prob, self.caps, self.params, anchor=self.anchor)
-        assert hits == 867
-        far = self.base.x_nodes > self.params.move_bound + 1e-9
-        np.testing.assert_array_equal(Vm[far], Vn[far])
-
-    def test_attractive_exit_pulls_the_wall_value(self):
-        Vm, _ = r_eps_mixed(self.V, self.prob, self.caps, self.params, anchor=self.anchor)
-        iz0 = len(self.zs) // 2
-        # exit payoff ~ z + disc (g - z') with g = -3 beats continuing
-        assert Vm[0, iz0] <= -2.5
-
-    def test_caps_take_precedence_over_exit(self):
-        rich = exit_problem(100.0)
-        caps = build_caps(rich, self.params, cap_M=6.0)
-        Vm, hits = r_eps_mixed(self.V, rich, caps, self.params, anchor=self.anchor)
-        assert hits == 0  # the minimizer never takes an exit paying 100
-        chi0 = caps.chi_at(np.array([0.0]))
-        assert Vm[0, -1] == pytest.approx(-chi0, abs=1e-12)
-        assert Vm[0, 0] == pytest.approx(chi0, abs=1e-12)
-
-    def test_explicit_patch_overrides_the_problem(self):
-        # absorbing patch moved to the right wall: left rows now pure Neumann
-        Vm, hits = r_eps_mixed(
-            self.V,
-            self.prob,
-            self.caps,
-            self.params,
-            dirichlet_patch=lambda x: abs(float(np.atleast_1d(x)[0]) - 1.0) <= DOM.tol,
-            g_exit=lambda x: -3.0,
-            anchor=self.anchor,
-        )
-        Vn, _ = r_eps_apply(self.V, self.prob, self.caps, self.params, anchor=self.anchor)
-        assert hits == 867
-        near_left = self.base.x_nodes < 1.0 - self.params.move_bound - 1e-9
-        np.testing.assert_array_equal(Vm[near_left], Vn[near_left])
+    def test_affine_f_with_a_gradient_term_is_accepted(self):
+        # f = -G + 0.5 p - x: the drift and the source enter as slopes and offsets
+        prob = EllipticProblem(name="drift", domain=DOM,
+                               f=lambda x, z, p, G: -G[0, 0] + 0.5 * p[0] - x[0],
+                               lambda_rate=1.0, h=lambda x: 0.0)
+        step = StationaryStep(prob, PARAMS_02)
+        dt = PARAMS_02.time_step
+        D = np.array([candidate_moves(DOM, np.array([x]), PARAMS_02)[1][0]
+                      for x in step.x_nodes])
+        np.testing.assert_allclose(step.kernel.a[:, 1], -D - 0.5 * dt, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(step.kernel.b[:, 1], -0.5 * D**2 + dt, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(step.offset[:, 0], dt * step.x_nodes, rtol=0, atol=1e-14)
 
 
 class TestSolve:
-    def test_laplace_converges_and_extracts(self):
+    def test_laplace_eps_02(self):
         sol = solve_fixed_point(LAPLACE, CAPS_02, PARAMS_02, tol=1e-8)
         assert sol.final_residual <= 1e-8
-        assert sol.iterations < 3000
-        u = sol.u_profile()
-        v = sol.v_profile()
-        dz = sol.z_nodes[1] - sol.z_nodes[0]
-        assert np.max(np.abs(u - v)) <= 2.0 * dz
-        chi = sol.chi_nodes
-        assert np.all(np.abs(u) <= chi)
-        assert np.all(np.abs(v) <= chi)
-        exact = np.array([LAPLACE.exact(np.array([x])) for x in sol.x_nodes])
-        # one-step boundary-layer accuracy at eps = 0.2 (measured 0.336)
-        assert np.max(np.abs(u - exact)) <= 0.40
-        # the profiles interpolate linearly between state nodes
-        mid = 0.5 * (sol.x_nodes[3] + sol.x_nodes[4])
-        expect = 0.5 * (u[3] + u[4])
-        assert np.interp(mid, sol.x_nodes, u) == pytest.approx(expect, abs=1e-12)
-        assert np.interp(mid, sol.x_nodes, v) == pytest.approx(expect, abs=1e-12)
+        assert (sol.iterations, sol.dirichlet_exits) == (382, 0)
+        assert np.all(np.abs(sol.V) <= sol.chi_nodes)
+        # measured 0.0475; the score-grid solver gave 0.336 against a bound of 0.40
+        assert sup_error(sol, laplace_exact) <= 0.05
 
-    def test_laplace_solves_the_eps_015_rung(self):
-        # the eps^(3/2) lattice lets the anchor rounds settle at eps 0.15
-        # (measured: 1,600 sweeps, sup error 0.300 against 0.336 at eps 0.2)
+    def test_laplace_error_decreases_on_the_admissible_rungs(self):
+        # measured 0.137 and 0.0868 at eps 0.1 and 0.05
+        errors = [sup_error(solve(LAPLACE, eps), laplace_exact) for eps in (0.1, 0.05)]
+        assert errors[0] <= 0.14 and errors[1] <= 0.09
+        assert errors[1] < errors[0]
+
+    def test_mixed_solves_against_the_closed_form(self):
+        # measured 0.149, 0.108 and 0.0621 at eps 0.2, 0.1 and 0.05; the
+        # exits are taken at the two rungs the benchmark and the CLI run
         errors = []
-        for eps in (0.2, 0.15):
-            params = make_params(eps, lambda_rate=1.0)
-            sol = solve_fixed_point(LAPLACE, build_caps(LAPLACE, params, cap_M=10.0), params)
+        for eps in (0.2, 0.1, 0.05):
+            sol = solve(MIXED, eps)
             assert sol.final_residual <= 1e-8
-            exact = np.array([LAPLACE.exact(np.array([x])) for x in sol.x_nodes])
-            errors.append(np.max(np.abs(sol.u_profile() - exact)))
-        assert errors[1] <= 0.31 and errors[1] < errors[0]
+            assert np.all(np.abs(sol.V) <= sol.chi_nodes)
+            if eps >= 0.1:
+                assert sol.dirichlet_exits > 0
+            errors.append(sup_error(sol, mixed_exact))
+        assert errors[0] <= 0.15 and errors[1] <= 0.11 and errors[2] <= 0.065
+        assert errors[2] < errors[1]
 
-    def test_mixed_solves_the_eps_015_rung(self):
-        prob = get_problem("mixed_dn_elliptic_1d")
-        params = make_params(0.15, lambda_rate=1.0)
-        sol = solve_fixed_point(prob, build_caps(prob, params, cap_M=10.0), params)
-        assert sol.final_residual <= 1e-8
-        assert sol.dirichlet_exits > 0
+    def test_mixed_eps_02_counts(self):
+        sol = solve(MIXED, 0.2)
+        assert (sol.iterations, sol.dirichlet_exits) == (192, 1)
 
-    def test_one_candidate_plan_per_solve(self, plan_calls):
-        # the plan is built once; each anchor round only announces from the anchor
+    def test_exit_count_follows_the_exit_payoff(self):
+        # f = 0: an exit paying -3 draws the minimizer and lowers the value
+        # everywhere, most at the exit wall; one paying 100 is never taken
+        cheap, dear = solve(exit_problem(-3.0), 0.2), solve(exit_problem(100.0), 0.2)
+        assert cheap.dirichlet_exits > 0 and dear.dirichlet_exits == 0
+        assert np.all(dear.V == 0.0) and np.all(cheap.V < 0.0)
+        assert cheap.V[0] == cheap.V.min() < -2.0
+
+    def test_trivial_problem_stays_at_zero(self):
+        sol = solve(trivial_problem(), 0.2)
+        assert sol.iterations == 1 and np.all(sol.V == 0.0)
+
+    def test_one_plan_and_no_announcement_per_solve(self, plan_calls):
+        # the solve reads CandidatePlan1D's moves once and never announces
         built, announced = plan_calls
         sol = solve_fixed_point(LAPLACE, CAPS_02, PARAMS_02, tol=1e-8)
-        assert len(built) == 1
-        assert len(announced) == 18 and set(announced) == set(built)
+        assert len(built) == 1 and announced == []
         assert sol.final_residual <= 1e-8
 
-    def test_designed_bound_holds_on_the_core_band(self):
-        # |V| <= chi is guaranteed by the barrier argument only for
-        # small steps; at eps = 0.2 the breach is confined to the
-        # near-cap score bands and stays bounded
-        sol = solve_fixed_point(LAPLACE, CAPS_02, PARAMS_02, tol=1e-8)
-        excess = np.abs(sol.V) - sol.chi_nodes[:, None]
-        core = np.abs(sol.z_nodes) <= CAPS_02.cap_m + 2.0
-        assert np.max(excess[:, core]) <= 0.0
-        assert sol.cap_excess() <= 2.2
-
-    def test_trivial_problem_drifts_to_the_caps(self):
-        prob = trivial_problem()
-        params = make_params(0.2, lambda_rate=1.0)
-        caps = build_caps(prob, params, cap_M=6.0)
-        sol = solve_fixed_point(prob, caps, params, tol=1e-10)
-        zs = sol.z_nodes
-        iz0 = len(zs) // 2
-        assert np.all(sol.V[:, iz0] == 0.0)
-        u = sol.u_profile()
-        v = sol.v_profile()
-        assert np.max(np.abs(u)) == 0.0
-        assert np.max(np.abs(v)) == 0.0
-        # scores drift to the caps; the mover picks where capping lands:
-        # positive scores pay -chi at the wall (chi largest there), negative
-        # scores pay +chi in the interior (chi smallest there)
-        chi_wall = caps.chi_at(np.array([0.0]))
-        chi_int = caps.cap_m + caps.psi_sup
-        band = (np.abs(zs) >= 0.5) & (np.abs(zs) <= caps.cap_m)
-        amp = np.where(zs[band] > 0, chi_wall, chi_int)
-        model = -amp * zs[band] / caps.cap_M
-        err = np.abs(sol.V[:, band] - model[None, :]) / np.abs(model[None, :])
-        assert np.max(err) <= 0.05
-
-    def test_mixed_solve_exercises_the_exit(self):
-        prob = get_problem("mixed_dn_elliptic_1d")
-        params = make_params(0.2, lambda_rate=1.0)
-        caps = build_caps(prob, params, cap_M=6.0)
-        sol = solve_fixed_point(prob, caps, params, tol=1e-8)
-        assert sol.final_residual <= 1e-8
-        assert (sol.dirichlet_exits, sol.iterations) == (18, 270)
-        u = sol.u_profile()
-        chi = sol.chi_nodes
-        assert np.all(np.abs(u) <= chi)
-
-    def test_mixed_exit_count_at_the_cli_cap(self):
-        prob = get_problem("mixed_dn_elliptic_1d")
-        params = make_params(0.2, lambda_rate=1.0)
-        sol = solve_fixed_point(prob, build_caps(prob, params, cap_M=10.0), params, tol=1e-8)
-        assert (sol.dirichlet_exits, sol.iterations) == (30, 283)
-
-    def test_small_cap_warns(self):
-        params = make_params(0.2, lambda_rate=1.0)
-        caps = build_caps(LAPLACE, params, cap_M=5.5)
-        with pytest.warns(RuntimeWarning, match="heuristic threshold"):
-            solve_fixed_point(LAPLACE, caps, params, tol=1e-3)
+    def test_residuals_contract(self):
+        sol = solve_fixed_point(LAPLACE, CAPS_02, PARAMS_02, tol=1e-10)
+        disc = math.exp(-PARAMS_02.time_step)
+        res = np.array(sol.residuals)
+        assert np.all(res[1:] <= disc * res[:-1] + 1e-15)
 
     def test_iteration_budget_aborts_with_history(self):
-        anchor = zero_anchor(LAPLACE, PARAMS_02)
-        with pytest.raises(NumericAbort, match="fixed point not reached"):
-            solve_fixed_point(
-                LAPLACE, CAPS_02, PARAMS_02, tol=1e-10, anchor=anchor, max_iter=3
-            )
+        with pytest.raises(NumericAbort, match="fixed point not reached in 3 sweeps"):
+            solve_fixed_point(LAPLACE, CAPS_02, PARAMS_02, tol=1e-10, max_iter=3)
 
-    def test_frozen_anchor_residuals_contract(self):
-        # with the anchor frozen the sweep map is a literal contraction
-        params = PARAMS_02
-        disc = math.exp(-params.time_step)
-        anchor = zero_anchor(LAPLACE, params)
-        sol = solve_fixed_point(LAPLACE, CAPS_02, params, tol=1e-8, anchor=anchor)
-        res = sol.residuals
-        for k in range(5, len(res) - 1):
-            if res[k] <= 1e-12:
-                break
-            assert res[k + 1] <= disc * res[k] + 1e-6
+    def test_non_finite_sweep_aborts(self):
+        prob = EllipticProblem(name="nan_flux", domain=DOM, f=LAPLACE.f, lambda_rate=1.0,
+                               h=lambda x: math.nan, f_batched=LAPLACE.f_batched)
+        with pytest.raises(NumericAbort, match="non-finite values in the fixed-point sweep 1"):
+            solve_fixed_point(prob, CAPS_02, PARAMS_02)
 
-
-def reference_sign_change(z, U, upper):
-    """The profile crossing row by row: the last positive entry and the
-    next one (upper), or the first negative entry and the one before."""
-    nz = len(z)
-    out = np.empty(len(U))
-    for i, col in enumerate(U):
-        hits = np.nonzero(col > 0.0 if upper else col < 0.0)[0]
-        if len(hits) == 0:
-            out[i] = -np.inf if upper else np.inf
-            continue
-        k = hits[-1] if upper else hits[0] - 1
-        if (upper and k == nz - 1) or (not upper and k == -1):
-            out[i] = z[-1] if upper else z[0]  # crossing beyond the grid: the edge
-        else:
-            out[i] = z[k] + col[k] * (z[k + 1] - z[k]) / (col[k] - col[k + 1])
-    return out
-
-
-class TestExtraction:
-    @pytest.mark.parametrize("upper", [True, False], ids=["upper", "lower"])
-    def test_sign_change_matches_the_row_by_row_reference(self, upper):
-        z = 0.04 * np.arange(-20, 21)
-        rng = np.random.default_rng(3)
-        U = np.vstack([
-            rng.uniform(-1.0, 1.0, (20, len(z))),
-            np.subtract.outer(rng.uniform(-1.2, 1.2, 20), z),  # off the grid too
-            np.round(rng.uniform(-1.0, 1.0, (20, len(z)))),  # zero plateaus
-            np.zeros(len(z)), np.ones(len(z)), -np.ones(len(z)),
-        ])
-        got = _sign_change(z, U, upper)
-        np.testing.assert_array_equal(got, reference_sign_change(z, U, upper))
-        assert np.isinf(got).any() and np.isin(got, z[[0, -1]]).any()
-
-    def test_constant_graph(self):
-        # V == c gives U = c - z and the exact crossing at z = c
-        params = make_params(0.2, lambda_rate=1.0)
-        prob = trivial_problem()
-        caps = build_caps(prob, params, cap_M=6.0)
-        frame = _sweep_frame(prob, caps, params)
-        from pdegame.game_elliptic import FixedPointValue
-
-        c = 0.37
-        sol = FixedPointValue(
-            problem=prob,
-            params=params,
-            caps=caps,
-            x_nodes=frame.xs,
-            z_nodes=frame.zs,
-            V=np.full((len(frame.xs), len(frame.zs)), c),
-            chi_nodes=frame.chi_nodes,
-            residuals=[0.0],
-        )
-        np.testing.assert_allclose(sol.u_profile(), c, atol=1e-12)
-        np.testing.assert_allclose(sol.v_profile(), c, atol=1e-12)
-        assert np.interp(0.31, sol.x_nodes, sol.u_profile()) == pytest.approx(c, abs=1e-12)
+    def test_two_dimensional_problem_rejected(self):
+        prob = EllipticProblem(name="disk", domain=ball((0.0, 0.0), 1.0), f=LAPLACE.f,
+                               lambda_rate=1.0, h=lambda x: 0.0)
+        with pytest.raises(ValidationError, match="one-dimensional"):
+            StationaryStep(prob, PARAMS_02)

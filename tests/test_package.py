@@ -14,6 +14,7 @@ import pytest
 
 import pdegame
 from pdegame.cli import RunConfig
+from pdegame.game_elliptic import build_caps, solve_fixed_point
 from pdegame.game_parabolic import solve_scalar_dpp
 from pdegame.params import make_params
 from pdegame.problems import get_problem, list_problems
@@ -73,6 +74,19 @@ def test_node_step_counter_counts_a_real_solve():
     tracer = spans.Tracer()
     spans._count_node_steps(tracer, sol)
     assert tracer.counts["node_steps"] == len(sol.final.x_nodes) * (len(sol.fields) - 1) == 36 * 6
+
+
+def test_sweep_counter_counts_a_real_solve():
+    # the benchmark's sweep counter reads FixedPointValue.iterations, x_nodes
+    # and z_nodes, which holds one entry: the fixed point has no score grid
+    spans = _load_spans()
+    params = make_params(0.2, lambda_rate=1.0)
+    prob = get_problem("laplace_elliptic_1d")
+    val = solve_fixed_point(prob, build_caps(prob, params, cap_M=10.0), params)
+    tracer = spans.Tracer()
+    spans._count_sweeps(tracer, val)
+    assert tracer.counts["sweeps"] == val.iterations == 382
+    assert tracer.counts["swept_cells"] == 382 * len(val.x_nodes)
 
 
 def test_readme_lists_the_catalog():

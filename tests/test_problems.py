@@ -1,4 +1,6 @@
 """Catalog integrity and sampled structural audits of every catalog f."""
+import math
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,21 @@ def test_mixed_problem_partition():
     assert prob.is_dirichlet(np.array([0.0]))
     assert not prob.is_dirichlet(np.array([1.0]))
     assert prob.g_exit(np.array([0.0])) == 1.0
+
+
+def test_mixed_problem_solves_cosh():
+    # f = -G: u = cosh(1 - x)/cosh(1) solves u + f = 0, pays g_exit = 1 at
+    # the exit wall and has h = 0 flux at the Neumann wall
+    prob = get_problem("mixed_dn_elliptic_1d")
+    for x in (0.2, 0.5, 0.9):
+        u, upp = math.cosh(1.0 - x) / math.cosh(1.0), math.cosh(1.0 - x) / math.cosh(1.0)
+        got = prob.lambda_rate * u + prob.f(np.array([x]), u, np.zeros(1), np.array([[upp]]))
+        assert got == pytest.approx(0.0, abs=1e-14)
+    assert math.cosh(1.0) / math.cosh(1.0) == prob.g_exit(np.array([0.0]))
+    assert prob.h(np.array([1.0])) == -math.sinh(0.0) / math.cosh(1.0) == 0.0
+    G = np.array([[[-1.5]], [[2.0]]])
+    np.testing.assert_array_equal(
+        prob.f_batched(np.zeros((2, 1)), np.zeros(2), np.zeros((2, 1)), G), [1.5, -2.0])
 
 
 # -- sampled structural audits ---------------------------------------------

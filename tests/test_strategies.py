@@ -8,6 +8,7 @@ from pdegame.geometry import ball, interval
 from pdegame.params import GameParams, make_params
 from pdegame.problems import boundary_function, get_problem
 from pdegame.strategies import (
+    BoxMaxMin,
     NeumannBounds,
     Strategy,
     build_frame,
@@ -570,3 +571,66 @@ class TestBatchedKernel:
         assert len(set(line.tolist())) == _LINE_SAMPLES and line[_LINE_SAMPLES // 2] == P[1]
         # the wall nodes have three moves; the midpoint's grazing step makes four
         assert plan.n_moves.tolist() == [3, 4, 3] and plan.step.shape[0] == 4
+
+
+def dense_max_min(a, b, c, p_bound, G_bound, N=401):
+    """Row by row, the max over an N x N grid of the box of min_m c + a p + b Gamma,
+    with the grid's Lipschitz slack max|a| dp + max|b| dGamma."""
+    p = np.linspace(-p_bound, p_bound, N)[:, None, None]
+    G = np.linspace(-G_bound, G_bound, N)[None, :, None]
+    best = np.array([(ci + ai * p + bi * G).min(axis=2).max() for ai, bi, ci in zip(a, b, c)])
+    slack = np.abs(a).max(axis=1) * 2 * p_bound / (N - 1) + np.abs(b).max(axis=1) * 2 * G_bound / (N - 1)
+    return best, slack
+
+
+class TestBoxMaxMin:
+    @pytest.mark.parametrize("M", [2, 3, 4, 5])
+    def test_matches_a_dense_grid(self, M):
+        rng = np.random.default_rng(M)
+        a, b, c = rng.normal(size=(3, 60, M))
+        # repeated and parallel branches: the candidates of their lines are the box centre
+        a[:10, -1], b[:10, -1] = a[:10, 0], b[:10, 0]
+        a[10:20, -1] = a[10:20, 0]
+        b[20:30, -1] = 2.0 * b[20:30, 0]
+        a[20:30, -1] = 2.0 * a[20:30, 0]
+        kernel = BoxMaxMin(a, b, 1.5, 0.7)
+        assert kernel.weights.shape[1] == 2 * (4 + 4 * M * (M - 1) // 2 + M * (M - 1) * (M - 2) // 6)
+        got = kernel(c)
+        best, slack = dense_max_min(a, b, c, 1.5, 0.7)
+        assert np.all(best <= got + 1e-12)
+        assert np.all(best >= got - slack)
+
+    def test_one_branch_takes_the_best_corner(self):
+        a, b, c = np.array([[2.0], [-1.0]]), np.array([[-0.5], [3.0]]), np.array([[0.1], [0.2]])
+        np.testing.assert_allclose(BoxMaxMin(a, b, 1.0, 2.0)(c), [0.1 + 2.0 + 1.0, 0.2 + 1.0 + 6.0])
+
+    def test_interior_optimum_is_the_triple_point(self):
+        # min(p, 0.3 - p + Gamma, 0.3 - Gamma) peaks where all three agree:
+        # Gamma = 0.3 - p and p = 0.6 - 2p, so p = 0.2, well inside the box
+        a = np.array([[1.0, -1.0, 0.0]])
+        b = np.array([[0.0, 1.0, -1.0]])
+        c = np.array([[0.0, 0.3, 0.3]])
+        kernel = BoxMaxMin(a, b, 5.0, 5.0)
+        assert kernel(c)[0] == pytest.approx(0.2, abs=1e-15)
+        assert kernel.branches(c).shape == (3, 1, 17)
+
+    def test_branches_are_evaluated_at_feasible_points(self):
+        rng = np.random.default_rng(2)
+        a, b, c = rng.normal(size=(3, 20, 4))
+        kernel = BoxMaxMin(a, b, 0.3, 0.2)
+        vals = kernel.branches(c)
+        # recover each candidate's (p, Gamma) from two branches and check the box
+        p, G = np.linalg.solve(np.stack([a[:, :2], b[:, :2]], axis=2),
+                               (vals[:2] - c.T[:2, :, None]).transpose(1, 0, 2)).transpose(1, 0, 2)
+        assert np.all(np.abs(p) <= 0.3 + 1e-12) and np.all(np.abs(G) <= 0.2 + 1e-12)
+        assert np.abs(p).max() == pytest.approx(0.3) and np.abs(G).max() == pytest.approx(0.2)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_monotone_and_shift(self, seed):
+        rng = np.random.default_rng(seed)
+        a, b, c = rng.normal(size=(3, 40, 4))
+        kernel = BoxMaxMin(a, b, 1.0, 1.0)
+        up = c + rng.uniform(0.0, 1.0, c.shape)
+        assert np.all(kernel(up) >= kernel(c) - 1e-12)
+        np.testing.assert_allclose(kernel(c + 0.75), kernel(c) + 0.75, rtol=0, atol=1e-12)
+
