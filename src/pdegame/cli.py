@@ -61,7 +61,8 @@ class RunConfig:
     first entry.  ``alpha`` sets the exponent the other four are derived
     from; it is the one key that accepts ``none`` (or an empty value),
     for the default.  ``cap_M`` is the wall barrier's cap, which sets chi
-    and audit-elliptic's wall shift.
+    and audit-elliptic's wall shift.  ``tol`` is the largest residual
+    ``|S V - V|`` at which a stationary solve may settle.
     All fields are recorded into the output directory on every run.
     """
 
@@ -260,6 +261,7 @@ def _run_elliptic(cfg: RunConfig, problem, out: Path, summary: list) -> None:
     summary.append(f"iterations = {val.iterations}")
     summary.append(f"final_residual = {val.final_residual:.12g}")
     summary.append(f"dirichlet_exits = {val.dirichlet_exits}")
+    summary.append(f"cap_bound_nodes = {val.cap_bound_nodes}")
 
 
 def _run_convergence(cfg: RunConfig, problem, out: Path, summary: list) -> None:

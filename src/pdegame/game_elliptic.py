@@ -7,7 +7,7 @@ Two layers:
   the a-priori bound ``chi`` that the solution profile is checked
   against, and the audits' wall shift ``cap_m``;
 * the discounted round on the state lattice, :class:`StationaryStep`,
-  iterated to its fixed point by :func:`solve_fixed_point`.
+  whose fixed point :func:`solve_fixed_point` finds by policy iteration.
 
 The game's value depends on the state alone.  One round at x: the
 maximizer announces (p, Gamma) in the box ``|p| <= eps^-beta``,
@@ -22,11 +22,11 @@ or ``e^(-lambda dt) g_exit`` in place of the continuation and the penalty
 when the step crosses onto an absorbing wall.  With f affine in
 (p, Gamma) and free of z, every branch is ``c_m + a_m p + b_m Gamma``:
 the slopes are fixed per solve and only the intercepts read V.  The
-round's value is the exact max over the box of the min over moves,
-``strategies.BoxMaxMin``.  It is monotone in V and contracts in the sup
-norm with factor e^(-lambda dt), so the iteration from zero converges
-geometrically (Kohn–Serfaty, CPAM 63 (2010); Oberman, SIAM J. Numer.
-Anal. 44 (2006)).
+round's value, the exact max over the box of the min over moves, is a
+min over fixed stencils with nonnegative weights (``strategies.dual_stencils``):
+monotone in V and a sup-norm contraction by e^(-lambda dt) (Kohn–Serfaty,
+CPAM 63 (2010); Oberman, SIAM J. Numer. Anal. 44 (2006)), and a Markov
+decision problem for the minimizer alone, solved by policy iteration.
 
 The pointwise ``game_parabolic.s_eps`` with t=None plays the same round
 over the announcements that it reads off its operand; its value is
@@ -45,7 +45,7 @@ from .game_parabolic import NumericAbort, _discount
 from .geometry import DomainGeometry
 from .params import GameParams, ValidationError
 from .problems import f_stacked
-from .strategies import BoxMaxMin, CandidatePlan1D
+from .strategies import CandidatePlan1D, dual_stencils
 
 __all__ = [
     "CapSpec",
@@ -232,9 +232,10 @@ class StationaryStep:
     """One discounted round ``V -> S V`` on the state lattice.
 
     Node i's branch m is ``c[i, m] + a[i, m] p + b[i, m] Gamma`` (module
-    docstring): ``a = -step - dt fp`` and ``b = -0.5 step^2 - dt fG`` are
-    built once, with the :class:`strategies.BoxMaxMin` over them, and
-    :meth:`intercepts` reads ``c`` off V.  The landings interpolate V at
+    docstring): ``a = -step - dt fp``, ``b = -0.5 step^2 - dt fG`` and
+    their :func:`strategies.dual_stencils` ``mu``, ``kappa`` are built
+    once, and :meth:`intercepts` reads ``c`` off V:
+    ``S V = min_j mu_j . c(V) + kappa_j``.  The landings interpolate V at
     the plan's lattice cells; an exit branch, a step that crosses onto
     the absorbing part of a :class:`problems.MixedEllipticProblem`,
     reads no V and pays ``disc * g_exit`` and no penalty.
@@ -251,7 +252,7 @@ class StationaryStep:
         n = len(x)
         step, landing, crossed, penalty = (
             arr[:, :n].T for arr in (plan.step, plan.landing, plan.crossed, plan.penalty))
-        left, wl, w = (arr[:, :n].T for arr in plan.landing_cells)
+        self.left, wl, w = (arr[:, :n].T for arr in plan.landing_cells)
         # a step stops on the absorbing part when it crosses onto an exit wall
         self.exits = np.zeros_like(crossed)
         exit_pay = np.zeros_like(penalty)
@@ -263,38 +264,41 @@ class StationaryStep:
                 exit_pay[hit] = disc * float(problem.g_exit(np.array([wall])))
         f0, fp, fG = _affine_f(problem, params, x)
         dt = params.time_step
-        self.kernel = BoxMaxMin(-step - dt * fp[:, None], -0.5 * step * step - dt * fG[:, None],
-                                params.p_bound, params.hessian_bound)
-        self.left = left
+        self.a = -step - dt * fp[:, None]
+        self.b = -0.5 * step * step - dt * fG[:, None]
+        self.mu, self.kappa = dual_stencils(self.a, self.b, params.p_bound, params.hessian_bound)
         self.w_left = np.where(self.exits, 0.0, disc * wl)
         self.w_right = np.where(self.exits, 0.0, disc * w)
         self.offset = np.where(self.exits, exit_pay, penalty) - dt * f0[:, None]
 
     def intercepts(self, V) -> np.ndarray:
         """The branch intercepts ``c`` ``(n, M)`` of the lattice values V."""
-        c = self.w_left * V[self.left]
-        c += self.w_right * V[self.left + 1]
-        c += self.offset
-        return c
+        return self.w_left * V[self.left] + self.w_right * V[self.left + 1] + self.offset
+
+    def stencil_values(self, V) -> np.ndarray:
+        """``mu_j . c(V) + kappa_j`` for every stencil j of every node, ``(n, J)``."""
+        return np.einsum("njm,nm->nj", self.mu, self.intercepts(V)) + self.kappa
 
     def __call__(self, V) -> np.ndarray:
-        return self.kernel(self.intercepts(V))
+        return self.stencil_values(V).min(axis=1)
 
-    def exit_nodes(self, V) -> int:
-        """Nodes where an exit branch attains the min, within 1e-12
-        relative, at the maximizer's optimal candidate."""
-        vals = self.kernel.branches(self.intercepts(V))
-        worst = vals.min(axis=0)
-        rows = np.arange(worst.shape[0])
-        best = worst.argmax(axis=1)
-        low = worst[rows, best]
-        ties = vals[:, rows, best] - low <= 1e-12 * np.maximum(1.0, np.abs(low))
-        return int((ties & self.exits.T).any(axis=0).sum())
+    def policy_value(self, policy) -> np.ndarray:
+        """V when node i plays stencil ``policy[i]`` for ever: the solution
+        of ``(I - T) V = r``, T the stencils' weights of V (nonnegative, row
+        sums at most disc < 1) and r their constant parts."""
+        rows = np.arange(len(policy))
+        mu = self.mu[rows, policy]
+        A = np.eye(len(policy))
+        np.subtract.at(A, (rows[:, None], self.left), mu * self.w_left)
+        np.subtract.at(A, (rows[:, None], self.left + 1), mu * self.w_right)
+        return np.linalg.solve(A, np.vecdot(mu, self.offset) + self.kappa[rows, policy])
 
 
 @dataclass
 class FixedPointValue:
-    """Converged stationary game value on the state lattice."""
+    """Stationary game value on the state lattice.  Of the stencils the
+    nodes play there, ``dirichlet_exits`` counts those with weight on an
+    exit move and ``cap_bound_nodes`` those that pay a cap (kappa > 0)."""
 
     problem: object
     params: GameParams
@@ -304,50 +308,44 @@ class FixedPointValue:
     residuals: list = field(default_factory=list)
     iterations: int = 0
     dirichlet_exits: int = 0
+    cap_bound_nodes: int = 0
     # one score node: the benchmark's span counter reads len(z_nodes)
     z_nodes: np.ndarray = field(default_factory=lambda: np.zeros(1))
 
     @property
     def final_residual(self) -> float:
-        return self.residuals[-1] if self.residuals else math.inf
+        return self.residuals[-1]
 
 
-def solve_fixed_point(
-    problem,
-    caps: CapSpec,
-    params: GameParams,
-    tol: float = 1e-8,
-    *,
-    max_iter: int | None = None,
-) -> FixedPointValue:
-    """Iterate ``V <- S V`` (:class:`StationaryStep`) from zero until a
-    sweep moves V by at most ``tol`` in the sup norm; ``caps`` gives the
-    barrier bound ``chi_nodes`` that the value is reported against.
-
-    The map contracts with factor ``exp(-lambda dt)``, so the default
-    budget is ten times the sweeps that factor needs to shrink 1 to
-    ``tol``.  Aborts with the residual history when the budget runs out
-    or a sweep leaves non-finite values.
+def solve_fixed_point(problem, caps: CapSpec, params: GameParams, tol: float = 1e-8) -> FixedPointValue:
+    """``V = S V`` (:class:`StationaryStep`) by Howard's policy iteration
+    (Bokanowski–Maroso–Zidani, SIAM J. Numer. Anal. 47 (2009)), reported
+    against the bound ``chi_nodes`` of ``caps``.  From the stencils optimal
+    at V = 0, each iteration solves for their value, records ``|S V - V|``
+    in ``residuals`` and moves each node to its argmin stencil if lower by
+    over 1e-13 relative.  Each move lowers V, so it stops: no node moves.
+    Aborts, with the residuals, on a non-finite V or a last residual > tol.
     """
     step = StationaryStep(problem, params)
-    if max_iter is None:
-        max_iter = 10 * int(math.ceil(math.log(max(1.0 / tol, 10.0)) / -math.log(step.disc)))
-    V = np.zeros(len(step.x_nodes))
+    rows = np.arange(len(step.x_nodes))
+    policy = step.stencil_values(np.zeros(len(rows))).argmin(axis=1)
     residuals: list = []
-    for _ in range(max_iter):
-        V_new = step(V)
-        res = float(np.max(np.abs(V_new - V)))
-        residuals.append(res)
-        V = V_new
-        if not math.isfinite(res):
-            raise NumericAbort(f"non-finite values in the fixed-point sweep {len(residuals)}")
-        if res <= tol:
+    while True:
+        V = step.policy_value(policy)
+        if not np.isfinite(V).all():
+            raise NumericAbort(f"non-finite values in the policy solve {len(residuals) + 1}")
+        Q = step.stencil_values(V)
+        best = Q.argmin(axis=1)
+        low, now = Q[rows, best], Q[rows, policy]
+        residuals.append(float(np.max(np.abs(low - V))))
+        moved = now - low > 1e-13 * np.maximum(1.0, np.abs(now))
+        if not moved.any():
             break
-    else:
-        tail = ", ".join(f"{r:.3g}" for r in residuals[-8:])
-        raise NumericAbort(
-            f"fixed point not reached in {max_iter} sweeps at tol={tol:g}; last residuals: {tail}"
-        )
+        policy = np.where(moved, best, policy)
+    if not residuals[-1] <= tol:
+        history = ", ".join(f"{r:.3g}" for r in residuals)
+        raise NumericAbort(f"policy iteration settled at residual {residuals[-1]:.3g} > "
+                           f"tol={tol:g}; residuals: {history}")
     return FixedPointValue(
         problem=problem,
         params=params,
@@ -356,5 +354,6 @@ def solve_fixed_point(
         chi_nodes=np.array([caps.chi_at(np.array([x])) for x in step.x_nodes]),
         residuals=residuals,
         iterations=len(residuals),
-        dirichlet_exits=step.exit_nodes(V),
+        dirichlet_exits=int(((step.mu[rows, policy] > 0.0) & step.exits).any(axis=1).sum()),
+        cap_bound_nodes=int((step.kappa[rows, policy] > 0.0).sum()),
     )

@@ -40,7 +40,8 @@ takes the same clip) and dedups them by one 12-digit rounding, and in
 
 The stationary solver announces nothing: on the moves of the plan's base
 columns it plays the exact max over the control box of the min over
-moves, :class:`BoxMaxMin`, whose coefficients it builds once per solve.
+moves as its dual, a min over the fixed stencils of
+:func:`dual_stencils`, which it builds once per solve.
 """
 from __future__ import annotations
 
@@ -67,7 +68,7 @@ __all__ = [
     "candidate_moves",
     "move_builder",
     "CandidatePlan1D",
-    "BoxMaxMin",
+    "dual_stencils",
     "check_probe_room",
 ]
 
@@ -383,13 +384,11 @@ class CandidatePlan1D:
     the grazing step when 0 < d < ell) with their ``landing``, its
     ``landing_cells``, ``crossed``, and ``penalty`` (the penalty weight
     times h at the wall a crossing step lands on, else 0).  A fourth row
-    where a node has only three moves repeats its -ell step: a repeat
-    changes no min, and the elliptic sweep, which keeps real branches
-    only, reads the first ``n_moves`` rows of the base columns.  The
-    other attributes serve :meth:`announce`: the cells of each node and
-    of its probes (their mirror where a probe leaves the interval, adding
-    ``flux``), and the boundary frame's hoisted coefficients at the layer
-    rows.
+    where a node has only three moves repeats its -ell step, which
+    changes no min.  The other attributes serve :meth:`announce`: the
+    cells of each node and of its probes (their mirror where a probe
+    leaves the interval, adding ``flux``), and the boundary frame's
+    hoisted coefficients at the layer rows.
     """
 
     def __init__(self, lattice, params, h):
@@ -480,89 +479,48 @@ class CandidatePlan1D:
         return P, G, (same & _EARLIER).any(axis=1)[1:]
 
 
-class BoxMaxMin:
-    """The exact max over the control box ``|p| <= p_bound``,
-    ``|Gamma| <= G_bound`` of ``min_m c_m + a_m p + b_m Gamma``, row by row,
-    for the fixed slopes ``a`` and ``b`` (``(n, M)``) and the intercepts
-    ``c`` that each call passes.
+def dual_stencils(a, b, p_bound: float, G_bound: float):
+    """The stencils ``(mu, kappa)``, ``(n, J, M)`` and ``(n, J)``, of the
+    max over the box ``|p| <= p_bound``, ``|Gamma| <= G_bound`` of
+    ``min_m c_m + a_m p + b_m Gamma`` for the slopes ``a``, ``b`` ``(n, M)``:
+    for every c, row by row, it equals ``min_j mu_j . c + kappa_j``.
 
-    The max–min is a two-variable LP.  Its optimum lies among the vertices
-    of the box's subdivision by the branches: the 4 box corners, each line
-    ``branch_i = branch_j`` cut by the 4 box edges, and each triple point
-    ``branch_i = branch_j = branch_k`` (32 candidates for 4 branches).  Each
-    candidate is an affine function of c whose coefficients depend on a and
-    b alone, so they are built once here.  A call clips every candidate into
-    the box, evaluates every branch there and takes the max over candidates
-    of the min over branches.  A clipped candidate is a feasible point, so it
-    never raises the max, and the optimal vertex is a candidate that the clip
-    leaves in place.  A candidate whose lines are parallel falls back to a
-    fixed feasible point: the middle of its box edge, or the box centre.  The
-    value is therefore the LP's optimum itself, a max over the box of minima
-    of functions increasing in c: monotone in c, and shifted by s when every
-    c is.
+    Mixing the moves by weights mu makes the payoff bilinear, so by the
+    minimax theorem (Sion, Pacific J. Math. 8 (1958)) the max–min is the
+    min over the simplex of ``mu . c + p_bound |mu . a| + G_bound |mu . b|``,
+    reached at a vertex of the simplex cut by the planes ``mu . a = 0`` and
+    ``mu . b = 0``: a pure move, a two-move point on a plane, or a three-move
+    point on both (20 for 4 moves).  ``kappa`` is the cap term, with the
+    sum on a stencil's plane as 0.  A point off the simplex or of parallel
+    lines has ``mu = 0``, ``kappa = inf``; the rest have ``mu >= 0``, sum 1.
     """
+    n, M = a.shape
+    mus, kappas = [], []
 
-    def __init__(self, a, b, p_bound: float, G_bound: float):
-        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-        n, M = a.shape
-        self.a, self.b = a, b
-        weights, offsets = [], []  # per candidate: (n, 2, M) weights of c, (n, 2) offset of (p, Gamma)
+    def add(idx, w, det, p_cap, G_cap):
+        ok = det != 0.0
+        w = w * np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
+        ok &= (w >= 0.0).all(axis=0)
+        mu = np.zeros((n, M))
+        mu[:, idx] = np.where(ok, w, 0.0).T
+        mus.append(mu)
+        kappa = p_cap * np.abs(np.vecdot(mu, a)) + G_cap * np.abs(np.vecdot(mu, b))
+        kappas.append(np.where(ok, kappa, np.inf))
 
-        def solved(w, off, det):
-            """The candidate ``(w c + off) / det``, or the box centre where det is 0."""
-            ok = det != 0.0
-            inv = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
-            return w * inv[:, None, None], off * inv[:, None]
-
-        for p in (-p_bound, p_bound):
-            for g in (-G_bound, G_bound):
-                weights.append(np.zeros((n, 2, M)))
-                offsets.append(np.tile([p, g], (n, 1)))
-        pairs = [(i, j) for i in range(M) for j in range(i + 1, M)]
-        for i, j in pairs:
-            d = a[:, i] - a[:, j], b[:, i] - b[:, j]
-            for fixed, s in ((0, -p_bound), (0, p_bound), (1, -G_bound), (1, G_bound)):
-                # the free coordinate solves d[fixed] s + d[free] free = -(c_i - c_j)
-                free = 1 - fixed
-                w, off = np.zeros((n, 2, M)), np.zeros((n, 2))
-                w[:, free, i], w[:, free, j] = -1.0, 1.0
-                off[:, free] = -d[fixed] * s
-                w, off = solved(w, off, d[free])
-                off[:, fixed] = s
-                weights.append(w)
-                offsets.append(off)
-        for i, j, k in ((i, j, k) for i, j in pairs for k in range(j + 1, M)):
-            # da1 p + db1 Gamma = -(c_i - c_j) and da2 p + db2 Gamma = -(c_i - c_k), by Cramer
-            da1, db1 = a[:, i] - a[:, j], b[:, i] - b[:, j]
-            da2, db2 = a[:, i] - a[:, k], b[:, i] - b[:, k]
-            w = np.zeros((n, 2, M))
-            w[:, 0, i], w[:, 0, j], w[:, 0, k] = db1 - db2, db2, -db1
-            w[:, 1, i], w[:, 1, j], w[:, 1, k] = da2 - da1, -da2, da1
-            w, off = solved(w, np.zeros((n, 2)), da1 * db2 - da2 * db1)
-            weights.append(w)
-            offsets.append(off)
-        # rows k < K are the p of candidate k, rows K + k its Gamma
-        self.weights = np.stack(weights, axis=2).reshape(n, -1, M)
-        self.offsets = np.stack(offsets, axis=2).reshape(n, -1)
-        self.high = np.repeat([p_bound, G_bound], len(weights))
-        self.low = -self.high
-        self.slopes = a.T[:, :, None].copy(), b.T[:, :, None].copy()
-
-    def branches(self, c) -> np.ndarray:
-        """The branch values ``(M, n, K)`` at every clipped candidate."""
-        pg = np.matmul(self.weights, c[:, :, None])[:, :, 0]
-        pg += self.offsets
-        np.minimum(np.maximum(pg, self.low, out=pg), self.high, out=pg)
-        P, G = np.split(pg, 2, axis=1)
-        a, b = self.slopes
-        vals = a * P
-        vals += b * G
-        vals += c.T[:, :, None]
-        return vals
-
-    def __call__(self, c) -> np.ndarray:
-        """The max–min of every row."""
-        return self.branches(c).min(axis=0).max(axis=1)
+    for m in range(M):
+        add([m], np.ones((1, n)), np.ones(n), p_bound, G_bound)
+    pairs = [(i, j) for i in range(M) for j in range(i + 1, M)]
+    for i, j in pairs:
+        # mu_i s_i + mu_j s_j = 0 with mu_i + mu_j = 1, on the plane of s = a or b
+        add([i, j], np.stack([a[:, j], -a[:, i]]), a[:, j] - a[:, i], 0.0, G_bound)
+        add([i, j], np.stack([b[:, j], -b[:, i]]), b[:, j] - b[:, i], p_bound, 0.0)
+    for i, j, k in ((i, j, k) for i, j in pairs for k in range(j + 1, M)):
+        # mu . (1, a, b) = (1, 0, 0) on three moves, by Cramer
+        minors = np.stack([a[:, j] * b[:, k] - a[:, k] * b[:, j],
+                           a[:, k] * b[:, i] - a[:, i] * b[:, k],
+                           a[:, i] * b[:, j] - a[:, j] * b[:, i]])
+        add([i, j, k], minors, minors.sum(axis=0), 0.0, 0.0)
+    return np.stack(mus, axis=1), np.stack(kappas, axis=1)
 
 
 def check_probe_room(domain: DomainGeometry, params) -> None:

@@ -12,7 +12,7 @@ from pdegame.game_parabolic import NumericAbort, s_eps
 from pdegame.geometry import ball, interval
 from pdegame.params import ValidationError, make_params
 from pdegame.problems import EllipticProblem, MixedEllipticProblem, get_problem
-from pdegame.strategies import BoxMaxMin, candidate_moves, candidate_strategies
+from pdegame.strategies import candidate_moves, candidate_strategies
 from pdegame.game_elliptic import (
     StationaryStep,
     build_caps,
@@ -341,7 +341,7 @@ class TestStationaryStep:
                   np.random.default_rng(5).uniform(-1.0, 1.0, len(step.x_nodes))):
             c, S = step.intercepts(V), step(V)
             for i in range(len(V)):
-                a, b = step.kernel.a[i], step.kernel.b[i]
+                a, b = step.a[i], step.b[i]
                 grid = (c[i] + a * p[:, None, None] + b * G[None, :, None]).min(axis=2).max()
                 slack = np.max(np.abs(a)) * (p[1] - p[0]) + np.max(np.abs(b)) * (G[1] - G[0])
                 assert grid <= S[i] + 1e-12
@@ -375,11 +375,11 @@ class TestStationaryStep:
     def test_rejects_f_outside_the_lp(self, f, fb, monkeypatch):
         prob = EllipticProblem(name="not_affine", domain=DOM, f=f, lambda_rate=1.0,
                                h=lambda x: 0.0, f_batched=fb)
-        sweeps = []
-        monkeypatch.setattr(BoxMaxMin, "__call__", lambda kernel, c: sweeps.append(c))
+        built = []
+        monkeypatch.setattr("pdegame.game_elliptic.dual_stencils", lambda *args: built.append(args))
         with pytest.raises(ValidationError, match="affine in \\(p, Gamma\\) and free of z"):
             solve_fixed_point(prob, CAPS_02, PARAMS_02)
-        assert sweeps == []
+        assert built == []
 
     def test_affine_f_with_a_gradient_term_is_accepted(self):
         # f = -G + 0.5 p - x: the drift and the source enter as slopes and offsets
@@ -390,8 +390,8 @@ class TestStationaryStep:
         dt = PARAMS_02.time_step
         D = np.array([candidate_moves(DOM, np.array([x]), PARAMS_02)[1][0]
                       for x in step.x_nodes])
-        np.testing.assert_allclose(step.kernel.a[:, 1], -D - 0.5 * dt, rtol=0, atol=1e-14)
-        np.testing.assert_allclose(step.kernel.b[:, 1], -0.5 * D**2 + dt, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(step.a[:, 1], -D - 0.5 * dt, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(step.b[:, 1], -0.5 * D**2 + dt, rtol=0, atol=1e-14)
         np.testing.assert_allclose(step.offset[:, 0], dt * step.x_nodes, rtol=0, atol=1e-14)
 
 
@@ -399,34 +399,40 @@ class TestSolve:
     def test_laplace_eps_02(self):
         sol = solve_fixed_point(LAPLACE, CAPS_02, PARAMS_02, tol=1e-8)
         assert sol.final_residual <= 1e-8
-        assert (sol.iterations, sol.dirichlet_exits) == (382, 0)
+        # two policy iterations; every node's stencil pays a cap penalty
+        assert (sol.iterations, sol.dirichlet_exits, sol.cap_bound_nodes) == (2, 0, 12)
         assert np.all(np.abs(sol.V) <= sol.chi_nodes)
         # measured 0.0475; the score-grid solver gave 0.336 against a bound of 0.40
         assert sup_error(sol, laplace_exact) <= 0.05
 
-    def test_laplace_error_decreases_on_the_admissible_rungs(self):
-        # measured 0.137 and 0.0868 at eps 0.1 and 0.05
-        errors = [sup_error(solve(LAPLACE, eps), laplace_exact) for eps in (0.1, 0.05)]
-        assert errors[0] <= 0.14 and errors[1] <= 0.09
-        assert errors[1] < errors[0]
+    @pytest.mark.parametrize("name, bounds", [
+        ("laplace", (0.137, 0.0868, 0.0520, 0.0301)),  # measured 0.1365, 0.08679, 0.05190, 0.03006
+        ("mixed", (0.109, 0.0622, 0.0351, 0.0198)),  # measured 0.1083, 0.06211, 0.03508, 0.01973
+    ])
+    def test_error_decreases_down_the_stationary_ladder(self, name, bounds):
+        exact = laplace_exact if name == "laplace" else mixed_exact
+        sols = [solve(STATIONARY[name], eps) for eps in (0.1, 0.05, 0.025, 0.0125)]
+        errors = [sup_error(sol, exact) for sol in sols]
+        assert all(e <= bound for e, bound in zip(errors, bounds)), errors
+        assert all(fine < coarse for coarse, fine in zip(errors, errors[1:]))
+        for sol in sols:
+            assert sol.final_residual <= 1e-14 and sol.iterations <= 6
+            assert np.all(np.abs(sol.V) <= sol.chi_nodes)
+            # the exits are taken on every rung of the mixed problem
+            assert (sol.dirichlet_exits > 0) == (name == "mixed")
 
     def test_mixed_solves_against_the_closed_form(self):
-        # measured 0.149, 0.108 and 0.0621 at eps 0.2, 0.1 and 0.05; the
-        # exits are taken at the two rungs the benchmark and the CLI run
-        errors = []
-        for eps in (0.2, 0.1, 0.05):
-            sol = solve(MIXED, eps)
-            assert sol.final_residual <= 1e-8
-            assert np.all(np.abs(sol.V) <= sol.chi_nodes)
-            if eps >= 0.1:
-                assert sol.dirichlet_exits > 0
-            errors.append(sup_error(sol, mixed_exact))
-        assert errors[0] <= 0.15 and errors[1] <= 0.11 and errors[2] <= 0.065
-        assert errors[2] < errors[1]
-
-    def test_mixed_eps_02_counts(self):
+        # measured 0.149 at eps 0.2, off the decreasing ladder: every node pays a cap penalty there
         sol = solve(MIXED, 0.2)
-        assert (sol.iterations, sol.dirichlet_exits) == (192, 1)
+        assert sol.final_residual <= 1e-8 and np.all(np.abs(sol.V) <= sol.chi_nodes)
+        assert sup_error(sol, mixed_exact) <= 0.15
+
+    @pytest.mark.parametrize("name, eps, counts", [
+        ("mixed", 0.2, (4, 1, 12)), ("laplace", 0.1, (3, 0, 0)), ("mixed", 0.1, (4, 2, 3)),
+    ])
+    def test_policy_iterations_exits_and_cap_bound_nodes(self, name, eps, counts):
+        sol = solve(STATIONARY[name], eps)
+        assert (sol.iterations, sol.dirichlet_exits, sol.cap_bound_nodes) == counts
 
     def test_exit_count_follows_the_exit_payoff(self):
         # f = 0: an exit paying -3 draws the minimizer and lowers the value
@@ -447,20 +453,43 @@ class TestSolve:
         assert len(built) == 1 and announced == []
         assert sol.final_residual <= 1e-8
 
-    def test_residuals_contract(self):
-        sol = solve_fixed_point(LAPLACE, CAPS_02, PARAMS_02, tol=1e-10)
-        disc = math.exp(-PARAMS_02.time_step)
-        res = np.array(sol.residuals)
-        assert np.all(res[1:] <= disc * res[:-1] + 1e-15)
+    @pytest.mark.parametrize("name", sorted(STATIONARY))
+    def test_returns_the_fixed_point_of_the_step(self, name):
+        step = stationary_step(name, 0.2)
+        sol = solve(STATIONARY[name], 0.2)
+        assert np.max(np.abs(step(sol.V) - sol.V)) <= 1e-14
+        # value iteration of the same step, stopped at tol, is within tol / (1 - disc)
+        tol, V = 1e-12, np.zeros(len(sol.V))
+        while True:
+            V, V_old = step(V), V
+            if np.max(np.abs(V - V_old)) <= tol:
+                break
+        assert np.max(np.abs(V - sol.V)) <= tol / (1.0 - step.disc)
 
-    def test_iteration_budget_aborts_with_history(self):
-        with pytest.raises(NumericAbort, match="fixed point not reached in 3 sweeps"):
-            solve_fixed_point(LAPLACE, CAPS_02, PARAMS_02, tol=1e-10, max_iter=3)
+    @pytest.mark.parametrize("name", sorted(STATIONARY))
+    def test_residuals_one_per_policy_iteration(self, name, monkeypatch):
+        # policy improvement: the value of each policy is at or below the last one's
+        values, policy_value = [], StationaryStep.policy_value
 
-    def test_non_finite_sweep_aborts(self):
+        def recording(step, policy):
+            values.append(policy_value(step, policy))
+            return values[-1]
+
+        monkeypatch.setattr(StationaryStep, "policy_value", recording)
+        sol = solve(STATIONARY[name], 0.1)
+        assert len(sol.residuals) == len(values) == sol.iterations
+        assert np.isfinite(sol.residuals).all() and sol.final_residual <= 1e-14
+        assert all(np.all(new <= old + 1e-14) for old, new in zip(values, values[1:]))
+        np.testing.assert_array_equal(values[-1], sol.V)
+
+    def test_tol_below_the_settled_residual_aborts_with_history(self):
+        with pytest.raises(NumericAbort, match=r"settled at residual .* > tol=1e-20; residuals: .*, "):
+            solve_fixed_point(LAPLACE, CAPS_02, PARAMS_02, tol=1e-20)
+
+    def test_non_finite_solve_aborts(self):
         prob = EllipticProblem(name="nan_flux", domain=DOM, f=LAPLACE.f, lambda_rate=1.0,
                                h=lambda x: math.nan, f_batched=LAPLACE.f_batched)
-        with pytest.raises(NumericAbort, match="non-finite values in the fixed-point sweep 1"):
+        with pytest.raises(NumericAbort, match="non-finite values in the policy solve 1"):
             solve_fixed_point(prob, CAPS_02, PARAMS_02)
 
     def test_two_dimensional_problem_rejected(self):

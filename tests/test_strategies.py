@@ -8,7 +8,6 @@ from pdegame.geometry import ball, interval
 from pdegame.params import GameParams, make_params
 from pdegame.problems import boundary_function, get_problem
 from pdegame.strategies import (
-    BoxMaxMin,
     NeumannBounds,
     Strategy,
     build_frame,
@@ -16,6 +15,7 @@ from pdegame.strategies import (
     candidate_strategies,
     CandidatePlan1D,
     clip_strategy,
+    dual_stencils,
     gamma_opt,
     neumann_bounds,
     probe_derivatives,
@@ -583,54 +583,101 @@ def dense_max_min(a, b, c, p_bound, G_bound, N=401):
     return best, slack
 
 
-class TestBoxMaxMin:
+def primal_max_min(a, b, c, p_bound, G_bound):
+    """Row by row, the LP's optimum as its own loop: the max over the box
+    corners, each line ``branch_i = branch_j`` cut by the box edges and
+    each triple point ``branch_i = branch_j = branch_k`` (clipped into the
+    box, skipped where the lines are parallel) of the min over branches."""
+    best = []
+    for ai, bi, ci in zip(a.tolist(), b.tolist(), c.tolist()):
+        M = len(ai)
+        points = [(p, G) for p in (-p_bound, p_bound) for G in (-G_bound, G_bound)]
+        for i in range(M):
+            for j in range(i + 1, M):
+                da, db, dc = ai[i] - ai[j], bi[i] - bi[j], ci[i] - ci[j]
+                for s in (-1.0, 1.0):
+                    if db != 0.0:
+                        points.append((s * p_bound, -(dc + da * s * p_bound) / db))
+                    if da != 0.0:
+                        points.append((-(dc + db * s * G_bound) / da, s * G_bound))
+                for k in range(j + 1, M):
+                    ea, eb, ec = ai[i] - ai[k], bi[i] - bi[k], ci[i] - ci[k]
+                    det = da * eb - ea * db
+                    if det != 0.0:
+                        points.append(((-dc * eb + ec * db) / det, (-da * ec + ea * dc) / det))
+        best.append(max(
+            min(ci[m] + ai[m] * p + bi[m] * G for m in range(M))
+            for p, G in ((min(max(p, -p_bound), p_bound), min(max(G, -G_bound), G_bound))
+                         for p, G in points)))
+    return np.array(best)
+
+
+def random_lps(M, n, seed):
+    """n random rows of M branches, with repeated and parallel branches."""
+    a, b, c = np.random.default_rng(seed).normal(size=(3, n, M))
+    if M > 1:
+        q = n // 6
+        a[:q, -1], b[:q, -1] = a[:q, 0], b[:q, 0]
+        a[q:2 * q, -1] = a[q:2 * q, 0]
+        b[2 * q:3 * q, -1] = 2.0 * b[2 * q:3 * q, 0]
+        a[2 * q:3 * q, -1] = 2.0 * a[2 * q:3 * q, 0]
+    return a, b, c
+
+
+def stencil_min(a, b, c, p_bound, G_bound):
+    mu, kappa = dual_stencils(a, b, p_bound, G_bound)
+    return (np.einsum("njm,nm->nj", mu, c) + kappa).min(axis=1)
+
+
+class TestDualStencils:
+    @pytest.mark.parametrize("M", [1, 2, 3, 4, 5])
+    def test_stencils_are_weights_on_the_simplex(self, M):
+        a, b, _ = random_lps(M, 300, M)
+        mu, kappa = dual_stencils(a, b, 1.5, 0.7)
+        assert mu.shape == (300, M + M * (M - 1) + M * (M - 1) * (M - 2) // 6, M)
+        part = np.isfinite(kappa)
+        assert np.all(mu >= 0.0) and np.all(kappa >= 0.0)
+        np.testing.assert_allclose(mu.sum(axis=2)[part], 1.0, rtol=0, atol=1e-14)
+        # the pure moves always take part; a point that does not has no weight
+        assert part[:, :M].all() and np.all(mu[~part] == 0.0)
+
+    @pytest.mark.parametrize("M", [2, 3, 4, 5])
+    def test_matches_the_primal_vertices(self, M):
+        # 500 random LPs per branch count, 2,000 in all
+        a, b, c = random_lps(M, 500, 10 + M)
+        np.testing.assert_allclose(stencil_min(a, b, c, 1.5, 0.7),
+                                   primal_max_min(a, b, c, 1.5, 0.7), rtol=0, atol=1e-13)
+
     @pytest.mark.parametrize("M", [2, 3, 4, 5])
     def test_matches_a_dense_grid(self, M):
-        rng = np.random.default_rng(M)
-        a, b, c = rng.normal(size=(3, 60, M))
-        # repeated and parallel branches: the candidates of their lines are the box centre
-        a[:10, -1], b[:10, -1] = a[:10, 0], b[:10, 0]
-        a[10:20, -1] = a[10:20, 0]
-        b[20:30, -1] = 2.0 * b[20:30, 0]
-        a[20:30, -1] = 2.0 * a[20:30, 0]
-        kernel = BoxMaxMin(a, b, 1.5, 0.7)
-        assert kernel.weights.shape[1] == 2 * (4 + 4 * M * (M - 1) // 2 + M * (M - 1) * (M - 2) // 6)
-        got = kernel(c)
+        a, b, c = random_lps(M, 60, M)
+        got = stencil_min(a, b, c, 1.5, 0.7)
         best, slack = dense_max_min(a, b, c, 1.5, 0.7)
         assert np.all(best <= got + 1e-12)
         assert np.all(best >= got - slack)
 
     def test_one_branch_takes_the_best_corner(self):
         a, b, c = np.array([[2.0], [-1.0]]), np.array([[-0.5], [3.0]]), np.array([[0.1], [0.2]])
-        np.testing.assert_allclose(BoxMaxMin(a, b, 1.0, 2.0)(c), [0.1 + 2.0 + 1.0, 0.2 + 1.0 + 6.0])
+        np.testing.assert_allclose(stencil_min(a, b, c, 1.0, 2.0), [0.1 + 2.0 + 1.0, 0.2 + 1.0 + 6.0])
 
     def test_interior_optimum_is_the_triple_point(self):
         # min(p, 0.3 - p + Gamma, 0.3 - Gamma) peaks where all three agree:
-        # Gamma = 0.3 - p and p = 0.6 - 2p, so p = 0.2, well inside the box
+        # Gamma = 0.3 - p and p = 0.6 - 2p, so p = 0.2, well inside the box;
+        # its stencil is the even mix of the three moves, with no cap term
         a = np.array([[1.0, -1.0, 0.0]])
         b = np.array([[0.0, 1.0, -1.0]])
         c = np.array([[0.0, 0.3, 0.3]])
-        kernel = BoxMaxMin(a, b, 5.0, 5.0)
-        assert kernel(c)[0] == pytest.approx(0.2, abs=1e-15)
-        assert kernel.branches(c).shape == (3, 1, 17)
-
-    def test_branches_are_evaluated_at_feasible_points(self):
-        rng = np.random.default_rng(2)
-        a, b, c = rng.normal(size=(3, 20, 4))
-        kernel = BoxMaxMin(a, b, 0.3, 0.2)
-        vals = kernel.branches(c)
-        # recover each candidate's (p, Gamma) from two branches and check the box
-        p, G = np.linalg.solve(np.stack([a[:, :2], b[:, :2]], axis=2),
-                               (vals[:2] - c.T[:2, :, None]).transpose(1, 0, 2)).transpose(1, 0, 2)
-        assert np.all(np.abs(p) <= 0.3 + 1e-12) and np.all(np.abs(G) <= 0.2 + 1e-12)
-        assert np.abs(p).max() == pytest.approx(0.3) and np.abs(G).max() == pytest.approx(0.2)
+        assert stencil_min(a, b, c, 5.0, 5.0)[0] == pytest.approx(0.2, abs=1e-15)
+        mu, kappa = dual_stencils(a, b, 5.0, 5.0)
+        best = (mu[0] @ c[0] + kappa[0]).argmin()
+        np.testing.assert_allclose(mu[0, best], 1.0 / 3.0, rtol=0, atol=1e-15)
+        assert kappa[0, best] == 0.0
 
     @pytest.mark.parametrize("seed", range(5))
     def test_monotone_and_shift(self, seed):
         rng = np.random.default_rng(seed)
         a, b, c = rng.normal(size=(3, 40, 4))
-        kernel = BoxMaxMin(a, b, 1.0, 1.0)
         up = c + rng.uniform(0.0, 1.0, c.shape)
-        assert np.all(kernel(up) >= kernel(c) - 1e-12)
-        np.testing.assert_allclose(kernel(c + 0.75), kernel(c) + 0.75, rtol=0, atol=1e-12)
-
+        assert np.all(stencil_min(a, b, up, 1.0, 1.0) >= stencil_min(a, b, c, 1.0, 1.0) - 1e-12)
+        np.testing.assert_allclose(stencil_min(a, b, c + 0.75, 1.0, 1.0),
+                                   stencil_min(a, b, c, 1.0, 1.0) + 0.75, rtol=0, atol=1e-12)
