@@ -10,8 +10,8 @@ Subcommands
     lattice (``profiles.csv`` writes its value as both ``u`` and ``v``).
 ``convergence``
     Ladder of scalar solves against the exact solution; emits a table
-    of (eps, sup-error, estimated order) with orders from successive
-    log-ratios, left empty where an error is 0.
+    of (eps, sup-error, estimated order), orders from successive
+    log-ratios (empty where an error is 0), and each rung's ell.
 ``consistency``
     The shipped catalog of one-round audits; emits the case-labelled
     report rows.
@@ -265,11 +265,12 @@ def _run_elliptic(cfg: RunConfig, problem, out: Path, summary: list) -> None:
 
 
 def _run_convergence(cfg: RunConfig, problem, out: Path, summary: list) -> None:
-    errors, nodes = [], []
+    errors, nodes, ells = [], [], []
     for eps in cfg.eps_ladder:
         sol = solve_scalar_dpp(problem, cfg.game_params(eps))
         errors.append(sol.sup_error())
         nodes.append(len(sol.final.x_nodes))
+        ells.append(sol.params.move_bound)
     rows = []
     for i, (eps, err) in enumerate(zip(cfg.eps_ladder, errors)):
         e0 = errors[i - 1] if i > 0 else 0.0
@@ -283,6 +284,7 @@ def _run_convergence(cfg: RunConfig, problem, out: Path, summary: list) -> None:
     summary.append(f"ladder = {_fmt(cfg.eps_ladder)}")
     summary.append(f"errors = {_fmt(tuple(errors))}")
     summary.append(f"nodes = {_fmt(tuple(nodes))}")
+    summary.append(f"ell = {_fmt(tuple(ells))}")
 
 
 def _run_consistency(cfg: RunConfig, problem, out: Path, summary: list) -> None:

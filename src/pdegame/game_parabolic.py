@@ -21,12 +21,11 @@ directly and feeding the z-slot of f the value at the node; it builds
 one ``strategies.CandidatePlan1D`` over the whole lattice per solve.
 Each step is one branch evaluation over the plan's columns (a base
 column per node, line columns at the boundary-layer nodes): the min
-over moves of every column, then at each layer node the max of its base
-column and the line columns the dedup keeps.  The pointwise ``s_eps`` is
-its reference oracle, matched bit for bit at every node.  The score game
-of the paper has an upper and a lower value; the scalar game has a
-single one, so the ``parabolic`` mode's ``solve_levelset`` is the same
-solve.
+over moves of every column, then at each layer node the max of its
+columns.  The pointwise ``s_eps`` is its reference oracle, matched bit
+for bit at every node.  The score game of the paper has an upper and a
+lower value; the scalar game has a single one, so the ``parabolic``
+mode's ``solve_levelset`` is the same solve.
 """
 from __future__ import annotations
 
@@ -202,10 +201,9 @@ def _sweep_1d(problem, params, plan, values, t):
     """``s_eps`` at every node of ``plan`` from the lattice ``values``, as
     one branch evaluation over the plan's columns: the branch values
     ``phi(landing) - p step - 0.5 G step^2 - dt f + penalty`` over (move,
-    column), their min over moves, -inf on the line samples that repeat
-    an earlier announcement, and at each layer row the max of its line
-    columns and its base column."""
-    P, G, repeats = plan.announce(values)
+    column), their min over moves, and at each layer row the max of its
+    line columns and its base column."""
+    P, G = plan.announce(values)
     F = f_stacked(problem, t, plan.x, values[plan.node], P, G)
     D = plan.step
     vals = (
@@ -216,9 +214,8 @@ def _sweep_1d(problem, params, plan, values, t):
     )
     np.add(vals, plan.penalty, out=vals, where=plan.crossed)
     worst = vals.min(axis=0)
-    best, line = worst[: len(values)], worst[len(values) :].reshape(repeats.shape)
-    line[repeats] = -np.inf
     L = plan.layer_rows
+    best, line = worst[: len(values)], worst[len(values) :].reshape(-1, len(L))
     best[L] = np.maximum(best[L], line.max(axis=0))
     return best
 

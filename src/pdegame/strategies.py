@@ -15,28 +15,29 @@ and the useful Hessian flattens its normal-normal entry.  This module
 computes those objects; the game operators only ever search the finite
 candidate lists built here.
 
+The lists are built whole, as a repeat changes no max or min.  The
+corrected gradient line is the point p_lo where the Neumann bounds
+coincide (m = M, as at a 1D node that reaches one wall), and else
+``_LINE_SAMPLES`` points from p_lo to p_hi.
+
 In 1D the solvers take every list from one batched kernel,
 :class:`CandidatePlan1D`, which reproduces the pointwise functions bit
 for bit at every node of the lattice.  It lays the game's branches out
 as fixed columns: one base column per node, for its clipped probe pair,
-and one line column per sample of the corrected gradient line at each
-boundary-layer node.  Only the maximizer's announcements read the
-values: the plan holds the rest (each column's moves, their landings,
-crossings and penalties, the lattice cells of the probes and landings,
-and the boundary frame) and is built once per solve;
-:meth:`CandidatePlan1D.announce` derives every column's announcement
-from the values at each step, with a mask of the line samples that the
-12-digit dedup of :func:`candidate_strategies` drops.  The pointwise
-functions
+and the line columns of each boundary-layer node.  Only the maximizer's
+announcements read the values: the plan holds the rest (each column's
+moves, their landings, crossings and penalties, the lattice cells of
+the probes and landings, and the boundary frame) and is built once per
+solve; :meth:`CandidatePlan1D.announce` derives every column's
+announcement from the values at each step.  The pointwise functions
 (:func:`candidate_strategies`, :func:`candidate_moves` and their parts)
 remain as the reference oracles that the tests, the audits and the 2D
 one-step operator use.  They too work on arrays, bit for bit with a
 loop over single announcements and steps: :func:`candidate_strategies`
-clips its base pair and line samples as one stack (the plan's announce
-takes the same clip) and dedups them by one 12-digit rounding, and in
-2D :func:`neumann_bounds` projects its crossing fan with one
-:meth:`DomainGeometry.moves` call, whose fused-dot norm is the one
-``np.linalg.norm`` takes in :meth:`DomainGeometry.make_move`.
+clips its base pair and line as one stack (the plan's announce takes
+the same clip), and in 2D :func:`neumann_bounds` projects its crossing
+fan with one :meth:`DomainGeometry.moves` call, whose fused-dot norm is
+the one ``np.linalg.norm`` takes in :meth:`DomainGeometry.make_move`.
 
 The stationary solver announces nothing: on the moves of the plan's base
 columns it plays the exact max over the control box of the min over
@@ -73,10 +74,8 @@ __all__ = [
 ]
 
 _N_DIRECTIONS_2D = 64
-# samples of the boundary-layer gradient line, ends included
+# samples of the boundary-layer gradient line, ends included, where m < M
 _LINE_SAMPLES = 9
-# _EARLIER[a, b]: key b precedes key a among a layer row's base pair and line samples
-_EARLIER = np.tri(_LINE_SAMPLES + 1, k=-1, dtype=bool)[:, :, None]
 _RADIUS_FRACTIONS = (1.0, 0.75, 0.5, 0.25)
 # the coarse move fan's unit directions, from the scalar cos and sin of each angle
 _FAN_2D = np.array([[np.cos(th), np.sin(th)] for th in 2.0 * np.pi * np.arange(16) / 16.0])
@@ -283,10 +282,9 @@ def candidate_strategies(domain: DomainGeometry, x, phi, params, h, derivs=None)
     """Finite list of announcements worth searching at x.
 
     Interior: exactly the probe-scale derivative pair of phi (clipped).
-    Boundary layer: that pair plus a gradient grid between the two
-    extreme normal corrections, paired with the flattened Hessian.  The
-    pair and the grid are clipped as one stack, and a row whose 12-digit
-    ``[p | Gamma]`` key repeats an earlier row's is dropped.
+    Boundary layer: that pair plus the corrected gradient line from p_lo
+    to p_hi (``_LINE_SAMPLES`` samples, or p_lo alone where m = M), each
+    with the flattened Hessian, clipped as one stack with the pair.
     """
     if derivs is None:
         derivs = probe_derivatives(domain, x, phi, params.move_bound, flux=h)
@@ -299,14 +297,14 @@ def candidate_strategies(domain: DomainGeometry, x, phi, params, h, derivs=None)
     if frame.d < frame.ell:  # else no step can cross
         bounds = neumann_bounds(domain, x, params.move_bound, h, p0)
         if bounds.possible:
-            t = np.linspace(0.0, 1.0, _LINE_SAMPLES)[:, None]
-            p_lo = p_opt_lower(frame, p0, G0, bounds)
-            p_hi = p_opt_upper(frame, p0, G0, bounds)
-            P = np.concatenate([P, (1 - t) * p_lo + t * p_hi])
-            G = np.concatenate([G, np.broadcast_to(gamma_opt(frame, G0), (_LINE_SAMPLES, d, d))])
+            line = p_opt_lower(frame, p0, G0, bounds)[None]
+            if bounds.M > bounds.m:
+                t = np.linspace(0.0, 1.0, _LINE_SAMPLES)[:, None]
+                line = (1 - t) * line + t * p_opt_upper(frame, p0, G0, bounds)
+            P = np.concatenate([P, line])
+            G = np.concatenate([G, np.broadcast_to(gamma_opt(frame, G0), (len(line), d, d))])
     P, G = _clip(P, G, params)
-    rows = _first_occurrences(np.concatenate([P, G.reshape(len(G), -1)], axis=1), set())[0]
-    return [Strategy(p=row[:d], Gamma=row[d:].reshape(d, d)) for row in rows]
+    return [Strategy(p=p, Gamma=g) for p, g in zip(P, G)]
 
 
 def candidate_moves(domain: DomainGeometry, x, params, hess_diff=None) -> list:
@@ -316,19 +314,18 @@ def candidate_moves(domain: DomainGeometry, x, params, hess_diff=None) -> list:
     exactly on the nearest wall.  2D: the same along the normal, plus
     tangential steps, eigendirections of the announced-vs-actual Hessian
     mismatch, and a coarse fan of 16 directions (directions first, radii
-    within each); rows that agree to 12 digits are kept once, at their
-    first occurrence.  The list is ``move_builder(domain, x, params)(hess_diff)``.
+    within each), repeats included.  The list is
+    ``move_builder(domain, x, params)(hess_diff)``.
     """
     return list(move_builder(domain, x, params)(hess_diff))
 
 
 def move_builder(domain: DomainGeometry, x, params):
     """The :func:`candidate_moves` of x as a function of ``hess_diff``,
-    returning an (M, dim) array.  The steps that do not depend on it, and
-    in 2D their 12-digit keys and dedup, are built once here; each call
-    merges only the four Hessian-mismatch eigen-steps, between the fixed
-    normal, tangential and grazing rows and the fan, with the same
-    first-occurrence rule, so a fan row that repeats an eigen-step drops."""
+    returning an (M, dim) array.  The steps that do not depend on it are
+    built once here: in 2D the head (zero, the normal and tangential
+    steps, and the grazing step) and the fan.  Each call puts the four
+    Hessian-mismatch eigen-steps between them."""
     p = np.atleast_1d(np.asarray(x, dtype=float))
     ell = params.move_bound
     frame = build_frame(domain, p, ell)
@@ -338,29 +335,17 @@ def move_builder(domain: DomainGeometry, x, params):
         moves = np.array([[0.0], [ell], [-ell]] + graze)
         return lambda hess_diff=None: moves
     tang = np.array([-n[1], n[0]])
-    head, head_keys = _first_occurrences(
-        np.array([np.zeros(2), ell * n, -ell * n, ell * tang, -ell * tang] + graze), set())
+    head = np.array([np.zeros(2), ell * n, -ell * n, ell * tang, -ell * tang] + graze)
     radii = np.array([ell, 0.5 * ell] + ([d] if graze else []))
-    fan, fan_keys = _first_occurrences(
-        (radii[None, :, None] * _FAN_2D[:, None, :]).reshape(-1, 2), set(head_keys))
+    fan = (radii[None, :, None] * _FAN_2D[:, None, :]).reshape(-1, 2)
 
     def moves(hess_diff=None):
         if hess_diff is None:
             return np.concatenate([head, fan])
-        _, V = np.linalg.eigh(0.5 * (hess_diff + hess_diff.T))
-        e, seen = ell * V.T, set(head_keys)  # the fan keys are not among the head's
-        eig = _first_occurrences(np.array([e[0], -e[0], e[1], -e[1]]), seen)[0]
-        return np.concatenate([head, eig, fan[[k not in seen for k in fan_keys]]])
+        e = ell * np.linalg.eigh(0.5 * (hess_diff + hess_diff.T))[1].T
+        return np.concatenate([head, [e[0], -e[0], e[1], -e[1]], fan])
 
     return moves
-
-
-def _first_occurrences(rows, seen):
-    """The rows whose 12-digit key is neither in ``seen`` nor an earlier
-    row's, with their keys; ``seen`` gains the keys."""
-    keys = list(map(tuple, np.round(rows, 12).tolist()))
-    kept = [i for i, key in enumerate(keys) if not (key in seen or seen.add(key))]
-    return rows[kept], [keys[i] for i in kept]
 
 
 # -- the batched 1D kernel ----------------------------------------------------
@@ -376,7 +361,10 @@ class CandidatePlan1D:
     ``x[i]``: it plays the node's clipped probe pair.  Then come the line
     columns, sample-major: column ``n + k * len(layer_rows) + j`` plays
     sample k of the corrected gradient line at node ``layer_rows[j]``
-    (the nodes with d < ell, where a step can cross).  ``node`` maps each
+    (the nodes with d < ell, where a step can cross): one sample, p_lo,
+    unless some node reaches both walls (ell above about half the
+    interval); then ``_LINE_SAMPLES``, all p_lo at a row where m = M,
+    which has p_lo once in the pointwise list.  ``node`` maps each
     column to its node and ``x`` gives the node's position.  The (M,
     columns) move arrays are C-contiguous, so the scalar sweep's
     arithmetic and its min over moves run over whole rows.  Their first
@@ -417,11 +405,10 @@ class CandidatePlan1D:
         self.flat_coef = 0.5 * (-1.0 + r2)  # of H in gamma_opt
         self.normal = normal[L]
         self.near_a, self.near_c = np.abs(x[L] - a) < ell, np.abs(x[L] - c) < ell
-        ts = np.linspace(0.0, 1.0, _LINE_SAMPLES)
+        ts = np.linspace(0.0, 1.0, _LINE_SAMPLES if (self.near_a & self.near_c).any() else 1)
         self.line = np.stack([1 - ts, ts])[:, :, None]  # weights of p_lo and p_hi
 
-        self.node = col = np.concatenate([np.arange(len(x)), np.tile(L, _LINE_SAMPLES)])
-        self.keyed = np.concatenate([L, np.arange(len(x), len(col))])  # base pairs, then lines
+        self.node = col = np.concatenate([np.arange(len(x)), np.tile(L, len(ts))])
         self.x, dc = x[col], d[col]
         graze = (0.0 < dc) & (dc < ell)
         self.step = np.stack(
@@ -438,16 +425,13 @@ class CandidatePlan1D:
         self.params, self.h_walls = params, (h_a, h_c)
 
     def announce(self, values):
-        """``(P, G, repeats)`` from the lattice ``values``: the gradient and
-        Hessian of every column, clipped in one call, and the
-        ``(_LINE_SAMPLES, len(layer_rows))`` mask of the line samples whose
-        12-digit key repeats the base pair or an earlier sample.  Node i's
+        """``(P, G)`` from the lattice ``values``: the gradient and Hessian
+        of every column, clipped in one call.  Node i's
         ``candidate_strategies`` are its base column followed, at a layer
-        row, by its line columns that ``repeats`` does not mask, in sample
-        order.  Each step of the pointwise code runs for all nodes at once
-        with the same arithmetic, bit for bit: the probes and the base pair
-        everywhere, and the exact Neumann bounds, the corrected line and the
-        flattened Hessian at the layer rows.
+        row, by its line columns.  Each step of the pointwise code runs for
+        all nodes at once with the same arithmetic, bit for bit: the probes
+        and the base pair everywhere, and the exact Neumann bounds, the
+        corrected line and the flattened Hessian at the layer rows.
         """
         params, ell, L = self.params, self.params.move_bound, self.layer_rows
         probe = interpolate(self.probes, values)
@@ -466,17 +450,10 @@ class CandidatePlan1D:
         p_lo = gL + (self.bound_coef * m - hess_term) * self.normal
         p_hi = gL + (self.bound_coef * M - hess_term) * self.normal
         G_line = HL + self.flat_coef * HL  # gamma_opt
-        P_line = self.line[0] * p_lo + self.line[1] * p_hi
+        P_line = np.where(M > m, self.line[0] * p_lo + self.line[1] * p_hi, p_lo)
         P, G = _clip(np.concatenate([g, P_line.ravel()])[:, None],
-                     np.concatenate([H] + [G_line] * _LINE_SAMPLES)[:, None, None], params)
-        P, G = P.ravel(), G.ravel()
-
-        # 12-digit keys of each layer row's base pair and line samples, as rows
-        kp = np.round(P[self.keyed], 12).reshape(-1, len(L))
-        kg = np.round(G[self.keyed], 12).reshape(-1, len(L))
-        # NaN keys are unique, as in a set
-        same = (kp[:, None] == kp) & (kg[:, None] == kg)
-        return P, G, (same & _EARLIER).any(axis=1)[1:]
+                     np.concatenate([H] + [G_line] * len(P_line))[:, None, None], params)
+        return P.ravel(), G.ravel()
 
 
 def dual_stencils(a, b, p_bound: float, G_bound: float):

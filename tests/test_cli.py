@@ -439,7 +439,13 @@ class TestStudyWorkflows:
         assert all(e <= b for e, b in zip(errs, bounds))
         assert all(a > b for a, b in zip(errs, errs[1:]))
         assert 0.7 <= float(rows[-1][2]) <= 0.9  # measured 0.805
-        assert "nodes = 36,100,282,796,2249\n" in (out / "summary.txt").read_text()
+        summary = dict(line.split(" = ") for line in (out / "summary.txt").read_text().splitlines())
+        assert summary["nodes"] == "36,100,282,796,2249"
+        # the paper's rate: the error is O(ell), ell = eps^(5/6); measured
+        # 0.211, 0.232, 0.241, 0.245 times ell from eps 0.1 to 0.0125
+        ells = [float(v) for v in summary["ell"].split(",")]
+        assert ells == pytest.approx([float(r[0]) ** (5 / 6) for r in rows], rel=1e-11)
+        assert all(0.2 <= e / ell <= 0.26 for e, ell in zip(errs[1:], ells[1:]))
 
     @pytest.mark.parametrize("ladder", ["0.2,0.2", "0.1,0.2"])
     def test_convergence_ladder_that_does_not_decrease_exits_2_before_solving(

@@ -405,16 +405,22 @@ class TestSolve:
         # measured 0.0475; the score-grid solver gave 0.336 against a bound of 0.40
         assert sup_error(sol, laplace_exact) <= 0.05
 
-    @pytest.mark.parametrize("name, bounds", [
-        ("laplace", (0.137, 0.0868, 0.0520, 0.0301)),  # measured 0.1365, 0.08679, 0.05190, 0.03006
-        ("mixed", (0.109, 0.0622, 0.0351, 0.0198)),  # measured 0.1083, 0.06211, 0.03508, 0.01973
+    @pytest.mark.parametrize("name, bounds, band", [
+        # measured 0.1365, 0.08679, 0.05190, 0.03006; 0.930, 1.054, 1.123, 1.159 times ell
+        ("laplace", (0.137, 0.0868, 0.0520, 0.0301), (0.9, 1.2)),
+        # measured 0.1083, 0.06211, 0.03508, 0.01973; 0.738, 0.754, 0.759, 0.760 times ell
+        ("mixed", (0.109, 0.0622, 0.0351, 0.0198), (0.7, 0.8)),
     ])
-    def test_error_decreases_down_the_stationary_ladder(self, name, bounds):
+    def test_error_decreases_down_the_stationary_ladder(self, name, bounds, band):
         exact = laplace_exact if name == "laplace" else mixed_exact
-        sols = [solve(STATIONARY[name], eps) for eps in (0.1, 0.05, 0.025, 0.0125)]
+        ladder = (0.1, 0.05, 0.025, 0.0125)
+        sols = [solve(STATIONARY[name], eps) for eps in ladder]
         errors = [sup_error(sol, exact) for sol in sols]
         assert all(e <= bound for e, bound in zip(errors, bounds)), errors
         assert all(fine < coarse for coarse, fine in zip(errors, errors[1:]))
+        # the paper's rate: the error is O(ell), ell = eps^(5/6), in a band
+        ells = [make_params(eps).move_bound for eps in ladder]
+        assert all(band[0] <= e / ell <= band[1] for e, ell in zip(errors, ells)), errors
         for sol in sols:
             assert sol.final_residual <= 1e-14 and sol.iterations <= 6
             assert np.all(np.abs(sol.V) <= sol.chi_nodes)

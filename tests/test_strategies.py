@@ -23,7 +23,6 @@ from pdegame.strategies import (
     p_opt_upper,
     _LINE_SAMPLES,
     _clip,
-    _first_occurrences,
 )
 
 
@@ -317,7 +316,7 @@ class TestCandidateEnumeration:
 
 
 def reference_candidate_moves(domain, x, params, hess_diff=None) -> list:
-    """The move list as a loop: one array and one 12-digit rounding per move."""
+    """The move list as a loop: one array per move, every move kept."""
     p = np.atleast_1d(np.asarray(x, dtype=float))
     ell = params.move_bound
     frame = build_frame(domain, p, ell)
@@ -341,23 +340,13 @@ def reference_candidate_moves(domain, x, params, hess_diff=None) -> list:
         u = np.array([np.cos(th), np.sin(th)])
         for r in radii:
             moves.append(r * u)
-    seen, out = set(), []
-    for mv in moves:
-        key = tuple(np.round(mv, 12))
-        if key not in seen:
-            seen.add(key)
-            out.append(mv)
-    return out
-
-
-def reference_strategy_key(s: Strategy) -> tuple:
-    """The two-tuple dedup key: the gradient and the Hessian rounded apart."""
-    return (tuple(np.round(s.p, 12)), tuple(np.round(np.ravel(s.Gamma), 12)))
+    return moves
 
 
 def reference_candidate_strategies(domain, x, params, h, derivs) -> list:
-    """The announcements as a loop: one clip and one two-tuple key per
-    announcement, and on the disk the Neumann bounds' per-step fan."""
+    """The announcements as a loop: one clip per announcement, the line's
+    samples where m < M and p_lo alone where they coincide, and on the
+    disk the Neumann bounds' per-step fan."""
     p0, G0 = derivs
     out = [reference_clip_strategy(Strategy(p=p0, Gamma=G0), params)]
     ell = params.move_bound
@@ -367,14 +356,10 @@ def reference_candidate_strategies(domain, x, params, h, derivs) -> list:
     bounds = (reference_neumann_bounds if domain.dim == 2 else neumann_bounds)(domain, x, ell, h, p0)
     if not bounds.possible:
         return out
-    seen = {reference_strategy_key(out[0])}
     p_lo, p_hi = p_opt_lower(frame, p0, G0, bounds), p_opt_upper(frame, p0, G0, bounds)
-    for t in np.linspace(0.0, 1.0, _LINE_SAMPLES):
-        cand = reference_clip_strategy(Strategy(p=(1 - t) * p_lo + t * p_hi,
-                                                Gamma=gamma_opt(frame, G0)), params)
-        if reference_strategy_key(cand) not in seen:
-            seen.add(reference_strategy_key(cand))
-            out.append(cand)
+    line = [(1 - t) * p_lo + t * p_hi for t in np.linspace(0.0, 1.0, _LINE_SAMPLES)]
+    for p in line if bounds.M > bounds.m else [p_lo]:
+        out.append(reference_clip_strategy(Strategy(p=p, Gamma=gamma_opt(frame, G0)), params))
     return out
 
 
@@ -385,7 +370,7 @@ def assert_same_arrays(got, want):
 
 
 class TestMovesAgainstTheLoop:
-    """The one-array move fan and the one-round keys, bit for bit against loops."""
+    """The one-array move fan and the stacked announcements, bit for bit against loops."""
 
     @pytest.mark.parametrize("dom", [ball((0.0, 0.0), 1.0), ball((0.3, -0.2), 0.7)],
                              ids=["unit-disk", "off-centre"])
@@ -409,21 +394,27 @@ class TestMovesAgainstTheLoop:
         assert bands == {"wall", "layer", "interior"}
 
     @pytest.mark.parametrize("eps", [0.2, 0.1, 0.05])
-    def test_eigen_steps_that_repeat_fixed_or_fan_steps_keep_their_first_occurrence(self, eps):
+    def test_eigen_steps_that_repeat_fixed_or_fan_steps_are_kept(self, eps):
         disk, params = ball((0.0, 0.0), 1.0), make_params(eps)
         ell, hess = params.move_bound, np.diag([1.0, -2.0])
+        axis_steps = {(ell, 0.0), (-ell, 0.0), (0.0, ell), (0.0, -ell)}
         # normal and tangent on the axes: every eigen-step repeats one of them
         x = np.array([1.0 - 0.3 * ell, 0.0])
         got = candidate_moves(disk, x, params, hess_diff=hess)
+        fixed = candidate_moves(disk, x, params)
         assert_same_arrays(got, reference_candidate_moves(disk, x, params, hess_diff=hess))
-        assert_same_arrays(got, candidate_moves(disk, x, params))
-        # an off-axis interior point: the eigen-steps come before, and drop, the
-        # fan's four axis steps of length ell
+        # head (zero, normal, tangent, grazing), the four eigen-steps, the fan
+        assert_same_arrays(got[:6] + got[10:], fixed)
+        assert {tuple(m) for m in got[1:5]} == {tuple(m) for m in got[6:10]} == axis_steps
+        # an off-axis interior point: the eigen-steps repeat the fan's four
+        # axis steps of length ell
         x = 0.3 * np.array([np.cos(0.4), np.sin(0.4)])
         got = candidate_moves(disk, x, params, hess_diff=hess)
         assert_same_arrays(got, reference_candidate_moves(disk, x, params, hess_diff=hess))
-        assert len(got) == len(candidate_moves(disk, x, params))
-        assert {tuple(np.round(m / ell, 12)) for m in got[5:9]} == {(1, 0), (-1, 0), (0, 1), (0, -1)}
+        assert_same_arrays(got[:5] + got[9:], candidate_moves(disk, x, params))
+        assert {tuple(m) for m in got[5:9]} == axis_steps
+        fan = np.array(got[9:])  # cos and sin of the fan's angles round off the axes
+        assert all(np.abs(fan - step).max(axis=1).min() < 1e-15 * ell for step in axis_steps)
 
     @pytest.mark.parametrize("eps", [0.2, 0.1, 0.05])
     @pytest.mark.parametrize("x", [0.5, 0.03], ids=["interior", "layer"])
@@ -432,20 +423,6 @@ class TestMovesAgainstTheLoop:
         got = candidate_moves(dom, x, params)
         assert_same_arrays(got, reference_candidate_moves(dom, x, params))
         assert len(got) == (4 if x < params.move_bound else 3)
-
-    def test_one_round_key_equates_what_the_two_tuple_key_does(self):
-        rng = np.random.default_rng(5)
-        p, G = rng.normal(size=2), rng.normal(size=(2, 2))
-        variants = [Strategy(p=p, Gamma=G), Strategy(p=p + 1e-14, Gamma=G - 1e-14),
-                    Strategy(p=p, Gamma=G + 1e-9), Strategy(p=p + 1e-9, Gamma=G),
-                    Strategy(p=p[::-1], Gamma=G.T), Strategy(p=-0.0 * p, Gamma=0.0 * G),
-                    Strategy(p=0.0 * p, Gamma=-0.0 * G)]
-        for a in variants:
-            for b in variants:
-                rows = np.array([np.concatenate([s.p, s.Gamma.ravel()]) for s in (a, b)])
-                kept = _first_occurrences(rows, set())[0]
-                assert (len(kept) == 1) == (reference_strategy_key(a) == reference_strategy_key(b))
-                assert kept.tobytes() == rows[: len(kept)].tobytes()
 
     @pytest.mark.parametrize("eps", [0.2, 0.1, 0.05])
     def test_audit_points_keep_their_strategies_and_moves(self, eps, monkeypatch):
@@ -474,14 +451,15 @@ def _bytes(values):
     return np.asarray(values, dtype=float).tobytes()
 
 
-def _node_columns(plan, n, repeats, i):
-    """Node i's announcement columns: its base column, then at a layer row
-    the line columns that ``repeats`` does not mask, in sample order."""
-    layer = list(plan.layer_rows)
+def _node_columns(plan, i):
+    """Node i's announcement columns: its base column, then at a layer
+    row its line columns (1, or _LINE_SAMPLES where a node reaches both
+    walls), in sample order."""
+    n, layer = len(plan.n_moves), list(plan.layer_rows)  # n_moves: one entry per node
     if i not in layer:
         return [i]
-    j = layer.index(i)
-    return [i] + [n + k * len(layer) + j for k in range(_LINE_SAMPLES) if not repeats[k, j]]
+    samples = (len(plan.node) - n) // len(layer)
+    return [i] + [n + k * len(layer) + layer.index(i) for k in range(samples)]
 
 
 class TestBatchedKernel:
@@ -502,12 +480,14 @@ class TestBatchedKernel:
         g = np.array([prob.g(np.array([x])) for x in xs])
         for seed in (3, 4):
             field = base.with_values(g + np.random.default_rng(seed).normal(0.0, 0.05, n))
-            P, G, repeats = plan.announce(field.values)
+            P, G = plan.announce(field.values)
             assert P.shape == G.shape == plan.node.shape
-            assert repeats.shape == (_LINE_SAMPLES, len(plan.layer_rows))
             for i in range(n):
                 strats = candidate_strategies(dom, xs[i : i + 1], field, params, prob.h)
-                cols = _node_columns(plan, n, repeats, i)
+                cols = _node_columns(plan, i)
+                # where m = M the list has p_lo once, and every line column plays it
+                if len(strats) == 2:
+                    strats += strats[1:] * (len(cols) - 2)
                 assert _bytes(P[cols]) == _bytes([s.p[0] for s in strats])
                 assert _bytes(G[cols]) == _bytes([s.Gamma[0, 0] for s in strats])
         # every column, base or line, plays its node's moves
@@ -544,16 +524,21 @@ class TestBatchedKernel:
         d = np.minimum(xs - dom.a, dom.c - xs)
         layer = np.flatnonzero(d < params.move_bound)
         np.testing.assert_array_equal(plan.layer_rows, layer)
-        # ell ~ 0.61 at eps 0.55 puts every node of the unit interval in the layer
+        # ell ~ 0.61 at eps 0.55 puts every node of the unit interval in the
+        # layer, and the midpoint within reach of both walls
         assert len(layer) == len(xs) if eps == 0.55 else 0 < len(layer) < len(xs)
-        # n base columns, then _LINE_SAMPLES line columns per layer row
+        samples = _LINE_SAMPLES if eps == 0.55 else 1
+        # n base columns, then the line columns, sample-major
         np.testing.assert_array_equal(
-            plan.node, np.concatenate([np.arange(len(xs)), np.tile(layer, _LINE_SAMPLES)])
+            plan.node, np.concatenate([np.arange(len(xs)), np.tile(layer, samples)])
         )
-        values = np.random.default_rng(5).normal(0.0, 0.05, len(xs))
-        _, _, repeats = plan.announce(values)
-        # the walls' fluxes -1 and +1 spread the line at every layer node
-        assert np.all((~repeats).any(axis=0))
+
+    @pytest.mark.parametrize("eps", [0.2, 0.1, 0.05])
+    def test_one_line_column_per_layer_row_where_each_reaches_one_wall(self, eps):
+        prob = get_problem("heat1d_cosine")
+        base = GridField.build(prob.domain, grid_spacing(prob.domain, make_params(eps)))
+        plan = CandidatePlan1D(base, make_params(eps), prob.h)
+        assert len(plan.node) == len(base.x_nodes) + len(plan.layer_rows)  # 42 at eps 0.2
 
     def test_both_walls_within_reach_spread_the_line_and_pad_moves(self):
         # ell ~ 0.61 on [0, 1] reaches both walls from the midpoint of the
@@ -563,14 +548,35 @@ class TestBatchedKernel:
         base = GridField.build(prob.domain, grid_spacing(prob.domain, params))
         plan = CandidatePlan1D(base, params, prob.h)
         np.testing.assert_array_equal(plan.layer_rows, [0, 1, 2])
-        P, _, repeats = plan.announce(np.zeros(len(base.x_nodes)))
-        # at the midpoint the line samples are distinct, and only the middle
-        # one repeats the base pair
-        assert repeats[:, 1].tolist() == [k == _LINE_SAMPLES // 2 for k in range(_LINE_SAMPLES)]
-        line = P[3:].reshape(_LINE_SAMPLES, 3)[:, 1]
-        assert len(set(line.tolist())) == _LINE_SAMPLES and line[_LINE_SAMPLES // 2] == P[1]
+        P, _ = plan.announce(np.zeros(len(base.x_nodes)))
+        # at the midpoint the line samples are distinct, and the middle one
+        # is the base pair
+        line = P[3:].reshape(_LINE_SAMPLES, 3)
+        assert len(set(line[:, 1].tolist())) == _LINE_SAMPLES
+        assert line[_LINE_SAMPLES // 2, 1] == P[1]
+        # the wall nodes reach one wall: m = M, and each line column plays p_lo
+        assert np.all(line[:, [0, 2]] == line[0, [0, 2]])
         # the wall nodes have three moves; the midpoint's grazing step makes four
         assert plan.n_moves.tolist() == [3, 4, 3] and plan.step.shape[0] == 4
+
+    def test_both_wall_row_whose_bounds_coincide_plays_p_lo_alone(self):
+        # the exact linear profile's slope 1 meets both walls' fluxes -1 and
+        # +1: at the midpoint m = M = 0, and every line sample is p_lo
+        prob = get_problem("heat1d_linear_profile")
+        params = make_params(0.55)
+        base = GridField.from_callable(prob.domain, grid_spacing(prob.domain, params), prob.g)
+        plan = CandidatePlan1D(base, params, prob.h)
+        x, ell = base.x_nodes[1:2], params.move_bound
+        derivs = probe_derivatives(prob.domain, x, base, ell, flux=prob.h)
+        bounds = neumann_bounds(prob.domain, x, ell, prob.h, derivs[0])
+        assert (bounds.m, bounds.M) == (0.0, 0.0)
+        strats = candidate_strategies(prob.domain, x, base, params, prob.h, derivs=derivs)
+        assert len(strats) == 2  # the base pair and p_lo
+        P, G = plan.announce(base.values)
+        cols = _node_columns(plan, 1)
+        assert len(cols) == 1 + _LINE_SAMPLES
+        assert _bytes(P[cols[1:]]) == _bytes([strats[1].p[0]] * _LINE_SAMPLES)
+        assert _bytes(G[cols[1:]]) == _bytes([strats[1].Gamma[0, 0]] * _LINE_SAMPLES)
 
 
 def dense_max_min(a, b, c, p_bound, G_bound, N=401):
