@@ -31,7 +31,7 @@ from .game_elliptic import _boundary_sup, exact_barrier
 from .game_parabolic import s_eps
 from .geometry import DomainGeometry, ball, interval
 from .params import ValidationError, make_params
-from .problems import ParabolicProblem
+from .problems import ParabolicProblem, f_stacked
 from .strategies import (
     build_frame,
     gamma_opt,
@@ -164,8 +164,9 @@ class ConsistencyReport:
 
 
 def _hess_norm(hess: np.ndarray) -> float:
-    H = np.atleast_2d(np.asarray(hess, dtype=float))
-    return float(np.linalg.norm(H, 2))
+    """Spectral norm of the Hessian ``hess``, which must be symmetric: its
+    largest |eigenvalue| (``eigvalsh`` reads only the lower triangle)."""
+    return float(np.max(np.abs(np.linalg.eigvalsh(np.atleast_2d(np.asarray(hess, dtype=float))))))
 
 
 def classify_case(d: float, params, bounds, hnorm: float) -> str:
@@ -201,22 +202,19 @@ def _classify_lower(d: float, ell: float, bounds, hnorm: float) -> str:
 
 
 def _min_f_on_ball(problem, t, xp, z, p_center, Gamma, radius: float) -> float:
-    """Deterministic sample minimum of f over announcements |p - c| <= r."""
+    """Deterministic sample minimum of f over announcements |p - c| <= r; in
+    1D the 41 samples of the segment are one ``f_stacked`` call."""
     p_center = np.atleast_1d(np.asarray(p_center, dtype=float))
     if radius <= 0.0:
         return float(problem.f(t, xp, z, p_center, Gamma))
-    vals = []
     if len(p_center) == 1:
-        for s in np.linspace(-1.0, 1.0, 41):
-            vals.append(float(problem.f(t, xp, z, p_center + np.array([s * radius]), Gamma)))
-    else:
-        vals.append(float(problem.f(t, xp, z, p_center, Gamma)))
-        for th in 2.0 * np.pi * np.arange(16) / 16.0:
-            u = np.array([math.cos(th), math.sin(th)])
-            for frac in (0.25, 0.5, 0.75, 1.0):
-                vals.append(
-                    float(problem.f(t, xp, z, p_center + frac * radius * u, Gamma))
-                )
+        p = p_center[0] + np.linspace(-1.0, 1.0, 41) * radius
+        return min(f_stacked(problem, t, xp[0], z, p, np.ravel(Gamma)[0]).tolist())
+    vals = [float(problem.f(t, xp, z, p_center, Gamma))]
+    for th in 2.0 * np.pi * np.arange(16) / 16.0:
+        u = np.array([math.cos(th), math.sin(th)])
+        for frac in (0.25, 0.5, 0.75, 1.0):
+            vals.append(float(problem.f(t, xp, z, p_center + frac * radius * u, Gamma)))
     return min(vals)
 
 
@@ -448,6 +446,7 @@ def _heat_problem(dom: DomainGeometry, h, name: str) -> ParabolicProblem:
         g=lambda x: 0.0,
         h=h,
         T=1.0,
+        f_batched=lambda t, X, Z, P, G: -np.trace(G, axis1=1, axis2=2),
     )
 
 
@@ -461,6 +460,7 @@ def _drift_problem(dom: DomainGeometry, h, name: str) -> ParabolicProblem:
         g=lambda x: 0.0,
         h=h,
         T=1.0,
+        f_batched=lambda t, X, Z, P, G: -np.trace(G, axis1=1, axis2=2) + 0.5 * Z + 0.2 * P[:, 0],
     )
 
 

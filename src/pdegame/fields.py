@@ -1,8 +1,8 @@
 """Sampled and analytic scalar fields on a domain closure.
 
 Two interchangeable field flavors feed the game operators (anything with
-``domain`` / ``eval`` works; the audits also read ``fd_gradient`` /
-``fd_hessian``):
+``domain`` and an ``eval`` that takes a point or a ``(k, dim)`` stack
+works; the audits also read ``fd_gradient`` / ``fd_hessian``):
 
 * ``GridField`` — values on the uniform lattice of an interval, with
   linear interpolation.  This is what the (one-dimensional) sweeps
@@ -34,12 +34,15 @@ def grid_spacing(domain: DomainGeometry, params) -> float:
     return params.eps**1.5
 
 
-def _closure_point(domain: DomainGeometry, x) -> np.ndarray:
-    """``x`` as a point; raises ``ValueError`` when it lies outside the
-    closure by more than ``domain.tol``."""
+def _closure_points(domain: DomainGeometry, x) -> np.ndarray:
+    """``x`` as a point, or the ``(k, dim)`` stack ``x``; one ``outside_by``
+    query checks every point, and the first one outside the closure by more
+    than ``domain.tol`` raises ``ValueError``."""
     p = np.atleast_1d(np.asarray(x, dtype=float))
-    if domain.outside_by(p) > domain.tol:
-        raise ValueError(f"evaluation point {p} outside the domain closure")
+    off = domain.outside_by(p) > domain.tol  # a bool, or one per row of a stack
+    if (off if p.ndim == 1 else off.any()):
+        bad = p if p.ndim == 1 else p[off.argmax()]
+        raise ValueError(f"evaluation point {bad} outside the domain closure")
     return p
 
 
@@ -57,14 +60,17 @@ class AnalyticField:
     grad: object
     hess: object
 
-    def eval(self, x) -> float:
-        return float(self.func(_closure_point(self.domain, x)))
+    def eval(self, x):
+        """The field at the point ``x`` (a float), or at each row of the
+        ``(k, dim)`` stack ``x`` (an array of ``func`` row by row)."""
+        p = _closure_points(self.domain, x)
+        return float(self.func(p)) if p.ndim == 1 else np.array([float(self.func(q)) for q in p])
 
     def fd_gradient(self, x) -> np.ndarray:
-        return np.atleast_1d(np.asarray(self.grad(_closure_point(self.domain, x)), dtype=float))
+        return np.atleast_1d(np.asarray(self.grad(_closure_points(self.domain, x)), dtype=float))
 
     def fd_hessian(self, x) -> np.ndarray:
-        m = np.asarray(self.hess(_closure_point(self.domain, x)), dtype=float)
+        m = np.asarray(self.hess(_closure_points(self.domain, x)), dtype=float)
         return m.reshape(self.domain.dim, self.domain.dim)
 
 
@@ -106,8 +112,11 @@ class GridField:
 
     # -- queries -----------------------------------------------------------
 
-    def eval(self, x) -> float:
-        return float(self.eval_many(_closure_point(self.domain, x)[0]))
+    def eval(self, x):
+        """The interpolant at the point ``x`` (a float), or at each row of the
+        ``(k, 1)`` stack ``x`` (an array)."""
+        p = _closure_points(self.domain, x)
+        return float(self.eval_many(p[0])) if p.ndim == 1 else self.eval_many(p[:, 0])
 
     def locate(self, q: np.ndarray) -> tuple:
         """Cells ``(i, 1 - t, t)`` of the points ``q``, for :func:`interpolate`."""

@@ -76,15 +76,16 @@ def s_eps(phi, x, t, z, problem, params):
     Pass t=None for an elliptic problem: f is then called without t and
     phi at each landing is discounted by e^(-lambda dt), so that adding a
     constant c to phi adds ``disc * c`` to the value.  One pass serves
-    every z: the probes, strategies and moves are built once (the 2D
-    moves by one ``move_builder`` per point); each distinct step is
-    projected, and phi and the penalty read at its landing, once: the
-    steps a strategy adds are projected by one ``DomainGeometry.moves``
-    call, and h reads their crossing landings as one stack.  Only f and
-    the branches' final ``- dt f (+ penalty)`` run per z.  A strategy's
-    branches are one array expression whose ``np.vecdot`` products round
-    as the per-pair ``p @ dx`` and ``dx @ Gamma @ dx`` do, and the min and
-    max keep the first of equal values, as a loop over the pairs would.
+    every z and plays one branch table, (z, strategy, move): the probes,
+    strategies and moves are built once, the moves as one set per
+    distinct announced Hessian (in 1D one set for all, in 2D by one
+    ``move_builder`` per point), and every set is projected by one
+    ``DomainGeometry.moves`` call, phi read at the landings as one stack
+    and h at their crossing landings as another.  Only f runs per
+    (strategy, z).  The table's ``np.vecdot`` products round as the
+    per-pair ``p @ dx`` and ``dx @ Gamma @ dx`` do, and the min over
+    moves and the max over strategies run over Python floats, keeping
+    the first of equal values as a loop over the pairs would.
     """
     dom = problem.domain
     check_probe_room(dom, params)
@@ -93,25 +94,22 @@ def s_eps(phi, x, t, z, problem, params):
     xp = np.atleast_1d(np.asarray(x, dtype=float))
     derivs = probe_derivatives(dom, xp, phi, params.move_bound, flux=problem.h)
     strategies = candidate_strategies(dom, xp, phi, params, problem.h, derivs=derivs)
+    P, G = np.array([s.p for s in strategies]), np.array([s.Gamma for s in strategies])
     moves = move_builder(dom, xp, params)
-    dt = params.time_step
-    landed = {}  # step bytes -> (disc * phi at the landing, crossed, penalty term)
-    best = [-math.inf] * len(zs)
-    for strat in strategies:
-        D = moves(derivs[1] - strat.Gamma if dom.dim == 2 else None)
-        keys = [step.tobytes() for step in D]
-        new = [i for i, key in enumerate(keys) if key not in landed]
-        if new:
-            landing, crossed, pen = dom.moves(xp, D[new])
-            pen[crossed] *= problem.h(landing[crossed])
-            for i, q, c, w in zip(new, landing, crossed.tolist(), pen.tolist()):
-                landed[keys[i]] = (disc * phi.eval(q), c, w)
-        phi_land, crossed, pen = map(np.array, zip(*map(landed.get, keys)))
-        DGD = np.vecdot(np.matmul(D[:, None, :], strat.Gamma)[:, 0, :], D)
-        f = np.array([problem.f(*lead, xp, zi, strat.p, strat.Gamma) for zi in zs])
-        vals = (phi_land - np.vecdot(strat.p, D) - 0.5 * DGD) - (dt * f)[:, None]
-        vals = np.where(crossed, vals + pen, vals)
-        best = [max(b, min(row)) for b, row in zip(best, vals.tolist())]
+    keys = [g.tobytes() if dom.dim == 2 else b"" for g in G]
+    distinct = list(dict.fromkeys(keys))
+    sets = np.stack([moves(derivs[1] - G[keys.index(k)]) for k in distinct])
+    landing, crossed, pen = dom.moves(xp, sets.reshape(-1, dom.dim))
+    pen[crossed] *= problem.h(landing[crossed])
+    which = [distinct.index(k) for k in keys]
+    D = sets[which]
+    phi_land, crossed, pen = (a.reshape(sets.shape[:2])[which]
+                              for a in (disc * phi.eval(landing), crossed, pen))
+    DGD = np.vecdot(np.matmul(D[:, :, None, :], G[:, None])[:, :, 0, :], D)
+    F = np.array([[problem.f(*lead, xp, zi, p, g) for p, g in zip(P, G)] for zi in zs])
+    vals = (phi_land - np.vecdot(P[:, None, :], D) - 0.5 * DGD) - params.time_step * F[..., None]
+    vals = np.where(crossed, vals + pen, vals)
+    best = [max(-math.inf, *map(min, rows)) for rows in vals.tolist()]
     return best[0] if np.ndim(z) == 0 else best
 
 

@@ -15,6 +15,7 @@ domains and promoted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,19 +69,19 @@ class DomainGeometry:
     center: tuple = (0.0, 0.0)  # ball
     radius: float = 1.0
 
-    # -- descriptors -------------------------------------------------------
+    # -- descriptors, computed once per domain -----------------------------
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return 1 if self.kind == "interval" else 2
 
-    @property
+    @cached_property
     def diameter(self) -> float:
         if self.kind == "interval":
             return self.c - self.a
         return 2.0 * self.radius
 
-    @property
+    @cached_property
     def tol(self) -> float:
         # Boundary-membership tolerance: pure floating-point noise margin.
         return 1e-12 * self.diameter
@@ -106,8 +107,11 @@ class DomainGeometry:
         rel = q - np.asarray(self.center)
         return self.radius - np.sqrt(np.vecdot(rel, rel))
 
-    def outside_by(self, x) -> float:
-        """Distance from ``x`` to the closure (0 for points inside)."""
+    def outside_by(self, x):
+        """Distance from ``x`` to the closure (0 for points inside); for a
+        ``(k, dim)`` stack of points, the array of their distances."""
+        if np.ndim(x) == 2:
+            return np.maximum(-self._gap(np.asarray(x, dtype=float)), 0.0)
         return max(0.0, -float(self._gap(_as_point(x, self.dim))))
 
     def boundary_gap(self, x):

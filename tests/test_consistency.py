@@ -38,7 +38,7 @@ from pdegame.game_elliptic import exact_barrier
 from pdegame.game_parabolic import s_eps
 from pdegame.geometry import ball, interval
 from pdegame.params import make_params
-from pdegame.problems import get_problem
+from pdegame.problems import ParabolicProblem, get_problem
 from pdegame.strategies import neumann_bounds
 
 DOM = interval(0.0, 1.0)
@@ -360,6 +360,65 @@ class TestAuditPoint:
         rows = audit_point(x, 0.25, (0.0, 1.5, -2.0), *args)
         assert rows == sum((audit_point(x, 0.25, z, *args) for z in (0.0, 1.5, -2.0)), ())
         assert len({r.lhs for r in rows}) == 3  # the drift's f depends on z
+
+
+def reference_min_f_on_ball(problem, t, xp, z, p_center, Gamma, radius):
+    """The sample minimum of ``_min_f_on_ball`` with one f call per sample."""
+    p_center = np.atleast_1d(np.asarray(p_center, dtype=float))
+    if radius <= 0.0:
+        samples = [p_center]
+    elif len(p_center) == 1:
+        samples = [p_center + np.array([s * radius]) for s in np.linspace(-1.0, 1.0, 41)]
+    else:
+        fan = 2.0 * np.pi * np.arange(16) / 16.0
+        samples = [p_center] + [p_center + frac * radius * np.array([math.cos(th), math.sin(th)])
+                                for th in fan for frac in (0.25, 0.5, 0.75, 1.0)]
+    return min(float(problem.f(t, xp, z, p, Gamma)) for p in samples)
+
+
+def _kinked_problem(dom):
+    """A problem with no ``f_batched`` whose f is not affine in p."""
+    return ParabolicProblem(
+        name="kinked", domain=dom, g=lambda x: 0.0, h=lambda x: 0.0, T=1.0,
+        f=lambda t, x, z, p, G: -float(np.trace(G)) + z * abs(float(p[0]) - 0.3) + float(p @ p),
+    )
+
+
+class TestMinFOnBall:
+    @pytest.mark.parametrize("dom", [DOM, DISK], ids=["interval", "disk"])
+    @pytest.mark.parametrize("make", [
+        lambda dom: cons._heat_problem(dom, lambda x: 0.0, "heat"),
+        lambda dom: cons._drift_problem(dom, lambda x: 0.0, "drift"),
+        _kinked_problem,
+    ], ids=["heat", "drift", "no-f_batched"])
+    def test_is_the_per_sample_loop_bit_for_bit(self, dom, make):
+        problem = make(dom)
+        rng = np.random.default_rng(3)
+        xp = np.full(dom.dim, 0.1)
+        for radius in (0.0, 0.05, 0.7, 2.3):
+            for z in (0.0, 1.5, -0.7):
+                p_center = rng.normal(size=dom.dim)
+                A = rng.normal(size=(dom.dim, dom.dim))
+                Gamma = A + A.T
+                got = cons._min_f_on_ball(problem, 0.25, xp, z, p_center, Gamma, radius)
+                want = reference_min_f_on_ball(problem, 0.25, xp, z, p_center, Gamma, radius)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+class TestHessNorm:
+    @pytest.mark.parametrize("a", [0.0, -0.0, 1.0, -2.5, 3e-17, -7.25e8, math.pi])
+    def test_is_the_spectral_norm_exactly_in_one_dimension(self, a):
+        H = np.array([[a]])
+        assert cons._hess_norm(H) == np.linalg.norm(H, 2)
+
+    def test_is_the_spectral_norm_within_4_ulp_on_symmetric_2x2(self):
+        rng = np.random.default_rng(11)
+        for scale in (1e-6, 1.0, 1e6):
+            for _ in range(200):
+                A = scale * rng.normal(size=(2, 2))
+                H = A + A.T
+                want = np.linalg.norm(H, 2)
+                assert abs(cons._hess_norm(H) - want) <= 4 * np.spacing(want)
 
 
 # -- shipped suite ----------------------------------------------------------

@@ -1,4 +1,6 @@
 """Interpolation of lattice fields and the derivatives of analytic fields."""
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -82,3 +84,44 @@ def test_grid_spacing_scales():
         h = grid_spacing(interval(0.0, 1.0), p)
         assert h == pytest.approx(eps**1.5, rel=1e-15)
         assert h**2 / p.time_step <= eps * (1.0 + 1e-12)
+
+
+def _fields():
+    """A lattice field on the interval and analytic fields on the interval and the disk."""
+    dom, disk = interval(0.0, 1.0), ball((0.0, 0.0), 1.0)
+    return [
+        GridField.from_callable(dom, 0.05, lambda p: np.cos(3.0 * p[0])),
+        AnalyticField(dom, lambda p: np.sin(2.0 * p[0]) + p[0] ** 3,
+                      grad=lambda p: None, hess=lambda p: None),
+        AnalyticField(disk, lambda p: np.exp(p[0]) * np.cos(p[1]) - 0.3 * p[0] * p[1],
+                      grad=lambda p: None, hess=lambda p: None),
+    ]
+
+
+FIELD_IDS = ["grid-interval", "analytic-interval", "analytic-disk"]
+
+
+def _stack(dom, rng, k=40):
+    """k points of the closure of ``dom``, the wall points among them."""
+    if dom.kind == "interval":
+        return np.concatenate([[[0.0], [1.0]], rng.uniform(0.0, 1.0, (k - 2, 1))])
+    th = rng.uniform(0.0, 2.0 * np.pi, k)
+    r = np.concatenate([np.ones(k // 2), np.sqrt(rng.uniform(0.0, 1.0, k - k // 2))])
+    return np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
+
+
+@pytest.mark.parametrize("field", _fields(), ids=FIELD_IDS)
+def test_stacked_eval_is_the_pointwise_eval_bit_for_bit(field):
+    pts = _stack(field.domain, np.random.default_rng(7))
+    got = field.eval(pts)
+    assert got.shape == (len(pts),)
+    assert got.tobytes() == np.array([field.eval(q) for q in pts]).tobytes()
+
+
+@pytest.mark.parametrize("field", _fields(), ids=FIELD_IDS)
+def test_stacked_eval_names_the_first_point_outside_the_closure(field):
+    pts = _stack(field.domain, np.random.default_rng(8), k=6)
+    outside = np.full(field.domain.dim, 1.5)
+    pts = np.concatenate([pts[:3], [outside, 2.0 * outside], pts[3:]])
+    with pytest.raises(ValueError, match=rf"evaluation point {re.escape(str(outside))} outside"):
+        field.eval(pts)

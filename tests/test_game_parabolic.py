@@ -200,6 +200,36 @@ class TestSEpsOverScores:
             ).tobytes()
 
 
+    @pytest.mark.parametrize("eps", [0.2, 0.1])
+    @pytest.mark.parametrize("flux", [0.0, 1.0])
+    def test_each_distinct_announced_hessian_plays_its_own_eigen_steps(self, eps, flux):
+        # in the layer the line's flattened Hessian differs from the base
+        # pair's, so the two move sets differ in their eigen-steps, and on
+        # the x axis the min over moves reads them
+        params = make_params(eps)
+        phi = AnalyticField(
+            DISK,
+            lambda p: math.sin(2.0 * p[0]) * math.cos(3.0 * p[1]),
+            grad=lambda p: np.array([2.0 * math.cos(2.0 * p[0]) * math.cos(3.0 * p[1]),
+                                     -3.0 * math.sin(2.0 * p[0]) * math.sin(3.0 * p[1])]),
+            hess=lambda p: np.array([
+                [-4.0 * math.sin(2.0 * p[0]) * math.cos(3.0 * p[1]),
+                 -6.0 * math.cos(2.0 * p[0]) * math.sin(3.0 * p[1])],
+                [-6.0 * math.cos(2.0 * p[0]) * math.sin(3.0 * p[1]),
+                 -9.0 * math.sin(2.0 * p[0]) * math.cos(3.0 * p[1])]]),
+        )
+        problem = cons._drift_problem(DISK, lambda x: flux + 0.5 * x[1], "drift")
+        for d in (0.0, 0.2, 0.7):
+            for th in (0.0, 0.7, 2.5):
+                x = (1.0 - d * params.move_bound) * np.array([math.cos(th), math.sin(th)])
+                strategies = candidate_strategies(DISK, x, phi, params, problem.h)
+                assert len({s.Gamma.tobytes() for s in strategies}) == 2
+                for z in (0.0, 1.5):
+                    assert as_bytes(s_eps(phi, x, 0.25, z, problem, params)) == as_bytes(
+                        reference_s_eps(phi, x, 0.25, z, problem, params)
+                    ), (x, z)
+
+
 class TestGeneralOperator:
     def _heat_params(self, eps=0.05):
         return make_params(eps)
