@@ -49,6 +49,7 @@ from .game_elliptic import build_caps, check_cap, solve_fixed_point
 from .game_parabolic import NumericAbort, n_rounds, solve_levelset, solve_scalar_dpp
 from .params import ValidationError, make_params
 from .problems import EllipticProblem, MixedEllipticProblem, ParabolicProblem, get_problem
+from .strategies import check_move_bound
 
 __all__ = ["RunConfig", "load_config", "run", "main"]
 
@@ -331,15 +332,19 @@ def run(cfg: RunConfig) -> int:
     """Validate, dispatch on ``cfg.mode``, and write artifacts; returns the exit status."""
     cfg.validate()
     kind, _, runner = _MODES[cfg.mode]
-    # a problem or audit ladder that fails its checks leaves no output directory behind
+    # a problem, rung, cap or audit ladder that fails its checks leaves no output directory
     problem = _load_problem(cfg, kind, cfg.mode == "convergence") if kind else None
-    if kind is ParabolicProblem:  # every rung the mode solves must fit a round in T
-        for eps in cfg.eps_ladder if cfg.mode == "convergence" else cfg.eps_ladder[:1]:
-            n_rounds(problem, cfg.game_params(eps))
+    plays_all = cfg.mode in ("convergence", "audit-elliptic", "consistency")
+    rungs = cfg.eps_ladder if plays_all else cfg.eps_ladder[:1]
+    for eps in rungs if kind else ():  # every rung the mode plays must fit its domain
+        params = cfg.game_params(eps)
+        check_move_bound(problem.domain, params)
+        if kind is ParabolicProblem:  # and, for a backward solve, fit a round in T
+            n_rounds(problem, params)
     if kind in (EllipticProblem, MixedEllipticProblem):
         check_cap(problem, cfg.cap_M)
-    if cfg.mode == "consistency":
-        audit_ladder(cfg.eps_ladder, cfg.include_disk)
+    if kind is None:
+        audit_ladder(rungs, cfg.include_disk)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     _record_config(out, cfg)

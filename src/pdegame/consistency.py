@@ -30,10 +30,11 @@ from .fields import AnalyticField
 from .game_elliptic import _boundary_sup, exact_barrier
 from .game_parabolic import s_eps
 from .geometry import DomainGeometry, ball, interval
-from .params import ValidationError, make_params
+from .params import make_params
 from .problems import ParabolicProblem, f_stacked
 from .strategies import (
     build_frame,
+    check_move_bound,
     gamma_opt,
     neumann_bounds,
     p_opt_lower,
@@ -238,7 +239,7 @@ def _row(dom, eps, xp, case, lhs, rhs, residual, gating=True) -> AuditRow:
     )
 
 
-def audit_point(x, t, z, phi, problem, params, slack_const: float | None = None) -> tuple:
+def audit_point(x, t, z, phi, problem, params) -> tuple:
     """Audit both one-sided estimates for ``S[phi] - phi`` at x, for the
     running value z or for each of a sequence z.
 
@@ -273,8 +274,7 @@ def audit_point(x, t, z, phi, problem, params, slack_const: float | None = None)
 
     upper_case = classify_case(d, params, bounds, hnorm)
     lower_case = _classify_lower(d, ell, bounds, hnorm)
-    cs = SLACK_CONST if slack_const is None else slack_const
-    slack = cs * eps**SLACK_POWER
+    slack = SLACK_CONST * eps**SLACK_POWER
     rows = []
     for z, value in zip(zs, values):
         lhs = value - phi_x
@@ -307,9 +307,9 @@ def audit_point(x, t, z, phi, problem, params, slack_const: float | None = None)
     return tuple(rows)
 
 
-def audit_upper(x, t, z, phi, problem, params, slack_const: float | None = None) -> AuditRow:
+def audit_upper(x, t, z, phi, problem, params) -> AuditRow:
     """The upper row of :func:`audit_point` at x."""
-    return audit_point(x, t, z, phi, problem, params, slack_const)[0]
+    return audit_point(x, t, z, phi, problem, params)[0]
 
 
 def audit_lower(x, t, z, phi, problem, params) -> AuditRow:
@@ -354,7 +354,6 @@ def audit_barrier(
     z_values=(0.0, 1.0, 5.0),
     n_points: int = 40,
     t: float = 0.25,
-    const: float | None = None,
 ) -> ConsistencyReport:
     """Audit the one-round barrier estimates on layer samples.
 
@@ -364,10 +363,9 @@ def audit_barrier(
     """
     dom = problem.domain
     psi = exact_barrier(dom, _boundary_sup(dom, problem.h))
-    C = BARRIER_BOUND_CONST if const is None else const
     pts = _layer_points(dom, params.move_bound, n_points)
     return _audit_around_barrier(problem, params, psi, 0.0, pts, z_values, t, "barrier",
-                                 lambda z, phi_x: C * (1.0 + abs(z)) * params.eps**2)
+                                 lambda z, _: BARRIER_BOUND_CONST * (1.0 + abs(z)) * params.eps**2)
 
 
 def audit_wall_shift(
@@ -411,7 +409,7 @@ def _layer_points(dom: DomainGeometry, ell: float, n: int) -> list:
     out = []
     if dom.kind == "interval":
         for i, fr in enumerate(fracs):
-            d = fr * min(ell, 0.5 * (dom.c - dom.a))
+            d = fr * ell
             if i % 2 == 0:
                 out.append(np.array([dom.a + d]))
             else:
@@ -420,7 +418,7 @@ def _layer_points(dom: DomainGeometry, ell: float, n: int) -> list:
     ctr = np.asarray(dom.center, dtype=float)
     angles = 2.0 * np.pi * np.arange(n) / max(n, 1)
     for i, fr in enumerate(fracs):
-        d = fr * min(ell, dom.r_int)
+        d = fr * ell
         u = np.array([math.cos(angles[i]), math.sin(angles[i])])
         out.append(ctr + (dom.radius - d) * u)
     return out
@@ -507,33 +505,20 @@ def _interval_layer(dom, ell: float, eps: float, rho: float) -> dict:
 
 
 def audit_ladder(eps_ladder, include_disk: bool) -> list:
-    """The audit's game parameters, one per rung; raises ``ValidationError``
-    when a rung's move bound ``ell`` puts the interval's "interior" point outside
-    [0, 1] or, with the disk, exceeds its ``r_ext/2 = 1/2`` (projection undefined)."""
-    dom = interval(0.0, 1.0)
-    r_ext = ball((0.0, 0.0), 1.0).r_ext
+    """The audit's game parameters, one per rung, each checked by
+    :func:`check_move_bound` on [0, 1] (r_int = 1/2, so the "interior"
+    point 1.6 ell stays within 0.8) and, with the disk, on the unit disk."""
+    domains = (interval(0.0, 1.0),) + ((ball((0.0, 0.0), 1.0),) if include_disk else ())
     ladder = [make_params(eps, lambda_rate=1.0) for eps in eps_ladder]
     for params in ladder:
-        ell = params.move_bound
-        interior = _interval_layer(dom, ell, params.eps, params.rho)["interior"]
-        if interior > dom.c:
-            raise ValidationError(
-                f"eps={params.eps:g}: the interior audit point {interior:.6g} "
-                f"lies outside [{dom.a:g}, {dom.c:g}]"
-            )
-        if include_disk and ell > 0.5 * r_ext:
-            raise ValidationError(
-                f"eps={params.eps:g}: move bound ell = {ell:.6g} exceeds the disk's "
-                f"r_ext/2 = {0.5 * r_ext:g}, where its projection stops being defined"
-            )
+        for dom in domains:
+            check_move_bound(dom, params)
     return ladder
 
 
 def run_audit_suite(
     eps_ladder=(0.2, 0.1, 0.05),
     include_disk: bool = True,
-    slack_const: float | None = None,
-    t: float = 0.25,
 ) -> ConsistencyReport:
     """Run the shipped catalog of upper and lower audits.
 
@@ -550,6 +535,7 @@ def run_audit_suite(
     dom = interval(0.0, 1.0)
     disk = ball((0.0, 0.0), 1.0)
     ladder = audit_ladder(eps_ladder, include_disk)
+    t = 0.25  # the audited problems' f does not read t
     h0 = lambda x: 0.0
     h2 = lambda x: 2.0
     report = ConsistencyReport()
@@ -572,7 +558,7 @@ def run_audit_suite(
             for kind in kinds:
                 for x0 in (dd[kind], 1.0 - dd[kind]) if kind == "close" else (dd[kind],):
                     xp = np.array([x0])
-                    report.extend(audit_point(xp, t, (0.0, 1.5), phi, problem, params, slack_const))
+                    report.extend(audit_point(xp, t, (0.0, 1.5), phi, problem, params))
     if include_disk:
         for params in ladder:
             ell = params.move_bound
@@ -582,5 +568,5 @@ def run_audit_suite(
             ):
                 for d in dists:
                     xp = np.array([1.0 - d, 0.0])
-                    report.extend(audit_point(xp, t, 0.0, phi, problem, params, slack_const))
+                    report.extend(audit_point(xp, t, 0.0, phi, problem, params))
     return report

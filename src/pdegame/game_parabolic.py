@@ -20,8 +20,8 @@ plays both (t=None for the stationary round).
 directly and feeding the z-slot of f the value at the node; it builds
 one ``strategies.CandidatePlan1D`` over the whole lattice per solve.
 Each step is one branch evaluation over the plan's columns (a base
-column per node, line columns at the boundary-layer nodes): the min
-over moves of every column, then at each layer node the max of its
+column per node, a line column per boundary-layer node): the min over
+moves of every column, then at each layer node the max of its two
 columns.  The pointwise ``s_eps`` is its reference oracle, matched bit
 for bit at every node.  The score game of the paper has an upper and a
 lower value; the scalar game has a single one, so the ``parabolic``
@@ -37,7 +37,7 @@ import numpy as np
 from .fields import GridField, grid_spacing, interpolate
 from .params import ValidationError
 from .problems import f_stacked
-from .strategies import (CandidatePlan1D, candidate_strategies, check_probe_room,
+from .strategies import (CandidatePlan1D, candidate_strategies, check_move_bound,
                          move_builder, probe_derivatives)
 
 __all__ = [
@@ -88,7 +88,7 @@ def s_eps(phi, x, t, z, problem, params):
     the first of equal values as a loop over the pairs would.
     """
     dom = problem.domain
-    check_probe_room(dom, params)
+    check_move_bound(dom, params)
     lead, disc = ((), _discount(problem, params)) if t is None else ((t,), 1.0)
     zs = (z,) if np.ndim(z) == 0 else tuple(z)
     xp = np.atleast_1d(np.asarray(x, dtype=float))
@@ -169,7 +169,6 @@ def solve_scalar_dpp(problem, params, store_all: bool = False) -> ScalarSolution
     if dom.dim != 1:
         raise ValidationError("the full backward solver is one-dimensional; "
                               "use the one-step operator pointwise in 2D")
-    check_probe_room(dom, params)
     dt = params.time_step
     n_steps = n_rounds(problem, params)
     field = GridField.from_callable(dom, grid_spacing(dom, params), problem.g)
@@ -200,7 +199,7 @@ def _sweep_1d(problem, params, plan, values, t):
     one branch evaluation over the plan's columns: the branch values
     ``phi(landing) - p step - 0.5 G step^2 - dt f + penalty`` over (move,
     column), their min over moves, and at each layer row the max of its
-    line columns and its base column."""
+    line column and its base column."""
     P, G = plan.announce(values)
     F = f_stacked(problem, t, plan.x, values[plan.node], P, G)
     D = plan.step
@@ -212,9 +211,8 @@ def _sweep_1d(problem, params, plan, values, t):
     )
     np.add(vals, plan.penalty, out=vals, where=plan.crossed)
     worst = vals.min(axis=0)
-    L = plan.layer_rows
-    best, line = worst[: len(values)], worst[len(values) :].reshape(-1, len(L))
-    best[L] = np.maximum(best[L], line.max(axis=0))
+    best, L = worst[: len(values)], plan.layer_rows
+    best[L] = np.maximum(best[L], worst[len(values) :])
     return best
 
 

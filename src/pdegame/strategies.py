@@ -17,14 +17,15 @@ candidate lists built here.
 
 The lists are built whole, as a repeat changes no max or min.  The
 corrected gradient line is the point p_lo where the Neumann bounds
-coincide (m = M, as at a 1D node that reaches one wall), and else
-``_LINE_SAMPLES`` points from p_lo to p_hi.
+coincide (m = M), and else ``_LINE_SAMPLES`` points from p_lo to p_hi.
+The bounds coincide at every 1D node: :func:`check_move_bound` keeps ell
+at most half the interval, so a node in the layer reaches one wall.
 
 In 1D the solvers take every list from one batched kernel,
 :class:`CandidatePlan1D`, which reproduces the pointwise functions bit
 for bit at every node of the lattice.  It lays the game's branches out
 as fixed columns: one base column per node, for its clipped probe pair,
-and the line columns of each boundary-layer node.  Only the maximizer's
+and one line column, p_lo, per boundary-layer node.  Only the maximizer's
 announcements read the values: the plan holds the rest (each column's
 moves, their landings, crossings and penalties, the lattice cells of
 the probes and landings, and the boundary frame) and is built once per
@@ -70,11 +71,11 @@ __all__ = [
     "move_builder",
     "CandidatePlan1D",
     "dual_stencils",
-    "check_probe_room",
+    "check_move_bound",
 ]
 
 _N_DIRECTIONS_2D = 64
-# samples of the boundary-layer gradient line, ends included, where m < M
+# samples of the boundary-layer gradient line, ends included, where m < M (in 2D)
 _LINE_SAMPLES = 9
 _RADIUS_FRACTIONS = (1.0, 0.75, 0.5, 0.25)
 # the coarse move fan's unit directions, from the scalar cos and sin of each angle
@@ -214,7 +215,7 @@ def probe_derivatives(domain: DomainGeometry, x, phi, scale: float, flux):
     weight at -2/scale^2 (contracting) and, at the wall itself, makes
     the collapsed update exact for boundary-compatible data.  A probe
     whose mirror also leaves the domain (a domain smaller than a couple
-    of probe lengths; ``check_probe_room`` rules it out in 1D) raises
+    of probe lengths, which :func:`check_move_bound` rules out) raises
     ``ValueError``.  In 2D the mixed partial takes the corner stencil,
     else a one-sided one; where none fits, the field's own
     ``fd_gradient`` / ``fd_hessian`` (an ``AnalyticField``'s exact
@@ -283,8 +284,8 @@ def candidate_strategies(domain: DomainGeometry, x, phi, params, h, derivs=None)
 
     Interior: exactly the probe-scale derivative pair of phi (clipped).
     Boundary layer: that pair plus the corrected gradient line from p_lo
-    to p_hi (``_LINE_SAMPLES`` samples, or p_lo alone where m = M), each
-    with the flattened Hessian, clipped as one stack with the pair.
+    to p_hi (``_LINE_SAMPLES`` samples, or p_lo alone where m = M, as in
+    1D), each with the flattened Hessian, clipped as one stack with the pair.
     """
     if derivs is None:
         derivs = probe_derivatives(domain, x, phi, params.move_bound, flux=h)
@@ -358,30 +359,26 @@ class CandidatePlan1D:
     in the announcements from the values at each step.
 
     Column i < n (n the node count) is the base column of node i, at
-    ``x[i]``: it plays the node's clipped probe pair.  Then come the line
-    columns, sample-major: column ``n + k * len(layer_rows) + j`` plays
-    sample k of the corrected gradient line at node ``layer_rows[j]``
-    (the nodes with d < ell, where a step can cross): one sample, p_lo,
-    unless some node reaches both walls (ell above about half the
-    interval); then ``_LINE_SAMPLES``, all p_lo at a row where m = M,
-    which has p_lo once in the pointwise list.  ``node`` maps each
-    column to its node and ``x`` gives the node's position.  The (M,
-    columns) move arrays are C-contiguous, so the scalar sweep's
-    arithmetic and its min over moves run over whole rows.  Their first
-    ``n_moves[node]`` rows are ``candidate_moves`` (0, +ell, -ell, then
-    the grazing step when 0 < d < ell) with their ``landing``, its
+    ``x[i]``: it plays the node's clipped probe pair.  Column ``n + j`` is
+    the line column of node ``layer_rows[j]`` (the nodes with d < ell,
+    where a step can cross): the node reaches only its nearest wall, so
+    its line is the one point p_lo.  ``node`` maps each column to its node
+    and ``x`` gives the node's position.  The (M, columns) move arrays are
+    C-contiguous, so the scalar sweep's arithmetic and its min over moves
+    run over whole rows.  They hold ``candidate_moves`` (0, +ell, -ell,
+    then the grazing step when 0 < d < ell) with their ``landing``, its
     ``landing_cells``, ``crossed``, and ``penalty`` (the penalty weight
     times h at the wall a crossing step lands on, else 0).  A fourth row
     where a node has only three moves repeats its -ell step, which
     changes no min.  The other attributes serve :meth:`announce`: the
     cells of each node and of its probes (their mirror where a probe
     leaves the interval, adding ``flux``), and the boundary frame's
-    hoisted coefficients at the layer rows.
+    hoisted coefficients and wall datum at the layer rows.
     """
 
     def __init__(self, lattice, params, h):
         dom = lattice.domain
-        check_probe_room(dom, params)
+        check_move_bound(dom, params)
         a, c, tol, ell = dom.a, dom.c, dom.tol, params.move_bound
         h_a, h_c = float(h(np.array([a]))), float(h(np.array([c])))
         x = lattice.x_nodes
@@ -400,15 +397,13 @@ class CandidatePlan1D:
         normal = np.where(x - a <= c - x, -1.0, 1.0)
         self.layer_rows = L = np.flatnonzero(d < ell)
         r2 = np.array([(di / ell) ** 2 for di in d[L]])  # scalar pow, as the pointwise code
-        self.bound_coef = 0.5 * (1.0 - d[L] / ell)  # of m and M in p_opt_lower/upper
+        self.bound_coef = 0.5 * (1.0 - d[L] / ell)  # of m = M in p_opt_lower
         self.hess_coef = 0.25 * ell * (1.0 - r2)  # of H there
         self.flat_coef = 0.5 * (-1.0 + r2)  # of H in gamma_opt
         self.normal = normal[L]
-        self.near_a, self.near_c = np.abs(x[L] - a) < ell, np.abs(x[L] - c) < ell
-        ts = np.linspace(0.0, 1.0, _LINE_SAMPLES if (self.near_a & self.near_c).any() else 1)
-        self.line = np.stack([1 - ts, ts])[:, :, None]  # weights of p_lo and p_hi
+        self.h_wall = np.where(self.normal < 0.0, h_a, h_c)  # h at the wall in reach
 
-        self.node = col = np.concatenate([np.arange(len(x)), np.tile(L, len(ts))])
+        self.node = col = np.concatenate([np.arange(len(x)), L])
         self.x, dc = x[col], d[col]
         graze = (0.0 < dc) & (dc < ell)
         self.step = np.stack(
@@ -421,17 +416,16 @@ class CandidatePlan1D:
         self.landing_cells = lattice.locate(self.landing)
         weight = np.abs(x_hat - self.landing)
         self.penalty = np.where(self.crossed, weight * np.where(self.landing <= a, h_a, h_c), 0.0)
-        self.n_moves = 3 + graze[: len(x)]
-        self.params, self.h_walls = params, (h_a, h_c)
+        self.params = params
 
     def announce(self, values):
         """``(P, G)`` from the lattice ``values``: the gradient and Hessian
         of every column, clipped in one call.  Node i's
         ``candidate_strategies`` are its base column followed, at a layer
-        row, by its line columns.  Each step of the pointwise code runs for
+        row, by its line column.  Each step of the pointwise code runs for
         all nodes at once with the same arithmetic, bit for bit: the probes
-        and the base pair everywhere, and the exact Neumann bounds, the
-        corrected line and the flattened Hessian at the layer rows.
+        and the base pair everywhere, and the exact Neumann bound, p_lo
+        and the flattened Hessian at the layer rows.
         """
         params, ell, L = self.params, self.params.move_bound, self.layer_rows
         probe = interpolate(self.probes, values)
@@ -440,19 +434,11 @@ class CandidatePlan1D:
         g = (fp - fm) / (2.0 * ell)
         H = (fp - 2.0 * f0 + fm) / ell**2
         gL, HL = g[L], H[L]
-
-        # exact Neumann bounds: h(wall) - g n(wall) over the walls within reach
-        v_a, v_c = self.h_walls[0] + gL, self.h_walls[1] - gL
-        both, one = self.near_a & self.near_c, np.where(self.near_a, v_a, v_c)
-        m = np.where(both, np.minimum(v_a, v_c), one)
-        M = np.where(both, np.maximum(v_a, v_c), one)
-        hess_term = self.hess_coef * HL
-        p_lo = gL + (self.bound_coef * m - hess_term) * self.normal
-        p_hi = gL + (self.bound_coef * M - hess_term) * self.normal
+        bound = self.h_wall - gL * self.normal  # m = M: h(wall) - g n(wall)
+        p_lo = gL + (self.bound_coef * bound - self.hess_coef * HL) * self.normal
         G_line = HL + self.flat_coef * HL  # gamma_opt
-        P_line = np.where(M > m, self.line[0] * p_lo + self.line[1] * p_hi, p_lo)
-        P, G = _clip(np.concatenate([g, P_line.ravel()])[:, None],
-                     np.concatenate([H] + [G_line] * len(P_line))[:, None, None], params)
+        P, G = _clip(np.concatenate([g, p_lo])[:, None],
+                     np.concatenate([H, G_line])[:, None, None], params)
         return P.ravel(), G.ravel()
 
 
@@ -500,10 +486,14 @@ def dual_stencils(a, b, p_bound: float, G_bound: float):
     return np.stack(mus, axis=1), np.stack(kappas, axis=1)
 
 
-def check_probe_room(domain: DomainGeometry, params) -> None:
-    """The reflected probe of a 1D node stays in the interval only if ell < c - a."""
-    if domain.dim == 1 and not params.move_bound < domain.c - domain.a:
-        raise ValidationError(
-            f"move bound ell={params.move_bound:.6g} must be below the interval "
-            f"length {domain.c - domain.a:.6g}: the reflected probe would leave it"
-        )
+def check_move_bound(domain: DomainGeometry, params) -> None:
+    """Raise ``ValidationError`` when the move bound ell exceeds r_int, half
+    the interval, or r_ext/2 on the ball.  Within it a 1D layer node reaches
+    one wall and every reflected probe stays inside; on the ball, every
+    step ends where the projection is single-valued."""
+    ell, one_d = params.move_bound, domain.dim == 1
+    name, bound = ("r_int", domain.r_int) if one_d else ("r_ext/2", 0.5 * domain.r_ext)
+    if ell > bound:
+        why = "a layer node would reach both walls" if one_d else "the projection is undefined"
+        raise ValidationError(f"eps={params.eps:g}: move bound ell={ell:.6g} exceeds the "
+                              f"{domain.kind}'s {name} = {bound:.6g}, beyond which {why}")

@@ -237,6 +237,19 @@ class TestProvenance:
 # -- workflows --------------------------------------------------------------
 
 
+# (mode, problem, ladder): a rung that each mode plays, with ell beyond its domain's bound
+BEYOND_THE_MOVE_BOUND = [
+    ("heat1d", "heat1d_linear_profile", "0.5"),
+    ("parabolic", "heat1d_linear_profile", "0.5"),
+    # a decreasing ladder puts its largest ell on its first rung
+    ("convergence", "heat1d_linear_profile", "0.5,0.2"),
+    ("elliptic", "laplace_elliptic_1d", "0.5"),
+    ("mixed", "mixed_dn_elliptic_1d", "0.5"),
+    ("audit-elliptic", "laplace_elliptic_1d", "0.2,0.5"),
+    ("consistency", "", "0.2,0.5"),
+]
+
+
 class TestSolveWorkflows:
     def test_heat1d_solve_writes_field_and_error_columns(self, tmp_path):
         out = tmp_path / "o"
@@ -272,16 +285,31 @@ class TestSolveWorkflows:
         monkeypatch.setattr("pdegame.cli.solve_scalar_dpp", no_solve)
         monkeypatch.setattr("pdegame.cli.solve_levelset", no_solve)
         out = tmp_path / "o"
-        assert main([*argv, "--problem", "heat1d_linear_profile", "--out", str(out)]) == 2
+        assert main([*argv, "--problem", "heat1d_cosine", "--out", str(out)]) == 2
         assert "no round fits" in capsys.readouterr().err
         assert not out.exists()
 
     def test_a_horizon_of_one_round_still_solves(self, tmp_path):
         # dt = 0.3025 at eps 0.55: round(T/dt) = 1
         out = tmp_path / "o"
-        argv = ["solve", "--problem", "heat1d_linear_profile", "--eps-ladder", "0.55"]
+        argv = ["solve", "--problem", "heat1d_cosine", "--eps-ladder", "0.55"]
         assert main([*argv, "--out", str(out)]) == 0
         assert "t_start_effective = -0.0525\n" in (out / "summary.txt").read_text()
+
+    @pytest.mark.parametrize("mode, problem, ladder", BEYOND_THE_MOVE_BOUND)
+    def test_rung_beyond_the_move_bound_exits_2_before_any_output(
+        self, tmp_path, capsys, mode, problem, ladder
+    ):
+        # ell = 0.5^(5/6) ~ 0.561 exceeds r_int = 1/2 of [0, 1]
+        out = tmp_path / "o"
+        argv = ["solve", "--mode", mode, "--problem", problem, "--eps-ladder", ladder]
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "eps=0.5: move bound ell=0.561231 exceeds the interval's r_int = 0.5," in err
+        assert not out.exists()
+
+    def test_every_mode_is_checked_against_the_move_bound(self):
+        assert [mode for mode, _, _ in BEYOND_THE_MOVE_BOUND] == list(MODES)
 
     def test_parabolic_profiles_are_the_heat1d_values(self, tmp_path):
         # the scalar game has one value, written as both profiles
@@ -507,7 +535,9 @@ class TestStudyWorkflows:
         } <= labels
 
     @pytest.mark.parametrize(
-        "ladder, reason", [("0.44", "r_ext/2"), ("0.6", "interior audit point")]
+        "ladder, reason",
+        [("0.44", "eps=0.44: move bound ell=0.504"), ("0.6", "r_int = 0.5,")],
+        ids=["0.44", "0.6"],
     )
     def test_consistency_ladder_beyond_the_audit_geometry_exits_2_before_auditing(
         self, tmp_path, capsys, monkeypatch, ladder, reason

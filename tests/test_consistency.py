@@ -315,19 +315,19 @@ class TestPointAudits:
 
 class TestAuditPoint:
     @pytest.mark.parametrize(
-        "x, dom, h_value, slack_const",
+        "x, dom, h_value",
         [
-            ((0.0,), DOM, 2.0, None),
-            ((0.02,), DOM, 0.0, 0.5),
-            ((1.0 - 0.3 * make_params(0.2).move_bound, 0.0), DISK, 2.0, None),
+            ((0.0,), DOM, 2.0),
+            ((0.02,), DOM, 0.0),
+            ((1.0 - 0.3 * make_params(0.2).move_bound, 0.0), DISK, 2.0),
         ],
         ids=["wall", "close", "disk"],
     )
-    def test_single_row_audits_are_the_rows_of_the_pair(self, x, dom, h_value, slack_const):
+    def test_single_row_audits_are_the_rows_of_the_pair(self, x, dom, h_value):
         params = make_params(0.2, lambda_rate=1.0)
         args = (np.array(x), 0.25, 1.5, affine(dom, -1.0), heat_problem(dom, h_value), params)
-        upper, lower = audit_point(*args, slack_const)
-        assert audit_upper(*args, slack_const) == upper
+        upper, lower = audit_point(*args)
+        assert audit_upper(*args) == upper
         assert audit_lower(*args) == lower
         assert upper.lhs == lower.lhs
 

@@ -324,9 +324,9 @@ class TestScalarSolver:
         "name, eps",
         [
 (name, eps) for name in PARABOLIC for eps in (0.2, 0.1)]
-        + [("heat1d_linear_profile", 0.5)]  # ell ~ 0.56: no node of 4 reaches both walls
-        # ell ~ 0.61: nine line columns per layer row on the unit interval, one on [0, pi]
-        + [(name, 0.55) for name in PARABOLIC]
+        # ell ~ 0.56 to 0.74 on [0, pi]: long steps on a coarse lattice
+        + [("heat1d_cosine", 0.5)]
+        + [(name, eps) for name in ("heat1d_cosine", "heat1d_reaction") for eps in (0.55, 0.7)]
         # a finer lattice on the unit interval: 90 nodes, 100 steps
         + [("heat1d_linear_profile", 0.05), ("heat1d_homogeneous", 0.05)],
     )
@@ -341,14 +341,15 @@ class TestScalarSolver:
 
     @settings(max_examples=30, deadline=None)
     @given(
-        name=st.sampled_from(PARABOLIC),
-        eps=st.sampled_from([0.55, 0.2, 0.1]),
+        case=st.sampled_from([(name, eps) for name in PARABOLIC for eps in (0.2, 0.1)]
+                             + [("heat1d_cosine", 0.55), ("heat1d_reaction", 0.55)]),
         scale=st.sampled_from([0.0, 1e-3, 1.0, 1e3]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_one_step_from_random_values_matches_s_eps(self, name, eps, scale, seed):
+    def test_one_step_from_random_values_matches_s_eps(self, case, scale, seed):
         # scale 0 announces one repeated pair per line; 1 and 1e3 saturate
         # the p and Gamma clips, which sit between 1.3 and 2.7 at these eps
+        name, eps = case
         prob = get_problem(name)
         params = make_params(eps)
         base = GridField.build(prob.domain, grid_spacing(prob.domain, params))
@@ -361,7 +362,7 @@ class TestScalarSolver:
         assert got.tobytes() == np.array(want).tobytes()
 
     def test_horizon_shorter_than_half_a_round_is_rejected(self):
-        prob = get_problem("heat1d_linear_profile")
+        prob = get_problem("heat1d_cosine")
         # T = 0.25 against dt = 0.81: the one round played would start at t = -0.56
         with pytest.raises(ValidationError, match="no round fits"):
             solve_scalar_dpp(prob, make_params(0.9))
@@ -387,16 +388,17 @@ class TestScalarSolver:
             T=0.25,
         )
         params = make_params(0.2)
-        assert params.move_bound >= 0.2  # the reflected probe could leave [0, 0.2]
+        assert params.move_bound > 0.1  # a layer node of [0, 0.2] would reach both walls
 
-        def no_solve(*args, **kwargs):
-            raise AssertionError("a solve started")
+        def no_round(*args, **kwargs):
+            raise AssertionError("a round was played")
 
-        monkeypatch.setattr(GridField, "from_callable", no_solve)
-        monkeypatch.setattr(GridField, "build", no_solve)
-        with pytest.raises(ValidationError, match="move bound"):
+        # the solve's candidate plan checks the bound before any round
+        monkeypatch.setattr("pdegame.game_parabolic._sweep_1d", no_round)
+        monkeypatch.setattr(CandidatePlan1D, "announce", no_round)
+        with pytest.raises(ValidationError, match="r_int = 0.1,"):
             solve_scalar_dpp(prob, params)
-        with pytest.raises(ValidationError, match="move bound"):
+        with pytest.raises(ValidationError, match="r_int = 0.1,"):
             solve_levelset(prob, params)
 
     def test_non_finite_values_abort(self):

@@ -4,9 +4,10 @@ import pytest
 
 from pdegame.consistency import run_audit_suite
 from pdegame.fields import AnalyticField, GridField, grid_spacing, interpolate
+from pdegame.game_parabolic import s_eps, solve_scalar_dpp
 from pdegame.geometry import ball, interval
-from pdegame.params import GameParams, make_params
-from pdegame.problems import boundary_function, get_problem
+from pdegame.params import GameParams, ValidationError, make_params
+from pdegame.problems import ParabolicProblem, boundary_function, get_problem, list_problems
 from pdegame.strategies import (
     NeumannBounds,
     Strategy,
@@ -14,6 +15,7 @@ from pdegame.strategies import (
     candidate_moves,
     candidate_strategies,
     CandidatePlan1D,
+    check_move_bound,
     clip_strategy,
     dual_stencils,
     gamma_opt,
@@ -453,19 +455,19 @@ def _bytes(values):
 
 def _node_columns(plan, i):
     """Node i's announcement columns: its base column, then at a layer
-    row its line columns (1, or _LINE_SAMPLES where a node reaches both
-    walls), in sample order."""
-    n, layer = len(plan.n_moves), list(plan.layer_rows)  # n_moves: one entry per node
-    if i not in layer:
-        return [i]
-    samples = (len(plan.node) - n) // len(layer)
-    return [i] + [n + k * len(layer) + layer.index(i) for k in range(samples)]
+    row its one line column."""
+    layer = list(plan.layer_rows)
+    n = len(plan.node) - len(layer)
+    return [i] + ([n + layer.index(i)] if i in layer else [])
 
 
 class TestBatchedKernel:
-    @pytest.mark.parametrize("eps", [0.55, 0.2, 0.1, 0.05])
     @pytest.mark.parametrize(
-        "name", ["heat1d_cosine", "heat1d_linear_profile", "heat1d_homogeneous", "heat1d_reaction"]
+        "name, eps",
+        [(name, eps) for name in ("heat1d_cosine", "heat1d_linear_profile", "heat1d_homogeneous",
+                                  "heat1d_reaction") for eps in (0.2, 0.1, 0.05)]
+        # ell ~ 0.61 and 0.92 on [0, pi]: long steps on a coarse lattice
+        + [(name, eps) for name in ("heat1d_cosine", "heat1d_reaction") for eps in (0.55, 0.9)],
     )
     def test_matches_the_pointwise_lists_node_by_node(self, name, eps):
         prob = get_problem(name)
@@ -485,9 +487,6 @@ class TestBatchedKernel:
             for i in range(n):
                 strats = candidate_strategies(dom, xs[i : i + 1], field, params, prob.h)
                 cols = _node_columns(plan, i)
-                # where m = M the list has p_lo once, and every line column plays it
-                if len(strats) == 2:
-                    strats += strats[1:] * (len(cols) - 2)
                 assert _bytes(P[cols]) == _bytes([s.p[0] for s in strats])
                 assert _bytes(G[cols]) == _bytes([s.Gamma[0, 0] for s in strats])
         # every column, base or line, plays its node's moves
@@ -496,8 +495,7 @@ class TestBatchedKernel:
         for c, i in enumerate(plan.node):
             xp = xs[i : i + 1]
             moves = [dom.make_move(xp, req) for req in candidate_moves(dom, xp, params)]
-            k = plan.n_moves[i]
-            assert k == len(moves)
+            k = len(moves)
             assert _bytes(plan.step[:k, c]) == _bytes([mv.delta_hat[0] for mv in moves])
             assert _bytes(plan.landing[:k, c]) == _bytes([mv.landing[0] for mv in moves])
             assert _bytes(landed[:k, c]) == _bytes([field.eval(mv.landing) for mv in moves])
@@ -511,11 +509,14 @@ class TestBatchedKernel:
         for arr in (plan.step, plan.landing, plan.crossed, plan.penalty, *plan.landing_cells):
             assert arr.shape == (M, len(plan.node)) and arr.flags.c_contiguous
 
-    @pytest.mark.parametrize("eps", [0.55, 0.2, 0.1, 0.05])
-    def test_only_the_layer_rows_announce_more_than_the_base_pair(self, eps):
-        # the Neumann bounds and the corrected line run on the nodes with
-        # d < ell; every other node announces its base pair alone
-        prob = get_problem("heat1d_linear_profile")
+    @pytest.mark.parametrize(
+        "name, eps",
+        [("heat1d_linear_profile", eps) for eps in (0.2, 0.1, 0.05)] + [("heat1d_cosine", 0.55)],
+    )
+    def test_only_the_layer_rows_announce_more_than_the_base_pair(self, name, eps):
+        # the Neumann bound and p_lo run on the nodes with d < ell; every
+        # other node announces its base pair alone
+        prob = get_problem(name)
         dom = prob.domain
         params = make_params(eps)
         base = GridField.build(dom, grid_spacing(dom, params))
@@ -524,59 +525,59 @@ class TestBatchedKernel:
         d = np.minimum(xs - dom.a, dom.c - xs)
         layer = np.flatnonzero(d < params.move_bound)
         np.testing.assert_array_equal(plan.layer_rows, layer)
-        # ell ~ 0.61 at eps 0.55 puts every node of the unit interval in the
-        # layer, and the midpoint within reach of both walls
-        assert len(layer) == len(xs) if eps == 0.55 else 0 < len(layer) < len(xs)
-        samples = _LINE_SAMPLES if eps == 0.55 else 1
-        # n base columns, then the line columns, sample-major
-        np.testing.assert_array_equal(
-            plan.node, np.concatenate([np.arange(len(xs)), np.tile(layer, samples)])
+        assert 0 < len(layer) < len(xs)  # 4 of 9 nodes at eps 0.55 on [0, pi]
+        # n base columns, then one line column per layer row
+        np.testing.assert_array_equal(plan.node, np.concatenate([np.arange(len(xs)), layer]))
+
+    @pytest.mark.parametrize("eps", [0.2, 0.1, 0.05, 0.025, 0.0125])
+    @pytest.mark.parametrize("name", list_problems())
+    def test_one_line_column_per_layer_row_where_each_reaches_one_wall(self, name, eps):
+        prob = get_problem(name)
+        dom, params = prob.domain, make_params(eps)
+        base = GridField.build(dom, grid_spacing(dom, params))
+        plan = CandidatePlan1D(base, params, prob.h)
+        x, ell = base.x_nodes[plan.layer_rows], params.move_bound
+        walls_in_reach = (np.abs(x - dom.a) < ell).astype(int) + (np.abs(x - dom.c) < ell)
+        assert len(x) > 0 and np.all(walls_in_reach == 1)
+        # one base column per node, one line column per layer row: 42 at eps 0.2 on [0, pi]
+        assert len(plan.node) == len(base.x_nodes) + len(plan.layer_rows)
+
+
+class TestMoveBound:
+    def test_ell_at_r_int_is_accepted_and_the_kernel_still_matches_s_eps(self):
+        params = make_params(0.2)
+        ell = params.move_bound
+        dom = interval(0.0, 2.0 * ell)
+        assert dom.r_int == ell
+        check_move_bound(dom, params)
+        # one flux per wall; the midpoint sits at d = ell, outside the layer
+        prob = ParabolicProblem(
+            name="half_ell", domain=dom, f=lambda t, x, z, p, G: -G[0, 0],
+            g=lambda x: float(np.cos(3.0 * x[0])), h=lambda x: 0.3 if x[0] < ell else -0.2,
+            T=0.25, f_batched=lambda t, X, Z, P, G: -G[:, 0, 0],
         )
+        sol = solve_scalar_dpp(prob, params, store_all=True)
+        xs = sol.fields[0].x_nodes
+        plan = CandidatePlan1D(sol.fields[0], params, prob.h)
+        assert len(plan.layer_rows) == len(xs) - 1
+        for prev, cur, t in zip(sol.fields, sol.fields[1:], sol.times[1:]):
+            oracle = [s_eps(prev, x, t, prev.values[i], prob, params) for i, x in enumerate(xs)]
+            np.testing.assert_array_equal(cur.values, oracle)
 
-    @pytest.mark.parametrize("eps", [0.2, 0.1, 0.05])
-    def test_one_line_column_per_layer_row_where_each_reaches_one_wall(self, eps):
-        prob = get_problem("heat1d_cosine")
-        base = GridField.build(prob.domain, grid_spacing(prob.domain, make_params(eps)))
-        plan = CandidatePlan1D(base, make_params(eps), prob.h)
-        assert len(plan.node) == len(base.x_nodes) + len(plan.layer_rows)  # 42 at eps 0.2
+    def test_ell_at_half_r_ext_is_accepted_on_the_ball(self):
+        params = make_params(0.2)
+        check_move_bound(ball((0.0, 0.0), 2.0 * params.move_bound), params)
 
-    def test_both_walls_within_reach_spread_the_line_and_pad_moves(self):
-        # ell ~ 0.61 on [0, 1] reaches both walls from the midpoint of the
-        # 3-node lattice: the walls' fluxes -1 and +1 give bounds m < M
-        prob = get_problem("heat1d_linear_profile")
-        params = make_params(0.55)
-        base = GridField.build(prob.domain, grid_spacing(prob.domain, params))
-        plan = CandidatePlan1D(base, params, prob.h)
-        np.testing.assert_array_equal(plan.layer_rows, [0, 1, 2])
-        P, _ = plan.announce(np.zeros(len(base.x_nodes)))
-        # at the midpoint the line samples are distinct, and the middle one
-        # is the base pair
-        line = P[3:].reshape(_LINE_SAMPLES, 3)
-        assert len(set(line[:, 1].tolist())) == _LINE_SAMPLES
-        assert line[_LINE_SAMPLES // 2, 1] == P[1]
-        # the wall nodes reach one wall: m = M, and each line column plays p_lo
-        assert np.all(line[:, [0, 2]] == line[0, [0, 2]])
-        # the wall nodes have three moves; the midpoint's grazing step makes four
-        assert plan.n_moves.tolist() == [3, 4, 3] and plan.step.shape[0] == 4
-
-    def test_both_wall_row_whose_bounds_coincide_plays_p_lo_alone(self):
-        # the exact linear profile's slope 1 meets both walls' fluxes -1 and
-        # +1: at the midpoint m = M = 0, and every line sample is p_lo
-        prob = get_problem("heat1d_linear_profile")
-        params = make_params(0.55)
-        base = GridField.from_callable(prob.domain, grid_spacing(prob.domain, params), prob.g)
-        plan = CandidatePlan1D(base, params, prob.h)
-        x, ell = base.x_nodes[1:2], params.move_bound
-        derivs = probe_derivatives(prob.domain, x, base, ell, flux=prob.h)
-        bounds = neumann_bounds(prob.domain, x, ell, prob.h, derivs[0])
-        assert (bounds.m, bounds.M) == (0.0, 0.0)
-        strats = candidate_strategies(prob.domain, x, base, params, prob.h, derivs=derivs)
-        assert len(strats) == 2  # the base pair and p_lo
-        P, G = plan.announce(base.values)
-        cols = _node_columns(plan, 1)
-        assert len(cols) == 1 + _LINE_SAMPLES
-        assert _bytes(P[cols[1:]]) == _bytes([strats[1].p[0]] * _LINE_SAMPLES)
-        assert _bytes(G[cols[1:]]) == _bytes([strats[1].Gamma[0, 0]] * _LINE_SAMPLES)
+    @pytest.mark.parametrize(
+        "dom, name",
+        [(interval(0.0, np.nextafter(2.0 * make_params(0.2).move_bound, 0.0)), "r_int"),
+         (ball((0.0, 0.0), np.nextafter(2.0 * make_params(0.2).move_bound, 0.0)), "r_ext/2")],
+        ids=["interval", "ball"],
+    )
+    def test_ell_one_ulp_beyond_the_bound_is_rejected(self, dom, name):
+        params = make_params(0.2)
+        with pytest.raises(ValidationError, match=f"eps=0.2: move bound ell=0.261532 .* {name} = "):
+            check_move_bound(dom, params)
 
 
 def dense_max_min(a, b, c, p_bound, G_bound, N=401):
