@@ -7,8 +7,12 @@ thresholds built from the step exponents.  Each regime carries an
 explicit one-sided estimate for ``S[phi] - phi``; this module
 evaluates both sides of every estimate on a catalog of test functions
 and boundary-layer points and reports the margins as typed rows and
-CSV.  Every row of a point, for every running value z, comes from one
-pass of ``S[phi]`` over all its z (:func:`audit_point`).
+CSV.  On the interval ``S[phi]`` is the solvers' own 1D kernel: one
+``strategies.CandidatePlan1D`` on all the points of a case, phi read at
+its probes and landings, and ``game_parabolic.play_1d`` once per running
+value z.  The pointwise ``s_eps``, which tests match to the kernel bit
+for bit, is its oracle and still plays each disk point, over all its z
+in one pass (:func:`audit_point`).
 
 The higher-order error allowance is operationalized as a
 measured-then-frozen envelope ``SLACK_CONST * eps**SLACK_POWER``: the
@@ -28,11 +32,12 @@ import numpy as np
 
 from .fields import AnalyticField
 from .game_elliptic import _boundary_sup, exact_barrier
-from .game_parabolic import s_eps
+from .game_parabolic import play_1d, s_eps
 from .geometry import DomainGeometry, ball, interval
 from .params import make_params
 from .problems import ParabolicProblem, f_stacked
 from .strategies import (
+    CandidatePlan1D,
     build_frame,
     check_move_bound,
     gamma_opt,
@@ -239,15 +244,44 @@ def _row(dom, eps, xp, case, lhs, rhs, residual, gating=True) -> AuditRow:
     )
 
 
-def audit_point(x, t, z, phi, problem, params) -> tuple:
-    """Audit both one-sided estimates for ``S[phi] - phi`` at x, for the
-    running value z or for each of a sequence z.
+def _round_values(fields, pts, t, zs, problem, params) -> list:
+    """For each field of ``fields``, ``(values, phi_x)``: S[field] at each
+    point of the ``(k, dim)`` stack ``pts`` for each running value of
+    ``zs`` (k lists of one float per z) and the field at the points.
 
-    Returns ``(upper_row, lower_row)`` per z, concatenated in z order.
-    Both rows bound the same quantity, so S[phi] (one ``s_eps`` pass over
-    every z), the derivatives of phi, the wall-bonus extremes, the wall
-    distance, the boundary frame and the explicit announcements are
-    evaluated once and shared.
+    On the interval one ``CandidatePlan1D`` on the points serves every
+    field: the field is read at the plan's probes, whose first row is the
+    points themselves, and at its base columns' landings (a line column
+    lands where its base column does), and ``play_1d`` runs once per z.
+    On the disk ``s_eps`` runs once per point.
+    """
+    dom = problem.domain
+    if dom.dim == 2:
+        return [([s_eps(phi, xp, t, zs, problem, params) for xp in pts], phi.eval(pts).tolist())
+                for phi in fields]
+    plan = CandidatePlan1D(dom, pts[:, 0], params, problem.h)
+    base = plan.landing[:, : len(pts)]
+    out = []
+    for phi in fields:
+        probe = phi.eval(plan.probes.reshape(-1, 1)).reshape(plan.probes.shape)
+        landing = phi.eval(base.reshape(-1, 1)).reshape(base.shape)[:, plan.node]
+        values = [play_1d(problem, params, plan, probe, landing, z, t) for z in zs]
+        out.append((np.transpose(values).tolist(), probe[0].tolist()))
+    return out
+
+
+def audit_point(x, t, z, phi, problem, params) -> tuple:
+    """Audit both one-sided estimates for ``S[phi] - phi`` at x, a point
+    or a ``(k, dim)`` stack of points, for the running value z or for each
+    of a sequence z.
+
+    Returns, point by point, ``(upper_row, lower_row)`` per z, concatenated
+    in z order.  S[phi] comes for every point and z at once
+    (:func:`_round_values`: one play of the 1D kernel per z on the
+    interval, one ``s_eps`` pass per point on the disk).  Both rows of a
+    point bound the same quantity, so its derivatives of phi, wall-bonus
+    extremes, boundary frame (and the wall distance read from it) and
+    explicit announcements are evaluated once and shared.
 
     Upper row: the case-labelled bound plus the frozen higher-order
     allowance, ``residual = lhs - rhs``; the close-small label's
@@ -255,20 +289,28 @@ def audit_point(x, t, z, phi, problem, params) -> tuple:
     two-case bound from explicit announcements available to the
     maximizer, so no allowance, ``residual = rhs - lhs``.
     """
-    xp = np.atleast_1d(np.asarray(x, dtype=float))
+    pts = np.reshape(np.asarray(x, dtype=float), (-1, problem.domain.dim))
+    zs = (z,) if np.ndim(z) == 0 else tuple(z)
+    [(values, phi_x)] = _round_values((phi,), pts, t, zs, problem, params)
+    rows = []
+    for xp, vals, phx in zip(pts, values, phi_x):
+        rows.extend(_point_rows(xp, t, zs, vals, phx, phi, problem, params))
+    return tuple(rows)
+
+
+def _point_rows(xp, t, zs, values, phi_x, phi, problem, params) -> list:
+    """The rows of :func:`audit_point` at the point xp, from S[phi] there
+    for each z (``values``) and phi(xp)."""
     dom = problem.domain
     eps = params.eps
     ell = params.move_bound
     grad = phi.fd_gradient(xp)
     hess = phi.fd_hessian(xp)
+    frame = build_frame(dom, xp, ell)
+    d = frame.d
     bounds = neumann_bounds(dom, xp, ell, problem.h, grad)
     hnorm = _hess_norm(hess)
-    d = dom.dist_to_boundary(xp)
-    zs = (z,) if np.ndim(z) == 0 else tuple(z)
-    values = s_eps(phi, xp, t, zs, problem, params)
-    phi_x = phi.eval(xp)
     if bounds.possible:  # the explicit announcements of the labels where a step crosses
-        frame = build_frame(dom, xp, ell)
         p_M, p_m = p_opt_upper(frame, grad, hess, bounds), p_opt_lower(frame, grad, hess, bounds)
         G_o = gamma_opt(frame, hess)
 
@@ -304,7 +346,7 @@ def audit_point(x, t, z, phi, problem, params) -> tuple:
                 problem.f(t, xp, z, p_m, G_o)
             )
         rows.append(_row(dom, eps, xp, lower_case, lhs, rhs, rhs - lhs))
-    return tuple(rows)
+    return rows
 
 
 def audit_upper(x, t, z, phi, problem, params) -> AuditRow:
@@ -322,7 +364,8 @@ def audit_lower(x, t, z, phi, problem, params) -> AuditRow:
 
 def _audit_around_barrier(problem, params, psi, shift, pts, z_values, t, label, bound):
     """One round on ``phi = shift + psi`` and on its mirror ``-phi`` at each
-    point of ``pts``: rows ``<label>-upper`` audit ``S[phi] - phi <=
+    point of ``pts``, each field played once over all the points
+    (:func:`_round_values`): rows ``<label>-upper`` audit ``S[phi] - phi <=
     bound(z, phi(x))``, rows ``<label>-lower`` audit ``S[-phi] + phi >=
     -bound(z, phi(x))``."""
     dom, eps = problem.domain, params.eps
@@ -334,12 +377,12 @@ def _audit_around_barrier(problem, params, psi, shift, pts, z_values, t, label, 
         grad=lambda p: -psi.fd_gradient(p),
         hess=lambda p: -psi.fd_hessian(p),
     )
+    pts = np.array(pts)
+    (ups, phi_xs), (lows, _) = _round_values((shifted, mirrored), pts, t, z_values, problem,
+                                             params)
     report = ConsistencyReport()
-    for xp in pts:
-        phi_x = shifted.eval(xp)
-        ups = s_eps(shifted, xp, t, z_values, problem, params)
-        lows = s_eps(mirrored, xp, t, z_values, problem, params)
-        for z, s_up, s_low in zip(z_values, ups, lows):
+    for xp, phi_x, up_z, low_z in zip(pts, phi_xs, ups, lows):
+        for z, s_up, s_low in zip(z_values, up_z, low_z):
             rhs = bound(z, phi_x)
             up = s_up - phi_x
             report.add(_row(dom, eps, xp, f"{label}-upper", up, rhs, up - rhs))
@@ -528,7 +571,7 @@ def run_audit_suite(
     every rung of the ladder; points are placed at named wall
     distances inside each threshold band.  Each point contributes, for
     each z in turn, its upper row, then its lower row; one
-    :func:`audit_point` call, and so one ``s_eps`` pass, serves all of them.
+    :func:`audit_point` call serves all the points of a (rung, case).
 
     Raises ``ValidationError`` before any audit runs if :func:`audit_ladder` does.
     """
@@ -555,10 +598,9 @@ def run_audit_suite(
             (_cos_profile(dom, 0.3, 3.0), _heat_problem(dom, h0, "aud_h0"), ("band", "interior")),
         ]
         for phi, problem, kinds in cases:
-            for kind in kinds:
-                for x0 in (dd[kind], 1.0 - dd[kind]) if kind == "close" else (dd[kind],):
-                    xp = np.array([x0])
-                    report.extend(audit_point(xp, t, (0.0, 1.5), phi, problem, params))
+            x0 = [x for kind in kinds
+                  for x in ((dd[kind], 1.0 - dd[kind]) if kind == "close" else (dd[kind],))]
+            report.extend(audit_point(np.array(x0)[:, None], t, (0.0, 1.5), phi, problem, params))
     if include_disk:
         for params in ladder:
             ell = params.move_bound
@@ -566,7 +608,6 @@ def run_audit_suite(
                 (_affine(disk, -1.0), _heat_problem(disk, h2, "aud_disk_h2"), (0.0, 0.3 * ell)),
                 (_affine(disk, 0.2), _heat_problem(disk, h0, "aud_disk_h0"), (0.5 * ell, 1.5 * ell)),
             ):
-                for d in dists:
-                    xp = np.array([1.0 - d, 0.0])
-                    report.extend(audit_point(xp, t, 0.0, phi, problem, params))
+                pts = np.array([[1.0 - d, 0.0] for d in dists])
+                report.extend(audit_point(pts, t, 0.0, phi, problem, params))
     return report

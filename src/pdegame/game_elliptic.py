@@ -236,9 +236,10 @@ class StationaryStep:
     their :func:`strategies.dual_stencils` ``mu``, ``kappa`` are built
     once, and :meth:`intercepts` reads ``c`` off V:
     ``S V = min_j mu_j . c(V) + kappa_j``.  The landings interpolate V at
-    the plan's lattice cells; an exit branch, a step that crosses onto
-    the absorbing part of a :class:`problems.MixedEllipticProblem`,
-    reads no V and pays ``disc * g_exit`` and no penalty.
+    their lattice cells, located once; an exit branch, a step that
+    crosses onto the absorbing part of a
+    :class:`problems.MixedEllipticProblem`, reads no V and pays
+    ``disc * g_exit`` and no penalty.
     """
 
     def __init__(self, problem, params):
@@ -248,11 +249,11 @@ class StationaryStep:
         self.disc = disc = _discount(problem, params)
         lattice = GridField.build(dom, grid_spacing(dom, params))
         self.x_nodes = x = lattice.x_nodes
-        plan = CandidatePlan1D(lattice, params, problem.h)
+        plan = CandidatePlan1D(dom, x, params, problem.h)
         n = len(x)
         step, landing, crossed, penalty = (
             arr[:, :n].T for arr in (plan.step, plan.landing, plan.crossed, plan.penalty))
-        self.left, wl, w = (arr[:, :n].T for arr in plan.landing_cells)
+        self.left, wl, w = lattice.locate(landing)
         # a step stops on the absorbing part when it crosses onto an exit wall
         self.exits = np.zeros_like(crossed)
         exit_pay = np.zeros_like(penalty)

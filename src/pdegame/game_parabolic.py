@@ -18,12 +18,16 @@ plays both (t=None for the stationary round).
 
 ``solve_scalar_dpp`` iterates this backward in time, tracking the value
 directly and feeding the z-slot of f the value at the node; it builds
-one ``strategies.CandidatePlan1D`` over the whole lattice per solve.
-Each step is one branch evaluation over the plan's columns (a base
-column per node, a line column per boundary-layer node): the min over
-moves of every column, then at each layer node the max of its two
-columns.  The pointwise ``s_eps`` is its reference oracle, matched bit
-for bit at every node.  The score game of the paper has an upper and a
+one ``strategies.CandidatePlan1D`` on the lattice nodes per solve and
+locates the plan's probes and landings on the lattice once.  Each step
+interpolates the values there and plays :func:`play_1d`, one branch
+evaluation over the plan's columns (a base column per node, a line
+column per boundary-layer node): the min over moves of every column,
+then at each layer node the max of its two columns.  The 1D audits of
+``consistency`` play the same function on their own points, reading
+their test function there.  The pointwise ``s_eps`` is the reference
+oracle of both, matched bit for bit at every point, and remains the
+operator of the 2D audits.  The score game of the paper has an upper and a
 lower value; the scalar game has a single one, so the ``parabolic``
 mode's ``solve_levelset`` is the same solve.
 """
@@ -46,6 +50,7 @@ __all__ = [
     "ScalarSolution",
     "n_rounds",
     "solve_scalar_dpp",
+    "play_1d",
     "solve_levelset",
 ]
 
@@ -160,8 +165,9 @@ def solve_scalar_dpp(problem, params, store_all: bool = False) -> ScalarSolution
 
     The number of rounds is :func:`n_rounds`, round(T/eps^2); the effective
     start time snaps accordingly.  Every node reproduces the pointwise
-    oracle ``s_eps`` bit for bit: one ``CandidatePlan1D`` is built over
-    the lattice per solve, and each step announces from the values and
+    oracle ``s_eps`` bit for bit: one ``CandidatePlan1D`` is built on
+    the lattice nodes per solve, its probes and landings are located on
+    the lattice once, and each step announces from the values and
     evaluates every (move, column) branch at once.  The z-slot of f is
     fed the previous sweep's value at the same node.
     """
@@ -172,13 +178,14 @@ def solve_scalar_dpp(problem, params, store_all: bool = False) -> ScalarSolution
     dt = params.time_step
     n_steps = n_rounds(problem, params)
     field = GridField.from_callable(dom, grid_spacing(dom, params), problem.g)
-    plan = CandidatePlan1D(field, params, problem.h)
+    plan = CandidatePlan1D(dom, field.x_nodes, params, problem.h)
+    cells = field.locate(plan.probes), field.locate(plan.landing)
 
     times = [problem.T]
     fields = [field]
     for j in range(n_steps):
         t_target = problem.T - (j + 1) * dt
-        new = _sweep_1d(problem, params, plan, field.values, t_target)
+        new = _sweep_1d(problem, params, plan, cells, field.values, t_target)
         if not np.all(np.isfinite(new)):
             raise NumericAbort(
                 f"non-finite values after sweep to t={t_target:.6g} "
@@ -194,25 +201,36 @@ def solve_scalar_dpp(problem, params, store_all: bool = False) -> ScalarSolution
     return ScalarSolution(problem=problem, params=params, times=times, fields=fields)
 
 
-def _sweep_1d(problem, params, plan, values, t):
-    """``s_eps`` at every node of ``plan`` from the lattice ``values``, as
-    one branch evaluation over the plan's columns: the branch values
-    ``phi(landing) - p step - 0.5 G step^2 - dt f + penalty`` over (move,
-    column), their min over moves, and at each layer row the max of its
-    line column and its base column."""
-    P, G = plan.announce(values)
-    F = f_stacked(problem, t, plan.x, values[plan.node], P, G)
+def _sweep_1d(problem, params, plan, cells, values, t):
+    """``s_eps`` at every node of ``plan`` from the lattice ``values``:
+    :func:`play_1d` on the values interpolated at the ``cells``, the
+    lattice cells of the plan's probes and landings, with each node's
+    value as its running value."""
+    probe_cells, landing_cells = cells
+    return play_1d(problem, params, plan, interpolate(probe_cells, values),
+                   interpolate(landing_cells, values), values[plan.node], t)
+
+
+def play_1d(problem, params, plan, probe_values, landing_values, z, t):
+    """``s_eps`` at every point of the ``strategies.CandidatePlan1D``
+    ``plan`` from the field's values at its ``probes`` and ``landing``, as
+    one branch evaluation over the plan's columns: the announcements, the
+    branch values ``phi(landing) - p step - 0.5 G step^2 - dt f + penalty``
+    over (move, column), their min over moves, and at each layer row the
+    max of its line column and its base column.  ``z`` is one running
+    value or one per column.  With t=None, as in ``s_eps``, f is called
+    without t and the landing values are discounted by e^(-lambda dt)."""
+    if t is None:
+        landing_values = _discount(problem, params) * landing_values
+    P, G = plan.announce(probe_values)
+    F = f_stacked(problem, t, plan.x, z, P, G)
     D = plan.step
-    vals = (
-        interpolate(plan.landing_cells, values)
-        - P * D
-        - 0.5 * (D * G * D)
-        - params.time_step * F
-    )
+    vals = landing_values - P * D - 0.5 * (D * G * D) - params.time_step * F
     np.add(vals, plan.penalty, out=vals, where=plan.crossed)
     worst = vals.min(axis=0)
-    best, L = worst[: len(values)], plan.layer_rows
-    best[L] = np.maximum(best[L], worst[len(values) :])
+    n, L = len(probe_values[0]), plan.layer_rows
+    best = worst[:n]
+    best[L] = np.maximum(best[L], worst[n:])
     return best
 
 

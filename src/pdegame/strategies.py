@@ -21,19 +21,21 @@ coincide (m = M), and else ``_LINE_SAMPLES`` points from p_lo to p_hi.
 The bounds coincide at every 1D node: :func:`check_move_bound` keeps ell
 at most half the interval, so a node in the layer reaches one wall.
 
-In 1D the solvers take every list from one batched kernel,
-:class:`CandidatePlan1D`, which reproduces the pointwise functions bit
-for bit at every node of the lattice.  It lays the game's branches out
-as fixed columns: one base column per node, for its clipped probe pair,
-and one line column, p_lo, per boundary-layer node.  Only the maximizer's
-announcements read the values: the plan holds the rest (each column's
-moves, their landings, crossings and penalties, the lattice cells of
-the probes and landings, and the boundary frame) and is built once per
-solve; :meth:`CandidatePlan1D.announce` derives every column's
-announcement from the values at each step.  The pointwise functions
+In 1D the solvers and the audits take every list from one batched
+kernel, :class:`CandidatePlan1D`, built on any points of the interval,
+which reproduces the pointwise functions bit for bit at each point.  It
+lays the game's branches out as fixed columns: one base column per
+point, for its clipped probe pair, and one line column, p_lo, per
+boundary-layer point.  The plan is geometry alone (each column's moves,
+their landings, crossings and penalties, the probe points and the
+boundary frame) and reads no field: its caller reads the field at the
+probes and landings, a solver through lattice cells that it locates
+once per solve and an audit by ``eval``, and
+:meth:`CandidatePlan1D.announce` derives every column's announcement
+from the probe values.  The pointwise functions
 (:func:`candidate_strategies`, :func:`candidate_moves` and their parts)
-remain as the reference oracles that the tests, the audits and the 2D
-one-step operator use.  They too work on arrays, bit for bit with a
+remain as the reference oracles that the tests, the 2D audits and the
+2D one-step operator use.  They too work on arrays, bit for bit with a
 loop over single announcements and steps: :func:`candidate_strategies`
 clips its base pair and line as one stack (the plan's announce takes
 the same clip), and in 2D :func:`neumann_bounds` projects its crossing
@@ -51,7 +53,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import interpolate
 from .geometry import DomainGeometry
 from .params import ValidationError
 
@@ -353,35 +354,38 @@ def move_builder(domain: DomainGeometry, x, params):
 
 
 class CandidatePlan1D:
-    """Every branch of the one-step game at every node of the lattice of
-    the ``GridField`` ``lattice``, laid out as fixed columns and built
-    once per solve (h is evaluated once per wall); :meth:`announce` fills
-    in the announcements from the values at each step.
+    """Every branch of the one-step game at each of the points ``x`` of
+    the interval ``domain``, laid out as fixed columns and built once (h
+    is evaluated once per wall); :meth:`announce` fills in the
+    announcements from the field's values at :attr:`probes`.
 
-    Column i < n (n the node count) is the base column of node i, at
-    ``x[i]``: it plays the node's clipped probe pair.  Column ``n + j`` is
-    the line column of node ``layer_rows[j]`` (the nodes with d < ell,
-    where a step can cross): the node reaches only its nearest wall, so
-    its line is the one point p_lo.  ``node`` maps each column to its node
-    and ``x`` gives the node's position.  The (M, columns) move arrays are
-    C-contiguous, so the scalar sweep's arithmetic and its min over moves
-    run over whole rows.  They hold ``candidate_moves`` (0, +ell, -ell,
-    then the grazing step when 0 < d < ell) with their ``landing``, its
-    ``landing_cells``, ``crossed``, and ``penalty`` (the penalty weight
-    times h at the wall a crossing step lands on, else 0).  A fourth row
-    where a node has only three moves repeats its -ell step, which
-    changes no min.  The other attributes serve :meth:`announce`: the
-    cells of each node and of its probes (their mirror where a probe
-    leaves the interval, adding ``flux``), and the boundary frame's
-    hoisted coefficients and wall datum at the layer rows.
+    The plan holds geometry alone and reads no field: the caller reads
+    its field at ``probes`` and at ``landing`` (a solver through the
+    lattice cells it locates once per solve, an audit by ``eval``).
+    Column i < n (n the point count) is the base column of point i: it
+    plays the point's clipped probe pair.  Column ``n + j`` is the line
+    column of point ``layer_rows[j]`` (the points with d < ell, where a
+    step can cross): the point reaches only its nearest wall, so its line
+    is the one point p_lo.  ``node`` maps each column to its point and
+    ``x`` gives the point's position.  The (M, columns) move arrays are
+    C-contiguous, so the arithmetic of a play and its min over moves run
+    over whole rows.  They hold ``candidate_moves`` (0, +ell, -ell, then
+    the grazing step when 0 < d < ell) with their ``landing``,
+    ``crossed``, and ``penalty`` (the penalty weight times h at the wall
+    a crossing step lands on, else 0); every column of a point has its
+    base column's moves.  A fourth row where a point has only three moves
+    repeats its -ell step, which changes no min.  The other attributes
+    serve :meth:`announce`: the ``(3, n)`` ``probes`` (each point, then
+    x + ell and x - ell, or their mirror where a probe leaves the
+    interval, which adds ``flux``), and the boundary frame's hoisted
+    coefficients and wall datum at the layer rows.
     """
 
-    def __init__(self, lattice, params, h):
-        dom = lattice.domain
-        check_move_bound(dom, params)
-        a, c, tol, ell = dom.a, dom.c, dom.tol, params.move_bound
+    def __init__(self, domain, x, params, h):
+        check_move_bound(domain, params)
+        a, c, tol, ell = domain.a, domain.c, domain.tol, params.move_bound
         h_a, h_c = float(h(np.array([a]))), float(h(np.array([c])))
-        x = lattice.x_nodes
+        x = np.asarray(x, dtype=float)
 
         def outside(q):
             return np.maximum(np.maximum(a - q, q - c), 0.0) > tol
@@ -390,8 +394,7 @@ class CandidatePlan1D:
         self.reflected = outside(q)
         foot = np.clip(q, a, c)
         self.flux = 2.0 * np.abs(q - foot) * np.where(q < a, h_a, h_c)
-        mirrored = np.where(self.reflected, 2.0 * foot - q, q)
-        self.probes = lattice.locate(np.concatenate([x[None], mirrored]))
+        self.probes = np.concatenate([x[None], np.where(self.reflected, 2.0 * foot - q, q)])
 
         d = np.maximum(np.minimum(x - a, c - x), 0.0)
         normal = np.where(x - a <= c - x, -1.0, 1.0)
@@ -413,24 +416,22 @@ class CandidatePlan1D:
         x_hat = self.x + self.step
         self.crossed = outside(x_hat)
         self.landing = np.where(self.crossed, np.clip(x_hat, a, c), x_hat)
-        self.landing_cells = lattice.locate(self.landing)
         weight = np.abs(x_hat - self.landing)
         self.penalty = np.where(self.crossed, weight * np.where(self.landing <= a, h_a, h_c), 0.0)
         self.params = params
 
-    def announce(self, values):
-        """``(P, G)`` from the lattice ``values``: the gradient and Hessian
-        of every column, clipped in one call.  Node i's
-        ``candidate_strategies`` are its base column followed, at a layer
-        row, by its line column.  Each step of the pointwise code runs for
-        all nodes at once with the same arithmetic, bit for bit: the probes
-        and the base pair everywhere, and the exact Neumann bound, p_lo
-        and the flattened Hessian at the layer rows.
+    def announce(self, probe_values):
+        """``(P, G)`` from the field's ``(3, n)`` values at :attr:`probes`:
+        the gradient and Hessian of every column, clipped in one call.
+        Point i's ``candidate_strategies`` are its base column followed, at
+        a layer row, by its line column.  Each step of the pointwise code
+        runs for all points at once with the same arithmetic, bit for bit:
+        the probes and the base pair everywhere, and the exact Neumann
+        bound, p_lo and the flattened Hessian at the layer rows.
         """
         params, ell, L = self.params, self.params.move_bound, self.layer_rows
-        probe = interpolate(self.probes, values)
-        f0 = probe[0]
-        fp, fm = np.where(self.reflected, probe[1:] + self.flux, probe[1:])
+        f0 = probe_values[0]
+        fp, fm = np.where(self.reflected, probe_values[1:] + self.flux, probe_values[1:])
         g = (fp - fm) / (2.0 * ell)
         H = (fp - 2.0 * f0 + fm) / ell**2
         gL, HL = g[L], H[L]

@@ -331,27 +331,46 @@ class TestAuditPoint:
         assert audit_lower(*args) == lower
         assert upper.lhs == lower.lhs
 
-    def test_suite_evaluates_the_operator_once_per_point(self, monkeypatch):
-        calls = []
+    def test_suite_plays_one_plan_per_interval_case_and_s_eps_per_disk_point(self, monkeypatch):
+        audits, plays, calls = [], [], []
+        audit, play = cons.audit_point, cons.play_1d
+
+        def recording_audit(*args):
+            audits.append(args)
+            return audit(*args)
+
+        def counting_play(problem, params, plan, *rest):
+            plays.append((plan, rest[-2]))
+            return play(problem, params, plan, *rest)
 
         def counting_s_eps(*args):
             calls.append(args)
             return s_eps(*args)
 
+        monkeypatch.setattr(cons, "audit_point", recording_audit)
+        monkeypatch.setattr(cons, "play_1d", counting_play)
         monkeypatch.setattr(cons, "s_eps", counting_s_eps)
         rows = run_audit_suite(eps_ladder=(0.2,), include_disk=True).rows
-        # 25 interval points with z = (0.0, 1.5) and 4 disk points with z = 0.0
-        assert len(calls) == 29
-        assert len(rows) == 2 * sum(np.size(c[3]) for c in calls) == 108
+        # one audit per case: 8 on the interval (25 points), 2 on the disk (4 points)
+        assert [len(a[0]) for a in audits] == [4, 3, 4, 3, 3, 3, 3, 2, 2, 2]
+        # each interval case builds one plan, played once per z = (0.0, 1.5)
+        assert len({id(plan) for plan, _ in plays}) == 8
+        assert [z for _, z in plays] == [0.0, 1.5] * 8
+        # s_eps runs once per disk point, with z = 0.0, and never on the interval
+        assert [c[4].domain.dim for c in calls] == [2] * 4
+        assert len(rows) == 2 * (25 * 2 + 4) == 108
         rest = iter(rows)
-        for phi, x, t, z, problem, params in calls:
-            # each point's rows: for each z, upper first, then lower, on that z's S[phi]
-            for value in np.atleast_1d(s_eps(phi, x, t, z, problem, params)):
-                upper, lower = next(rest), next(rest)
-                assert lower.case in (CASE_LOWER_BIG_BONUS, CASE_LOWER_SMALL)
-                assert upper.case not in (CASE_LOWER_BIG_BONUS, CASE_LOWER_SMALL)
-                assert upper.point == lower.point == tuple(x)
-                assert upper.lhs == lower.lhs == value - phi.eval(x)
+        for x, t, z, phi, problem, params in audits:
+            for xp in x:
+                # each point's rows: for each z, upper first, then lower, on that z's S[phi]
+                for value in np.atleast_1d(s_eps(phi, xp, t, z, problem, params)):
+                    upper, lower = next(rest), next(rest)
+                    assert lower.case in (CASE_LOWER_BIG_BONUS, CASE_LOWER_SMALL)
+                    assert upper.case not in (CASE_LOWER_BIG_BONUS, CASE_LOWER_SMALL)
+                    assert upper.point == lower.point == tuple(xp)
+                    want = np.float64(value - phi.eval(xp)).tobytes()
+                    assert np.float64(upper.lhs).tobytes() == want
+                    assert np.float64(lower.lhs).tobytes() == want
 
     def test_a_z_sequence_gives_the_rows_of_each_scalar_z_in_turn(self):
         params = make_params(0.2, lambda_rate=1.0)
@@ -548,6 +567,33 @@ class TestBarrierAudits:
                 rows.append(cons._row(DOM, eps, xp, "wall-shift-lower", low, pull - env,
                                       pull - env - low))
         assert audit_wall_shift(lap, params, shift, z_values=zs, n_points=4).rows == rows
+
+    def test_interval_barrier_audits_play_each_field_once_per_z_and_never_s_eps(
+        self, monkeypatch
+    ):
+        plays = []
+        play = cons.play_1d
+
+        def counting_play(problem, params, plan, *rest):
+            plays.append((plan, rest[-2], rest[-1]))
+            return play(problem, params, plan, *rest)
+
+        def no_s_eps(*args):
+            raise AssertionError("s_eps ran on the interval")
+
+        monkeypatch.setattr(cons, "play_1d", counting_play)
+        monkeypatch.setattr(cons, "s_eps", no_s_eps)
+        lap = get_problem("laplace_elliptic_1d")
+        params = make_params(0.2, lambda_rate=lap.lambda_rate)
+        rep = audit_barrier(heat_problem(DOM, 2.0), params, z_values=(0.0, 5.0), n_points=6)
+        assert len(rep.rows) == 2 * 6 * 2
+        # one plan on all 6 points; the field and its mirror, each once per z
+        assert len({id(plan) for plan, _, _ in plays}) == 1
+        assert [(z, t) for _, z, t in plays] == [(0.0, 0.25), (5.0, 0.25)] * 2
+        plays.clear()
+        rep = audit_wall_shift(lap, params, shift=3.0, n_points=4, z_values=(0.0, 1.0, 3.0))
+        assert len(rep.rows) == 2 * (4 + 8) * 3
+        assert [(z, t) for _, z, t in plays] == [(0.0, None), (1.0, None), (3.0, None)] * 2
 
     def test_wall_shift_envelope_scales_with_the_shift(self):
         lap = get_problem("laplace_elliptic_1d")

@@ -12,7 +12,7 @@ from pdegame.params import GameParams, ValidationError, make_params
 from pdegame.problems import EllipticProblem, ParabolicProblem, get_problem
 from pdegame.strategies import (CandidatePlan1D, candidate_moves, candidate_strategies,
                                 probe_derivatives)
-from pdegame.game_parabolic import (NumericAbort, _sweep_1d, s_eps, solve_levelset,
+from pdegame.game_parabolic import (NumericAbort, _sweep_1d, play_1d, s_eps, solve_levelset,
                                     solve_scalar_dpp)
 
 PARABOLIC = ("heat1d_cosine", "heat1d_linear_profile", "heat1d_homogeneous", "heat1d_reaction")
@@ -65,16 +65,17 @@ def reference_s_eps(phi, x, t, z, problem, params):
 
 @pytest.fixture(scope="module")
 def audit_suite_calls():
-    """The arguments of every ``s_eps`` call of the audit suite at eps 0.2
-    and 0.1, recorded without evaluating the operator."""
+    """``(phi, x, t, z, problem, params)`` at every point of the audit suite
+    at eps 0.2 and 0.1, one per point of each ``audit_point`` stack,
+    recorded without evaluating the operator."""
     calls = []
 
-    def record(*args):
-        calls.append(args)
-        return 0.0 if np.ndim(args[3]) == 0 else [0.0] * len(args[3])
+    def record(x, t, z, phi, problem, params):
+        calls.extend((phi, xp, t, z, problem, params) for xp in x)
+        return ()
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cons, "s_eps", record)
+        mp.setattr(cons, "audit_point", record)
         cons.run_audit_suite(eps_ladder=(0.2, 0.1), include_disk=True)
     return calls
 
@@ -136,6 +137,59 @@ def smooth_field(dom, coef):
         hess=lambda p: 2.0 * c * np.eye(dom.dim)
         - np.diag([9.0 * s_ * math.sin(3.0 * p[0])] + [0.0] * (dom.dim - 1)),
     )
+
+
+def suite_cases(eps):
+    """``(phi, points)`` of each interval case of the audit suite at eps,
+    its points as one ``(k, 1)`` stack."""
+    cases = []
+
+    def record(x, t, z, phi, problem, params):
+        if problem.domain.dim == 1:
+            cases.append((phi, x))
+        return ()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cons, "audit_point", record)
+        cons.run_audit_suite(eps_ladder=(eps,), include_disk=False)
+    return cases
+
+
+def play_games():
+    """(problem, t): the audit's heat and drift rounds under the fluxes 0 and
+    2, and the stationary round (t=None) of a drift under both."""
+    games = [(make(DOM, lambda x, v=v: v, name), 0.25) for v in (0.0, 2.0)
+             for make, name in ((cons._heat_problem, "heat"), (cons._drift_problem, "drift"))]
+    games += [(EllipticProblem(name="drift_stationary", domain=DOM, f=drift_f, lambda_rate=1.0,
+                               h=lambda x, v=v: v), None) for v in (0.0, 2.0)]
+    return games
+
+
+class TestPlayOnPoints:
+    @pytest.mark.parametrize("eps", [0.2, 0.1, 0.05])
+    def test_play_on_the_audit_points_matches_s_eps(self, eps):
+        # every interval point of the suite, with each case's phi, plus the
+        # wall, d = ell, d = ell - 1 ulp, the midpoint, a point whose lower
+        # probe reflects and their mirrors through the midpoint
+        params = make_params(eps, lambda_rate=1.0)
+        ell = params.move_bound
+        extra = [0.0, ell, np.nextafter(ell, 0.0), 0.5, 0.3 * ell]
+        extra += [1.0 - x for x in extra]
+        zs = (0.0, 1.5, -2.0)
+        cases = suite_cases(eps)
+        assert sum(len(x) for _, x in cases) == 25
+        for phi, x in cases:
+            pts = np.concatenate([x[:, 0], extra])
+            for prob, t in play_games():
+                plan = CandidatePlan1D(DOM, pts, params, prob.h)
+                assert plan.reflected.any()
+                probe, landing = (phi.eval(q.reshape(-1, 1)).reshape(q.shape)
+                                  for q in (plan.probes, plan.landing))
+                got = [play_1d(prob, params, plan, probe, landing, z, t) for z in zs]
+                want = [s_eps(phi, np.array([xi]), t, zs, prob, params) for xi in pts]
+                assert np.transpose(got).tobytes() == np.array(want).tobytes(), prob.name
+                phi_x = [phi.eval(np.array([xi])) for xi in pts]
+                assert probe[0].tobytes() == np.array(phi_x).tobytes()
 
 
 class TestSEpsOverScores:
@@ -356,8 +410,9 @@ class TestScalarSolver:
         rng = np.random.default_rng(seed)
         field = base.with_values(rng.normal() + scale * rng.uniform(-1.0, 1.0, len(base.x_nodes)))
         t = prob.T - params.time_step
-        plan = CandidatePlan1D(base, params, prob.h)
-        got = _sweep_1d(prob, params, plan, field.values, t)
+        plan = CandidatePlan1D(prob.domain, base.x_nodes, params, prob.h)
+        cells = base.locate(plan.probes), base.locate(plan.landing)
+        got = _sweep_1d(prob, params, plan, cells, field.values, t)
         want = [s_eps(field, x, t, z, prob, params) for x, z in zip(base.x_nodes, field.values)]
         assert got.tobytes() == np.array(want).tobytes()
 

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from pdegame.consistency import run_audit_suite
-from pdegame.fields import AnalyticField, GridField, grid_spacing, interpolate
+from pdegame.fields import AnalyticField, GridField, grid_spacing
 from pdegame.game_parabolic import s_eps, solve_scalar_dpp
 from pdegame.geometry import ball, interval
 from pdegame.params import GameParams, ValidationError, make_params
@@ -429,12 +429,18 @@ class TestMovesAgainstTheLoop:
     @pytest.mark.parametrize("eps", [0.2, 0.1, 0.05])
     def test_audit_points_keep_their_strategies_and_moves(self, eps, monkeypatch):
         # every point of the audit suite, on the interval and the disk
-        points = []
-        monkeypatch.setattr("pdegame.consistency.audit_point",
-                            lambda x, t, z, phi, problem, params, *_: points.append(
-                                (x, phi, problem, params)) or ())
+        calls, points = [], []
+
+        def record(x, t, z, phi, problem, params):
+            calls.append(problem.domain.kind)
+            points.extend((xp, phi, problem, params) for xp in x)
+            return ()
+
+        monkeypatch.setattr("pdegame.consistency.audit_point", record)
         run_audit_suite(eps_ladder=(eps,))
-        assert len(points) == 29  # 25 on the interval, 4 on the disk
+        # one call per case: 8 with 25 points on the interval, 2 with 4 on the disk
+        assert calls == ["interval"] * 8 + ["ball"] * 2
+        assert len(points) == 29
         for x, phi, problem, params in points:
             dom, ell = problem.domain, params.move_bound
             derivs = probe_derivatives(dom, x, phi, ell, flux=problem.h)
@@ -477,12 +483,12 @@ class TestBatchedKernel:
         xs = base.x_nodes
         n = len(xs)
         # one plan, announced from two different value arrays
-        plan = CandidatePlan1D(base, params, prob.h)
+        plan = CandidatePlan1D(dom, xs, params, prob.h)
         M = plan.step.shape[0]
         g = np.array([prob.g(np.array([x])) for x in xs])
         for seed in (3, 4):
             field = base.with_values(g + np.random.default_rng(seed).normal(0.0, 0.05, n))
-            P, G = plan.announce(field.values)
+            P, G = plan.announce(field.eval_many(plan.probes))
             assert P.shape == G.shape == plan.node.shape
             for i in range(n):
                 strats = candidate_strategies(dom, xs[i : i + 1], field, params, prob.h)
@@ -491,7 +497,7 @@ class TestBatchedKernel:
                 assert _bytes(G[cols]) == _bytes([s.Gamma[0, 0] for s in strats])
         # every column, base or line, plays its node's moves
         assert _bytes(plan.x) == _bytes(xs[plan.node])
-        landed = interpolate(plan.landing_cells, field.values)
+        landed = field.eval_many(plan.landing)
         for c, i in enumerate(plan.node):
             xp = xs[i : i + 1]
             moves = [dom.make_move(xp, req) for req in candidate_moves(dom, xp, params)]
@@ -506,7 +512,7 @@ class TestBatchedKernel:
             for col in (plan.step, plan.landing, plan.crossed, plan.penalty):
                 assert np.all(col[k:M, c] == col[k - 1, c])
         # the sweep's min over moves runs along rows
-        for arr in (plan.step, plan.landing, plan.crossed, plan.penalty, *plan.landing_cells):
+        for arr in (plan.step, plan.landing, plan.crossed, plan.penalty):
             assert arr.shape == (M, len(plan.node)) and arr.flags.c_contiguous
 
     @pytest.mark.parametrize(
@@ -521,7 +527,7 @@ class TestBatchedKernel:
         params = make_params(eps)
         base = GridField.build(dom, grid_spacing(dom, params))
         xs = base.x_nodes
-        plan = CandidatePlan1D(base, params, prob.h)
+        plan = CandidatePlan1D(dom, xs, params, prob.h)
         d = np.minimum(xs - dom.a, dom.c - xs)
         layer = np.flatnonzero(d < params.move_bound)
         np.testing.assert_array_equal(plan.layer_rows, layer)
@@ -535,7 +541,7 @@ class TestBatchedKernel:
         prob = get_problem(name)
         dom, params = prob.domain, make_params(eps)
         base = GridField.build(dom, grid_spacing(dom, params))
-        plan = CandidatePlan1D(base, params, prob.h)
+        plan = CandidatePlan1D(dom, base.x_nodes, params, prob.h)
         x, ell = base.x_nodes[plan.layer_rows], params.move_bound
         walls_in_reach = (np.abs(x - dom.a) < ell).astype(int) + (np.abs(x - dom.c) < ell)
         assert len(x) > 0 and np.all(walls_in_reach == 1)
@@ -558,7 +564,7 @@ class TestMoveBound:
         )
         sol = solve_scalar_dpp(prob, params, store_all=True)
         xs = sol.fields[0].x_nodes
-        plan = CandidatePlan1D(sol.fields[0], params, prob.h)
+        plan = CandidatePlan1D(dom, xs, params, prob.h)
         assert len(plan.layer_rows) == len(xs) - 1
         for prev, cur, t in zip(sol.fields, sol.fields[1:], sol.times[1:]):
             oracle = [s_eps(prev, x, t, prev.values[i], prob, params) for i, x in enumerate(xs)]
