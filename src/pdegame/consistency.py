@@ -42,8 +42,7 @@ from .strategies import (
     check_move_bound,
     gamma_opt,
     neumann_bounds,
-    p_opt_lower,
-    p_opt_upper,
+    p_opt,
 )
 
 __all__ = [
@@ -143,8 +142,8 @@ class ConsistencyReport:
             out[r.case] = out.get(r.case, 0) + 1
         return out
 
-    def violations(self, gating_only: bool = True) -> list:
-        return [r for r in self.rows if not r.passed and (r.gating or not gating_only)]
+    def violations(self) -> list:
+        return [r for r in self.rows if not r.passed and r.gating]
 
     def write_csv(self, path) -> None:
         path = Path(path)
@@ -311,7 +310,7 @@ def _point_rows(xp, t, zs, values, phi_x, phi, problem, params) -> list:
     bounds = neumann_bounds(dom, xp, ell, problem.h, grad)
     hnorm = _hess_norm(hess)
     if bounds.possible:  # the explicit announcements of the labels where a step crosses
-        p_M, p_m = p_opt_upper(frame, grad, hess, bounds), p_opt_lower(frame, grad, hess, bounds)
+        p_M, p_m = p_opt(frame, grad, hess, bounds.M), p_opt(frame, grad, hess, bounds.m)
         G_o = gamma_opt(frame, hess)
 
     upper_case = classify_case(d, params, bounds, hnorm)
@@ -396,7 +395,6 @@ def audit_barrier(
     params,
     z_values=(0.0, 1.0, 5.0),
     n_points: int = 40,
-    t: float = 0.25,
 ) -> ConsistencyReport:
     """Audit the one-round barrier estimates on layer samples.
 
@@ -407,6 +405,7 @@ def audit_barrier(
     dom = problem.domain
     psi = exact_barrier(dom, _boundary_sup(dom, problem.h))
     pts = _layer_points(dom, params.move_bound, n_points)
+    t = 0.25  # one round time for every point, as in run_audit_suite
     return _audit_around_barrier(problem, params, psi, 0.0, pts, z_values, t, "barrier",
                                  lambda z, _: BARRIER_BOUND_CONST * (1.0 + abs(z)) * params.eps**2)
 
@@ -505,38 +504,33 @@ def _drift_problem(dom: DomainGeometry, h, name: str) -> ParabolicProblem:
     )
 
 
-def _affine(dom: DomainGeometry, slope: float) -> AnalyticField:
+def _lifted(dom: DomainGeometry, u, du, d2u) -> AnalyticField:
+    """The profile u of x0, with its derivatives du and d2u, as a field on dom."""
+    pad = [0.0] * (dom.dim - 1)
     return AnalyticField(
         dom,
-        lambda p: slope * float(p[0]),
-        grad=lambda p: np.array([slope] + [0.0] * (dom.dim - 1)),
-        hess=lambda p: np.zeros((dom.dim, dom.dim)),
+        lambda p: u(float(p[0])),
+        grad=lambda p: np.array([du(float(p[0]))] + pad),
+        hess=lambda p: np.diag([d2u(float(p[0]))] + pad),
     )
+
+
+def _affine(dom: DomainGeometry, slope: float) -> AnalyticField:
+    return _lifted(dom, lambda x: slope * x, lambda x: slope, lambda x: 0.0)
 
 
 def _quadratic(dom: DomainGeometry, slope: float, curv: float) -> AnalyticField:
-    return AnalyticField(
-        dom,
-        lambda p: slope * float(p[0]) + 0.5 * curv * float(p[0]) ** 2,
-        grad=lambda p: np.array([slope + curv * float(p[0])] + [0.0] * (dom.dim - 1)),
-        hess=lambda p: np.diag([curv] + [0.0] * (dom.dim - 1)),
-    )
+    return _lifted(dom, lambda x: slope * x + 0.5 * curv * x**2, lambda x: slope + curv * x,
+                   lambda x: curv)
 
 
 def _cos_profile(dom: DomainGeometry, amp: float, freq: float) -> AnalyticField:
-    return AnalyticField(
-        dom,
-        lambda p: amp * math.cos(freq * float(p[0])),
-        grad=lambda p: np.array(
-            [-amp * freq * math.sin(freq * float(p[0]))] + [0.0] * (dom.dim - 1)
-        ),
-        hess=lambda p: np.diag(
-            [-amp * freq**2 * math.cos(freq * float(p[0]))] + [0.0] * (dom.dim - 1)
-        ),
-    )
+    return _lifted(dom, lambda x: amp * math.cos(freq * x),
+                   lambda x: -amp * freq * math.sin(freq * x),
+                   lambda x: -amp * freq**2 * math.cos(freq * x))
 
 
-def _interval_layer(dom, ell: float, eps: float, rho: float) -> dict:
+def _interval_layer(ell: float, eps: float, rho: float) -> dict:
     """Named wall distances hitting each threshold band from the left wall."""
     close = max(ell - eps**rho, 0.0)
     return {
@@ -584,7 +578,7 @@ def run_audit_suite(
     report = ConsistencyReport()
     for params in ladder:
         eps, ell = params.eps, params.move_bound
-        dd = _interval_layer(dom, ell, eps, params.rho)
+        dd = _interval_layer(ell, eps, params.rho)
         barrier = exact_barrier(dom, 1.0)
         cases = [
             # (phi, problem, point kinds): labels emerge from thresholds

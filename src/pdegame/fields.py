@@ -5,9 +5,9 @@ Two interchangeable field flavors feed the game operators (anything with
 works; the audits also read ``fd_gradient`` / ``fd_hessian``):
 
 * ``GridField`` — values on the uniform lattice of an interval, with
-  linear interpolation.  This is what the (one-dimensional) sweeps
-  produce and consume; the game reads its derivatives at the probe
-  scale (``strategies.probe_derivatives``), never at lattice scale.
+  linear interpolation, which the solvers produce and consume.  The scalar
+  solver announces at the probe scale (``CandidatePlan1D.announce``),
+  never at lattice scale; the stationary solver announces nothing.
 * ``AnalyticField`` — a callable with its analytic derivatives, used
   where tests and audits need evaluation exact to roundoff (a linear
   interpolant is off by O(h^2) even where the field is smooth).
@@ -116,7 +116,8 @@ class GridField:
         """The interpolant at the point ``x`` (a float), or at each row of the
         ``(k, 1)`` stack ``x`` (an array)."""
         p = _closure_points(self.domain, x)
-        return float(self.eval_many(p[0])) if p.ndim == 1 else self.eval_many(p[:, 0])
+        v = interpolate(self.locate(p.T[0]), self.values)
+        return float(v) if p.ndim == 1 else v
 
     def locate(self, q: np.ndarray) -> tuple:
         """Cells ``(i, 1 - t, t)`` of the points ``q``, for :func:`interpolate`."""
@@ -124,10 +125,6 @@ class GridField:
         i = np.clip((q - x[0]) // self.h, 0, len(x) - 2).astype(int)
         t = np.clip((q - x[i]) / self.h, 0.0, 1.0)
         return i, 1.0 - t, t
-
-    def eval_many(self, q: np.ndarray) -> np.ndarray:
-        """The interpolant at every point of ``q`` (no closure check)."""
-        return interpolate(self.locate(q), self.values)
 
 
 def interpolate(cells: tuple, values: np.ndarray) -> np.ndarray:

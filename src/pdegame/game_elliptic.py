@@ -73,24 +73,13 @@ def _boundary_sup(domain: DomainGeometry, fn) -> float:
     return max(abs(float(fn(p))) for p in pts)
 
 
-def _psi_profile(d: float, depth: float, amplitude: float) -> float:
+def _psi_profile(d: float, depth: float, amplitude: float) -> tuple:
+    """The barrier profile's value, slope and curvature in the wall distance d."""
     if d >= depth:
-        return 0.0
-    return amplitude * math.exp(-d / (1.0 - d / depth))
-
-
-def _psi_profile_slope(d: float, depth: float, amplitude: float) -> float:
-    if d >= depth:
-        return 0.0
+        return 0.0, 0.0, 0.0
     q = 1.0 - d / depth
-    return -amplitude * math.exp(-d / q) / q**2
-
-
-def _psi_profile_curv(d: float, depth: float, amplitude: float) -> float:
-    if d >= depth:
-        return 0.0
-    q = 1.0 - d / depth
-    return amplitude * (1.0 / q**4 - 2.0 / (depth * q**3)) * math.exp(-d / q)
+    e = math.exp(-d / q)
+    return amplitude * e, -amplitude * e / q**2, amplitude * (1.0 / q**4 - 2.0 / (depth * q**3)) * e
 
 
 def exact_barrier(domain: DomainGeometry, h_sup: float) -> AnalyticField:
@@ -107,18 +96,18 @@ def exact_barrier(domain: DomainGeometry, h_sup: float) -> AnalyticField:
     amp = h_sup + 1.0
 
     def value(x):
-        return _psi_profile(domain.dist_to_boundary(np.atleast_1d(x)), depth, amp)
+        return _psi_profile(domain.dist_to_boundary(np.atleast_1d(x)), depth, amp)[0]
 
     if domain.kind == "interval":
 
         def grad(x):
             xp = np.atleast_1d(np.asarray(x, dtype=float))
             d = domain.dist_to_boundary(xp)
-            return -domain.nearest_boundary(xp)[1] * _psi_profile_slope(d, depth, amp)
+            return -domain.nearest_boundary(xp)[1] * _psi_profile(d, depth, amp)[1]
 
         def hess(x):
             d = domain.dist_to_boundary(np.atleast_1d(x))
-            return np.array([[_psi_profile_curv(d, depth, amp)]])
+            return np.array([[_psi_profile(d, depth, amp)[2]]])
 
     else:
 
@@ -133,7 +122,7 @@ def exact_barrier(domain: DomainGeometry, h_sup: float) -> AnalyticField:
             if r == 0.0:
                 return np.zeros(2)
             d = domain.dist_to_boundary(np.atleast_1d(x))
-            return (-_psi_profile_slope(d, depth, amp) / r) * rel
+            return (-_psi_profile(d, depth, amp)[1] / r) * rel
 
         def hess(x):
             rel, r = _radial(x)
@@ -142,8 +131,7 @@ def exact_barrier(domain: DomainGeometry, h_sup: float) -> AnalyticField:
             d = domain.dist_to_boundary(np.atleast_1d(x))
             rhat = rel / r
             P = np.outer(rhat, rhat)
-            curv = _psi_profile_curv(d, depth, amp)
-            slope = _psi_profile_slope(d, depth, amp)
+            _, slope, curv = _psi_profile(d, depth, amp)
             # D^2 d = -(I - rhat rhat^T)/r inside a ball
             return curv * P - slope / r * (np.eye(2) - P)
 

@@ -98,7 +98,7 @@ def s_eps(phi, x, t, z, problem, params):
     zs = (z,) if np.ndim(z) == 0 else tuple(z)
     xp = np.atleast_1d(np.asarray(x, dtype=float))
     derivs = probe_derivatives(dom, xp, phi, params.move_bound, flux=problem.h)
-    strategies = candidate_strategies(dom, xp, phi, params, problem.h, derivs=derivs)
+    strategies = candidate_strategies(dom, xp, params, problem.h, derivs)
     P, G = np.array([s.p for s in strategies]), np.array([s.Gamma for s in strategies])
     moves = move_builder(dom, xp, params)
     keys = [g.tobytes() if dom.dim == 2 else b"" for g in G]
@@ -179,13 +179,14 @@ def solve_scalar_dpp(problem, params, store_all: bool = False) -> ScalarSolution
     n_steps = n_rounds(problem, params)
     field = GridField.from_callable(dom, grid_spacing(dom, params), problem.g)
     plan = CandidatePlan1D(dom, field.x_nodes, params, problem.h)
-    cells = field.locate(plan.probes), field.locate(plan.landing)
+    probe_cells, landing_cells = field.locate(plan.probes), field.locate(plan.landing)
 
     times = [problem.T]
     fields = [field]
     for j in range(n_steps):
         t_target = problem.T - (j + 1) * dt
-        new = _sweep_1d(problem, params, plan, cells, field.values, t_target)
+        new = play_1d(problem, params, plan, interpolate(probe_cells, field.values),
+                      interpolate(landing_cells, field.values), field.values[plan.node], t_target)
         if not np.all(np.isfinite(new)):
             raise NumericAbort(
                 f"non-finite values after sweep to t={t_target:.6g} "
@@ -199,16 +200,6 @@ def solve_scalar_dpp(problem, params, store_all: bool = False) -> ScalarSolution
         fields.append(field)
         times = [problem.T, times[-1]]
     return ScalarSolution(problem=problem, params=params, times=times, fields=fields)
-
-
-def _sweep_1d(problem, params, plan, cells, values, t):
-    """``s_eps`` at every node of ``plan`` from the lattice ``values``:
-    :func:`play_1d` on the values interpolated at the ``cells``, the
-    lattice cells of the plan's probes and landings, with each node's
-    value as its running value."""
-    probe_cells, landing_cells = cells
-    return play_1d(problem, params, plan, interpolate(probe_cells, values),
-                   interpolate(landing_cells, values), values[plan.node], t)
 
 
 def play_1d(problem, params, plan, probe_values, landing_values, z, t):
@@ -243,7 +234,7 @@ def solve_levelset(problem, params) -> ScalarSolution:
     Kept only because the benchmark's span tracer (``perfbench/spans.py``)
     traces this name, guarded by
     ``tests/test_package.py::test_every_traced_callable_resolves``; the
-    benchmark change of ROADMAP item 8 deletes it together with the
+    benchmark change of ROADMAP item 5 deletes it together with the
     ``levelset`` workload.  It is a ``def`` and not an alias: the tracer
     swaps functions by identity, so an alias would wrap every scalar
     solve in a second span.

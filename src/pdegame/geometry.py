@@ -149,12 +149,6 @@ class DomainGeometry:
             return p.copy()
         return ctr + u * (self.radius / rho)
 
-    def outward_normal(self, x_b) -> np.ndarray:
-        p = _as_point(x_b, self.dim)
-        if abs(self._gap(p)) > self.tol:
-            raise ValueError(f"point {p} is not on the boundary")
-        return self.nearest_boundary(p)[1]
-
     def nearest_boundary(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Nearest boundary point x_bar and the outward normal there.
 

@@ -62,8 +62,7 @@ __all__ = [
     "NeumannBounds",
     "build_frame",
     "neumann_bounds",
-    "p_opt_lower",
-    "p_opt_upper",
+    "p_opt",
     "gamma_opt",
     "clip_strategy",
     "probe_derivatives",
@@ -91,9 +90,8 @@ class Strategy:
 
 @dataclass(frozen=True)
 class BoundaryFrame:
-    """Nearest boundary point, outward normal there, and wall distance."""
+    """Outward normal at the nearest boundary point, and wall distance."""
 
-    x_bar: np.ndarray
     n_bar: np.ndarray
     d: float
     ell: float
@@ -108,31 +106,30 @@ class NeumannBounds:
 
 def build_frame(domain: DomainGeometry, x, ell: float) -> BoundaryFrame:
     p = np.atleast_1d(np.asarray(x, dtype=float))
-    x_bar, n_bar = domain.nearest_boundary(p)
-    return BoundaryFrame(x_bar=x_bar, n_bar=n_bar, d=domain.dist_to_boundary(p), ell=ell)
+    return BoundaryFrame(n_bar=domain.nearest_boundary(p)[1], d=domain.dist_to_boundary(p), ell=ell)
 
 
 def neumann_bounds(domain: DomainGeometry, x, ell: float, h, grad) -> NeumannBounds:
     """Extremes of h(landing) - <grad, n(landing)> over crossing steps.
 
-    1D: exact — each wall closer than ell contributes exactly one value.
+    1D: exact — the nearest wall, when closer than ell, contributes its
+    one value; under :func:`check_move_bound` the other is out of reach.
     2D (the ball): sampled over a fan of directions (the outward normal
     included) at several radii, keeping only steps that actually cross.
     The fan is evaluated as arrays: one :meth:`DomainGeometry.moves` call
     tests and projects every step, the crossing rows' normals take the
     fused-dot norm that ``np.linalg.norm`` uses in
-    :meth:`DomainGeometry.outward_normal`, and h reads the crossing
+    :meth:`DomainGeometry.nearest_boundary`, and h reads the crossing
     landings as one stack.  The values, and their order, are those of a
-    loop over ``make_move`` and ``outward_normal`` bit for bit.
+    loop over ``make_move`` and ``nearest_boundary`` bit for bit.
     """
     p = np.atleast_1d(np.asarray(x, dtype=float))
     grad = np.atleast_1d(np.asarray(grad, dtype=float))
     values = []
     if domain.dim == 1:
-        for wall, normal in ((domain.a, -1.0), (domain.c, 1.0)):
-            if abs(p[0] - wall) < ell:
-                w = np.array([wall])
-                values.append(h(w) - grad[0] * normal)
+        wall, normal = domain.nearest_boundary(p)
+        if abs(p[0] - wall[0]) < ell:
+            values.append(h(wall) - grad[0] * normal[0])
     else:
         n_bar = build_frame(domain, p, ell).n_bar
         th = 2.0 * np.pi * np.arange(_N_DIRECTIONS_2D) / _N_DIRECTIONS_2D
@@ -140,7 +137,7 @@ def neumann_bounds(domain: DomainGeometry, x, ell: float, h, grad) -> NeumannBou
         steps = (np.array(_RADIUS_FRACTIONS) * ell)[None, :, None] * dirs[:, None, :]
         # directions first, radii within each: the order of a per-step loop
         landing, crossed, _ = domain.moves(p, steps.reshape(-1, 2))
-        u = landing[crossed] - np.asarray(domain.center)  # outward_normal's u / |u|
+        u = landing[crossed] - np.asarray(domain.center)  # nearest_boundary's u / |u|
         normal = u / np.sqrt(np.vecdot(u, u))[:, None]
         values = (h(landing[crossed]) - np.vecdot(normal, grad)).tolist()
     if not values:
@@ -152,19 +149,12 @@ def _normal_entry(frame: BoundaryFrame, hess: np.ndarray) -> float:
     return float(frame.n_bar @ hess @ frame.n_bar)
 
 
-def _p_corrected(frame: BoundaryFrame, grad, hess, bound_value: float) -> np.ndarray:
+def p_opt(frame: BoundaryFrame, grad, hess, bound: float) -> np.ndarray:
+    """The corrected gradient at the Neumann bound ``bound``: m gives p_lo, M gives p_hi."""
     d, ell = frame.d, frame.ell
     hnn = _normal_entry(frame, np.asarray(hess, dtype=float))
-    coeff = 0.5 * (1.0 - d / ell) * bound_value - 0.25 * ell * (1.0 - (d / ell) ** 2) * hnn
+    coeff = 0.5 * (1.0 - d / ell) * bound - 0.25 * ell * (1.0 - (d / ell) ** 2) * hnn
     return np.atleast_1d(np.asarray(grad, dtype=float)) + coeff * frame.n_bar
-
-
-def p_opt_lower(frame: BoundaryFrame, grad, hess, bounds: NeumannBounds) -> np.ndarray:
-    return _p_corrected(frame, grad, hess, bounds.m)
-
-
-def p_opt_upper(frame: BoundaryFrame, grad, hess, bounds: NeumannBounds) -> np.ndarray:
-    return _p_corrected(frame, grad, hess, bounds.M)
 
 
 def gamma_opt(frame: BoundaryFrame, hess) -> np.ndarray:
@@ -280,16 +270,14 @@ def probe_derivatives(domain: DomainGeometry, x, phi, scale: float, flux):
     return grad, hess
 
 
-def candidate_strategies(domain: DomainGeometry, x, phi, params, h, derivs=None) -> list:
+def candidate_strategies(domain: DomainGeometry, x, params, h, derivs) -> list:
     """Finite list of announcements worth searching at x.
 
-    Interior: exactly the probe-scale derivative pair of phi (clipped).
+    Interior: exactly ``derivs``, the probe-scale pair of :func:`probe_derivatives` (clipped).
     Boundary layer: that pair plus the corrected gradient line from p_lo
     to p_hi (``_LINE_SAMPLES`` samples, or p_lo alone where m = M, as in
     1D), each with the flattened Hessian, clipped as one stack with the pair.
     """
-    if derivs is None:
-        derivs = probe_derivatives(domain, x, phi, params.move_bound, flux=h)
     p0, G0 = derivs
     p0 = np.atleast_1d(np.asarray(p0, dtype=float))
     d = len(p0)
@@ -299,10 +287,10 @@ def candidate_strategies(domain: DomainGeometry, x, phi, params, h, derivs=None)
     if frame.d < frame.ell:  # else no step can cross
         bounds = neumann_bounds(domain, x, params.move_bound, h, p0)
         if bounds.possible:
-            line = p_opt_lower(frame, p0, G0, bounds)[None]
+            line = p_opt(frame, p0, G0, bounds.m)[None]
             if bounds.M > bounds.m:
                 t = np.linspace(0.0, 1.0, _LINE_SAMPLES)[:, None]
-                line = (1 - t) * line + t * p_opt_upper(frame, p0, G0, bounds)
+                line = (1 - t) * line + t * p_opt(frame, p0, G0, bounds.M)
             P = np.concatenate([P, line])
             G = np.concatenate([G, np.broadcast_to(gamma_opt(frame, G0), (len(line), d, d))])
     P, G = _clip(P, G, params)
@@ -400,7 +388,7 @@ class CandidatePlan1D:
         normal = np.where(x - a <= c - x, -1.0, 1.0)
         self.layer_rows = L = np.flatnonzero(d < ell)
         r2 = np.array([(di / ell) ** 2 for di in d[L]])  # scalar pow, as the pointwise code
-        self.bound_coef = 0.5 * (1.0 - d[L] / ell)  # of m = M in p_opt_lower
+        self.bound_coef = 0.5 * (1.0 - d[L] / ell)  # of m = M in p_opt
         self.hess_coef = 0.25 * ell * (1.0 - r2)  # of H there
         self.flat_coef = 0.5 * (-1.0 + r2)  # of H in gamma_opt
         self.normal = normal[L]

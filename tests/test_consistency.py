@@ -220,7 +220,7 @@ class TestReport:
         rep.extend(self._rows())
         assert rep.count_by_case() == {CASE_BIG_BONUS: 1, CASE_FAR_SMALL: 1, CASE_CLOSE_SMALL: 1}
         assert len(rep.violations()) == 1
-        assert len(rep.violations(gating_only=False)) == 2
+        assert len([r for r in rep.rows if not r.passed]) == 2
 
     def test_csv_is_deterministic(self, tmp_path):
         rep = ConsistencyReport()

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pdegame.consistency as cons
-from pdegame.fields import AnalyticField, GridField, grid_spacing
+from pdegame.fields import AnalyticField, GridField, grid_spacing, interpolate
 from pdegame.geometry import ball, interval
 from pdegame.params import GameParams, ValidationError, make_params
 from pdegame.problems import EllipticProblem, ParabolicProblem, get_problem
 from pdegame.strategies import (CandidatePlan1D, candidate_moves, candidate_strategies,
                                 probe_derivatives)
-from pdegame.game_parabolic import (NumericAbort, _sweep_1d, play_1d, s_eps, solve_levelset,
+from pdegame.game_parabolic import (NumericAbort, play_1d, s_eps, solve_levelset,
                                     solve_scalar_dpp)
 
 PARABOLIC = ("heat1d_cosine", "heat1d_linear_profile", "heat1d_homogeneous", "heat1d_reaction")
@@ -35,7 +35,7 @@ def reference_s_eps(phi, x, t, z, problem, params):
     dom = problem.domain
     xp = np.atleast_1d(np.asarray(x, dtype=float))
     derivs = probe_derivatives(dom, xp, phi, params.move_bound, flux=problem.h)
-    strategies = candidate_strategies(dom, xp, phi, params, problem.h, derivs=derivs)
+    strategies = candidate_strategies(dom, xp, params, problem.h, derivs)
     hess_x = derivs[1] if dom.dim == 2 else None
     dt = params.time_step
     best = -np.inf
@@ -237,8 +237,9 @@ class TestSEpsOverScores:
             hess=lambda p: np.diag(curv),
         )
         problem = cons._drift_problem(DISK, lambda x: 2.0, "drift")
-        hess_x = probe_derivatives(DISK, x, phi, params.move_bound, flux=problem.h)[1]
-        strategies = candidate_strategies(DISK, x, phi, params, problem.h)
+        derivs = probe_derivatives(DISK, x, phi, params.move_bound, flux=problem.h)
+        hess_x = derivs[1]
+        strategies = candidate_strategies(DISK, x, params, problem.h, derivs)
         assert len(strategies) > 1
         fixed = candidate_moves(DISK, x, params)
         for s in strategies:
@@ -276,7 +277,8 @@ class TestSEpsOverScores:
         for d in (0.0, 0.2, 0.7):
             for th in (0.0, 0.7, 2.5):
                 x = (1.0 - d * params.move_bound) * np.array([math.cos(th), math.sin(th)])
-                strategies = candidate_strategies(DISK, x, phi, params, problem.h)
+                derivs = probe_derivatives(DISK, x, phi, params.move_bound, flux=problem.h)
+                strategies = candidate_strategies(DISK, x, params, problem.h, derivs)
                 assert len({s.Gamma.tobytes() for s in strategies}) == 2
                 for z in (0.0, 1.5):
                     assert as_bytes(s_eps(phi, x, 0.25, z, problem, params)) == as_bytes(
@@ -411,8 +413,9 @@ class TestScalarSolver:
         field = base.with_values(rng.normal() + scale * rng.uniform(-1.0, 1.0, len(base.x_nodes)))
         t = prob.T - params.time_step
         plan = CandidatePlan1D(prob.domain, base.x_nodes, params, prob.h)
-        cells = base.locate(plan.probes), base.locate(plan.landing)
-        got = _sweep_1d(prob, params, plan, cells, field.values, t)
+        v = field.values
+        got = play_1d(prob, params, plan, interpolate(base.locate(plan.probes), v),
+                      interpolate(base.locate(plan.landing), v), v[plan.node], t)
         want = [s_eps(field, x, t, z, prob, params) for x, z in zip(base.x_nodes, field.values)]
         assert got.tobytes() == np.array(want).tobytes()
 
@@ -449,7 +452,7 @@ class TestScalarSolver:
             raise AssertionError("a round was played")
 
         # the solve's candidate plan checks the bound before any round
-        monkeypatch.setattr("pdegame.game_parabolic._sweep_1d", no_round)
+        monkeypatch.setattr("pdegame.game_parabolic.play_1d", no_round)
         monkeypatch.setattr(CandidatePlan1D, "announce", no_round)
         with pytest.raises(ValidationError, match="r_int = 0.1,"):
             solve_scalar_dpp(prob, params)

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from pdegame.consistency import run_audit_suite
-from pdegame.fields import AnalyticField, GridField, grid_spacing
+from pdegame.fields import AnalyticField, GridField, grid_spacing, interpolate
 from pdegame.game_parabolic import s_eps, solve_scalar_dpp
 from pdegame.geometry import ball, interval
 from pdegame.params import GameParams, ValidationError, make_params
@@ -21,8 +21,7 @@ from pdegame.strategies import (
     gamma_opt,
     neumann_bounds,
     probe_derivatives,
-    p_opt_lower,
-    p_opt_upper,
+    p_opt,
     _LINE_SAMPLES,
     _clip,
 )
@@ -30,6 +29,12 @@ from pdegame.strategies import (
 
 def linear_profile_h(x):
     return -1.0 if x[0] < 0.5 else 1.0
+
+
+def candidates_of(domain, x, phi, params, h):
+    """``candidate_strategies`` at x from phi's probe-scale derivatives there."""
+    derivs = probe_derivatives(domain, x, phi, params.move_bound, flux=h)
+    return candidate_strategies(domain, x, params, h, derivs)
 
 
 class TestNeumannBounds1D:
@@ -47,13 +52,6 @@ class TestNeumannBounds1D:
         b = neumann_bounds(dom, 0.5, ell=0.1, h=linear_profile_h, grad=[0.0])
         assert not b.possible
         assert b.m == np.inf and b.M == -np.inf
-
-    def test_both_walls_when_step_exceeds_domain(self):
-        dom = interval(0.0, 1.0)
-        c = 0.2
-        b = neumann_bounds(dom, 0.5, ell=2.0, h=linear_profile_h, grad=[c])
-        assert b.m == pytest.approx(min(-1.0 + c, 1.0 - c))
-        assert b.M == pytest.approx(max(-1.0 + c, 1.0 - c))
 
     def test_distance_exactly_ell_does_not_cross(self):
         dom = interval(0.0, 1.0)
@@ -78,7 +76,7 @@ class TestNeumannBounds2D:
             for r in np.linspace(0.02, 1.0, 50) * ell:
                 mv = dom.make_move(x, r * u)
                 if mv.crossed:
-                    vals.append(-float(grad @ dom.outward_normal(mv.landing)))
+                    vals.append(-float(grad @ dom.nearest_boundary(mv.landing)[1]))
         m_ref, M_ref = min(vals), max(vals)
         # the sampler searches a subset, so it brackets from inside
         assert m_ref - 1e-12 <= b.m <= m_ref + 0.05
@@ -102,7 +100,7 @@ class TestNeumannBounds2D:
 
 
 def reference_neumann_bounds(domain, x, ell, h, grad):
-    """The 2D fan as a loop: one make_move and outward_normal per step."""
+    """The 2D fan as a loop: one make_move and nearest_boundary per step."""
     p = np.atleast_1d(np.asarray(x, dtype=float))
     grad = np.atleast_1d(np.asarray(grad, dtype=float))
     n_bar = build_frame(domain, p, ell).n_bar
@@ -113,7 +111,8 @@ def reference_neumann_bounds(domain, x, ell, h, grad):
         for frac in (1.0, 0.75, 0.5, 0.25):
             mv = domain.make_move(p, frac * ell * u)
             if mv.crossed:
-                values.append(h(mv.landing) - float(grad @ domain.outward_normal(mv.landing)))
+                normal = domain.nearest_boundary(mv.landing)[1]
+                values.append(h(mv.landing) - float(grad @ normal))
     if not values:
         return NeumannBounds(m=np.inf, M=-np.inf, possible=False)
     return NeumannBounds(m=float(min(values)), M=float(max(values)), possible=True)
@@ -164,8 +163,8 @@ class TestOptimalAnnouncements:
         grad, hess = np.array([0.3]), np.array([[2.0]])
         bounds = neumann_bounds(dom, 1.0, ell, linear_profile_h, grad)
         expected = 0.3 + 0.5 * bounds.m - 0.25 * ell * 2.0
-        assert p_opt_lower(frame, grad, hess, bounds)[0] == pytest.approx(expected)
-        assert p_opt_upper(frame, grad, hess, bounds)[0] == pytest.approx(
+        assert p_opt(frame, grad, hess, bounds.m)[0] == pytest.approx(expected)
+        assert p_opt(frame, grad, hess, bounds.M)[0] == pytest.approx(
             0.3 + 0.5 * bounds.M - 0.25 * ell * 2.0
         )
 
@@ -262,7 +261,7 @@ class TestCandidateEnumeration:
             dom, lambda p: p[0] ** 2,
             grad=lambda p: np.array([2 * p[0]]), hess=lambda p: np.array([[2.0]]),
         )
-        cands = candidate_strategies(dom, 0.5, phi, params, linear_profile_h)
+        cands = candidates_of(dom, 0.5, phi, params, linear_profile_h)
         assert len(cands) == 1
         assert cands[0].p[0] == pytest.approx(1.0)
         assert cands[0].Gamma[0, 0] == pytest.approx(2.0)
@@ -276,7 +275,7 @@ class TestCandidateEnumeration:
         )
         x = 0.02  # inside the layer: ell ~ 0.082
         assert x < params.move_bound
-        cands = candidate_strategies(dom, x, phi, params, linear_profile_h)
+        cands = candidates_of(dom, x, phi, params, linear_profile_h)
         assert len(cands) > 1
         for s in cands:
             assert np.linalg.norm(s.p) <= params.p_bound + 1e-9
@@ -358,7 +357,7 @@ def reference_candidate_strategies(domain, x, params, h, derivs) -> list:
     bounds = (reference_neumann_bounds if domain.dim == 2 else neumann_bounds)(domain, x, ell, h, p0)
     if not bounds.possible:
         return out
-    p_lo, p_hi = p_opt_lower(frame, p0, G0, bounds), p_opt_upper(frame, p0, G0, bounds)
+    p_lo, p_hi = p_opt(frame, p0, G0, bounds.m), p_opt(frame, p0, G0, bounds.M)
     line = [(1 - t) * p_lo + t * p_hi for t in np.linspace(0.0, 1.0, _LINE_SAMPLES)]
     for p in line if bounds.M > bounds.m else [p_lo]:
         out.append(reference_clip_strategy(Strategy(p=p, Gamma=gamma_opt(frame, G0)), params))
@@ -444,7 +443,7 @@ class TestMovesAgainstTheLoop:
         for x, phi, problem, params in points:
             dom, ell = problem.domain, params.move_bound
             derivs = probe_derivatives(dom, x, phi, ell, flux=problem.h)
-            got = candidate_strategies(dom, x, phi, params, problem.h, derivs=derivs)
+            got = candidate_strategies(dom, x, params, problem.h, derivs)
             want = reference_candidate_strategies(dom, x, params, problem.h, derivs)
             assert_same_arrays([s.p for s in got], [s.p for s in want])
             assert_same_arrays([s.Gamma for s in got], [s.Gamma for s in want])
@@ -488,16 +487,16 @@ class TestBatchedKernel:
         g = np.array([prob.g(np.array([x])) for x in xs])
         for seed in (3, 4):
             field = base.with_values(g + np.random.default_rng(seed).normal(0.0, 0.05, n))
-            P, G = plan.announce(field.eval_many(plan.probes))
+            P, G = plan.announce(interpolate(field.locate(plan.probes), field.values))
             assert P.shape == G.shape == plan.node.shape
             for i in range(n):
-                strats = candidate_strategies(dom, xs[i : i + 1], field, params, prob.h)
+                strats = candidates_of(dom, xs[i : i + 1], field, params, prob.h)
                 cols = _node_columns(plan, i)
                 assert _bytes(P[cols]) == _bytes([s.p[0] for s in strats])
                 assert _bytes(G[cols]) == _bytes([s.Gamma[0, 0] for s in strats])
         # every column, base or line, plays its node's moves
         assert _bytes(plan.x) == _bytes(xs[plan.node])
-        landed = field.eval_many(plan.landing)
+        landed = interpolate(field.locate(plan.landing), field.values)
         for c, i in enumerate(plan.node):
             xp = xs[i : i + 1]
             moves = [dom.make_move(xp, req) for req in candidate_moves(dom, xp, params)]
