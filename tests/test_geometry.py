@@ -243,6 +243,24 @@ def test_normal_examples():
     np.testing.assert_allclose(off.nearest_boundary((-0.4, -0.2))[1], [-1.0, 0.0])
 
 
+def test_nearest_boundary_off_the_boundary():
+    # layer nodes read the wall and normal at points off the boundary: the pair
+    # is the foot of p on the wall and the normal there, whichever side p is on
+    rng = np.random.default_rng(11)
+    for dom in catalog():
+        lo, hi = bounding_box(dom)
+        pad = 0.4 * dom.r_ext
+        for _ in range(200):
+            p = rng.uniform(lo - pad, hi + pad)
+            x_bar, n_bar = dom.nearest_boundary(p)
+            assert dom.boundary_gap(x_bar) <= dom.tol
+            np.testing.assert_allclose(dom.nearest_boundary(x_bar)[1], n_bar, atol=1e-12)
+            assert np.linalg.norm(n_bar) == pytest.approx(1.0, abs=1e-12)
+            # p sits on the normal line through x_bar, |gap| from the wall
+            gap = reference_gap(dom, p)
+            np.testing.assert_allclose(p, x_bar - gap * n_bar, atol=1e-12)
+
+
 def test_normal_is_unit_and_minus_grad_dist():
     # n = -grad d, checked by central differences of d just inside the wall.
     rng = np.random.default_rng(3)

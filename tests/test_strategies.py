@@ -58,6 +58,23 @@ class TestNeumannBounds1D:
         b = neumann_bounds(dom, 0.1, ell=0.1, h=linear_profile_h, grad=[0.0])
         assert not b.possible
 
+    def test_nearest_wall_is_the_only_one_in_reach(self):
+        # for every ell that check_move_bound admits, the one-wall read equals
+        # a scan of both walls, the midpoint and ell = r_int included
+        def h(w):
+            return 2.0 * w[0] ** 2 - 1.0
+
+        for dom in (interval(0.0, 1.0), interval(-0.3, 0.9)):
+            for ell in (0.1, 0.37, dom.r_int):
+                for x in np.linspace(dom.a, dom.c, 41):
+                    vals = [h(np.array([w])) - 0.4 * n
+                            for w, n in ((dom.a, -1.0), (dom.c, 1.0)) if abs(x - w) < ell]
+                    assert len(vals) <= 1
+                    b = neumann_bounds(dom, x, ell, h, grad=[0.4])
+                    assert b.possible == bool(vals)
+                    if vals:
+                        assert b.m == vals[0] and b.M == vals[0]
+
 
 class TestNeumannBounds2D:
     def test_disk_against_dense_direction_oracle(self):
