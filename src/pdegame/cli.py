@@ -169,6 +169,13 @@ def _write_csv(path: Path, header: list, rows: list) -> None:
             w.writerow([_fmt(v) for v in row])
 
 
+def _write_audit_csv(path: Path, rows: list) -> None:
+    """The ``consistency.AuditRow`` rows, the point as ``(a; b)`` and pass as ``1`` or ``0``."""
+    _write_csv(path, ["domain", "eps", "point", "case", "lhs", "rhs", "residual", "pass"], [
+        [r.domain, r.eps, "(" + "; ".join(map(_fmt, r.point)) + ")", r.case, r.lhs, r.rhs,
+         r.residual, "1" if r.passed else "0"] for r in rows])
+
+
 def _record_config(out: Path, cfg: RunConfig) -> None:
     lines = ["# resolved run configuration (defaults included)"]
     for f in dataclass_fields(RunConfig):
@@ -290,7 +297,7 @@ def _run_convergence(cfg: RunConfig, problem, out: Path, summary: list) -> None:
 
 def _run_consistency(cfg: RunConfig, problem, out: Path, summary: list) -> None:
     report = run_audit_suite(eps_ladder=cfg.eps_ladder, include_disk=cfg.include_disk)
-    report.write_csv(out / "consistency.csv")
+    _write_audit_csv(out / "consistency.csv", report.rows)
     counts = report.count_by_case()
     for label in sorted(counts):
         summary.append(f"rows[{label}] = {counts[label]}")
@@ -308,7 +315,7 @@ def _run_audit_elliptic(cfg: RunConfig, problem, out: Path, summary: list) -> No
             f"wall_shift[eps={eps:.12g}] = {caps.cap_m:.12g}, "
             f"worst_residual = {max(r.residual for r in rep.rows):.12g}"
         )
-    merged.write_csv(out / "audit_elliptic.csv")
+    _write_audit_csv(out / "audit_elliptic.csv", merged.rows)
     summary.append(f"rows_total = {len(merged.rows)}")
     summary.append(f"violations = {len(merged.violations())}")
 

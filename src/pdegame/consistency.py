@@ -6,13 +6,13 @@ function splits into labelled regimes according to the wall bonus
 thresholds built from the step exponents.  Each regime carries an
 explicit one-sided estimate for ``S[phi] - phi``; this module
 evaluates both sides of every estimate on a catalog of test functions
-and boundary-layer points and reports the margins as typed rows and
-CSV.  On the interval ``S[phi]`` is the solvers' own 1D kernel: one
-``strategies.CandidatePlan1D`` on all the points of a case, phi read at
-its probes and landings, and ``game_parabolic.play_1d`` once per running
-value z.  The pointwise ``s_eps``, which tests match to the kernel bit
-for bit, is its oracle and still plays each disk point, over all its z
-in one pass (:func:`audit_point`).
+and boundary-layer points and reports the margins as typed rows, which
+the ``cli`` writes as CSV.  On the interval ``S[phi]`` is the solvers'
+own 1D kernel: one ``strategies.CandidatePlan1D`` on all the points of a
+case, phi read at its probes and landings, and ``game_parabolic.play_1d``
+once per running value z.  The pointwise ``s_eps``, which tests match to
+the kernel bit for bit, is its oracle and still plays each disk point,
+over all its z in one pass (:func:`audit_point`).
 
 The higher-order error allowance is operationalized as a
 measured-then-frozen envelope ``SLACK_CONST * eps**SLACK_POWER``: the
@@ -23,17 +23,16 @@ the operators or the candidate sets become visible as audit failures.
 
 from __future__ import annotations
 
-import csv
 import math
+from collections import Counter
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .fields import AnalyticField
 from .game_elliptic import _boundary_sup, exact_barrier
 from .game_parabolic import play_1d, s_eps
-from .geometry import DomainGeometry, ball, interval
+from .geometry import DomainGeometry, _circle, ball, interval
 from .params import make_params
 from .problems import ParabolicProblem, f_stacked
 from .strategies import (
@@ -126,43 +125,18 @@ class AuditRow:
 
 @dataclass
 class ConsistencyReport:
-    """Collected audit rows with label bookkeeping and CSV emission."""
+    """Collected audit rows with label bookkeeping."""
 
     rows: list = field(default_factory=list)
-
-    def add(self, row: AuditRow) -> None:
-        self.rows.append(row)
 
     def extend(self, rows) -> None:
         self.rows.extend(rows)
 
-    def count_by_case(self) -> dict:
-        out: dict = {}
-        for r in self.rows:
-            out[r.case] = out.get(r.case, 0) + 1
-        return out
+    def count_by_case(self) -> Counter:
+        return Counter(r.case for r in self.rows)
 
     def violations(self) -> list:
         return [r for r in self.rows if not r.passed and r.gating]
-
-    def write_csv(self, path) -> None:
-        path = Path(path)
-        with path.open("w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["domain", "eps", "point", "case", "lhs", "rhs", "residual", "pass"])
-            for r in self.rows:
-                w.writerow(
-                    [
-                        r.domain,
-                        f"{r.eps:.12g}",
-                        "(" + "; ".join(f"{v:.12g}" for v in r.point) + ")",
-                        r.case,
-                        f"{r.lhs:.12g}",
-                        f"{r.rhs:.12g}",
-                        f"{r.residual:.12g}",
-                        "1" if r.passed else "0",
-                    ]
-                )
 
 
 # -- classification --------------------------------------------------------
@@ -216,8 +190,7 @@ def _min_f_on_ball(problem, t, xp, z, p_center, Gamma, radius: float) -> float:
         p = p_center[0] + np.linspace(-1.0, 1.0, 41) * radius
         return min(f_stacked(problem, t, xp[0], z, p, np.ravel(Gamma)[0]).tolist())
     vals = [float(problem.f(t, xp, z, p_center, Gamma))]
-    for th in 2.0 * np.pi * np.arange(16) / 16.0:
-        u = np.array([math.cos(th), math.sin(th)])
+    for u in _circle(16):
         for frac in (0.25, 0.5, 0.75, 1.0):
             vals.append(float(problem.f(t, xp, z, p_center + frac * radius * u, Gamma)))
     return min(vals)
@@ -264,7 +237,7 @@ def _round_values(fields, pts, t, zs, problem, params) -> list:
     for phi in fields:
         probe = phi.eval(plan.probes.reshape(-1, 1)).reshape(plan.probes.shape)
         landing = phi.eval(base.reshape(-1, 1)).reshape(base.shape)[:, plan.node]
-        values = [play_1d(problem, params, plan, probe, landing, z, t) for z in zs]
+        values = [play_1d(problem, plan, probe, landing, z, t) for z in zs]
         out.append((np.transpose(values).tolist(), probe[0].tolist()))
     return out
 
@@ -376,18 +349,16 @@ def _audit_around_barrier(problem, params, psi, shift, pts, z_values, t, label, 
         grad=lambda p: -psi.fd_gradient(p),
         hess=lambda p: -psi.fd_hessian(p),
     )
-    pts = np.array(pts)
     (ups, phi_xs), (lows, _) = _round_values((shifted, mirrored), pts, t, z_values, problem,
                                              params)
-    report = ConsistencyReport()
+    rows = []
     for xp, phi_x, up_z, low_z in zip(pts, phi_xs, ups, lows):
         for z, s_up, s_low in zip(z_values, up_z, low_z):
             rhs = bound(z, phi_x)
-            up = s_up - phi_x
-            report.add(_row(dom, eps, xp, f"{label}-upper", up, rhs, up - rhs))
-            low = s_low + phi_x
-            report.add(_row(dom, eps, xp, f"{label}-lower", low, -rhs, -rhs - low))
-    return report
+            up, low = s_up - phi_x, s_low + phi_x
+            rows += [_row(dom, eps, xp, f"{label}-upper", up, rhs, up - rhs),
+                     _row(dom, eps, xp, f"{label}-lower", low, -rhs, -rhs - low)]
+    return ConsistencyReport(rows)
 
 
 def audit_barrier(
@@ -431,7 +402,8 @@ def audit_wall_shift(
     lam = problem.lambda_rate
     eta = problem.eta_margin
     eps = params.eps
-    pts = _layer_points(dom, params.move_bound, n_points) + _interior_points(dom, 8)
+    pts = np.concatenate([_layer_points(dom, params.move_bound, n_points),
+                          _interior_points(dom, 8)])
     c_star = max(
         abs(float(problem.f(xp, 0.0, psi.fd_gradient(xp), psi.fd_hessian(xp))))
         for xp in pts
@@ -445,34 +417,20 @@ def audit_wall_shift(
                                  bound)
 
 
-def _layer_points(dom: DomainGeometry, ell: float, n: int) -> list:
-    """Deterministic samples with wall distance spread over [0, ell)."""
-    fracs = np.linspace(0.0, 0.95, n)
-    out = []
+def _layer_points(dom: DomainGeometry, ell: float, n: int) -> np.ndarray:
+    """``(n, dim)`` samples with wall distance spread over [0, ell), on the
+    interval alternately from each wall, on the ball one per angle of :func:`_circle`."""
+    d = np.linspace(0.0, 0.95, n) * ell
     if dom.kind == "interval":
-        for i, fr in enumerate(fracs):
-            d = fr * ell
-            if i % 2 == 0:
-                out.append(np.array([dom.a + d]))
-            else:
-                out.append(np.array([dom.c - d]))
-        return out
-    ctr = np.asarray(dom.center, dtype=float)
-    angles = 2.0 * np.pi * np.arange(n) / max(n, 1)
-    for i, fr in enumerate(fracs):
-        d = fr * ell
-        u = np.array([math.cos(angles[i]), math.sin(angles[i])])
-        out.append(ctr + (dom.radius - d) * u)
-    return out
+        return np.where(np.arange(n) % 2 == 0, dom.a + d, dom.c - d)[:, None]
+    return np.asarray(dom.center) + (dom.radius - d)[:, None] * _circle(n)
 
 
-def _interior_points(dom: DomainGeometry, n: int) -> list:
+def _interior_points(dom: DomainGeometry, n: int) -> np.ndarray:
+    """``(n, dim)`` samples 0.35 inside the interval's ends, or within 0.4 R of the centre."""
     if dom.kind == "interval":
-        return [np.array([x]) for x in np.linspace(dom.a + 0.35, dom.c - 0.35, n)]
-    ctr = np.asarray(dom.center, dtype=float)
-    rr = np.linspace(0.0, 0.4 * dom.radius, n)
-    angles = 2.0 * np.pi * np.arange(n) / max(n, 1)
-    return [ctr + r * np.array([math.cos(a), math.sin(a)]) for r, a in zip(rr, angles)]
+        return np.linspace(dom.a + 0.35, dom.c - 0.35, n)[:, None]
+    return np.asarray(dom.center) + np.linspace(0.0, 0.4 * dom.radius, n)[:, None] * _circle(n)
 
 
 # -- catalog suite ---------------------------------------------------------

@@ -27,7 +27,7 @@ from .params import ValidationError
 __all__ = ["GridField", "AnalyticField", "grid_spacing", "interpolate"]
 
 
-def grid_spacing(domain: DomainGeometry, params) -> float:
+def grid_spacing(params) -> float:
     """Lattice spacing h = eps^(3/2) of ``GridField.build``: the interpolated
     step's error O(h^2/dt) = O(eps) (Debrabant–Jakobsen, Math. Comp. 82
     (2013)) stays below the game's own error of about eps^0.8."""

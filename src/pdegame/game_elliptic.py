@@ -42,7 +42,7 @@ import numpy as np
 
 from .fields import AnalyticField, GridField, grid_spacing
 from .game_parabolic import NumericAbort, _discount
-from .geometry import DomainGeometry
+from .geometry import DomainGeometry, _circle
 from .params import GameParams, ValidationError
 from .problems import f_stacked
 from .strategies import CandidatePlan1D, dual_stencils
@@ -66,10 +66,7 @@ def _boundary_sup(domain: DomainGeometry, fn) -> float:
     if domain.kind == "interval":
         pts = [np.array([domain.a]), np.array([domain.c])]
     else:
-        cx, cy = domain.center
-        angles = np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False)
-        r = domain.radius
-        pts = [np.array([cx + r * math.cos(a), cy + r * math.sin(a)]) for a in angles]
+        pts = np.asarray(domain.center) + domain.radius * _circle(256)
     return max(abs(float(fn(p))) for p in pts)
 
 
@@ -90,52 +87,24 @@ def exact_barrier(domain: DomainGeometry, h_sup: float) -> AnalyticField:
     on the boundary, has outward normal slope exactly ``h_sup + 1``
     there, and vanishes identically at depth ``r/2``.  Value and
     derivatives are closed-form: the audits' ``eps**2``-sized margins
-    leave no room for interpolation error.
+    leave no room for interpolation error.  The derivatives are the chain
+    rule on d, whose gradient is minus the normal of ``nearest_boundary``;
+    ``dist_hessian`` is read only where psi' != 0, so never at the centre.
     """
     depth = domain.r_int / 2.0
     amp = h_sup + 1.0
 
-    def value(x):
-        return _psi_profile(domain.dist_to_boundary(np.atleast_1d(x)), depth, amp)[0]
+    def profile(x):
+        return _psi_profile(domain.dist_to_boundary(x), depth, amp)
 
-    if domain.kind == "interval":
+    def grad(x):
+        return -profile(x)[1] * domain.nearest_boundary(x)[1]
 
-        def grad(x):
-            xp = np.atleast_1d(np.asarray(x, dtype=float))
-            d = domain.dist_to_boundary(xp)
-            return -domain.nearest_boundary(xp)[1] * _psi_profile(d, depth, amp)[1]
+    def hess(x):
+        (_, slope, curv), n = profile(x), domain.nearest_boundary(x)[1]
+        return curv * np.outer(n, n) + (slope * domain.dist_hessian(x) if slope != 0.0 else 0.0)
 
-        def hess(x):
-            d = domain.dist_to_boundary(np.atleast_1d(x))
-            return np.array([[_psi_profile(d, depth, amp)[2]]])
-
-    else:
-
-        def _radial(x):
-            xp = np.atleast_1d(np.asarray(x, dtype=float))
-            rel = xp - np.asarray(domain.center, dtype=float)
-            r = float(np.linalg.norm(rel))
-            return rel, r
-
-        def grad(x):
-            rel, r = _radial(x)
-            if r == 0.0:
-                return np.zeros(2)
-            d = domain.dist_to_boundary(np.atleast_1d(x))
-            return (-_psi_profile(d, depth, amp)[1] / r) * rel
-
-        def hess(x):
-            rel, r = _radial(x)
-            if r == 0.0:
-                return np.zeros((2, 2))
-            d = domain.dist_to_boundary(np.atleast_1d(x))
-            rhat = rel / r
-            P = np.outer(rhat, rhat)
-            _, slope, curv = _psi_profile(d, depth, amp)
-            # D^2 d = -(I - rhat rhat^T)/r inside a ball
-            return curv * P - slope / r * (np.eye(2) - P)
-
-    return AnalyticField(domain, value, grad=grad, hess=hess)
+    return AnalyticField(domain, lambda x: profile(x)[0], grad=grad, hess=hess)
 
 
 @dataclass(frozen=True)
@@ -235,7 +204,7 @@ class StationaryStep:
         if dom.dim != 1:
             raise ValidationError("the fixed-point solver is one-dimensional")
         self.disc = disc = _discount(problem, params)
-        lattice = GridField.build(dom, grid_spacing(dom, params))
+        lattice = GridField.build(dom, grid_spacing(params))
         self.x_nodes = x = lattice.x_nodes
         plan = CandidatePlan1D(dom, x, params, problem.h)
         n = len(x)
@@ -294,12 +263,15 @@ class FixedPointValue:
     x_nodes: np.ndarray
     V: np.ndarray
     chi_nodes: np.ndarray  # the barrier bound per node
-    residuals: list = field(default_factory=list)
-    iterations: int = 0
+    residuals: list = field(default_factory=list)  # |S V - V| after each policy solve
     dirichlet_exits: int = 0
     cap_bound_nodes: int = 0
     # one score node: the benchmark's span counter reads len(z_nodes)
     z_nodes: np.ndarray = field(default_factory=lambda: np.zeros(1))
+
+    @property
+    def iterations(self) -> int:
+        return len(self.residuals)
 
     @property
     def final_residual(self) -> float:
@@ -342,7 +314,6 @@ def solve_fixed_point(problem, caps: CapSpec, params: GameParams, tol: float = 1
         V=V,
         chi_nodes=np.array([caps.chi_at(np.array([x])) for x in step.x_nodes]),
         residuals=residuals,
-        iterations=len(residuals),
         dirichlet_exits=int(((step.mu[rows, policy] > 0.0) & step.exits).any(axis=1).sum()),
         cap_bound_nodes=int((step.kappa[rows, policy] > 0.0).sum()),
     )

@@ -177,7 +177,7 @@ def solve_scalar_dpp(problem, params, store_all: bool = False) -> ScalarSolution
                               "use the one-step operator pointwise in 2D")
     dt = params.time_step
     n_steps = n_rounds(problem, params)
-    field = GridField.from_callable(dom, grid_spacing(dom, params), problem.g)
+    field = GridField.from_callable(dom, grid_spacing(params), problem.g)
     plan = CandidatePlan1D(dom, field.x_nodes, params, problem.h)
     probe_cells, landing_cells = field.locate(plan.probes), field.locate(plan.landing)
 
@@ -185,7 +185,7 @@ def solve_scalar_dpp(problem, params, store_all: bool = False) -> ScalarSolution
     fields = [field]
     for j in range(n_steps):
         t_target = problem.T - (j + 1) * dt
-        new = play_1d(problem, params, plan, interpolate(probe_cells, field.values),
+        new = play_1d(problem, plan, interpolate(probe_cells, field.values),
                       interpolate(landing_cells, field.values), field.values[plan.node], t_target)
         if not np.all(np.isfinite(new)):
             raise NumericAbort(
@@ -202,7 +202,7 @@ def solve_scalar_dpp(problem, params, store_all: bool = False) -> ScalarSolution
     return ScalarSolution(problem=problem, params=params, times=times, fields=fields)
 
 
-def play_1d(problem, params, plan, probe_values, landing_values, z, t):
+def play_1d(problem, plan, probe_values, landing_values, z, t):
     """``s_eps`` at every point of the ``strategies.CandidatePlan1D``
     ``plan`` from the field's values at its ``probes`` and ``landing``, as
     one branch evaluation over the plan's columns: the announcements, the
@@ -210,13 +210,14 @@ def play_1d(problem, params, plan, probe_values, landing_values, z, t):
     over (move, column), their min over moves, and at each layer row the
     max of its line column and its base column.  ``z`` is one running
     value or one per column.  With t=None, as in ``s_eps``, f is called
-    without t and the landing values are discounted by e^(-lambda dt)."""
+    without t and the landing values are discounted by e^(-lambda dt).  The
+    game parameters are the plan's."""
     if t is None:
-        landing_values = _discount(problem, params) * landing_values
+        landing_values = _discount(problem, plan.params) * landing_values
     P, G = plan.announce(probe_values)
     F = f_stacked(problem, t, plan.x, z, P, G)
     D = plan.step
-    vals = landing_values - P * D - 0.5 * (D * G * D) - params.time_step * F
+    vals = landing_values - P * D - 0.5 * (D * G * D) - plan.params.time_step * F
     np.add(vals, plan.penalty, out=vals, where=plan.crossed)
     worst = vals.min(axis=0)
     n, L = len(probe_values[0]), plan.layer_rows

@@ -7,13 +7,16 @@ the length of the pull-back is the penalty weight that multiplies the
 boundary data in the score.  Everything here is closed-form for a small
 catalog of domains (interval, ball) because the geometric
 inequalities the scheme rests on must hold to floating-point accuracy,
-not to mesh accuracy.
+not to mesh accuracy.  That includes the wall distance d and its
+derivatives: grad d is minus the outward normal of ``nearest_boundary``,
+and ``dist_hessian`` is D^2 d.
 
 Points are numpy arrays of shape ``(dim,)``; scalars are accepted for 1D
 domains and promoted.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -170,6 +173,18 @@ class DomainGeometry:
         unit = u / rho
         return ctr + unit * self.radius, unit
 
+    def dist_hessian(self, x) -> np.ndarray:
+        """Hessian of the wall distance at ``x``: 0 on the interval, ``-(I - n n^T)/r``
+        on the ball at radius r > 0, n the outward normal of :meth:`nearest_boundary`;
+        raises ``ValueError`` at the ball's centre, where d has no Hessian."""
+        if self.kind == "interval":
+            return np.zeros((1, 1))
+        r = self.radius - self._gap(_as_point(x, 2))
+        if r == 0.0:
+            raise ValueError(f"the wall distance has no Hessian at the centre {self.center}")
+        n = self.nearest_boundary(x)[1]
+        return (np.outer(n, n) - np.eye(2)) / r
+
     def make_move(self, x, delta_hat) -> Move:
         p = _as_point(x, self.dim)
         dh = _as_point(delta_hat, self.dim)
@@ -215,6 +230,11 @@ class DomainGeometry:
             landing[crossed] = ctr + rel * (self.radius / np.sqrt(np.vecdot(rel, rel)))[:, None]
         u = x_hat - landing
         return landing, crossed, np.sqrt(np.vecdot(u, u))
+
+
+def _circle(n: int) -> np.ndarray:
+    """The ``(n, 2)`` unit vectors at the angles 2 pi k / n, by scalar cos and sin."""
+    return np.array([[math.cos(a), math.sin(a)] for a in 2.0 * np.pi * np.arange(n) / n])
 
 
 # -- constructors ---------------------------------------------------------

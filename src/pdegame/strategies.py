@@ -243,30 +243,21 @@ def probe_derivatives(domain: DomainGeometry, x, phi, scale: float, flux):
         grad[k] = (fp - fm) / (2.0 * s)
         hess[k, k] = (fp - 2.0 * f0 + fm) / s**2
     if d == 2:
-        ex, ey = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-        corners = [xp + sx * s * ex + sy * s * ey for sx in (1, -1) for sy in (1, -1)]
-        if all(inside(q) for q in corners):
-            pp, pm, mp, mm = (phi.eval(q) for q in corners)
+        signs = [(sx, sy) for sx in (1.0, -1.0) for sy in (1.0, -1.0)]
+        at = lambda sx, sy: xp + s * np.array([sx, sy])
+        if all(inside(at(*sg)) for sg in signs):
+            pp, pm, mp, mm = (phi.eval(at(*sg)) for sg in signs)
             hess[0, 1] = hess[1, 0] = (pp - pm - mp + mm) / (4.0 * s**2)
-        else:
-            for sx in (1.0, -1.0):
-                for sy in (1.0, -1.0):
-                    qx, qy = xp + sx * s * ex, xp + sy * s * ey
-                    qxy = xp + sx * s * ex + sy * s * ey
-                    if inside(qx) and inside(qy) and inside(qxy):
-                        val = (phi.eval(qxy) - phi.eval(qx) - phi.eval(qy) + f0) / (
-                            sx * sy * s**2
-                        )
-                        hess[0, 1] = hess[1, 0] = val
-                        break
-                else:
-                    continue
-                break
-            else:
-                return (
-                    np.atleast_1d(np.asarray(phi.fd_gradient(xp), dtype=float)),
-                    np.asarray(phi.fd_hessian(xp), dtype=float),
-                )
+            return grad, hess
+        # the first sign pair whose one-sided stencil (x, y, corner) lies inside
+        fit = next((sg for sg in signs
+                    if all(inside(at(*v)) for v in ((sg[0], 0.0), (0.0, sg[1]), sg))), None)
+        if fit is None:
+            return (np.atleast_1d(np.asarray(phi.fd_gradient(xp), dtype=float)),
+                    np.asarray(phi.fd_hessian(xp), dtype=float))
+        sx, sy = fit
+        hess[0, 1] = hess[1, 0] = (phi.eval(at(sx, sy)) - phi.eval(at(sx, 0.0))
+                                   - phi.eval(at(0.0, sy)) + f0) / (sx * sy * s**2)
     return grad, hess
 
 

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pdegame.consistency as cons
+from pdegame.cli import _write_audit_csv
 from pdegame.consistency import (
     AuditRow,
     CASE_BIG_BONUS,
@@ -203,6 +204,27 @@ class TestExactBarrier:
                     ) / (4 * hd * hd)
             np.testing.assert_allclose(psi.fd_hessian(x), H_fd, atol=1e-4)
 
+    def test_flat_profile_reads_no_wall_curvature(self):
+        # deeper than r_int/2 the profile is flat, so the chain rule never reads
+        # D^2 d, which the ball's centre lacks (pytest turns a RuntimeWarning
+        # into an error)
+        with pytest.raises(ValueError, match="no Hessian"):
+            DISK.dist_hessian(np.zeros(2))
+        for dom, deep in (
+            (DOM, np.linspace(0.25, 0.75, 11)[:, None]),
+            (DISK, [r * np.array([math.cos(a), math.sin(a)])
+                    for r in (0.0, 0.1, 0.3, 0.5) for a in (0.0, 0.7, 2.5, 4.0)]),
+        ):
+            psi = exact_barrier(dom, 1.0)
+            for x in deep:
+                assert psi.eval(x) == 0.0
+                assert np.all(psi.fd_gradient(x) == 0.0) and np.all(psi.fd_hessian(x) == 0.0)
+        # in the layer the disk's Hessian, psi'' n n^T + psi' D^2 d, is symmetric
+        psi = exact_barrier(DISK, 1.0)
+        for d in (0.02, 0.1, 0.2):
+            H = psi.fd_hessian((1.0 - d) * np.array([np.cos(0.7), np.sin(0.7)]))
+            assert np.array_equal(H, H.T) and np.all(H != 0.0)
+
 
 # -- report mechanics -------------------------------------------------------
 
@@ -226,8 +248,8 @@ class TestReport:
         rep = ConsistencyReport()
         rep.extend(self._rows())
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        rep.write_csv(a)
-        rep.write_csv(b)
+        _write_audit_csv(a, rep.rows)
+        _write_audit_csv(b, rep.rows)
         assert a.read_bytes() == b.read_bytes()
         header = a.read_text().splitlines()[0]
         assert header == "domain,eps,point,case,lhs,rhs,residual,pass"
@@ -339,9 +361,9 @@ class TestAuditPoint:
             audits.append(args)
             return audit(*args)
 
-        def counting_play(problem, params, plan, *rest):
+        def counting_play(problem, plan, *rest):
             plays.append((plan, rest[-2]))
-            return play(problem, params, plan, *rest)
+            return play(problem, plan, *rest)
 
         def counting_s_eps(*args):
             calls.append(args)
@@ -493,8 +515,8 @@ class TestSuite:
     def test_suite_csv_roundtrip_is_deterministic(self, tmp_path):
         rep = run_audit_suite(eps_ladder=(0.2,), include_disk=False)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        rep.write_csv(a)
-        rep.write_csv(b)
+        _write_audit_csv(a, rep.rows)
+        _write_audit_csv(b, rep.rows)
         assert a.read_bytes() == b.read_bytes()
         assert len(a.read_text().splitlines()) == len(rep.rows) + 1
 
@@ -552,7 +574,8 @@ class TestBarrierAudits:
         mirrored = AnalyticField(DOM, lambda p: -shift - psi.eval(p),
                                  grad=lambda p: -psi.fd_gradient(p),
                                  hess=lambda p: -psi.fd_hessian(p))
-        pts = cons._layer_points(DOM, params.move_bound, 4) + cons._interior_points(DOM, 8)
+        pts = np.concatenate([cons._layer_points(DOM, params.move_bound, 4),
+                              cons._interior_points(DOM, 8)])
         c_star = max(abs(float(lap.f(xp, 0.0, psi.fd_gradient(xp), psi.fd_hessian(xp))))
                      for xp in pts)
         rows = []
@@ -574,9 +597,9 @@ class TestBarrierAudits:
         plays = []
         play = cons.play_1d
 
-        def counting_play(problem, params, plan, *rest):
+        def counting_play(problem, plan, *rest):
             plays.append((plan, rest[-2], rest[-1]))
-            return play(problem, params, plan, *rest)
+            return play(problem, plan, *rest)
 
         def no_s_eps(*args):
             raise AssertionError("s_eps ran on the interval")

@@ -81,7 +81,7 @@ def test_grid_spacing_scales():
     # the game's own error, on the CLI's default ladder and down to 0.0125
     for eps in (0.2, 0.1, 0.05, 0.025, 0.0125):
         p = make_params(eps)
-        h = grid_spacing(interval(0.0, 1.0), p)
+        h = grid_spacing(p)
         assert h == pytest.approx(eps**1.5, rel=1e-15)
         assert h**2 / p.time_step <= eps * (1.0 + 1e-12)
 

@@ -181,7 +181,8 @@ class TestDiscountedRound:
             quad_field(0.2, -0.8, 1.1),
             AnalyticField(DOM, lambda p: 3.0 + psi.eval(p), grad=psi.grad, hess=psi.hess),
         ]
-        points = cons._layer_points(DOM, params.move_bound, 8) + cons._interior_points(DOM, 3)
+        points = np.concatenate([cons._layer_points(DOM, params.move_bound, 8),
+                                 cons._interior_points(DOM, 3)])
         for phi in fields:
             for x in points:
                 for z in (-2.0, 0.0, 1.5):
@@ -356,7 +357,7 @@ class TestStationaryStep:
         step = stationary_step(name, eps)
         prob = STATIONARY[name]
         params = make_params(eps, lambda_rate=1.0)
-        lattice = GridField.build(DOM, grid_spacing(DOM, params))
+        lattice = GridField.build(DOM, grid_spacing(params))
         far = step.x_nodes >= params.move_bound if name == "mixed" else step.x_nodes >= 0.0
         for V in (solve(prob, eps).V, np.cos(3.0 * step.x_nodes),
                   np.random.default_rng(8).uniform(-1.0, 1.0, len(step.x_nodes))):

@@ -185,7 +185,7 @@ class TestPlayOnPoints:
                 assert plan.reflected.any()
                 probe, landing = (phi.eval(q.reshape(-1, 1)).reshape(q.shape)
                                   for q in (plan.probes, plan.landing))
-                got = [play_1d(prob, params, plan, probe, landing, z, t) for z in zs]
+                got = [play_1d(prob, plan, probe, landing, z, t) for z in zs]
                 want = [s_eps(phi, np.array([xi]), t, zs, prob, params) for xi in pts]
                 assert np.transpose(got).tobytes() == np.array(want).tobytes(), prob.name
                 phi_x = [phi.eval(np.array([xi])) for xi in pts]
@@ -368,7 +368,7 @@ class TestScalarSolver:
         prob = get_problem(name)
         params = make_params(0.1)
         fast = solve_scalar_dpp(prob, params, store_all=True)
-        field = GridField.from_callable(prob.domain, grid_spacing(prob.domain, params), prob.g)
+        field = GridField.from_callable(prob.domain, grid_spacing(params), prob.g)
         for t in fast.times[1:]:
             vals = field.values
             field = field.with_values(
@@ -408,13 +408,13 @@ class TestScalarSolver:
         name, eps = case
         prob = get_problem(name)
         params = make_params(eps)
-        base = GridField.build(prob.domain, grid_spacing(prob.domain, params))
+        base = GridField.build(prob.domain, grid_spacing(params))
         rng = np.random.default_rng(seed)
         field = base.with_values(rng.normal() + scale * rng.uniform(-1.0, 1.0, len(base.x_nodes)))
         t = prob.T - params.time_step
         plan = CandidatePlan1D(prob.domain, base.x_nodes, params, prob.h)
         v = field.values
-        got = play_1d(prob, params, plan, interpolate(base.locate(plan.probes), v),
+        got = play_1d(prob, plan, interpolate(base.locate(plan.probes), v),
                       interpolate(base.locate(plan.landing), v), v[plan.node], t)
         want = [s_eps(field, x, t, z, prob, params) for x, z in zip(base.x_nodes, field.values)]
         assert got.tobytes() == np.array(want).tobytes()

@@ -281,6 +281,29 @@ def test_normal_is_unit_and_minus_grad_dist():
             np.testing.assert_allclose(-grad, n, atol=1e-4)
 
 
+def test_dist_hessian_matches_second_differences_of_dist():
+    # D^2 d off the ball's centre, by the four-point stencil of d away from the walls
+    rng = np.random.default_rng(5)
+    hd = 1e-4
+    for dom in catalog():
+        E = hd * np.eye(dom.dim)
+        d = dom.dist_to_boundary
+        for _ in range(20):
+            x = random_interior_point(dom, rng)
+            if d(x) < 0.05 or (dom.dim == 2 and np.linalg.norm(x - dom.center) < 0.05):
+                continue
+            fd = np.array([[(d(x + ei + ej) - d(x + ei - ej) - d(x - ei + ej) + d(x - ei - ej))
+                            / (4.0 * hd * hd) for ej in E] for ei in E])
+            H = dom.dist_hessian(x)
+            np.testing.assert_allclose(H, fd, atol=1e-5)
+            assert np.array_equal(H, H.T)
+            if dom.dim == 2:  # -(I - n n^T)/r: 0 along the normal, -1/r across it
+                n, r = dom.nearest_boundary(x)[1], np.linalg.norm(x - dom.center)
+                np.testing.assert_allclose(H @ n, 0.0, atol=1e-12)
+                t = np.array([-n[1], n[0]])
+                assert t @ H @ t == pytest.approx(-1.0 / r, rel=1e-12)
+
+
 # -- moves ----------------------------------------------------------------
 
 

@@ -89,6 +89,23 @@ def test_mixed_problem_solves_cosh():
         prob.f_batched(np.zeros((2, 1)), np.zeros(2), np.zeros((2, 1)), G), [1.5, -2.0])
 
 
+@pytest.mark.parametrize("name", list_problems())
+def test_f_batched_is_f_sample_by_sample(name):
+    # the 1D kernel and the stationary solver read f_batched; s_eps, the
+    # audits and the wall-shift constant c_star read f
+    prob = get_problem(name)
+    dom = prob.domain
+    grid = np.meshgrid(np.linspace(dom.a, dom.c, 5), [-2.0, 0.0, 1.5], [-3.0, 0.0, 2.5],
+                       [-4.0, 0.0, 3.5], indexing="ij")
+    X, Z, P, G = (v.ravel() for v in grid)
+    lead = () if isinstance(prob, EllipticProblem) else (0.1,)
+    got = prob.f_batched(*lead, X[:, None], Z, P[:, None], G[:, None, None])
+    want = [float(prob.f(*lead, np.array([x]), z, np.array([p]), np.array([[g]])))
+            for x, z, p, g in zip(X, Z, P, G)]
+    assert len(want) == 135
+    assert np.asarray(got, dtype=float).tolist() == want
+
+
 # -- sampled structural audits ---------------------------------------------
 
 

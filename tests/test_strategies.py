@@ -308,6 +308,44 @@ class TestCandidateEnumeration:
         with pytest.raises(ValueError, match="reflected probe"):
             probe_derivatives(dom, 0.5, phi, 1.6, flux=linear_profile_h)
 
+    @pytest.mark.parametrize("eps", [0.2, 0.1, 0.05])
+    def test_2d_mixed_partial_rule_at_the_point_where_each_applies(self, eps):
+        disk, params = ball((0.0, 0.0), 1.0), make_params(eps)
+        s = ell = params.move_bound
+        b, A = np.array([0.4, -0.7]), np.array([[1.2, 0.3], [0.3, -0.5]])
+        reads = []
+
+        def func(p):
+            reads.append(np.array(p))
+            return b @ p + 0.5 * p @ A @ p
+
+        phi = AnalyticField(disk, func, grad=lambda p: b + A @ p, hess=lambda p: A)
+        flux = lambda q: 0.0
+
+        def mixed_reads(x):  # the reads after f0 and the four axis probes
+            reads.clear()
+            derivs = probe_derivatives(disk, x, phi, s, flux=flux)
+            assert len(reads) >= 5
+            return derivs, reads[5:]
+
+        # all four corners inside: the corner stencil, in the order of its signs
+        x = np.array([1.0 - 1.5 * ell, 0.0])
+        (_, H), got = mixed_reads(x)
+        signs = [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)]
+        assert np.array_equal(got, [x + s * np.array(sg) for sg in signs])
+        assert abs(H[0, 1] - 0.3) <= 1e-12 and H[1, 0] == H[0, 1]
+        # the +x corners leave the disk: the one-sided stencil of the signs (-1, +1)
+        x = np.array([1.0 - 0.3 * ell, 0.0])
+        (_, H), got = mixed_reads(x)
+        assert np.array_equal(got, [x + s * np.array(v) for v in ((-1.0, 1.0), (-1.0, 0.0),
+                                                                  (0.0, 1.0))])
+        assert abs(H[0, 1] - 0.3) <= 1e-12 and H[1, 0] == H[0, 1]
+        # on the wall no stencil fits: the field's own derivatives, exactly
+        x = np.array([1.0, 0.0])
+        (g, H), got = mixed_reads(x)
+        assert got == []
+        assert np.array_equal(g, phi.fd_gradient(x)) and np.array_equal(H, phi.fd_hessian(x))
+
     def test_moves_1d_exact_sets(self):
         dom = interval(0.0, 1.0)
         params = GameParams(eps=0.1, alpha=0.0, beta=0.4, gamma=0.4, rho=0.95, kappa=0.9)
@@ -495,7 +533,7 @@ class TestBatchedKernel:
         prob = get_problem(name)
         dom = prob.domain
         params = make_params(eps)
-        base = GridField.build(dom, grid_spacing(dom, params))
+        base = GridField.build(dom, grid_spacing(params))
         xs = base.x_nodes
         n = len(xs)
         # one plan, announced from two different value arrays
@@ -541,7 +579,7 @@ class TestBatchedKernel:
         prob = get_problem(name)
         dom = prob.domain
         params = make_params(eps)
-        base = GridField.build(dom, grid_spacing(dom, params))
+        base = GridField.build(dom, grid_spacing(params))
         xs = base.x_nodes
         plan = CandidatePlan1D(dom, xs, params, prob.h)
         d = np.minimum(xs - dom.a, dom.c - xs)
@@ -556,7 +594,7 @@ class TestBatchedKernel:
     def test_one_line_column_per_layer_row_where_each_reaches_one_wall(self, name, eps):
         prob = get_problem(name)
         dom, params = prob.domain, make_params(eps)
-        base = GridField.build(dom, grid_spacing(dom, params))
+        base = GridField.build(dom, grid_spacing(params))
         plan = CandidatePlan1D(dom, base.x_nodes, params, prob.h)
         x, ell = base.x_nodes[plan.layer_rows], params.move_bound
         walls_in_reach = (np.abs(x - dom.a) < ell).astype(int) + (np.abs(x - dom.c) < ell)
