@@ -253,9 +253,9 @@ def _stationary_game(cfg: RunConfig, problem, eps: float):
 def _run_elliptic(cfg: RunConfig, problem, out: Path, summary: list) -> None:
     eps = cfg.eps_ladder[0]
     params, caps = _stationary_game(cfg, problem, eps)
-    val = solve_fixed_point(problem, caps, params, tol=cfg.tol)
-    # the game has one value: it is both the upper and the lower profile
-    rows = zip(val.x_nodes, val.V, val.V, val.chi_nodes)
+    val = solve_fixed_point(problem, params, tol=cfg.tol)
+    # the game has one value: it is both the upper and the lower profile; chi is the barrier bound
+    rows = zip(val.x_nodes, val.V, val.V, (caps.chi_at([x]) for x in val.x_nodes))
     _write_csv(out / "profiles.csv", ["x", "u", "v", "chi"], rows)
     _write_csv(
         out / "residuals.csv",
@@ -309,7 +309,7 @@ def _run_audit_elliptic(cfg: RunConfig, problem, out: Path, summary: list) -> No
     merged = ConsistencyReport()
     for eps in cfg.eps_ladder:
         params, caps = _stationary_game(cfg, problem, eps)
-        rep = audit_wall_shift(problem, params, shift=caps.cap_m, n_points=12)
+        rep = audit_wall_shift(problem, params, shift=caps.cap_m)
         merged.extend(rep.rows)
         summary.append(
             f"wall_shift[eps={eps:.12g}] = {caps.cap_m:.12g}, "

@@ -1,18 +1,28 @@
 """Numeric audits of the one-round operators near the boundary.
 
-Close to a wall, one round of the game applied to a smooth test
-function splits into labelled regimes according to the wall bonus
-``M = max(h - <grad, n>)`` over reachable landings, compared against
-thresholds built from the step exponents.  Each regime carries an
-explicit one-sided estimate for ``S[phi] - phi``; this module
-evaluates both sides of every estimate on a catalog of test functions
-and boundary-layer points and reports the margins as typed rows, which
-the ``cli`` writes as CSV.  On the interval ``S[phi]`` is the solvers'
-own 1D kernel: one ``strategies.CandidatePlan1D`` on all the points of a
-case, phi read at its probes and landings, and ``game_parabolic.play_1d``
-once per running value z.  The pointwise ``s_eps``, which tests match to
-the kernel bit for bit, is its oracle and still plays each disk point,
-over all its z in one pass (:func:`audit_point`).
+The two audits that the ``cli`` runs and writes as CSV:
+
+* the catalog, :func:`run_audit_suite` (mode ``consistency``).  Close to
+  a wall, one round of the game applied to a smooth test function splits
+  into labelled regimes by the wall bonus ``M = max(h - <grad, n>)`` over
+  reachable landings, compared against thresholds built from the step
+  exponents.  Each regime carries an explicit one-sided estimate for
+  ``S[phi] - phi``, evaluated on both sides on a catalog of test
+  functions and boundary-layer points;
+* the wall shift, :func:`audit_wall_shift` (mode ``audit-elliptic``): the
+  discounted stationary round around the shifted wall barrier.
+
+Each audited inequality is an :class:`AuditRow`, whose verdicts derive
+from its residual and case.  The barrier-round lemma, ``S[psi] - psi <=
+C (1 + |z|) eps**2`` and its mirror on ``-psi``, is not audited here: the
+tests check it on the pointwise ``s_eps``.
+
+On the interval ``S[phi]`` is the solvers' own 1D kernel: one
+``strategies.CandidatePlan1D`` on all the points of a case, phi read at
+its probes and landings, and ``game_parabolic.play_1d`` once per running
+value z.  The pointwise ``s_eps``, which tests match to the kernel bit
+for bit, is its oracle and still plays each disk point, over all its z
+in one pass (:func:`audit_point`).
 
 The higher-order error allowance is operationalized as a
 measured-then-frozen envelope ``SLACK_CONST * eps**SLACK_POWER``: the
@@ -53,7 +63,6 @@ __all__ = [
     "CASE_LOWER_SMALL",
     "SLACK_CONST",
     "SLACK_POWER",
-    "BARRIER_BOUND_CONST",
     "RESIDUAL_NOISE",
     "AuditRow",
     "ConsistencyReport",
@@ -61,7 +70,6 @@ __all__ = [
     "audit_point",
     "audit_upper",
     "audit_lower",
-    "audit_barrier",
     "audit_wall_shift",
     "audit_ladder",
     "run_audit_suite",
@@ -80,17 +88,6 @@ CASE_LOWER_SMALL = "lower-penalty-or-small-bonus"
 #: at eps=0.2, shrinking to 0.06 by eps=0.05); frozen with margin.
 SLACK_CONST = 1.2
 SLACK_POWER = 2.5
-
-#: Frozen constant of the barrier round estimate
-#: ``S[psi] - psi <= BARRIER_BOUND_CONST * (1 + |z|) * eps**2`` (and the
-#: mirrored lower estimate on ``-psi``).  Largest need measured on the
-#: shipped catalog (both domains, flux 0 and 2, step sizes 0.2/0.1/0.05)
-#: is 63.3, attained on the mirrored side where the game operator runs
-#: closest to its floor near the wall; frozen with margin.  This is a
-#: working-scale envelope: at fixed C the mirrored-side need on the disk
-#: grows as the step shrinks (same near-wall announcement deficit that
-#: the big-bonus lower audit reports).
-BARRIER_BOUND_CONST = 80.0
 
 #: Floating-point noise floor: a residual at or below this magnitude is
 #: an exact hit of the bound (the games and bounds are evaluated to
@@ -119,8 +116,14 @@ class AuditRow:
     lhs: float
     rhs: float
     residual: float
-    passed: bool
-    gating: bool = True
+
+    @property
+    def passed(self) -> bool:
+        return self.residual <= RESIDUAL_NOISE
+
+    @property
+    def gating(self) -> bool:
+        return self.case != CASE_CLOSE_SMALL
 
 
 @dataclass
@@ -184,8 +187,6 @@ def _min_f_on_ball(problem, t, xp, z, p_center, Gamma, radius: float) -> float:
     """Deterministic sample minimum of f over announcements |p - c| <= r; in
     1D the 41 samples of the segment are one ``f_stacked`` call."""
     p_center = np.atleast_1d(np.asarray(p_center, dtype=float))
-    if radius <= 0.0:
-        return float(problem.f(t, xp, z, p_center, Gamma))
     if len(p_center) == 1:
         p = p_center[0] + np.linspace(-1.0, 1.0, 41) * radius
         return min(f_stacked(problem, t, xp[0], z, p, np.ravel(Gamma)[0]).tolist())
@@ -202,18 +203,9 @@ def _domain_tag(domain: DomainGeometry) -> str:
     return f"ball(r={domain.radius:g})"
 
 
-def _row(dom, eps, xp, case, lhs, rhs, residual, gating=True) -> AuditRow:
-    return AuditRow(
-        domain=_domain_tag(dom),
-        eps=eps,
-        point=tuple(float(v) for v in xp),
-        case=case,
-        lhs=lhs,
-        rhs=rhs,
-        residual=residual,
-        passed=residual <= RESIDUAL_NOISE,
-        gating=gating,
-    )
+def _row(dom, eps, xp, case, lhs, rhs, residual) -> AuditRow:
+    return AuditRow(_domain_tag(dom), eps, tuple(float(v) for v in xp), case, lhs, rhs,
+                    residual)
 
 
 def _round_values(fields, pts, t, zs, problem, params) -> list:
@@ -292,7 +284,6 @@ def _point_rows(xp, t, zs, values, phi_x, phi, problem, params) -> list:
     rows = []
     for z, value in zip(zs, values):
         lhs = value - phi_x
-        gating = True
         if upper_case == CASE_BIG_BONUS:
             rhs = 3.0 * (ell - d) * bounds.M - eps**2 * float(problem.f(t, xp, z, p_M, G_o))
         elif upper_case == CASE_FAR_SMALL:
@@ -301,14 +292,13 @@ def _point_rows(xp, t, zs, values, phi_x, phi, problem, params) -> list:
             c1 = (20.0 / 3.0) * hnorm * (1.0 - d / ell)
             shifted = np.atleast_2d(np.asarray(hess, dtype=float)) + c1 * np.eye(dom.dim)
             rhs = -(eps**2) * float(problem.f(t, xp, z, grad, shifted))
-            gating = False
         else:
             r = 3.0 * (1.0 - d / ell) * abs(bounds.M)
             rhs = 0.25 * (ell - d) * bounds.M - eps**2 * _min_f_on_ball(
                 problem, t, xp, z, p_M, G_o, r
             )
         rhs = rhs + slack
-        rows.append(_row(dom, eps, xp, upper_case, lhs, rhs, lhs - rhs, gating))
+        rows.append(_row(dom, eps, xp, upper_case, lhs, rhs, lhs - rhs))
 
         if lower_case == CASE_LOWER_BIG_BONUS:
             rhs = -(eps**2) * float(problem.f(t, xp, z, grad, hess))
@@ -331,16 +321,32 @@ def audit_lower(x, t, z, phi, problem, params) -> AuditRow:
     return audit_point(x, t, z, phi, problem, params)[1]
 
 
-# -- barrier invariants ----------------------------------------------------
+# -- wall shift -------------------------------------------------------------
 
 
-def _audit_around_barrier(problem, params, psi, shift, pts, z_values, t, label, bound):
-    """One round on ``phi = shift + psi`` and on its mirror ``-phi`` at each
-    point of ``pts``, each field played once over all the points
-    (:func:`_round_values`): rows ``<label>-upper`` audit ``S[phi] - phi <=
-    bound(z, phi(x))``, rows ``<label>-lower`` audit ``S[-phi] + phi >=
-    -bound(z, phi(x))``."""
-    dom, eps = problem.domain, params.eps
+def audit_wall_shift(problem, params, shift: float) -> ConsistencyReport:
+    """Audit the stationary one-round estimates around ``+-(shift + psi)``.
+
+    Upper side: ``S[m + psi](x, z) - (m + psi) <= eps**2 (1 + (lambda -
+    eta)|z| + C*) - lambda eps**2 (m + psi)``, with ``S`` the discounted
+    stationary round (``s_eps`` with t=None) and ``C*`` the sampled sup
+    of ``|f(x, 0, D psi, D^2 psi)|``, the structural growth constant of
+    f along the barrier.  Mirror side: the same envelope from below for
+    ``-(m + psi)``.  Rows ``wall-shift-upper`` and ``wall-shift-lower``
+    come per point (12 in the layer, then 8 inside) and per z in
+    (0, 1, 3); each field is played once over all the points
+    (:func:`_round_values`).
+    """
+    dom = problem.domain
+    psi = exact_barrier(dom, _boundary_sup(dom, problem.h))
+    lam = problem.lambda_rate
+    eta = problem.eta_margin
+    eps = params.eps
+    pts = np.concatenate([_layer_points(dom, params.move_bound, 12), _interior_points(dom, 8)])
+    c_star = max(
+        abs(float(problem.f(xp, 0.0, psi.fd_gradient(xp), psi.fd_hessian(xp))))
+        for xp in pts
+    )
     shifted = AnalyticField(dom, lambda p: shift + psi.eval(p), grad=psi.fd_gradient,
                             hess=psi.fd_hessian)
     mirrored = AnalyticField(
@@ -349,72 +355,16 @@ def _audit_around_barrier(problem, params, psi, shift, pts, z_values, t, label, 
         grad=lambda p: -psi.fd_gradient(p),
         hess=lambda p: -psi.fd_hessian(p),
     )
-    (ups, phi_xs), (lows, _) = _round_values((shifted, mirrored), pts, t, z_values, problem,
-                                             params)
+    zs = (0.0, 1.0, 3.0)
+    (ups, phi_xs), (lows, _) = _round_values((shifted, mirrored), pts, None, zs, problem, params)
     rows = []
     for xp, phi_x, up_z, low_z in zip(pts, phi_xs, ups, lows):
-        for z, s_up, s_low in zip(z_values, up_z, low_z):
-            rhs = bound(z, phi_x)
+        for z, s_up, s_low in zip(zs, up_z, low_z):
+            rhs = eps**2 * (1.0 + (lam - eta) * abs(z) + c_star) - lam * eps**2 * phi_x
             up, low = s_up - phi_x, s_low + phi_x
-            rows += [_row(dom, eps, xp, f"{label}-upper", up, rhs, up - rhs),
-                     _row(dom, eps, xp, f"{label}-lower", low, -rhs, -rhs - low)]
+            rows += [_row(dom, eps, xp, "wall-shift-upper", up, rhs, up - rhs),
+                     _row(dom, eps, xp, "wall-shift-lower", low, -rhs, -rhs - low)]
     return ConsistencyReport(rows)
-
-
-def audit_barrier(
-    problem,
-    params,
-    z_values=(0.0, 1.0, 5.0),
-    n_points: int = 40,
-) -> ConsistencyReport:
-    """Audit the one-round barrier estimates on layer samples.
-
-    Checks ``S[psi] - psi <= C (1 + |z|) eps**2`` and the mirrored
-    lower estimate for ``-psi``; the frozen constant C depends only on
-    the barrier's derivative bounds and ``sup |h|``.
-    """
-    dom = problem.domain
-    psi = exact_barrier(dom, _boundary_sup(dom, problem.h))
-    pts = _layer_points(dom, params.move_bound, n_points)
-    t = 0.25  # one round time for every point, as in run_audit_suite
-    return _audit_around_barrier(problem, params, psi, 0.0, pts, z_values, t, "barrier",
-                                 lambda z, _: BARRIER_BOUND_CONST * (1.0 + abs(z)) * params.eps**2)
-
-
-def audit_wall_shift(
-    problem,
-    params,
-    shift: float,
-    z_values=(0.0, 1.0, 3.0),
-    n_points: int = 30,
-) -> ConsistencyReport:
-    """Audit the stationary one-round estimates around ``+-(shift + psi)``.
-
-    Upper side: ``S[m + psi](x, z) - (m + psi) <= eps**2 (1 + (lambda -
-    eta)|z| + C*) - lambda eps**2 (m + psi)``, with ``S`` the discounted
-    stationary round (``s_eps`` with t=None) and ``C*`` the sampled sup
-    of ``|f(x, 0, D psi, D^2 psi)|``, the structural growth constant of
-    f along the barrier.  Mirror side: the same envelope from below for
-    ``-(m + psi)``.
-    """
-    dom = problem.domain
-    psi = exact_barrier(dom, _boundary_sup(dom, problem.h))
-    lam = problem.lambda_rate
-    eta = problem.eta_margin
-    eps = params.eps
-    pts = np.concatenate([_layer_points(dom, params.move_bound, n_points),
-                          _interior_points(dom, 8)])
-    c_star = max(
-        abs(float(problem.f(xp, 0.0, psi.fd_gradient(xp), psi.fd_hessian(xp))))
-        for xp in pts
-    )
-
-    def bound(z, phi_x):
-        envelope = eps**2 * (1.0 + (lam - eta) * abs(z) + c_star)
-        return envelope - lam * eps**2 * phi_x
-
-    return _audit_around_barrier(problem, params, psi, shift, pts, z_values, None, "wall-shift",
-                                 bound)
 
 
 def _layer_points(dom: DomainGeometry, ell: float, n: int) -> np.ndarray:

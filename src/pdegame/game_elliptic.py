@@ -4,10 +4,11 @@ Two layers:
 
 * a smooth wall barrier (:func:`exact_barrier`, :func:`build_caps`) whose
   outward normal slope strictly dominates the prescribed flux; it gives
-  the a-priori bound ``chi`` that the solution profile is checked
-  against, and the audits' wall shift ``cap_m``;
+  the a-priori bound ``chi``, which the ``cli`` reports beside the
+  solution profile, and the audits' wall shift ``cap_m``;
 * the discounted round on the state lattice, :class:`StationaryStep`,
   whose fixed point :func:`solve_fixed_point` finds by policy iteration.
+  The solve reads no barrier.
 
 The game's value depends on the state alone.  One round at x: the
 maximizer announces (p, Gamma) in the box ``|p| <= eps^-beta``,
@@ -262,7 +263,6 @@ class FixedPointValue:
     params: GameParams
     x_nodes: np.ndarray
     V: np.ndarray
-    chi_nodes: np.ndarray  # the barrier bound per node
     residuals: list = field(default_factory=list)  # |S V - V| after each policy solve
     dirichlet_exits: int = 0
     cap_bound_nodes: int = 0
@@ -278,14 +278,14 @@ class FixedPointValue:
         return self.residuals[-1]
 
 
-def solve_fixed_point(problem, caps: CapSpec, params: GameParams, tol: float = 1e-8) -> FixedPointValue:
+def solve_fixed_point(problem, params: GameParams, tol: float = 1e-8) -> FixedPointValue:
     """``V = S V`` (:class:`StationaryStep`) by Howard's policy iteration
-    (Bokanowski–Maroso–Zidani, SIAM J. Numer. Anal. 47 (2009)), reported
-    against the bound ``chi_nodes`` of ``caps``.  From the stencils optimal
-    at V = 0, each iteration solves for their value, records ``|S V - V|``
-    in ``residuals`` and moves each node to its argmin stencil if lower by
-    over 1e-13 relative.  Each move lowers V, so it stops: no node moves.
-    Aborts, with the residuals, on a non-finite V or a last residual > tol.
+    (Bokanowski–Maroso–Zidani, SIAM J. Numer. Anal. 47 (2009)).  From the
+    stencils optimal at V = 0, each iteration solves for their value,
+    records ``|S V - V|`` in ``residuals`` and moves each node to its
+    argmin stencil if lower by over 1e-13 relative.  Each move lowers V,
+    so it stops: no node moves.  Aborts, with the residuals, on a
+    non-finite V or a last residual > tol.
     """
     step = StationaryStep(problem, params)
     rows = np.arange(len(step.x_nodes))
@@ -312,7 +312,6 @@ def solve_fixed_point(problem, caps: CapSpec, params: GameParams, tol: float = 1
         params=params,
         x_nodes=step.x_nodes,
         V=V,
-        chi_nodes=np.array([caps.chi_at(np.array([x])) for x in step.x_nodes]),
         residuals=residuals,
         dirichlet_exits=int(((step.mu[rows, policy] > 0.0) & step.exits).any(axis=1).sum()),
         cap_bound_nodes=int((step.kappa[rows, policy] > 0.0).sum()),

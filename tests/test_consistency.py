@@ -10,6 +10,7 @@ candidate-search operator (pinned, not hidden).
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from pdegame.consistency import (
     CASE_LOWER_BIG_BONUS,
     CASE_LOWER_SMALL,
     ConsistencyReport,
-    audit_barrier,
     audit_lower,
     audit_point,
     audit_upper,
@@ -44,6 +44,17 @@ from pdegame.strategies import neumann_bounds
 
 DOM = interval(0.0, 1.0)
 DISK = ball((0.0, 0.0), 1.0)
+
+#: Frozen constant of the barrier round estimate
+#: ``S[psi] - psi <= BARRIER_BOUND_CONST * (1 + |z|) * eps**2`` (and the
+#: mirrored lower estimate on ``-psi``).  Largest need measured on the
+#: shipped catalog (both domains, flux 0 and 2, step sizes 0.2/0.1/0.05)
+#: is 63.3, attained on the mirrored side where the game operator runs
+#: closest to its floor near the wall; frozen with margin.  This is a
+#: working-scale envelope: at fixed C the mirrored-side need on the disk
+#: grows as the step shrinks (same near-wall announcement deficit that
+#: the big-bonus lower audit reports).
+BARRIER_BOUND_CONST = 80.0
 
 
 def heat_problem(dom, h_value):
@@ -63,7 +74,7 @@ class TestFrozenConstants:
         # every pinned margin below
         assert cons.SLACK_CONST == 1.2
         assert cons.SLACK_POWER == 2.5
-        assert cons.BARRIER_BOUND_CONST == 80.0
+        assert BARRIER_BOUND_CONST == 80.0
         assert cons.RESIDUAL_NOISE == 1e-10
 
 
@@ -149,6 +160,23 @@ class TestClassification:
         if DOM.dist_to_boundary(x) >= params.move_bound:
             assert label == CASE_FAR_SMALL
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        eps=st.sampled_from((0.2, 0.1, 0.05)),
+        frac=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+        M=st.floats(min_value=-1e6, max_value=1e6),
+        hnorm=st.floats(min_value=0.0, max_value=1e6),
+    )
+    def test_close_big_penalty_has_a_positive_announcement_radius(self, eps, frac, M, hnorm):
+        # the radius 3 (1 - d/ell) |M| of the close-big-penalty row's sample
+        # ball, which _min_f_on_ball needs positive, is so wherever the label falls
+        params = make_params(eps, lambda_rate=1.0)
+        ell = params.move_bound
+        d = frac * ell
+        bounds = SimpleNamespace(possible=True, M=M)
+        if classify_case(d, params, bounds, hnorm) == CASE_CLOSE_BIG_PENALTY:
+            assert 3.0 * (1.0 - d / ell) * abs(M) > 0.0
+
 
 # -- analytic barrier -------------------------------------------------------
 
@@ -232,9 +260,9 @@ class TestExactBarrier:
 class TestReport:
     def _rows(self):
         return [
-            AuditRow("interval[0,1]", 0.2, (0.0,), CASE_BIG_BONUS, -1.0, 0.0, -1.0, True),
-            AuditRow("interval[0,1]", 0.2, (0.5,), CASE_FAR_SMALL, 0.2, 0.1, 0.1, False),
-            AuditRow("interval[0,1]", 0.2, (0.1,), CASE_CLOSE_SMALL, 0.2, 0.1, 0.1, False, gating=False),
+            AuditRow("interval[0,1]", 0.2, (0.0,), CASE_BIG_BONUS, -1.0, 0.0, -1.0),
+            AuditRow("interval[0,1]", 0.2, (0.5,), CASE_FAR_SMALL, 0.2, 0.1, 0.1),
+            AuditRow("interval[0,1]", 0.2, (0.1,), CASE_CLOSE_SMALL, 0.2, 0.1, 0.1),
         ]
 
     def test_counts_cases_and_violations(self):
@@ -243,6 +271,20 @@ class TestReport:
         assert rep.count_by_case() == {CASE_BIG_BONUS: 1, CASE_FAR_SMALL: 1, CASE_CLOSE_SMALL: 1}
         assert len(rep.violations()) == 1
         assert len([r for r in rep.rows if not r.passed]) == 2
+
+    def test_verdicts_derive_from_the_residual_and_the_case(self):
+        def row(case, residual):
+            return AuditRow("interval[0,1]", 0.2, (0.0,), case, 0.0, 0.0, residual)
+
+        noise = cons.RESIDUAL_NOISE
+        assert row(CASE_FAR_SMALL, noise).passed
+        assert not row(CASE_FAR_SMALL, np.nextafter(noise, 1.0)).passed
+        # a close-small row never gates, even when it fails; every other label does
+        assert not row(CASE_CLOSE_SMALL, 1.0).gating
+        assert not ConsistencyReport([row(CASE_CLOSE_SMALL, 1.0)]).violations()
+        for case in (CASE_BIG_BONUS, CASE_FAR_SMALL, CASE_CLOSE_BIG_PENALTY, CASE_LOWER_BIG_BONUS,
+                     CASE_LOWER_SMALL, "wall-shift-upper", "wall-shift-lower"):
+            assert row(case, 1.0).gating
 
     def test_csv_is_deterministic(self, tmp_path):
         rep = ConsistencyReport()
@@ -406,9 +448,7 @@ class TestAuditPoint:
 def reference_min_f_on_ball(problem, t, xp, z, p_center, Gamma, radius):
     """The sample minimum of ``_min_f_on_ball`` with one f call per sample."""
     p_center = np.atleast_1d(np.asarray(p_center, dtype=float))
-    if radius <= 0.0:
-        samples = [p_center]
-    elif len(p_center) == 1:
+    if len(p_center) == 1:
         samples = [p_center + np.array([s * radius]) for s in np.linspace(-1.0, 1.0, 41)]
     else:
         fan = 2.0 * np.pi * np.arange(16) / 16.0
@@ -436,7 +476,7 @@ class TestMinFOnBall:
         problem = make(dom)
         rng = np.random.default_rng(3)
         xp = np.full(dom.dim, 0.1)
-        for radius in (0.0, 0.05, 0.7, 2.3):
+        for radius in (0.05, 0.7, 2.3):
             for z in (0.0, 1.5, -0.7):
                 p_center = rng.normal(size=dom.dim)
                 A = rng.normal(size=(dom.dim, dom.dim))
@@ -524,45 +564,46 @@ class TestSuite:
 # -- barrier-based audits ---------------------------------------------------
 
 
+def barrier_residuals(problem, params, n_points, z_values):
+    """Residuals of the barrier round estimate at each layer point and z,
+    both sides, by the pointwise ``s_eps`` at t = 0.25: ``S[psi] - psi -
+    C (1 + |z|) eps**2`` and ``-C (1 + |z|) eps**2 - (S[-psi] + psi)``,
+    with C = BARRIER_BOUND_CONST; positive means broken."""
+    dom = problem.domain
+    psi = exact_barrier(dom, cons._boundary_sup(dom, problem.h))
+    neg_psi = AnalyticField(dom, lambda p: -psi.eval(p), grad=lambda p: -psi.fd_gradient(p),
+                            hess=lambda p: -psi.fd_hessian(p))
+    out = []
+    for xp in cons._layer_points(dom, params.move_bound, n_points):
+        ups = s_eps(psi, xp, 0.25, z_values, problem, params)
+        lows = s_eps(neg_psi, xp, 0.25, z_values, problem, params)
+        for z, s_up, s_low in zip(z_values, ups, lows):
+            env = BARRIER_BOUND_CONST * (1.0 + abs(z)) * params.eps**2
+            out += [s_up - psi.eval(xp) - env, -env - (s_low - neg_psi.eval(xp))]
+    return out
+
+
 class TestBarrierAudits:
     def test_interval_barrier_rounds_stay_in_the_frozen_envelope(self):
         prob = heat_problem(DOM, 2.0)
         params = make_params(0.1, lambda_rate=1.0)
-        rep = audit_barrier(prob, params, n_points=8)
-        assert len(rep.rows) == 2 * 8 * 3
-        assert {r.case for r in rep.rows} == {"barrier-upper", "barrier-lower"}
-        assert not rep.violations()
+        residuals = barrier_residuals(prob, params, 8, (0.0, 1.0, 5.0))
+        assert len(residuals) == 2 * 8 * 3
+        assert max(residuals) <= cons.RESIDUAL_NOISE
 
     def test_disk_barrier_rounds_stay_in_the_frozen_envelope(self):
         prob = heat_problem(DISK, 2.0)
         params = make_params(0.1, lambda_rate=1.0)
-        rep = audit_barrier(prob, params, n_points=6, z_values=(0.0, 5.0))
-        assert not rep.violations()
+        residuals = barrier_residuals(prob, params, 6, (0.0, 5.0))
+        assert len(residuals) == 2 * 6 * 2
+        assert max(residuals) <= cons.RESIDUAL_NOISE
 
     def test_stationary_wall_shift_estimate_holds_with_margin(self):
         lap = get_problem("laplace_elliptic_1d")
         params = make_params(0.1, lambda_rate=lap.lambda_rate)
-        rep = audit_wall_shift(lap, params, shift=3.0, n_points=8)
+        rep = audit_wall_shift(lap, params, shift=3.0)
         assert not rep.violations()
         assert max(r.residual for r in rep.rows) <= -0.5
-
-    @pytest.mark.parametrize("dom", [DOM, DISK], ids=["interval", "disk"])
-    def test_barrier_rows_are_those_of_a_per_z_loop_of_scalar_calls(self, dom):
-        problem = cons._drift_problem(dom, lambda x: 2.0, "drift")
-        params = make_params(0.2, lambda_rate=1.0)
-        zs = (0.0, 1.0, 5.0)
-        psi = exact_barrier(dom, 2.0)
-        neg_psi = AnalyticField(dom, lambda p: -psi.eval(p), grad=lambda p: -psi.fd_gradient(p),
-                                hess=lambda p: -psi.fd_hessian(p))
-        rows = []
-        for xp in cons._layer_points(dom, params.move_bound, 4):
-            for z in zs:
-                env = cons.BARRIER_BOUND_CONST * (1.0 + abs(z)) * params.eps**2
-                up = s_eps(psi, xp, 0.25, z, problem, params) - psi.eval(xp)
-                rows.append(cons._row(dom, params.eps, xp, "barrier-upper", up, env, up - env))
-                low = s_eps(neg_psi, xp, 0.25, z, problem, params) - neg_psi.eval(xp)
-                rows.append(cons._row(dom, params.eps, xp, "barrier-lower", low, -env, -env - low))
-        assert audit_barrier(problem, params, z_values=zs, n_points=4).rows == rows
 
     def test_wall_shift_rows_are_those_of_a_per_z_loop_of_scalar_calls(self):
         lap = get_problem("laplace_elliptic_1d")
@@ -574,7 +615,7 @@ class TestBarrierAudits:
         mirrored = AnalyticField(DOM, lambda p: -shift - psi.eval(p),
                                  grad=lambda p: -psi.fd_gradient(p),
                                  hess=lambda p: -psi.fd_hessian(p))
-        pts = np.concatenate([cons._layer_points(DOM, params.move_bound, 4),
+        pts = np.concatenate([cons._layer_points(DOM, params.move_bound, 12),
                               cons._interior_points(DOM, 8)])
         c_star = max(abs(float(lap.f(xp, 0.0, psi.fd_gradient(xp), psi.fd_hessian(xp))))
                      for xp in pts)
@@ -589,7 +630,7 @@ class TestBarrierAudits:
                 low = s_eps(mirrored, xp, None, z, lap, params) - mirrored.eval(xp)
                 rows.append(cons._row(DOM, eps, xp, "wall-shift-lower", low, pull - env,
                                       pull - env - low))
-        assert audit_wall_shift(lap, params, shift, z_values=zs, n_points=4).rows == rows
+        assert audit_wall_shift(lap, params, shift).rows == rows
 
     def test_interval_barrier_audits_play_each_field_once_per_z_and_never_s_eps(
         self, monkeypatch
@@ -608,21 +649,17 @@ class TestBarrierAudits:
         monkeypatch.setattr(cons, "s_eps", no_s_eps)
         lap = get_problem("laplace_elliptic_1d")
         params = make_params(0.2, lambda_rate=lap.lambda_rate)
-        rep = audit_barrier(heat_problem(DOM, 2.0), params, z_values=(0.0, 5.0), n_points=6)
-        assert len(rep.rows) == 2 * 6 * 2
-        # one plan on all 6 points; the field and its mirror, each once per z
+        rep = audit_wall_shift(lap, params, shift=3.0)
+        assert len(rep.rows) == 2 * (12 + 8) * 3
+        # one plan on all 20 points; the field and its mirror, each once per z
         assert len({id(plan) for plan, _, _ in plays}) == 1
-        assert [(z, t) for _, z, t in plays] == [(0.0, 0.25), (5.0, 0.25)] * 2
-        plays.clear()
-        rep = audit_wall_shift(lap, params, shift=3.0, n_points=4, z_values=(0.0, 1.0, 3.0))
-        assert len(rep.rows) == 2 * (4 + 8) * 3
         assert [(z, t) for _, z, t in plays] == [(0.0, None), (1.0, None), (3.0, None)] * 2
 
     def test_wall_shift_envelope_scales_with_the_shift(self):
         lap = get_problem("laplace_elliptic_1d")
         params = make_params(0.1, lambda_rate=lap.lambda_rate)
-        r_small = audit_wall_shift(lap, params, shift=0.0, n_points=3, z_values=(0.0,))
-        r_big = audit_wall_shift(lap, params, shift=5.0, n_points=3, z_values=(0.0,))
+        r_small = audit_wall_shift(lap, params, shift=0.0)
+        r_big = audit_wall_shift(lap, params, shift=5.0)
         # the discount term -lam eps^2 (shift + psi) tightens the bound
         # as the shift grows while the round value barely moves
         assert max(r.rhs for r in r_big.rows) < max(r.rhs for r in r_small.rows)

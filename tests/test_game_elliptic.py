@@ -126,12 +126,12 @@ class TestBarrier:
         assert caps.cap_M == 10.0
         assert caps.psi_sup == 2.0  # sup|h| + 1
         assert caps.cap_m == caps.cap_M - 1.0 - 2.0 * caps.psi_sup
-        # the solve samples chi from the exact barrier at every node
-        sol = solve_fixed_point(LAPLACE, caps, PARAMS_02, tol=1e-3)
+        # the CLI samples chi from the exact barrier at every node
+        sol = solve_fixed_point(LAPLACE, PARAMS_02, tol=1e-3)
         expect = np.array(
             [caps.cap_m + caps.psi_sup + caps.psi.eval(np.array([x])) for x in sol.x_nodes]
         )
-        np.testing.assert_array_equal(sol.chi_nodes, expect)
+        np.testing.assert_array_equal(chi_nodes(sol), expect)
         assert np.all(expect > 0.0)
 
     def test_cap_too_small_rejected(self):
@@ -291,8 +291,14 @@ def laplace_exact(x):
 
 
 def solve(prob, eps, **kwargs):
-    params = make_params(eps, lambda_rate=prob.lambda_rate)
-    return solve_fixed_point(prob, build_caps(prob, params, cap_M=10.0), params, **kwargs)
+    return solve_fixed_point(prob, make_params(eps, lambda_rate=prob.lambda_rate), **kwargs)
+
+
+def chi_nodes(sol):
+    """The ``chi`` column that the CLI writes beside ``sol``: the barrier
+    bound at cap_M = 10 (the CLI's default) at each lattice node."""
+    caps = build_caps(sol.problem, sol.params, cap_M=10.0)
+    return np.array([caps.chi_at([x]) for x in sol.x_nodes])
 
 
 class TestStationaryStep:
@@ -380,7 +386,7 @@ class TestStationaryStep:
         built = []
         monkeypatch.setattr("pdegame.game_elliptic.dual_stencils", lambda *args: built.append(args))
         with pytest.raises(ValidationError, match="affine in \\(p, Gamma\\) and free of z"):
-            solve_fixed_point(prob, CAPS_02, PARAMS_02)
+            solve_fixed_point(prob, PARAMS_02)
         assert built == []
 
     def test_affine_f_with_a_gradient_term_is_accepted(self):
@@ -399,11 +405,11 @@ class TestStationaryStep:
 
 class TestSolve:
     def test_laplace_eps_02(self):
-        sol = solve_fixed_point(LAPLACE, CAPS_02, PARAMS_02, tol=1e-8)
+        sol = solve_fixed_point(LAPLACE, PARAMS_02, tol=1e-8)
         assert sol.final_residual <= 1e-8
         # two policy iterations; every node's stencil pays a cap penalty
         assert (sol.iterations, sol.dirichlet_exits, sol.cap_bound_nodes) == (2, 0, 12)
-        assert np.all(np.abs(sol.V) <= sol.chi_nodes)
+        assert np.all(np.abs(sol.V) <= chi_nodes(sol))
         # measured 0.0475; the score-grid solver gave 0.336 against a bound of 0.40
         assert sup_error(sol, laplace_exact) <= 0.05
 
@@ -427,7 +433,7 @@ class TestSolve:
         assert all(band[0] <= e / ell <= band[1] for e, ell in zip(errors, ells)), errors
         for sol in sols:
             assert sol.final_residual <= 1e-14 and sol.iterations <= 6
-            assert np.all(np.abs(sol.V) <= sol.chi_nodes)
+            assert np.all(np.abs(sol.V) <= chi_nodes(sol))
             # the exits are taken on every rung of the mixed problem
             assert (sol.dirichlet_exits > 0) == (name == "mixed")
         if name == "mixed":
@@ -446,7 +452,7 @@ class TestSolve:
     def test_mixed_solves_against_the_closed_form(self):
         # measured 0.149 at eps 0.2, off the decreasing ladder: every node pays a cap penalty there
         sol = solve(MIXED, 0.2)
-        assert sol.final_residual <= 1e-8 and np.all(np.abs(sol.V) <= sol.chi_nodes)
+        assert sol.final_residual <= 1e-8 and np.all(np.abs(sol.V) <= chi_nodes(sol))
         assert sup_error(sol, mixed_exact) <= 0.15
 
     @pytest.mark.parametrize("name, eps, counts", [
@@ -471,7 +477,7 @@ class TestSolve:
     def test_one_plan_and_no_announcement_per_solve(self, plan_calls):
         # the solve reads CandidatePlan1D's moves once and never announces
         built, announced = plan_calls
-        sol = solve_fixed_point(LAPLACE, CAPS_02, PARAMS_02, tol=1e-8)
+        sol = solve_fixed_point(LAPLACE, PARAMS_02, tol=1e-8)
         assert len(built) == 1 and announced == []
         assert sol.final_residual <= 1e-8
 
@@ -506,13 +512,13 @@ class TestSolve:
 
     def test_tol_below_the_settled_residual_aborts_with_history(self):
         with pytest.raises(NumericAbort, match=r"settled at residual .* > tol=1e-20; residuals: .*, "):
-            solve_fixed_point(LAPLACE, CAPS_02, PARAMS_02, tol=1e-20)
+            solve_fixed_point(LAPLACE, PARAMS_02, tol=1e-20)
 
     def test_non_finite_solve_aborts(self):
         prob = EllipticProblem(name="nan_flux", domain=DOM, f=LAPLACE.f, lambda_rate=1.0,
                                h=lambda x: math.nan, f_batched=LAPLACE.f_batched)
         with pytest.raises(NumericAbort, match="non-finite values in the policy solve 1"):
-            solve_fixed_point(prob, CAPS_02, PARAMS_02)
+            solve_fixed_point(prob, PARAMS_02)
 
     def test_two_dimensional_problem_rejected(self):
         prob = EllipticProblem(name="disk", domain=ball((0.0, 0.0), 1.0), f=LAPLACE.f,

@@ -14,7 +14,7 @@ import pytest
 
 import pdegame
 from pdegame.cli import RunConfig
-from pdegame.game_elliptic import build_caps, solve_fixed_point
+from pdegame.game_elliptic import solve_fixed_point
 from pdegame.game_parabolic import solve_scalar_dpp
 from pdegame.params import make_params
 from pdegame.problems import get_problem, list_problems
@@ -83,7 +83,7 @@ def test_sweep_counter_counts_a_real_solve():
     spans = _load_spans()
     params = make_params(0.2, lambda_rate=1.0)
     prob = get_problem("laplace_elliptic_1d")
-    val = solve_fixed_point(prob, build_caps(prob, params, cap_M=10.0), params)
+    val = solve_fixed_point(prob, params)
     tracer = spans.Tracer()
     spans._count_sweeps(tracer, val)
     assert tracer.counts["sweeps"] == val.iterations == 2
