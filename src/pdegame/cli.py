@@ -309,7 +309,7 @@ def _run_audit_elliptic(cfg: RunConfig, problem, out: Path, summary: list) -> No
     merged = ConsistencyReport()
     for eps in cfg.eps_ladder:
         params, caps = _stationary_game(cfg, problem, eps)
-        rep = audit_wall_shift(problem, params, shift=caps.cap_m)
+        rep = audit_wall_shift(problem, params, caps)
         merged.extend(rep.rows)
         summary.append(
             f"wall_shift[eps={eps:.12g}] = {caps.cap_m:.12g}, "

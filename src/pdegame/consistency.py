@@ -10,19 +10,20 @@ The two audits that the ``cli`` runs and writes as CSV:
   ``S[phi] - phi``, evaluated on both sides on a catalog of test
   functions and boundary-layer points;
 * the wall shift, :func:`audit_wall_shift` (mode ``audit-elliptic``): the
-  discounted stationary round around the shifted wall barrier.
+  stationary solver's own round, ``game_elliptic.StationaryStep``, at every
+  node of its lattice, around the shifted wall barrier.
 
 Each audited inequality is an :class:`AuditRow`, whose verdicts derive
 from its residual and case.  The barrier-round lemma, ``S[psi] - psi <=
 C (1 + |z|) eps**2`` and its mirror on ``-psi``, is not audited here: the
 tests check it on the pointwise ``s_eps``.
 
-On the interval ``S[phi]`` is the solvers' own 1D kernel: one
-``strategies.CandidatePlan1D`` on all the points of a case, phi read at
-its probes and landings, and ``game_parabolic.play_1d`` once per running
-value z.  The pointwise ``s_eps``, which tests match to the kernel bit
-for bit, is its oracle and still plays each disk point, over all its z
-in one pass (:func:`audit_point`).
+In the catalog, on the interval ``S[phi]`` is the scalar solver's own 1D
+kernel: one ``strategies.CandidatePlan1D`` on all the points of a case,
+phi read at its probes and landings, and ``game_parabolic.play_1d`` once
+per running value z.  The pointwise ``s_eps``, which tests match to the
+kernel bit for bit, is its oracle and still plays each disk point, over
+all its z in one pass (:func:`audit_point`).
 
 The higher-order error allowance is operationalized as a
 measured-then-frozen envelope ``SLACK_CONST * eps**SLACK_POWER``: the
@@ -40,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import AnalyticField
-from .game_elliptic import _boundary_sup, exact_barrier
+from .game_elliptic import StationaryStep, exact_barrier
 from .game_parabolic import play_1d, s_eps
 from .geometry import DomainGeometry, _circle, ball, interval
 from .params import make_params
@@ -208,30 +209,26 @@ def _row(dom, eps, xp, case, lhs, rhs, residual) -> AuditRow:
                     residual)
 
 
-def _round_values(fields, pts, t, zs, problem, params) -> list:
-    """For each field of ``fields``, ``(values, phi_x)``: S[field] at each
-    point of the ``(k, dim)`` stack ``pts`` for each running value of
-    ``zs`` (k lists of one float per z) and the field at the points.
+def _round_values(phi, pts, t, zs, problem, params) -> tuple:
+    """``(values, phi_x)``: S[phi] at each point of the ``(k, dim)`` stack
+    ``pts`` for each running value of ``zs`` (k lists of one float per z)
+    and phi at the points.
 
-    On the interval one ``CandidatePlan1D`` on the points serves every
-    field: the field is read at the plan's probes, whose first row is the
-    points themselves, and at its base columns' landings (a line column
-    lands where its base column does), and ``play_1d`` runs once per z.
-    On the disk ``s_eps`` runs once per point.
+    On the interval one ``CandidatePlan1D`` on the points reads phi at its
+    probes, whose first row is the points themselves, and at its base
+    columns' landings (a line column lands where its base column does),
+    and ``play_1d`` runs once per z.  On the disk ``s_eps`` runs once per
+    point.
     """
     dom = problem.domain
     if dom.dim == 2:
-        return [([s_eps(phi, xp, t, zs, problem, params) for xp in pts], phi.eval(pts).tolist())
-                for phi in fields]
+        return [s_eps(phi, xp, t, zs, problem, params) for xp in pts], phi.eval(pts).tolist()
     plan = CandidatePlan1D(dom, pts[:, 0], params, problem.h)
     base = plan.landing[:, : len(pts)]
-    out = []
-    for phi in fields:
-        probe = phi.eval(plan.probes.reshape(-1, 1)).reshape(plan.probes.shape)
-        landing = phi.eval(base.reshape(-1, 1)).reshape(base.shape)[:, plan.node]
-        values = [play_1d(problem, plan, probe, landing, z, t) for z in zs]
-        out.append((np.transpose(values).tolist(), probe[0].tolist()))
-    return out
+    probe = phi.eval(plan.probes.reshape(-1, 1)).reshape(plan.probes.shape)
+    landing = phi.eval(base.reshape(-1, 1)).reshape(base.shape)[:, plan.node]
+    values = [play_1d(problem, plan, probe, landing, z, t) for z in zs]
+    return np.transpose(values).tolist(), probe[0].tolist()
 
 
 def audit_point(x, t, z, phi, problem, params) -> tuple:
@@ -255,7 +252,7 @@ def audit_point(x, t, z, phi, problem, params) -> tuple:
     """
     pts = np.reshape(np.asarray(x, dtype=float), (-1, problem.domain.dim))
     zs = (z,) if np.ndim(z) == 0 else tuple(z)
-    [(values, phi_x)] = _round_values((phi,), pts, t, zs, problem, params)
+    values, phi_x = _round_values(phi, pts, t, zs, problem, params)
     rows = []
     for xp, vals, phx in zip(pts, values, phi_x):
         rows.extend(_point_rows(xp, t, zs, vals, phx, phi, problem, params))
@@ -324,63 +321,31 @@ def audit_lower(x, t, z, phi, problem, params) -> AuditRow:
 # -- wall shift -------------------------------------------------------------
 
 
-def audit_wall_shift(problem, params, shift: float) -> ConsistencyReport:
-    """Audit the stationary one-round estimates around ``+-(shift + psi)``.
+def audit_wall_shift(problem, params, caps) -> ConsistencyReport:
+    """Audit the stationary solver's round around ``+-(cap_m + psi)``.
 
-    Upper side: ``S[m + psi](x, z) - (m + psi) <= eps**2 (1 + (lambda -
-    eta)|z| + C*) - lambda eps**2 (m + psi)``, with ``S`` the discounted
-    stationary round (``s_eps`` with t=None) and ``C*`` the sampled sup
-    of ``|f(x, 0, D psi, D^2 psi)|``, the structural growth constant of
-    f along the barrier.  Mirror side: the same envelope from below for
-    ``-(m + psi)``.  Rows ``wall-shift-upper`` and ``wall-shift-lower``
-    come per point (12 in the layer, then 8 inside) and per z in
-    (0, 1, 3); each field is played once over all the points
-    (:func:`_round_values`).
+    ``S`` is ``game_elliptic.StationaryStep``, the solver's own operator,
+    on its lattice; ``m = caps.cap_m`` and ``psi = caps.psi``.  Upper side:
+    ``S[m + psi] - (m + psi) <= eps**2 (1 + C*) - lambda eps**2 (m + psi)``,
+    ``C*`` the sup over the nodes of ``|f(x, 0, D psi, D^2 psi)|``, the
+    growth constant of f along the barrier.  Mirror side: the same
+    envelope from below for ``-(m + psi)``.  The round reads no running
+    value (the solver needs f free of z), so each node gives one
+    ``wall-shift-upper`` row, then one ``wall-shift-lower`` row.
     """
-    dom = problem.domain
-    psi = exact_barrier(dom, _boundary_sup(dom, problem.h))
-    lam = problem.lambda_rate
-    eta = problem.eta_margin
-    eps = params.eps
-    pts = np.concatenate([_layer_points(dom, params.move_bound, 12), _interior_points(dom, 8)])
-    c_star = max(
-        abs(float(problem.f(xp, 0.0, psi.fd_gradient(xp), psi.fd_hessian(xp))))
-        for xp in pts
-    )
-    shifted = AnalyticField(dom, lambda p: shift + psi.eval(p), grad=psi.fd_gradient,
-                            hess=psi.fd_hessian)
-    mirrored = AnalyticField(
-        dom,
-        lambda p: -shift - psi.eval(p),
-        grad=lambda p: -psi.fd_gradient(p),
-        hess=lambda p: -psi.fd_hessian(p),
-    )
-    zs = (0.0, 1.0, 3.0)
-    (ups, phi_xs), (lows, _) = _round_values((shifted, mirrored), pts, None, zs, problem, params)
+    dom, eps, psi = problem.domain, params.eps, caps.psi
+    step = StationaryStep(problem, params)
+    pts = step.x_nodes[:, None]
+    shifted = caps.cap_m + psi.eval(pts)
+    c_star = max(abs(float(problem.f(xp, 0.0, psi.fd_gradient(xp), psi.fd_hessian(xp))))
+                 for xp in pts)
+    rhs = eps**2 * (1.0 + c_star) - problem.lambda_rate * eps**2 * shifted
+    ups, lows = step(shifted) - shifted, step(-shifted) + shifted
     rows = []
-    for xp, phi_x, up_z, low_z in zip(pts, phi_xs, ups, lows):
-        for z, s_up, s_low in zip(zs, up_z, low_z):
-            rhs = eps**2 * (1.0 + (lam - eta) * abs(z) + c_star) - lam * eps**2 * phi_x
-            up, low = s_up - phi_x, s_low + phi_x
-            rows += [_row(dom, eps, xp, "wall-shift-upper", up, rhs, up - rhs),
-                     _row(dom, eps, xp, "wall-shift-lower", low, -rhs, -rhs - low)]
+    for xp, up, low, r in zip(pts, ups.tolist(), lows.tolist(), rhs.tolist()):
+        rows += [_row(dom, eps, xp, "wall-shift-upper", up, r, up - r),
+                 _row(dom, eps, xp, "wall-shift-lower", low, -r, -r - low)]
     return ConsistencyReport(rows)
-
-
-def _layer_points(dom: DomainGeometry, ell: float, n: int) -> np.ndarray:
-    """``(n, dim)`` samples with wall distance spread over [0, ell), on the
-    interval alternately from each wall, on the ball one per angle of :func:`_circle`."""
-    d = np.linspace(0.0, 0.95, n) * ell
-    if dom.kind == "interval":
-        return np.where(np.arange(n) % 2 == 0, dom.a + d, dom.c - d)[:, None]
-    return np.asarray(dom.center) + (dom.radius - d)[:, None] * _circle(n)
-
-
-def _interior_points(dom: DomainGeometry, n: int) -> np.ndarray:
-    """``(n, dim)`` samples 0.35 inside the interval's ends, or within 0.4 R of the centre."""
-    if dom.kind == "interval":
-        return np.linspace(dom.a + 0.35, dom.c - 0.35, n)[:, None]
-    return np.asarray(dom.center) + np.linspace(0.0, 0.4 * dom.radius, n)[:, None] * _circle(n)
 
 
 # -- catalog suite ---------------------------------------------------------

@@ -5,9 +5,10 @@ Two layers:
 * a smooth wall barrier (:func:`exact_barrier`, :func:`build_caps`) whose
   outward normal slope strictly dominates the prescribed flux; it gives
   the a-priori bound ``chi``, which the ``cli`` reports beside the
-  solution profile, and the audits' wall shift ``cap_m``;
+  solution profile, and the audit's wall shift ``cap_m``;
 * the discounted round on the state lattice, :class:`StationaryStep`,
-  whose fixed point :func:`solve_fixed_point` finds by policy iteration.
+  whose fixed point :func:`solve_fixed_point` finds by policy iteration;
+  ``consistency.audit_wall_shift`` audits it around ``+-(cap_m + psi)``.
   The solve reads no barrier.
 
 The game's value depends on the state alone.  One round at x: the
@@ -29,9 +30,9 @@ monotone in V and a sup-norm contraction by e^(-lambda dt) (Kohn–Serfaty,
 CPAM 63 (2010); Oberman, SIAM J. Numer. Anal. 44 (2006)), and a Markov
 decision problem for the minimizer alone, solved by policy iteration.
 
-The pointwise ``game_parabolic.s_eps`` with t=None plays the same round
-over the announcements that it reads off its operand; its value is
-never above this one's on an all-Neumann problem.
+The pointwise ``game_parabolic.s_eps`` with t=None, the tests' oracle,
+plays the same round over the announcements read off its operand; its
+value is never above this one's on an all-Neumann problem.
 """
 
 from __future__ import annotations

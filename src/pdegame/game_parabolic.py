@@ -209,11 +209,9 @@ def play_1d(problem, plan, probe_values, landing_values, z, t):
     branch values ``phi(landing) - p step - 0.5 G step^2 - dt f + penalty``
     over (move, column), their min over moves, and at each layer row the
     max of its line column and its base column.  ``z`` is one running
-    value or one per column.  With t=None, as in ``s_eps``, f is called
-    without t and the landing values are discounted by e^(-lambda dt).  The
-    game parameters are the plan's."""
-    if t is None:
-        landing_values = _discount(problem, plan.params) * landing_values
+    value or one per column.  It plays the parabolic round at time t; the
+    stationary solver plays its own round (``game_elliptic.StationaryStep``).
+    The game parameters are the plan's."""
     P, G = plan.announce(probe_values)
     F = f_stacked(problem, t, plan.x, z, P, G)
     D = plan.step

@@ -83,7 +83,6 @@ class EllipticProblem:
     f: object  # f(x, z, p, G) -> float
     lambda_rate: float
     h: object
-    eta_margin: float = 0.0  # monotonicity margin of lambda*z + f in z
     exact: object = None
     f_batched: object = None
 
@@ -194,7 +193,6 @@ def _catalog():
         f=lambda x, z, p, G: -G[0, 0],
         lambda_rate=lam,
         h=lambda x: 0.0 if x[0] < 0.5 else 1.0,
-        eta_margin=lam,
         exact=lambda x: float(np.cosh(sq * np.atleast_1d(x)[0]) / (sq * np.sinh(sq))),
         f_batched=lambda X, Z, P, G: -G[:, 0, 0],
     )
@@ -210,7 +208,6 @@ def _catalog():
             f=lambda x, z, p, G: -G[0, 0],
             lambda_rate=1.0,
             h=lambda x: 0.0,
-            eta_margin=1.0,
             f_batched=lambda X, Z, P, G: -G[:, 0, 0],
             g_exit=lambda x: 1.0,
             is_dirichlet=lambda x: abs(float(np.atleast_1d(x)[0])) <= dom.tol,

@@ -565,8 +565,10 @@ class TestStudyWorkflows:
         rc = main(["audit-elliptic", "--out", str(out), "--eps-ladder", "0.1"])
         assert rc == 0
         header, rows = read_csv(out / "audit_elliptic.csv")
-        labels = {r[3] for r in rows}
-        assert labels == {"wall-shift-upper", "wall-shift-lower"}
+        # two rows per node of the eps 0.1 lattice (33 nodes): upper, then lower
+        assert [r[3] for r in rows] == ["wall-shift-upper", "wall-shift-lower"] * 33
+        assert [r[2] for r in rows[::2]] == [r[2] for r in rows[1::2]]
+        assert len({r[2] for r in rows}) == 33
         assert all(r[7] == "1" for r in rows)
 
     def test_module_entry_point_runs(self, tmp_path):

@@ -35,7 +35,7 @@ from pdegame.consistency import (
     run_audit_suite,
 )
 from pdegame.fields import AnalyticField
-from pdegame.game_elliptic import exact_barrier
+from pdegame.game_elliptic import StationaryStep, _boundary_sup, build_caps, exact_barrier
 from pdegame.game_parabolic import s_eps
 from pdegame.geometry import ball, interval
 from pdegame.params import make_params
@@ -564,23 +564,42 @@ class TestSuite:
 # -- barrier-based audits ---------------------------------------------------
 
 
+def layer_points(dom, ell, n):
+    """``(n, dim)`` points with wall distance spread over [0, 0.95 ell]: on
+    the interval alternately from each wall, on the disk one per angle
+    2 pi k / n."""
+    d = np.linspace(0.0, 0.95, n) * ell
+    if dom.kind == "interval":
+        return np.where(np.arange(n) % 2 == 0, dom.a + d, dom.c - d)[:, None]
+    angles = 2.0 * np.pi * np.arange(n) / n
+    return (dom.radius - d)[:, None] * np.column_stack([np.cos(angles), np.sin(angles)])
+
+
 def barrier_residuals(problem, params, n_points, z_values):
     """Residuals of the barrier round estimate at each layer point and z,
     both sides, by the pointwise ``s_eps`` at t = 0.25: ``S[psi] - psi -
     C (1 + |z|) eps**2`` and ``-C (1 + |z|) eps**2 - (S[-psi] + psi)``,
     with C = BARRIER_BOUND_CONST; positive means broken."""
     dom = problem.domain
-    psi = exact_barrier(dom, cons._boundary_sup(dom, problem.h))
+    psi = exact_barrier(dom, _boundary_sup(dom, problem.h))
     neg_psi = AnalyticField(dom, lambda p: -psi.eval(p), grad=lambda p: -psi.fd_gradient(p),
                             hess=lambda p: -psi.fd_hessian(p))
     out = []
-    for xp in cons._layer_points(dom, params.move_bound, n_points):
+    for xp in layer_points(dom, params.move_bound, n_points):
         ups = s_eps(psi, xp, 0.25, z_values, problem, params)
         lows = s_eps(neg_psi, xp, 0.25, z_values, problem, params)
         for z, s_up, s_low in zip(z_values, ups, lows):
             env = BARRIER_BOUND_CONST * (1.0 + abs(z)) * params.eps**2
             out += [s_up - psi.eval(xp) - env, -env - (s_low - neg_psi.eval(xp))]
     return out
+
+
+def laplace_wall_shift(eps, cap_M):
+    """The wall-shift audit of ``laplace_elliptic_1d`` at eps, with the
+    caps of ``cap_M`` (sup|h| = 1, so ``cap_m = cap_M - 5``)."""
+    lap = get_problem("laplace_elliptic_1d")
+    params = make_params(eps, lambda_rate=lap.lambda_rate)
+    return audit_wall_shift(lap, params, build_caps(lap, params, cap_M=cap_M))
 
 
 class TestBarrierAudits:
@@ -599,67 +618,47 @@ class TestBarrierAudits:
         assert max(residuals) <= cons.RESIDUAL_NOISE
 
     def test_stationary_wall_shift_estimate_holds_with_margin(self):
-        lap = get_problem("laplace_elliptic_1d")
-        params = make_params(0.1, lambda_rate=lap.lambda_rate)
-        rep = audit_wall_shift(lap, params, shift=3.0)
+        rep = laplace_wall_shift(0.1, cap_M=8.0)
         assert not rep.violations()
         assert max(r.residual for r in rep.rows) <= -0.5
 
-    def test_wall_shift_rows_are_those_of_a_per_z_loop_of_scalar_calls(self):
+    def test_wall_shift_holds_at_eps_0_025(self):
+        assert not laplace_wall_shift(0.025, cap_M=10.0).violations()
+
+    def test_wall_shift_rows_are_those_of_the_stationary_step_at_each_node(self):
         lap = get_problem("laplace_elliptic_1d")
         params = make_params(0.2, lambda_rate=lap.lambda_rate)
-        shift, zs, eps, lam = 3.0, (0.0, 1.0, 3.0), params.eps, lap.lambda_rate
-        psi = exact_barrier(DOM, cons._boundary_sup(DOM, lap.h))
-        shifted = AnalyticField(DOM, lambda p: shift + psi.eval(p), grad=psi.fd_gradient,
-                                hess=psi.fd_hessian)
-        mirrored = AnalyticField(DOM, lambda p: -shift - psi.eval(p),
-                                 grad=lambda p: -psi.fd_gradient(p),
-                                 hess=lambda p: -psi.fd_hessian(p))
-        pts = np.concatenate([cons._layer_points(DOM, params.move_bound, 12),
-                              cons._interior_points(DOM, 8)])
-        c_star = max(abs(float(lap.f(xp, 0.0, psi.fd_gradient(xp), psi.fd_hessian(xp))))
-                     for xp in pts)
+        caps = build_caps(lap, params, cap_M=8.0)
+        eps, lam, psi = params.eps, lap.lambda_rate, caps.psi
+        step = StationaryStep(lap, params)
+        V = np.array([caps.cap_m + psi.eval(np.array([x])) for x in step.x_nodes])
+        S_up, S_low = step(V), step(-V)
+        c_star = max(abs(float(lap.f(np.array([x]), 0.0, psi.fd_gradient(np.array([x])),
+                                     psi.fd_hessian(np.array([x])))))
+                     for x in step.x_nodes)
         rows = []
-        for xp in pts:
-            for z in zs:
-                env = eps**2 * (1.0 + (lam - lap.eta_margin) * abs(z) + c_star)
-                pull = lam * eps**2 * (shift + psi.eval(xp))
-                lhs = s_eps(shifted, xp, None, z, lap, params) - shifted.eval(xp)
-                rows.append(cons._row(DOM, eps, xp, "wall-shift-upper", lhs, env - pull,
-                                      lhs - (env - pull)))
-                low = s_eps(mirrored, xp, None, z, lap, params) - mirrored.eval(xp)
-                rows.append(cons._row(DOM, eps, xp, "wall-shift-lower", low, pull - env,
-                                      pull - env - low))
-        assert audit_wall_shift(lap, params, shift).rows == rows
+        for i, x in enumerate(step.x_nodes):
+            env = eps**2 * (1.0 + c_star) - lam * eps**2 * V[i]
+            up, low = float(S_up[i] - V[i]), float(S_low[i] + V[i])
+            rows.append(cons._row(DOM, eps, (x,), "wall-shift-upper", up, float(env), up - env))
+            rows.append(cons._row(DOM, eps, (x,), "wall-shift-lower", low, float(-env),
+                                  -env - low))
+        got = audit_wall_shift(lap, params, caps).rows
+        assert len(got) == 2 * len(step.x_nodes) == 24
+        assert got == rows
 
-    def test_interval_barrier_audits_play_each_field_once_per_z_and_never_s_eps(
-        self, monkeypatch
-    ):
-        plays = []
-        play = cons.play_1d
+    def test_wall_shift_audit_plays_neither_the_1d_kernel_nor_s_eps(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the wall-shift audit played another round")
 
-        def counting_play(problem, plan, *rest):
-            plays.append((plan, rest[-2], rest[-1]))
-            return play(problem, plan, *rest)
-
-        def no_s_eps(*args):
-            raise AssertionError("s_eps ran on the interval")
-
-        monkeypatch.setattr(cons, "play_1d", counting_play)
-        monkeypatch.setattr(cons, "s_eps", no_s_eps)
-        lap = get_problem("laplace_elliptic_1d")
-        params = make_params(0.2, lambda_rate=lap.lambda_rate)
-        rep = audit_wall_shift(lap, params, shift=3.0)
-        assert len(rep.rows) == 2 * (12 + 8) * 3
-        # one plan on all 20 points; the field and its mirror, each once per z
-        assert len({id(plan) for plan, _, _ in plays}) == 1
-        assert [(z, t) for _, z, t in plays] == [(0.0, None), (1.0, None), (3.0, None)] * 2
+        monkeypatch.setattr(cons, "play_1d", forbidden)
+        monkeypatch.setattr(cons, "s_eps", forbidden)
+        rep = laplace_wall_shift(0.2, cap_M=8.0)
+        assert len(rep.rows) == 24
 
     def test_wall_shift_envelope_scales_with_the_shift(self):
-        lap = get_problem("laplace_elliptic_1d")
-        params = make_params(0.1, lambda_rate=lap.lambda_rate)
-        r_small = audit_wall_shift(lap, params, shift=0.0)
-        r_big = audit_wall_shift(lap, params, shift=5.0)
+        r_small = laplace_wall_shift(0.1, cap_M=5.0)
+        r_big = laplace_wall_shift(0.1, cap_M=10.0)
         # the discount term -lam eps^2 (shift + psi) tightens the bound
         # as the shift grows while the round value barely moves
         assert max(r.rhs for r in r_big.rows) < max(r.rhs for r in r_small.rows)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import pdegame.consistency as cons
 from pdegame.fields import AnalyticField, GridField, grid_spacing
 from pdegame.game_parabolic import NumericAbort, s_eps
 from pdegame.geometry import ball, interval
@@ -30,7 +29,6 @@ def trivial_problem():
         f=lambda x, z, p, G: 0.0,
         lambda_rate=1.0,
         h=lambda x: 0.0,
-        eta_margin=1.0,
     )
 
 
@@ -42,7 +40,6 @@ def exit_problem(g_value: float):
         f=lambda x, z, p, G: 0.0,
         lambda_rate=1.0,
         h=lambda x: 0.0,
-        eta_margin=1.0,
         g_exit=lambda x: g_value,
         is_dirichlet=lambda x: abs(float(np.atleast_1d(x)[0])) <= dom.tol,
     )
@@ -156,7 +153,6 @@ class TestBarrier:
             f=lambda x, z, p, G: 0.0,
             lambda_rate=1.0,
             h=lambda x: 0.0,
-            eta_margin=1.0,
         )
         caps = build_caps(prob, make_params(0.2, lambda_rate=1.0), cap_M=6.0)
         x = np.array([0.9, 0.0])
@@ -181,8 +177,11 @@ class TestDiscountedRound:
             quad_field(0.2, -0.8, 1.1),
             AnalyticField(DOM, lambda p: 3.0 + psi.eval(p), grad=psi.grad, hess=psi.hess),
         ]
-        points = np.concatenate([cons._layer_points(DOM, params.move_bound, 8),
-                                 cons._interior_points(DOM, 3)])
+        # 8 points with wall distance over [0, 0.95 ell], alternately from
+        # each wall, then 3 interior points
+        d = np.linspace(0.0, 0.95, 8) * params.move_bound
+        layer = np.where(np.arange(8) % 2 == 0, d, 1.0 - d)
+        points = np.concatenate([layer, np.linspace(0.35, 0.65, 3)])[:, None]
         for phi in fields:
             for x in points:
                 for z in (-2.0, 0.0, 1.5):

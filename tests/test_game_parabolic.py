@@ -156,13 +156,9 @@ def suite_cases(eps):
 
 
 def play_games():
-    """(problem, t): the audit's heat and drift rounds under the fluxes 0 and
-    2, and the stationary round (t=None) of a drift under both."""
-    games = [(make(DOM, lambda x, v=v: v, name), 0.25) for v in (0.0, 2.0)
-             for make, name in ((cons._heat_problem, "heat"), (cons._drift_problem, "drift"))]
-    games += [(EllipticProblem(name="drift_stationary", domain=DOM, f=drift_f, lambda_rate=1.0,
-                               h=lambda x, v=v: v), None) for v in (0.0, 2.0)]
-    return games
+    """(problem, t): the audit's heat and drift rounds under the fluxes 0 and 2."""
+    return [(make(DOM, lambda x, v=v: v, name), 0.25) for v in (0.0, 2.0)
+            for make, name in ((cons._heat_problem, "heat"), (cons._drift_problem, "drift"))]
 
 
 class TestPlayOnPoints:

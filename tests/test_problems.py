@@ -151,8 +151,8 @@ def check_z_monotonicity(problem, n_samples: int = 500, seed: int = 1, tol: floa
     """Check the z-monotonicity margin used by the elliptic fixed point.
 
     For elliptic problems, lambda*z + f(x, z, p, G) must grow in z at rate
-    at least eta_margin; for parabolic problems f itself must be
-    nondecreasing in z.
+    at least lambda: the stationary solver accepts only an f free of z.
+    For parabolic problems f itself must be nondecreasing in z.
     """
     rng = np.random.default_rng(seed)
     elliptic = isinstance(problem, EllipticProblem)
@@ -164,10 +164,10 @@ def check_z_monotonicity(problem, n_samples: int = 500, seed: int = 1, tol: floa
         hi = _call_f(problem, t, x, z + dz, p, G)
         if elliptic:
             gain = problem.lambda_rate * dz + (hi - lo)
-            if gain < problem.eta_margin * dz - tol:
+            if gain < problem.lambda_rate * dz - tol:
                 raise AssertionError(
                     f"z-monotonicity margin violated for {problem.name}: "
-                    f"gain {gain:.3e} < {problem.eta_margin * dz:.3e}"
+                    f"gain {gain:.3e} < {problem.lambda_rate * dz:.3e}"
                 )
         elif hi < lo - tol:
             raise AssertionError(f"f decreasing in z for {problem.name}")
