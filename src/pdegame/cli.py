@@ -309,10 +309,10 @@ def _run_audit_elliptic(cfg: RunConfig, problem, out: Path, summary: list) -> No
     merged = ConsistencyReport()
     for eps in cfg.eps_ladder:
         params, caps = _stationary_game(cfg, problem, eps)
-        rep = audit_wall_shift(problem, params, caps)
+        rep, c_star = audit_wall_shift(problem, params, caps)
         merged.extend(rep.rows)
         summary.append(
-            f"wall_shift[eps={eps:.12g}] = {caps.cap_m:.12g}, "
+            f"wall_shift[eps={eps:.12g}] = {caps.cap_m:.12g}, c_star = {c_star:.12g}, "
             f"worst_residual = {max(r.residual for r in rep.rows):.12g}"
         )
     _write_audit_csv(out / "audit_elliptic.csv", merged.rows)

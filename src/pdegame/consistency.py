@@ -262,11 +262,8 @@ def audit_point(x, t, z, phi, problem, params) -> tuple:
 def _point_rows(xp, t, zs, values, phi_x, phi, problem, params) -> list:
     """The rows of :func:`audit_point` at the point xp, from S[phi] there
     for each z (``values``) and phi(xp)."""
-    dom = problem.domain
-    eps = params.eps
-    ell = params.move_bound
-    grad = phi.fd_gradient(xp)
-    hess = phi.fd_hessian(xp)
+    dom, eps, ell = problem.domain, params.eps, params.move_bound
+    grad, hess = phi.fd_gradient(xp), phi.fd_hessian(xp)
     frame = build_frame(dom, xp, ell)
     d = frame.d
     bounds = neumann_bounds(dom, xp, ell, problem.h, grad)
@@ -321,17 +318,18 @@ def audit_lower(x, t, z, phi, problem, params) -> AuditRow:
 # -- wall shift -------------------------------------------------------------
 
 
-def audit_wall_shift(problem, params, caps) -> ConsistencyReport:
-    """Audit the stationary solver's round around ``+-(cap_m + psi)``.
+def audit_wall_shift(problem, params, caps) -> tuple:
+    """Audit the stationary solver's round around ``+-(cap_m + psi)``:
+    the report and ``C*``.
 
     ``S`` is ``game_elliptic.StationaryStep``, the solver's own operator,
     on its lattice; ``m = caps.cap_m`` and ``psi = caps.psi``.  Upper side:
     ``S[m + psi] - (m + psi) <= eps**2 (1 + C*) - lambda eps**2 (m + psi)``,
     ``C*`` the sup over the nodes of ``|f(x, 0, D psi, D^2 psi)|``, the
-    growth constant of f along the barrier.  Mirror side: the same
-    envelope from below for ``-(m + psi)``.  The round reads no running
-    value (the solver needs f free of z), so each node gives one
-    ``wall-shift-upper`` row, then one ``wall-shift-lower`` row.
+    growth constant of f along the barrier at every audited node.  Mirror
+    side: the same envelope from below for ``-(m + psi)``.  The round
+    reads no running value (the solver needs f free of z), so each node
+    gives one ``wall-shift-upper`` row, then one ``wall-shift-lower`` row.
     """
     dom, eps, psi = problem.domain, params.eps, caps.psi
     step = StationaryStep(problem, params)
@@ -345,7 +343,7 @@ def audit_wall_shift(problem, params, caps) -> ConsistencyReport:
     for xp, up, low, r in zip(pts, ups.tolist(), lows.tolist(), rhs.tolist()):
         rows += [_row(dom, eps, xp, "wall-shift-upper", up, r, up - r),
                  _row(dom, eps, xp, "wall-shift-lower", low, -r, -r - low)]
-    return ConsistencyReport(rows)
+    return ConsistencyReport(rows), c_star
 
 
 # -- catalog suite ---------------------------------------------------------

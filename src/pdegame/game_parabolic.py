@@ -209,9 +209,11 @@ def play_1d(problem, plan, probe_values, landing_values, z, t):
     branch values ``phi(landing) - p step - 0.5 G step^2 - dt f + penalty``
     over (move, column), their min over moves, and at each layer row the
     max of its line column and its base column.  ``z`` is one running
-    value or one per column.  It plays the parabolic round at time t; the
-    stationary solver plays its own round (``game_elliptic.StationaryStep``).
-    The game parameters are the plan's."""
+    value or one per column.  The round is parabolic: t=None raises, as the
+    stationary round is ``game_elliptic.StationaryStep``.  The game
+    parameters are the plan's."""
+    if t is None:
+        raise ValidationError("play_1d plays the parabolic round and needs a time t")
     P, G = plan.announce(probe_values)
     F = f_stacked(problem, t, plan.x, z, P, G)
     D = plan.step

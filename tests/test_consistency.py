@@ -38,9 +38,11 @@ from pdegame.fields import AnalyticField
 from pdegame.game_elliptic import StationaryStep, _boundary_sup, build_caps, exact_barrier
 from pdegame.game_parabolic import s_eps
 from pdegame.geometry import ball, interval
-from pdegame.params import make_params
+from pdegame.params import ValidationError, make_params
 from pdegame.problems import ParabolicProblem, get_problem
 from pdegame.strategies import neumann_bounds
+
+from sampling import layer_points
 
 DOM = interval(0.0, 1.0)
 DISK = ball((0.0, 0.0), 1.0)
@@ -395,6 +397,12 @@ class TestAuditPoint:
         assert audit_lower(*args) == lower
         assert upper.lhs == lower.lhs
 
+    def test_interval_elliptic_point_without_time_raises(self):
+        lap = get_problem("laplace_elliptic_1d")
+        params = make_params(0.2, lambda_rate=lap.lambda_rate)
+        with pytest.raises(ValidationError, match="needs a time t"):
+            audit_point(np.array([0.02]), None, 0.0, affine(DOM, -1.0), lap, params)
+
     def test_suite_plays_one_plan_per_interval_case_and_s_eps_per_disk_point(self, monkeypatch):
         audits, plays, calls = [], [], []
         audit, play = cons.audit_point, cons.play_1d
@@ -564,17 +572,6 @@ class TestSuite:
 # -- barrier-based audits ---------------------------------------------------
 
 
-def layer_points(dom, ell, n):
-    """``(n, dim)`` points with wall distance spread over [0, 0.95 ell]: on
-    the interval alternately from each wall, on the disk one per angle
-    2 pi k / n."""
-    d = np.linspace(0.0, 0.95, n) * ell
-    if dom.kind == "interval":
-        return np.where(np.arange(n) % 2 == 0, dom.a + d, dom.c - d)[:, None]
-    angles = 2.0 * np.pi * np.arange(n) / n
-    return (dom.radius - d)[:, None] * np.column_stack([np.cos(angles), np.sin(angles)])
-
-
 def barrier_residuals(problem, params, n_points, z_values):
     """Residuals of the barrier round estimate at each layer point and z,
     both sides, by the pointwise ``s_eps`` at t = 0.25: ``S[psi] - psi -
@@ -596,10 +593,26 @@ def barrier_residuals(problem, params, n_points, z_values):
 
 def laplace_wall_shift(eps, cap_M):
     """The wall-shift audit of ``laplace_elliptic_1d`` at eps, with the
-    caps of ``cap_M`` (sup|h| = 1, so ``cap_m = cap_M - 5``)."""
+    caps of ``cap_M`` (sup|h| = 1, so ``cap_m = cap_M - 5``): the report
+    and C*."""
     lap = get_problem("laplace_elliptic_1d")
     params = make_params(eps, lambda_rate=lap.lambda_rate)
     return audit_wall_shift(lap, params, build_caps(lap, params, cap_M=cap_M))
+
+
+def layer_residuals(eps, cap_M):
+    """Residuals of the rows of :func:`laplace_wall_shift` at the nodes
+    with wall distance at most 0.95 ell, with C* cut to the sup of
+    ``|f(x, 0, D psi, D^2 psi)|`` over those nodes alone: the envelope of
+    the wall layer, without the barrier's steeper bend further in."""
+    lap = get_problem("laplace_elliptic_1d")
+    params = make_params(eps, lambda_rate=lap.lambda_rate)
+    psi = build_caps(lap, params, cap_M=cap_M).psi
+    rep, c_star = laplace_wall_shift(eps, cap_M)
+    layer = [r for r in rep.rows if DOM.dist_to_boundary(r.point) <= 0.95 * params.move_bound]
+    c_layer = max(abs(float(lap.f(x, 0.0, psi.fd_gradient(x), psi.fd_hessian(x))))
+                  for x in (np.array(r.point) for r in layer))
+    return [r.residual + eps**2 * (c_star - c_layer) for r in layer]
 
 
 class TestBarrierAudits:
@@ -618,12 +631,19 @@ class TestBarrierAudits:
         assert max(residuals) <= cons.RESIDUAL_NOISE
 
     def test_stationary_wall_shift_estimate_holds_with_margin(self):
-        rep = laplace_wall_shift(0.1, cap_M=8.0)
+        rep, _ = laplace_wall_shift(0.1, cap_M=8.0)
         assert not rep.violations()
         assert max(r.residual for r in rep.rows) <= -0.5
+        assert max(layer_residuals(0.1, cap_M=8.0)) <= -0.5
 
     def test_wall_shift_holds_at_eps_0_025(self):
-        assert not laplace_wall_shift(0.025, cap_M=10.0).violations()
+        rep, _ = laplace_wall_shift(0.025, cap_M=10.0)
+        assert not rep.violations()
+        # the layer rows pass also within the layer's own envelope, so
+        # their pass does not rest on the C* of the nodes further in
+        residuals = layer_residuals(0.025, cap_M=10.0)
+        assert len(residuals) == 2 * 24
+        assert max(residuals) <= cons.RESIDUAL_NOISE
 
     def test_wall_shift_rows_are_those_of_the_stationary_step_at_each_node(self):
         lap = get_problem("laplace_elliptic_1d")
@@ -643,9 +663,10 @@ class TestBarrierAudits:
             rows.append(cons._row(DOM, eps, (x,), "wall-shift-upper", up, float(env), up - env))
             rows.append(cons._row(DOM, eps, (x,), "wall-shift-lower", low, float(-env),
                                   -env - low))
-        got = audit_wall_shift(lap, params, caps).rows
-        assert len(got) == 2 * len(step.x_nodes) == 24
-        assert got == rows
+        rep, got_c_star = audit_wall_shift(lap, params, caps)
+        assert len(rep.rows) == 2 * len(step.x_nodes) == 24
+        assert rep.rows == rows
+        assert got_c_star == c_star
 
     def test_wall_shift_audit_plays_neither_the_1d_kernel_nor_s_eps(self, monkeypatch):
         def forbidden(*args):
@@ -653,12 +674,12 @@ class TestBarrierAudits:
 
         monkeypatch.setattr(cons, "play_1d", forbidden)
         monkeypatch.setattr(cons, "s_eps", forbidden)
-        rep = laplace_wall_shift(0.2, cap_M=8.0)
+        rep, _ = laplace_wall_shift(0.2, cap_M=8.0)
         assert len(rep.rows) == 24
 
     def test_wall_shift_envelope_scales_with_the_shift(self):
-        r_small = laplace_wall_shift(0.1, cap_M=5.0)
-        r_big = laplace_wall_shift(0.1, cap_M=10.0)
+        r_small, _ = laplace_wall_shift(0.1, cap_M=5.0)
+        r_big, _ = laplace_wall_shift(0.1, cap_M=10.0)
         # the discount term -lam eps^2 (shift + psi) tightens the bound
         # as the shift grows while the round value barely moves
         assert max(r.rhs for r in r_big.rows) < max(r.rhs for r in r_small.rows)

@@ -19,6 +19,8 @@ from pdegame.game_elliptic import (
     solve_fixed_point,
 )
 
+from sampling import layer_points
+
 DOM = interval(0.0, 1.0)
 
 
@@ -177,11 +179,9 @@ class TestDiscountedRound:
             quad_field(0.2, -0.8, 1.1),
             AnalyticField(DOM, lambda p: 3.0 + psi.eval(p), grad=psi.grad, hess=psi.hess),
         ]
-        # 8 points with wall distance over [0, 0.95 ell], alternately from
-        # each wall, then 3 interior points
-        d = np.linspace(0.0, 0.95, 8) * params.move_bound
-        layer = np.where(np.arange(8) % 2 == 0, d, 1.0 - d)
-        points = np.concatenate([layer, np.linspace(0.35, 0.65, 3)])[:, None]
+        # 8 layer points, then 3 interior points
+        points = np.concatenate([layer_points(DOM, params.move_bound, 8),
+                                 np.linspace(0.35, 0.65, 3)[:, None]])
         for phi in fields:
             for x in points:
                 for z in (-2.0, 0.0, 1.5):

@@ -187,6 +187,13 @@ class TestPlayOnPoints:
                 phi_x = [phi.eval(np.array([xi])) for xi in pts]
                 assert probe[0].tobytes() == np.array(phi_x).tobytes()
 
+    def test_play_without_time_raises(self):
+        prob = get_problem("laplace_elliptic_1d")
+        plan = CandidatePlan1D(DOM, np.array([0.02, 0.5]), make_params(0.2), prob.h)
+        probe, landing = np.zeros(plan.probes.shape), np.zeros(plan.landing.shape)
+        with pytest.raises(ValidationError, match="needs a time t"):
+            play_1d(prob, plan, probe, landing, 0.0, None)
+
 
 class TestSEpsOverScores:
     @settings(max_examples=40, deadline=None)
