@@ -88,8 +88,10 @@ class RunConfig:
             raise ValidationError(
                 f"convergence mode needs a strictly decreasing eps_ladder, got {ladder}"
             )
-        if self.tol <= 0.0:
-            raise ValidationError(f"tol must be positive, got {self.tol}")
+        if not 0.0 < self.tol < math.inf:
+            raise ValidationError(f"tol must be positive and finite, got {self.tol}")
+        if not math.isfinite(self.cap_M):
+            raise ValidationError(f"cap_M must be finite, got {self.cap_M}")
         # every ladder step must clear the exponent admissibility checks
         for eps in self.eps_ladder:
             self.game_params(eps)
@@ -255,7 +257,7 @@ def _run_elliptic(cfg: RunConfig, problem, out: Path, summary: list) -> None:
     params, caps = _stationary_game(cfg, problem, eps)
     val = solve_fixed_point(problem, params, tol=cfg.tol)
     # the game has one value: it is both the upper and the lower profile; chi is the barrier bound
-    rows = zip(val.x_nodes, val.V, val.V, (caps.chi_at([x]) for x in val.x_nodes))
+    rows = zip(val.x_nodes, val.V, val.V, caps.chi_at(val.x_nodes[:, None]))
     _write_csv(out / "profiles.csv", ["x", "u", "v", "chi"], rows)
     _write_csv(
         out / "residuals.csv",

@@ -127,7 +127,7 @@ class CapSpec:
     psi_sup: float
     psi: AnalyticField
 
-    def chi_at(self, x) -> float:
+    def chi_at(self, x):
         return self.cap_m + self.psi_sup + self.psi.eval(x)
 
 

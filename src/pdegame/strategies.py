@@ -433,37 +433,43 @@ def dual_stencils(a, b, p_bound: float, G_bound: float):
     min over the simplex of ``mu . c + p_bound |mu . a| + G_bound |mu . b|``,
     reached at a vertex of the simplex cut by the planes ``mu . a = 0`` and
     ``mu . b = 0``: a pure move, a two-move point on a plane, or a three-move
-    point on both (20 for 4 moves).  ``kappa`` is the cap term, with the
-    sum on a stencil's plane as 0.  A point off the simplex or of parallel
-    lines has ``mu = 0``, ``kappa = inf``; the rest have ``mu >= 0``, sum 1.
+    point on both.  ``mu[i, j]`` is row i's stencil j, its weights on the M
+    moves, and ``kappa[i, j]`` its cap term, with the sum on the stencil's
+    plane as 0.  The order of the J stencils is part of the contract, since
+    an argmin keeps the first of equal stencils: the M pure moves; each pair
+    i < j in lexicographic order, on the plane of a and then that of b; each
+    triple i < j < k in the same order, on both planes (J = 20 for 4 moves).
+    A point off the simplex or of parallel lines has ``mu = 0``,
+    ``kappa = inf``; the rest have ``mu >= 0``, sum 1.
     """
     n, M = a.shape
-    mus, kappas = [], []
-
-    def add(idx, w, det, p_cap, G_cap):
-        ok = det != 0.0
-        w = w * np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
-        ok &= (w >= 0.0).all(axis=0)
-        mu = np.zeros((n, M))
-        mu[:, idx] = np.where(ok, w, 0.0).T
-        mus.append(mu)
-        kappa = p_cap * np.abs(np.vecdot(mu, a)) + G_cap * np.abs(np.vecdot(mu, b))
-        kappas.append(np.where(ok, kappa, np.inf))
-
-    for m in range(M):
-        add([m], np.ones((1, n)), np.ones(n), p_bound, G_bound)
-    pairs = [(i, j) for i in range(M) for j in range(i + 1, M)]
-    for i, j in pairs:
-        # mu_i s_i + mu_j s_j = 0 with mu_i + mu_j = 1, on the plane of s = a or b
-        add([i, j], np.stack([a[:, j], -a[:, i]]), a[:, j] - a[:, i], 0.0, G_bound)
-        add([i, j], np.stack([b[:, j], -b[:, i]]), b[:, j] - b[:, i], p_bound, 0.0)
-    for i, j, k in ((i, j, k) for i, j in pairs for k in range(j + 1, M)):
-        # mu . (1, a, b) = (1, 0, 0) on three moves, by Cramer
-        minors = np.stack([a[:, j] * b[:, k] - a[:, k] * b[:, j],
-                           a[:, k] * b[:, i] - a[:, i] * b[:, k],
-                           a[:, i] * b[:, j] - a[:, j] * b[:, i]])
-        add([i, j, k], minors, minors.sum(axis=0), 0.0, 0.0)
-    return np.stack(mus, axis=1), np.stack(kappas, axis=1)
+    r = np.arange(M)
+    i2, j2 = np.triu_indices(M, 1)
+    ijk = np.argwhere((r[:, None, None] < r[:, None]) & (r[:, None] < r))
+    J = M * M + len(ijk)
+    pair, tri = np.arange(M, M * M).reshape(-1, 2), np.arange(M * M, J)[:, None]
+    # built move-major, (M, J, n), so that the test over a stencil's moves is one fast reduction
+    w, det, member = np.zeros((M, J, n)), np.ones((J, n)), np.zeros((M, J, 1), dtype=bool)
+    # mu_i s_i + mu_j s_j = 0 with mu_i + mu_j = 1, on the plane of s = a or b;
+    # mu . (1, a, b) = (1, 0, 0) on three moves, by Cramer
+    ab = np.stack([a.T, b.T], axis=1)
+    nxt, far = ijk[:, [1, 2, 0]], ijk[:, [2, 0, 1]]
+    minors = a.T[nxt] * b.T[far] - a.T[far] * b.T[nxt]
+    for cols, rows, num in ((r, r, 1.0), (i2[:, None], pair, ab[j2]),
+                            (j2[:, None], pair, -ab[i2]), (ijk, tri, minors)):
+        w[cols, rows], member[cols, rows] = num, True
+    det[pair] = ab[j2] - ab[i2]
+    det[tri[:, 0]] = minors[:, 0] + minors[:, 1] + minors[:, 2]
+    ok = det != 0.0
+    w *= np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
+    ok &= ((w >= 0.0) | ~member).all(axis=0)
+    mu = np.zeros((n, J, M))  # contiguous rows, so each vecdot rounds as on one stencil's (n, M)
+    np.copyto(mu.transpose(2, 1, 0), w, where=ok & member)
+    p_cap, G_cap = np.zeros((2, J))
+    p_cap[:M] = p_cap[pair[:, 1]] = p_bound
+    G_cap[:M] = G_cap[pair[:, 0]] = G_bound
+    kappa = p_cap * np.abs(np.vecdot(mu, a[:, None])) + G_cap * np.abs(np.vecdot(mu, b[:, None]))
+    return mu, np.where(ok.T, kappa, np.inf)
 
 
 def check_move_bound(domain: DomainGeometry, params) -> None:

@@ -16,9 +16,10 @@ import numpy as np
 import pytest
 
 from pdegame.cli import MODES, RunConfig, load_config, main, run
+from pdegame.game_elliptic import StationaryStep, build_caps
 from pdegame.game_parabolic import NumericAbort
 from pdegame.geometry import interval
-from pdegame.params import ValidationError
+from pdegame.params import ValidationError, make_params
 from pdegame.problems import (EllipticProblem, MixedEllipticProblem, ParabolicProblem,
                               get_problem, list_problems)
 
@@ -357,6 +358,12 @@ class TestSolveWorkflows:
         assert rheader == ["iteration", "residual"]
         assert float(rrows[-1][1]) <= 1e-8
         assert all(r[1] == r[2] for r in rows)  # one game value: u = v
+        # the chi column, written from one stacked eval, is chi node by node
+        problem = get_problem("laplace_elliptic_1d")
+        params = make_params(0.2, lambda_rate=problem.lambda_rate)
+        caps = build_caps(problem, params, cap_M=10.0)
+        nodes = StationaryStep(problem, params).x_nodes
+        assert [r[3] for r in rows] == [f"{caps.chi_at([x]):.12g}" for x in nodes]
         summary = (out / "summary.txt").read_text()
         assert "dirichlet_exits = 0" in summary
         # every node's stencil pays a cap penalty at eps 0.2
@@ -595,6 +602,20 @@ class TestRunApi:
     def test_run_validates_before_writing(self, tmp_path):
         cfg = RunConfig(mode="heat1d", eps_ladder=(), out=str(tmp_path / "o"))
         with pytest.raises(ValidationError, match="eps_ladder"):
+            run(cfg)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("mode, key, value", [
+        ("elliptic", "tol", float("nan")),
+        ("elliptic", "tol", float("inf")),
+        ("mixed", "tol", float("nan")),
+        ("elliptic", "cap_M", float("inf")),
+        ("audit-elliptic", "cap_M", float("inf")),
+    ])
+    def test_non_finite_tol_or_cap_is_rejected_before_any_output(self, tmp_path, mode, key, value):
+        # a config file rejects these when it parses them; a RunConfig built in code must too
+        cfg = RunConfig(mode=mode, eps_ladder=(0.2,), out=str(tmp_path / "o"), **{key: value})
+        with pytest.raises(ValidationError, match=f"{key} must be"):
             run(cfg)
         assert not (tmp_path / "o").exists()
 

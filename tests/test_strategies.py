@@ -4,6 +4,7 @@ import pytest
 
 from pdegame.consistency import run_audit_suite
 from pdegame.fields import AnalyticField, GridField, grid_spacing, interpolate
+from pdegame.game_elliptic import StationaryStep
 from pdegame.game_parabolic import s_eps, solve_scalar_dpp
 from pdegame.geometry import ball, interval
 from pdegame.params import GameParams, ValidationError, make_params
@@ -696,7 +697,57 @@ def stencil_min(a, b, c, p_bound, G_bound):
     return (np.einsum("njm,nm->nj", mu, c) + kappa).min(axis=1)
 
 
+def loop_dual_stencils(a, b, p_bound, G_bound):
+    """``dual_stencils`` as one build per stencil, in the contract's order:
+    the reference that the batched build must reproduce bit for bit."""
+    n, M = a.shape
+    mus, kappas = [], []
+
+    def add(idx, w, det, p_cap, G_cap):
+        ok = det != 0.0
+        w = w * np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
+        ok &= (w >= 0.0).all(axis=0)
+        mu = np.zeros((n, M))
+        mu[:, idx] = np.where(ok, w, 0.0).T
+        mus.append(mu)
+        kappa = p_cap * np.abs(np.vecdot(mu, a)) + G_cap * np.abs(np.vecdot(mu, b))
+        kappas.append(np.where(ok, kappa, np.inf))
+
+    for m in range(M):
+        add([m], np.ones((1, n)), np.ones(n), p_bound, G_bound)
+    pairs = [(i, j) for i in range(M) for j in range(i + 1, M)]
+    for i, j in pairs:
+        add([i, j], np.stack([a[:, j], -a[:, i]]), a[:, j] - a[:, i], 0.0, G_bound)
+        add([i, j], np.stack([b[:, j], -b[:, i]]), b[:, j] - b[:, i], p_bound, 0.0)
+    for i, j, k in ((i, j, k) for i, j in pairs for k in range(j + 1, M)):
+        minors = np.stack([a[:, j] * b[:, k] - a[:, k] * b[:, j],
+                           a[:, k] * b[:, i] - a[:, i] * b[:, k],
+                           a[:, i] * b[:, j] - a[:, j] * b[:, i]])
+        add([i, j, k], minors, minors.sum(axis=0), 0.0, 0.0)
+    return np.stack(mus, axis=1), np.stack(kappas, axis=1)
+
+
+def assert_same_stencils(got, want):
+    """Equal ``(mu, kappa)``, and equal down to the sign of each zero."""
+    for x, y in zip(got, want):
+        assert np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+
+
 class TestDualStencils:
+    @pytest.mark.parametrize("M", [1, 2, 3, 4, 5])
+    def test_batched_build_is_the_per_stencil_loop_on_random_rows(self, M):
+        a, b, _ = random_lps(M, 300, 20 + M)
+        assert_same_stencils(dual_stencils(a, b, 1.5, 0.7), loop_dual_stencils(a, b, 1.5, 0.7))
+
+    @pytest.mark.parametrize("eps", [0.2, 0.1, 0.05, 0.025, 0.0125])
+    @pytest.mark.parametrize("name", ["laplace_elliptic_1d", "mixed_dn_elliptic_1d"])
+    def test_batched_build_is_the_per_stencil_loop_on_the_stationary_step(self, name, eps):
+        problem = get_problem(name)
+        params = make_params(eps, lambda_rate=problem.lambda_rate)
+        step = StationaryStep(problem, params)
+        assert_same_stencils((step.mu, step.kappa),
+                             loop_dual_stencils(step.a, step.b, params.p_bound, params.hessian_bound))
+
     @pytest.mark.parametrize("M", [1, 2, 3, 4, 5])
     def test_stencils_are_weights_on_the_simplex(self, M):
         a, b, _ = random_lps(M, 300, M)
