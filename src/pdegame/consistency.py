@@ -19,11 +19,11 @@ C (1 + |z|) eps**2`` and its mirror on ``-psi``, is not audited here: the
 tests check it on the pointwise ``s_eps``.
 
 In the catalog, on the interval ``S[phi]`` is the scalar solver's own 1D
-kernel: one ``strategies.CandidatePlan1D`` on all the points of a case,
-phi read at its probes and landings, and ``game_parabolic.play_1d`` once
-per running value z.  The pointwise ``s_eps``, which tests match to the
-kernel bit for bit, is its oracle and still plays each disk point, over
-all its z in one pass (:func:`audit_point`).
+kernel: one ``strategies.CandidatePlan1D`` on a case's points, phi read
+at its probes and landings by one ``eval``, one ``game_parabolic.play_1d``
+for all z.  The pointwise ``s_eps``, its oracle bit for bit in the tests,
+plays each disk point.  The rest of a case's audit is one array pass over
+its points, on both domains (:func:`audit_point`).
 
 The higher-order error allowance is operationalized as a
 measured-then-frozen envelope ``SLACK_CONST * eps**SLACK_POWER``: the
@@ -48,6 +48,7 @@ from .params import make_params
 from .problems import ParabolicProblem, f_stacked
 from .strategies import (
     CandidatePlan1D,
+    NeumannBounds,
     build_frame,
     check_move_bound,
     gamma_opt,
@@ -146,56 +147,56 @@ class ConsistencyReport:
 # -- classification --------------------------------------------------------
 
 
-def _hess_norm(hess: np.ndarray) -> float:
-    """Spectral norm of the Hessian ``hess``, which must be symmetric: its
-    largest |eigenvalue| (``eigvalsh`` reads only the lower triangle)."""
-    return float(np.max(np.abs(np.linalg.eigvalsh(np.atleast_2d(np.asarray(hess, dtype=float))))))
+def _hess_norm(hess) -> np.ndarray:
+    """Spectral norm of the symmetric Hessian ``hess``, or of each of a stack:
+    its largest |eigenvalue| (``eigvalsh`` reads only the lower triangle)."""
+    return np.abs(np.linalg.eigvalsh(hess)).max(axis=-1)
 
 
-def classify_case(d: float, params, bounds, hnorm: float) -> str:
+def classify_case(d, params, bounds, hnorm):
     """Label of the one-round upper estimate at wall distance ``d``.
 
     The four labels partition by the wall distance against
     ``ell = eps**(1-alpha)`` and ``ell - eps**rho`` and by the wall
     bonus extreme ``M`` against ``(4/3) hnorm ell``, with ``hnorm`` the
-    spectral norm of D2 phi, and ``-eps**(1-alpha-kappa)``.
+    spectral norm of D2 phi, and ``-eps**(1-alpha-kappa)``.  Arrays of d,
+    hnorm and the bounds' fields, one entry per point, give one label each.
     """
-    ell = params.move_bound
-    if d >= ell or not bounds.possible:
-        return CASE_FAR_SMALL
-    eps = params.eps
-    if bounds.M > (4.0 / 3.0) * hnorm * ell:
-        return CASE_BIG_BONUS
-    if d >= ell - eps**params.rho:
-        return CASE_FAR_SMALL
-    if bounds.M <= -(eps ** (1.0 - params.alpha - params.kappa)):
-        return CASE_CLOSE_BIG_PENALTY
-    return CASE_CLOSE_SMALL
-
-
-def _classify_lower(d: float, ell: float, bounds, hnorm: float) -> str:
-    if d >= ell or not bounds.possible:
-        return CASE_LOWER_BIG_BONUS
-    if bounds.m > 0.5 * (3.0 * ell - d) * hnorm:
-        return CASE_LOWER_BIG_BONUS
-    return CASE_LOWER_SMALL
+    ell, eps, M = params.move_bound, params.eps, bounds.M
+    penalty = np.where(M <= -(eps ** (1.0 - params.alpha - params.kappa)),
+                       CASE_CLOSE_BIG_PENALTY, CASE_CLOSE_SMALL)
+    close = np.where(d >= ell - eps**params.rho, CASE_FAR_SMALL, penalty)
+    case = np.where(np.logical_or(d >= ell, np.logical_not(bounds.possible)), CASE_FAR_SMALL,
+                    np.where(M > (4.0 / 3.0) * hnorm * ell, CASE_BIG_BONUS, close))
+    return case if case.ndim else str(case)
 
 
 # -- point audits ----------------------------------------------------------
 
 
-def _min_f_on_ball(problem, t, xp, z, p_center, Gamma, radius: float) -> float:
-    """Deterministic sample minimum of f over announcements |p - c| <= r; in
-    1D the 41 samples of the segment are one ``f_stacked`` call."""
-    p_center = np.atleast_1d(np.asarray(p_center, dtype=float))
-    if len(p_center) == 1:
-        p = p_center[0] + np.linspace(-1.0, 1.0, 41) * radius
-        return min(f_stacked(problem, t, xp[0], z, p, np.ravel(Gamma)[0]).tolist())
-    vals = [float(problem.f(t, xp, z, p_center, Gamma))]
-    for u in _circle(16):
-        for frac in (0.25, 0.5, 0.75, 1.0):
-            vals.append(float(problem.f(t, xp, z, p_center + frac * radius * u, Gamma)))
-    return min(vals)
+def _f_table(problem, t, pts, zs, P, G) -> np.ndarray:
+    """f at every (z, announcement, point): ``(nz, A, k)`` from the ``(k, dim)``
+    points, the running values zs, and the announcements' ``(A, k, dim)``
+    gradients and ``(A, k, dim, dim)`` Hessians; in 1D one ``f_stacked`` call."""
+    if pts.shape[1] == 1:
+        return f_stacked(problem, t, pts[:, 0], np.reshape(zs, (-1, 1, 1)), P[..., 0], G[..., 0, 0])
+    return np.array([[[float(problem.f(t, xp, z, p, g)) for xp, p, g in zip(pts, Pa, Ga)]
+                      for Pa, Ga in zip(P, G)] for z in zs])
+
+
+def _min_f_on_ball(problem, t, pts, zs, p_center, Gamma, radius) -> list:
+    """``(nz, k)`` lists: per z and point, the sample minimum of f over |p - c|
+    <= r with the point's c, Gamma and r, by one :func:`_f_table`: in 1D 41
+    samples of the segment, in 2D the center, then 16 directions at 4
+    fractions of r.  A Python min keeps the first of equal samples."""
+    if pts.shape[1] == 1:
+        P = (p_center[:, 0] + np.linspace(-1.0, 1.0, 41)[:, None] * radius)[..., None]
+    else:
+        ring = np.array([0.25, 0.5, 0.75, 1.0])[:, None] * radius  # (fraction, point)
+        fan = (ring[None, :, :, None] * _circle(16)[:, None, None, :]).reshape(64, -1, 2)
+        P = np.concatenate([p_center[None], p_center + fan])
+    F = _f_table(problem, t, pts, zs, P, np.broadcast_to(Gamma, P.shape[:1] + Gamma.shape))
+    return [[min(samples) for samples in zip(*per_z)] for per_z in F.tolist()]
 
 
 def _domain_tag(domain: DomainGeometry) -> str:
@@ -209,26 +210,50 @@ def _row(dom, eps, xp, case, lhs, rhs, residual) -> AuditRow:
                     residual)
 
 
-def _round_values(phi, pts, t, zs, problem, params) -> tuple:
-    """``(values, phi_x)``: S[phi] at each point of the ``(k, dim)`` stack
-    ``pts`` for each running value of ``zs`` (k lists of one float per z)
-    and phi at the points.
+def _round_and_walls(phi, pts, t, zs, problem, params, grad, hess) -> tuple:
+    """``(lhs, d, m, M, possible, p_M, p_m, G_o)`` at the ``(k, dim)`` points,
+    where phi has the derivatives grad and hess: S[phi] - phi, ``(nz, k)``;
+    the wall distance, the Neumann bounds and whether a step crosses; the
+    announcements ``p_opt`` at M and at m and ``gamma_opt``, else (with
+    m = M = 0) the derivatives, which no label then reads.
 
-    On the interval one ``CandidatePlan1D`` on the points reads phi at its
-    probes, whose first row is the points themselves, and at its base
-    columns' landings (a line column lands where its base column does),
-    and ``play_1d`` runs once per z.  On the disk ``s_eps`` runs once per
-    point.
+    On the interval one ``CandidatePlan1D`` reads phi by one ``eval`` at its
+    probes (the first row is the points) and base landings, ``play_1d``
+    plays all z, and the plan's coefficients give the wall data in closed
+    form: m = M = h(wall) - g n at the one wall in reach.  On the disk
+    ``s_eps``, ``build_frame``, ``neumann_bounds`` (only where d < ell),
+    ``p_opt`` and ``gamma_opt`` run point by point.
     """
-    dom = problem.domain
-    if dom.dim == 2:
-        return [s_eps(phi, xp, t, zs, problem, params) for xp in pts], phi.eval(pts).tolist()
-    plan = CandidatePlan1D(dom, pts[:, 0], params, problem.h)
-    base = plan.landing[:, : len(pts)]
-    probe = phi.eval(plan.probes.reshape(-1, 1)).reshape(plan.probes.shape)
-    landing = phi.eval(base.reshape(-1, 1)).reshape(base.shape)[:, plan.node]
-    values = [play_1d(problem, plan, probe, landing, z, t) for z in zs]
-    return np.transpose(values).tolist(), probe[0].tolist()
+    dom, ell, k = problem.domain, params.move_bound, len(pts)
+    if dom.dim == 1:
+        plan = CandidatePlan1D(dom, pts[:, 0], params, problem.h)
+        base, size = plan.landing[:, :k], plan.probes.size
+        read = phi.eval(np.concatenate([plan.probes.ravel(), base.ravel()])[:, None])
+        probe, landing = read[:size].reshape(plan.probes.shape), read[size:].reshape(base.shape)
+        values = play_1d(problem, plan, probe, landing[:, plan.node], np.reshape(zs, (-1, 1, 1)), t)
+        x, L, n = pts[:, 0], plan.layer_rows, plan.normal
+        d = np.maximum(np.minimum(x - dom.a, dom.c - x), 0.0)
+        g, H = grad[L, 0], hess[L, 0, 0]
+        m = np.zeros(k)
+        m[L] = plan.h_wall - g * n
+        p, G = grad.copy(), hess.copy()
+        p[L, 0] = g + (plan.bound_coef * m[L] - plan.hess_coef * H) * n
+        G[L, 0, 0] = H + plan.flat_coef * H
+        return values - probe[0], d, m, m, d < ell, p, p, G
+    values = np.array([s_eps(phi, xp, t, zs, problem, params) for xp in pts]).T
+    d, m, M = np.zeros((3, k))
+    possible = np.zeros(k, dtype=bool)
+    p_M, p_m, G_o = grad.copy(), grad.copy(), hess.copy()
+    for i, xp in enumerate(pts):
+        frame = build_frame(dom, xp, ell)
+        d[i] = frame.d
+        if frame.d < ell:  # else no step crosses
+            bounds = neumann_bounds(dom, xp, ell, problem.h, grad[i])
+            if bounds.possible:
+                possible[i], m[i], M[i] = True, bounds.m, bounds.M
+                p_M[i], p_m[i] = (p_opt(frame, grad[i], hess[i], b) for b in (bounds.M, bounds.m))
+                G_o[i] = gamma_opt(frame, hess[i])
+    return values - phi.eval(pts), d, m, M, possible, p_M, p_m, G_o
 
 
 def audit_point(x, t, z, phi, problem, params) -> tuple:
@@ -237,12 +262,11 @@ def audit_point(x, t, z, phi, problem, params) -> tuple:
     of a sequence z.
 
     Returns, point by point, ``(upper_row, lower_row)`` per z, concatenated
-    in z order.  S[phi] comes for every point and z at once
-    (:func:`_round_values`: one play of the 1D kernel per z on the
-    interval, one ``s_eps`` pass per point on the disk).  Both rows of a
-    point bound the same quantity, so its derivatives of phi, wall-bonus
-    extremes, boundary frame (and the wall distance read from it) and
-    explicit announcements are evaluated once and shared.
+    in z order.  One array pass over the stack, the same on both domains,
+    computes S[phi] and the wall data (:func:`_round_and_walls`), the
+    labels, f at each (z, announcement, point) by one :func:`_f_table` (and
+    by one more on the close-big-penalty rows' sample ball), and the bounds
+    and residuals; only the rows are built one by one.
 
     Upper row: the case-labelled bound plus the frozen higher-order
     allowance, ``residual = lhs - rhs``; the close-small label's
@@ -250,59 +274,41 @@ def audit_point(x, t, z, phi, problem, params) -> tuple:
     two-case bound from explicit announcements available to the
     maximizer, so no allowance, ``residual = rhs - lhs``.
     """
-    pts = np.reshape(np.asarray(x, dtype=float), (-1, problem.domain.dim))
-    zs = (z,) if np.ndim(z) == 0 else tuple(z)
-    values, phi_x = _round_values(phi, pts, t, zs, problem, params)
-    rows = []
-    for xp, vals, phx in zip(pts, values, phi_x):
-        rows.extend(_point_rows(xp, t, zs, vals, phx, phi, problem, params))
-    return tuple(rows)
-
-
-def _point_rows(xp, t, zs, values, phi_x, phi, problem, params) -> list:
-    """The rows of :func:`audit_point` at the point xp, from S[phi] there
-    for each z (``values``) and phi(xp)."""
     dom, eps, ell = problem.domain, params.eps, params.move_bound
-    grad, hess = phi.fd_gradient(xp), phi.fd_hessian(xp)
-    frame = build_frame(dom, xp, ell)
-    d = frame.d
-    bounds = neumann_bounds(dom, xp, ell, problem.h, grad)
+    pts = np.reshape(np.asarray(x, dtype=float), (-1, dom.dim))
+    zs = (z,) if np.ndim(z) == 0 else tuple(z)
+    grad, hess = phi.fd_gradient(pts), phi.fd_hessian(pts)
+    lhs, d, m, M, possible, p_M, p_m, G_o = _round_and_walls(phi, pts, t, zs, problem, params,
+                                                             grad, hess)
     hnorm = _hess_norm(hess)
-    if bounds.possible:  # the explicit announcements of the labels where a step crosses
-        p_M, p_m = p_opt(frame, grad, hess, bounds.M), p_opt(frame, grad, hess, bounds.m)
-        G_o = gamma_opt(frame, hess)
 
-    upper_case = classify_case(d, params, bounds, hnorm)
-    lower_case = _classify_lower(d, ell, bounds, hnorm)
-    slack = SLACK_CONST * eps**SLACK_POWER
-    rows = []
-    for z, value in zip(zs, values):
-        lhs = value - phi_x
-        if upper_case == CASE_BIG_BONUS:
-            rhs = 3.0 * (ell - d) * bounds.M - eps**2 * float(problem.f(t, xp, z, p_M, G_o))
-        elif upper_case == CASE_FAR_SMALL:
-            rhs = -(eps**2) * float(problem.f(t, xp, z, grad, hess))
-        elif upper_case == CASE_CLOSE_SMALL:
-            c1 = (20.0 / 3.0) * hnorm * (1.0 - d / ell)
-            shifted = np.atleast_2d(np.asarray(hess, dtype=float)) + c1 * np.eye(dom.dim)
-            rhs = -(eps**2) * float(problem.f(t, xp, z, grad, shifted))
-        else:
-            r = 3.0 * (1.0 - d / ell) * abs(bounds.M)
-            rhs = 0.25 * (ell - d) * bounds.M - eps**2 * _min_f_on_ball(
-                problem, t, xp, z, p_M, G_o, r
-            )
-        rhs = rhs + slack
-        rows.append(_row(dom, eps, xp, upper_case, lhs, rhs, lhs - rhs))
+    upper = classify_case(d, params, NeumannBounds(m, M, possible), hnorm)
+    lower = np.where((d >= ell) | ~possible | (m > 0.5 * (3.0 * ell - d) * hnorm),
+                     CASE_LOWER_BIG_BONUS, CASE_LOWER_SMALL)
+    big, pen = upper == CASE_BIG_BONUS, upper == CASE_CLOSE_BIG_PENALTY
+    small = lower == CASE_LOWER_SMALL
+    c1 = ((20.0 / 3.0) * hnorm * (1.0 - d / ell))[:, None, None]
+    G_up = np.where((upper == CASE_CLOSE_SMALL)[:, None, None], hess + c1 * np.eye(dom.dim), hess)
+    up, low = big[:, None, None], small[:, None, None]
+    P = np.array([np.where(up[:, 0], p_M, grad), np.where(low[:, 0], p_m, grad)])
+    G = np.array([np.where(up, G_o, G_up), np.where(low, G_o, hess)])
+    F = _f_table(problem, t, pts, zs, P, G)
+    if pen.any():
+        r = 3.0 * (1.0 - d[pen] / ell) * np.abs(M[pen])
+        F[:, 0, pen] = _min_f_on_ball(problem, t, pts[pen], zs, p_M[pen], G_o[pen], r)
 
-        if lower_case == CASE_LOWER_BIG_BONUS:
-            rhs = -(eps**2) * float(problem.f(t, xp, z, grad, hess))
-        else:
-            s = -1.0 if bounds.m >= 0.0 else 3.0
-            rhs = 0.5 * (ell - d) * (s * bounds.m - 4.0 * hnorm * ell) - eps**2 * float(
-                problem.f(t, xp, z, p_m, G_o)
-            )
-        rows.append(_row(dom, eps, xp, lower_case, lhs, rhs, rhs - lhs))
-    return rows
+    f_term = -(eps**2) * F  # x - eps^2 f is x + f_term, bit for bit
+    wall = np.where(big, 3.0, 0.25) * (ell - d) * M
+    rhs_up = np.where(big | pen, wall + f_term[:, 0], f_term[:, 0]) + SLACK_CONST * eps**SLACK_POWER
+    floor = 0.5 * (ell - d) * (np.where(m >= 0.0, -1.0, 3.0) * m - 4.0 * hnorm * ell)
+    rhs_low = np.where(small, floor + f_term[:, 1], f_term[:, 1])
+    table = np.array([[lhs, rhs_up, lhs - rhs_up], [lhs, rhs_low, rhs_low - lhs]])
+    tag, rows = _domain_tag(dom), []
+    for xp, cases, per_z in zip(pts.tolist(), zip(upper.tolist(), lower.tolist()),
+                                table.transpose(3, 2, 0, 1).tolist()):  # (point, z, side, value)
+        for pair in per_z:
+            rows += [AuditRow(tag, eps, tuple(xp), case, *v) for case, v in zip(cases, pair)]
+    return tuple(rows)
 
 
 def audit_upper(x, t, z, phi, problem, params) -> AuditRow:
@@ -326,7 +332,8 @@ def audit_wall_shift(problem, params, caps) -> tuple:
     on its lattice; ``m = caps.cap_m`` and ``psi = caps.psi``.  Upper side:
     ``S[m + psi] - (m + psi) <= eps**2 (1 + C*) - lambda eps**2 (m + psi)``,
     ``C*`` the sup over the nodes of ``|f(x, 0, D psi, D^2 psi)|``, the
-    growth constant of f along the barrier at every audited node.  Mirror
+    growth constant of f along the barrier at every audited node, read from
+    the stacked derivatives of psi by one ``f_stacked`` call.  Mirror
     side: the same envelope from below for ``-(m + psi)``.  The round
     reads no running value (the solver needs f free of z), so each node
     gives one ``wall-shift-upper`` row, then one ``wall-shift-lower`` row.
@@ -335,8 +342,8 @@ def audit_wall_shift(problem, params, caps) -> tuple:
     step = StationaryStep(problem, params)
     pts = step.x_nodes[:, None]
     shifted = caps.cap_m + psi.eval(pts)
-    c_star = max(abs(float(problem.f(xp, 0.0, psi.fd_gradient(xp), psi.fd_hessian(xp))))
-                 for xp in pts)
+    c_star = float(np.abs(f_stacked(problem, None, pts[:, 0], 0.0, psi.fd_gradient(pts)[:, 0],
+                                    psi.fd_hessian(pts)[:, 0, 0])).max())
     rhs = eps**2 * (1.0 + c_star) - problem.lambda_rate * eps**2 * shifted
     ups, lows = step(shifted) - shifted, step(-shifted) + shifted
     rows = []

@@ -39,9 +39,9 @@ def _closure_points(domain: DomainGeometry, x) -> np.ndarray:
     query checks every point, and the first one outside the closure by more
     than ``domain.tol`` raises ``ValueError``."""
     p = np.atleast_1d(np.asarray(x, dtype=float))
-    off = domain.outside_by(p) > domain.tol  # a bool, or one per row of a stack
-    if (off if p.ndim == 1 else off.any()):
-        bad = p if p.ndim == 1 else p[off.argmax()]
+    on = domain.outside_by(p) <= domain.tol  # a bool, or one per row; NaN is off
+    if not (on if p.ndim == 1 else on.all()):
+        bad = p if p.ndim == 1 else p[on.argmin()]
         raise ValueError(f"evaluation point {bad} outside the domain closure")
     return p
 
@@ -51,8 +51,8 @@ class AnalyticField:
     """Callable field with analytic derivatives.
 
     ``grad`` and ``hess`` return the gradient ``(d,)`` and the Hessian
-    ``(d, d)`` at a point of the closure; ``fd_gradient`` /
-    ``fd_hessian`` read them there.
+    ``(d, d)`` at a point of the closure; ``fd_gradient`` / ``fd_hessian``
+    read them there, or row by row on a ``(k, d)`` stack, as ``eval`` does.
     """
 
     domain: DomainGeometry
@@ -67,11 +67,14 @@ class AnalyticField:
         return float(self.func(p)) if p.ndim == 1 else np.array([float(self.func(q)) for q in p])
 
     def fd_gradient(self, x) -> np.ndarray:
-        return np.atleast_1d(np.asarray(self.grad(_closure_points(self.domain, x)), dtype=float))
+        p = _closure_points(self.domain, x)
+        g = self.grad(p) if p.ndim == 1 else [self.grad(q) for q in p]
+        return np.asarray(g, dtype=float).reshape(p.shape)
 
     def fd_hessian(self, x) -> np.ndarray:
-        m = np.asarray(self.hess(_closure_points(self.domain, x)), dtype=float)
-        return m.reshape(self.domain.dim, self.domain.dim)
+        p = _closure_points(self.domain, x)
+        m = self.hess(p) if p.ndim == 1 else [self.hess(q) for q in p]
+        return np.asarray(m, dtype=float).reshape(p.shape + (self.domain.dim,))
 
 
 @dataclass(eq=False)

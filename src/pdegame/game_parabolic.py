@@ -24,12 +24,12 @@ interpolates the values there and plays :func:`play_1d`, one branch
 evaluation over the plan's columns (a base column per node, a line
 column per boundary-layer node): the min over moves of every column,
 then at each layer node the max of its two columns.  The 1D audits of
-``consistency`` play the same function on their own points, reading
-their test function there.  The pointwise ``s_eps`` is the reference
-oracle of both, matched bit for bit at every point, and remains the
-operator of the 2D audits.  The score game of the paper has an upper and a
-lower value; the scalar game has a single one, so the ``parabolic``
-mode's ``solve_levelset`` is the same solve.
+``consistency`` play it on their own points and test function, for all
+z at once.  The pointwise ``s_eps`` is the reference oracle of both,
+matched bit for bit at every point, and remains the operator of the 2D
+audits.  The score game of the paper has an upper and a lower value; the
+scalar game has a single one, so the ``parabolic`` mode's
+``solve_levelset`` is the same solve.
 """
 from __future__ import annotations
 
@@ -209,7 +209,8 @@ def play_1d(problem, plan, probe_values, landing_values, z, t):
     branch values ``phi(landing) - p step - 0.5 G step^2 - dt f + penalty``
     over (move, column), their min over moves, and at each layer row the
     max of its line column and its base column.  ``z`` is one running
-    value or one per column.  The round is parabolic: t=None raises, as the
+    value, one per column, or an ``(nz, 1, 1)`` stack, played at once into
+    one row of values per z.  The round is parabolic: t=None raises, as the
     stationary round is ``game_elliptic.StationaryStep``.  The game
     parameters are the plan's."""
     if t is None:
@@ -219,11 +220,11 @@ def play_1d(problem, plan, probe_values, landing_values, z, t):
     D = plan.step
     vals = landing_values - P * D - 0.5 * (D * G * D) - plan.params.time_step * F
     np.add(vals, plan.penalty, out=vals, where=plan.crossed)
-    worst = vals.min(axis=0)
+    worst = vals.min(axis=-2).T  # columns first, with or without a z stack
     n, L = len(probe_values[0]), plan.layer_rows
     best = worst[:n]
     best[L] = np.maximum(best[L], worst[n:])
-    return best
+    return best.T
 
 
 # -- the parabolic mode's entry point --------------------------------------

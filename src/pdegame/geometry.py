@@ -111,11 +111,12 @@ class DomainGeometry:
         return self.radius - np.sqrt(np.vecdot(rel, rel))
 
     def outside_by(self, x):
-        """Distance from ``x`` to the closure (0 for points inside); for a
-        ``(k, dim)`` stack of points, the array of their distances."""
+        """Distance from ``x`` to the closure (0 inside, NaN at a NaN point);
+        for a ``(k, dim)`` stack of points, the array of their distances."""
         if np.ndim(x) == 2:
             return np.maximum(-self._gap(np.asarray(x, dtype=float)), 0.0)
-        return max(0.0, -float(self._gap(_as_point(x, self.dim))))
+        out = -float(self._gap(_as_point(x, self.dim)))
+        return 0.0 if out <= 0.0 else out
 
     def boundary_gap(self, x):
         """Distance from ``x`` to the boundary, from inside or outside; for a
@@ -127,10 +128,10 @@ class DomainGeometry:
 
     def dist_to_boundary(self, x) -> float:
         """Distance from ``x`` to the boundary; raises ``ValueError`` when
-        ``x`` lies outside the closure by more than ``tol``."""
+        ``x`` lies outside the closure by more than ``tol`` or has a NaN coordinate."""
         p = _as_point(x, self.dim)
         gap = float(self._gap(p))
-        if -gap > self.tol:
+        if not -gap <= self.tol:
             raise ValueError(f"point {p} lies outside the domain closure by {-gap:g}")
         return max(gap, 0.0)
 

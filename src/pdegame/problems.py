@@ -48,12 +48,12 @@ def boundary_function(domain: DomainGeometry, fn):
         p = np.asarray(x, dtype=float)
         if p.ndim < 2:  # one point
             p = np.atleast_1d(p)
-            if domain.boundary_gap(p) > domain.tol:
+            if not domain.boundary_gap(p) <= domain.tol:  # NaN is off too
                 raise ValueError(f"boundary datum evaluated off the boundary at {p}")
             return float(fn(p))
-        off = np.flatnonzero(domain.boundary_gap(p) > domain.tol)
-        if len(off):
-            raise ValueError(f"boundary datum evaluated off the boundary at {p[off[0]]}")
+        on = domain.boundary_gap(p) <= domain.tol
+        if not on.all():
+            raise ValueError(f"boundary datum evaluated off the boundary at {p[on.argmin()]}")
         return np.array([float(fn(q)) for q in p])
 
     return guarded

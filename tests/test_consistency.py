@@ -40,7 +40,7 @@ from pdegame.game_parabolic import s_eps
 from pdegame.geometry import ball, interval
 from pdegame.params import ValidationError, make_params
 from pdegame.problems import ParabolicProblem, get_problem
-from pdegame.strategies import neumann_bounds
+from pdegame.strategies import build_frame, gamma_opt, neumann_bounds, p_opt
 
 from sampling import layer_points
 
@@ -425,9 +425,10 @@ class TestAuditPoint:
         rows = run_audit_suite(eps_ladder=(0.2,), include_disk=True).rows
         # one audit per case: 8 on the interval (25 points), 2 on the disk (4 points)
         assert [len(a[0]) for a in audits] == [4, 3, 4, 3, 3, 3, 3, 2, 2, 2]
-        # each interval case builds one plan, played once per z = (0.0, 1.5)
-        assert len({id(plan) for plan, _ in plays}) == 8
-        assert [z for _, z in plays] == [0.0, 1.5] * 8
+        # each interval case builds one plan, played once for every z = (0.0, 1.5)
+        assert len(plays) == len({id(plan) for plan, _ in plays}) == 8
+        for _, z in plays:
+            assert z.shape == (2, 1, 1) and z.ravel().tolist() == [0.0, 1.5]
         # s_eps runs once per disk point, with z = 0.0, and never on the interval
         assert [c[4].domain.dim for c in calls] == [2] * 4
         assert len(rows) == 2 * (25 * 2 + 4) == 108
@@ -481,17 +482,23 @@ class TestMinFOnBall:
         _kinked_problem,
     ], ids=["heat", "drift", "no-f_batched"])
     def test_is_the_per_sample_loop_bit_for_bit(self, dom, make):
+        # one stacked call serves three points, each with its own center,
+        # Hessian and radius, and three running values
         problem = make(dom)
         rng = np.random.default_rng(3)
-        xp = np.full(dom.dim, 0.1)
-        for radius in (0.05, 0.7, 2.3):
-            for z in (0.0, 1.5, -0.7):
-                p_center = rng.normal(size=dom.dim)
-                A = rng.normal(size=(dom.dim, dom.dim))
-                Gamma = A + A.T
-                got = cons._min_f_on_ball(problem, 0.25, xp, z, p_center, Gamma, radius)
-                want = reference_min_f_on_ball(problem, 0.25, xp, z, p_center, Gamma, radius)
-                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        pts = np.full((3, dom.dim), 0.1)
+        zs = (0.0, 1.5, -0.7)
+        for _ in range(3):
+            p_center = rng.normal(size=(3, dom.dim))
+            A = rng.normal(size=(3, dom.dim, dom.dim))
+            Gamma = A + A.swapaxes(1, 2)
+            radius = np.array([0.05, 0.7, 2.3])
+            got = cons._min_f_on_ball(problem, 0.25, pts, zs, p_center, Gamma, radius)
+            for z, row in zip(zs, got):
+                for i, value in enumerate(row):
+                    want = reference_min_f_on_ball(problem, 0.25, pts[i], z, p_center[i],
+                                                   Gamma[i], radius[i])
+                    assert np.float64(value).tobytes() == np.float64(want).tobytes()
 
 
 class TestHessNorm:
@@ -508,6 +515,185 @@ class TestHessNorm:
                 H = A + A.T
                 want = np.linalg.norm(H, 2)
                 assert abs(cons._hess_norm(H) - want) <= 4 * np.spacing(want)
+
+
+# -- the per-point audit, the oracle of the array pass ----------------------
+
+
+def reference_hess_norm(hess) -> float:
+    """Spectral norm of one symmetric Hessian, by ``eigvalsh``."""
+    return float(np.max(np.abs(np.linalg.eigvalsh(np.atleast_2d(np.asarray(hess, dtype=float))))))
+
+
+def reference_classify_case(d, params, bounds, hnorm) -> str:
+    ell = params.move_bound
+    if d >= ell or not bounds.possible:
+        return CASE_FAR_SMALL
+    eps = params.eps
+    if bounds.M > (4.0 / 3.0) * hnorm * ell:
+        return CASE_BIG_BONUS
+    if d >= ell - eps**params.rho:
+        return CASE_FAR_SMALL
+    if bounds.M <= -(eps ** (1.0 - params.alpha - params.kappa)):
+        return CASE_CLOSE_BIG_PENALTY
+    return CASE_CLOSE_SMALL
+
+
+def reference_classify_lower(d, ell, bounds, hnorm) -> str:
+    if d >= ell or not bounds.possible:
+        return CASE_LOWER_BIG_BONUS
+    if bounds.m > 0.5 * (3.0 * ell - d) * hnorm:
+        return CASE_LOWER_BIG_BONUS
+    return CASE_LOWER_SMALL
+
+
+def reference_point_rows(xp, t, zs, values, phi_x, phi, problem, params) -> list:
+    """The rows of one point, everything computed at that point alone: its
+    derivatives, frame, Neumann bounds and explicit announcements, then per
+    z a scalar f call per row (a per-sample loop on the sample ball)."""
+    dom, eps, ell = problem.domain, params.eps, params.move_bound
+    grad, hess = phi.fd_gradient(xp), phi.fd_hessian(xp)
+    frame = build_frame(dom, xp, ell)
+    d = frame.d
+    bounds = neumann_bounds(dom, xp, ell, problem.h, grad)
+    hnorm = reference_hess_norm(hess)
+    if bounds.possible:
+        p_M, p_m = p_opt(frame, grad, hess, bounds.M), p_opt(frame, grad, hess, bounds.m)
+        G_o = gamma_opt(frame, hess)
+    upper_case = reference_classify_case(d, params, bounds, hnorm)
+    lower_case = reference_classify_lower(d, ell, bounds, hnorm)
+    slack = cons.SLACK_CONST * eps**cons.SLACK_POWER
+    tag, point, rows = cons._domain_tag(dom), tuple(float(v) for v in xp), []
+    for z, value in zip(zs, values):
+        lhs = value - phi_x
+        if upper_case == CASE_BIG_BONUS:
+            rhs = 3.0 * (ell - d) * bounds.M - eps**2 * float(problem.f(t, xp, z, p_M, G_o))
+        elif upper_case == CASE_FAR_SMALL:
+            rhs = -(eps**2) * float(problem.f(t, xp, z, grad, hess))
+        elif upper_case == CASE_CLOSE_SMALL:
+            c1 = (20.0 / 3.0) * hnorm * (1.0 - d / ell)
+            shifted = np.atleast_2d(np.asarray(hess, dtype=float)) + c1 * np.eye(dom.dim)
+            rhs = -(eps**2) * float(problem.f(t, xp, z, grad, shifted))
+        else:
+            r = 3.0 * (1.0 - d / ell) * abs(bounds.M)
+            rhs = 0.25 * (ell - d) * bounds.M - eps**2 * reference_min_f_on_ball(
+                problem, t, xp, z, p_M, G_o, r)
+        rhs = rhs + slack
+        rows.append(AuditRow(tag, eps, point, upper_case, lhs, rhs, lhs - rhs))
+        if lower_case == CASE_LOWER_BIG_BONUS:
+            rhs = -(eps**2) * float(problem.f(t, xp, z, grad, hess))
+        else:
+            s = -1.0 if bounds.m >= 0.0 else 3.0
+            rhs = 0.5 * (ell - d) * (s * bounds.m - 4.0 * hnorm * ell) - eps**2 * float(
+                problem.f(t, xp, z, p_m, G_o))
+        rows.append(AuditRow(tag, eps, point, lower_case, lhs, rhs, rhs - lhs))
+    return rows
+
+
+def reference_audit_point(x, t, z, phi, problem, params) -> tuple:
+    """:func:`audit_point` point by point: S[phi] by the pointwise ``s_eps``
+    and the rows by :func:`reference_point_rows`."""
+    pts = np.reshape(np.asarray(x, dtype=float), (-1, problem.domain.dim))
+    zs = (z,) if np.ndim(z) == 0 else tuple(z)
+    rows = []
+    for xp in pts:
+        values = s_eps(phi, xp, t, zs, problem, params)
+        rows += reference_point_rows(xp, t, zs, values, phi.eval(xp), phi, problem, params)
+    return tuple(rows)
+
+
+def assert_same_rows(got, want):
+    assert got == want
+    for a, b in zip(got, want):
+        for v, w in ((a.lhs, b.lhs), (a.rhs, b.rhs), (a.residual, b.residual)):
+            assert np.float64(v).tobytes() == np.float64(w).tobytes()
+
+
+def _test_field(dom, kind, slope):
+    return {
+        "affine": lambda: cons._affine(dom, slope),
+        "quadratic": lambda: cons._quadratic(dom, slope, -2.0 * slope),
+        "cosine": lambda: cons._cos_profile(dom, slope, 3.0),
+        "barrier": lambda: exact_barrier(dom, abs(slope)),
+    }[kind]()
+
+
+def _test_problem(dom, kind, flux):
+    if kind == "kinked":
+        return ParabolicProblem(
+            name="kinked", domain=dom, g=lambda x: 0.0, h=lambda x: flux, T=1.0,
+            f=lambda t, x, z, p, G: -float(np.trace(G)) + z * abs(float(p[0]) - 0.3)
+            + float(p @ p))
+    make = cons._heat_problem if kind == "heat" else cons._drift_problem
+    return make(dom, lambda x: flux, kind)
+
+
+AUDIT_CASES = dict(
+    eps=st.sampled_from((0.2, 0.1, 0.05)),
+    field=st.sampled_from(("affine", "quadratic", "cosine", "barrier")),
+    slope=st.sampled_from((-1.0, -0.3, 0.0, 0.2, 1.0)),
+    problem=st.sampled_from(("heat", "drift", "kinked")),
+    flux=st.sampled_from((0.0, 2.0, -1.5)),
+    z=st.one_of(st.sampled_from((0.0, 1.5)),
+                st.lists(st.sampled_from((0.0, 1.5, -2.0)), min_size=1, max_size=3)),
+)
+
+
+class TestArrayPass:
+    @settings(max_examples=60, deadline=None)
+    @given(x0=st.lists(st.one_of(st.sampled_from((0.0, 1.0, 0.5)), st.floats(0.0, 1.0)),
+                       min_size=1, max_size=5), **AUDIT_CASES)
+    def test_interval_rows_are_the_per_point_rows_bit_for_bit(self, x0, eps, field, slope,
+                                                              problem, flux, z):
+        params = make_params(eps, lambda_rate=1.0)
+        args = (np.array(x0)[:, None], 0.25, z, _test_field(DOM, field, slope),
+                _test_problem(DOM, problem, flux), params)
+        assert_same_rows(audit_point(*args), reference_audit_point(*args))
+
+    @settings(max_examples=25, deadline=None)
+    @given(polar=st.lists(st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0 * math.pi)),
+                          min_size=1, max_size=3), **AUDIT_CASES)
+    def test_disk_rows_are_the_per_point_rows_bit_for_bit(self, polar, eps, field, slope,
+                                                          problem, flux, z):
+        # wall distances from 0 to 2 ell, at any angle
+        params = make_params(eps, lambda_rate=1.0)
+        pts = np.array([(1.0 - f * params.move_bound) * np.array([math.cos(a), math.sin(a)])
+                        for f, a in polar])
+        args = (pts, 0.25, z, _test_field(DISK, field, slope), _test_problem(DISK, problem, flux),
+                params)
+        assert_same_rows(audit_point(*args), reference_audit_point(*args))
+
+    @pytest.mark.parametrize("problem", ["heat", "drift", "kinked"])
+    def test_disk_close_big_penalty_rows_are_the_per_point_rows(self, problem):
+        # a rising slope against no flux: the bonus -1 is a strong penalty,
+        # a label that the shipped catalog reaches only on the interval
+        params = make_params(0.2, lambda_rate=1.0)
+        ell = params.move_bound
+        pts = np.array([[1.0, 0.0], [1.0 - 0.1 * ell, 0.0], [0.0, -1.0 + 0.2 * ell]])
+        args = (pts, 0.25, (0.0, 1.5), affine(DISK, 1.0), _test_problem(DISK, problem, 0.0),
+                params)
+        rows = audit_point(*args)
+        assert [r.case for r in rows[::2]].count(CASE_CLOSE_BIG_PENALTY) == 4
+        assert_same_rows(rows, reference_audit_point(*args))
+
+    def test_shipped_suite_rows_are_the_per_point_rows(self):
+        params = make_params(0.1, lambda_rate=1.0)
+        dd = cons._interval_layer(params.move_bound, params.eps, params.rho)
+        ell = params.move_bound  # and d = ell, where a step first fails to cross
+        x = np.array([[dd[k]] for k in ("wall", "close", "band", "interior")]
+                     + [[1.0 - dd["close"]], [ell], [np.nextafter(ell, 0.0)], [1.0 - ell]])
+        for phi, flux in ((affine(DOM, -1.0), 2.0), (affine(DOM, -1.0), 0.0),
+                          (cons._quadratic(DOM, -0.1, 2.0), 0.0), (exact_barrier(DOM, 1.0), 0.0)):
+            args = (x, 0.25, (0.0, 1.5), phi, heat_problem(DOM, flux), params)
+            assert_same_rows(audit_point(*args), reference_audit_point(*args))
+
+    @pytest.mark.parametrize("x, dom", [([np.nan], DOM), ([0.2, np.nan], DISK)],
+                             ids=["interval", "disk"])
+    def test_a_nan_point_raises_naming_it(self, x, dom):
+        params = make_params(0.2, lambda_rate=1.0)
+        pts = np.array([np.full(dom.dim, 0.5), x])
+        with pytest.raises(ValueError, match=r"point \[.*nan\] outside"):
+            audit_point(pts, 0.25, 0.0, affine(dom, -1.0), heat_problem(dom, 0.0), params)
 
 
 # -- shipped suite ----------------------------------------------------------
@@ -667,6 +853,18 @@ class TestBarrierAudits:
         assert len(rep.rows) == 2 * len(step.x_nodes) == 24
         assert rep.rows == rows
         assert got_c_star == c_star
+
+    @pytest.mark.parametrize("eps", [0.2, 0.1, 0.05, 0.025, 0.0125])
+    def test_c_star_is_the_per_node_loop_bit_for_bit(self, eps):
+        lap = get_problem("laplace_elliptic_1d")
+        params = make_params(eps, lambda_rate=lap.lambda_rate)
+        caps = build_caps(lap, params, cap_M=10.0)
+        psi = caps.psi
+        want = max(abs(float(lap.f(x, 0.0, psi.fd_gradient(x), psi.fd_hessian(x))))
+                   for x in StationaryStep(lap, params).x_nodes[:, None])
+        _, got = audit_wall_shift(lap, params, caps)
+        assert type(got) is float and want > 0.0
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
     def test_wall_shift_audit_plays_neither_the_1d_kernel_nor_s_eps(self, monkeypatch):
         def forbidden(*args):

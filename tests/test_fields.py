@@ -1,5 +1,6 @@
 """Interpolation of lattice fields and the derivatives of analytic fields."""
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -125,3 +126,55 @@ def test_stacked_eval_names_the_first_point_outside_the_closure(field):
     pts = np.concatenate([pts[:3], [outside, 2.0 * outside], pts[3:]])
     with pytest.raises(ValueError, match=rf"evaluation point {re.escape(str(outside))} outside"):
         field.eval(pts)
+
+
+def _derivative_fields():
+    """Analytic fields with their derivatives on the interval and the disk."""
+    dom, disk = interval(0.0, 1.0), ball((0.0, 0.0), 1.0)
+    return [
+        AnalyticField(dom, lambda p: np.sin(2.0 * p[0]) + p[0] ** 3,
+                      grad=lambda p: np.array([2.0 * np.cos(2.0 * p[0]) + 3.0 * p[0] ** 2]),
+                      hess=lambda p: np.array([[-4.0 * np.sin(2.0 * p[0]) + 6.0 * p[0]]])),
+        AnalyticField(disk, lambda p: np.exp(p[0]) * np.cos(p[1]),
+                      grad=lambda p: np.exp(p[0]) * np.array([np.cos(p[1]), -np.sin(p[1])]),
+                      hess=lambda p: np.exp(p[0]) * np.array([[np.cos(p[1]), -np.sin(p[1])],
+                                                              [-np.sin(p[1]), -np.cos(p[1])]])),
+    ]
+
+
+@pytest.mark.parametrize("field", _derivative_fields(), ids=["interval", "disk"])
+def test_stacked_derivatives_are_the_pointwise_ones_bit_for_bit(field):
+    pts = _stack(field.domain, np.random.default_rng(9))
+    dim = field.domain.dim
+    grad, hess = field.fd_gradient(pts), field.fd_hessian(pts)
+    assert grad.shape == (len(pts), dim) and hess.shape == (len(pts), dim, dim)
+    assert grad.tobytes() == np.array([field.fd_gradient(q) for q in pts]).tobytes()
+    assert hess.tobytes() == np.array([field.fd_hessian(q) for q in pts]).tobytes()
+
+
+@pytest.mark.parametrize("field", _derivative_fields(), ids=["interval", "disk"])
+def test_stacked_derivatives_name_the_first_point_outside_the_closure(field):
+    calls, grad = [], field.grad
+    field = replace(field, grad=lambda p: calls.append(p) or grad(p))
+    pts = _stack(field.domain, np.random.default_rng(10), k=6)
+    outside = np.full(field.domain.dim, 1.5)
+    pts = np.concatenate([pts[:3], [outside, 2.0 * outside], pts[3:]])
+    for read in (field.fd_gradient, field.fd_hessian):
+        with pytest.raises(ValueError, match=rf"evaluation point {re.escape(str(outside))} outside"):
+            read(pts)
+    assert not calls  # one closure check runs before any row is read
+
+
+@pytest.mark.parametrize("field", _fields() + _derivative_fields(),
+                         ids=FIELD_IDS + ["derivatives-interval", "derivatives-disk"])
+@pytest.mark.parametrize("where", ["point", "stack"])
+def test_a_nan_point_fails_the_closure_check(field, where):
+    dim = field.domain.dim
+    bad = np.array([0.25, np.nan][-dim:])
+    x = bad if where == "point" else np.array([np.full(dim, 0.5), bad, np.full(dim, 0.5)])
+    reads = [field.eval]
+    if isinstance(field, AnalyticField):
+        reads += [field.fd_gradient, field.fd_hessian]
+    for read in reads:
+        with pytest.raises(ValueError, match=rf"evaluation point {re.escape(str(bad))} outside"):
+            read(x)

@@ -187,6 +187,20 @@ class TestPlayOnPoints:
                 phi_x = [phi.eval(np.array([xi])) for xi in pts]
                 assert probe[0].tobytes() == np.array(phi_x).tobytes()
 
+    @pytest.mark.parametrize("eps", [0.2, 0.1, 0.05])
+    def test_a_z_stack_plays_the_values_of_each_z_in_turn(self, eps):
+        params = make_params(eps, lambda_rate=1.0)
+        zs = (0.0, 1.5, -2.0)
+        for phi, x in suite_cases(eps):
+            for prob, t in play_games():
+                plan = CandidatePlan1D(DOM, x[:, 0], params, prob.h)
+                probe, landing = (phi.eval(q.reshape(-1, 1)).reshape(q.shape)
+                                  for q in (plan.probes, plan.landing))
+                got = play_1d(prob, plan, probe, landing, np.reshape(zs, (-1, 1, 1)), t)
+                want = [play_1d(prob, plan, probe, landing, z, t) for z in zs]
+                assert got.shape == (len(zs), len(x))
+                assert got.tobytes() == np.array(want).tobytes(), prob.name
+
     def test_play_without_time_raises(self):
         prob = get_problem("laplace_elliptic_1d")
         plan = CandidatePlan1D(DOM, np.array([0.02, 0.5]), make_params(0.2), prob.h)

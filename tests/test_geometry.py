@@ -2,13 +2,14 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pdegame import geometry
-from pdegame.problems import boundary_function
+from pdegame.problems import boundary_function, get_problem
 
 
 EPS = 0.05
@@ -144,6 +145,34 @@ def test_one_norm_dist_to_boundary_keeps_its_bytes_and_its_error(dom):
         got = dom.dist_to_boundary(p)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
     assert raised > 0
+
+
+NAN_POINTS = [
+    (geometry.interval(0.0, 1.0), [np.nan]),
+    (geometry.interval(0.0, np.pi), [np.nan]),
+    (geometry.ball((0.0, 0.0), 1.0), [np.nan, 0.0]),
+    (geometry.ball((0.3, -0.2), 0.7), [1.0, np.nan]),
+]
+
+
+@pytest.mark.parametrize("dom, x", NAN_POINTS, ids=["unit", "pi", "disk-x", "ball-y"])
+def test_a_nan_point_fails_the_closure_and_boundary_guards(dom, x):
+    p = np.array(x)
+    assert np.isnan(dom.outside_by(p))
+    with pytest.raises(ValueError, match=rf"point {re.escape(str(p))} lies outside"):
+        dom.dist_to_boundary(p)
+    h = boundary_function(dom, lambda q: 0.0)
+    on = random_boundary_point(dom, np.random.default_rng(1))
+    for arg in (p, np.array([on, p, on])):  # a point, and a stack whose second row is p
+        with pytest.raises(ValueError, match=rf"off the boundary at {re.escape(str(p))}"):
+            h(arg)
+
+
+def test_the_catalog_neumann_datum_rejects_a_nan_point():
+    h = get_problem("heat1d_cosine").h
+    assert h(np.array([np.pi])) == 0.0
+    with pytest.raises(ValueError, match=r"off the boundary at \[nan\]"):
+        h(np.array([np.nan]))
 
 
 def reference_gap(dom, p) -> float:
