@@ -23,7 +23,7 @@ Every subcommand but ``solve`` is the mode of the same name, and ``solve``
 takes ``--mode``.  Each mode takes one problem class: ``elliptic`` and
 ``audit-elliptic`` an all-Neumann ``EllipticProblem``, ``mixed`` a
 ``MixedEllipticProblem``, the scalar modes a ``ParabolicProblem``;
-``consistency`` takes none.
+``consistency`` takes none, and rejects a problem or an ``alpha``.
 
 Configuration is a key-value text file (``key = value``, ``#``
 comments); every resolved setting — including defaults — is recorded
@@ -83,6 +83,9 @@ class RunConfig:
             )
         if not self.eps_ladder:
             raise ValidationError("eps_ladder must not be empty")
+        if self.mode == "consistency" and (self.alpha is not None or self.problem):
+            raise ValidationError("consistency mode takes neither a problem nor alpha; got "
+                                  f"problem={self.problem!r}, alpha={self.alpha!r}")
         ladder = self.eps_ladder
         if self.mode == "convergence" and any(b >= a for a, b in zip(ladder, ladder[1:])):
             raise ValidationError(

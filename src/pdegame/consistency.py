@@ -18,12 +18,13 @@ from its residual and case.  The barrier-round lemma, ``S[psi] - psi <=
 C (1 + |z|) eps**2`` and its mirror on ``-psi``, is not audited here: the
 tests check it on the pointwise ``s_eps``.
 
-In the catalog, on the interval ``S[phi]`` is the scalar solver's own 1D
-kernel: one ``strategies.CandidatePlan1D`` on a case's points, phi read
+In the catalog, the cases of a (rung, problem) are one array pass over
+all their points, on both domains (:func:`audit_cases`).  On the interval
+``S[phi]`` is the scalar solver's own 1D kernel: one
+``strategies.CandidatePlan1D`` on the pass's points, each case's phi read
 at its probes and landings by one ``eval``, one ``game_parabolic.play_1d``
 for all z.  The pointwise ``s_eps``, its oracle bit for bit in the tests,
-plays each disk point.  The rest of a case's audit is one array pass over
-its points, on both domains (:func:`audit_point`).
+plays each disk point with its case's phi.
 
 The higher-order error allowance is operationalized as a
 measured-then-frozen envelope ``SLACK_CONST * eps**SLACK_POWER``: the
@@ -69,6 +70,7 @@ __all__ = [
     "AuditRow",
     "ConsistencyReport",
     "classify_case",
+    "audit_cases",
     "audit_point",
     "audit_upper",
     "audit_lower",
@@ -210,27 +212,29 @@ def _row(dom, eps, xp, case, lhs, rhs, residual) -> AuditRow:
                     residual)
 
 
-def _round_and_walls(phi, pts, t, zs, problem, params, grad, hess) -> tuple:
+def _round_and_walls(parts, pts, t, zs, problem, params, grad, hess) -> tuple:
     """``(lhs, d, m, M, possible, p_M, p_m, G_o)`` at the ``(k, dim)`` points,
-    where phi has the derivatives grad and hess: S[phi] - phi, ``(nz, k)``;
-    the wall distance, the Neumann bounds and whether a step crosses; the
-    announcements ``p_opt`` at M and at m and ``gamma_opt``, else (with
-    m = M = 0) the derivatives, which no label then reads.
+    each ``(phi, slice)`` of ``parts`` a field on its slice of them, with the
+    derivatives grad and hess: S[phi] - phi, ``(nz, k)``; the wall distance,
+    the Neumann bounds and whether a step crosses; the announcements
+    ``p_opt`` at M and at m and ``gamma_opt``, else (with m = M = 0) the
+    derivatives, which no label then reads.
 
-    On the interval one ``CandidatePlan1D`` reads phi by one ``eval`` at its
-    probes (the first row is the points) and base landings, ``play_1d``
-    plays all z, and the plan's coefficients give the wall data in closed
-    form: m = M = h(wall) - g n at the one wall in reach.  On the disk
-    ``s_eps``, ``build_frame``, ``neumann_bounds`` (only where d < ell),
-    ``p_opt`` and ``gamma_opt`` run point by point.
-    """
+    On the interval one ``CandidatePlan1D`` on all the points, one ``eval``
+    of each phi at its slice of the probes (the first row is the points)
+    and base landings, one ``play_1d`` for all z, and the plan's
+    coefficients give the wall data in closed form: m = M = h(wall) - g n
+    at the one wall in reach.  On the disk ``s_eps``, ``build_frame``,
+    ``neumann_bounds`` (only where d < ell), ``p_opt`` and ``gamma_opt`` run
+    point by point."""
     dom, ell, k = problem.domain, params.move_bound, len(pts)
     if dom.dim == 1:
         plan = CandidatePlan1D(dom, pts[:, 0], params, problem.h)
-        base, size = plan.landing[:, :k], plan.probes.size
-        read = phi.eval(np.concatenate([plan.probes.ravel(), base.ravel()])[:, None])
-        probe, landing = read[:size].reshape(plan.probes.shape), read[size:].reshape(base.shape)
-        values = play_1d(problem, plan, probe, landing[:, plan.node], np.reshape(zs, (-1, 1, 1)), t)
+        read = np.concatenate([plan.probes, plan.landing[:, :k]])  # positions, read in place
+        for phi, s in parts:
+            read[:, s] = phi.eval(read[:, s].reshape(-1, 1)).reshape(read[:, s].shape)
+        probe, landing = read[:3], read[3:, plan.node]
+        values = play_1d(problem, plan, probe, landing, np.reshape(zs, (-1, 1, 1)), t)
         x, L, n = pts[:, 0], plan.layer_rows, plan.normal
         d = np.maximum(np.minimum(x - dom.a, dom.c - x), 0.0)
         g, H = grad[L, 0], hess[L, 0, 0]
@@ -240,7 +244,7 @@ def _round_and_walls(phi, pts, t, zs, problem, params, grad, hess) -> tuple:
         p[L, 0] = g + (plan.bound_coef * m[L] - plan.hess_coef * H) * n
         G[L, 0, 0] = H + plan.flat_coef * H
         return values - probe[0], d, m, m, d < ell, p, p, G
-    values = np.array([s_eps(phi, xp, t, zs, problem, params) for xp in pts]).T
+    values = [s_eps(phi, xp, t, zs, problem, params) for phi, s in parts for xp in pts[s]]
     d, m, M = np.zeros((3, k))
     possible = np.zeros(k, dtype=bool)
     p_M, p_m, G_o = grad.copy(), grad.copy(), hess.copy()
@@ -253,17 +257,20 @@ def _round_and_walls(phi, pts, t, zs, problem, params, grad, hess) -> tuple:
                 possible[i], m[i], M[i] = True, bounds.m, bounds.M
                 p_M[i], p_m[i] = (p_opt(frame, grad[i], hess[i], b) for b in (bounds.M, bounds.m))
                 G_o[i] = gamma_opt(frame, hess[i])
-    return values - phi.eval(pts), d, m, M, possible, p_M, p_m, G_o
+    phi_x = np.concatenate([phi.eval(pts[s]) for phi, s in parts])
+    return np.reshape(values, (k, len(zs))).T - phi_x, d, m, M, possible, p_M, p_m, G_o
 
 
-def audit_point(x, t, z, phi, problem, params) -> tuple:
-    """Audit both one-sided estimates for ``S[phi] - phi`` at x, a point
-    or a ``(k, dim)`` stack of points, for the running value z or for each
-    of a sequence z.
+def audit_cases(cases, t, z, problem, params) -> list:
+    """Audit both one-sided estimates for ``S[phi] - phi`` on each case
+    ``(phi, x)`` of ``cases``, x a point or a ``(k, dim)`` stack of points,
+    for the running value z or for each of a sequence z.
 
-    Returns, point by point, ``(upper_row, lower_row)`` per z, concatenated
-    in z order.  One array pass over the stack, the same on both domains,
-    computes S[phi] and the wall data (:func:`_round_and_walls`), the
+    Returns one tuple of rows per case, in case order: point by point,
+    ``(upper_row, lower_row)`` per z, concatenated in z order.  Each case's
+    phi gives the derivatives and S[phi] at its own points; the rest is
+    one array pass over the stack of every case's points, the same on both
+    domains: S[phi] and the wall data (:func:`_round_and_walls`), the
     labels, f at each (z, announcement, point) by one :func:`_f_table` (and
     by one more on the close-big-penalty rows' sample ball), and the bounds
     and residuals; only the rows are built one by one.
@@ -275,10 +282,13 @@ def audit_point(x, t, z, phi, problem, params) -> tuple:
     maximizer, so no allowance, ``residual = rhs - lhs``.
     """
     dom, eps, ell = problem.domain, params.eps, params.move_bound
-    pts = np.reshape(np.asarray(x, dtype=float), (-1, dom.dim))
-    zs = (z,) if np.ndim(z) == 0 else tuple(z)
-    grad, hess = phi.fd_gradient(pts), phi.fd_hessian(pts)
-    lhs, d, m, M, possible, p_M, p_m, G_o = _round_and_walls(phi, pts, t, zs, problem, params,
+    stacks = [np.reshape(np.asarray(x, dtype=float), (-1, dom.dim)) for _, x in cases]
+    ends = np.cumsum([0] + [len(x) for x in stacks]).tolist()
+    parts = [(phi, slice(a, b)) for (phi, _), a, b in zip(cases, ends, ends[1:])]
+    pts, zs = np.concatenate(stacks), ((z,) if np.ndim(z) == 0 else tuple(z))
+    grad = np.concatenate([phi.fd_gradient(pts[s]) for phi, s in parts])
+    hess = np.concatenate([phi.fd_hessian(pts[s]) for phi, s in parts])
+    lhs, d, m, M, possible, p_M, p_m, G_o = _round_and_walls(parts, pts, t, zs, problem, params,
                                                              grad, hess)
     hnorm = _hess_norm(hess)
 
@@ -304,11 +314,17 @@ def audit_point(x, t, z, phi, problem, params) -> tuple:
     rhs_low = np.where(small, floor + f_term[:, 1], f_term[:, 1])
     table = np.array([[lhs, rhs_up, lhs - rhs_up], [lhs, rhs_low, rhs_low - lhs]])
     tag, rows = _domain_tag(dom), []
-    for xp, cases, per_z in zip(pts.tolist(), zip(upper.tolist(), lower.tolist()),
-                                table.transpose(3, 2, 0, 1).tolist()):  # (point, z, side, value)
+    for xp, labels, per_z in zip(pts.tolist(), zip(upper.tolist(), lower.tolist()),
+                                 table.transpose(3, 2, 0, 1).tolist()):  # (point, z, side, value)
         for pair in per_z:
-            rows += [AuditRow(tag, eps, tuple(xp), case, *v) for case, v in zip(cases, pair)]
-    return tuple(rows)
+            rows += [AuditRow(tag, eps, tuple(xp), case, *v) for case, v in zip(labels, pair)]
+    per_point = 2 * len(zs)
+    return [tuple(rows[per_point * s.start:per_point * s.stop]) for _, s in parts]
+
+
+def audit_point(x, t, z, phi, problem, params) -> tuple:
+    """The rows of :func:`audit_cases` on the one case ``(phi, x)``."""
+    return audit_cases([(phi, x)], t, z, problem, params)[0]
 
 
 def audit_upper(x, t, z, phi, problem, params) -> AuditRow:
@@ -442,44 +458,47 @@ def run_audit_suite(
     profile) with flux choices so that every case label is exercised at
     every rung of the ladder; points are placed at named wall
     distances inside each threshold band.  Each point contributes, for
-    each z in turn, its upper row, then its lower row; one
-    :func:`audit_point` call serves all the points of a (rung, case).
+    each z in turn, its upper row, then its lower row, in catalog order;
+    one :func:`audit_cases` pass serves all the cases of a (rung, problem).
 
     Raises ``ValidationError`` before any audit runs if :func:`audit_ladder` does.
     """
-    dom = interval(0.0, 1.0)
-    disk = ball((0.0, 0.0), 1.0)
+    dom, disk = interval(0.0, 1.0), ball((0.0, 0.0), 1.0)
     ladder = audit_ladder(eps_ladder, include_disk)
     t = 0.25  # the audited problems' f does not read t
     h0 = lambda x: 0.0
-    h2 = lambda x: 2.0
-    report = ConsistencyReport()
+    aud_h2, aud_h0 = _heat_problem(dom, lambda x: 2.0, "aud_h2"), _heat_problem(dom, h0, "aud_h0")
+    aud_dr, disk_h0 = _drift_problem(dom, h0, "aud_dr"), _heat_problem(disk, h0, "aud_disk_h0")
+    disk_h2 = _heat_problem(disk, lambda x: 2.0, "aud_disk_h2")
+    catalog = [
+        # (phi, problem, point kinds): labels emerge from thresholds
+        (_affine(dom, -1.0), aud_h2, ("wall", "close", "band")),
+        (_affine(dom, -1.0), aud_h0, ("wall", "close")),
+        (_affine(dom, 1.0), aud_dr, ("wall", "close", "interior")),
+        (_affine(dom, -0.3), aud_h0, ("wall", "close")),
+        (_quadratic(dom, -0.1, 2.0), aud_h0, ("close", "band")),
+        (_quadratic(dom, 0.4, -2.0), aud_dr, ("close", "interior")),
+        (exact_barrier(dom, 1.0), aud_h0, ("wall", "close")),
+        (_cos_profile(dom, 0.3, 3.0), aud_h0, ("band", "interior")),
+    ]
+    disk_catalog = [(_affine(disk, -1.0), disk_h2, (0.0, 0.3)),  # wall distances in units of ell
+                    (_affine(disk, 0.2), disk_h0, (0.5, 1.5))]
+    rungs = []  # (params, z, cases), each case (phi, problem, points)
     for params in ladder:
-        eps, ell = params.eps, params.move_bound
-        dd = _interval_layer(ell, eps, params.rho)
-        barrier = exact_barrier(dom, 1.0)
-        cases = [
-            # (phi, problem, point kinds): labels emerge from thresholds
-            (_affine(dom, -1.0), _heat_problem(dom, h2, "aud_h2"), ("wall", "close", "band")),
-            (_affine(dom, -1.0), _heat_problem(dom, h0, "aud_h0"), ("wall", "close")),
-            (_affine(dom, 1.0), _drift_problem(dom, h0, "aud_dr"), ("wall", "close", "interior")),
-            (_affine(dom, -0.3), _heat_problem(dom, h0, "aud_h0"), ("wall", "close")),
-            (_quadratic(dom, -0.1, 2.0), _heat_problem(dom, h0, "aud_h0"), ("close", "band")),
-            (_quadratic(dom, 0.4, -2.0), _drift_problem(dom, h0, "aud_dr"), ("close", "interior")),
-            (barrier, _heat_problem(dom, h0, "aud_h0"), ("wall", "close")),
-            (_cos_profile(dom, 0.3, 3.0), _heat_problem(dom, h0, "aud_h0"), ("band", "interior")),
-        ]
-        for phi, problem, kinds in cases:
-            x0 = [x for kind in kinds
-                  for x in ((dd[kind], 1.0 - dd[kind]) if kind == "close" else (dd[kind],))]
-            report.extend(audit_point(np.array(x0)[:, None], t, (0.0, 1.5), phi, problem, params))
-    if include_disk:
-        for params in ladder:
-            ell = params.move_bound
-            for phi, problem, dists in (
-                (_affine(disk, -1.0), _heat_problem(disk, h2, "aud_disk_h2"), (0.0, 0.3 * ell)),
-                (_affine(disk, 0.2), _heat_problem(disk, h0, "aud_disk_h0"), (0.5 * ell, 1.5 * ell)),
-            ):
-                pts = np.array([[1.0 - d, 0.0] for d in dists])
-                report.extend(audit_point(pts, t, 0.0, phi, problem, params))
+        dd = _interval_layer(params.move_bound, params.eps, params.rho)
+        rungs.append((params, (0.0, 1.5), [
+            (phi, problem, np.array([x for kind in kinds for x in (
+                (dd[kind], 1.0 - dd[kind]) if kind == "close" else (dd[kind],))])[:, None])
+            for phi, problem, kinds in catalog]))
+    for params in ladder if include_disk else ():
+        rungs.append((params, 0.0, [
+            (phi, problem, np.array([[1.0 - f * params.move_bound, 0.0] for f in fracs]))
+            for phi, problem, fracs in disk_catalog]))
+    report = ConsistencyReport()
+    for params, z, cases in rungs:
+        rows = {}  # case index: its rows
+        for problem in dict.fromkeys(problem for _, problem, _ in cases):  # by identity
+            ids = [i for i, case in enumerate(cases) if case[1] is problem]
+            rows.update(zip(ids, audit_cases([cases[i][::2] for i in ids], t, z, problem, params)))
+        report.extend(r for i in range(len(cases)) for r in rows[i])
     return report

@@ -89,6 +89,11 @@ class DomainGeometry:
         # Boundary-membership tolerance: pure floating-point noise margin.
         return 1e-12 * self.diameter
 
+    @cached_property
+    def reach(self) -> float:
+        """How far beyond the closure :meth:`project_to_closure` projects; NaN fails it."""
+        return math.inf if self.kind == "interval" else 0.5 * self.r_ext + self.tol
+
     @property
     def r_int(self) -> float:
         return 0.5 * self.diameter
@@ -137,15 +142,13 @@ class DomainGeometry:
 
     def project_to_closure(self, x_hat) -> np.ndarray:
         p = _as_point(x_hat, self.dim)
+        out = self.outside_by(p)
+        if not out <= self.reach:
+            beyond = "" if self.kind == "interval" else f", beyond r_ext/2 = {0.5 * self.r_ext:g}"
+            raise ValueError(f"projection undefined: point {p} is {out:g} from the closure{beyond}")
         if self.kind == "interval":
             # clamping is globally well-defined in one dimension
             return np.array([min(max(p[0], self.a), self.c)])
-        out = self.outside_by(p)
-        if out > 0.5 * self.r_ext + self.tol:
-            raise ValueError(
-                f"projection undefined: point {p} is {out:g} from the closure, "
-                f"beyond r_ext/2 = {0.5 * self.r_ext:g}"
-            )
         ctr = np.asarray(self.center, dtype=float)
         u = p - ctr
         rho = float(np.linalg.norm(u))
@@ -212,20 +215,20 @@ class DomainGeometry:
         stack ``steps`` from ``x``, row by row those of :meth:`make_move`, bit
         for bit: the same ``outside_by > tol`` crossing test, the clamp or the
         radial projection, and each norm as ``sqrt(vecdot(u, u))``, the fused
-        dot product that ``np.linalg.norm`` takes.  On the ball, a step that
-        ends beyond ``r_ext/2`` of the closure raises the ``ValueError`` that
+        dot product that ``np.linalg.norm`` takes.  A step that ends beyond
+        :attr:`reach` of the closure, or at NaN, raises the ``ValueError`` that
         :meth:`project_to_closure` raises for the first such step.
         """
         x_hat = _as_point(x, self.dim) + np.reshape(steps, (-1, self.dim))
         out = -self._gap(x_hat)
+        far = np.flatnonzero(~(out <= self.reach))  # NaN fails the comparison
+        if len(far):
+            self.project_to_closure(x_hat[far[0]])  # raises
         crossed = out > self.tol
         landing = x_hat.copy()
         if self.kind == "interval":
             landing[crossed] = np.clip(x_hat[crossed], self.a, self.c)
         else:
-            far = np.flatnonzero(out > 0.5 * self.r_ext + self.tol)
-            if len(far):
-                self.project_to_closure(x_hat[far[0]])  # raises
             ctr = np.asarray(self.center, dtype=float)
             rel = x_hat[crossed] - ctr
             landing[crossed] = ctr + rel * (self.radius / np.sqrt(np.vecdot(rel, rel)))[:, None]

@@ -357,7 +357,8 @@ class CandidatePlan1D:
     serve :meth:`announce`: the ``(3, n)`` ``probes`` (each point, then
     x + ell and x - ell, or their mirror where a probe leaves the
     interval, which adds ``flux``), and the boundary frame's hoisted
-    coefficients and wall datum at the layer rows.
+    coefficients and wall datum at the layer rows.  A point off the closure
+    by more than ``domain.tol``, or NaN, raises ``ValueError``.
     """
 
     def __init__(self, domain, x, params, h):
@@ -365,6 +366,9 @@ class CandidatePlan1D:
         a, c, tol, ell = domain.a, domain.c, domain.tol, params.move_bound
         h_a, h_c = float(h(np.array([a]))), float(h(np.array([c])))
         x = np.asarray(x, dtype=float)
+        on = domain.outside_by(x[:, None]) <= tol  # NaN is off
+        if not on.all():
+            raise ValueError(f"plan point {x[on.argmin()]} outside the domain closure")
 
         def outside(q):
             return np.maximum(np.maximum(a - q, q - c), 0.0) > tol

@@ -417,7 +417,8 @@ class TestSolveWorkflows:
         self, tmp_path, capsys, mode, problem
     ):
         # each mode takes one problem class; any other is a validation
-        # failure, never a traceback.  The audit suite takes no problem.
+        # failure, never a traceback.  The audit suite takes no problem, and
+        # naming one is a validation failure.
         kind = {
             "heat1d": ParabolicProblem,
             "parabolic": ParabolicProblem,
@@ -429,7 +430,10 @@ class TestSolveWorkflows:
         }[mode]
         rc = main(["solve", "--mode", mode, "--problem", problem, "--eps-ladder", "0.4",
                    "--out", str(tmp_path)])
-        if kind is None or type(get_problem(problem)) is kind:
+        if kind is None:
+            assert rc == 2
+            assert "takes neither a problem nor alpha" in capsys.readouterr().err
+        elif type(get_problem(problem)) is kind:
             assert rc == 0
         else:
             assert rc == 2
@@ -552,13 +556,37 @@ class TestStudyWorkflows:
         def no_audit(*args, **kwargs):
             raise AssertionError("an audit ran before validation")
 
-        monkeypatch.setattr("pdegame.consistency.audit_point", no_audit)
+        monkeypatch.setattr("pdegame.consistency.audit_cases", no_audit)
         out = tmp_path / "o"
         rc = main(["consistency", "--out", str(out), "--eps-ladder", ladder])
         assert rc == 2
         err = capsys.readouterr().err
         assert "validation failure" in err
         assert reason in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "config, argv, named",
+        [("mode = consistency\nalpha = 0.25\neps_ladder = 0.2\n", ["solve"], "alpha=0.25"),
+         ("", ["consistency", "--problem", "heat1d_cosine"], "problem='heat1d_cosine'")],
+        ids=["alpha", "problem"],
+    )
+    def test_consistency_rejects_alpha_or_a_problem_before_any_output(
+        self, tmp_path, capsys, monkeypatch, config, argv, named
+    ):
+        # the catalog audits its own problems at the default alpha, where SLACK_CONST
+        # was measured: either setting would be recorded and then ignored
+        def no_audit(*args, **kwargs):
+            raise AssertionError("an audit ran before validation")
+
+        monkeypatch.setattr("pdegame.cli.run_audit_suite", no_audit)
+        out = tmp_path / "o"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{config}out = {out}\n")
+        assert main([*argv, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "consistency mode takes neither a problem nor alpha" in err
+        assert named in err
         assert not out.exists()
 
     def test_consistency_at_eps_0_4_still_runs(self, tmp_path):

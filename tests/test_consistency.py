@@ -10,6 +10,7 @@ candidate-search operator (pinned, not hidden).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -403,13 +404,15 @@ class TestAuditPoint:
         with pytest.raises(ValidationError, match="needs a time t"):
             audit_point(np.array([0.02]), None, 0.0, affine(DOM, -1.0), lap, params)
 
-    def test_suite_plays_one_plan_per_interval_case_and_s_eps_per_disk_point(self, monkeypatch):
-        audits, plays, calls = [], [], []
-        audit, play = cons.audit_point, cons.play_1d
+    def test_suite_plays_one_plan_per_interval_pass_and_s_eps_per_disk_point(self, monkeypatch,
+                                                                            plan_calls):
+        passes, plays, calls = [], [], []
+        audit, play = cons.audit_cases, cons.play_1d
 
         def recording_audit(*args):
-            audits.append(args)
-            return audit(*args)
+            out = audit(*args)
+            passes.append((*args, out))
+            return out
 
         def counting_play(problem, plan, *rest):
             plays.append((plan, rest[-2]))
@@ -419,31 +422,40 @@ class TestAuditPoint:
             calls.append(args)
             return s_eps(*args)
 
-        monkeypatch.setattr(cons, "audit_point", recording_audit)
+        monkeypatch.setattr(cons, "audit_cases", recording_audit)
         monkeypatch.setattr(cons, "play_1d", counting_play)
         monkeypatch.setattr(cons, "s_eps", counting_s_eps)
         rows = run_audit_suite(eps_ladder=(0.2,), include_disk=True).rows
-        # one audit per case: 8 on the interval (25 points), 2 on the disk (4 points)
-        assert [len(a[0]) for a in audits] == [4, 3, 4, 3, 3, 3, 3, 2, 2, 2]
-        # each interval case builds one plan, played once for every z = (0.0, 1.5)
-        assert len(plays) == len({id(plan) for plan, _ in plays}) == 8
+        # one pass per problem: on the interval aud_h2, aud_h0 and aud_dr (1, 5 and 2
+        # cases, 25 points), then the two disk problems (one case of 2 points each)
+        assert [p[3].name for p in passes] == ["aud_h2", "aud_h0", "aud_dr", "aud_disk_h2",
+                                               "aud_disk_h0"]
+        assert [[len(x) for _, x in p[0]] for p in passes] == [[4], [3, 3, 3, 3, 2], [4, 3],
+                                                               [2], [2]]
+        # each interval pass builds one plan, played once for every z = (0.0, 1.5)
+        assert len(plan_calls[0]) == len(plays) == len({id(plan) for plan, _ in plays}) == 3
         for _, z in plays:
             assert z.shape == (2, 1, 1) and z.ravel().tolist() == [0.0, 1.5]
         # s_eps runs once per disk point, with z = 0.0, and never on the interval
         assert [c[4].domain.dim for c in calls] == [2] * 4
         assert len(rows) == 2 * (25 * 2 + 4) == 108
-        rest = iter(rows)
-        for x, t, z, phi, problem, params in audits:
-            for xp in x:
-                # each point's rows: for each z, upper first, then lower, on that z's S[phi]
-                for value in np.atleast_1d(s_eps(phi, xp, t, z, problem, params)):
-                    upper, lower = next(rest), next(rest)
-                    assert lower.case in (CASE_LOWER_BIG_BONUS, CASE_LOWER_SMALL)
-                    assert upper.case not in (CASE_LOWER_BIG_BONUS, CASE_LOWER_SMALL)
-                    assert upper.point == lower.point == tuple(xp)
-                    want = np.float64(value - phi.eval(xp)).tobytes()
-                    assert np.float64(upper.lhs).tobytes() == want
-                    assert np.float64(lower.lhs).tobytes() == want
+        # the suite writes each case's rows as its pass returned them
+        assert Counter(rows) == Counter(r for p in passes for rs in p[5] for r in rs)
+        for cases, t, z, problem, params, out in passes:
+            assert len(out) == len(cases)
+            for (phi, x), case_rows in zip(cases, out):
+                rest = iter(case_rows)
+                for xp in x:
+                    # each point's rows: for each z, upper first, then lower, on that z's S[phi]
+                    for value in np.atleast_1d(s_eps(phi, xp, t, z, problem, params)):
+                        upper, lower = next(rest), next(rest)
+                        assert lower.case in (CASE_LOWER_BIG_BONUS, CASE_LOWER_SMALL)
+                        assert upper.case not in (CASE_LOWER_BIG_BONUS, CASE_LOWER_SMALL)
+                        assert upper.point == lower.point == tuple(xp)
+                        want = np.float64(value - phi.eval(xp)).tobytes()
+                        assert np.float64(upper.lhs).tobytes() == want
+                        assert np.float64(lower.lhs).tobytes() == want
+                assert next(rest, None) is None
 
     def test_a_z_sequence_gives_the_rows_of_each_scalar_z_in_turn(self):
         params = make_params(0.2, lambda_rate=1.0)
@@ -639,6 +651,15 @@ AUDIT_CASES = dict(
 )
 
 
+#: 0 to 3 cuts of a stack into 1 to 4 cases (equal cuts leave empty cases),
+#: each case's field, and the problem, game and z the cases share
+CUTS = st.lists(st.integers(0, 8), max_size=3)
+CASE_FIELDS = st.lists(st.tuples(st.sampled_from(("affine", "quadratic", "cosine", "barrier")),
+                                 st.sampled_from((-1.0, -0.3, 0.0, 0.2, 1.0))),
+                       min_size=4, max_size=4)
+PASS_CASES = {k: AUDIT_CASES[k] for k in ("eps", "problem", "flux", "z")}
+
+
 class TestArrayPass:
     @settings(max_examples=60, deadline=None)
     @given(x0=st.lists(st.one_of(st.sampled_from((0.0, 1.0, 0.5)), st.floats(0.0, 1.0)),
@@ -694,6 +715,92 @@ class TestArrayPass:
         pts = np.array([np.full(dom.dim, 0.5), x])
         with pytest.raises(ValueError, match=r"point \[.*nan\] outside"):
             audit_point(pts, 0.25, 0.0, affine(dom, -1.0), heat_problem(dom, 0.0), params)
+
+    @settings(max_examples=40, deadline=None)
+    @given(x0=st.lists(st.one_of(st.sampled_from((0.0, 1.0, 0.5)), st.floats(0.0, 1.0)),
+                       min_size=1, max_size=8), cuts=CUTS, fields=CASE_FIELDS,
+           empty_at=st.integers(0, 3), **PASS_CASES)
+    def test_an_interval_pass_over_cases_is_each_case_alone_bit_for_bit(
+            self, x0, cuts, fields, empty_at, eps, problem, flux, z):
+        cases = split_cases(DOM, np.array(x0)[:, None], cuts, fields, empty_at)
+        assert_pass_is_each_case(cases, z, _test_problem(DOM, problem, flux),
+                                 make_params(eps, lambda_rate=1.0))
+
+    @settings(max_examples=15, deadline=None)
+    @given(polar=st.lists(st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0 * math.pi)),
+                          min_size=1, max_size=5), cuts=CUTS, fields=CASE_FIELDS,
+           empty_at=st.integers(0, 3), **PASS_CASES)
+    def test_a_disk_pass_over_cases_is_each_case_alone_bit_for_bit(
+            self, polar, cuts, fields, empty_at, eps, problem, flux, z):
+        params = make_params(eps, lambda_rate=1.0)
+        pts = np.array([(1.0 - f * params.move_bound) * np.array([math.cos(a), math.sin(a)])
+                        for f, a in polar])
+        cases = split_cases(DISK, pts, cuts, fields, empty_at)
+        assert_pass_is_each_case(cases, z, _test_problem(DISK, problem, flux), params)
+
+    @pytest.mark.parametrize("include_disk", [True, False], ids=["disk", "interval"])
+    @pytest.mark.parametrize("ladder", [(0.2, 0.1, 0.05), (0.1, 0.05, 0.025, 0.0125)],
+                             ids=["default", "fine"])
+    def test_the_suite_is_the_case_by_case_loop_bit_for_bit(self, ladder, include_disk):
+        want = reference_suite(ladder, include_disk)
+        assert len(want) == {(3, True): 324, (3, False): 300, (4, True): 432,
+                             (4, False): 400}[len(ladder), include_disk]
+        assert_same_rows(run_audit_suite(ladder, include_disk).rows, want)
+
+
+def split_cases(dom, pts, cuts, fields, empty_at) -> list:
+    """The ``(phi, x)`` cases of the stack pts cut at the sorted cuts, the
+    case i with the field ``fields[i]``, and an empty case at ``empty_at``."""
+    ends = [0, *sorted(min(c, len(pts)) for c in cuts), len(pts)]
+    cases = [(_test_field(dom, *kind), pts[a:b]) for kind, a, b in zip(fields, ends, ends[1:])]
+    cases.insert(empty_at % (len(cases) + 1), (_test_field(dom, *fields[-1]), pts[:0]))
+    return cases
+
+
+def assert_pass_is_each_case(cases, z, problem, params):
+    """One :func:`audit_cases` pass gives each case's :func:`audit_point` rows
+    and the per-point oracle's, compared by ``==`` and by their bytes."""
+    got = cons.audit_cases(cases, 0.25, z, problem, params)
+    assert len(got) == len(cases)
+    for (phi, x), rows in zip(cases, got):
+        assert len(rows) == 2 * len(x) * np.size(z)
+        assert_same_rows(rows, audit_point(x, 0.25, z, phi, problem, params))
+        assert_same_rows(rows, reference_audit_point(x, 0.25, z, phi, problem, params))
+
+
+def reference_suite(eps_ladder, include_disk) -> list:
+    """The catalog audit case by case: one :func:`audit_point` call per (rung,
+    case) in catalog order, each case with its own problem."""
+    dom, disk = interval(0.0, 1.0), ball((0.0, 0.0), 1.0)
+    ladder = cons.audit_ladder(eps_ladder, include_disk)
+    h0, h2 = (lambda x: 0.0), (lambda x: 2.0)
+    heat, drift = cons._heat_problem, cons._drift_problem
+    rows = []
+    for params in ladder:
+        ell = params.move_bound
+        dd = cons._interval_layer(ell, params.eps, params.rho)
+        for phi, problem, kinds in (
+            (cons._affine(dom, -1.0), heat(dom, h2, "aud_h2"), ("wall", "close", "band")),
+            (cons._affine(dom, -1.0), heat(dom, h0, "aud_h0"), ("wall", "close")),
+            (cons._affine(dom, 1.0), drift(dom, h0, "aud_dr"), ("wall", "close", "interior")),
+            (cons._affine(dom, -0.3), heat(dom, h0, "aud_h0"), ("wall", "close")),
+            (cons._quadratic(dom, -0.1, 2.0), heat(dom, h0, "aud_h0"), ("close", "band")),
+            (cons._quadratic(dom, 0.4, -2.0), drift(dom, h0, "aud_dr"), ("close", "interior")),
+            (exact_barrier(dom, 1.0), heat(dom, h0, "aud_h0"), ("wall", "close")),
+            (cons._cos_profile(dom, 0.3, 3.0), heat(dom, h0, "aud_h0"), ("band", "interior")),
+        ):
+            x0 = [x for kind in kinds
+                  for x in ((dd[kind], 1.0 - dd[kind]) if kind == "close" else (dd[kind],))]
+            rows += audit_point(np.array(x0)[:, None], 0.25, (0.0, 1.5), phi, problem, params)
+    for params in ladder if include_disk else ():
+        ell = params.move_bound
+        for phi, problem, dists in (
+            (cons._affine(disk, -1.0), heat(disk, h2, "aud_disk_h2"), (0.0, 0.3 * ell)),
+            (cons._affine(disk, 0.2), heat(disk, h0, "aud_disk_h0"), (0.5 * ell, 1.5 * ell)),
+        ):
+            pts = np.array([[1.0 - d, 0.0] for d in dists])
+            rows += audit_point(pts, 0.25, 0.0, phi, problem, params)
+    return rows
 
 
 # -- shipped suite ----------------------------------------------------------

@@ -66,16 +66,16 @@ def reference_s_eps(phi, x, t, z, problem, params):
 @pytest.fixture(scope="module")
 def audit_suite_calls():
     """``(phi, x, t, z, problem, params)`` at every point of the audit suite
-    at eps 0.2 and 0.1, one per point of each ``audit_point`` stack,
-    recorded without evaluating the operator."""
+    at eps 0.2 and 0.1, one per point of each case of each ``audit_cases``
+    pass, recorded without evaluating the operator."""
     calls = []
 
-    def record(x, t, z, phi, problem, params):
-        calls.extend((phi, xp, t, z, problem, params) for xp in x)
-        return ()
+    def record(cases, t, z, problem, params):
+        calls.extend((phi, xp, t, z, problem, params) for phi, x in cases for xp in x)
+        return [()] * len(cases)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cons, "audit_point", record)
+        mp.setattr(cons, "audit_cases", record)
         cons.run_audit_suite(eps_ladder=(0.2, 0.1), include_disk=True)
     return calls
 
@@ -144,13 +144,13 @@ def suite_cases(eps):
     its points as one ``(k, 1)`` stack."""
     cases = []
 
-    def record(x, t, z, phi, problem, params):
+    def record(pass_cases, t, z, problem, params):
         if problem.domain.dim == 1:
-            cases.append((phi, x))
-        return ()
+            cases.extend(pass_cases)
+        return [()] * len(pass_cases)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cons, "audit_point", record)
+        mp.setattr(cons, "audit_cases", record)
         cons.run_audit_suite(eps_ladder=(eps,), include_disk=False)
     return cases
 

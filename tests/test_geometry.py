@@ -168,6 +168,22 @@ def test_a_nan_point_fails_the_closure_and_boundary_guards(dom, x):
             h(arg)
 
 
+@pytest.mark.parametrize("dom, x", NAN_POINTS, ids=["unit", "pi", "disk-x", "ball-y"])
+def test_a_nan_point_or_step_fails_the_move_and_projection_code(dom, x):
+    p = np.array(x)
+    with pytest.raises(ValueError, match=rf"projection undefined: point {re.escape(str(p))} is nan"):
+        dom.project_to_closure(p)
+    mid, zero = np.array([0.5 * (dom.a + dom.c)] if dom.dim == 1 else dom.center), np.zeros(dom.dim)
+    end = mid + (p - mid)  # the landing that a NaN step names
+    # (start, steps, the point named): a NaN step, the second of three steps, a NaN start
+    for start, steps, named in ((mid, [p - mid], end), (mid, [zero, p - mid, zero], end),
+                                (p, [zero, zero], p)):
+        with pytest.raises(ValueError, match=rf"point {re.escape(str(named))} is nan from"):
+            dom.moves(start, np.array(steps))
+        with pytest.raises(ValueError, match=rf"point {re.escape(str(named))} is nan from"):
+            dom.make_move(start, p - mid if start is mid else zero)
+
+
 def test_the_catalog_neumann_datum_rejects_a_nan_point():
     h = get_problem("heat1d_cosine").h
     assert h(np.array([np.pi])) == 0.0

@@ -486,15 +486,16 @@ class TestMovesAgainstTheLoop:
         # every point of the audit suite, on the interval and the disk
         calls, points = [], []
 
-        def record(x, t, z, phi, problem, params):
-            calls.append(problem.domain.kind)
-            points.extend((xp, phi, problem, params) for xp in x)
-            return ()
+        def record(cases, t, z, problem, params):
+            calls.append((problem.domain.kind, len(cases)))
+            points.extend((xp, phi, problem, params) for phi, x in cases for xp in x)
+            return [()] * len(cases)
 
-        monkeypatch.setattr("pdegame.consistency.audit_point", record)
+        monkeypatch.setattr("pdegame.consistency.audit_cases", record)
         run_audit_suite(eps_ladder=(eps,))
-        # one call per case: 8 with 25 points on the interval, 2 with 4 on the disk
-        assert calls == ["interval"] * 8 + ["ball"] * 2
+        # one pass per problem: 3 with 8 cases and 25 points on the interval, 2 with 4 on the disk
+        assert calls == [("interval", 1), ("interval", 5), ("interval", 2),
+                         ("ball", 1), ("ball", 1)]
         assert len(points) == 29
         for x, phi, problem, params in points:
             dom, ell = problem.domain, params.move_bound
@@ -639,6 +640,21 @@ class TestMoveBound:
         params = make_params(0.2)
         with pytest.raises(ValidationError, match=f"eps=0.2: move bound ell=0.261532 .* {name} = "):
             check_move_bound(dom, params)
+
+
+class TestPlanGuard:
+    @pytest.mark.parametrize("x, bad", [([np.nan, 0.5], "nan"), ([0.5, np.nan], "nan"),
+                                        ([0.5, 1.5, np.nan], "1.5"), ([0.2, -1e-3], "-0.001")],
+                             ids=["nan-first", "nan-second", "beyond", "below"])
+    def test_a_point_off_the_closure_raises_naming_the_first(self, x, bad):
+        with pytest.raises(ValueError, match=rf"plan point {bad} outside the domain closure"):
+            CandidatePlan1D(interval(0.0, 1.0), np.array(x), make_params(0.2), lambda q: 0.0)
+
+    def test_points_within_tol_of_a_wall_still_build_on_it(self):
+        dom = interval(0.0, 1.0)
+        x = np.array([-0.5 * dom.tol, 0.5, 1.0 + 0.5 * dom.tol])
+        plan = CandidatePlan1D(dom, x, make_params(0.2), lambda q: 0.0)
+        assert plan.layer_rows.tolist() == [0, 2]
 
 
 def dense_max_min(a, b, c, p_bound, G_bound, N=401):
