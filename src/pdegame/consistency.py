@@ -19,12 +19,13 @@ C (1 + |z|) eps**2`` and its mirror on ``-psi``, is not audited here: the
 tests check it on the pointwise ``s_eps``.
 
 In the catalog, the cases of a (rung, problem) are one array pass over
-all their points, on both domains (:func:`audit_cases`).  On the interval
+all their points, on both domains (:func:`audit_cases`), each case's phi
+read at its probes and landings by one ``eval``.  On the interval
 ``S[phi]`` is the scalar solver's own 1D kernel: one
-``strategies.CandidatePlan1D`` on the pass's points, each case's phi read
-at its probes and landings by one ``eval``, one ``game_parabolic.play_1d``
-for all z.  The pointwise ``s_eps``, its oracle bit for bit in the tests,
-plays each disk point with its case's phi.
+``strategies.CandidatePlan1D`` on the pass's points and one
+``game_parabolic.play_1d`` for all z.  On the disk it is one batched 2D
+round on the stacked pieces of ``strategies`` (:func:`_disk_round`).  The
+pointwise ``s_eps`` is the oracle of both, bit for bit, in the tests.
 
 The higher-order error allowance is operationalized as a
 measured-then-frozen envelope ``SLACK_CONST * eps**SLACK_POWER``: the
@@ -43,19 +44,13 @@ import numpy as np
 
 from .fields import AnalyticField
 from .game_elliptic import StationaryStep, exact_barrier
-from .game_parabolic import play_1d, s_eps
+from .game_parabolic import play_1d
 from .geometry import DomainGeometry, _circle, ball, interval
-from .params import make_params
+from .params import ValidationError, make_params
 from .problems import ParabolicProblem, f_stacked
-from .strategies import (
-    CandidatePlan1D,
-    NeumannBounds,
-    build_frame,
-    check_move_bound,
-    gamma_opt,
-    neumann_bounds,
-    p_opt,
-)
+from .strategies import (_EIGEN_2D, BoundaryFrame, CandidatePlan1D, NeumannBounds, _announce,
+                         _crossing_fan, _fan_bounds, _move_sets_2d, _pick, _probe_derivs, _probes,
+                         check_move_bound, gamma_opt, p_opt)
 
 __all__ = [
     "CASE_BIG_BONUS",
@@ -176,29 +171,19 @@ def classify_case(d, params, bounds, hnorm):
 # -- point audits ----------------------------------------------------------
 
 
-def _f_table(problem, t, pts, zs, P, G) -> np.ndarray:
-    """f at every (z, announcement, point): ``(nz, A, k)`` from the ``(k, dim)``
-    points, the running values zs, and the announcements' ``(A, k, dim)``
-    gradients and ``(A, k, dim, dim)`` Hessians; in 1D one ``f_stacked`` call."""
-    if pts.shape[1] == 1:
-        return f_stacked(problem, t, pts[:, 0], np.reshape(zs, (-1, 1, 1)), P[..., 0], G[..., 0, 0])
-    return np.array([[[float(problem.f(t, xp, z, p, g)) for xp, p, g in zip(pts, Pa, Ga)]
-                      for Pa, Ga in zip(P, G)] for z in zs])
-
-
-def _min_f_on_ball(problem, t, pts, zs, p_center, Gamma, radius) -> list:
-    """``(nz, k)`` lists: per z and point, the sample minimum of f over |p - c|
-    <= r with the point's c, Gamma and r, by one :func:`_f_table`: in 1D 41
+def _min_f_on_ball(problem, t, pts, zs, p_center, Gamma, radius) -> np.ndarray:
+    """``(nz, k)``: per z and point, the sample minimum of f over |p - c| <= r
+    with the point's c, Gamma and r, by one ``f_stacked`` call: in 1D 41
     samples of the segment, in 2D the center, then 16 directions at 4
-    fractions of r.  A Python min keeps the first of equal samples."""
+    fractions of r; of equal samples the first, as Python's min keeps it."""
     if pts.shape[1] == 1:
         P = (p_center[:, 0] + np.linspace(-1.0, 1.0, 41)[:, None] * radius)[..., None]
     else:
         ring = np.array([0.25, 0.5, 0.75, 1.0])[:, None] * radius  # (fraction, point)
         fan = (ring[None, :, :, None] * _circle(16)[:, None, None, :]).reshape(64, -1, 2)
         P = np.concatenate([p_center[None], p_center + fan])
-    F = _f_table(problem, t, pts, zs, P, np.broadcast_to(Gamma, P.shape[:1] + Gamma.shape))
-    return [[min(samples) for samples in zip(*per_z)] for per_z in F.tolist()]
+    F = f_stacked(problem, t, pts, np.reshape(zs, (-1, 1, 1)), P, Gamma)
+    return _pick(np.moveaxis(F, 1, -1), np.argmin)
 
 
 def _domain_tag(domain: DomainGeometry) -> str:
@@ -218,16 +203,15 @@ def _round_and_walls(parts, pts, t, zs, problem, params, grad, hess) -> tuple:
     derivatives grad and hess: S[phi] - phi, ``(nz, k)``; the wall distance,
     the Neumann bounds and whether a step crosses; the announcements
     ``p_opt`` at M and at m and ``gamma_opt``, else (with m = M = 0) the
-    derivatives, which no label then reads.
-
-    On the interval one ``CandidatePlan1D`` on all the points, one ``eval``
-    of each phi at its slice of the probes (the first row is the points)
-    and base landings, one ``play_1d`` for all z, and the plan's
-    coefficients give the wall data in closed form: m = M = h(wall) - g n
-    at the one wall in reach.  On the disk ``s_eps``, ``build_frame``,
-    ``neumann_bounds`` (only where d < ell), ``p_opt`` and ``gamma_opt`` run
-    point by point."""
+    derivatives, which no label then reads.  On the interval one
+    ``CandidatePlan1D`` on all the points, each phi read at its slice of the
+    probes (the first row is the points) and base landings by one ``eval``,
+    one ``play_1d`` for all z, and from the plan's coefficients
+    m = M = h(wall) - g n at the one wall in reach; on the disk one
+    :func:`_disk_round`."""
     dom, ell, k = problem.domain, params.move_bound, len(pts)
+    if t is None:
+        raise ValidationError("the catalog audit plays the parabolic round and needs a time t")
     if dom.dim == 1:
         plan = CandidatePlan1D(dom, pts[:, 0], params, problem.h)
         read = np.concatenate([plan.probes, plan.landing[:, :k]])  # positions, read in place
@@ -244,21 +228,62 @@ def _round_and_walls(parts, pts, t, zs, problem, params, grad, hess) -> tuple:
         p[L, 0] = g + (plan.bound_coef * m[L] - plan.hess_coef * H) * n
         G[L, 0, 0] = H + plan.flat_coef * H
         return values - probe[0], d, m, m, d < ell, p, p, G
-    values = [s_eps(phi, xp, t, zs, problem, params) for phi, s in parts for xp in pts[s]]
-    d, m, M = np.zeros((3, k))
-    possible = np.zeros(k, dtype=bool)
-    p_M, p_m, G_o = grad.copy(), grad.copy(), hess.copy()
-    for i, xp in enumerate(pts):
-        frame = build_frame(dom, xp, ell)
-        d[i] = frame.d
-        if frame.d < ell:  # else no step crosses
-            bounds = neumann_bounds(dom, xp, ell, problem.h, grad[i])
-            if bounds.possible:
-                possible[i], m[i], M[i] = True, bounds.m, bounds.M
-                p_M[i], p_m[i] = (p_opt(frame, grad[i], hess[i], b) for b in (bounds.M, bounds.m))
-                G_o[i] = gamma_opt(frame, hess[i])
-    phi_x = np.concatenate([phi.eval(pts[s]) for phi, s in parts])
-    return np.reshape(values, (k, len(zs))).T - phi_x, d, m, M, possible, p_M, p_m, G_o
+    return _disk_round(parts, pts, t, zs, problem, params, grad, hess)
+
+
+def _disk_round(parts, pts, t, zs, problem, params, grad, hess) -> tuple:
+    """:func:`_round_and_walls` on the disk, ``s_eps`` at every point and z bit
+    for bit as one array pass: phi read at the probes, then at the landings,
+    by one ``eval`` per case, and one crossing fan per point for the Neumann
+    bounds of the probe gradient and of grad.  A pad repeats a row."""
+    dom, ell, k = problem.domain, params.move_bound, len(pts)
+    u = pts - np.asarray(dom.center)
+    rho = np.sqrt(np.vecdot(u, u))[:, None]  # build_frame's, by the fused dot of np.linalg.norm
+    n_bar = np.divide(u, rho, out=np.tile([1.0, 0.0], (k, 1)), where=rho > 0.0)  # +x at the centre
+    frame = BoundaryFrame(n_bar, np.maximum(dom.radius - rho[:, 0], 0.0), ell)
+    probes, read, add, pick = _probes(dom, pts, ell, problem.h)
+    values = np.zeros(read.shape)
+    values[read] = _read(parts, np.nonzero(read)[0], probes[read])
+    p0, G0 = _probe_derivs(values + add, pick, ell)
+    fits = (pick >= 0)[:, None]  # else the field's own derivatives
+    p0, G0 = np.where(fits, p0, grad), np.where(fits[..., None], G0, hess)
+    fan = _crossing_fan(dom, pts, frame.n_bar, ell, problem.h)  # none crosses where d >= ell
+    possible, bounds = fan[0].any(axis=1), np.array(_fan_bounds(fan, np.stack([p0, grad])))
+    P, G = _announce(frame, p0, G0, bounds[:, 0], possible, params)
+    # a move set for the pair's Hessian and, at a line, the line's, reading only its eigen-steps
+    steps, real = _move_sets_2d(frame, G0[:, None] - G)
+    own = np.stack([real, real & _EIGEN_2D & possible[:, None]], axis=1)
+    landing, crossed, pen = dom.moves(np.broadcast_to(pts[:, None, None], steps.shape)[own],
+                                      steps[own])
+    pen[crossed] *= problem.h(landing[crossed])
+    at = np.cumsum(own).reshape(own.shape) - 1  # each move's row: its own, the first set's,
+    at[:, 0] = np.where(real, at[:, 0], at[:, 0, :1])  # or for a pad the zero step's
+    at[:, 1] = np.where(own[:, 1], at[:, 1], at[:, 0])
+    phi_land = _read(parts, np.nonzero(own)[0], landing)
+    phi_land, crossed, pen, D = (a[at] for a in (phi_land, crossed, pen, steps[own]))
+    DGD = np.vecdot(np.matmul(D[..., None, :], G[:, :, None])[..., 0, :], D)
+    line = ((np.arange(P.shape[1]) > 0) & possible[:, None]).astype(int)  # each strategy's set
+    phi_land, crossed, pen, D, DGD, G = (a[np.arange(k)[:, None], line]
+                                         for a in (phi_land, crossed, pen, D, DGD, G))
+    F = f_stacked(problem, t, pts[:, None], np.reshape(zs, (-1, 1, 1)), P, G)
+    vals = (phi_land - np.vecdot(P[:, :, None], D) - 0.5 * DGD) - params.time_step * F[..., None]
+    best = _pick(_pick(np.where(crossed, vals + pen, vals), np.argmin), np.argmax)
+    m, M = np.where(possible, bounds[:, 1], 0.0)
+    j = np.flatnonzero(possible)  # the announcements of the field's own derivatives there
+    fj, p_M, p_m = BoundaryFrame(frame.n_bar[j], frame.d[j], ell), grad.copy(), grad.copy()
+    G_o = hess.copy()
+    p_M[j], p_m[j] = p_opt(fj, grad[j], hess[j], np.stack([M[j], m[j]]))
+    G_o[j] = gamma_opt(fj, hess[j])
+    return best - values[:, 0], frame.d, m, M, possible, p_M, p_m, G_o
+
+
+def _read(parts, owner, where) -> np.ndarray:
+    """Each case's phi at the positions ``where`` of its points, ``owner``
+    the point of each, sorted: one ``eval`` per ``(phi, slice)`` of parts."""
+    out, ends = np.empty(len(where)), np.searchsorted(owner, [[s.start, s.stop] for _, s in parts])
+    for (phi, _), (a, b) in zip(parts, ends.tolist()):
+        out[a:b] = phi.eval(where[a:b])
+    return out
 
 
 def audit_cases(cases, t, z, problem, params) -> list:
@@ -271,9 +296,9 @@ def audit_cases(cases, t, z, problem, params) -> list:
     phi gives the derivatives and S[phi] at its own points; the rest is
     one array pass over the stack of every case's points, the same on both
     domains: S[phi] and the wall data (:func:`_round_and_walls`), the
-    labels, f at each (z, announcement, point) by one :func:`_f_table` (and
-    by one more on the close-big-penalty rows' sample ball), and the bounds
-    and residuals; only the rows are built one by one.
+    labels, f at each (z, announcement, point) by one ``f_stacked`` call
+    (and by one more on the close-big-penalty rows' sample ball), and the
+    bounds and residuals; only the rows are built one by one.
 
     Upper row: the case-labelled bound plus the frozen higher-order
     allowance, ``residual = lhs - rhs``; the close-small label's
@@ -302,7 +327,7 @@ def audit_cases(cases, t, z, problem, params) -> list:
     up, low = big[:, None, None], small[:, None, None]
     P = np.array([np.where(up[:, 0], p_M, grad), np.where(low[:, 0], p_m, grad)])
     G = np.array([np.where(up, G_o, G_up), np.where(low, G_o, hess)])
-    F = _f_table(problem, t, pts, zs, P, G)
+    F = f_stacked(problem, t, pts, np.reshape(zs, (-1, 1, 1)), P, G)  # (z, side, point)
     if pen.any():
         r = 3.0 * (1.0 - d[pen] / ell) * np.abs(M[pen])
         F[:, 0, pen] = _min_f_on_ball(problem, t, pts[pen], zs, p_M[pen], G_o[pen], r)
@@ -358,8 +383,8 @@ def audit_wall_shift(problem, params, caps) -> tuple:
     step = StationaryStep(problem, params)
     pts = step.x_nodes[:, None]
     shifted = caps.cap_m + psi.eval(pts)
-    c_star = float(np.abs(f_stacked(problem, None, pts[:, 0], 0.0, psi.fd_gradient(pts)[:, 0],
-                                    psi.fd_hessian(pts)[:, 0, 0])).max())
+    c_star = float(np.abs(f_stacked(problem, None, pts, 0.0, psi.fd_gradient(pts),
+                                    psi.fd_hessian(pts))).max())
     rhs = eps**2 * (1.0 + c_star) - problem.lambda_rate * eps**2 * shifted
     ups, lows = step(shifted) - shifted, step(-shifted) + shifted
     rows = []

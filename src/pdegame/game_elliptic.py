@@ -170,7 +170,7 @@ def _affine_f(problem, params, x):
     pb, hb = params.p_bound, params.hessian_bound
     grid = np.array([-1.0, -1.0 / 3.0, 0.0, 1.0])
     Z, P, G = (v.ravel() for v in np.meshgrid(grid, pb * grid, hb * grid, indexing="ij"))
-    f = f_stacked(problem, None, x[:, None], Z, P, G)
+    f = f_stacked(problem, None, x[:, None, None], Z, P[:, None], G[:, None, None])
     f0 = f[:, (Z == 0.0) & (P == 0.0) & (G == 0.0)][:, 0]
     fp = (f[:, (Z == 0.0) & (P == pb) & (G == 0.0)][:, 0] - f0) / pb
     fG = (f[:, (Z == 0.0) & (P == 0.0) & (G == hb)][:, 0] - f0) / hb

@@ -25,11 +25,11 @@ evaluation over the plan's columns (a base column per node, a line
 column per boundary-layer node): the min over moves of every column,
 then at each layer node the max of its two columns.  The 1D audits of
 ``consistency`` play it on their own points and test function, for all
-z at once.  The pointwise ``s_eps`` is the reference oracle of both,
-matched bit for bit at every point, and remains the operator of the 2D
-audits.  The score game of the paper has an upper and a lower value; the
-scalar game has a single one, so the ``parabolic`` mode's
-``solve_levelset`` is the same solve.
+z at once, and those in 2D play one batched round of their own.  The
+pointwise ``s_eps`` is the reference oracle of all three, matched bit for
+bit at every point; no module of the package calls it.  The score game of
+the paper has an upper and a lower value; the scalar game has a single
+one, so the ``parabolic`` mode's ``solve_levelset`` is the same solve.
 """
 from __future__ import annotations
 
@@ -216,7 +216,7 @@ def play_1d(problem, plan, probe_values, landing_values, z, t):
     if t is None:
         raise ValidationError("play_1d plays the parabolic round and needs a time t")
     P, G = plan.announce(probe_values)
-    F = f_stacked(problem, t, plan.x, z, P, G)
+    F = f_stacked(problem, t, plan.x[:, None], z, P[..., None], G[..., None, None])
     D = plan.step
     vals = landing_values - P * D - 0.5 * (D * G * D) - plan.params.time_step * F
     np.add(vals, plan.penalty, out=vals, where=plan.crossed)

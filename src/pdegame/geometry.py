@@ -212,14 +212,16 @@ class DomainGeometry:
 
     def moves(self, x, steps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(landing, crossed, penal_weight)`` of each step of the ``(k, dim)``
-        stack ``steps`` from ``x``, row by row those of :meth:`make_move`, bit
-        for bit: the same ``outside_by > tol`` crossing test, the clamp or the
-        radial projection, and each norm as ``sqrt(vecdot(u, u))``, the fused
-        dot product that ``np.linalg.norm`` takes.  A step that ends beyond
-        :attr:`reach` of the closure, or at NaN, raises the ``ValueError`` that
-        :meth:`project_to_closure` raises for the first such step.
+        stack ``steps`` from ``x``, or from its row of a ``(k, dim)`` x, row by
+        row those of :meth:`make_move`, bit for bit: the same ``outside_by >
+        tol`` crossing test, the clamp or the radial projection, and each norm
+        as ``sqrt(vecdot(u, u))``, the fused dot product that ``np.linalg.norm``
+        takes.  A step that ends beyond :attr:`reach` of the closure, or at
+        NaN, raises the ``ValueError`` that :meth:`project_to_closure` raises
+        for the first such step.
         """
-        x_hat = _as_point(x, self.dim) + np.reshape(steps, (-1, self.dim))
+        origin = np.asarray(x, dtype=float) if np.ndim(x) == 2 else _as_point(x, self.dim)
+        x_hat = origin + np.reshape(steps, (-1, self.dim))
         out = -self._gap(x_hat)
         far = np.flatnonzero(~(out <= self.reach))  # NaN fails the comparison
         if len(far):

@@ -106,22 +106,26 @@ class MixedEllipticProblem(EllipticProblem):
 
 
 def f_stacked(problem, t, x, z, p, G) -> np.ndarray:
-    """f of a 1D problem at the samples x, z, p, G broadcast against each
-    other; the result has their broadcast shape.
+    """f of a problem at the samples x, z, p, G broadcast against each
+    other, x and p ending in an axis of the domain's dimension and G in two
+    such axes; the result has the samples' broadcast shape.
 
     Pass t=None for elliptic problems (whose f takes no time).  Uses
     ``f_batched`` when the problem has one, else f sample by sample.
     """
-    lead = () if t is None else (t,)
-    xzpg = np.empty((4,) + np.broadcast(x, z, p, G).shape)
-    xzpg[0], xzpg[1], xzpg[2], xzpg[3] = x, z, p, G
-    x, z, p, G = xzpg.reshape(4, -1)
+    lead, n = (() if t is None else (t,)), problem.domain.dim
+    shape = np.broadcast(x[..., 0], z, p[..., 0], G[..., 0, 0]).shape
+    xzpg = np.empty(shape + (2 * n + 1 + n * n,))  # one sample's x, z, p and G per row
+    xzpg[..., :n], xzpg[..., n], xzpg[..., n + 1:2 * n + 1] = x, z, p
+    xzpg[..., 2 * n + 1:] = G.reshape(G.shape[:-2] + (n * n,))
+    flat = xzpg.reshape(-1, xzpg.shape[-1])
+    x, z, p = flat[:, :n], flat[:, n], flat[:, n + 1:2 * n + 1]
+    G = flat[:, 2 * n + 1:].reshape(-1, n, n)
     if problem.f_batched is not None:
-        out = problem.f_batched(*lead, x.reshape(-1, 1), z, p.reshape(-1, 1), G.reshape(-1, 1, 1))
+        out = problem.f_batched(*lead, x, z, p, G)
     else:
-        out = [float(problem.f(*lead, np.array([xi]), zi, np.array([pi]), np.array([[gi]])))
-               for xi, zi, pi, gi in zip(x, z, p, G)]
-    return np.asarray(out, dtype=float).reshape(xzpg.shape[1:])
+        out = [float(problem.f(*lead, xi, zi, pi, gi)) for xi, zi, pi, gi in zip(x, z, p, G)]
+    return np.asarray(out, dtype=float).reshape(shape)
 
 
 # -- catalog ---------------------------------------------------------------

@@ -32,15 +32,13 @@ boundary frame) and reads no field: its caller reads the field at the
 probes and landings, a solver through lattice cells that it locates
 once per solve and an audit by ``eval``, and
 :meth:`CandidatePlan1D.announce` derives every column's announcement
-from the probe values.  The pointwise functions
-(:func:`candidate_strategies`, :func:`candidate_moves` and their parts)
-remain as the reference oracles that the tests, the 2D audits and the
-2D one-step operator use.  They too work on arrays, bit for bit with a
-loop over single announcements and steps: :func:`candidate_strategies`
-clips its base pair and line as one stack (the plan's announce takes
-the same clip), and in 2D :func:`neumann_bounds` projects its crossing
-fan with one :meth:`DomainGeometry.moves` call, whose fused-dot norm is
-the one ``np.linalg.norm`` takes in :meth:`DomainGeometry.make_move`.
+from the probe values.  On the disk the audit's batched round takes
+stacked pieces on any points of the ball (the probes, the crossing fan
+and its Neumann bounds, the clipped announcements, the move sets), and
+:func:`probe_derivatives`, :func:`neumann_bounds`, :func:`p_opt`,
+:func:`gamma_opt`, :func:`candidate_strategies` and :func:`move_builder`
+are their one-point cases, the parts of the one-step oracle ``s_eps``;
+the tests pin each to a loop over single probes and steps.
 
 The stationary solver announces nothing: on the moves of the plan's base
 columns it plays the exact max over the control box of the min over
@@ -77,9 +75,21 @@ __all__ = [
 _N_DIRECTIONS_2D = 64
 # samples of the boundary-layer gradient line, ends included, where m < M (in 2D)
 _LINE_SAMPLES = 9
+_LINE_T = np.linspace(0.0, 1.0, _LINE_SAMPLES)[:, None]
 _RADIUS_FRACTIONS = (1.0, 0.75, 0.5, 0.25)
 # the coarse move fan's unit directions, from the scalar cos and sin of each angle
 _FAN_2D = np.array([[np.cos(th), np.sin(th)] for th in 2.0 * np.pi * np.arange(16) / 16.0])
+_EIGEN_2D = (np.arange(58) >= 6) & (np.arange(58) < 10)  # their slots in _move_sets_2d's table
+# the Neumann fan's unit directions, from the array cos and sin of its angles
+_TH_64 = 2.0 * np.pi * np.arange(_N_DIRECTIONS_2D) / _N_DIRECTIONS_2D
+_FAN_64 = np.stack([np.cos(_TH_64), np.sin(_TH_64)], axis=1)
+# probe_derivatives' axis steps, +e_j then -e_j (negated whole) per axis, by dimension
+_AXES = {n: np.repeat(np.eye(n), 2, axis=0) * np.tile([1.0, -1.0], n)[:, None] for n in (1, 2)}
+# the mixed partial's stencils in the order tried, in units of the scale: the corner
+# one, then per sign pair the one-sided one (corner, x, y, the point)
+_SIGNS_2D = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+_MIXED_2D = np.array([_SIGNS_2D] + [((sx, sy), (sx, 0), (0, sy), (0, 0))
+                                    for sx, sy in _SIGNS_2D], dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,53 +125,79 @@ def neumann_bounds(domain: DomainGeometry, x, ell: float, h, grad) -> NeumannBou
     1D: exact — the nearest wall, when closer than ell, contributes its
     one value; under :func:`check_move_bound` the other is out of reach.
     2D (the ball): sampled over a fan of directions (the outward normal
-    included) at several radii, keeping only steps that actually cross.
-    The fan is evaluated as arrays: one :meth:`DomainGeometry.moves` call
-    tests and projects every step, the crossing rows' normals take the
-    fused-dot norm that ``np.linalg.norm`` uses in
-    :meth:`DomainGeometry.nearest_boundary`, and h reads the crossing
-    landings as one stack.  The values, and their order, are those of a
-    loop over ``make_move`` and ``nearest_boundary`` bit for bit.
+    included) at several radii, keeping only steps that actually cross, as
+    the one-point :func:`_crossing_fan` and :func:`_fan_bounds`.
     """
     p = np.atleast_1d(np.asarray(x, dtype=float))
     grad = np.atleast_1d(np.asarray(grad, dtype=float))
-    values = []
-    if domain.dim == 1:
-        wall, normal = domain.nearest_boundary(p)
-        if abs(p[0] - wall[0]) < ell:
-            values.append(h(wall) - grad[0] * normal[0])
-    else:
-        n_bar = build_frame(domain, p, ell).n_bar
-        th = 2.0 * np.pi * np.arange(_N_DIRECTIONS_2D) / _N_DIRECTIONS_2D
-        dirs = np.concatenate([np.stack([np.cos(th), np.sin(th)], axis=1), [n_bar, -n_bar]])
-        steps = (np.array(_RADIUS_FRACTIONS) * ell)[None, :, None] * dirs[:, None, :]
-        # directions first, radii within each: the order of a per-step loop
-        landing, crossed, _ = domain.moves(p, steps.reshape(-1, 2))
-        u = landing[crossed] - np.asarray(domain.center)  # nearest_boundary's u / |u|
-        normal = u / np.sqrt(np.vecdot(u, u))[:, None]
-        values = (h(landing[crossed]) - np.vecdot(normal, grad)).tolist()
-    if not values:
+    if domain.dim == 2:
+        fan = _crossing_fan(domain, p[None], build_frame(domain, p, ell).n_bar[None], ell, h)
+        (m,), (M,) = _fan_bounds(fan, grad[None])
+        return NeumannBounds(m=float(m), M=float(M), possible=bool(fan[0].any()))
+    wall, normal = domain.nearest_boundary(p)
+    if not abs(p[0] - wall[0]) < ell:
         return NeumannBounds(m=np.inf, M=-np.inf, possible=False)
-    return NeumannBounds(m=float(min(values)), M=float(max(values)), possible=True)
+    value = float(h(wall) - grad[0] * normal[0])
+    return NeumannBounds(m=value, M=value, possible=True)
 
 
-def _normal_entry(frame: BoundaryFrame, hess: np.ndarray) -> float:
-    return float(frame.n_bar @ hess @ frame.n_bar)
+def _crossing_fan(domain, x, n_bar, ell: float, h) -> tuple:
+    """The Neumann fan of the ``(k, 2)`` points x of the ball with normals n_bar
+    (64 directions, then n_bar and -n_bar, each at ``_RADIUS_FRACTIONS`` of
+    ell), by one :meth:`DomainGeometry.moves` call: ``(crossed, normal, h_land)``,
+    the ``(k, 264)`` crossing mask, and the normal and h at each crossing landing."""
+    k, n_steps = len(x), (_N_DIRECTIONS_2D + 2) * len(_RADIUS_FRACTIONS)
+    dirs = np.concatenate([np.broadcast_to(_FAN_64, (k, _N_DIRECTIONS_2D, 2)),
+                           n_bar[:, None], -n_bar[:, None]], axis=1)
+    steps = (np.array(_RADIUS_FRACTIONS) * ell)[:, None] * dirs[:, :, None, :]  # radii within
+    landing, crossed, _ = domain.moves(np.repeat(x, n_steps, axis=0), steps.reshape(-1, 2))
+    u = landing[crossed] - np.asarray(domain.center)  # nearest_boundary's u / |u|
+    return crossed.reshape(k, n_steps), u / np.sqrt(np.vecdot(u, u))[:, None], h(landing[crossed])
 
 
-def p_opt(frame: BoundaryFrame, grad, hess, bound: float) -> np.ndarray:
-    """The corrected gradient at the Neumann bound ``bound``: m gives p_lo, M gives p_hi."""
+def _fan_bounds(fan, grad) -> tuple:
+    """``(m, M)`` over each point's crossing steps of the :func:`_crossing_fan`
+    for its row of the ``(..., k, 2)`` grad; inf and -inf where none crosses."""
+    crossed, normal, h_land = fan
+    lo, rows = np.full(grad.shape[:-2] + crossed.shape, np.inf), crossed.nonzero()[0]
+    hi = -lo
+    lo[..., crossed] = hi[..., crossed] = h_land - np.vecdot(normal, grad[..., rows, :])
+    return _pick(lo, np.argmin), _pick(hi, np.argmax)
+
+
+def _pick(v, arg):
+    """v at ``arg(v)`` (``np.argmin`` or ``np.argmax``) along its last axis:
+    of equal values the first, as Python's ``min`` and ``max`` keep it."""
+    i = arg(v, axis=-1)
+    return v.reshape(-1, v.shape[-1])[np.arange(i.size), i.ravel()].reshape(i.shape)
+
+
+def _normal_entry(frame: BoundaryFrame, hess: np.ndarray):
+    """<n_bar, hess n_bar> at the frame, or at each row of a stacked one."""
+    n = frame.n_bar
+    return np.vecdot(np.matmul(n[..., None, :], hess)[..., 0, :], n)
+
+
+def _sq(r):
+    """r**2 by scalar pow, as on one point, for a float or each entry of an array."""
+    return np.array([v**2 for v in np.ravel(r).tolist()]).reshape(np.shape(r))
+
+
+def p_opt(frame: BoundaryFrame, grad, hess, bound) -> np.ndarray:
+    """The corrected gradient at the Neumann bound ``bound``: m gives p_lo, M
+    gives p_hi; on a stacked frame (``n_bar`` ``(k, dim)``, ``d`` ``(k,)``),
+    row by row the one-point values, for bounds ``(..., k)``."""
     d, ell = frame.d, frame.ell
     hnn = _normal_entry(frame, np.asarray(hess, dtype=float))
-    coeff = 0.5 * (1.0 - d / ell) * bound - 0.25 * ell * (1.0 - (d / ell) ** 2) * hnn
-    return np.atleast_1d(np.asarray(grad, dtype=float)) + coeff * frame.n_bar
+    coeff = 0.5 * (1.0 - d / ell) * bound - 0.25 * ell * (1.0 - _sq(d / ell)) * hnn
+    return np.atleast_1d(np.asarray(grad, dtype=float)) + coeff[..., None] * frame.n_bar
 
 
 def gamma_opt(frame: BoundaryFrame, hess) -> np.ndarray:
-    hess = np.asarray(hess, dtype=float)
-    hnn = _normal_entry(frame, hess)
-    E = np.outer(frame.n_bar, frame.n_bar)
-    return hess + 0.5 * (-1.0 + (frame.d / frame.ell) ** 2) * hnn * E
+    """The flattened Hessian, at the frame or row by row on a stacked one."""
+    hess, n = np.asarray(hess, dtype=float), frame.n_bar
+    c = 0.5 * (-1.0 + _sq(frame.d / frame.ell)) * _normal_entry(frame, hess)
+    return hess + c[..., None, None] * (n[..., :, None] * n[..., None, :])
 
 
 def clip_strategy(strategy: Strategy, params) -> Strategy:
@@ -190,75 +226,74 @@ def probe_derivatives(domain: DomainGeometry, x, phi, scale: float, flux):
     """Derivative estimates of phi at the game's probing scale.
 
     The maximizer's best announcement against steps of length *scale* is
-    built from differences of phi at that same scale — announcing finer
-    derivative estimates amplifies sub-scale noise by (scale/h)^2 per
-    sweep and destabilizes the iteration.
-
-    When a probe point exits the domain, the value there is supplied by
-    even reflection with the correction of *flux* (the prescribed
-    outward normal derivative on the boundary):
-    phi(q) ~ phi(mirror(q)) + 2 dist(q) flux(foot), which keeps every
-    stencil centered.  Centered stencils matter: the inward one-sided
-    second difference puts weight +1/scale^2 on the node's own value, so
-    under sweep iteration a node feeding that estimate back into its own
-    update amplifies its own perturbation by 1 + (eps/scale)^2 per sweep
-    — a seam-node instability.  The reflected stencil keeps the self
-    weight at -2/scale^2 (contracting) and, at the wall itself, makes
-    the collapsed update exact for boundary-compatible data.  A probe
-    whose mirror also leaves the domain (a domain smaller than a couple
-    of probe lengths, which :func:`check_move_bound` rules out) raises
-    ``ValueError``.  In 2D the mixed partial takes the corner stencil,
-    else a one-sided one; where none fits, the field's own
-    ``fd_gradient`` / ``fd_hessian`` (an ``AnalyticField``'s exact
-    derivatives) are announced instead.  All stencils are exact for
-    quadratics (the reflected one for quadratics whose normal slope
-    matches the flux).
+    built from differences of phi at that same scale: finer estimates
+    amplify sub-scale noise by (scale/h)^2 per sweep.  A probe that exits
+    the domain reads its value by even reflection, corrected by *flux*
+    (the prescribed outward normal derivative on the boundary):
+    phi(q) ~ phi(mirror(q)) + 2 dist(q) flux(foot).  This keeps every
+    stencil centred: the inward one-sided second difference would weigh
+    the node's own value by +1/scale^2 and amplify its own perturbation
+    by 1 + (eps/scale)^2 per sweep (a seam-node instability), where the
+    reflected one keeps the weight at -2/scale^2 and is exact at the wall
+    for boundary-compatible data.  A probe whose mirror also leaves the
+    domain (ruled out by :func:`check_move_bound`) raises ``ValueError``.
+    In 2D the mixed partial takes the corner stencil, else a one-sided
+    one; where none fits, the field's own ``fd_gradient`` /
+    ``fd_hessian`` are announced.  All stencils are exact for quadratics
+    (the reflected one where the normal slope matches the flux).  The
+    one-point case of :func:`_probes`.
     """
     xp = np.atleast_1d(np.asarray(x, dtype=float))
-    d = domain.dim
-    s = scale
+    probes, read, add, pick = _probes(domain, xp[None], scale, lambda q: [flux(f) for f in q])
+    values = np.zeros(read.shape)
+    values[read] = phi.eval(probes[read])
+    if pick[0] < 0:  # no mixed stencil fits
+        return phi.fd_gradient(xp), phi.fd_hessian(xp)
+    grad, hess = _probe_derivs(values + add, pick, scale)
+    return grad[0], hess[0]
 
-    def inside(q):
-        return domain.outside_by(q) <= domain.tol
 
-    def probe_value(q):
-        """Value at q: direct, or ghost-reflected through the wall."""
-        if inside(q):
-            return phi.eval(q)
-        foot = domain.project_to_closure(q)
-        mirror = 2.0 * foot - q
-        if not inside(mirror):
-            raise ValueError(f"the reflected probe {mirror} leaves the domain")
-        r = float(np.linalg.norm(q - foot))
-        return phi.eval(mirror) + 2.0 * r * float(flux(foot))
+def _probes(domain, x, s: float, flux) -> tuple:
+    """Where :func:`probe_derivatives` reads the field at the ``(k, dim)``
+    points x at scale s: ``(probes, read, add, pick)``.  ``probes`` holds x,
+    x + s e_j and x - s e_j per axis j (its mirror where one leaves the
+    closure, ``add`` then 2 dist flux(foot), flux of the feet's stack, else
+    -0.0), and in 2D the first stencil of ``_MIXED_2D`` inside, ``pick``
+    (-1, and none, where none is); ``read`` marks the probes read."""
+    k, n = x.shape
+    steps = np.broadcast_to(s * _AXES[n], (k, 2 * n, n))
+    foot, refl, dist = domain.moves(np.repeat(x, 2 * n, axis=0), steps.reshape(-1, n))
+    q = x[:, None] + steps
+    mirror = np.where(refl.reshape(k, 2 * n, 1), 2.0 * foot.reshape(q.shape) - q, q).reshape(-1, n)
+    if (off := domain.outside_by(mirror) > domain.tol).any():
+        raise ValueError(f"the reflected probe {mirror[off.argmax()]} leaves the domain")
+    add = np.full((k, 3 if n == 1 else 9), -0.0)  # which adds nothing, to -0.0 too
+    add[:, 1:2 * n + 1][refl.reshape(k, 2 * n)] = 2.0 * dist[refl] * np.array(flux(foot[refl]),
+                                                                            dtype=float)
+    probes, read = [x[:, None], mirror.reshape(q.shape)], [np.ones((k, 1 + 2 * n), dtype=bool)]
+    pick = np.zeros(k, dtype=int)
+    if n == 2:
+        stencils = x[:, None, None] + s * _MIXED_2D
+        fits = (domain.outside_by(stencils.reshape(-1, 2)) <= domain.tol).reshape(k, 5, 4).all(2)
+        pick = np.where(fits.any(axis=1), fits.argmax(axis=1), -1)
+        probes.append(stencils[np.arange(k), pick])
+        read.append(((pick >= 0)[:, None] & [True, True, True, False]) | (pick == 0)[:, None])
+    return np.concatenate(probes, axis=1), np.concatenate(read, axis=1), add, pick
 
-    f0 = phi.eval(xp)
-    grad = np.zeros(d)
-    hess = np.zeros((d, d))
-    for k in range(d):
-        e = np.zeros(d)
-        e[k] = 1.0
-        fp = probe_value(xp + s * e)
-        fm = probe_value(xp - s * e)
-        grad[k] = (fp - fm) / (2.0 * s)
-        hess[k, k] = (fp - 2.0 * f0 + fm) / s**2
-    if d == 2:
-        signs = [(sx, sy) for sx in (1.0, -1.0) for sy in (1.0, -1.0)]
-        at = lambda sx, sy: xp + s * np.array([sx, sy])
-        if all(inside(at(*sg)) for sg in signs):
-            pp, pm, mp, mm = (phi.eval(at(*sg)) for sg in signs)
-            hess[0, 1] = hess[1, 0] = (pp - pm - mp + mm) / (4.0 * s**2)
-            return grad, hess
-        # the first sign pair whose one-sided stencil (x, y, corner) lies inside
-        fit = next((sg for sg in signs
-                    if all(inside(at(*v)) for v in ((sg[0], 0.0), (0.0, sg[1]), sg))), None)
-        if fit is None:
-            return (np.atleast_1d(np.asarray(phi.fd_gradient(xp), dtype=float)),
-                    np.asarray(phi.fd_hessian(xp), dtype=float))
-        sx, sy = fit
-        hess[0, 1] = hess[1, 0] = (phi.eval(at(sx, sy)) - phi.eval(at(sx, 0.0))
-                                   - phi.eval(at(0.0, sy)) + f0) / (sx * sy * s**2)
-    return grad, hess
+
+def _probe_derivs(v, pick, s: float) -> tuple:
+    """The ``(k, dim)`` gradients and ``(k, dim, dim)`` Hessians of
+    :func:`probe_derivatives` from the field's values at the :func:`_probes`
+    plus their ``add`` (zero where not read); with ``pick`` -1 no mixed partial."""
+    n = 1 if v.shape[1] == 3 else 2
+    f0, fp, fm = v[:, :1], v[:, 1:2 * n + 1:2], v[:, 2:2 * n + 1:2]
+    hess = np.zeros((len(v), n, n))
+    hess.reshape(-1, n * n)[:, ::n + 1] = (fp - 2.0 * f0 + fm) / s**2  # the diagonal
+    if n == 2:
+        mixed = v[:, 5] - v[:, 6] - v[:, 7] + np.where(pick == 0, v[:, 8], v[:, 0])
+        den = np.where(pick == 0, 4.0, _MIXED_2D[pick, 0].prod(axis=1))  # 4, or sx sy
+        hess[:, 0, 1] = hess[:, 1, 0] = mixed / (den * s**2)
+    return (fp - fm) / (2.0 * s), hess
 
 
 def candidate_strategies(domain: DomainGeometry, x, params, h, derivs) -> list:
@@ -267,25 +302,36 @@ def candidate_strategies(domain: DomainGeometry, x, params, h, derivs) -> list:
     Interior: exactly ``derivs``, the probe-scale pair of :func:`probe_derivatives` (clipped).
     Boundary layer: that pair plus the corrected gradient line from p_lo
     to p_hi (``_LINE_SAMPLES`` samples, or p_lo alone where m = M, as in
-    1D), each with the flattened Hessian, clipped as one stack with the pair.
+    1D), each with the flattened Hessian, clipped as one stack with the
+    pair: the one-point case of :func:`_announce`.
     """
     p0, G0 = derivs
     p0 = np.atleast_1d(np.asarray(p0, dtype=float))
-    d = len(p0)
-    G0 = np.asarray(G0, dtype=float).reshape(d, d)
-    P, G = p0[None], G0[None]
     frame = build_frame(domain, x, params.move_bound)
-    if frame.d < frame.ell:  # else no step can cross
-        bounds = neumann_bounds(domain, x, params.move_bound, h, p0)
-        if bounds.possible:
-            line = p_opt(frame, p0, G0, bounds.m)[None]
-            if bounds.M > bounds.m:
-                t = np.linspace(0.0, 1.0, _LINE_SAMPLES)[:, None]
-                line = (1 - t) * line + t * p_opt(frame, p0, G0, bounds.M)
-            P = np.concatenate([P, line])
-            G = np.concatenate([G, np.broadcast_to(gamma_opt(frame, G0), (len(line), d, d))])
-    P, G = _clip(P, G, params)
-    return [Strategy(p=p, Gamma=g) for p, g in zip(P, G)]
+    b = neumann_bounds(domain, x, params.move_bound, h, p0)
+    P, G = _announce(BoundaryFrame(frame.n_bar[None], np.array([frame.d]), frame.ell), p0[None],
+                     np.reshape(G0, (1, len(p0), len(p0))), np.array([[b.m], [b.M]]),
+                     np.array([b.possible]), params)
+    S = 1 + b.possible * (_LINE_SAMPLES if b.M > b.m else 1)
+    return [Strategy(p=p, Gamma=g) for p, g in zip(P[0, :S], G[0, [0] + [1] * (S - 1)])]
+
+
+def _announce(frame, p0, G0, bounds, line, params) -> tuple:
+    """:func:`candidate_strategies` at each point of the stacked frame from its
+    probe pair, clipped: the ``(k, 1 + _LINE_SAMPLES, dim)`` gradients, the
+    pair's, then at the points ``line`` the line of the Neumann bounds
+    ``(m, M)`` (p_lo repeated where m = M), else the pair's; and the
+    ``(k, 2, dim, dim)`` Hessians of the pair and of the line (or the pair)."""
+    j, t = np.flatnonzero(line), _LINE_T
+    m, M = bounds[0][j], bounds[1][j]
+    P, G = np.repeat(p0[:, None], 1 + _LINE_SAMPLES, axis=1), np.repeat(G0[:, None], 2, axis=1)
+    fj = BoundaryFrame(frame.n_bar[j], frame.d[j], frame.ell)
+    p_lo, p_hi = p_opt(fj, p0[j], G0[j], np.stack([m, M]))[:, :, None]
+    P[j, 1:] = np.where((M > m)[:, None, None], (1 - t) * p_lo + t * p_hi, p_lo)
+    G[j, 1] = gamma_opt(fj, G0[j])
+    k, S, d = P.shape
+    P, G = _clip(P.reshape(k * S, d), G.reshape(2 * k, d, d), params)
+    return P.reshape(k, S, d), G.reshape(k, 2, d, d)
 
 
 def candidate_moves(domain: DomainGeometry, x, params, hess_diff=None) -> list:
@@ -303,30 +349,43 @@ def candidate_moves(domain: DomainGeometry, x, params, hess_diff=None) -> list:
 
 def move_builder(domain: DomainGeometry, x, params):
     """The :func:`candidate_moves` of x as a function of ``hess_diff``,
-    returning an (M, dim) array.  The steps that do not depend on it are
-    built once here: in 2D the head (zero, the normal and tangential
-    steps, and the grazing step) and the fan.  Each call puts the four
-    Hessian-mismatch eigen-steps between them."""
+    returning an (M, dim) array; in 2D the one-point :func:`_move_sets_2d`."""
     p = np.atleast_1d(np.asarray(x, dtype=float))
     ell = params.move_bound
     frame = build_frame(domain, p, ell)
+    if domain.dim == 2:
+        one = BoundaryFrame(frame.n_bar[None], np.array([frame.d]), ell)
+
+        def moves(hess_diff=None):
+            steps, real = _move_sets_2d(one, None if hess_diff is None else hess_diff[None, None])
+            return steps[0, 0][real[0]]
+
+        return moves
     n, d = frame.n_bar, frame.d
-    graze = [d * n] if 0.0 < d < ell else []
-    if domain.dim == 1:
-        moves = np.array([[0.0], [ell], [-ell]] + graze)
-        return lambda hess_diff=None: moves
-    tang = np.array([-n[1], n[0]])
-    head = np.array([np.zeros(2), ell * n, -ell * n, ell * tang, -ell * tang] + graze)
-    radii = np.array([ell, 0.5 * ell] + ([d] if graze else []))
-    fan = (radii[None, :, None] * _FAN_2D[:, None, :]).reshape(-1, 2)
+    moves = np.array([[0.0], [ell], [-ell]] + ([d * n] if 0.0 < d < ell else []))
+    return lambda hess_diff=None: moves
 
-    def moves(hess_diff=None):
-        if hess_diff is None:
-            return np.concatenate([head, fan])
-        e = ell * np.linalg.eigh(0.5 * (hess_diff + hess_diff.T))[1].T
-        return np.concatenate([head, [e[0], -e[0], e[1], -e[1]], fan])
 
-    return moves
+def _move_sets_2d(frame, hess_diff) -> tuple:
+    """:func:`candidate_moves` at each point of a stacked frame on the ball, a
+    set per Hessian mismatch of its ``(k, j, 2, 2)`` hess_diff (the eigen-steps
+    by one stacked ``eigh``; none for None): the ``(k, j, 58, 2)`` steps and the
+    ``(k, 58)`` mask of candidate_moves' steps among them, in its order."""
+    n, d, ell = frame.n_bar, frame.d, frame.ell
+    k, j = len(d), 1 if hess_diff is None else hess_diff.shape[1]
+    t = n[:, ::-1] * (-1.0, 1.0)  # the tangent (-n_1, n_0)
+    head = np.stack([np.zeros_like(n), ell * n, -ell * n, ell * t, -ell * t, d[:, None] * n], 1)
+    radii = np.stack([np.full(k, ell), np.full(k, 0.5 * ell), d], axis=1)
+    fan = (radii[:, None, :, None] * _FAN_2D[:, None, :]).reshape(k, 48, 2)  # radii within
+    eig = np.zeros((k, j, 4, 2))
+    if hess_diff is not None:
+        e = ell * np.linalg.eigh(0.5 * (hess_diff + hess_diff.swapaxes(2, 3)))[1].swapaxes(2, 3)
+        eig = e[:, :, [0, 0, 1, 1]] * np.array([1.0, -1.0, 1.0, -1.0])[:, None]  # e0, -e0, e1, -e1
+    real = np.ones((k, 58), dtype=bool)
+    real[:, 5], real[:, 6:10] = (0.0 < d) & (d < ell), hess_diff is not None  # graze, eigen
+    real[:, 12::3] = real[:, 5:6]  # the fan at radius d where the grazing step is
+    return np.concatenate([np.broadcast_to(head[:, None], (k, j, 6, 2)), eig,
+                           np.broadcast_to(fan[:, None], (k, j, 48, 2))], axis=2), real
 
 
 # -- the batched 1D kernel ----------------------------------------------------
@@ -382,7 +441,7 @@ class CandidatePlan1D:
         d = np.maximum(np.minimum(x - a, c - x), 0.0)
         normal = np.where(x - a <= c - x, -1.0, 1.0)
         self.layer_rows = L = np.flatnonzero(d < ell)
-        r2 = np.array([(di / ell) ** 2 for di in d[L]])  # scalar pow, as the pointwise code
+        r2 = _sq(d[L] / ell)  # scalar pow, as the pointwise code
         self.bound_coef = 0.5 * (1.0 - d[L] / ell)  # of m = M in p_opt
         self.hess_coef = 0.25 * ell * (1.0 - r2)  # of H there
         self.flat_coef = 0.5 * (-1.0 + r2)  # of H in gamma_opt

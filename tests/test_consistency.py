@@ -40,8 +40,9 @@ from pdegame.game_elliptic import StationaryStep, _boundary_sup, build_caps, exa
 from pdegame.game_parabolic import s_eps
 from pdegame.geometry import ball, interval
 from pdegame.params import ValidationError, make_params
-from pdegame.problems import ParabolicProblem, get_problem
-from pdegame.strategies import build_frame, gamma_opt, neumann_bounds, p_opt
+from pdegame.problems import EllipticProblem, ParabolicProblem, get_problem
+from pdegame.strategies import (build_frame, candidate_strategies, gamma_opt, neumann_bounds,
+                                p_opt, probe_derivatives)
 
 from sampling import layer_points
 
@@ -404,10 +405,18 @@ class TestAuditPoint:
         with pytest.raises(ValidationError, match="needs a time t"):
             audit_point(np.array([0.02]), None, 0.0, affine(DOM, -1.0), lap, params)
 
-    def test_suite_plays_one_plan_per_interval_pass_and_s_eps_per_disk_point(self, monkeypatch,
-                                                                            plan_calls):
-        passes, plays, calls = [], [], []
-        audit, play = cons.audit_cases, cons.play_1d
+    def test_disk_elliptic_point_without_time_raises(self):
+        # the batched disk round plays the parabolic round, as the 1D kernel does
+        lap = EllipticProblem(name="disk_laplace", domain=DISK, lambda_rate=1.0, h=lambda x: 0.0,
+                              f=lambda x, z, p, G: -float(np.trace(G)))
+        params = make_params(0.2, lambda_rate=1.0)
+        with pytest.raises(ValidationError, match="needs a time t"):
+            audit_point(np.array([0.9, 0.0]), None, 0.0, affine(DISK, -1.0), lap, params)
+
+    def test_suite_plays_one_plan_per_interval_pass_and_one_round_per_disk_pass(
+            self, monkeypatch, plan_calls):
+        passes, plays, rounds = [], [], []
+        audit, play, disk_round = cons.audit_cases, cons.play_1d, cons._disk_round
 
         def recording_audit(*args):
             out = audit(*args)
@@ -418,13 +427,18 @@ class TestAuditPoint:
             plays.append((plan, rest[-2]))
             return play(problem, plan, *rest)
 
-        def counting_s_eps(*args):
-            calls.append(args)
-            return s_eps(*args)
+        def counting_round(parts, pts, *rest):
+            rounds.append((parts, pts))
+            return disk_round(parts, pts, *rest)
 
+        def forbidden(*args):
+            raise AssertionError("the catalog audit called the pointwise s_eps")
+
+        assert not hasattr(cons, "s_eps")
         monkeypatch.setattr(cons, "audit_cases", recording_audit)
         monkeypatch.setattr(cons, "play_1d", counting_play)
-        monkeypatch.setattr(cons, "s_eps", counting_s_eps)
+        monkeypatch.setattr(cons, "_disk_round", counting_round)
+        monkeypatch.setattr("pdegame.game_parabolic.s_eps", forbidden)
         rows = run_audit_suite(eps_ladder=(0.2,), include_disk=True).rows
         # one pass per problem: on the interval aud_h2, aud_h0 and aud_dr (1, 5 and 2
         # cases, 25 points), then the two disk problems (one case of 2 points each)
@@ -436,8 +450,8 @@ class TestAuditPoint:
         assert len(plan_calls[0]) == len(plays) == len({id(plan) for plan, _ in plays}) == 3
         for _, z in plays:
             assert z.shape == (2, 1, 1) and z.ravel().tolist() == [0.0, 1.5]
-        # s_eps runs once per disk point, with z = 0.0, and never on the interval
-        assert [c[4].domain.dim for c in calls] == [2] * 4
+        # each disk pass plays one batched round on all its points, so 2 at this rung
+        assert [(len(parts), len(pts)) for parts, pts in rounds] == [(1, 2), (1, 2)]
         assert len(rows) == 2 * (25 * 2 + 4) == 108
         # the suite writes each case's rows as its pass returned them
         assert Counter(rows) == Counter(r for p in passes for rs in p[5] for r in rs)
@@ -811,6 +825,119 @@ def suite_report():
     return run_audit_suite()
 
 
+# -- the batched disk round against the pointwise s_eps ----------------------
+
+
+#: named disk points: the centre, the wall where an axis meets it (no mixed
+#: stencil fits there, so the field's own derivatives are announced), and
+#: the two neighbouring floats of the x axis whose wall distances are the
+#: least one >= ell (ell itself where 1 - ell is a float) and the greatest < ell
+DISK_SPECIAL = ("centre", "east", "north", "west", "south", "at-ell", "below-ell")
+
+
+def disk_point(kind, ell) -> np.ndarray:
+    """A named point of :data:`DISK_SPECIAL`, or at polar ``(f, angle)`` with
+    wall distance f ell."""
+    axes = {"centre": (0.0, 0.0), "east": (1.0, 0.0), "north": (0.0, 1.0),
+            "west": (-1.0, 0.0), "south": (0.0, -1.0)}
+    if kind in axes:
+        return np.array(axes[kind])
+    if kind in ("at-ell", "below-ell"):
+        x0 = 1.0 - ell  # 1 - x0 is exact: the wall distance of (x0, 0)
+        while 1.0 - x0 < ell:
+            x0 = np.nextafter(x0, 0.0)
+        while 1.0 - np.nextafter(x0, 1.0) >= ell:
+            x0 = np.nextafter(x0, 1.0)
+        return np.array([np.nextafter(x0, 1.0) if kind == "below-ell" else x0, 0.0])
+    f, a = kind
+    return (1.0 - f * ell) * np.array([math.cos(a), math.sin(a)])
+
+
+def assert_round_is_s_eps(cases, z, problem, params):
+    """One ``_disk_round`` over the cases is ``s_eps`` minus phi at every point
+    and z, compared as bytes, and its wall data are each point's wall
+    distance and Neumann bounds of the field's own gradient."""
+    ell = params.move_bound
+    ends = np.cumsum([0] + [len(x) for _, x in cases]).tolist()
+    parts = [(phi, slice(a, b)) for (phi, _), a, b in zip(cases, ends, ends[1:])]
+    pts, zs = np.concatenate([x for _, x in cases]), ((z,) if np.ndim(z) == 0 else tuple(z))
+    grad = np.concatenate([phi.fd_gradient(pts[s]) for phi, s in parts])
+    hess = np.concatenate([phi.fd_hessian(pts[s]) for phi, s in parts])
+    lhs, d, m, M, possible = cons._disk_round(parts, pts, 0.25, zs, problem, params, grad,
+                                              hess)[:5]
+    want = [np.array(s_eps(phi, xp, 0.25, zs, problem, params)) - phi.eval(xp)
+            for phi, s in parts for xp in pts[s]]
+    assert lhs.shape == (len(zs), len(pts))
+    assert lhs.T.tobytes() == np.reshape(want, (len(pts), len(zs))).tobytes()
+    for i, xp in enumerate(pts):
+        bounds = neumann_bounds(DISK, xp, ell, problem.h, grad[i])
+        assert d[i] == build_frame(DISK, xp, ell).d
+        assert possible[i] == bounds.possible
+        if bounds.possible:
+            assert np.float64(m[i]).tobytes() == np.float64(bounds.m).tobytes()
+            assert np.float64(M[i]).tobytes() == np.float64(bounds.M).tobytes()
+
+
+def hessian_sets(phi, x, problem, params) -> int:
+    """The distinct Hessians among the announcements of ``s_eps`` at x."""
+    derivs = probe_derivatives(DISK, x, phi, params.move_bound, flux=problem.h)
+    return len({s.Gamma.tobytes() for s in candidate_strategies(DISK, x, params, problem.h,
+                                                                 derivs)})
+
+
+class TestDiskRound:
+    @settings(max_examples=40, deadline=None)
+    @given(points=st.lists(st.one_of(st.sampled_from(DISK_SPECIAL), st.tuples(
+                               st.floats(0.0, 2.0), st.floats(0.0, 2.0 * math.pi))),
+                           min_size=1, max_size=5),
+           cuts=CUTS, fields=CASE_FIELDS, empty_at=st.integers(0, 3),
+           flux=st.sampled_from((0.0, 2.0)),
+           **{k: PASS_CASES[k] for k in ("eps", "problem", "z")})
+    def test_is_s_eps_at_every_point_and_z(self, points, cuts, fields, empty_at, eps, problem,
+                                           flux, z):
+        # layer and interior points in one stack pad the strategies and the moves
+        params = make_params(eps, lambda_rate=1.0)
+        pts = np.array([disk_point(p, params.move_bound) for p in points])
+        cases = split_cases(DISK, pts, cuts, fields, empty_at)
+        assert_round_is_s_eps(cases, z, _test_problem(DISK, problem, flux), params)
+
+    @pytest.mark.parametrize("eps", [0.4, 0.2, 0.05])
+    @pytest.mark.parametrize("problem", ["heat", "kinked"])
+    @pytest.mark.parametrize("flux", [0.0, 2.0])
+    def test_pads_and_falls_back_at_the_named_points(self, eps, problem, flux):
+        params = make_params(eps, lambda_rate=1.0)
+        ell = params.move_bound
+        prob = _test_problem(DISK, problem, flux)
+        barrier, affine_ = exact_barrier(DISK, 1.0), affine(DISK, -1.0)
+        layer = np.array([1.0 - 0.3 * ell, 0.0])
+        # at the same layer point the barrier announces two Hessians, the slope one
+        assert hessian_sets(barrier, layer, prob, params) == 2
+        assert hessian_sets(affine_, layer, prob, params) == 1
+        special = np.array([disk_point(k, ell) for k in DISK_SPECIAL])
+        assert [build_frame(DISK, x, ell).d < ell for x in special[-2:]] == [False, True]
+        for x in special[1:5]:  # the field's own derivatives where no mixed stencil fits
+            g, H = probe_derivatives(DISK, x, barrier, ell, flux=prob.h)
+            assert g.tobytes() == barrier.fd_gradient(x).tobytes()
+            assert H.tobytes() == barrier.fd_hessian(x).tobytes()
+        interior = np.array([[0.2, -0.1]])
+        cases = [(barrier, np.concatenate([layer[None], special])),
+                 (affine_, np.concatenate([layer[None], interior]))]
+        for z in (1.5, (0.0, -2.0, 1.5)):
+            assert_round_is_s_eps(cases, z, prob, params)
+
+    @pytest.mark.parametrize("problem", ["drift", "kinked"])
+    @pytest.mark.parametrize("flux", [0.0, 2.0])
+    def test_keeps_the_first_of_equal_zeros(self, problem, flux):
+        # phi = 0 cos(3 x0) reads +0.0 and -0.0, so branch values tie at zeros of
+        # either sign, where a min or max that kept any but the first would flip one
+        params = make_params(0.2, lambda_rate=1.0)
+        ell = params.move_bound
+        ring = [disk_point((f, k * math.pi / 6), ell) for f in (0.3, 0.99, 1.5) for k in range(12)]
+        pts = np.array([disk_point(k, ell) for k in DISK_SPECIAL] + ring)
+        assert_round_is_s_eps([(cons._cos_profile(DISK, 0.0, 3.0), pts)], 0.0,
+                              _test_problem(DISK, problem, flux), params)
+
+
 class TestSuite:
     def test_every_case_label_has_at_least_five_rows(self, suite_report):
         counts = suite_report.count_by_case()
@@ -978,7 +1105,8 @@ class TestBarrierAudits:
             raise AssertionError("the wall-shift audit played another round")
 
         monkeypatch.setattr(cons, "play_1d", forbidden)
-        monkeypatch.setattr(cons, "s_eps", forbidden)
+        monkeypatch.setattr(cons, "_disk_round", forbidden)
+        monkeypatch.setattr("pdegame.game_parabolic.s_eps", forbidden)
         rep, _ = laplace_wall_shift(0.2, cap_M=8.0)
         assert len(rep.rows) == 24
 

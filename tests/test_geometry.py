@@ -539,3 +539,35 @@ def test_moves_match_the_make_move_loop_on_random_stacks(dom):
             assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
         crossed += int(got[1].sum())
     assert crossed > 100
+
+
+@pytest.mark.parametrize("dom", catalog(), ids=lambda d: d.kind + str(d.center))
+def test_moves_from_one_origin_per_row_are_the_per_origin_calls(dom):
+    # every row its own origin: the same bytes as one call per origin
+    rng, crossed = np.random.default_rng(43), 0
+    for _ in range(20):
+        origins = np.array([_random_move(dom, rng)[0] for _ in range(12)])
+        u = rng.normal(size=(12, dom.dim))
+        steps = u / np.linalg.norm(u, axis=1)[:, None] * rng.uniform(0.0, 0.5 * dom.r_ext, (12, 1))
+        got = dom.moves(origins, steps)
+        want = [dom.moves(x, step[None]) for x, step in zip(origins, steps)]
+        for g, w in zip(got, zip(*want)):
+            w = np.concatenate(w)
+            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+        crossed += int(got[1].sum())
+    assert crossed > 20
+
+
+@pytest.mark.parametrize("dom", catalog()[1:2], ids=["disk"])
+def test_moves_from_one_origin_per_row_name_the_first_step_beyond_reach_or_at_nan(dom):
+    ctr, far = np.asarray(dom.center), 0.5 * dom.r_ext + 2.0 * dom.radius
+    origins = ctr + np.array([[0.1, 0.0], [0.0, 0.2], [-0.3, 0.0], [0.0, 0.0]])
+    steps = np.array([[0.05, 0.0], [0.0, far], [far, 0.0], [np.nan, 0.0]])
+    for rows in ([0, 1, 2, 3], [0, 3, 1], [3, 2]):
+        first = rows[1] if rows[0] == 0 else rows[0]
+        with pytest.raises(ValueError) as want:
+            dom.moves(origins[first], steps[first][None])
+        with pytest.raises(ValueError) as got:
+            dom.moves(origins[rows], steps[rows])
+        assert str(got.value) == str(want.value)
+        assert ("nan from" if first == 3 else "r_ext/2") in str(got.value)

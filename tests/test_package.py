@@ -1,5 +1,6 @@
 """Package hygiene: every public name a module exports exists, and the README
 names the catalog and the config keys."""
+import ast
 import dataclasses
 import importlib
 import importlib.util
@@ -53,6 +54,30 @@ def test_every_traced_callable_resolves():
         if cls is None or meth not in vars(cls):
             missing.append(f"{mod}.{cls_name}.{meth}")
     assert missing == []
+
+
+def _s_eps_reads(source: str) -> list:
+    """The lines of ``source`` that import or name ``s_eps`` as code (an
+    import, a name or an attribute; strings and docstrings do not count)."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and any(a.name == "s_eps" for a in node.names):
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.Name) and node.id == "s_eps") or (
+                isinstance(node, ast.Attribute) and node.attr == "s_eps"):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_module_but_its_own_imports_or_calls_the_pointwise_oracle():
+    # the pointwise s_eps is the tests' oracle: every solver and audit plays a batched kernel
+    probe = 'from .game_parabolic import play_1d, s_eps\nv = gp.s_eps(x)\n"""s_eps"""\n'
+    assert _s_eps_reads(probe) == [1, 2]
+    readers = {}
+    for path in sorted(Path(pdegame.__file__).parent.glob("*.py")):
+        if path.stem != "game_parabolic" and _s_eps_reads(path.read_text()):
+            readers[path.name] = _s_eps_reads(path.read_text())
+    assert readers == {}
 
 
 @pytest.mark.parametrize("workload", ["heat_ladder", "levelset", "elliptic", "audit"])

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from pdegame.geometry import interval
+from pdegame.geometry import ball, interval
 from pdegame.params import ValidationError
-from pdegame.problems import EllipticProblem, ParabolicProblem, get_problem, list_problems
+from pdegame.problems import (EllipticProblem, ParabolicProblem, f_stacked, get_problem,
+                              list_problems)
 
 CATALOG = [
     "heat1d_cosine",
@@ -91,8 +92,8 @@ def test_mixed_problem_solves_cosh():
 
 @pytest.mark.parametrize("name", list_problems())
 def test_f_batched_is_f_sample_by_sample(name):
-    # the 1D kernel and the stationary solver read f_batched; s_eps, the
-    # audits and the wall-shift constant c_star read f
+    # the kernels, the stationary solver and the audits read f_batched
+    # through f_stacked; the pointwise oracle s_eps reads f
     prob = get_problem(name)
     dom = prob.domain
     grid = np.meshgrid(np.linspace(dom.a, dom.c, 5), [-2.0, 0.0, 1.5], [-3.0, 0.0, 2.5],
@@ -104,6 +105,24 @@ def test_f_batched_is_f_sample_by_sample(name):
             for x, z, p, g in zip(X, Z, P, G)]
     assert len(want) == 135
     assert np.asarray(got, dtype=float).tolist() == want
+
+
+@pytest.mark.parametrize("batched", [True, False], ids=["f_batched", "f"])
+def test_f_stacked_broadcasts_2d_samples_as_one_f_call_each(batched):
+    # x and p end in an axis of 2 and G in two; the rest broadcasts
+    prob = ParabolicProblem(
+        name="reads_all", domain=ball((0.0, 0.0), 1.0), g=lambda x: 0.0, h=lambda x: 0.0, T=1.0,
+        f=lambda t, x, z, p, G: float(x[1] * p[0] - G[0, 1] + z * G[1, 1] + t),
+        f_batched=(lambda t, X, Z, P, G: X[:, 1] * P[:, 0] - G[:, 0, 1] + Z * G[:, 1, 1] + t)
+        if batched else None)
+    rng = np.random.default_rng(5)
+    x, z = rng.normal(size=(3, 1, 2)), rng.normal(size=(4, 1, 1))
+    p, G = rng.normal(size=(3, 5, 2)), rng.normal(size=(5, 2, 2))
+    got = f_stacked(prob, 0.1, x, z, p, G)
+    assert got.shape == (4, 3, 5)
+    want = [[[prob.f(0.1, x[i, 0], z[k, 0, 0], p[i, j], G[j]) for j in range(5)]
+             for i in range(3)] for k in range(4)]
+    assert got.tobytes() == np.array(want).tobytes()
 
 
 # -- sampled structural audits ---------------------------------------------
