@@ -176,9 +176,12 @@ def _write_csv(path: Path, header: list, rows: list) -> None:
 
 def _write_audit_csv(path: Path, rows: list) -> None:
     """The ``consistency.AuditRow`` rows, the point as ``(a; b)`` and pass as ``1`` or ``0``."""
-    _write_csv(path, ["domain", "eps", "point", "case", "lhs", "rhs", "residual", "pass"], [
-        [r.domain, r.eps, "(" + "; ".join(map(_fmt, r.point)) + ")", r.case, r.lhs, r.rhs,
-         r.residual, "1" if r.passed else "0"] for r in rows])
+    header = ["domain", "eps", "point", "case", "lhs", "rhs", "residual", "pass"]
+    with path.open("w", newline="") as fh:  # each float cell as _fmt writes it
+        csv.writer(fh).writerows([header] + [
+            [r.domain, f"{r.eps:.12g}", "(" + "; ".join(f"{v:.12g}" for v in r.point) + ")",
+             r.case, f"{r.lhs:.12g}", f"{r.rhs:.12g}", f"{r.residual:.12g}",
+             "1" if r.passed else "0"] for r in rows])
 
 
 def _record_config(out: Path, cfg: RunConfig) -> None:

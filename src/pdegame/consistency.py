@@ -18,10 +18,11 @@ from its residual and case.  The barrier-round lemma, ``S[psi] - psi <=
 C (1 + |z|) eps**2`` and its mirror on ``-psi``, is not audited here: the
 tests check it on the pointwise ``s_eps``.
 
-In the catalog, the cases of a (rung, problem) are one array pass over
-all their points, on both domains (:func:`audit_cases`), each case's phi
-read at its probes and landings by one ``eval``.  On the interval
-``S[phi]`` is the scalar solver's own 1D kernel: one
+In the catalog, the cases of a problem at every rung of the ladder are one
+array pass over all their points, on both domains (:func:`audit_cases`):
+5 passes at any ladder length, each distinct phi read by one ``eval``, each
+rung's scales columns of its Python floats (:func:`_rung_scales`).  On the
+interval ``S[phi]`` is the scalar solver's own 1D kernel: one
 ``strategies.CandidatePlan1D`` on the pass's points and one
 ``game_parabolic.play_1d`` for all z.  On the disk it is one batched 2D
 round on the stacked pieces of ``strategies`` (:func:`_disk_round`).  The
@@ -39,6 +40,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -48,7 +50,7 @@ from .game_parabolic import play_1d
 from .geometry import DomainGeometry, _circle, ball, interval
 from .params import ValidationError, make_params
 from .problems import ParabolicProblem, f_stacked
-from .strategies import (_EIGEN_2D, BoundaryFrame, CandidatePlan1D, NeumannBounds, _announce,
+from .strategies import (_EIGEN_2D, BoundaryFrame, CandidatePlan1D, NeumannBounds, _announce, _at,
                          _crossing_fan, _fan_bounds, _move_sets_2d, _pick, _probe_derivs, _probes,
                          check_move_bound, gamma_opt, p_opt)
 
@@ -92,6 +94,21 @@ SLACK_POWER = 2.5
 #: an exact hit of the bound (the games and bounds are evaluated to
 #: machine precision on O(1) quantities), not a violation.
 RESIDUAL_NOISE = 1e-10
+
+
+def _rung_scales(ladder, counts) -> SimpleNamespace:
+    """The scales the catalog audit reads: per scale, the Python float of each
+    rung of ``ladder`` repeated over its ``counts`` points.  Never a numpy
+    power of an array, which differs from Python's ``**`` in the last bit,
+    where the pointwise oracle takes ``**``: on x86-64, numpy 2.4, in 1,667
+    of 2,000,000 random squares and 5.5% of x**(5/6)."""
+    rungs = [(p.eps, p.move_bound, p.time_step, p.p_bound, p.hessian_bound, p.eps**p.rho,
+              p.eps ** (1.0 - p.alpha - p.kappa), SLACK_CONST * p.eps**SLACK_POWER)
+             for p in ladder]
+    cols = np.repeat(np.array(rungs).T, counts, axis=1)
+    names = ("eps", "move_bound", "time_step", "p_bound", "hessian_bound",  # time_step: eps**2
+             "band", "penalty", "slack")  # eps**rho, eps**(1-alpha-kappa), the allowance
+    return SimpleNamespace(**dict(zip(names, cols)))
 
 
 # -- report rows -----------------------------------------------------------
@@ -159,13 +176,13 @@ def classify_case(d, params, bounds, hnorm):
     spectral norm of D2 phi, and ``-eps**(1-alpha-kappa)``.  Arrays of d,
     hnorm and the bounds' fields, one entry per point, give one label each.
     """
-    ell, eps, M = params.move_bound, params.eps, bounds.M
-    penalty = np.where(M <= -(eps ** (1.0 - params.alpha - params.kappa)),
-                       CASE_CLOSE_BIG_PENALTY, CASE_CLOSE_SMALL)
-    close = np.where(d >= ell - eps**params.rho, CASE_FAR_SMALL, penalty)
+    s = params if isinstance(params, SimpleNamespace) else _rung_scales([params], [1])
+    ell, M = s.move_bound, bounds.M
+    penalty = np.where(M <= -s.penalty, CASE_CLOSE_BIG_PENALTY, CASE_CLOSE_SMALL)
+    close = np.where(d >= ell - s.band, CASE_FAR_SMALL, penalty)
     case = np.where(np.logical_or(d >= ell, np.logical_not(bounds.possible)), CASE_FAR_SMALL,
                     np.where(M > (4.0 / 3.0) * hnorm * ell, CASE_BIG_BONUS, close))
-    return case if case.ndim else str(case)
+    return case if np.ndim(d) else str(case.item())
 
 
 # -- point audits ----------------------------------------------------------
@@ -219,28 +236,26 @@ def _round_and_walls(parts, pts, t, zs, problem, params, grad, hess) -> tuple:
             read[:, s] = phi.eval(read[:, s].reshape(-1, 1)).reshape(read[:, s].shape)
         probe, landing = read[:3], read[3:, plan.node]
         values = play_1d(problem, plan, probe, landing, np.reshape(zs, (-1, 1, 1)), t)
-        x, L, n = pts[:, 0], plan.layer_rows, plan.normal
-        d = np.maximum(np.minimum(x - dom.a, dom.c - x), 0.0)
+        L, n = plan.layer_rows, plan.normal
         g, H = grad[L, 0], hess[L, 0, 0]
         m = np.zeros(k)
         m[L] = plan.h_wall - g * n
         p, G = grad.copy(), hess.copy()
         p[L, 0] = g + (plan.bound_coef * m[L] - plan.hess_coef * H) * n
         G[L, 0, 0] = H + plan.flat_coef * H
-        return values - probe[0], d, m, m, d < ell, p, p, G
+        return values - probe[0], plan.d, m, m, plan.d < ell, p, p, G
     return _disk_round(parts, pts, t, zs, problem, params, grad, hess)
 
 
 def _disk_round(parts, pts, t, zs, problem, params, grad, hess) -> tuple:
     """:func:`_round_and_walls` on the disk, ``s_eps`` at every point and z bit
     for bit as one array pass: phi read at the probes, then at the landings,
-    by one ``eval`` per case, and one crossing fan per point for the Neumann
+    by one ``eval`` per field, and one crossing fan per point for the Neumann
     bounds of the probe gradient and of grad.  A pad repeats a row."""
     dom, ell, k = problem.domain, params.move_bound, len(pts)
-    u = pts - np.asarray(dom.center)
-    rho = np.sqrt(np.vecdot(u, u))[:, None]  # build_frame's, by the fused dot of np.linalg.norm
-    n_bar = np.divide(u, rho, out=np.tile([1.0, 0.0], (k, 1)), where=rho > 0.0)  # +x at the centre
-    frame = BoundaryFrame(n_bar, np.maximum(dom.radius - rho[:, 0], 0.0), ell)
+    u, rho = centred = dom._centred(pts)  # build_frame's normal, +x at the centre
+    n_bar = np.divide(u, rho[:, None], out=np.tile([1.0, 0.0], (k, 1)), where=rho[:, None] > 0.0)
+    frame = BoundaryFrame(n_bar, np.maximum(dom._gap(pts, centred), 0.0), ell)
     probes, read, add, pick = _probes(dom, pts, ell, problem.h)
     values = np.zeros(read.shape)
     values[read] = _read(parts, np.nonzero(read)[0], probes[read])
@@ -266,11 +281,12 @@ def _disk_round(parts, pts, t, zs, problem, params, grad, hess) -> tuple:
     phi_land, crossed, pen, D, DGD, G = (a[np.arange(k)[:, None], line]
                                          for a in (phi_land, crossed, pen, D, DGD, G))
     F = f_stacked(problem, t, pts[:, None], np.reshape(zs, (-1, 1, 1)), P, G)
-    vals = (phi_land - np.vecdot(P[:, :, None], D) - 0.5 * DGD) - params.time_step * F[..., None]
+    dt = _at(params.time_step, axes=2)
+    vals = (phi_land - np.vecdot(P[:, :, None], D) - 0.5 * DGD) - dt * F[..., None]
     best = _pick(_pick(np.where(crossed, vals + pen, vals), np.argmin), np.argmax)
     m, M = np.where(possible, bounds[:, 1], 0.0)
     j = np.flatnonzero(possible)  # the announcements of the field's own derivatives there
-    fj, p_M, p_m = BoundaryFrame(frame.n_bar[j], frame.d[j], ell), grad.copy(), grad.copy()
+    fj, p_M, p_m = BoundaryFrame(frame.n_bar[j], frame.d[j], _at(ell, j)), grad.copy(), grad.copy()
     G_o = hess.copy()
     p_M[j], p_m[j] = p_opt(fj, grad[j], hess[j], np.stack([M[j], m[j]]))
     G_o[j] = gamma_opt(fj, hess[j])
@@ -286,17 +302,18 @@ def _read(parts, owner, where) -> np.ndarray:
     return out
 
 
-def audit_cases(cases, t, z, problem, params) -> list:
+def audit_cases(cases, t, z, problem) -> list:
     """Audit both one-sided estimates for ``S[phi] - phi`` on each case
-    ``(phi, x)`` of ``cases``, x a point or a ``(k, dim)`` stack of points,
-    for the running value z or for each of a sequence z.
+    ``(phi, x, params)`` of ``cases``, x a point or a ``(k, dim)`` stack of points
+    on the rung params, for the running value z or for each of a sequence z.
 
     Returns one tuple of rows per case, in case order: point by point,
-    ``(upper_row, lower_row)`` per z, concatenated in z order.  Each case's
-    phi gives the derivatives and S[phi] at its own points; the rest is
-    one array pass over the stack of every case's points, the same on both
-    domains: S[phi] and the wall data (:func:`_round_and_walls`), the
-    labels, f at each (z, announcement, point) by one ``f_stacked`` call
+    ``(upper_row, lower_row)`` per z, concatenated in z order.  Each distinct
+    phi gives the derivatives and S[phi] at all its cases' points, and each
+    point's rung its scales, as columns of Python floats (:func:`_rung_scales`);
+    the rest is one array pass over the stack of every case's points, the
+    same on both domains: S[phi] and the wall data (:func:`_round_and_walls`),
+    the labels, f at each (z, announcement, point) by one ``f_stacked`` call
     (and by one more on the close-big-penalty rows' sample ball), and the
     bounds and residuals; only the rows are built one by one.
 
@@ -306,18 +323,24 @@ def audit_cases(cases, t, z, problem, params) -> list:
     two-case bound from explicit announcements available to the
     maximizer, so no allowance, ``residual = rhs - lhs``.
     """
-    dom, eps, ell = problem.domain, params.eps, params.move_bound
-    stacks = [np.reshape(np.asarray(x, dtype=float), (-1, dom.dim)) for _, x in cases]
+    dom, runs = problem.domain, {}  # each distinct phi (by identity): its cases
+    for i, (phi, _, _) in enumerate(cases):
+        runs.setdefault(phi, []).append(i)
+    order = [i for run in runs.values() for i in run]
+    stacks = [np.reshape(np.asarray(cases[i][1], dtype=float), (-1, dom.dim)) for i in order]
     ends = np.cumsum([0] + [len(x) for x in stacks]).tolist()
-    parts = [(phi, slice(a, b)) for (phi, _), a, b in zip(cases, ends, ends[1:])]
+    cut = np.cumsum([0] + [len(run) for run in runs.values()]).tolist()
+    parts = [(phi, slice(ends[a], ends[b])) for phi, a, b in zip(runs, cut, cut[1:])]
     pts, zs = np.concatenate(stacks), ((z,) if np.ndim(z) == 0 else tuple(z))
-    grad = np.concatenate([phi.fd_gradient(pts[s]) for phi, s in parts])
-    hess = np.concatenate([phi.fd_hessian(pts[s]) for phi, s in parts])
-    lhs, d, m, M, possible, p_M, p_m, G_o = _round_and_walls(parts, pts, t, zs, problem, params,
+    s = _rung_scales([cases[i][2] for i in order], np.diff(ends))
+    eps, ell = s.eps, s.move_bound
+    grad = np.concatenate([phi.fd_gradient(pts[c]) for phi, c in parts])
+    hess = np.concatenate([phi.fd_hessian(pts[c]) for phi, c in parts])
+    lhs, d, m, M, possible, p_M, p_m, G_o = _round_and_walls(parts, pts, t, zs, problem, s,
                                                              grad, hess)
     hnorm = _hess_norm(hess)
 
-    upper = classify_case(d, params, NeumannBounds(m, M, possible), hnorm)
+    upper = classify_case(d, s, NeumannBounds(m, M, possible), hnorm)
     lower = np.where((d >= ell) | ~possible | (m > 0.5 * (3.0 * ell - d) * hnorm),
                      CASE_LOWER_BIG_BONUS, CASE_LOWER_SMALL)
     big, pen = upper == CASE_BIG_BONUS, upper == CASE_CLOSE_BIG_PENALTY
@@ -329,27 +352,28 @@ def audit_cases(cases, t, z, problem, params) -> list:
     G = np.array([np.where(up, G_o, G_up), np.where(low, G_o, hess)])
     F = f_stacked(problem, t, pts, np.reshape(zs, (-1, 1, 1)), P, G)  # (z, side, point)
     if pen.any():
-        r = 3.0 * (1.0 - d[pen] / ell) * np.abs(M[pen])
+        r = 3.0 * (1.0 - d[pen] / ell[pen]) * np.abs(M[pen])
         F[:, 0, pen] = _min_f_on_ball(problem, t, pts[pen], zs, p_M[pen], G_o[pen], r)
 
-    f_term = -(eps**2) * F  # x - eps^2 f is x + f_term, bit for bit
+    f_term = -s.time_step * F  # x - eps^2 f is x + f_term, bit for bit
     wall = np.where(big, 3.0, 0.25) * (ell - d) * M
-    rhs_up = np.where(big | pen, wall + f_term[:, 0], f_term[:, 0]) + SLACK_CONST * eps**SLACK_POWER
+    rhs_up = np.where(big | pen, wall + f_term[:, 0], f_term[:, 0]) + s.slack
     floor = 0.5 * (ell - d) * (np.where(m >= 0.0, -1.0, 3.0) * m - 4.0 * hnorm * ell)
     rhs_low = np.where(small, floor + f_term[:, 1], f_term[:, 1])
     table = np.array([[lhs, rhs_up, lhs - rhs_up], [lhs, rhs_low, rhs_low - lhs]])
-    tag, rows = _domain_tag(dom), []
-    for xp, labels, per_z in zip(pts.tolist(), zip(upper.tolist(), lower.tolist()),
-                                 table.transpose(3, 2, 0, 1).tolist()):  # (point, z, side, value)
+    tag, rows, labels = _domain_tag(dom), [], zip(upper.tolist(), lower.tolist())
+    for xp, e, sides, per_z in zip(pts.tolist(), eps.tolist(), labels,
+                                   table.transpose(3, 2, 0, 1).tolist()):  # (point, z, side, value)
         for pair in per_z:
-            rows += [AuditRow(tag, eps, tuple(xp), case, *v) for case, v in zip(labels, pair)]
+            rows += [AuditRow(tag, e, tuple(xp), case, *v) for case, v in zip(sides, pair)]
     per_point = 2 * len(zs)
-    return [tuple(rows[per_point * s.start:per_point * s.stop]) for _, s in parts]
+    out = {i: tuple(rows[per_point * a:per_point * b]) for i, a, b in zip(order, ends, ends[1:])}
+    return [out[i] for i in range(len(cases))]
 
 
 def audit_point(x, t, z, phi, problem, params) -> tuple:
-    """The rows of :func:`audit_cases` on the one case ``(phi, x)``."""
-    return audit_cases([(phi, x)], t, z, problem, params)[0]
+    """The rows of :func:`audit_cases` on the one case ``(phi, x, params)``."""
+    return audit_cases([(phi, x, params)], t, z, problem)[0]
 
 
 def audit_upper(x, t, z, phi, problem, params) -> AuditRow:
@@ -483,8 +507,9 @@ def run_audit_suite(
     profile) with flux choices so that every case label is exercised at
     every rung of the ladder; points are placed at named wall
     distances inside each threshold band.  Each point contributes, for
-    each z in turn, its upper row, then its lower row, in catalog order;
-    one :func:`audit_cases` pass serves all the cases of a (rung, problem).
+    each z in turn, its upper row, then its lower row, rung by rung in
+    catalog order; one :func:`audit_cases` pass serves all the cases of a
+    problem at every rung, so the suite makes 5 passes at any ladder length.
 
     Raises ``ValidationError`` before any audit runs if :func:`audit_ladder` does.
     """
@@ -508,22 +533,19 @@ def run_audit_suite(
     ]
     disk_catalog = [(_affine(disk, -1.0), disk_h2, (0.0, 0.3)),  # wall distances in units of ell
                     (_affine(disk, 0.2), disk_h0, (0.5, 1.5))]
-    rungs = []  # (params, z, cases), each case (phi, problem, points)
+    cases = []  # (problem, z, (phi, points, params)), rung by rung
     for params in ladder:
         dd = _interval_layer(params.move_bound, params.eps, params.rho)
-        rungs.append((params, (0.0, 1.5), [
-            (phi, problem, np.array([x for kind in kinds for x in (
-                (dd[kind], 1.0 - dd[kind]) if kind == "close" else (dd[kind],))])[:, None])
-            for phi, problem, kinds in catalog]))
+        cases += [(problem, (0.0, 1.5), (phi, np.array([x for kind in kinds for x in (
+            (dd[kind], 1.0 - dd[kind]) if kind == "close" else (dd[kind],))])[:, None], params))
+            for phi, problem, kinds in catalog]
     for params in ladder if include_disk else ():
-        rungs.append((params, 0.0, [
-            (phi, problem, np.array([[1.0 - f * params.move_bound, 0.0] for f in fracs]))
-            for phi, problem, fracs in disk_catalog]))
-    report = ConsistencyReport()
-    for params, z, cases in rungs:
-        rows = {}  # case index: its rows
-        for problem in dict.fromkeys(problem for _, problem, _ in cases):  # by identity
-            ids = [i for i, case in enumerate(cases) if case[1] is problem]
-            rows.update(zip(ids, audit_cases([cases[i][::2] for i in ids], t, z, problem, params)))
-        report.extend(r for i in range(len(cases)) for r in rows[i])
-    return report
+        cases += [(problem, 0.0, (phi, np.array([[1.0 - f * params.move_bound, 0.0]
+                                                 for f in fracs]), params))
+                  for phi, problem, fracs in disk_catalog]
+    rows = {}  # case index: its rows
+    for problem in dict.fromkeys(problem for problem, _, _ in cases):  # by identity
+        ids = [i for i, case in enumerate(cases) if case[0] is problem]
+        rows.update(zip(ids, audit_cases([cases[i][2] for i in ids], t, cases[ids[0]][1],
+                                         problem)))
+    return ConsistencyReport([r for i in range(len(cases)) for r in rows[i]])

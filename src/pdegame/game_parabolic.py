@@ -212,13 +212,13 @@ def play_1d(problem, plan, probe_values, landing_values, z, t):
     value, one per column, or an ``(nz, 1, 1)`` stack, played at once into
     one row of values per z.  The round is parabolic: t=None raises, as the
     stationary round is ``game_elliptic.StationaryStep``.  The game
-    parameters are the plan's."""
+    parameters are the plan's: one rung, or one per point."""
     if t is None:
         raise ValidationError("play_1d plays the parabolic round and needs a time t")
     P, G = plan.announce(probe_values)
     F = f_stacked(problem, t, plan.x[:, None], z, P[..., None], G[..., None, None])
     D = plan.step
-    vals = landing_values - P * D - 0.5 * (D * G * D) - plan.params.time_step * F
+    vals = landing_values - P * D - 0.5 * (D * G * D) - plan.time_step * F
     np.add(vals, plan.penalty, out=vals, where=plan.crossed)
     worst = vals.min(axis=-2).T  # columns first, with or without a z stack
     n, L = len(probe_values[0]), plan.layer_rows

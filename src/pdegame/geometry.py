@@ -104,16 +104,21 @@ class DomainGeometry:
 
     # -- membership --------------------------------------------------------
 
-    def _gap(self, q: np.ndarray):
+    def _centred(self, q: np.ndarray) -> tuple:
+        """``(u, |u|)`` for ``u = q - center``, of a point or row by row, the norm
+        as ``sqrt(vecdot(u, u))``, the fused dot product of ``np.linalg.norm``."""
+        u = q - np.asarray(self.center)
+        return u, np.sqrt(np.vecdot(u, u))
+
+    def _gap(self, q: np.ndarray, centred=None):
         """Signed distance to the boundary, positive inside, of the point ``q``
         or of each row of the ``(k, dim)`` stack ``q``: ``min(p - a, c - p)``
-        on the interval, ``R - |p - center|`` on the ball, with the norm taken
-        as ``sqrt(vecdot(u, u))``, the fused dot product of ``np.linalg.norm``."""
+        on the interval, ``R - |p - center|`` on the ball, from ``centred``, q's
+        :meth:`_centred`, where the caller has it."""
         if self.kind == "interval":
             lo, hi = q.T[0] - self.a, self.c - q.T[0]
             return min(lo, hi) if q.ndim == 1 else np.minimum(lo, hi)
-        rel = q - np.asarray(self.center)
-        return self.radius - np.sqrt(np.vecdot(rel, rel))
+        return self.radius - (self._centred(q) if centred is None else centred)[1]
 
     def outside_by(self, x):
         """Distance from ``x`` to the closure (0 inside, NaN at a NaN point);
@@ -222,7 +227,8 @@ class DomainGeometry:
         """
         origin = np.asarray(x, dtype=float) if np.ndim(x) == 2 else _as_point(x, self.dim)
         x_hat = origin + np.reshape(steps, (-1, self.dim))
-        out = -self._gap(x_hat)
+        centred = None if self.kind == "interval" else self._centred(x_hat)  # one norm per step
+        out = -self._gap(x_hat, centred)
         far = np.flatnonzero(~(out <= self.reach))  # NaN fails the comparison
         if len(far):
             self.project_to_closure(x_hat[far[0]])  # raises
@@ -231,9 +237,8 @@ class DomainGeometry:
         if self.kind == "interval":
             landing[crossed] = np.clip(x_hat[crossed], self.a, self.c)
         else:
-            ctr = np.asarray(self.center, dtype=float)
-            rel = x_hat[crossed] - ctr
-            landing[crossed] = ctr + rel * (self.radius / np.sqrt(np.vecdot(rel, rel)))[:, None]
+            (rel, r), ctr = centred, np.asarray(self.center, dtype=float)
+            landing[crossed] = ctr + rel[crossed] * (self.radius / r[crossed])[:, None]
         u = x_hat - landing
         return landing, crossed, np.sqrt(np.vecdot(u, u))
 

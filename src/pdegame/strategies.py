@@ -34,7 +34,9 @@ once per solve and an audit by ``eval``, and
 :meth:`CandidatePlan1D.announce` derives every column's announcement
 from the probe values.  On the disk the audit's batched round takes
 stacked pieces on any points of the ball (the probes, the crossing fan
-and its Neumann bounds, the clipped announcements, the move sets), and
+and its Neumann bounds, the clipped announcements, the move sets).  Both
+take each rung scale (ell, dt, the caps) as a float or one value per point
+by one code path (:func:`_at`), so an audit plays many rungs at once; and
 :func:`probe_derivatives`, :func:`neumann_bounds`, :func:`p_opt`,
 :func:`gamma_opt`, :func:`candidate_strategies` and :func:`move_builder`
 are their one-point cases, the parts of the one-step oracle ``s_eps``;
@@ -149,7 +151,8 @@ def _crossing_fan(domain, x, n_bar, ell: float, h) -> tuple:
     k, n_steps = len(x), (_N_DIRECTIONS_2D + 2) * len(_RADIUS_FRACTIONS)
     dirs = np.concatenate([np.broadcast_to(_FAN_64, (k, _N_DIRECTIONS_2D, 2)),
                            n_bar[:, None], -n_bar[:, None]], axis=1)
-    steps = (np.array(_RADIUS_FRACTIONS) * ell)[:, None] * dirs[:, :, None, :]  # radii within
+    radii = _at(ell, axes=1) * np.array(_RADIUS_FRACTIONS)  # (4,), or (k, 4)
+    steps = radii[..., None, :, None] * dirs[:, :, None, :]  # radii within
     landing, crossed, _ = domain.moves(np.repeat(x, n_steps, axis=0), steps.reshape(-1, 2))
     u = landing[crossed] - np.asarray(domain.center)  # nearest_boundary's u / |u|
     return crossed.reshape(k, n_steps), u / np.sqrt(np.vecdot(u, u))[:, None], h(landing[crossed])
@@ -163,6 +166,14 @@ def _fan_bounds(fan, grad) -> tuple:
     hi = -lo
     lo[..., crossed] = hi[..., crossed] = h_land - np.vecdot(normal, grad[..., rows, :])
     return _pick(lo, np.argmin), _pick(hi, np.argmax)
+
+
+def _at(scale, rows=slice(None), axes: int = 0):
+    """A rung scale of one value per point at the rows ``rows``, with ``axes``
+    unit axes after the point axis; a float (or 0-d array) serves every point."""
+    if not isinstance(scale, np.ndarray) or scale.ndim == 0:
+        return scale
+    return scale[rows].reshape((-1,) + (1,) * axes)
 
 
 def _pick(v, arg):
@@ -208,18 +219,20 @@ def clip_strategy(strategy: Strategy, params) -> Strategy:
 
 
 def _clip(P, G, params):
-    """:func:`clip_strategy` of every row of the gradients P ``(k, d)`` and
-    the Hessians G ``(k, d, d)``: the gradient's norm, ``sqrt(vecdot)`` as
+    """:func:`clip_strategy` of every gradient of P ``(k, ..., d)`` and
+    Hessian of G ``(k, ..., d, d)``: the gradient's norm, ``sqrt(vecdot)`` as
     ``np.linalg.norm`` takes it (in 1D its one product), capped at
     ``p_bound``, and the spectrum clipped to ``hessian_bound`` by a stacked
     ``eigh`` (in 1D a plain clip, whose + 0.0 maps -0.0 to 0.0, as eigh does)."""
-    pb, hb = params.p_bound, params.hessian_bound
-    pn = np.sqrt(P * P if P.shape[1] == 1 else np.vecdot(P, P)[:, None])
+    pb = _at(params.p_bound, axes=P.ndim - 1)
+    pn = np.sqrt(P * P if P.shape[-1] == 1 else np.vecdot(P, P)[..., None])
     P = np.where(pn > pb, P * (pb / np.maximum(pn, pb)), P)
-    if P.shape[1] == 1:  # np.clip, in its cheaper ufunc form
+    if P.shape[-1] == 1:  # np.clip, in its cheaper ufunc form
+        hb = _at(params.hessian_bound, axes=P.ndim)
         return P, np.minimum(np.maximum(G, -hb), hb) + 0.0
-    w, V = np.linalg.eigh(0.5 * (G + G.swapaxes(1, 2)))
-    return P, (V * np.clip(w, -hb, hb)[:, None, :]) @ V.swapaxes(1, 2)
+    hb = _at(params.hessian_bound, axes=P.ndim - 1)  # of the spectra, shaped as P
+    w, V = np.linalg.eigh(0.5 * (G + G.swapaxes(-1, -2)))
+    return P, (V * np.clip(w, -hb, hb)[..., None, :]) @ V.swapaxes(-1, -2)
 
 
 def probe_derivatives(domain: DomainGeometry, x, phi, scale: float, flux):
@@ -253,7 +266,7 @@ def probe_derivatives(domain: DomainGeometry, x, phi, scale: float, flux):
     return grad[0], hess[0]
 
 
-def _probes(domain, x, s: float, flux) -> tuple:
+def _probes(domain, x, s, flux) -> tuple:
     """Where :func:`probe_derivatives` reads the field at the ``(k, dim)``
     points x at scale s: ``(probes, read, add, pick)``.  ``probes`` holds x,
     x + s e_j and x - s e_j per axis j (its mirror where one leaves the
@@ -261,7 +274,7 @@ def _probes(domain, x, s: float, flux) -> tuple:
     -0.0), and in 2D the first stencil of ``_MIXED_2D`` inside, ``pick``
     (-1, and none, where none is); ``read`` marks the probes read."""
     k, n = x.shape
-    steps = np.broadcast_to(s * _AXES[n], (k, 2 * n, n))
+    steps = np.broadcast_to(_at(s, axes=2) * _AXES[n], (k, 2 * n, n))
     foot, refl, dist = domain.moves(np.repeat(x, 2 * n, axis=0), steps.reshape(-1, n))
     q = x[:, None] + steps
     mirror = np.where(refl.reshape(k, 2 * n, 1), 2.0 * foot.reshape(q.shape) - q, q).reshape(-1, n)
@@ -273,7 +286,7 @@ def _probes(domain, x, s: float, flux) -> tuple:
     probes, read = [x[:, None], mirror.reshape(q.shape)], [np.ones((k, 1 + 2 * n), dtype=bool)]
     pick = np.zeros(k, dtype=int)
     if n == 2:
-        stencils = x[:, None, None] + s * _MIXED_2D
+        stencils = x[:, None, None] + _at(s, axes=3) * _MIXED_2D
         fits = (domain.outside_by(stencils.reshape(-1, 2)) <= domain.tol).reshape(k, 5, 4).all(2)
         pick = np.where(fits.any(axis=1), fits.argmax(axis=1), -1)
         probes.append(stencils[np.arange(k), pick])
@@ -281,19 +294,19 @@ def _probes(domain, x, s: float, flux) -> tuple:
     return np.concatenate(probes, axis=1), np.concatenate(read, axis=1), add, pick
 
 
-def _probe_derivs(v, pick, s: float) -> tuple:
+def _probe_derivs(v, pick, s) -> tuple:
     """The ``(k, dim)`` gradients and ``(k, dim, dim)`` Hessians of
     :func:`probe_derivatives` from the field's values at the :func:`_probes`
     plus their ``add`` (zero where not read); with ``pick`` -1 no mixed partial."""
-    n = 1 if v.shape[1] == 3 else 2
+    n, s2 = 1 if v.shape[1] == 3 else 2, _sq(s)
     f0, fp, fm = v[:, :1], v[:, 1:2 * n + 1:2], v[:, 2:2 * n + 1:2]
     hess = np.zeros((len(v), n, n))
-    hess.reshape(-1, n * n)[:, ::n + 1] = (fp - 2.0 * f0 + fm) / s**2  # the diagonal
+    hess.reshape(-1, n * n)[:, ::n + 1] = (fp - 2.0 * f0 + fm) / _at(s2, axes=1)  # the diagonal
     if n == 2:
         mixed = v[:, 5] - v[:, 6] - v[:, 7] + np.where(pick == 0, v[:, 8], v[:, 0])
         den = np.where(pick == 0, 4.0, _MIXED_2D[pick, 0].prod(axis=1))  # 4, or sx sy
-        hess[:, 0, 1] = hess[:, 1, 0] = mixed / (den * s**2)
-    return (fp - fm) / (2.0 * s), hess
+        hess[:, 0, 1] = hess[:, 1, 0] = mixed / (den * s2)
+    return (fp - fm) / (2.0 * _at(s, axes=1)), hess
 
 
 def candidate_strategies(domain: DomainGeometry, x, params, h, derivs) -> list:
@@ -325,13 +338,11 @@ def _announce(frame, p0, G0, bounds, line, params) -> tuple:
     j, t = np.flatnonzero(line), _LINE_T
     m, M = bounds[0][j], bounds[1][j]
     P, G = np.repeat(p0[:, None], 1 + _LINE_SAMPLES, axis=1), np.repeat(G0[:, None], 2, axis=1)
-    fj = BoundaryFrame(frame.n_bar[j], frame.d[j], frame.ell)
+    fj = BoundaryFrame(frame.n_bar[j], frame.d[j], _at(frame.ell, j))
     p_lo, p_hi = p_opt(fj, p0[j], G0[j], np.stack([m, M]))[:, :, None]
     P[j, 1:] = np.where((M > m)[:, None, None], (1 - t) * p_lo + t * p_hi, p_lo)
     G[j, 1] = gamma_opt(fj, G0[j])
-    k, S, d = P.shape
-    P, G = _clip(P.reshape(k * S, d), G.reshape(2 * k, d, d), params)
-    return P.reshape(k, S, d), G.reshape(k, 2, d, d)
+    return _clip(P, G, params)
 
 
 def candidate_moves(domain: DomainGeometry, x, params, hess_diff=None) -> list:
@@ -371,18 +382,19 @@ def _move_sets_2d(frame, hess_diff) -> tuple:
     set per Hessian mismatch of its ``(k, j, 2, 2)`` hess_diff (the eigen-steps
     by one stacked ``eigh``; none for None): the ``(k, j, 58, 2)`` steps and the
     ``(k, 58)`` mask of candidate_moves' steps among them, in its order."""
-    n, d, ell = frame.n_bar, frame.d, frame.ell
+    n, d, ell = frame.n_bar, frame.d, _at(frame.ell, axes=1)
     k, j = len(d), 1 if hess_diff is None else hess_diff.shape[1]
     t = n[:, ::-1] * (-1.0, 1.0)  # the tangent (-n_1, n_0)
     head = np.stack([np.zeros_like(n), ell * n, -ell * n, ell * t, -ell * t, d[:, None] * n], 1)
-    radii = np.stack([np.full(k, ell), np.full(k, 0.5 * ell), d], axis=1)
+    radii = np.stack([np.full(k, frame.ell), np.full(k, 0.5 * frame.ell), d], axis=1)
     fan = (radii[:, None, :, None] * _FAN_2D[:, None, :]).reshape(k, 48, 2)  # radii within
     eig = np.zeros((k, j, 4, 2))
     if hess_diff is not None:
-        e = ell * np.linalg.eigh(0.5 * (hess_diff + hess_diff.swapaxes(2, 3)))[1].swapaxes(2, 3)
+        e = np.linalg.eigh(0.5 * (hess_diff + hess_diff.swapaxes(2, 3)))[1].swapaxes(2, 3)
+        e = _at(frame.ell, axes=3) * e
         eig = e[:, :, [0, 0, 1, 1]] * np.array([1.0, -1.0, 1.0, -1.0])[:, None]  # e0, -e0, e1, -e1
     real = np.ones((k, 58), dtype=bool)
-    real[:, 5], real[:, 6:10] = (0.0 < d) & (d < ell), hess_diff is not None  # graze, eigen
+    real[:, 5], real[:, 6:10] = (0.0 < d) & (d < frame.ell), hess_diff is not None  # graze, eigen
     real[:, 12::3] = real[:, 5:6]  # the fan at radius d where the grazing step is
     return np.concatenate([np.broadcast_to(head[:, None], (k, j, 6, 2)), eig,
                            np.broadcast_to(fan[:, None], (k, j, 48, 2))], axis=2), real
@@ -415,9 +427,11 @@ class CandidatePlan1D:
     repeats its -ell step, which changes no min.  The other attributes
     serve :meth:`announce`: the ``(3, n)`` ``probes`` (each point, then
     x + ell and x - ell, or their mirror where a probe leaves the
-    interval, which adds ``flux``), and the boundary frame's hoisted
-    coefficients and wall datum at the layer rows.  A point off the closure
-    by more than ``domain.tol``, or NaN, raises ``ValueError``.
+    interval, which adds ``flux``), the wall distance ``d``, and the
+    boundary frame's hoisted coefficients and wall datum at the layer rows.
+    ``params`` is one rung, or one value per point; the scales a play reads
+    are hoisted, one per column where one per point.  A point off the
+    closure by more than ``domain.tol``, or NaN, raises ``ValueError``.
     """
 
     def __init__(self, domain, x, params, h):
@@ -438,29 +452,30 @@ class CandidatePlan1D:
         self.flux = 2.0 * np.abs(q - foot) * np.where(q < a, h_a, h_c)
         self.probes = np.concatenate([x[None], np.where(self.reflected, 2.0 * foot - q, q)])
 
-        d = np.maximum(np.minimum(x - a, c - x), 0.0)
+        self.d = d = np.maximum(np.minimum(x - a, c - x), 0.0)
         normal = np.where(x - a <= c - x, -1.0, 1.0)
         self.layer_rows = L = np.flatnonzero(d < ell)
-        r2 = _sq(d[L] / ell)  # scalar pow, as the pointwise code
-        self.bound_coef = 0.5 * (1.0 - d[L] / ell)  # of m = M in p_opt
-        self.hess_coef = 0.25 * ell * (1.0 - r2)  # of H there
+        r2 = _sq(d[L] / _at(ell, L))  # scalar pow, as the pointwise code
+        self.bound_coef = 0.5 * (1.0 - d[L] / _at(ell, L))  # of m = M in p_opt
+        self.hess_coef = 0.25 * _at(ell, L) * (1.0 - r2)  # of H there
         self.flat_coef = 0.5 * (-1.0 + r2)  # of H in gamma_opt
         self.normal = normal[L]
         self.h_wall = np.where(self.normal < 0.0, h_a, h_c)  # h at the wall in reach
 
         self.node = col = np.concatenate([np.arange(len(x)), L])
-        self.x, dc = x[col], d[col]
-        graze = (0.0 < dc) & (dc < ell)
+        self.x, dc, ell_c = x[col], d[col], _at(ell, col)
+        graze = (0.0 < dc) & (dc < ell_c)
         self.step = np.stack(
-            [np.zeros_like(dc), np.full_like(dc, ell), np.full_like(dc, -ell),
-             np.where(graze, dc * normal[col], -ell)],
+            [np.zeros_like(dc), np.full_like(dc, ell_c), np.full_like(dc, -ell_c),
+             np.where(graze, dc * normal[col], -ell_c)],
         )[: 3 + int(graze.any())]
         x_hat = self.x + self.step
         self.crossed = outside(x_hat)
         self.landing = np.where(self.crossed, np.clip(x_hat, a, c), x_hat)
         weight = np.abs(x_hat - self.landing)
         self.penalty = np.where(self.crossed, weight * np.where(self.landing <= a, h_a, h_c), 0.0)
-        self.params = params
+        self.params, self.ell_sq, self.time_step = params, _sq(ell), _at(params.time_step, col)
+        self.p_bound, self.hessian_bound = _at(params.p_bound, col), _at(params.hessian_bound, col)
 
     def announce(self, probe_values):
         """``(P, G)`` from the field's ``(3, n)`` values at :attr:`probes`:
@@ -471,17 +486,17 @@ class CandidatePlan1D:
         the probes and the base pair everywhere, and the exact Neumann
         bound, p_lo and the flattened Hessian at the layer rows.
         """
-        params, ell, L = self.params, self.params.move_bound, self.layer_rows
+        ell, L = self.params.move_bound, self.layer_rows
         f0 = probe_values[0]
         fp, fm = np.where(self.reflected, probe_values[1:] + self.flux, probe_values[1:])
         g = (fp - fm) / (2.0 * ell)
-        H = (fp - 2.0 * f0 + fm) / ell**2
+        H = (fp - 2.0 * f0 + fm) / self.ell_sq
         gL, HL = g[L], H[L]
         bound = self.h_wall - gL * self.normal  # m = M: h(wall) - g n(wall)
         p_lo = gL + (self.bound_coef * bound - self.hess_coef * HL) * self.normal
         G_line = HL + self.flat_coef * HL  # gamma_opt
         P, G = _clip(np.concatenate([g, p_lo])[:, None],
-                     np.concatenate([H, G_line])[:, None, None], params)
+                     np.concatenate([H, G_line])[:, None, None], self)
         return P.ravel(), G.ravel()
 
 
@@ -539,10 +554,12 @@ def check_move_bound(domain: DomainGeometry, params) -> None:
     """Raise ``ValidationError`` when the move bound ell exceeds r_int, half
     the interval, or r_ext/2 on the ball.  Within it a 1D layer node reaches
     one wall and every reflected probe stays inside; on the ball, every
-    step ends where the projection is single-valued."""
-    ell, one_d = params.move_bound, domain.dim == 1
+    step ends where the projection is single-valued.  Of scales with one value
+    per point (eps and ell), the first point's rung beyond it is named."""
+    ell, eps, one_d = np.ravel(params.move_bound), np.ravel(params.eps), domain.dim == 1
     name, bound = ("r_int", domain.r_int) if one_d else ("r_ext/2", 0.5 * domain.r_ext)
-    if ell > bound:
+    if (over := np.flatnonzero(ell > bound)).size:
+        i = over[0]
         why = "a layer node would reach both walls" if one_d else "the projection is undefined"
-        raise ValidationError(f"eps={params.eps:g}: move bound ell={ell:.6g} exceeds the "
+        raise ValidationError(f"eps={eps[i]:g}: move bound ell={ell[i]:.6g} exceeds the "
                               f"{domain.kind}'s {name} = {bound:.6g}, beyond which {why}")

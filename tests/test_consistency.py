@@ -413,8 +413,10 @@ class TestAuditPoint:
         with pytest.raises(ValidationError, match="needs a time t"):
             audit_point(np.array([0.9, 0.0]), None, 0.0, affine(DISK, -1.0), lap, params)
 
+    @pytest.mark.parametrize("ladder", [(0.2,), (0.2, 0.1, 0.05), (0.1, 0.05, 0.025, 0.0125)],
+                             ids=["one", "default", "fine"])
     def test_suite_plays_one_plan_per_interval_pass_and_one_round_per_disk_pass(
-            self, monkeypatch, plan_calls):
+            self, monkeypatch, plan_calls, ladder):
         passes, plays, rounds = [], [], []
         audit, play, disk_round = cons.audit_cases, cons.play_1d, cons._disk_round
 
@@ -439,25 +441,29 @@ class TestAuditPoint:
         monkeypatch.setattr(cons, "play_1d", counting_play)
         monkeypatch.setattr(cons, "_disk_round", counting_round)
         monkeypatch.setattr("pdegame.game_parabolic.s_eps", forbidden)
-        rows = run_audit_suite(eps_ladder=(0.2,), include_disk=True).rows
-        # one pass per problem: on the interval aud_h2, aud_h0 and aud_dr (1, 5 and 2
-        # cases, 25 points), then the two disk problems (one case of 2 points each)
+        rows = run_audit_suite(eps_ladder=ladder, include_disk=True).rows
+        # one pass per problem over every rung, however many: on the interval aud_h2,
+        # aud_h0 and aud_dr (1, 5 and 2 cases, 25 points, per rung), then the two disk
+        # problems (one case of 2 points per rung each)
+        n = len(ladder)
         assert [p[3].name for p in passes] == ["aud_h2", "aud_h0", "aud_dr", "aud_disk_h2",
                                                "aud_disk_h0"]
-        assert [[len(x) for _, x in p[0]] for p in passes] == [[4], [3, 3, 3, 3, 2], [4, 3],
-                                                               [2], [2]]
+        assert [[len(x) for _, x, _ in p[0]] for p in passes] == [
+            [4] * n, [3, 3, 3, 3, 2] * n, [4, 3] * n, [2] * n, [2] * n]
+        assert [[params.eps for _, _, params in p[0]] for p in passes] == [
+            [eps for eps in ladder for _ in range(k)] for k in (1, 5, 2, 1, 1)]
         # each interval pass builds one plan, played once for every z = (0.0, 1.5)
         assert len(plan_calls[0]) == len(plays) == len({id(plan) for plan, _ in plays}) == 3
         for _, z in plays:
             assert z.shape == (2, 1, 1) and z.ravel().tolist() == [0.0, 1.5]
-        # each disk pass plays one batched round on all its points, so 2 at this rung
-        assert [(len(parts), len(pts)) for parts, pts in rounds] == [(1, 2), (1, 2)]
-        assert len(rows) == 2 * (25 * 2 + 4) == 108
+        # each disk pass plays one batched round on all its points, one field's
+        assert [(len(parts), len(pts)) for parts, pts in rounds] == [(1, 2 * n), (1, 2 * n)]
+        assert len(rows) == n * 2 * (25 * 2 + 4)
         # the suite writes each case's rows as its pass returned them
-        assert Counter(rows) == Counter(r for p in passes for rs in p[5] for r in rs)
-        for cases, t, z, problem, params, out in passes:
+        assert Counter(rows) == Counter(r for p in passes for rs in p[4] for r in rs)
+        for cases, t, z, problem, out in passes:
             assert len(out) == len(cases)
-            for (phi, x), case_rows in zip(cases, out):
+            for (phi, x, params), case_rows in zip(cases, out):
                 rest = iter(case_rows)
                 for xp in x:
                     # each point's rows: for each z, upper first, then lower, on that z's S[phi]
@@ -774,7 +780,7 @@ def split_cases(dom, pts, cuts, fields, empty_at) -> list:
 def assert_pass_is_each_case(cases, z, problem, params):
     """One :func:`audit_cases` pass gives each case's :func:`audit_point` rows
     and the per-point oracle's, compared by ``==`` and by their bytes."""
-    got = cons.audit_cases(cases, 0.25, z, problem, params)
+    got = cons.audit_cases([(phi, x, params) for phi, x in cases], 0.25, z, problem)
     assert len(got) == len(cases)
     for (phi, x), rows in zip(cases, got):
         assert len(rows) == 2 * len(x) * np.size(z)
@@ -936,6 +942,62 @@ class TestDiskRound:
         pts = np.array([disk_point(k, ell) for k in DISK_SPECIAL] + ring)
         assert_round_is_s_eps([(cons._cos_profile(DISK, 0.0, 3.0), pts)], 0.0,
                               _test_problem(DISK, problem, flux), params)
+
+
+#: the rungs a mixed pass draws from: the coarse ones, where ell nears r_ext/2 on the
+#: disk and probes reflect, the default ladder and the fine one
+MIXED_RUNGS = (0.4, 0.3, 0.2, 0.1, 0.05, 0.025, 0.0125)
+
+
+class TestMixedRungPass:
+    @settings(max_examples=40, deadline=None)
+    @given(rungs=st.lists(st.sampled_from(MIXED_RUNGS), min_size=1, max_size=4, unique=True),
+           on_disk=st.booleans(), fields=CASE_FIELDS,
+           cases=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.lists(
+               st.one_of(st.sampled_from(DISK_SPECIAL), st.tuples(
+                   st.floats(0.0, 2.0), st.floats(0.0, 2.0 * math.pi))), max_size=3)),
+               min_size=1, max_size=6),
+           **{k: PASS_CASES[k] for k in ("problem", "flux", "z")})
+    def test_a_pass_over_mixed_rungs_is_each_rung_case_alone_bit_for_bit(
+            self, rungs, on_disk, fields, cases, problem, flux, z):
+        # each case: its rung, its field of a pool shared across rungs, and its disk
+        # points at that rung's ell, or on the interval |x0| of each; some are empty
+        dom = DISK if on_disk else DOM
+        ladder = cons.audit_ladder(rungs, include_disk=True)
+        pool = [_test_field(dom, *kind) for kind in fields]
+        drawn = []
+        for rung, field, points in cases:
+            params = ladder[rung % len(ladder)]
+            pts = np.array([disk_point(p, params.move_bound) for p in points]).reshape(-1, 2)
+            drawn.append((pool[field], pts if on_disk else np.abs(pts[:, :1]), params))
+        prob = _test_problem(dom, problem, flux)
+        got = cons.audit_cases(drawn, 0.25, z, prob)
+        assert len(got) == len(drawn)
+        for (phi, x, params), rows in zip(drawn, got):
+            assert len(rows) == 2 * len(x) * np.size(z)
+            assert_same_rows(rows, audit_point(x, 0.25, z, phi, prob, params))
+
+    @pytest.mark.parametrize("on_disk", [False, True], ids=["interval", "disk"])
+    def test_the_coarse_rungs_fall_back_to_the_field_derivatives(self, on_disk):
+        # at eps 0.4 and 0.3 the disk's axis points fit no mixed stencil (pick < 0) and
+        # their probes reflect; one pass over both rungs and the default ones is each alone
+        dom = DISK if on_disk else DOM
+        ladder = cons.audit_ladder(MIXED_RUNGS[:4], include_disk=True)
+        barrier, slope = exact_barrier(dom, 1.0), affine(dom, -1.0)
+        drawn = []
+        for params in ladder:
+            ell = params.move_bound
+            pts = (np.array([disk_point(k, ell) for k in DISK_SPECIAL]) if on_disk
+                   else np.array([[0.0], [0.3 * ell], [1.0 - 0.5 * ell], [1.0]]))
+            drawn += [(barrier, pts, params), (slope, pts[:0], params), (slope, pts[:2], params)]
+        if on_disk:
+            pick = cons._probes(DISK, drawn[0][1], ladder[0].move_bound, lambda q: 0.0 * q[:, 0])[3]
+            assert (pick < 0).any()
+        prob = _test_problem(dom, "heat", 2.0)
+        for z in (0.0, (0.0, 1.5)):
+            got = cons.audit_cases(drawn, 0.25, z, prob)
+            for (phi, x, params), rows in zip(drawn, got):
+                assert_same_rows(rows, audit_point(x, 0.25, z, phi, prob, params))
 
 
 class TestSuite:

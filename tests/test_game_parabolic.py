@@ -70,8 +70,8 @@ def audit_suite_calls():
     pass, recorded without evaluating the operator."""
     calls = []
 
-    def record(cases, t, z, problem, params):
-        calls.extend((phi, xp, t, z, problem, params) for phi, x in cases for xp in x)
+    def record(cases, t, z, problem):
+        calls.extend((phi, xp, t, z, problem, params) for phi, x, params in cases for xp in x)
         return [()] * len(cases)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -144,9 +144,9 @@ def suite_cases(eps):
     its points as one ``(k, 1)`` stack."""
     cases = []
 
-    def record(pass_cases, t, z, problem, params):
+    def record(pass_cases, t, z, problem):
         if problem.domain.dim == 1:
-            cases.extend(pass_cases)
+            cases.extend((phi, x) for phi, x, _ in pass_cases)
         return [()] * len(pass_cases)
 
     with pytest.MonkeyPatch.context() as mp:

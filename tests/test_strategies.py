@@ -486,9 +486,9 @@ class TestMovesAgainstTheLoop:
         # every point of the audit suite, on the interval and the disk
         calls, points = [], []
 
-        def record(cases, t, z, problem, params):
+        def record(cases, t, z, problem):
             calls.append((problem.domain.kind, len(cases)))
-            points.extend((xp, phi, problem, params) for phi, x in cases for xp in x)
+            points.extend((xp, phi, problem, params) for phi, x, params in cases for xp in x)
             return [()] * len(cases)
 
         monkeypatch.setattr("pdegame.consistency.audit_cases", record)
